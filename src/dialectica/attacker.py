@@ -28,7 +28,7 @@ from .core import (
     sample_value,
 )
 from .net import HiddenCtx, Message
-from .rng import ATTACKER_TAG, fnv64, subkey
+from .rng import ATTACKER_TAG, derive, fnv64
 from .transforms import xor_recipe, xor_sharp_recipe
 from .values import (
     BitVec,
@@ -434,7 +434,7 @@ def run_spoof_experiment(lingo: Lingo, param_policy: ParamPolicy, strategy: str,
     any_intent = False
 
     for t in range(trials):
-        trial_seed = subkey(seed, fnv64("spoof-trial"), t)
+        trial_seed = derive(seed, fnv64("spoof-trial"), t)
         state = AttackerState(advantage=advantage or AdvantageConfig.zero())
         rng = Rng(trial_seed, ATTACKER_TAG)
         in_rng = Rng(trial_seed, fnv64("honest-plaintext"))
@@ -482,7 +482,7 @@ def run_match_experiment(lingo: Lingo, strategy: str, trials: int, seed: int,
     guesser = _GUESSERS.get(strategy)
     hits: Optional[int] = 0 if guesser else None
     for t in range(trials):
-        trial_seed = subkey(seed, fnv64("match-trial"), t)
+        trial_seed = derive(seed, fnv64("match-trial"), t)
         rng = Rng(trial_seed, ATTACKER_TAG)
         in_rng = Rng(trial_seed, fnv64("honest-plaintext"))
         p = lingo.param(0, trial_seed)

@@ -166,12 +166,17 @@ def cmd_experiment(args) -> int:
     except (SpecError, json.JSONDecodeError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
+    k = args.policy[len("reuse:"):] if args.policy.startswith("reuse:") else ""
     if args.policy == "per_message":
         policy = PerMessage()
-    elif args.policy.startswith("reuse:"):
-        policy = ReuseK(int(args.policy.split(":", 1)[1]))
+    elif k.isdigit() and int(k) >= 1:
+        policy = ReuseK(int(k))
     else:
-        print(f"unknown policy {args.policy!r}", file=sys.stderr)
+        print(f"policy must be per_message or reuse:K with K >= 1, got "
+              f"{args.policy!r}", file=sys.stderr)
+        return EXIT_SPEC_ERROR
+    if args.trials < 1:
+        print("--trials must be >= 1", file=sys.stderr)
         return EXIT_SPEC_ERROR
     seed = _effective_seed(args.seed, 0)
     if args.kind == "spoof":

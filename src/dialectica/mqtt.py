@@ -9,7 +9,8 @@ per-topic subscriber sets and fans published values out to subscribers.
 one tag byte followed by length-prefixed UTF-8 fields, read big-endian as a
 natural or zero-padded into a bit-vector of configured width.  The decoder
 is a strict parser: anything not produced by the encoder comes back as
-MalformedPayload instead of raising.
+RetractFailure instead of raising, so the pair forms the data adaptor
+``mqtt_codec_adaptor``, the simulator's only message codec.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .values import (
     BitVecSpace,
     Nat,
     NatSpace,
-    Space,
     Value,
 )
 
@@ -252,11 +252,6 @@ def _broker_step(b: MqttBroker, incoming) -> Union[tuple[Actor, Outbound], Rejec
 # Payload codec
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MalformedPayload:
-    reason: str = ""
-
-
 # Tag byte per message kind; a tag of 0 never occurs, so encodings are
 # nonzero and survive the integer round trip without length framing.
 _TAGS: list[tuple[type, int, tuple[str, ...]]] = [
@@ -293,59 +288,48 @@ def encode_mqtt(msg: MqttMsg, width: Optional[int] = None) -> Value:
     return BitVec(width, n)
 
 
-def decode_mqtt(v: Value) -> Union[MqttMsg, MalformedPayload]:
+def decode_mqtt(v: Value) -> Union[MqttMsg, RetractFailure]:
     """Strict inverse of encode_mqtt; total over arbitrary values."""
     if isinstance(v, Nat):
         n = v.n
     elif isinstance(v, BitVec):
         if not v.in_range:
-            return MalformedPayload("bits exceed declared width")
+            return RetractFailure("bits exceed declared width")
         n = v.bits
     else:
-        return MalformedPayload(f"{type(v).__name__} payloads are not decodable")
+        return RetractFailure(f"{type(v).__name__} payloads are not decodable")
     if n == 0:
-        return MalformedPayload("empty payload")
+        return RetractFailure("empty payload")
     data = n.to_bytes((n.bit_length() + 7) // 8, "big")
     tag = data[0]
     if tag not in _BY_TAG:
-        return MalformedPayload(f"unknown tag {tag}")
+        return RetractFailure(f"unknown tag {tag}")
     msg_type, fields = _BY_TAG[tag]
     pos = 1
     parsed = []
     for _ in fields:
         if pos >= len(data):
-            return MalformedPayload("truncated field")
+            return RetractFailure("truncated field")
         length = data[pos]
         pos += 1
         if length == 0 or pos + length > len(data):
-            return MalformedPayload("bad field length")
+            return RetractFailure("bad field length")
         try:
             parsed.append(data[pos:pos + length].decode("utf-8"))
         except UnicodeDecodeError:
-            return MalformedPayload("field is not UTF-8")
+            return RetractFailure("field is not UTF-8")
         pos += length
     if pos != len(data):
-        return MalformedPayload("trailing bytes")
+        return RetractFailure("trailing bytes")
     return msg_type(*parsed)
-
-
-def payload_space(width: Optional[int] = None) -> Space:
-    return NatSpace() if width is None else BitVecSpace(width)
 
 
 def mqtt_codec_adaptor(width: Optional[int] = None) -> DataAdaptor:
     """Section-retract pair between protocol messages and payload values;
     pre-composing it with a payload lingo yields a lingo on messages."""
-
-    def r(v: Value):
-        msg = decode_mqtt(v)
-        if isinstance(msg, MalformedPayload):
-            return RetractFailure(msg.reason)
-        return msg
-
     return DataAdaptor(name="mqtt_codec", from_space=None,
-                       to_space=payload_space(width),
-                       j=lambda m: encode_mqtt(m, width), r=r,
+                       to_space=NatSpace() if width is None else BitVecSpace(width),
+                       j=lambda m: encode_mqtt(m, width), r=decode_mqtt,
                        retract_total=False, sparse_image=True)
 
 

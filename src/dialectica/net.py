@@ -34,7 +34,3 @@ class Message:
     injected: bool = False
     strategy: Optional[str] = None
     hidden: Optional[HiddenCtx] = None
-
-    def clone_wire(self) -> "Message":
-        return Message(dst=self.dst, src=self.src, payload=self.payload,
-                       seq=self.seq)

@@ -74,11 +74,6 @@ class Rng:
         return self.next_u64() % bound
 
 
-def subkey(seed: int, stream_tag: int, index: int) -> int:
-    """A fresh 64-bit key for a nested stream; equals derive itself."""
-    return derive(seed, stream_tag, index)
-
-
 def throw_biased(seed: int, n: int, bias: tuple[int, ...]) -> int:
     """Face (1-based) of the n-th throw of a k-face dice with weights ``bias``.
 

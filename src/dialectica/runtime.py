@@ -1,12 +1,15 @@
 """Deterministic simulator for dialect-wrapped protocol actors.
 
 Each protocol actor is wrapped in a meta-object that encodes outgoing
-payloads with the active lingo (rule ``out``), buffers arriving wire
-messages (rule ``deliver``), and decodes buffered batches back into
-protocol messages (rule ``in``), rejecting anything that fails decoding,
-the forgery check, or the protocol parser.  Per-peer send/receive counters
-drive the parameter stream; an optional aperiodic policy additionally
-rotates the active lingo after a per-peer message bound.
+messages with the codec adaptor ``mqtt_codec_adaptor`` and the active lingo
+(rule ``out``), buffers arriving wire messages (rule ``deliver``), and
+decodes buffered batches back into protocol messages (rule ``in``).  A
+rejected batch is logged with the first failing check's reason, in check
+order: ``decode:`` (shape gate or g), ``default_fallback``, ``noncompliant``
+(forgery check), ``malformed:`` (codec retract), ``actor:`` (protocol).
+Per-peer send/receive counters drive the parameter stream; an optional
+aperiodic policy additionally rotates the active lingo after a per-peer
+message bound.
 
 Channels are FIFO and loss-free per (src, dst): counter-keyed parameters
 need ordered delivery.  The scheduler enumerates enabled rule instances in
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .attacker import (
     AttackerState,
@@ -33,14 +36,15 @@ from .core import (
     DefaultFallback,
     Lingo,
     Rng,
-    SpaceViolation,
     check_lingo_laws,
     is_compliant,
+    wire_fits,
 )
-from .mqtt import MalformedPayload, Reject, actor_step
+from .mqtt import Reject, actor_step
 from .net import HiddenCtx, Message
 from .rng import ATTACKER_TAG, MASK64, RATE_TAG, SCHED_TAG, derive, fnv64, throw_biased, uniform01
-from .values import ShapeMismatch, Value, value_to_json
+from .transforms import DataAdaptor, RetractFailure
+from .values import value_to_json
 
 
 class Quiescent(Exception):
@@ -108,15 +112,6 @@ def aperiodic_advance(policy: AperiodicPolicy, state: AperState, seed: int,
     return active, AperState(count, state.lingo_index, state.epoch), False
 
 
-@dataclass(frozen=True)
-class PayloadCodec:
-    """Protocol message to payload value and back; decode returns
-    MalformedPayload for anything the encoder cannot have produced."""
-
-    encode: Callable[[object], Value]
-    decode: Callable[[Value], object]
-
-
 class DialectWrapper:
     """Meta-object around one protocol actor.
 
@@ -126,7 +121,7 @@ class DialectWrapper:
     """
 
     def __init__(self, oid: str, actor, policy: LingoPolicy, seed: int,
-                 codec: Optional[PayloadCodec] = None):
+                 codec: Optional[DataAdaptor] = None):
         if policy is not None and codec is None:
             raise ValueError("dialected wrappers need a payload codec")
         self.oid = oid
@@ -191,7 +186,7 @@ class Configuration:
 
 
 def make_configuration(actors, policy: LingoPolicy, seed: int,
-                       codec: Optional[PayloadCodec] = None,
+                       codec: Optional[DataAdaptor] = None,
                        attacker: Optional[AttackerState] = None,
                        attacker_targets=None) -> Configuration:
     wrappers = {a.oid: DialectWrapper(a.oid, a, policy, seed, codec)
@@ -234,7 +229,7 @@ def rule_out(cfg: Configuration, oid: str) -> Configuration:
         a = None
         plaintext: object = msg
     else:
-        plaintext = w.codec.encode(msg)
+        plaintext = w.codec.j(msg)
         a = lingo.param(n, w.seed)
         wire_batch = lingo.f([plaintext], a)
     hidden = HiddenCtx(lingo_name=lingo.name if lingo else None, param=a,
@@ -264,9 +259,9 @@ def rule_deliver(cfg: Configuration, src: str, dst: str) -> Configuration:
 def rule_in(cfg: Configuration, oid: str, src: str) -> Configuration:
     """Decode one buffered batch and hand the plaintext to the inner actor.
 
-    Any failure (decode, default fallback, forgery check, payload parse,
-    protocol rejection) drops the batch with a logged rejection.  The
-    receive counter advances either way so honest peers stay in step."""
+    Any failure (shape gate, decode, default fallback, forgery check, codec
+    retract, protocol rejection) drops the batch with a logged rejection.
+    The receive counter advances either way so honest peers stay in step."""
     w = cfg.wrappers[oid]
     buf = w.in_buffers[src]
     n = w.recv_counters.get(src, 0)
@@ -285,10 +280,8 @@ def rule_in(cfg: Configuration, oid: str, src: str) -> Configuration:
     batch = [buf.popleft() for _ in range(lingo.egress_arity)]
     wire_batch = [m.payload for m in batch]
     a = lingo.param(n, w.seed)
-    try:
-        decoded = lingo.g(list(wire_batch), a)
-    except (AttributeError, TypeError, ValueError, ShapeMismatch, SpaceViolation):
-        decoded = DecodeFailure("wire value has the wrong shape")
+    decoded = (lingo.g(list(wire_batch), a) if wire_fits(lingo, wire_batch)
+               else DecodeFailure("wire value has the wrong shape"))
 
     injected = any(m.injected for m in batch)
     if isinstance(decoded, DecodeFailure):
@@ -297,15 +290,9 @@ def rule_in(cfg: Configuration, oid: str, src: str) -> Configuration:
     if isinstance(decoded, DefaultFallback):
         _reject(cfg, w, src, n, batch, "default_fallback", injected)
         return cfg
-    if lingo.f_checkable:
-        try:
-            ok = is_compliant(lingo, list(wire_batch), a)
-        except (AttributeError, TypeError, ValueError, ShapeMismatch,
-                SpaceViolation):
-            ok = False
-        if not ok:
-            _reject(cfg, w, src, n, batch, "noncompliant", injected)
-            return cfg
+    if lingo.f_checkable and not is_compliant(lingo, list(wire_batch), a):
+        _reject(cfg, w, src, n, batch, "noncompliant", injected)
+        return cfg
     if injected:
         cfg.stats["forgeries_accepted"] += 1
         _strategy_stat(cfg, batch, "dialect_accepted")
@@ -318,8 +305,8 @@ def _finish_in(cfg, w, src, n, plaintext_value, batch, raw_msg) -> None:
     if raw_msg is not None:
         msg = raw_msg
     else:
-        msg = w.codec.decode(plaintext_value)
-        if isinstance(msg, MalformedPayload):
+        msg = w.codec.r(plaintext_value)
+        if isinstance(msg, RetractFailure):
             _reject(cfg, w, src, n, batch, "malformed:" + msg.reason, injected)
             return
     stepped = actor_step(w.actor, (src, msg))
@@ -488,11 +475,7 @@ def run(cfg: Configuration, max_steps: int) -> tuple[bool, int]:
             step(cfg)
         except Quiescent:
             return True, i
-    try:
-        step(cfg)
-    except Quiescent:
-        return True, max_steps
-    return False, max_steps
+    return not _enabled_instances(cfg), max_steps
 
 
 # ---------------------------------------------------------------------------

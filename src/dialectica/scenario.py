@@ -34,16 +34,17 @@ from .mqtt import (
     Publish,
     Subscribe,
     Unsubscribe,
-    decode_mqtt,
-    encode_mqtt,
+    decode_mqtt,  # noqa: F401  (perfbench/probes.py patches these two names)
+    encode_mqtt,  # noqa: F401
+    mqtt_codec_adaptor,
 )
 from .runtime import (
     AperiodicPolicy,
     Configuration,
     LingoPolicy,
-    PayloadCodec,
     StaticPolicy,
     make_configuration,
+    scenario_lingos,
 )
 from .specs import SpecError, build_lingo
 
@@ -165,19 +166,12 @@ def build_configuration(scenario: Scenario, seed_override: Optional[int] = None
                         ) -> Configuration:
     seed = scenario.seed if seed_override is None else seed_override
     width = scenario.payload_width
-    codec = None
-    if scenario.policy is not None:
-        codec = PayloadCodec(encode=lambda m: encode_mqtt(m, width),
-                             decode=decode_mqtt)
-        lingos = ([scenario.policy.lingo]
-                  if isinstance(scenario.policy, StaticPolicy)
-                  else list(scenario.policy.lingos))
-        from .mqtt import payload_space
-        for lingo in lingos:
-            if lingo.input_space != payload_space(width):
-                raise SpecError(
-                    f"lingo {lingo.name} input space does not match the "
-                    f"{'nat' if width is None else width}-payload codec")
+    codec = None if scenario.policy is None else mqtt_codec_adaptor(width)
+    for lingo in scenario_lingos(scenario.policy):
+        if lingo.input_space != codec.to_space:
+            raise SpecError(
+                f"lingo {lingo.name} input space does not match the "
+                f"{'nat' if width is None else width}-payload codec")
     attacker = scenario.attacker
     if attacker is not None:
         # Fresh mutable state per build so a scenario can be run repeatedly.

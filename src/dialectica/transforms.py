@@ -24,7 +24,7 @@ from .core import (
     SpaceViolation,
     sample_value,
 )
-from .rng import SAMPLE_TAG, derive, fnv64, subkey
+from .rng import SAMPLE_TAG, derive, fnv64
 from .values import (
     BitVec,
     BitVecSpace,
@@ -140,7 +140,7 @@ class AuthLingo:
         """Secret bit-position involution for nonce n."""
         width = self.m + self.j
         perm = [-1] * width
-        rng = Rng(subkey(self.seed, _INVO_TAG, n), SAMPLE_TAG)
+        rng = Rng(derive(self.seed, _INVO_TAG, n), SAMPLE_TAG)
         for i in range(width):
             if perm[i] != -1:
                 continue
@@ -189,18 +189,6 @@ def _apply_involution(bits: int, width: int, perm: tuple[int, ...]) -> int:
     return out
 
 
-def _base_out_bits(lingo: Lingo, m: int, w: Value) -> int:
-    if isinstance(w, BitVec):
-        bits = w.bits
-    elif isinstance(w, Nat):
-        bits = w.n
-    else:
-        raise WidthOverflow(f"base output {w!r} has no bit representation")
-    if bits >= (1 << m):
-        raise WidthOverflow(f"base output exceeds {m} bits")
-    return bits
-
-
 def authenticating(base: Lingo, oids: list[str], m: int, j: int, k: int,
                    seed: int) -> AuthLingo:
     """Wrap ``base`` so each wire value carries a keyed j-bit code.
@@ -225,7 +213,7 @@ def authenticating(base: Lingo, oids: list[str], m: int, j: int, k: int,
 
     def f(batch, a: AuthParam):
         [w] = base.f(batch, a.a0)
-        payload = _base_out_bits(base, m, w)
+        payload = _wire_bits(w, m)
         concat = (payload << j) | a.code_word
         return [BitVec(width, _apply_involution(concat, width, a.sigma))]
 
@@ -501,7 +489,7 @@ def generic_recipe(lingo: Lingo, a0_sample: list[Value], seed: int = 0,
     if lingo.ingress_arity != 1 or lingo.egress_arity != 1:
         return NotApplicable("arity", "recipe construction needs 1/1 arities")
 
-    rng = Rng(subkey(seed, fnv64("generic-recipe"), 0), SAMPLE_TAG)
+    rng = Rng(derive(seed, fnv64("generic-recipe"), 0), SAMPLE_TAG)
     for i in range(samples):
         d = sample_value(lingo.input_space, rng)
         a = sample_value(lingo.param_space, rng)

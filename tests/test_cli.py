@@ -57,6 +57,11 @@ class TestLingoEval:
                      '{"bv":{"w":8,"n":300}}', '{"bv":{"w":8,"n":5}}'])
         assert code == EXIT_SPACE_VIOLATION
 
+    def test_wire_outside_output_space_exits_3(self, capsys):
+        code = main(["lingo", "eval", DC, "g", '{"bv":{"w":8,"n":3}}',
+                     '{"nat":"5"}'])
+        assert code == EXIT_SPACE_VIOLATION
+
 
 class TestLingoCheck:
     def test_divide_check_is_f_checkable(self, capsys):
@@ -182,9 +187,11 @@ class TestExperiment:
         assert out["spoof"]["rate"] == 1.0
 
     def test_bad_policy_exits_2(self, capsys):
-        code = main(["experiment", "spoof", "--lingo", XOR8,
-                     "--strategy", "replay", "--policy", "weekly"])
-        assert code == EXIT_SPEC_ERROR
+        for bad in (["--policy", "weekly"], ["--policy", "reuse:0"],
+                    ["--policy", "reuse:x"], ["--trials", "0"]):
+            code = main(["experiment", "spoof", "--lingo", XOR8,
+                         "--strategy", "replay", *bad])
+            assert code == EXIT_SPEC_ERROR, bad
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)

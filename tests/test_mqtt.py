@@ -9,12 +9,12 @@ from dialectica.mqtt import (
     Disconnect,
     DisconnectMsg,
     Forward,
-    MalformedPayload,
     MqttBroker,
     MqttClient,
     PubMsg,
     Publish,
     Reject,
+    RetractFailure,
     SubAck,
     SubMsg,
     Subscribe,
@@ -134,18 +134,18 @@ class TestCodec:
             assert decode_mqtt(encode_mqtt(msg)) == msg
 
     def test_zero_payload_malformed(self):
-        assert isinstance(decode_mqtt(Nat(0)), MalformedPayload)
+        assert isinstance(decode_mqtt(Nat(0)), RetractFailure)
 
     def test_width_overflow(self):
         with pytest.raises(WidthOverflow):
             encode_mqtt(PubMsg("temp", "34"), 8)
 
     def test_overwidth_bitvec_malformed(self):
-        assert isinstance(decode_mqtt(BitVec(8, 1 << 20)), MalformedPayload)
+        assert isinstance(decode_mqtt(BitVec(8, 1 << 20)), RetractFailure)
 
     def test_non_numeric_values_malformed(self):
         for v in (Pair(Nat(1), Nat(2)), AtomSet(("a",)), Tagged(1, Nat(2))):
-            assert isinstance(decode_mqtt(v), MalformedPayload)
+            assert isinstance(decode_mqtt(v), RetractFailure)
 
     def test_random_payloads_overwhelmingly_malformed(self):
         rng = Rng(404, 1)
@@ -153,7 +153,7 @@ class TestCodec:
         trials = 10_000
         for _ in range(trials):
             n = (rng.next_u64() << 64) | rng.next_u64()
-            if isinstance(decode_mqtt(Nat(n)), MalformedPayload):
+            if isinstance(decode_mqtt(Nat(n)), RetractFailure):
                 bad += 1
         assert bad / trials >= 0.99
 

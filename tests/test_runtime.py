@@ -8,14 +8,13 @@ from dialectica.mqtt import (
     MqttBroker,
     MqttClient,
     Publish,
-    decode_mqtt,
     encode_mqtt,
     initial_configuration,
+    mqtt_codec_adaptor,
 )
 from dialectica.net import Message
 from dialectica.runtime import (
     AperiodicPolicy,
-    PayloadCodec,
     Quiescent,
     StaticPolicy,
     actor_digest,
@@ -30,15 +29,7 @@ from dialectica.runtime import (
     step,
 )
 from dialectica.specs import build_lingo
-from dialectica.values import Nat, Pair
-
-
-def nat_codec():
-    return PayloadCodec(encode=lambda m: encode_mqtt(m, None), decode=decode_mqtt)
-
-
-def codec_for(width):
-    return PayloadCodec(encode=lambda m: encode_mqtt(m, width), decode=decode_mqtt)
+from dialectica.values import BitVec, Nat, Pair
 
 
 def xor_nat():
@@ -54,7 +45,7 @@ class TestRules:
         policy = StaticPolicy(build_lingo(lingo_spec or {"kind": "xor_nat"}))
         actors = [MqttClient(oid="c1", cmd_list=(Connect("b"),)),
                   MqttBroker(oid="b")]
-        return make_configuration(actors, policy, seed, codec=nat_codec())
+        return make_configuration(actors, policy, seed, codec=mqtt_codec_adaptor())
 
     def test_out_transforms_and_counts(self):
         cfg = self.make_pair()
@@ -96,7 +87,7 @@ class TestRules:
                                            "half_width": 64}))
         actors = [MqttClient(oid="c1", cmd_list=(Connect("b"),)),
                   MqttBroker(oid="b")]
-        cfg = make_configuration(actors, policy, 5, codec=codec_for(128))
+        cfg = make_configuration(actors, policy, 5, codec=mqtt_codec_adaptor(128))
         rule_out(cfg, "c1")
         assert len(cfg.channel("c1", "b")) == 2
         assert cfg.wrappers["c1"].send_counters == {"b": 1}
@@ -111,8 +102,9 @@ class TestRules:
     def test_replayed_wire_rejected(self):
         cfg = self.make_pair()
         rule_out(cfg, "c1")
-        replay = cfg.channel("c1", "b")[0].clone_wire()
-        replay.injected = True
+        head = cfg.channel("c1", "b")[0]
+        replay = Message(dst=head.dst, src=head.src, payload=head.payload,
+                         seq=head.seq, injected=True)
         rule_deliver(cfg, "c1", "b")
         rule_in(cfg, "b", "c1")
         cfg.channel("c1", "b").append(replay)
@@ -131,6 +123,17 @@ class TestRules:
         assert cfg.stats["rejected"] == 1
         assert cfg.wrappers["b"].recv_counters == {"c1": 1}
 
+    def test_overwidth_wire_fails_the_shape_gate(self):
+        policy = StaticPolicy(build_lingo({"kind": "xor_bitvec", "width": 128}))
+        actors = [MqttClient(oid="c1"), MqttBroker(oid="b")]
+        cfg = make_configuration(actors, policy, 5, codec=mqtt_codec_adaptor(128))
+        cfg.channel("c1", "b").append(Message(
+            dst="b", src="c1", payload=BitVec(128, 1 << 200), injected=True))
+        rule_deliver(cfg, "c1", "b")
+        rule_in(cfg, "b", "c1")
+        [reject] = [e for e in cfg.event_log if e["ev"] == "reject"]
+        assert reject["reason"] == "decode:wire value has the wrong shape"
+
 
 def _instances(cfg):
     from dialectica.runtime import _enabled_instances
@@ -147,7 +150,7 @@ class TestScheduler:
         def one_run():
             cfg = make_configuration(initial_configuration(),
                                      StaticPolicy(xor_nat()), 11,
-                                     codec=nat_codec())
+                                     codec=mqtt_codec_adaptor())
             run(cfg, 500)
             return json.dumps(cfg.event_log, sort_keys=True)
 
@@ -158,10 +161,18 @@ class TestScheduler:
         for seed in (11, 12):
             cfg = make_configuration(initial_configuration(),
                                      StaticPolicy(xor_nat()), seed,
-                                     codec=nat_codec())
+                                     codec=mqtt_codec_adaptor())
             run(cfg, 500)
             traces.append(json.dumps(cfg.event_log, sort_keys=True))
         assert traces[0] != traces[1]
+
+    def test_run_takes_exactly_the_budget(self):
+        from conftest import scenario_path
+        from dialectica.scenario import build_configuration, load_scenario
+        cfg = build_configuration(load_scenario(scenario_path("mqtt_xor.json")))
+        assert run(cfg, 3) == (False, 3)
+        assert cfg.clock == 3
+        assert len(cfg.event_log) == 3
 
     def test_fifo_order_preserved(self):
         actors = [MqttClient(oid="c1", peer="b",
@@ -169,7 +180,7 @@ class TestScheduler:
                                             for i in range(20))),
                   MqttBroker(oid="b", peers=frozenset({"c1"}))]
         cfg = make_configuration(actors, StaticPolicy(xor_nat()), 7,
-                                 codec=nat_codec())
+                                 codec=mqtt_codec_adaptor())
         run(cfg, 2000)
         seqs = [e["seq"] for e in cfg.event_log if e["ev"] == "deliver"]
         assert seqs == sorted(seqs)
@@ -189,7 +200,7 @@ class TestTransparency:
     }
 
     def run_variant(self, policy, width, seed=11, budget=600):
-        codec = None if policy is None else codec_for(width)
+        codec = None if policy is None else mqtt_codec_adaptor(width)
         cfg = make_configuration(initial_configuration(), policy, seed,
                                  codec=codec)
         quiesced, _ = run(cfg, budget)
@@ -210,7 +221,7 @@ class TestTransparency:
         # raises on any violation in attacker-free runs and none may occur
         cfg = make_configuration(initial_configuration(),
                                  StaticPolicy(xor_nat()), 11,
-                                 codec=nat_codec())
+                                 codec=mqtt_codec_adaptor())
         quiesced, _ = run(cfg, 600)
         assert quiesced
         assert not [e for e in cfg.event_log if e["ev"] == "desync"]
@@ -259,7 +270,7 @@ class TestAperiodic:
             build_lingo({"kind": "xor_nat"}),
             build_lingo({"kind": "divide_check"})))
         cfg = make_configuration(initial_configuration(), policy, 11,
-                                 codec=nat_codec())
+                                 codec=mqtt_codec_adaptor())
         quiesced, _ = run(cfg, 600)
         assert quiesced
         assert final_digests(cfg)["c1"]["last_recv"] == {"temp": "34"}
@@ -290,7 +301,7 @@ class TestAttackerIntegration:
     def test_dc_witness_injection_rejected_as_noncompliant(self):
         actors = [MqttClient(oid="c1"), MqttBroker(oid="b")]
         policy = StaticPolicy(build_lingo({"kind": "divide_check"}))
-        cfg = make_configuration(actors, policy, 4, codec=nat_codec())
+        cfg = make_configuration(actors, policy, 4, codec=mqtt_codec_adaptor())
         a = policy.lingo.param(0, 4)
         witness = Pair(Nat(0), Nat(a.n + 2))
         cfg.channel("c1", "b").append(
@@ -306,7 +317,7 @@ class TestAttackerIntegration:
                             injection_rate=0.0)
         actors = [MqttClient(oid="c1"), MqttBroker(oid="b")]
         cfg = make_configuration(actors, StaticPolicy(xor_nat()), 4,
-                                 codec=nat_codec(), attacker=atk,
+                                 codec=mqtt_codec_adaptor(), attacker=atk,
                                  attacker_targets=[("c1", "b")])
         quiesced, _ = run(cfg, 500)
         assert quiesced
@@ -317,7 +328,7 @@ class TestReport:
     def test_report_shape(self):
         policy = StaticPolicy(xor_nat())
         cfg = make_configuration(initial_configuration(), policy, 11,
-                                 codec=nat_codec())
+                                 codec=mqtt_codec_adaptor())
         quiesced, steps = run(cfg, 600)
         report = build_report(cfg, quiesced, steps, policy)
         assert report["quiesced"]

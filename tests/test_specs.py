@@ -1,10 +1,28 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dialectica.core import Rng, UnsampleableSpace, apply_f, check_lingo_laws
+from dialectica.core import (
+    Rng,
+    UnsampleableSpace,
+    apply_f,
+    check_lingo_laws,
+    is_compliant,
+    sample_value,
+)
 from dialectica.mqtt import mqtt_codec_adaptor
 from dialectica.specs import SpecError, build_adaptor, build_lingo
 from dialectica.transforms import adapt_pre
-from dialectica.values import BitVec, BitVecSpace, Nat, NatSpace, PairSpace
+from dialectica.values import (
+    AtomSet,
+    BitVec,
+    BitVecSpace,
+    Nat,
+    NatSpace,
+    Pair,
+    PairSpace,
+    Tagged,
+    space_contains,
+)
 
 
 class TestLingoSpecs:
@@ -84,3 +102,63 @@ def test_law_harness_needs_a_generator():
     lingo = adapt_pre(mqtt_codec_adaptor(), build_lingo({"kind": "xor_nat"}))
     with pytest.raises(UnsampleableSpace):
         check_lingo_laws(lingo, 10, Rng(0, 0))
+
+
+XOR4 = {"kind": "xor_bitvec", "width": 4}
+DC = {"kind": "divide_check"}
+# Every leaf kind, lingo operator and adaptor kind the spec language has.
+GATE_SPECS = [
+    XOR4,
+    {"kind": "xor_nat"},
+    {"kind": "xor_set", "universe": ["a", "b", "c"]},
+    DC,
+    {"kind": "reverse_divide_check"},
+    {"kind": "identity", "space": {"bitvec": 4}},
+    {"kind": "split_bitvec", "half_width": 2},
+    {"sharp": XOR4},
+    {"horizontal": {"branches": [{"kind": "xor_nat"}, DC],
+                    "defaults": [{"nat": "0"},
+                                 {"pair": [{"nat": "0"}, {"nat": "0"}]}],
+                    "bias": [1, 2]}},
+    {"functional": [{"kind": "xor_nat"}, DC]},
+    {"product": [XOR4, DC]},
+    {"tupling": [XOR4, XOR4]},
+    {"adapt_pre": {"adaptor": {"kind": "identity", "space": {"bitvec": 4}},
+                   "lingo": XOR4}},
+    {"adapt_pre": {"adaptor": {"kind": "nat_bitvec", "width": 4},
+                   "lingo": XOR4}},
+    {"adapt_pre": {"adaptor": {"kind": "sparse", "width": 8, "count": 8},
+                   "lingo": {"kind": "xor_bitvec", "width": 8}}},
+    {"adapt_pre": {"adaptor": {"kind": "mqtt_codec"},
+                   "lingo": {"kind": "xor_nat"}}},
+    {"adapt_post": {"lingo": XOR4,
+                    "adaptor": {"kind": "bitvec_nat", "width": 4}}},
+    {"auth": {"base": {"kind": "xor_bitvec", "width": 8}, "oids": ["a", "b"],
+              "m": 8, "j": 8, "k": 8, "seed": 3}},
+]
+
+ANY_VALUE = st.recursive(
+    st.one_of(st.builds(Nat, st.integers(0, 2**70)),
+              st.builds(BitVec, st.sampled_from([1, 2, 4, 8, 16]),
+                        st.integers(0, 2**20)),
+              st.builds(AtomSet, st.lists(st.sampled_from("abcxy")).map(tuple))),
+    lambda inner: st.one_of(st.builds(Pair, inner, inner),
+                            st.builds(Tagged, st.integers(1, 3), inner)),
+    max_leaves=5)
+
+
+@pytest.mark.parametrize("spec", GATE_SPECS, ids=lambda s: build_lingo(s).name)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compliance_gate_is_total(spec, data):
+    """is_compliant never raises on arbitrary batches, and refuses every
+    batch that does not fit the output space, whatever g would make of it."""
+    lingo = build_lingo(spec)
+    a = lingo.param(data.draw(st.integers(0, 200)), 7)
+    in_space = st.integers(0, 2**64 - 1).map(
+        lambda s: sample_value(lingo.output_space, Rng(s, 1)))
+    batch = data.draw(st.lists(st.one_of(ANY_VALUE, in_space), max_size=3))
+    ok = is_compliant(lingo, batch, a)
+    if len(batch) != lingo.egress_arity or not all(
+            space_contains(lingo.output_space, w) for w in batch):
+        assert ok is False
