@@ -9,10 +9,17 @@ move into a cleartext registry that strategies may consult.
 Strategies see only public record fields; the ground-truth ``hidden``
 context is reserved for the reveal engine and is not reachable through the
 strategy-facing view.
+
+``observe`` and ``reveal_sweep`` keep indexes over the registries up to
+date, so no query rescans them: the latest record per (src, dst) flow, the
+running lingo and (lingo, parameter) use counts the reveal rules read, the
+unrevealed records in record order, and the latest revealed record with
+parameters per flow.
 """
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass, field
 from math import sqrt
 from typing import Optional, Union
@@ -129,6 +136,17 @@ class AttackerState:
     injection_rate: float = 1.0
     injected: int = 0
     rng: Optional[Rng] = None
+    # Indexes over ``records`` and ``clear``, kept by observe/reveal_sweep.
+    latest: dict[tuple[str, str], CapturedRecord] = field(
+        default_factory=dict, repr=False)
+    lingo_counts: dict[str, int] = field(default_factory=dict, repr=False)
+    pair_counts: dict[tuple[str, str], int] = field(default_factory=dict,
+                                                    repr=False)
+    # (record, its (lingo, repr(param)) key or None), in record order.
+    unrevealed: list[tuple[CapturedRecord, Optional[tuple[str, str]]]] = field(
+        default_factory=list, repr=False)
+    leaked: dict[tuple[str, str], ClearRecord] = field(default_factory=dict,
+                                                       repr=False)
 
     @property
     def budget_left(self) -> int:
@@ -138,49 +156,54 @@ class AttackerState:
 def observe(state: AttackerState, msg: Message, t: int,
             hidden: HiddenCtx) -> AttackerState:
     """Record a cloned wire message; channels are never touched."""
-    state.records.append(CapturedRecord(src=msg.src, dst=msg.dst,
-                                        wire=msg.payload, t=t, hidden=hidden))
+    rec = CapturedRecord(src=msg.src, dst=msg.dst, wire=msg.payload, t=t,
+                         hidden=hidden)
+    state.records.append(rec)
+    state.latest[(rec.src, rec.dst)] = rec
+    key = None
+    name = hidden.lingo_name
+    if name is not None:
+        key = (name, repr(hidden.param))
+        state.lingo_counts[name] = state.lingo_counts.get(name, 0) + 1
+        state.pair_counts[key] = state.pair_counts.get(key, 0) + 1
+    state.unrevealed.append((rec, key))
     return state
 
 
 def reveal_sweep(state: AttackerState, now: int, rng: Rng) -> AttackerState:
     """Try to reveal every captured message with the additive probability
-    min(p_age + p_weak + p_strong + p_cleartext, 1)."""
-    lingo_counts: dict[str, int] = {}
-    pair_counts: dict[tuple, int] = {}
-    for rec in state.records:
-        name = rec.hidden.lingo_name
-        if name is not None:
-            lingo_counts[name] = lingo_counts.get(name, 0) + 1
-            key = (name, repr(rec.hidden.param))
-            pair_counts[key] = pair_counts.get(key, 0) + 1
+    min(p_age + p_weak + p_strong + p_cleartext, 1).
 
-    for rec in state.records:
-        if rec.revealed:
-            continue
-        name = rec.hidden.lingo_name
-        p_age = eval_step(state.advantage.t_max, now - rec.t)
-        p_weak = eval_step(state.advantage.w_max,
-                           lingo_counts.get(name, 0)) if name else 0.0
-        p_strong = eval_step(state.advantage.s_max,
-                             pair_counts.get((name, repr(rec.hidden.param)), 0)
-                             ) if name else 0.0
+    Draws happen in record order, one per unrevealed record whose
+    probability is positive."""
+    adv = state.advantage
+    revealed_any = False
+    for rec, key in state.unrevealed:
+        p_age = eval_step(adv.t_max, now - rec.t)
+        if key is None:
+            p_weak = p_strong = 0.0
+        else:
+            p_weak = eval_step(adv.w_max, state.lingo_counts[key[0]])
+            p_strong = eval_step(adv.s_max, state.pair_counts[key])
         p_clear = 0.0 if rec.hidden.dialected else 1.0
         p = min(p_age + p_weak + p_strong + p_clear, 1.0)
         if p <= 0.0:
             continue
         if rng.next_float() <= p:
-            rec.revealed = True
-            if rec.hidden.dialected:
-                state.clear.append(ClearRecord(
-                    src=rec.src, dst=rec.dst, wire=rec.wire, t=rec.t,
-                    clear=rec.hidden.plaintext, dialect_info="static",
-                    lingo_info=rec.hidden.lingo_name, params=rec.hidden.param))
-            else:
-                state.clear.append(ClearRecord(
-                    src=rec.src, dst=rec.dst, wire=rec.wire, t=rec.t,
-                    clear=rec.hidden.plaintext, dialect_info=None,
-                    lingo_info=None, params=None))
+            rec.revealed = revealed_any = True
+            dialected = rec.hidden.dialected
+            clear = ClearRecord(
+                src=rec.src, dst=rec.dst, wire=rec.wire, t=rec.t,
+                clear=rec.hidden.plaintext,
+                dialect_info="static" if dialected else None,
+                lingo_info=rec.hidden.lingo_name if dialected else None,
+                params=rec.hidden.param if dialected else None)
+            state.clear.append(clear)
+            if clear.params is not None:
+                state.leaked[(rec.src, rec.dst)] = clear
+    if revealed_any:
+        state.unrevealed = [entry for entry in state.unrevealed
+                            if not entry[0].revealed]
     return state
 
 
@@ -191,10 +214,8 @@ class NoAttempt:
 
 def _latest_capture(state: AttackerState, src: str, dst: str
                     ) -> Optional[PublicRecord]:
-    for rec in reversed(state.records):
-        if rec.src == src and rec.dst == dst:
-            return rec.public_view()
-    return None
+    rec = state.latest.get((src, dst))
+    return rec.public_view() if rec is not None else None
 
 
 def _mask_for(wire_space, rng: Rng) -> Value:
@@ -202,18 +223,23 @@ def _mask_for(wire_space, rng: Rng) -> Value:
     return sample_value(space, rng)
 
 
+def ready_flows(state: AttackerState, strategy: str
+                ) -> Optional[Container[tuple[str, str]]]:
+    """The (src, dst) flows on which ``strategy`` can act now; None means
+    every flow."""
+    if strategy in ("replay", "xor_recipe", "xor_sharp_recipe"):
+        return state.latest
+    if strategy == "param_reuse_oracle":
+        return state.leaked
+    if strategy in ("dc_zero_remainder", "random_wire"):
+        return None
+    return ()
+
+
 def strategy_ready(state: AttackerState, strategy: str, src: str, dst: str,
                    wire_space) -> bool:
-    if strategy == "passive":
-        return False
-    if strategy in ("replay", "xor_recipe", "xor_sharp_recipe"):
-        return _latest_capture(state, src, dst) is not None
-    if strategy == "param_reuse_oracle":
-        return any(c.params is not None and c.src == src and c.dst == dst
-                   for c in state.clear)
-    if strategy in ("dc_zero_remainder", "random_wire"):
-        return True
-    return False
+    flows = ready_flows(state, strategy)
+    return flows is None or (src, dst) in flows
 
 
 def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
@@ -275,9 +301,7 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
         return sample_value(wire_space, rng), None
 
     if strategy == "param_reuse_oracle":
-        leak = next((c for c in reversed(state.clear)
-                     if c.params is not None and c.src == src and c.dst == dst),
-                    None)
+        leak = state.leaked.get((src, dst))
         if leak is None or lingo is None:
             return NoAttempt("no revealed parameters")
         chosen = leak.clear
@@ -288,9 +312,9 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
 
 
 def _ground_truth(state: AttackerState, rec: PublicRecord):
-    return next((r for r in reversed(state.records)
-                 if r.src == rec.src and r.dst == rec.dst and r.t == rec.t),
-                None)
+    # Strategies only hold the view of a flow's latest capture.
+    full = state.latest.get((rec.src, rec.dst))
+    return full if full is not None and full.t == rec.t else None
 
 
 def _intended_replay(state: AttackerState, rec: PublicRecord):

@@ -138,6 +138,10 @@ def cmd_lingo_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.max_steps is not None and args.max_steps < 1:
+        print(f"config error: --max-steps must be >= 1, got {args.max_steps}",
+              file=sys.stderr)
+        return EXIT_SPEC_ERROR
     try:
         scenario = load_scenario(args.scenario)
         seed = _effective_seed(args.seed, scenario.seed)
@@ -145,7 +149,7 @@ def cmd_simulate(args) -> int:
     except (SpecError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
-    max_steps = args.max_steps or scenario.max_steps
+    max_steps = scenario.max_steps if args.max_steps is None else args.max_steps
     quiesced, steps = run(cfg, max_steps)
     report = build_report(cfg, quiesced, steps, scenario.policy)
 

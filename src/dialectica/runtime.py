@@ -15,12 +15,21 @@ Channels are FIFO and loss-free per (src, dst): counter-keyed parameters
 need ordered delivery.  The scheduler enumerates enabled rule instances in
 a canonical order and picks one with the shared seed, so a run is a pure
 function of (configuration, seed).
+
+The enabled set is maintained, not rebuilt: each rule marks the instances
+it touches as dirty (``Configuration.channel()`` marks its channel's
+``deliver``), and the scheduler re-checks only those.  A wrapper's pending
+output is probed again only when its actor object changed.  Attack
+candidates are found through the attacker's per-flow capture and leak
+indexes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 from .attacker import (
@@ -28,6 +37,7 @@ from .attacker import (
     NoAttempt,
     attempt_forgery,
     observe,
+    ready_flows,
     reveal_sweep,
     strategy_ready,
 )
@@ -135,6 +145,9 @@ class DialectWrapper:
         self.recv_counters: dict[str, int] = {}
         self.send_cl: dict[str, AperState] = {}
         self.recv_cl: dict[str, AperState] = {}
+        # (actor, has pending output) from the last spontaneous-step probe;
+        # actors are immutable, so the answer holds while the object does.
+        self.probe: Optional[tuple[object, bool]] = None
 
     # Active lingo for the next message on a flow, without advancing.
     def peek_lingo(self, peer: str, sending: bool) -> Optional[Lingo]:
@@ -177,9 +190,29 @@ class Configuration:
         "honest_sends": 0, "delivered": 0, "rejected": 0, "injected": 0,
         "forgeries_accepted": 0, "forgeries_delivered": 0})
     per_strategy: dict = field(default_factory=dict)
+    # Enabled rule instances per kind, each list sorted, and the instances
+    # whose enabledness may have changed since the scheduler last looked.
+    enabled: dict[str, list[tuple]] = field(
+        init=False, repr=False,
+        default_factory=lambda: {"out": [], "deliver": [], "in": []})
+    dirty: set[tuple] = field(init=False, repr=False, default_factory=set)
+
+    def __post_init__(self) -> None:
+        self.dirty.update(("out", oid) for oid in self.wrappers)
 
     def channel(self, src: str, dst: str) -> deque:
+        """The (src, dst) channel; callers may change it, so its deliver
+        instance is marked dirty."""
+        self.dirty.add(("deliver", src, dst))
         return self.channels.setdefault((src, dst), deque())
+
+    @cached_property
+    def attack_pairs(self) -> list[tuple[str, str]]:
+        """Flows the attacker may target, in candidate order."""
+        if self.attacker_targets is not None:
+            return list(self.attacker_targets)
+        oids = sorted(self.wrappers)
+        return [(s, d) for s in oids for d in oids if s != d]
 
     def log(self, ev: str, **fields) -> None:
         self.event_log.append({"t": self.clock, "ev": ev, **fields})
@@ -204,8 +237,11 @@ def make_configuration(actors, policy: LingoPolicy, seed: int,
 def _out_pending(w: DialectWrapper) -> bool:
     if w.outbox:
         return True
-    stepped = actor_step(w.actor, None)
-    return not isinstance(stepped, Reject) and bool(stepped[1])
+    if w.probe is None or w.probe[0] is not w.actor:
+        stepped = actor_step(w.actor, None)
+        w.probe = (w.actor,
+                   not isinstance(stepped, Reject) and bool(stepped[1]))
+    return w.probe[1]
 
 
 def rule_out(cfg: Configuration, oid: str) -> Configuration:
@@ -217,6 +253,7 @@ def rule_out(cfg: Configuration, oid: str) -> Configuration:
         w.actor = actor2
         w.outbox.extend(outs)
     dst, msg = w.outbox.popleft()
+    cfg.dirty.add(("out", oid))
     n = w.send_counters.get(dst, 0)
     w.send_counters[dst] = n + 1
     lingo, switched = w.advance_lingo(dst, sending=True)
@@ -252,6 +289,7 @@ def rule_deliver(cfg: Configuration, src: str, dst: str) -> Configuration:
     """Move the channel head into the receiver's in-buffer."""
     m = cfg.channel(src, dst).popleft()
     cfg.wrappers[dst].in_buffers.setdefault(src, deque()).append(m)
+    cfg.dirty.add(("in", dst, src))
     cfg.log("deliver", src=src, dst=dst, seq=m.seq)
     return cfg
 
@@ -264,6 +302,8 @@ def rule_in(cfg: Configuration, oid: str, src: str) -> Configuration:
     The receive counter advances either way so honest peers stay in step."""
     w = cfg.wrappers[oid]
     buf = w.in_buffers[src]
+    # The buffer and receive lingo change here, and the actor may.
+    cfg.dirty.update((("in", oid, src), ("out", oid)))
     n = w.recv_counters.get(src, 0)
     w.recv_counters[src] = n + 1
     lingo, switched = w.advance_lingo(src, sending=False)
@@ -393,19 +433,27 @@ def _flow_wire_space(cfg, src, dst):
 
 
 def _attack_candidates(cfg) -> list[tuple[str, tuple[str, str]]]:
+    """(strategy, pair) for every ready strategy, strategies in the
+    attacker's order and pairs in ``cfg.attack_pairs`` order."""
     atk = cfg.attacker
-    oids = sorted(cfg.wrappers)
-    if cfg.attacker_targets is not None:
-        pairs = list(cfg.attacker_targets)
-    else:
-        pairs = [(s, d) for s in oids for d in oids if s != d]
     out = []
     for strategy in atk.strategies:
-        for pair in pairs:
-            wire_space, _ = _flow_wire_space(cfg, *pair)
-            if strategy_ready(atk, strategy, pair[0], pair[1], wire_space):
+        for pair in _pairs_within(cfg, ready_flows(atk, strategy)):
+            if strategy_ready(atk, strategy, pair[0], pair[1], None):
                 out.append((strategy, pair))
     return out
+
+
+def _pairs_within(cfg, flows) -> list[tuple[str, str]]:
+    """The attack pairs among ``flows`` (None: all of them), in order."""
+    if flows is None:
+        return cfg.attack_pairs
+    if cfg.attacker_targets is not None:
+        return [p for p in cfg.attacker_targets if p in flows]
+    # The all-pairs order is sorted order; a flow to or from a non-actor, or
+    # to its own sender, is not an attack pair.
+    return sorted(p for p in flows if p[0] != p[1]
+                  and p[0] in cfg.wrappers and p[1] in cfg.wrappers)
 
 
 def _wire_json(v) -> object:
@@ -419,24 +467,35 @@ def _wire_json(v) -> object:
 # Scheduler
 # ---------------------------------------------------------------------------
 
+def _instance_enabled(cfg: Configuration, inst: tuple) -> bool:
+    kind = inst[0]
+    if kind == "out":
+        return _out_pending(cfg.wrappers[inst[1]])
+    if kind == "deliver":
+        return bool(cfg.channels[inst[1:]])
+    _, oid, src = inst
+    w = cfg.wrappers[oid]
+    buf = w.in_buffers.get(src)
+    if not buf:
+        return False
+    lingo = w.peek_lingo(src, sending=False)
+    return len(buf) >= (lingo.egress_arity if lingo else 1)
+
+
 def _enabled_instances(cfg: Configuration) -> list[tuple]:
-    instances: list[tuple] = []
-    for oid in sorted(cfg.wrappers):
-        if _out_pending(cfg.wrappers[oid]):
-            instances.append(("out", oid))
-    for (src, dst) in sorted(cfg.channels):
-        if cfg.channels[(src, dst)]:
-            instances.append(("deliver", src, dst))
-    for oid in sorted(cfg.wrappers):
-        w = cfg.wrappers[oid]
-        for src in sorted(w.in_buffers):
-            buf = w.in_buffers[src]
-            if not buf:
-                continue
-            lingo = w.peek_lingo(src, sending=False)
-            need = lingo.egress_arity if lingo else 1
-            if len(buf) >= need:
-                instances.append(("in", oid, src))
+    """Enabled instances in canonical order: out by oid, deliver by
+    (src, dst), in by (oid, src), then the attacker."""
+    for inst in cfg.dirty:
+        ready = cfg.enabled[inst[0]]
+        i = bisect_left(ready, inst)
+        present = i < len(ready) and ready[i] == inst
+        if _instance_enabled(cfg, inst) != present:
+            if present:
+                del ready[i]
+            else:
+                ready.insert(i, inst)
+    cfg.dirty.clear()
+    instances = cfg.enabled["out"] + cfg.enabled["deliver"] + cfg.enabled["in"]
     atk = cfg.attacker
     if atk is not None and atk.budget_left > 0:
         gate = uniform01(derive(cfg.seed, RATE_TAG, cfg.clock))

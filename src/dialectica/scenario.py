@@ -105,11 +105,18 @@ def parse_scenario(doc: dict) -> Scenario:
             width = int(payload["bitvec"])
         else:
             raise SpecError(f"unknown payload encoding {payload!r}")
+        if width is not None and width < 1:
+            raise SpecError(f"payload bit-vector width must be >= 1, got {width}")
 
         actors = [_parse_actor(a) for a in doc["actors"]]
         oids = [a.oid for a in actors]
         if len(set(oids)) != len(oids):
             raise SpecError(f"duplicate actor oids: {oids}")
+        for actor in actors:
+            for cmd in getattr(actor, "cmd_list", ()):
+                if isinstance(cmd, Connect) and cmd.broker not in oids:
+                    raise SpecError(f"{actor.oid} connects to unknown actor "
+                                    f"{cmd.broker!r}")
 
         policy_doc = doc.get("policy", "static")
         if policy_doc == "bare":
@@ -143,10 +150,18 @@ def parse_scenario(doc: dict) -> Scenario:
                 injection_rate=float(atk.get("injection_rate", 1.0)))
             if "targets" in atk:
                 targets = [(str(s), str(d)) for s, d in atk["targets"]]
+                unknown = sorted({o for pair in targets for o in pair} - set(oids))
+                if unknown:
+                    raise SpecError(f"attacker targets name unknown actors: "
+                                    f"{unknown}")
+
+        max_steps = int(doc.get("max_steps", 1000))
+        if max_steps < 1:
+            raise SpecError(f"max_steps must be >= 1, got {max_steps}")
 
         outputs = doc.get("outputs", {})
         return Scenario(seed=seed, actors=actors, policy=policy,
-                        max_steps=int(doc.get("max_steps", 1000)),
+                        max_steps=max_steps,
                         payload_width=width, attacker=attacker,
                         attacker_targets=targets,
                         trace_path=outputs.get("trace_path"),

@@ -129,6 +129,32 @@ class TestSimulate:
             "actors": [{"client": {"oid": "x"}}, {"broker": {"oid": "x"}}]}))
         assert main(["simulate", str(bad)]) == EXIT_SPEC_ERROR
 
+    @pytest.mark.parametrize("name, edit, flags", [
+        ("mqtt_xor_bitvec.json", {"payload": {"bitvec": 0}}, []),
+        ("mqtt_xor_bitvec.json", {"payload": {"bitvec": -8}}, []),
+        ("mqtt_xor.json", {"max_steps": 0}, []),
+        ("mqtt_xor.json", {}, ["--max-steps", "-3"]),
+        ("mqtt_xor.json", {}, ["--max-steps", "0"]),
+        ("mqtt_sharp_attack.json",
+         {"attacker": {"strategies": ["random_wire"], "targets": [["c1", "zz"]]}},
+         []),
+        ("mqtt_xor.json",
+         {"actors": [{"client": {"oid": "c1", "cmds": [{"connect": "zz"}]}},
+                     {"broker": {"oid": "b"}}]},
+         []),
+    ], ids=["zero_width", "negative_width", "zero_max_steps",
+            "negative_max_steps_flag", "zero_max_steps_flag", "unknown_target",
+            "unknown_broker"])
+    def test_bad_scenario_values_exit_2(self, capsys, tmp_path, name, edit,
+                                        flags):
+        doc = json.loads(open(scenario_path(name)).read())
+        doc.update(edit)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(["simulate", str(path), *flags, "--out", "/dev/null"])
+        assert code == EXIT_SPEC_ERROR
+        assert "config error" in capsys.readouterr().err
+
     def test_default_bitvec_payload_width(self, capsys, tmp_path):
         doc = json.loads(open(scenario_path("mqtt_xor_bitvec.json")).read())
         doc["payload"] = "bitvec"

@@ -1,22 +1,32 @@
 import json
+import os
+import sys
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from conftest import ALL_SCENARIOS, load_scenario_doc
 from dialectica.attacker import AttackerState
 from dialectica.mqtt import (
     Connect,
     MqttBroker,
     MqttClient,
     Publish,
+    Reject,
+    actor_step,
     encode_mqtt,
     initial_configuration,
     mqtt_codec_adaptor,
 )
 from dialectica.net import Message
+from dialectica.rng import RATE_TAG, derive, uniform01
 from dialectica.runtime import (
     AperiodicPolicy,
     Quiescent,
     StaticPolicy,
+    _attack_candidates,
+    _enabled_instances,
     actor_digest,
     aperiodic_advance,
     aperiodic_init,
@@ -28,7 +38,12 @@ from dialectica.runtime import (
     run,
     step,
 )
+from dialectica.scenario import build_configuration, parse_scenario
 from dialectica.specs import build_lingo
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "perfbench"))
+from scale import scale_scenario  # noqa: E402
 from dialectica.values import BitVec, Nat, Pair
 
 
@@ -93,7 +108,7 @@ class TestRules:
         assert cfg.wrappers["c1"].send_counters == {"b": 1}
         rule_deliver(cfg, "c1", "b")
         # one wire message is not enough for an egress-2 lingo
-        assert ("in", "b", "c1") not in _instances(cfg)
+        assert ("in", "b", "c1") not in _enabled_instances(cfg)
         rule_deliver(cfg, "c1", "b")
         rule_in(cfg, "b", "c1")
         assert cfg.stats["delivered"] == 1
@@ -133,11 +148,6 @@ class TestRules:
         rule_in(cfg, "b", "c1")
         [reject] = [e for e in cfg.event_log if e["ev"] == "reject"]
         assert reject["reason"] == "decode:wire value has the wrong shape"
-
-
-def _instances(cfg):
-    from dialectica.runtime import _enabled_instances
-    return _enabled_instances(cfg)
 
 
 class TestScheduler:
@@ -336,3 +346,261 @@ class TestReport:
         assert report["final_actors"]["c1"]["last_recv"] == {"temp": "34"}
         assert all(l["passed"] for l in report["law_checks"])
         json.dumps(report)   # must be serializable
+
+
+# ---------------------------------------------------------------------------
+# Reference scheduler: the full rebuild of the enabled set on every step,
+# with attack candidates found by scanning the attacker's registries.  The
+# runtime maintains the same list incrementally; it must match in order.
+# ---------------------------------------------------------------------------
+
+def reference_strategy_ready(atk, strategy, src, dst):
+    if strategy in ("replay", "xor_recipe", "xor_sharp_recipe"):
+        return any(r.src == src and r.dst == dst for r in reversed(atk.records))
+    if strategy == "param_reuse_oracle":
+        return any(c.params is not None and c.src == src and c.dst == dst
+                   for c in atk.clear)
+    return strategy in ("dc_zero_remainder", "random_wire")
+
+
+def reference_attack_candidates(cfg):
+    atk = cfg.attacker
+    oids = sorted(cfg.wrappers)
+    if cfg.attacker_targets is not None:
+        pairs = list(cfg.attacker_targets)
+    else:
+        pairs = [(s, d) for s in oids for d in oids if s != d]
+    return [(strategy, pair) for strategy in atk.strategies for pair in pairs
+            if reference_strategy_ready(atk, strategy, *pair)]
+
+
+def reference_enabled_instances(cfg):
+    def out_pending(w):
+        if w.outbox:
+            return True
+        stepped = actor_step(w.actor, None)
+        return not isinstance(stepped, Reject) and bool(stepped[1])
+
+    instances = []
+    for oid in sorted(cfg.wrappers):
+        if out_pending(cfg.wrappers[oid]):
+            instances.append(("out", oid))
+    for (src, dst) in sorted(cfg.channels):
+        if cfg.channels[(src, dst)]:
+            instances.append(("deliver", src, dst))
+    for oid in sorted(cfg.wrappers):
+        w = cfg.wrappers[oid]
+        for src in sorted(w.in_buffers):
+            buf = w.in_buffers[src]
+            if not buf:
+                continue
+            lingo = w.peek_lingo(src, sending=False)
+            need = lingo.egress_arity if lingo else 1
+            if len(buf) >= need:
+                instances.append(("in", oid, src))
+    atk = cfg.attacker
+    if atk is not None and atk.budget_left > 0:
+        gate = uniform01(derive(cfg.seed, RATE_TAG, cfg.clock))
+        if gate < atk.injection_rate and reference_attack_candidates(cfg):
+            instances.append(("attacker",))
+    return instances
+
+
+def assert_indexes_match_records(atk):
+    latest, lingo_counts, pair_counts = {}, {}, {}
+    for rec in atk.records:
+        latest[(rec.src, rec.dst)] = rec
+        name = rec.hidden.lingo_name
+        if name is not None:
+            lingo_counts[name] = lingo_counts.get(name, 0) + 1
+            key = (name, repr(rec.hidden.param))
+            pair_counts[key] = pair_counts.get(key, 0) + 1
+    assert {k: id(v) for k, v in atk.latest.items()} == \
+        {k: id(v) for k, v in latest.items()}
+    assert atk.lingo_counts == lingo_counts
+    assert atk.pair_counts == pair_counts
+    assert [id(r) for r, _ in atk.unrevealed] == \
+        [id(r) for r in atk.records if not r.revealed]
+    assert [k for _, k in atk.unrevealed] == [
+        None if r.hidden.lingo_name is None
+        else (r.hidden.lingo_name, repr(r.hidden.param))
+        for r in atk.records if not r.revealed]
+    leaked = {}
+    for c in atk.clear:
+        if c.params is not None:
+            leaked[(c.src, c.dst)] = c
+    assert {k: id(v) for k, v in atk.leaked.items()} == \
+        {k: id(v) for k, v in leaked.items()}
+
+
+def run_against_reference(cfg, budget):
+    """Step ``cfg`` like ``run`` does, checking the enabled set and the
+    attacker indexes against full recomputation before every step."""
+    steps = 0
+    while True:
+        got = _enabled_instances(cfg)
+        assert got == reference_enabled_instances(cfg), f"step {cfg.clock}"
+        if cfg.attacker is not None:
+            assert_indexes_match_records(cfg.attacker)
+            assert _attack_candidates(cfg) == reference_attack_candidates(cfg)
+        if not got or steps == budget:
+            return steps
+        step(cfg)
+        steps += 1
+
+
+def _oracle_docs():
+    docs = {name: load_scenario_doc(name) for name in ALL_SCENARIOS}
+    for attacker in (False, True):
+        docs[f"scale6_attacker{int(attacker)}"] = scale_scenario(
+            6, 4, 3, 128, attacker, 0)
+    targeted = load_scenario_doc("mqtt_adversarial.json")
+    targeted["attacker"]["targets"] = [["c1", "b"], ["b", "c2"], ["c1", "c2"],
+                                       ["c1", "b"]]
+    targeted["attacker"]["max_injections"] = 60
+    docs["targets"] = targeted
+    oracle = scale_scenario(6, 4, 3, 128, False, 0)
+    oracle["attacker"] = {
+        "strategies": ["param_reuse_oracle", "replay"],
+        "injection_rate": 0.3, "max_injections": 40,
+        "advantage": {"s_max": [[1, 0.2]], "t_max": [[30, 0.05]]}}
+    docs["param_reuse_oracle"] = oracle
+    # Egress arity 1 and 2 under one aperiodic policy: in-readiness of a
+    # buffered wire flips with the receive lingo.
+    mixed = scale_scenario(6, 4, 3, 128, False, 0)
+    del mixed["lingo_stack"]
+    mixed["policy"] = {"aperiodic": {"msg_bound": 2, "lingos": [
+        {"kind": "xor_bitvec", "width": 128},
+        {"kind": "split_bitvec", "half_width": 64}]}}
+    docs["aperiodic_mixed_arity"] = mixed
+    mixed_attacked = json.loads(json.dumps(mixed))
+    mixed_attacked["attacker"] = {"strategies": ["replay", "random_wire"],
+                                  "injection_rate": 0.1, "max_injections": 20}
+    docs["aperiodic_mixed_arity_attacked"] = mixed_attacked
+    return docs
+
+
+ORACLE_DOCS = _oracle_docs()
+
+
+class TestIncrementalEnabledSet:
+    @pytest.mark.parametrize("name", sorted(ORACLE_DOCS))
+    def test_matches_full_rebuild_at_every_step(self, name):
+        scenario = parse_scenario(ORACLE_DOCS[name])
+        cfg = build_configuration(scenario)
+        steps = run_against_reference(cfg, scenario.max_steps)
+        assert steps > 0
+
+    def test_mixed_arity_flips_in_readiness(self):
+        # One buffered wire is enough under xor_bitvec and too few under
+        # split_bitvec: both must be seen, or the oracle run above proves
+        # nothing about arity.
+        cfg = build_configuration(parse_scenario(
+            ORACLE_DOCS["aperiodic_mixed_arity"]))
+        seen = set()
+        while True:
+            enabled = _enabled_instances(cfg)
+            for oid, w in cfg.wrappers.items():
+                for src, buf in w.in_buffers.items():
+                    if len(buf) == 1:
+                        seen.add(("in", oid, src) in enabled)
+            if not enabled:
+                break
+            step(cfg)
+        assert seen == {True, False}
+        assert cfg.stats["rejected"] == 0
+
+    def test_direct_channel_append_is_seen(self):
+        cfg = TestRules().make_pair()
+        run_against_reference(cfg, 0)
+        cfg.channel("c1", "b").append(
+            Message(dst="b", src="c1", payload=Nat(1), injected=True))
+        run_against_reference(cfg, 100)
+
+
+# ---------------------------------------------------------------------------
+# Runtime invariants under seeded stepping
+# ---------------------------------------------------------------------------
+
+def honest_seqs_per_flow(cfg):
+    """(sent, delivered): per (src, dst), the seqs of honest wire messages in
+    send order and in delivery order, rebuilt from the trace.  Each out
+    event takes one seq per wire value and each injection one."""
+    sent, delivered, injected = {}, {}, set()
+    seq = 0
+    for e in cfg.event_log:
+        if e["ev"] == "out":
+            n = len(e["wire"])
+            sent.setdefault((e["src"], e["dst"]), []).extend(range(seq, seq + n))
+            seq += n
+        elif e["ev"] == "inject":
+            assert e["seq"] == seq
+            injected.add(seq)
+            seq += 1
+    for e in cfg.event_log:
+        if e["ev"] == "deliver" and e["seq"] not in injected:
+            delivered.setdefault((e["src"], e["dst"]), []).append(e["seq"])
+    return sent, delivered
+
+
+class RuntimeMachine(RuleBasedStateMachine):
+    @initialize(name=st.sampled_from(sorted(ORACLE_DOCS)),
+                seed=st.integers(0, 2 ** 32 - 1))
+    def build(self, name, seed):
+        self.cfg = build_configuration(parse_scenario(ORACLE_DOCS[name]),
+                                       seed_override=seed)
+
+    @rule(n=st.integers(1, 40))
+    def advance(self, n):
+        for _ in range(n):
+            try:
+                step(self.cfg)
+            except Quiescent:
+                return
+
+    @invariant()
+    def fifo_per_flow(self):
+        cfg = self.cfg
+        for (src, dst), channel in cfg.channels.items():
+            held = list(cfg.wrappers[dst].in_buffers.get(src, ())) + list(channel)
+            seqs = [m.seq for m in held if not m.injected]
+            assert seqs == sorted(set(seqs)), (src, dst)
+
+    @invariant()
+    def counters_in_sync(self):
+        # Receive n takes as many wires as send n made (both follow the
+        # flow's lingo sequence), at least one each, so receives can only
+        # outrun sends by wires the attacker added.
+        cfg = self.cfg
+        injections = {}
+        for e in cfg.event_log:
+            if e["ev"] == "inject":
+                flow = (e["src"], e["dst"])
+                injections[flow] = injections.get(flow, 0) + 1
+        for dst, w in cfg.wrappers.items():
+            for src, received in w.recv_counters.items():
+                sent = cfg.wrappers[src].send_counters.get(dst, 0)
+                assert received <= sent + injections.get((src, dst), 0), \
+                    (src, dst)
+
+    @invariant()
+    def attacker_keeps_honest_traffic(self):
+        # Delivered honest traffic is a prefix of what was sent, and the
+        # rest of what was sent is still in the channel, in order.
+        sent, delivered = honest_seqs_per_flow(self.cfg)
+        for flow, seqs in sent.items():
+            done = delivered.get(flow, [])
+            assert done == seqs[:len(done)], flow
+            in_flight = [m.seq for m in self.cfg.channels.get(flow, ())
+                         if not m.injected]
+            assert done + in_flight == seqs, flow
+
+    @invariant()
+    def enabled_set_matches_reference(self):
+        assert _enabled_instances(self.cfg) == \
+            reference_enabled_instances(self.cfg)
+
+
+RuntimeMachine.TestCase.settings = settings(
+    max_examples=25, stateful_step_count=15, deadline=None)
+TestRuntimeInvariants = RuntimeMachine.TestCase
