@@ -435,6 +435,11 @@ class ExperimentReport:
         return out
 
 
+_SPOOF_TAG = fnv64("spoof-trial")
+_MATCH_TAG = fnv64("match-trial")
+_PLAINTEXT_TAG = fnv64("honest-plaintext")
+
+
 def _policy_name(policy: ParamPolicy) -> str:
     return "per_message" if isinstance(policy, PerMessage) else f"reuse_{policy.k}"
 
@@ -456,12 +461,13 @@ def run_spoof_experiment(lingo: Lingo, param_policy: ParamPolicy, strategy: str,
     compliance_hits = 0
     spoof_hits = 0
     any_intent = False
+    trial_advantage = advantage or AdvantageConfig.zero()
 
     for t in range(trials):
-        trial_seed = derive(seed, fnv64("spoof-trial"), t)
-        state = AttackerState(advantage=advantage or AdvantageConfig.zero())
+        trial_seed = derive(seed, _SPOOF_TAG, t)
+        state = AttackerState(advantage=trial_advantage)
         rng = Rng(trial_seed, ATTACKER_TAG)
-        in_rng = Rng(trial_seed, fnv64("honest-plaintext"))
+        in_rng = Rng(trial_seed, _PLAINTEXT_TAG)
         for i in range(observations):
             a_i = lingo.param(param_policy.index(i), trial_seed)
             d_i = sample_value(lingo.input_space, in_rng)
@@ -506,9 +512,9 @@ def run_match_experiment(lingo: Lingo, strategy: str, trials: int, seed: int,
     guesser = _GUESSERS.get(strategy)
     hits: Optional[int] = 0 if guesser else None
     for t in range(trials):
-        trial_seed = derive(seed, fnv64("match-trial"), t)
+        trial_seed = derive(seed, _MATCH_TAG, t)
         rng = Rng(trial_seed, ATTACKER_TAG)
-        in_rng = Rng(trial_seed, fnv64("honest-plaintext"))
+        in_rng = Rng(trial_seed, _PLAINTEXT_TAG)
         p = lingo.param(0, trial_seed)
         p_other = lingo.param(1, trial_seed)
         same = rng.next_u64() & 1 == 1

@@ -37,12 +37,13 @@ from .core import (
     check_lingo_laws,
     find_noncompliant_witness,
     is_compliant,
-    sample_param,
+    law_params,
 )
 from .rng import SAMPLE_TAG, fnv64
 from .runtime import build_report, run
 from .scenario import build_configuration, load_scenario
 from .specs import SpecError, build_lingo
+from .transforms import NonceExhausted
 from .values import ShapeMismatch, value_from_json, value_to_json
 
 EXIT_OK = 0
@@ -71,6 +72,12 @@ def _emit(obj, out_path: Optional[str]) -> None:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _nonce_exhausted(exc: NonceExhausted) -> int:
+    print(f"config error: the authenticating lingo ran out of nonces ({exc}); "
+          f"use fewer samples or observations, or a larger k", file=sys.stderr)
+    return EXIT_SPEC_ERROR
 
 
 def cmd_lingo_eval(args) -> int:
@@ -118,13 +125,20 @@ def cmd_lingo_check(args) -> int:
     except (SpecError, json.JSONDecodeError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
+    if args.samples < 1:
+        print(f"--samples must be >= 1, got {args.samples}", file=sys.stderr)
+        return EXIT_SPEC_ERROR
     seed = _effective_seed(args.seed, 0)
-    report = check_lingo_laws(lingo, args.samples, Rng(seed, fnv64("cli-check")))
+    try:
+        report = check_lingo_laws(lingo, args.samples,
+                                  Rng(seed, fnv64("cli-check")))
+    except NonceExhausted as exc:
+        return _nonce_exhausted(exc)
 
     probe_rng = Rng(seed, SAMPLE_TAG)
     witness = None
     try:
-        a = sample_param(lingo, 0, seed)
+        a = law_params(lingo, seed)(0)
         witness = find_noncompliant_witness(lingo, a, probe_rng)
     except UnsampleableSpace:
         witness = None   # opaque spaces cannot be probed
@@ -182,14 +196,21 @@ def cmd_experiment(args) -> int:
     if args.trials < 1:
         print("--trials must be >= 1", file=sys.stderr)
         return EXIT_SPEC_ERROR
+    if args.observations < 0:
+        print(f"--observations must be >= 0, got {args.observations}",
+              file=sys.stderr)
+        return EXIT_SPEC_ERROR
     seed = _effective_seed(args.seed, 0)
-    if args.kind == "spoof":
-        report = run_spoof_experiment(lingo, policy, args.strategy,
-                                      trials=args.trials, seed=seed,
-                                      observations=args.observations)
-    else:
-        report = run_match_experiment(lingo, args.strategy,
-                                      trials=args.trials, seed=seed)
+    try:
+        if args.kind == "spoof":
+            report = run_spoof_experiment(lingo, policy, args.strategy,
+                                          trials=args.trials, seed=seed,
+                                          observations=args.observations)
+        else:
+            report = run_match_experiment(lingo, args.strategy,
+                                          trials=args.trials, seed=seed)
+    except NonceExhausted as exc:
+        return _nonce_exhausted(exc)
     _emit(report.to_json(), args.out)
     return EXIT_OK
 

@@ -228,13 +228,15 @@ def make_param(space: Space, name: str, nat_ceiling: int = 1 << 32
     return param
 
 
-def sample_param(lingo: Lingo, n: int, seed: int) -> Value:
-    """Parameter sample for law checking: prefer the space generator, fall
-    back to the lingo's own param stream for opaque parameter spaces."""
+def law_params(lingo: Lingo, seed: int) -> Callable[[int], Value]:
+    """The law-checking parameter stream: n -> sample n.  Prefers the space
+    generator, keyed by the lingo name; falls back to the lingo's own param
+    stream for opaque parameter spaces."""
     if lingo.param_space is None:
-        return lingo.param(n, seed)
-    rng = Rng(derive(seed, fnv64(lingo.name + "/laws"), n), SAMPLE_TAG)
-    return sample_value(lingo.param_space, rng)
+        return lambda n: lingo.param(n, seed)
+    tag = fnv64(lingo.name + "/laws")
+    return lambda n: sample_value(lingo.param_space,
+                                  Rng(derive(seed, tag, n), SAMPLE_TAG))
 
 
 # ---------------------------------------------------------------------------
@@ -284,76 +286,74 @@ def check_lingo_laws(lingo: Lingo, sample_count: int, rng: Rng) -> LawReport:
     """Exercise the defining laws on seeded samples.
 
     L0: g(f(d, a), a) == d.
+    f_lands_in_output_space: every value of f(d, a) lies in the output
+        space; checked on the first 200 samples only.
     L1: f(., a) is injective on sampled distinct payload pairs.
     C1: wire values of the form f(d, a) re-encode to themselves after decode.
     C3: on small finite spaces, compliance coincides exactly with membership
         in the image of f(., a), checked exhaustively.
+
+    L0 to C1 share one pass over the sample indices i.  Each index draws
+    payload d = sample 2i and parameter a = sample i once and encodes
+    w = f(d, a) once; then the laws still open are checked on it in the
+    order above, L1 drawing its second payload, sample 2i + 1, only while it
+    is open.  A law closes at its first counterexample, and the pass ends
+    early once all four have closed.  C3 runs after the pass.
     """
-    report = LawReport(lingo=lingo.name)
     seed = rng.next_u64()
+    param = law_params(lingo, seed)
 
     def draw_batch(n: int) -> Batch:
         r = Rng(derive(seed, SAMPLE_TAG, n), SAMPLE_TAG)
         return [sample_value(lingo.input_space, r) for _ in range(lingo.ingress_arity)]
 
-    # L0: round trip
-    failure = None
+    # First counterexample of each law; None while the law is open.
+    l0 = lands = l1 = c1 = None
     for i in range(sample_count):
-        d1, a = draw_batch(2 * i), sample_param(lingo, i, seed)
-        # lingo.g, not apply_g: f_lands_in_output_space reports a stray image
-        back = lingo.g(apply_f(lingo, d1, a), a)
-        if isinstance(back, (DecodeFailure, DefaultFallback)) or back != d1:
-            failure = LawResult("L0_left_inverse", False,
-                                _ce({"d1": d1, "a": a}, d1, back))
+        lands_open = lands is None and i < 200
+        if l0 and l1 and c1 and not lands_open:
             break
-    report.results.append(failure or LawResult("L0_left_inverse", True))
+        d1 = draw_batch(2 * i)
+        if l1 is None:
+            d1p = draw_batch(2 * i + 1)
+            if l0 and c1 and not lands_open and d1 == d1p:
+                continue   # only L1 is open, and this pair cannot collide
+        a = param(i)
+        w = apply_f(lingo, d1, a)
+        if l0 is None:
+            # lingo.g, not apply_g: f_lands_in_output_space reports a stray image
+            back = lingo.g(list(w), a)
+            if isinstance(back, (DecodeFailure, DefaultFallback)) or back != d1:
+                l0 = LawResult("L0_left_inverse", False,
+                               _ce({"d1": d1, "a": a}, d1, back))
+        if lands_open:
+            for v in w:
+                if not space_contains(lingo.output_space, v):
+                    lands = LawResult("f_lands_in_output_space", False,
+                                      _ce({"d1": d1, "a": a}, "member", v))
+                    break
+        if l1 is None and d1 != d1p and w == apply_f(lingo, d1p, a):
+            l1 = LawResult("L1_injectivity", False,
+                           _ce({"d1": d1, "d1'": d1p, "a": a},
+                               "distinct images", "equal images"))
+        if c1 is None and not is_compliant(lingo, w, a):
+            c1 = LawResult("C1_image_compliant", False,
+                           _ce({"d1": d1, "a": a}, "compliant", w))
 
-    # Output membership rides along with L0 sampling
-    failure = None
-    for i in range(min(sample_count, 200)):
-        d1, a = draw_batch(2 * i), sample_param(lingo, i, seed)
-        for w in apply_f(lingo, d1, a):
-            if not space_contains(lingo.output_space, w):
-                failure = LawResult("f_lands_in_output_space", False,
-                                    _ce({"d1": d1, "a": a}, "member", w))
-                break
-        if failure:
-            break
-    report.results.append(failure or LawResult("f_lands_in_output_space", True))
-
-    # L1: injectivity on sampled collision pairs
-    failure = None
-    for i in range(sample_count):
-        d1, d1p = draw_batch(2 * i), draw_batch(2 * i + 1)
-        if d1 == d1p:
-            continue
-        a = sample_param(lingo, i, seed)
-        if apply_f(lingo, d1, a) == apply_f(lingo, d1p, a):
-            failure = LawResult("L1_injectivity", False,
-                                _ce({"d1": d1, "d1'": d1p, "a": a},
-                                    "distinct images", "equal images"))
-            break
-    report.results.append(failure or LawResult("L1_injectivity", True))
-
-    # C1: image values re-encode after decode
-    failure = None
-    for i in range(sample_count):
-        d1, a = draw_batch(2 * i), sample_param(lingo, i, seed)
-        d2 = apply_f(lingo, d1, a)
-        if not is_compliant(lingo, d2, a):
-            failure = LawResult("C1_image_compliant", False,
-                                _ce({"d1": d1, "a": a}, "compliant", d2))
-            break
-    report.results.append(failure or LawResult("C1_image_compliant", True))
+    results = [l0 or LawResult("L0_left_inverse", True),
+               lands or LawResult("f_lands_in_output_space", True),
+               l1 or LawResult("L1_injectivity", True),
+               c1 or LawResult("C1_image_compliant", True)]
 
     # C3: exhaustive compliance/preimage equivalence on small spaces
-    c3 = _check_c3(lingo, seed)
+    c3 = _check_c3(lingo, seed, param)
     if c3 is not None:
-        report.results.append(c3)
-    return report
+        results.append(c3)
+    return LawReport(lingo=lingo.name, results=results)
 
 
-def _check_c3(lingo: Lingo, seed: int, d1_limit: int = 4096) -> Optional[LawResult]:
+def _check_c3(lingo: Lingo, seed: int, param: Callable[[int], Value],
+              d1_limit: int = 4096) -> Optional[LawResult]:
     if lingo.input_space is None or lingo.output_space is None:
         return None
     d1_card = space_cardinality(lingo.input_space)
@@ -362,7 +362,7 @@ def _check_c3(lingo: Lingo, seed: int, d1_limit: int = 4096) -> Optional[LawResu
     d1s = space_enumerate(lingo.input_space, d1_limit)
     d2s = space_enumerate(lingo.output_space, 256) if lingo.egress_arity == 1 else None
     for i in range(4):
-        a = sample_param(lingo, i, seed)
+        a = param(i)
         image = set()
         for d1 in d1s:
             image.add(tuple(apply_f(lingo, [d1], a)))

@@ -26,13 +26,12 @@ class BadBias(Exception):
     """Raised when a dice bias vector contains a zero weight."""
 
 
-def _rotl(x: int, r: int) -> int:
-    return ((x << r) | (x >> (64 - r))) & MASK64
-
-
 def derive(seed: int, stream_tag: int, index: int) -> int:
     """SplitMix64 finalization of seed XOR rotl(stream_tag,17) XOR index*GOLDEN."""
-    z = (seed ^ _rotl(stream_tag & MASK64, 17) ^ ((index * GOLDEN) & MASK64)) & MASK64
+    # rotl(tag, 17) inlined: the two shifted halves share no bit, so XOR
+    # joins them, and the final mask drops what rotates past bit 63.
+    tag = stream_tag & MASK64
+    z = (seed ^ (tag << 17) ^ (tag >> 47) ^ (index * GOLDEN)) & MASK64
     z = (z + GOLDEN) & MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64

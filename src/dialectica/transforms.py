@@ -53,6 +53,10 @@ class DegenerateParamSpace(Exception):
     """The parameter space is too small to pick two distinct parameters."""
 
 
+class NonceExhausted(ValueError):
+    """An authenticating lingo was asked for a nonce at or past 2**k."""
+
+
 # ---------------------------------------------------------------------------
 # The sharp transform
 # ---------------------------------------------------------------------------
@@ -132,7 +136,7 @@ class AuthLingo:
         if a == b:
             raise ValueError("oid pair must be ordered and distinct")
         if not (0 <= n < (1 << self.k)):
-            raise ValueError(f"nonce must be below 2**{self.k}")
+            raise NonceExhausted(f"nonce must be below 2**{self.k}, got {n}")
         word = derive(self.seed, _HASH_TAG ^ fnv64(a + ">" + b), n)
         return BitVec(self.j, word & ((1 << self.j) - 1))
 

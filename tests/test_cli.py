@@ -17,6 +17,9 @@ DC = json.dumps({"kind": "divide_check"})
 XOR8 = json.dumps({"kind": "xor_bitvec", "width": 8})
 XOR4 = json.dumps({"kind": "xor_bitvec", "width": 4})
 SHARP4 = json.dumps({"sharp": {"kind": "xor_bitvec", "width": 4}})
+AUTH_K8 = json.dumps({"auth": {"base": {"kind": "xor_bitvec", "width": 8},
+                               "oids": ["a", "b"], "m": 8, "j": 8, "k": 8,
+                               "seed": 3}})
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +67,20 @@ class TestLingoEval:
 
 
 class TestLingoCheck:
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_1_exit_2(self, capsys, samples):
+        code = main(["lingo", "check", XOR4, "--samples", samples])
+        assert code == EXIT_SPEC_ERROR
+        assert "--samples" in capsys.readouterr().err
+
+    def test_nonce_exhaustion_exits_2(self, capsys):
+        code, out = run_cli(capsys, "lingo", "check", AUTH_K8, "--samples",
+                            "256")
+        assert code == EXIT_OK and out["passed"]
+        code = main(["lingo", "check", AUTH_K8, "--samples", "1000"])
+        assert code == EXIT_SPEC_ERROR
+        assert "2**8" in capsys.readouterr().err
+
     def test_divide_check_is_f_checkable(self, capsys):
         code, out = run_cli(capsys, "lingo", "check", DC, "--samples", "300",
                             "--seed", "1")
@@ -212,9 +229,22 @@ class TestExperiment:
         assert code == EXIT_OK
         assert out["spoof"]["rate"] == 1.0
 
+    def test_nonce_exhaustion_exits_2(self, capsys):
+        code = main(["experiment", "spoof", "--lingo", AUTH_K8, "--strategy",
+                     "replay", "--observations", "300", "--trials", "2"])
+        assert code == EXIT_SPEC_ERROR
+        assert "2**8" in capsys.readouterr().err
+
+    def test_zero_observations_run(self, capsys):
+        code, out = run_cli(capsys, "experiment", "spoof", "--lingo", XOR8,
+                            "--strategy", "random_wire", "--observations",
+                            "0", "--trials", "20", "--seed", "5")
+        assert code == EXIT_OK and out["trials"] == 20
+
     def test_bad_policy_exits_2(self, capsys):
         for bad in (["--policy", "weekly"], ["--policy", "reuse:0"],
-                    ["--policy", "reuse:x"], ["--trials", "0"]):
+                    ["--policy", "reuse:x"], ["--trials", "0"],
+                    ["--observations", "-1"]):
             code = main(["experiment", "spoof", "--lingo", XOR8,
                          "--strategy", "replay", *bad])
             assert code == EXIT_SPEC_ERROR, bad

@@ -1,13 +1,19 @@
 import pytest
 
+from conftest import ALL_SPECS
 from dialectica.core import (
     DecodeFailure,
+    DefaultFallback,
+    LawReport,
+    LawResult,
     Lingo,
     Rng,
     SpaceViolation,
     UnsampleableSpace,
     apply_f,
     apply_g,
+    _ce,
+    _check_c3,
     check_lingo_laws,
     find_noncompliant_witness,
     is_compliant,
@@ -15,6 +21,8 @@ from dialectica.core import (
     sample_value,
 )
 from dialectica.library import make_divide_check, make_xor_bitvec, make_xor_nat
+from dialectica.rng import SAMPLE_TAG, derive, fnv64
+from dialectica.specs import build_lingo
 from dialectica.values import (
     AtomSetSpace,
     BitVec,
@@ -152,3 +160,165 @@ class TestWitnessSearch:
     def test_xor_has_none(self):
         xr = make_xor_bitvec(4)
         assert find_noncompliant_witness(xr, BitVec(4, 9), Rng(0, 1)) is None
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the one-pass law harness
+# ---------------------------------------------------------------------------
+
+def _reference_sample_param(lingo, n, seed):
+    if lingo.param_space is None:
+        return lingo.param(n, seed)
+    rng = Rng(derive(seed, fnv64(lingo.name + "/laws"), n), SAMPLE_TAG)
+    return sample_value(lingo.param_space, rng)
+
+
+def _reference_check_lingo_laws(lingo, sample_count, rng):
+    """The law harness as four separate loops, one per law: the reference
+    the one-pass ``check_lingo_laws`` must reproduce exactly."""
+    report = LawReport(lingo=lingo.name)
+    seed = rng.next_u64()
+
+    def draw_batch(n):
+        r = Rng(derive(seed, SAMPLE_TAG, n), SAMPLE_TAG)
+        return [sample_value(lingo.input_space, r) for _ in range(lingo.ingress_arity)]
+
+    failure = None
+    for i in range(sample_count):
+        d1, a = draw_batch(2 * i), _reference_sample_param(lingo, i, seed)
+        back = lingo.g(apply_f(lingo, d1, a), a)
+        if isinstance(back, (DecodeFailure, DefaultFallback)) or back != d1:
+            failure = LawResult("L0_left_inverse", False,
+                                _ce({"d1": d1, "a": a}, d1, back))
+            break
+    report.results.append(failure or LawResult("L0_left_inverse", True))
+
+    failure = None
+    for i in range(min(sample_count, 200)):
+        d1, a = draw_batch(2 * i), _reference_sample_param(lingo, i, seed)
+        for w in apply_f(lingo, d1, a):
+            if not space_contains(lingo.output_space, w):
+                failure = LawResult("f_lands_in_output_space", False,
+                                    _ce({"d1": d1, "a": a}, "member", w))
+                break
+        if failure:
+            break
+    report.results.append(failure or LawResult("f_lands_in_output_space", True))
+
+    failure = None
+    for i in range(sample_count):
+        d1, d1p = draw_batch(2 * i), draw_batch(2 * i + 1)
+        if d1 == d1p:
+            continue
+        a = _reference_sample_param(lingo, i, seed)
+        if apply_f(lingo, d1, a) == apply_f(lingo, d1p, a):
+            failure = LawResult("L1_injectivity", False,
+                                _ce({"d1": d1, "d1'": d1p, "a": a},
+                                    "distinct images", "equal images"))
+            break
+    report.results.append(failure or LawResult("L1_injectivity", True))
+
+    failure = None
+    for i in range(sample_count):
+        d1, a = draw_batch(2 * i), _reference_sample_param(lingo, i, seed)
+        d2 = apply_f(lingo, d1, a)
+        if not is_compliant(lingo, d2, a):
+            failure = LawResult("C1_image_compliant", False,
+                                _ce({"d1": d1, "a": a}, "compliant", d2))
+            break
+    report.results.append(failure or LawResult("C1_image_compliant", True))
+
+    c3 = _check_c3(lingo, seed,
+                   lambda n: _reference_sample_param(lingo, n, seed))
+    if c3 is not None:
+        report.results.append(c3)
+    return report
+
+
+def _outcome(check, lingo, samples):
+    """The report's JSON, or the exception the harness raised."""
+    try:
+        return check(lingo, samples, Rng(11, 12)).to_json()
+    except Exception as exc:  # both harnesses must fail the same way
+        return (type(exc).__name__, str(exc))
+
+
+def _broken(name, f, g, space=NatSpace(), out_space=None):
+    return Lingo(name=name, input_space=space, output_space=out_space or space,
+                 param_space=space, f=f, g=g, param=make_param(space, name))
+
+
+def _stray_f(lo, hi, low_bit=0):
+    # Leaves the 16-bit output space for payloads in [lo, hi); ``low_bit``
+    # set makes even payloads encode like the odd payload above them.
+    def f(b, a):
+        width = 17 if lo <= b[0].bits < hi else 16
+        return [BitVec(width, (b[0].bits | low_bit) ^ a.bits)]
+    return f
+
+
+def _xor16_g(b, a):
+    return [BitVec(16, (b[0].bits ^ a.bits) & 0xFFFF)]
+
+
+BROKEN_LINGOS = {
+    # g is off by one on even payloads; f stays injective on samples and
+    # every image decodes to a preimage, so only L0 fails
+    "l0_only": _broken("l0_only", lambda b, a: [Nat((b[0].n | 1) ^ a.n)],
+                       lambda b, a: [Nat(b[0].n ^ a.n)]),
+    # the first stray image comes after index 0, but before 200
+    "stray_early": _broken("stray_early", _stray_f(0, 2048), _xor16_g,
+                           BitVecSpace(16)),
+    # L0 fails at once; the first stray image comes after index 200, past
+    # the membership bound, and only C1 reports it
+    "stray_late": _broken("stray_late", _stray_f(4096, 4352, 1), _xor16_g,
+                          BitVecSpace(16)),
+    "constant_f": _broken("constant_f", lambda b, a: [Nat(0)],
+                          lambda b, a: DecodeFailure("constant")),
+    # all four laws fail, so the pass ends early
+    "fails_all": _broken("fails_all", lambda b, a: [BitVec(5, 0)],
+                         lambda b, a: DecodeFailure("never"),
+                         BitVecSpace(4)),
+    # L0 and C1 fail at once and membership holds, so past index 200 only
+    # L1 is open, on a space small enough for equal payload pairs
+    "l1_alone": _broken("l1_alone", lambda b, a: [BitVec(2, b[0].bits ^ a.bits)],
+                        lambda b, a: DecodeFailure("never"), BitVecSpace(2)),
+}
+LAW_SAMPLE_COUNTS = (1, 7, 199, 200, 201, 1000)
+
+
+class TestOnePassHarness:
+    @pytest.mark.parametrize("samples", LAW_SAMPLE_COUNTS)
+    @pytest.mark.parametrize("spec", ALL_SPECS,
+                             ids=lambda s: build_lingo(s).name)
+    def test_matches_reference_on_every_spec_kind(self, spec, samples):
+        lingo = build_lingo(spec)
+        assert (_outcome(check_lingo_laws, lingo, samples)
+                == _outcome(_reference_check_lingo_laws, lingo, samples))
+
+    @pytest.mark.parametrize("samples", LAW_SAMPLE_COUNTS)
+    @pytest.mark.parametrize("name", BROKEN_LINGOS)
+    def test_matches_reference_on_broken_lingos(self, name, samples):
+        lingo = BROKEN_LINGOS[name]
+        assert (_outcome(check_lingo_laws, lingo, samples)
+                == _outcome(_reference_check_lingo_laws, lingo, samples))
+
+    def test_broken_lingos_reach_the_paths_they_name(self):
+        def failing(name, samples):
+            report = check_lingo_laws(BROKEN_LINGOS[name], samples, Rng(11, 12))
+            return {r.law for r in report.results if not r.passed}
+
+        lands, c1 = "f_lands_in_output_space", "C1_image_compliant"
+        # the first stray image is not at index 0 ...
+        assert failing("stray_early", 1) == set()
+        assert failing("stray_early", 200) == {lands, c1}
+        # ... and the late one lies past the membership bound: C1 sees it
+        assert failing("stray_late", 200) == {"L0_left_inverse"}
+        assert failing("stray_late", 1000) == {"L0_left_inverse", c1}
+        assert failing("l0_only", 1000) == {"L0_left_inverse"}
+        assert failing("constant_f", 1000) == {
+            "L0_left_inverse", "L1_injectivity", c1}
+        assert failing("fails_all", 7) == {
+            "L0_left_inverse", lands, "L1_injectivity", c1}
+        assert failing("l1_alone", 1000) == {
+            "L0_left_inverse", c1, "C3_compliance_equivalence"}

@@ -1,9 +1,11 @@
 """Pinned output digests, checked inside the test suite.
 
 The benchmark in ``perfbench/`` pins SHA-256 digests of the trace and the
-report of every op it runs.  These tests run a few of those ops through the
-CLI and check them against the pins, so a change to the simulator that
-alters any trace byte fails here, not only in a benchmark run.  The
+report of every op it runs.  These tests run a few simulations and every
+law-check and experiment op of one variant through the CLI and check them
+against the pins, so a change to the simulator, the law harness or the
+experiment loops that alters any output byte fails here, not only in a
+benchmark run.  The
 benchmark's own helpers are reused read-only.
 """
 
@@ -25,6 +27,9 @@ CASES = [
     ("bundled_scenarios", "simulate:mqtt_adversarial"),
     ("bundled_scenarios", "simulate:mqtt_aperiodic"),
     ("bundled_scenarios", "simulate:mqtt_sharp_attack"),
+    *[("lingo_lab", f"check:{name}") for name, _ in bench.LAW_SPECS],
+    *[("lingo_lab", f"{kind}:{strategy}")
+      for kind, strategy, _, _ in bench.EXPERIMENTS],
 ]
 
 

@@ -11,6 +11,31 @@ def test_golden_value():
     assert derive(0, 0, 0) == GOLDEN_ZERO
 
 
+def _reference_derive(seed, stream_tag, index):
+    # derive as specified, with the rotation written out as a function
+    mask = (1 << 64) - 1
+    golden = 0x9E3779B97F4A7C15
+    tag = stream_tag & mask
+    rotl = ((tag << 17) | (tag >> 47)) & mask
+    z = (seed ^ rotl ^ ((index * golden) & mask)) & mask
+    z = (z + golden) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def test_derive_matches_reference_on_any_int():
+    # negative and wider-than-64-bit keys must reduce exactly as the spec says
+    r = Rng(3, 4)
+    edge = [0, 1, -1, 2**63, 2**64 - 1, 2**64, -(2**64), 2**130 + 5]
+    words = edge + [r.next_u64() - (1 << 63) for _ in range(40)] + [
+        r.next_u64() << r.next_below(80) for _ in range(40)]
+    for k, seed in enumerate(words):
+        for tag in words[k % 7::7]:
+            for index in (0, 1, -3, 2**70, seed):
+                assert derive(seed, tag, index) == _reference_derive(seed, tag, index)
+
+
 def test_determinism():
     assert derive(123, 456, 789) == derive(123, 456, 789)
 

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ALL_SPECS
+
 from dialectica.core import (
     Rng,
     UnsampleableSpace,
@@ -104,39 +106,6 @@ def test_law_harness_needs_a_generator():
         check_lingo_laws(lingo, 10, Rng(0, 0))
 
 
-XOR4 = {"kind": "xor_bitvec", "width": 4}
-DC = {"kind": "divide_check"}
-# Every leaf kind, lingo operator and adaptor kind the spec language has.
-GATE_SPECS = [
-    XOR4,
-    {"kind": "xor_nat"},
-    {"kind": "xor_set", "universe": ["a", "b", "c"]},
-    DC,
-    {"kind": "reverse_divide_check"},
-    {"kind": "identity", "space": {"bitvec": 4}},
-    {"kind": "split_bitvec", "half_width": 2},
-    {"sharp": XOR4},
-    {"horizontal": {"branches": [{"kind": "xor_nat"}, DC],
-                    "defaults": [{"nat": "0"},
-                                 {"pair": [{"nat": "0"}, {"nat": "0"}]}],
-                    "bias": [1, 2]}},
-    {"functional": [{"kind": "xor_nat"}, DC]},
-    {"product": [XOR4, DC]},
-    {"tupling": [XOR4, XOR4]},
-    {"adapt_pre": {"adaptor": {"kind": "identity", "space": {"bitvec": 4}},
-                   "lingo": XOR4}},
-    {"adapt_pre": {"adaptor": {"kind": "nat_bitvec", "width": 4},
-                   "lingo": XOR4}},
-    {"adapt_pre": {"adaptor": {"kind": "sparse", "width": 8, "count": 8},
-                   "lingo": {"kind": "xor_bitvec", "width": 8}}},
-    {"adapt_pre": {"adaptor": {"kind": "mqtt_codec"},
-                   "lingo": {"kind": "xor_nat"}}},
-    {"adapt_post": {"lingo": XOR4,
-                    "adaptor": {"kind": "bitvec_nat", "width": 4}}},
-    {"auth": {"base": {"kind": "xor_bitvec", "width": 8}, "oids": ["a", "b"],
-              "m": 8, "j": 8, "k": 8, "seed": 3}},
-]
-
 ANY_VALUE = st.recursive(
     st.one_of(st.builds(Nat, st.integers(0, 2**70)),
               st.builds(BitVec, st.sampled_from([1, 2, 4, 8, 16]),
@@ -147,7 +116,7 @@ ANY_VALUE = st.recursive(
     max_leaves=5)
 
 
-@pytest.mark.parametrize("spec", GATE_SPECS, ids=lambda s: build_lingo(s).name)
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: build_lingo(s).name)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_compliance_gate_is_total(spec, data):

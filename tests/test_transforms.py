@@ -19,6 +19,7 @@ from dialectica.mqtt import ConnAck, PubMsg, SubMsg, mqtt_codec_adaptor
 from dialectica.transforms import (
     AuthParam,
     DegenerateParamSpace,
+    NonceExhausted,
     NotApplicable,
     Recipe,
     RetractFailure,
@@ -172,6 +173,14 @@ class TestAuthenticating:
         auth = self.make()
         with pytest.raises(ValueError):
             auth.hash(1, ("alice", "alice"))
+
+    def test_nonce_space_is_bounded_by_k(self):
+        auth = authenticating(make_xor_bitvec(8), ["a", "b"], m=8, j=8, k=8,
+                              seed=3)
+        auth.hash(255, ("a", "b"))
+        with pytest.raises(NonceExhausted, match=r"2\*\*8") as info:
+            auth.hash(256, ("a", "b"))
+        assert isinstance(info.value, ValueError)
 
     def test_laws_on_wrapped_lingo(self):
         report = check_lingo_laws(self.make().base, 300, Rng(5, 9))
