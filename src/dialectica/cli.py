@@ -74,9 +74,11 @@ def _emit(obj, out_path: Optional[str]) -> None:
         print(text)
 
 
-def _nonce_exhausted(exc: NonceExhausted) -> int:
-    print(f"config error: the authenticating lingo ran out of nonces ({exc}); "
-          f"use fewer samples or observations, or a larger k", file=sys.stderr)
+def _cannot_run(exc: Exception) -> int:
+    """NonceExhausted or UnsampleableSpace: the lingo cannot be exercised."""
+    hint = ("; use fewer samples or observations, or a larger k"
+            if isinstance(exc, NonceExhausted) else "")
+    print(f"config error: cannot exercise the lingo ({exc}){hint}", file=sys.stderr)
     return EXIT_SPEC_ERROR
 
 
@@ -132,8 +134,8 @@ def cmd_lingo_check(args) -> int:
     try:
         report = check_lingo_laws(lingo, args.samples,
                                   Rng(seed, fnv64("cli-check")))
-    except NonceExhausted as exc:
-        return _nonce_exhausted(exc)
+    except (NonceExhausted, UnsampleableSpace) as exc:
+        return _cannot_run(exc)
 
     probe_rng = Rng(seed, SAMPLE_TAG)
     witness = None
@@ -209,8 +211,8 @@ def cmd_experiment(args) -> int:
         else:
             report = run_match_experiment(lingo, args.strategy,
                                           trials=args.trials, seed=seed)
-    except NonceExhausted as exc:
-        return _nonce_exhausted(exc)
+    except (NonceExhausted, UnsampleableSpace) as exc:
+        return _cannot_run(exc)
     _emit(report.to_json(), args.out)
     return EXIT_OK
 
@@ -263,7 +265,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        _env_seed()
+    except ValueError:
+        print("config error: DIALECTICA_SEED must be an integer", file=sys.stderr)
+        return EXIT_SPEC_ERROR
+    try:
+        return args.fn(args)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_SPEC_ERROR
 
 
 if __name__ == "__main__":

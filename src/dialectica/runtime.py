@@ -7,9 +7,11 @@ decodes buffered batches back into protocol messages (rule ``in``).  A
 rejected batch is logged with the first failing check's reason, in check
 order: ``decode:`` (shape gate or g), ``default_fallback``, ``noncompliant``
 (forgery check), ``malformed:`` (codec retract), ``actor:`` (protocol).
-Per-peer send/receive counters drive the parameter stream; an optional
-aperiodic policy additionally rotates the active lingo after a per-peer
-message bound.
+Per-peer send/receive counters are the only per-flow state: message ``n``
+of a flow takes its parameter from the lingo's stream at index ``n``, and
+its lingo from the policy as a pure function of (seed, flow, n).  An
+aperiodic policy rotates the lingo every ``msg_bound`` messages of a flow;
+sender and receiver agree because both count the same messages.
 
 Channels are FIFO and loss-free per (src, dst): counter-keyed parameters
 need ordered delivery.  The scheduler enumerates enabled rule instances in
@@ -65,12 +67,15 @@ class Quiescent(Exception):
 class StaticPolicy:
     lingo: Lingo
 
+    def lingo_at(self, seed: int, src: str, dst: str, n: int) -> Lingo:
+        return self.lingo
+
 
 @dataclass(frozen=True)
 class AperiodicPolicy:
-    """Rotate the active lingo after ``msg_bound`` messages per peer and
-    direction; the next lingo is a uniform seeded draw keyed by the epoch
-    and the flow's (src, dst) pair."""
+    """Rotate the active lingo every ``msg_bound`` messages of a flow:
+    message ``n`` of the flow src -> dst uses a uniform seeded draw keyed by
+    its epoch ``n // msg_bound`` and the (src, dst) pair."""
 
     msg_bound: int
     lingos: tuple[Lingo, ...]
@@ -81,45 +86,15 @@ class AperiodicPolicy:
         if len(self.lingos) < 1:
             raise ValueError("aperiodic policy needs at least one lingo")
 
+    def lingo_at(self, seed: int, src: str, dst: str, n: int) -> Lingo:
+        k = len(self.lingos)
+        if k == 1:
+            return self.lingos[0]
+        tag = ((n // self.msg_bound) ^ fnv64(src + "|" + dst)) & MASK64
+        return self.lingos[throw_biased(seed, tag, (1,) * k) - 1]
+
 
 LingoPolicy = Union[StaticPolicy, AperiodicPolicy, None]
-
-
-@dataclass
-class AperState:
-    count: int
-    lingo_index: int
-    epoch: int
-
-
-def _pair_tag(src: str, dst: str) -> int:
-    return fnv64(src + "|" + dst)
-
-
-def aperiodic_draw(policy: AperiodicPolicy, seed: int, pair_tag: int,
-                   epoch: int) -> int:
-    if len(policy.lingos) == 1:
-        return 0
-    bias = (1,) * len(policy.lingos)
-    return throw_biased(seed, (epoch ^ pair_tag) & MASK64, bias) - 1
-
-
-def aperiodic_init(policy: AperiodicPolicy, seed: int, src: str, dst: str
-                   ) -> AperState:
-    return AperState(0, aperiodic_draw(policy, seed, _pair_tag(src, dst), 0), 0)
-
-
-def aperiodic_advance(policy: AperiodicPolicy, state: AperState, seed: int,
-                      src: str, dst: str) -> tuple[Lingo, AperState, bool]:
-    """Active lingo for the message being processed, plus the successor
-    state.  The switch takes effect on the following message."""
-    active = policy.lingos[state.lingo_index]
-    count = state.count + 1
-    if count >= policy.msg_bound:
-        epoch = state.epoch + 1
-        idx = aperiodic_draw(policy, seed, _pair_tag(src, dst), epoch)
-        return active, AperState(0, idx, epoch), True
-    return active, AperState(count, state.lingo_index, state.epoch), False
 
 
 class DialectWrapper:
@@ -127,7 +102,8 @@ class DialectWrapper:
 
     Send and receive counters are split per direction: a single per-peer
     counter read by both rules would desynchronize a wrapper that both
-    sends to and receives from the same peer.
+    sends to and receives from the same peer.  They are the only per-flow
+    state: the active lingo is a function of the flow and its counter.
     """
 
     def __init__(self, oid: str, actor, policy: LingoPolicy, seed: int,
@@ -143,36 +119,20 @@ class DialectWrapper:
         self.in_buffers: dict[str, deque[Message]] = {}
         self.send_counters: dict[str, int] = {}
         self.recv_counters: dict[str, int] = {}
-        self.send_cl: dict[str, AperState] = {}
-        self.recv_cl: dict[str, AperState] = {}
         # (actor, has pending output) from the last spontaneous-step probe;
         # actors are immutable, so the answer holds while the object does.
         self.probe: Optional[tuple[object, bool]] = None
 
-    # Active lingo for the next message on a flow, without advancing.
-    def peek_lingo(self, peer: str, sending: bool) -> Optional[Lingo]:
+    def lingo_for(self, peer: str, sending: bool) -> Optional[Lingo]:
+        """Active lingo for the next message sent to or received from
+        ``peer``."""
         if self.policy is None:
             return None
-        if isinstance(self.policy, StaticPolicy):
-            return self.policy.lingo
-        states = self.send_cl if sending else self.recv_cl
-        if peer not in states:
-            src, dst = (self.oid, peer) if sending else (peer, self.oid)
-            states[peer] = aperiodic_init(self.policy, self.seed, src, dst)
-        return self.policy.lingos[states[peer].lingo_index]
-
-    def advance_lingo(self, peer: str, sending: bool
-                      ) -> tuple[Optional[Lingo], bool]:
-        if self.policy is None:
-            return None, False
-        if isinstance(self.policy, StaticPolicy):
-            return self.policy.lingo, False
-        self.peek_lingo(peer, sending)
-        states = self.send_cl if sending else self.recv_cl
-        src, dst = (self.oid, peer) if sending else (peer, self.oid)
-        active, states[peer], switched = aperiodic_advance(
-            self.policy, states[peer], self.seed, src, dst)
-        return active, switched
+        if sending:
+            return self.policy.lingo_at(self.seed, self.oid, peer,
+                                        self.send_counters.get(peer, 0))
+        return self.policy.lingo_at(self.seed, peer, self.oid,
+                                    self.recv_counters.get(peer, 0))
 
 
 @dataclass
@@ -183,7 +143,6 @@ class Configuration:
     attacker_targets: Optional[list[tuple[str, str]]] = None
     channels: dict[tuple[str, str], deque] = field(default_factory=dict)
     event_log: list[dict] = field(default_factory=list)
-    delivered_log: list[tuple[str, str, str]] = field(default_factory=list)
     clock: int = 0
     seq: int = 0
     stats: dict = field(default_factory=lambda: {
@@ -255,12 +214,9 @@ def rule_out(cfg: Configuration, oid: str) -> Configuration:
     dst, msg = w.outbox.popleft()
     cfg.dirty.add(("out", oid))
     n = w.send_counters.get(dst, 0)
+    lingo = w.lingo_for(dst, sending=True)
     w.send_counters[dst] = n + 1
-    lingo, switched = w.advance_lingo(dst, sending=True)
-    if switched:
-        state = w.send_cl[dst]
-        cfg.log("switch", oid=oid, peer=dst, direction="send",
-                epoch=state.epoch, lingo=w.policy.lingos[state.lingo_index].name)
+    _log_switch(cfg, w, dst, "send", n)
     if lingo is None:
         wire_batch: list = [msg]
         a = None
@@ -297,79 +253,74 @@ def rule_deliver(cfg: Configuration, src: str, dst: str) -> Configuration:
 def rule_in(cfg: Configuration, oid: str, src: str) -> Configuration:
     """Decode one buffered batch and hand the plaintext to the inner actor.
 
-    Any failure (shape gate, decode, default fallback, forgery check, codec
-    retract, protocol rejection) drops the batch with a logged rejection.
-    The receive counter advances either way so honest peers stay in step."""
+    Bare and dialected batches go through one sequence of checks (shape
+    gate, decode, default fallback, forgery check, codec retract, protocol);
+    a bare batch skips the lingo and codec stages.  The first failing check
+    drops the batch with a logged rejection.  The receive counter advances
+    either way so honest peers stay in step."""
     w = cfg.wrappers[oid]
     buf = w.in_buffers[src]
     # The buffer and receive lingo change here, and the actor may.
     cfg.dirty.update((("in", oid, src), ("out", oid)))
     n = w.recv_counters.get(src, 0)
+    lingo = w.lingo_for(src, sending=False)
     w.recv_counters[src] = n + 1
-    lingo, switched = w.advance_lingo(src, sending=False)
-    if switched:
-        state = w.recv_cl[src]
-        cfg.log("switch", oid=oid, peer=src, direction="recv",
-                epoch=state.epoch, lingo=w.policy.lingos[state.lingo_index].name)
+    _log_switch(cfg, w, src, "recv", n)
+    batch = [buf.popleft() for _ in range(lingo.egress_arity if lingo else 1)]
+    # The strategy of the batch's first injected message, if any.
+    injector = next((m.strategy or "?" for m in batch if m.injected), None)
+    injected = injector is not None
 
-    if lingo is None:
-        batch = [buf.popleft()]
-        _finish_in(cfg, w, src, n, None, batch, batch[0].payload)
+    reason = None
+    msg = batch[0].payload
+    if lingo is not None:
+        wire_batch = [m.payload for m in batch]
+        a = lingo.param(n, w.seed)
+        decoded = (lingo.g(list(wire_batch), a) if wire_fits(lingo, wire_batch)
+                   else DecodeFailure("wire value has the wrong shape"))
+        if isinstance(decoded, DecodeFailure):
+            reason = "decode:" + decoded.reason
+        elif isinstance(decoded, DefaultFallback):
+            reason = "default_fallback"
+        elif lingo.f_checkable and not is_compliant(lingo, list(wire_batch), a):
+            reason = "noncompliant"
+        else:
+            if injected:
+                cfg.stats["forgeries_accepted"] += 1
+                _strategy_stat(cfg, injector, "dialect_accepted")
+            msg = w.codec.r(decoded[0])
+            if isinstance(msg, RetractFailure):
+                reason = "malformed:" + msg.reason
+    if reason is None:
+        stepped = actor_step(w.actor, (src, msg))
+        if isinstance(stepped, Reject):
+            reason = "actor:" + stepped.reason
+    if reason is not None:
+        cfg.stats["rejected"] += 1
+        cfg.log("reject", dst=oid, src=src, n=n, reason=reason,
+                injected=injected)
         return cfg
 
-    batch = [buf.popleft() for _ in range(lingo.egress_arity)]
-    wire_batch = [m.payload for m in batch]
-    a = lingo.param(n, w.seed)
-    decoded = (lingo.g(list(wire_batch), a) if wire_fits(lingo, wire_batch)
-               else DecodeFailure("wire value has the wrong shape"))
-
-    injected = any(m.injected for m in batch)
-    if isinstance(decoded, DecodeFailure):
-        _reject(cfg, w, src, n, batch, "decode:" + decoded.reason, injected)
-        return cfg
-    if isinstance(decoded, DefaultFallback):
-        _reject(cfg, w, src, n, batch, "default_fallback", injected)
-        return cfg
-    if lingo.f_checkable and not is_compliant(lingo, list(wire_batch), a):
-        _reject(cfg, w, src, n, batch, "noncompliant", injected)
-        return cfg
-    if injected:
-        cfg.stats["forgeries_accepted"] += 1
-        _strategy_stat(cfg, batch, "dialect_accepted")
-    _finish_in(cfg, w, src, n, decoded[0], batch, None)
-    return cfg
-
-
-def _finish_in(cfg, w, src, n, plaintext_value, batch, raw_msg) -> None:
-    injected = any(m.injected for m in batch)
-    if raw_msg is not None:
-        msg = raw_msg
-    else:
-        msg = w.codec.r(plaintext_value)
-        if isinstance(msg, RetractFailure):
-            _reject(cfg, w, src, n, batch, "malformed:" + msg.reason, injected)
-            return
-    stepped = actor_step(w.actor, (src, msg))
-    if isinstance(stepped, Reject):
-        _reject(cfg, w, src, n, batch, "actor:" + stepped.reason, injected)
-        return
-    actor2, outs = stepped
-    w.actor = actor2
+    w.actor, outs = stepped
     w.outbox.extend(outs)
     cfg.stats["delivered"] += 1
     if injected:
         cfg.stats["forgeries_delivered"] += 1
-        _strategy_stat(cfg, batch, "delivered")
+        _strategy_stat(cfg, injector, "delivered")
     else:
         _check_desync(cfg, w, src, n, batch)
-    cfg.delivered_log.append((src, w.oid, repr(msg)))
-    cfg.log("in", dst=w.oid, src=src, n=n, outcome="delivered", msg=repr(msg))
+    cfg.log("in", dst=oid, src=src, n=n, outcome="delivered", msg=repr(msg))
+    return cfg
 
 
-def _reject(cfg, w, src, n, batch, reason, injected) -> None:
-    cfg.stats["rejected"] += 1
-    cfg.log("reject", dst=w.oid, src=src, n=n, reason=reason,
-            injected=injected)
+def _log_switch(cfg, w, peer, direction, n) -> None:
+    """Log the rotation that takes effect after message ``n`` of a flow,
+    naming the lingo of message ``n + 1``; call it after the counter moved."""
+    policy = w.policy
+    if isinstance(policy, AperiodicPolicy) and (n + 1) % policy.msg_bound == 0:
+        cfg.log("switch", oid=w.oid, peer=peer, direction=direction,
+                epoch=(n + 1) // policy.msg_bound,
+                lingo=w.lingo_for(peer, direction == "send").name)
 
 
 def _check_desync(cfg, w, src, n, batch) -> None:
@@ -386,14 +337,10 @@ def _check_desync(cfg, w, src, n, batch) -> None:
         cfg.log("desync", dst=w.oid, src=src, encoded=hidden.index, used=n)
 
 
-def _strategy_stat(cfg, batch, key) -> None:
-    for m in batch:
-        if m.injected:
-            entry = cfg.per_strategy.setdefault(
-                m.strategy or "?", {"attempts": 0, "dialect_accepted": 0,
-                                    "delivered": 0})
-            entry[key] += 1
-            return
+def _strategy_stat(cfg, strategy, key) -> None:
+    entry = cfg.per_strategy.setdefault(
+        strategy, {"attempts": 0, "dialect_accepted": 0, "delivered": 0})
+    entry[key] += 1
 
 
 def rule_attacker(cfg: Configuration) -> Configuration:
@@ -407,29 +354,21 @@ def rule_attacker(cfg: Configuration) -> Configuration:
     if not candidates:
         return cfg
     strategy, (src, dst) = candidates[atk.rng.next_below(len(candidates))]
-    wire_space, lingo = _flow_wire_space(cfg, src, dst)
+    w = cfg.wrappers.get(dst)
+    lingo = w.lingo_for(src, sending=False) if w is not None else None
     forged = attempt_forgery(atk, strategy, (src, dst), atk.rng,
-                             wire_space=wire_space, lingo=lingo)
+                             wire_space=lingo.output_space if lingo else None,
+                             lingo=lingo)
     if isinstance(forged, NoAttempt):
         return cfg
     forged.seq = cfg.seq
     cfg.seq += 1
     cfg.channel(src, dst).append(forged)
     cfg.stats["injected"] += 1
-    entry = cfg.per_strategy.setdefault(
-        strategy, {"attempts": 0, "dialect_accepted": 0, "delivered": 0})
-    entry["attempts"] += 1
+    _strategy_stat(cfg, strategy, "attempts")
     cfg.log("inject", src=src, dst=dst, strategy=strategy, seq=forged.seq,
             wire=_wire_json(forged.payload))
     return cfg
-
-
-def _flow_wire_space(cfg, src, dst):
-    w = cfg.wrappers.get(dst)
-    if w is None:
-        return None, None
-    lingo = w.peek_lingo(src, sending=False)
-    return (lingo.output_space if lingo else None), lingo
 
 
 def _attack_candidates(cfg) -> list[tuple[str, tuple[str, str]]]:
@@ -478,7 +417,7 @@ def _instance_enabled(cfg: Configuration, inst: tuple) -> bool:
     buf = w.in_buffers.get(src)
     if not buf:
         return False
-    lingo = w.peek_lingo(src, sending=False)
+    lingo = w.lingo_for(src, sending=False)
     return len(buf) >= (lingo.egress_arity if lingo else 1)
 
 

@@ -48,6 +48,9 @@ from .runtime import (
 )
 from .specs import SpecError, build_lingo
 
+_COMMANDS = {"connect": Connect, "subscribe": Subscribe,
+             "unsubscribe": Unsubscribe, "publish": Publish}
+
 
 @dataclass
 class Scenario:
@@ -62,31 +65,49 @@ class Scenario:
     report_path: Optional[str] = None
 
 
-def _parse_cmd(obj) -> object:
+def _parse_cmd(obj, room: Optional[int]) -> object:
+    """One client command.  ``encode_mqtt`` writes its message as a tag byte,
+    then a length byte and 1..255 UTF-8 bytes per field; with a bit-vector
+    payload the message must fit ``room`` bytes.  No broker reply is longer
+    than the message it answers."""
+    if isinstance(obj, dict) and len(obj) == 1:
+        [(key, body)] = obj.items()
+        command = _COMMANDS.get(key)
+        if command is not None:
+            if command is Publish:
+                topic, value = body
+                fields = (str(topic), str(value))
+            else:
+                fields = (str(body),)
+            size = 1
+            for f in fields:
+                n = len(f.encode("utf-8"))
+                if not 1 <= n <= 255:
+                    raise SpecError(f"{key} field {f[:20]!r} must be 1..255 "
+                                    f"UTF-8 bytes, got {n}")
+                size += 1 + n
+            if room is not None and size > room:
+                raise SpecError(f"{key} message needs {8 * size} bits, the "
+                                f"payload has {8 * room}")
+            return command(*fields)
     if obj == "disconnect":
         return Disconnect()
-    if isinstance(obj, dict) and len(obj) == 1:
-        key, body = next(iter(obj.items()))
-        if key == "connect":
-            return Connect(str(body))
-        if key == "subscribe":
-            return Subscribe(str(body))
-        if key == "unsubscribe":
-            return Unsubscribe(str(body))
-        if key == "publish":
-            topic, value = body
-            return Publish(str(topic), str(value))
     raise SpecError(f"unknown command {obj!r}")
 
 
-def _parse_actor(obj) -> object:
+def _object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise SpecError(f"{what} must be an object, got {obj!r}")
+    return obj
+
+
+def _parse_actor(obj, room: Optional[int]) -> object:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise SpecError(f"actor spec must be a single-key object: {obj!r}")
     key, body = next(iter(obj.items()))
     if key == "client":
-        return MqttClient(oid=str(body["oid"]),
-                          cmd_list=tuple(_parse_cmd(c)
-                                         for c in body.get("cmds", [])))
+        return MqttClient(oid=str(body["oid"]), cmd_list=tuple(
+            [_parse_cmd(c, room) for c in body.get("cmds", [])]))
     if key == "broker":
         return MqttBroker(oid=str(body["oid"]))
     raise SpecError(f"unknown actor kind {key!r}")
@@ -105,18 +126,7 @@ def parse_scenario(doc: dict) -> Scenario:
             width = int(payload["bitvec"])
         else:
             raise SpecError(f"unknown payload encoding {payload!r}")
-        if width is not None and width < 1:
-            raise SpecError(f"payload bit-vector width must be >= 1, got {width}")
-
-        actors = [_parse_actor(a) for a in doc["actors"]]
-        oids = [a.oid for a in actors]
-        if len(set(oids)) != len(oids):
-            raise SpecError(f"duplicate actor oids: {oids}")
-        for actor in actors:
-            for cmd in getattr(actor, "cmd_list", ()):
-                if isinstance(cmd, Connect) and cmd.broker not in oids:
-                    raise SpecError(f"{actor.oid} connects to unknown actor "
-                                    f"{cmd.broker!r}")
+        mqtt_codec_adaptor(width)   # checks the width
 
         policy_doc = doc.get("policy", "static")
         if policy_doc == "bare":
@@ -125,26 +135,34 @@ def parse_scenario(doc: dict) -> Scenario:
             policy = StaticPolicy(build_lingo(doc["lingo_stack"]))
         elif isinstance(policy_doc, dict) and "aperiodic" in policy_doc:
             body = policy_doc["aperiodic"]
-            lingos = tuple(build_lingo(s) for s in body["lingos"])
-            first = lingos[0]
-            for lingo in lingos:
-                if lingo.input_space != first.input_space:
-                    raise SpecError("aperiodic lingos must share their input space")
-            policy = AperiodicPolicy(msg_bound=int(body["msg_bound"]),
-                                     lingos=lingos)
+            policy = AperiodicPolicy(msg_bound=int(body["msg_bound"]), lingos=tuple(
+                build_lingo(s) for s in body["lingos"]))
+            if len({lingo.input_space for lingo in policy.lingos}) != 1:
+                raise SpecError("aperiodic lingos must share their input space")
         else:
             raise SpecError(f"unknown policy {policy_doc!r}")
+
+        room = None if policy is None or width is None else width // 8
+        actors = [_parse_actor(a, room) for a in doc["actors"]]
+        oids = [a.oid for a in actors]
+        if len(set(oids)) != len(oids):
+            raise SpecError(f"duplicate actor oids: {oids}")
+        unknown = {c.broker for a in actors for c in getattr(a, "cmd_list", ())
+                   if type(c) is Connect} - set(oids)
+        if unknown:
+            raise SpecError(f"clients connect to unknown actors: {sorted(unknown)}")
 
         attacker = None
         targets = None
         if "attacker" in doc and doc["attacker"] is not None:
-            atk = doc["attacker"]
+            atk = _object(doc["attacker"], "attacker")
             strategies = tuple(atk.get("strategies", []))
             for s in strategies:
                 if s not in STRATEGIES:
                     raise SpecError(f"unknown strategy {s!r}")
             attacker = AttackerState(
-                advantage=AdvantageConfig.from_json(atk.get("advantage", {})),
+                advantage=AdvantageConfig.from_json(
+                    _object(atk.get("advantage", {}), "advantage")),
                 strategies=strategies,
                 max_injections=int(atk.get("max_injections", 100)),
                 injection_rate=float(atk.get("injection_rate", 1.0)))
@@ -159,7 +177,10 @@ def parse_scenario(doc: dict) -> Scenario:
         if max_steps < 1:
             raise SpecError(f"max_steps must be >= 1, got {max_steps}")
 
-        outputs = doc.get("outputs", {})
+        outputs = _object(doc.get("outputs", {}), "outputs")
+        for path in outputs.values():
+            if not isinstance(path, (str, type(None))):
+                raise SpecError(f"output paths must be strings, got {path!r}")
         return Scenario(seed=seed, actors=actors, policy=policy,
                         max_steps=max_steps,
                         payload_width=width, attacker=attacker,

@@ -42,7 +42,7 @@ class SpecError(Exception):
     """Malformed lingo/adaptor/scenario spec."""
 
 
-_BUILD_ERRORS = (KeyError, TypeError, ValueError, SpaceViolation,
+_BUILD_ERRORS = (KeyError, IndexError, TypeError, ValueError, SpaceViolation,
                  SpaceMismatch, WidthOverflow, DegenerateParamSpace, BadBias)
 
 
@@ -69,7 +69,10 @@ def build_adaptor(spec: dict) -> DataAdaptor:
         if kind == "bitvec_nat":
             return bitvec_nat_adaptor(int(spec["width"]))
         if kind == "sparse":
-            words = spec.get("words", [f"w{i}" for i in range(int(spec.get("count", 64)))])
+            count = int(spec.get("count", 64))
+            if not 1 <= count <= 1 << 16:
+                raise ValueError(f"codebook size must be in 1..65536, got {count}")
+            words = spec.get("words", [f"w{i}" for i in range(count)])
             return sparse_code_adaptor(list(words), int(spec["width"]),
                                        int(spec.get("seed", 0)))
         if kind == "mqtt_codec":
@@ -86,7 +89,8 @@ def build_lingo(spec: dict) -> Lingo:
     if not isinstance(spec, dict):
         raise SpecError(f"lingo spec must be an object, got {spec!r}")
     if "kind" in spec:
-        builder = _LEAF_BUILDERS.get(spec["kind"])
+        kind = spec["kind"]
+        builder = _LEAF_BUILDERS.get(kind) if isinstance(kind, str) else None
         if builder is None:
             raise SpecError(f"unknown lingo kind {spec['kind']!r}")
         try:

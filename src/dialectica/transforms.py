@@ -204,8 +204,8 @@ def authenticating(base: Lingo, oids: list[str], m: int, j: int, k: int,
     """
     if base.ingress_arity != 1 or base.egress_arity != 1:
         raise SpaceViolation("authenticating needs a 1/1-arity base lingo")
-    if len(set(oids)) < 2:
-        raise ValueError("need at least 2 distinct oids")
+    if len(set(oids)) < 2 or not all(isinstance(o, str) for o in oids):
+        raise ValueError("need at least 2 distinct string oids")
     if j < 8 or k < 8:
         raise ValueError("code and nonce lengths must be >= 8 bits")
     if isinstance(base.output_space, BitVecSpace) and base.output_space.width > m:

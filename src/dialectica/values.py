@@ -104,13 +104,19 @@ class NatSpace:
     pass
 
 
+# Widest bit-vector space: wider ones would make sampling, masks and
+# cardinalities arbitrarily expensive.
+MAX_BITVEC_WIDTH = 1 << 16
+
+
 @dataclass(frozen=True)
 class BitVecSpace:
     width: int
 
     def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError("BitVecSpace width must be >= 1")
+        if not 1 <= self.width <= MAX_BITVEC_WIDTH:
+            raise ValueError(f"BitVecSpace width must be in 1..{MAX_BITVEC_WIDTH}, "
+                             f"got {self.width}")
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,8 @@ class AtomSetSpace:
     universe: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not all(isinstance(a, str) for a in self.universe):
+            raise ValueError("AtomSetSpace atoms must be strings")
         if len(set(self.universe)) != len(self.universe):
             raise ValueError("AtomSetSpace universe must be duplicate-free")
 
@@ -300,13 +308,20 @@ def value_to_json(v: Value) -> dict:
 
 def value_from_json(obj) -> Value:
     """Parse the canonical JSON encoding; bare non-negative ints are accepted
-    as shorthand for naturals."""
+    as shorthand for naturals.  Anything else raises ValueError."""
+    try:
+        return _value_from_json(obj)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"not a value encoding: {obj!r}") from exc
+
+
+def _value_from_json(obj) -> Value:
     if isinstance(obj, int) and not isinstance(obj, bool):
         return Nat(obj)
     if isinstance(obj, str) and obj.isdigit():
         return Nat(int(obj))
     if isinstance(obj, list) and len(obj) == 2:
-        return Pair(value_from_json(obj[0]), value_from_json(obj[1]))
+        return Pair(_value_from_json(obj[0]), _value_from_json(obj[1]))
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"not a value encoding: {obj!r}")
     key, body = next(iter(obj.items()))
@@ -315,11 +330,11 @@ def value_from_json(obj) -> Value:
     if key == "bv":
         return BitVec(int(body["w"]), int(body["n"]))
     if key == "pair":
-        return Pair(value_from_json(body[0]), value_from_json(body[1]))
+        return Pair(_value_from_json(body[0]), _value_from_json(body[1]))
     if key == "set":
         return AtomSet(tuple(body))
     if key == "tag":
-        return Tagged(int(body["i"]), value_from_json(body["v"]))
+        return Tagged(int(body["i"]), _value_from_json(body["v"]))
     raise ValueError(f"unknown value kind: {key!r}")
 
 

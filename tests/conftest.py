@@ -18,6 +18,12 @@ def load_scenario_doc(name: str) -> dict:
         return json.load(fh)
 
 
+def delivered_messages(cfg) -> tuple:
+    """(src, dst, repr(msg)) of every delivered message, sorted."""
+    return tuple(sorted((e["src"], e["dst"], e["msg"])
+                        for e in cfg.event_log if e["ev"] == "in"))
+
+
 ALL_SCENARIOS = [
     "mqtt_bare.json",
     "mqtt_xor.json",

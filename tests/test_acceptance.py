@@ -5,7 +5,7 @@ and nowhere else."""
 import json
 from contextlib import contextmanager
 
-from conftest import ALL_SCENARIOS, scenario_path
+from conftest import ALL_SCENARIOS, delivered_messages, scenario_path
 from dialectica.attacker import (
     AdvantageConfig,
     PerMessage,
@@ -357,7 +357,7 @@ def test_criterion_10_mqtt_end_to_end():
         bare = {oid: actor_digest(w.actor)
                 for oid, w in sorted(cfg.wrappers.items())}
         assert bare["c1"]["last_recv"] == {"temp": "34"}
-        bare_delivered = tuple(sorted(cfg.delivered_log))
+        bare_delivered = delivered_messages(cfg)
 
         for name in ("mqtt_xor.json", "mqtt_xor_bitvec.json",
                      "mqtt_horizontal.json", "mqtt_functional.json"):
@@ -366,7 +366,7 @@ def test_criterion_10_mqtt_end_to_end():
             wrapped = {oid: actor_digest(w.actor)
                        for oid, w in sorted(cfg.wrappers.items())}
             assert wrapped == bare, name
-            assert tuple(sorted(cfg.delivered_log)) == bare_delivered, name
+            assert delivered_messages(cfg) == bare_delivered, name
 
 
 def test_criterion_11_attacker_outcomes():

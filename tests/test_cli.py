@@ -65,6 +65,13 @@ class TestLingoEval:
                      '{"nat":"5"}'])
         assert code == EXIT_SPACE_VIOLATION
 
+    @pytest.mark.parametrize("arg", ['{"pair": []}', '{"bv": 5}',
+                                     '{"set": [{"nat": "0"}]}', '{"tag": 1}'])
+    def test_malformed_value_exits_2(self, capsys, arg):
+        code = main(["lingo", "eval", XOR4, "f", arg, '{"bv":{"w":4,"n":1}}'])
+        assert code == EXIT_SPEC_ERROR
+        assert "argument error" in capsys.readouterr().err
+
 
 class TestLingoCheck:
     @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -80,6 +87,30 @@ class TestLingoCheck:
         code = main(["lingo", "check", AUTH_K8, "--samples", "1000"])
         assert code == EXIT_SPEC_ERROR
         assert "2**8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        {"sharp": {"kind": "xor_bitvec", "width": 2**70}},
+        {"kind": "xor_bitvec", "width": 2**70},
+        {"horizontal": {"branches": [{"kind": "xor_nat"}, {"kind": "xor_nat"}],
+                        "defaults": [{"pair": []}, {"bv": 5}], "bias": [1, 1]}},
+        {"kind": []},
+        {"adapt_pre": {"adaptor": {"kind": "sparse", "width": 64, "count": 2**40},
+                       "lingo": {"kind": "xor_bitvec", "width": 64}}},
+        {"auth": {"base": {"kind": "xor_bitvec", "width": 8}, "oids": [False, True],
+                  "m": 8, "j": 8, "k": 8, "seed": 3}},
+    ], ids=["sharp_wide", "wide", "bad_defaults", "unhashable_kind", "huge_codebook",
+            "non_string_oids"])
+    def test_bad_spec_values_exit_2(self, capsys, spec):
+        assert main(["lingo", "check", json.dumps(spec)]) == EXIT_SPEC_ERROR
+
+    def test_unsampleable_input_space_exits_2(self, capsys):
+        spec = json.dumps({"adapt_pre": {"adaptor": {"kind": "mqtt_codec"},
+                                         "lingo": {"kind": "xor_nat"}}})
+        assert main(["lingo", "check", spec]) == EXIT_SPEC_ERROR
+        for kind in ("spoof", "match"):
+            assert main(["experiment", kind, "--lingo", spec, "--strategy",
+                         "replay", "--trials", "3"]) == EXIT_SPEC_ERROR
+        assert "cannot exercise the lingo" in capsys.readouterr().err
 
     def test_divide_check_is_f_checkable(self, capsys):
         code, out = run_cli(capsys, "lingo", "check", DC, "--samples", "300",
@@ -159,9 +190,37 @@ class TestSimulate:
          {"actors": [{"client": {"oid": "c1", "cmds": [{"connect": "zz"}]}},
                      {"broker": {"oid": "b"}}]},
          []),
+        ("mqtt_xor.json", {"attacker": []}, []),
+        ("mqtt_xor.json", {"outputs": []}, []),
+        ("mqtt_xor.json", {"outputs": {"trace_path": 5}}, []),
+        ("mqtt_adversarial.json",
+         {"attacker": {"strategies": ["replay"], "advantage": 5}}, []),
+        ("mqtt_xor.json",
+         {"policy": {"aperiodic": {"msg_bound": 2, "lingos": []}}}, []),
+        ("mqtt_xor.json",
+         {"actors": [{"client": {"oid": "c1", "cmds": [{"connect": "b"},
+                                                       {"subscribe": ""}]}},
+                     {"broker": {"oid": "b"}}]}, []),
+        ("mqtt_xor.json",
+         {"actors": [{"client": {"oid": "c1", "cmds": [
+             {"connect": "b"}, {"publish": ["t" * 256, "1"]}]}},
+                     {"broker": {"oid": "b"}}]}, []),
+        ("mqtt_xor_bitvec.json",
+         {"payload": {"bitvec": 16}, "lingo_stack": {"kind": "xor_bitvec",
+                                                     "width": 16}}, []),
+        ("mqtt_xor_bitvec.json",
+         {"payload": {"bitvec": 2**70},
+          "lingo_stack": {"sharp": {"kind": "xor_bitvec", "width": 2**70}}}, []),
+        ("mqtt_horizontal.json",
+         {"lingo_stack": {"horizontal": {
+             "branches": [{"kind": "xor_nat"}, {"kind": "divide_check"}],
+             "defaults": [{"pair": []}, {"bv": 5}], "bias": [1, 1]}}}, []),
     ], ids=["zero_width", "negative_width", "zero_max_steps",
             "negative_max_steps_flag", "zero_max_steps_flag", "unknown_target",
-            "unknown_broker"])
+            "unknown_broker", "attacker_list", "outputs_list",
+            "trace_path_number", "advantage_number", "no_aperiodic_lingos",
+            "empty_topic", "long_topic", "message_wider_than_payload",
+            "sharp_wide_payload", "bad_horizontal_defaults"])
     def test_bad_scenario_values_exit_2(self, capsys, tmp_path, name, edit,
                                         flags):
         doc = json.loads(open(scenario_path(name)).read())
@@ -171,6 +230,18 @@ class TestSimulate:
         code = main(["simulate", str(path), *flags, "--out", "/dev/null"])
         assert code == EXIT_SPEC_ERROR
         assert "config error" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        missing = str(tmp_path / "no" / "such" / "dir" / "out.json")
+        assert main(["simulate", scenario_path("mqtt_xor.json"),
+                     "--out", missing]) == EXIT_SPEC_ERROR
+        assert main(["lingo", "check", XOR4, "--out", missing]) == EXIT_SPEC_ERROR
+        assert "output error" in capsys.readouterr().err
+
+    def test_non_integer_env_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIALECTICA_SEED", "abc")
+        assert main(["lingo", "check", XOR4]) == EXIT_SPEC_ERROR
+        assert "DIALECTICA_SEED" in capsys.readouterr().err
 
     def test_default_bitvec_payload_width(self, capsys, tmp_path):
         doc = json.loads(open(scenario_path("mqtt_xor_bitvec.json")).read())

@@ -1,12 +1,13 @@
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from conftest import ALL_SCENARIOS, load_scenario_doc
+from conftest import ALL_SCENARIOS, delivered_messages, load_scenario_doc
 from dialectica.attacker import AttackerState
 from dialectica.mqtt import (
     Connect,
@@ -20,7 +21,7 @@ from dialectica.mqtt import (
     mqtt_codec_adaptor,
 )
 from dialectica.net import Message
-from dialectica.rng import RATE_TAG, derive, uniform01
+from dialectica.rng import MASK64, RATE_TAG, derive, fnv64, throw_biased, uniform01
 from dialectica.runtime import (
     AperiodicPolicy,
     Quiescent,
@@ -28,8 +29,6 @@ from dialectica.runtime import (
     _attack_candidates,
     _enabled_instances,
     actor_digest,
-    aperiodic_advance,
-    aperiodic_init,
     build_report,
     make_configuration,
     rule_deliver,
@@ -215,7 +214,7 @@ class TestTransparency:
                                  codec=codec)
         quiesced, _ = run(cfg, budget)
         assert quiesced
-        return final_digests(cfg), tuple(sorted(cfg.delivered_log))
+        return final_digests(cfg), delivered_messages(cfg)
 
     def test_wrapped_runs_match_bare_run(self):
         bare_digest, bare_delivered = self.run_variant(None, None, budget=64)
@@ -238,42 +237,134 @@ class TestTransparency:
         assert cfg.stats["rejected"] == 0
 
 
+# Reference: the per-flow rotation state machine the runtime used to keep
+# next to its counters.  The counter-derived ``lingo_at`` must select the
+# same lingo for every message and log the same switches.
+@dataclass
+class RefAperState:
+    count: int
+    lingo_index: int
+    epoch: int
+
+
+def ref_draw(policy, seed, src, dst, epoch):
+    if len(policy.lingos) == 1:
+        return 0
+    bias = (1,) * len(policy.lingos)
+    return throw_biased(seed, (epoch ^ fnv64(src + "|" + dst)) & MASK64, bias) - 1
+
+
+def ref_init(policy, seed, src, dst):
+    return RefAperState(0, ref_draw(policy, seed, src, dst, 0), 0)
+
+
+def ref_advance(policy, state, seed, src, dst):
+    """(active lingo, successor state, switched) for one message."""
+    active = policy.lingos[state.lingo_index]
+    count = state.count + 1
+    if count >= policy.msg_bound:
+        epoch = state.epoch + 1
+        idx = ref_draw(policy, seed, src, dst, epoch)
+        return active, RefAperState(0, idx, epoch), True
+    return active, RefAperState(count, state.lingo_index, state.epoch), False
+
+
+ROTATION_LINGOS = (
+    build_lingo({"kind": "xor_nat"}),
+    build_lingo({"kind": "divide_check"}),
+    build_lingo({"kind": "reverse_divide_check"}),
+)
+
+
+def rotation_events(cfg):
+    return [e for e in cfg.event_log if e["ev"] in ("out", "in", "reject")]
+
+
 class TestAperiodic:
+    @pytest.mark.parametrize("msg_bound", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_lingo_at_matches_the_state_machine(self, msg_bound, k):
+        policy = AperiodicPolicy(msg_bound=msg_bound, lingos=ROTATION_LINGOS[:k])
+        for seed in (0, 9, 11, 42, 1729):
+            for src, dst in (("a", "b"), ("b", "a"), ("c2", "b"), ("b", "c12")):
+                state = ref_init(policy, seed, src, dst)
+                for n in range(40):
+                    active, state, switched = ref_advance(policy, state, seed,
+                                                          src, dst)
+                    assert policy.lingo_at(seed, src, dst, n) is active
+                    assert switched == ((n + 1) % msg_bound == 0)
+                    assert state.epoch == (n + 1) // msg_bound
+                    assert (policy.lingo_at(seed, src, dst, n + 1)
+                            is policy.lingos[state.lingo_index])
+
+    @pytest.mark.parametrize("msg_bound", [1, 2, 3])
+    def test_runtime_switch_events_match_the_state_machine(self, msg_bound):
+        policy = AperiodicPolicy(msg_bound=msg_bound, lingos=ROTATION_LINGOS[:2])
+        seed = 11
+        cfg = make_configuration(initial_configuration(), policy, seed,
+                                 codec=mqtt_codec_adaptor())
+        run(cfg, 600)
+        states, expected = {}, []
+        for e in rotation_events(cfg):
+            sending = e["ev"] == "out"
+            oid, peer = (e["src"], e["dst"]) if sending else (e["dst"], e["src"])
+            src, dst = e["src"], e["dst"]
+            key = (src, dst, sending)
+            if key not in states:
+                states[key] = ref_init(policy, seed, src, dst)
+            active, states[key], switched = ref_advance(policy, states[key],
+                                                        seed, src, dst)
+            if e["ev"] == "out":
+                assert e["lingo"] == active.name
+            if switched:
+                expected.append({
+                    "t": e["t"], "ev": "switch", "oid": oid, "peer": peer,
+                    "direction": "send" if sending else "recv",
+                    "epoch": states[key].epoch,
+                    "lingo": policy.lingos[states[key].lingo_index].name})
+        switches = [e for e in cfg.event_log if e["ev"] == "switch"]
+        assert switches == expected
+        assert switches
+        # each switch is logged in the step of the message that ends the epoch
+        for i, e in enumerate(cfg.event_log):
+            if e["ev"] == "switch":
+                nxt = cfg.event_log[i + 1]
+                assert nxt["t"] == e["t"] and nxt["ev"] in ("out", "in", "reject")
+
     def test_epoch_bound_switching(self):
-        policy = AperiodicPolicy(msg_bound=3, lingos=(
-            build_lingo({"kind": "xor_nat"}),
-            build_lingo({"kind": "divide_check"})))
-        state = aperiodic_init(policy, 42, "a", "b")
-        names = []
-        for _ in range(7):
-            lingo, state, switched = aperiodic_advance(policy, state, 42, "a", "b")
-            names.append((lingo.name, state.epoch))
-        # three messages per epoch, switch taking effect on the fourth
-        assert [e for _, e in names] == [0, 0, 1, 1, 1, 2, 2]
-        assert names[0][0] == names[1][0] == names[2][0]
+        policy = AperiodicPolicy(msg_bound=3, lingos=ROTATION_LINGOS[:2])
+        names = [policy.lingo_at(42, "a", "b", n).name for n in range(30)]
+        # three messages per epoch: the lingo can change only at n % 3 == 0
+        assert all(names[n] == names[n - 1] for n in range(1, 30) if n % 3)
+        assert len(set(names)) == 2
 
     def test_msg_bound_one_redraws_every_message(self):
-        policy = AperiodicPolicy(msg_bound=1, lingos=(
-            build_lingo({"kind": "xor_nat"}),
-            build_lingo({"kind": "divide_check"})))
-        state = aperiodic_init(policy, 9, "a", "b")
-        epochs = []
-        for _ in range(5):
-            _, state, switched = aperiodic_advance(policy, state, 9, "a", "b")
-            assert switched
-            epochs.append(state.epoch)
-        assert epochs == [1, 2, 3, 4, 5]
+        policy = AperiodicPolicy(msg_bound=1, lingos=ROTATION_LINGOS[:2])
+        names = [policy.lingo_at(9, "a", "b", n).name for n in range(40)]
+        assert len(set(names)) == 2
+        cfg = make_configuration(initial_configuration(), policy, 9,
+                                 codec=mqtt_codec_adaptor())
+        run(cfg, 600)
+        epochs = {}
+        for e in cfg.event_log:
+            if e["ev"] == "switch":
+                epochs.setdefault((e["oid"], e["peer"], e["direction"]),
+                                  []).append(e["epoch"])
+        # a switch after every message of every flow
+        assert sum(map(len, epochs.values())) == len(rotation_events(cfg))
+        assert all(v == list(range(1, len(v) + 1)) for v in epochs.values())
 
     def test_sender_and_receiver_agree(self):
-        policy = AperiodicPolicy(msg_bound=2, lingos=(
-            build_lingo({"kind": "xor_nat"}),
-            build_lingo({"kind": "divide_check"})))
-        s1 = aperiodic_init(policy, 11, "c2", "b")
-        s2 = aperiodic_init(policy, 11, "c2", "b")
-        for _ in range(20):
-            l1, s1, _ = aperiodic_advance(policy, s1, 11, "c2", "b")
-            l2, s2, _ = aperiodic_advance(policy, s2, 11, "c2", "b")
-            assert l1.name == l2.name
+        policy = AperiodicPolicy(msg_bound=2, lingos=ROTATION_LINGOS[:2])
+        cfg = make_configuration(initial_configuration(), policy, 11,
+                                 codec=mqtt_codec_adaptor())
+        run(cfg, 600)
+        sent = {(e["src"], e["dst"], e["n"]): e["lingo"]
+                for e in cfg.event_log if e["ev"] == "out"}
+        for (src, dst, n), name in sent.items():
+            receiver = cfg.wrappers[dst]
+            assert policy.lingo_at(receiver.seed, src, dst, n).name == name
+        assert len(set(sent.values())) == 2
 
     def test_end_to_end_run_switches_and_delivers(self):
         policy = AperiodicPolicy(msg_bound=2, lingos=(
@@ -394,7 +485,7 @@ def reference_enabled_instances(cfg):
             buf = w.in_buffers[src]
             if not buf:
                 continue
-            lingo = w.peek_lingo(src, sending=False)
+            lingo = w.lingo_for(src, sending=False)
             need = lingo.egress_arity if lingo else 1
             if len(buf) >= need:
                 instances.append(("in", oid, src))
