@@ -76,8 +76,8 @@ def _emit(obj, out_path: Optional[str]) -> None:
 
 def _cannot_run(exc: Exception) -> int:
     """NonceExhausted or UnsampleableSpace: the lingo cannot be exercised."""
-    hint = ("; use fewer samples or observations, or a larger k"
-            if isinstance(exc, NonceExhausted) else "")
+    hint = ("; use fewer samples, observations or messages per flow, or a "
+            "larger k" if isinstance(exc, NonceExhausted) else "")
     print(f"config error: cannot exercise the lingo ({exc}){hint}", file=sys.stderr)
     return EXIT_SPEC_ERROR
 
@@ -166,8 +166,11 @@ def cmd_simulate(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
     max_steps = scenario.max_steps if args.max_steps is None else args.max_steps
-    quiesced, steps = run(cfg, max_steps)
-    report = build_report(cfg, quiesced, steps, scenario.policy)
+    try:
+        quiesced, steps = run(cfg, max_steps)
+        report = build_report(cfg, quiesced, steps, scenario.policy)
+    except NonceExhausted as exc:
+        return _cannot_run(exc)
 
     trace_path = args.trace or scenario.trace_path
     if trace_path:

@@ -128,17 +128,21 @@ def apply_g(lingo: Lingo, d2_batch: Batch, a: Value) -> GResult:
     return lingo.g(list(d2_batch), a)
 
 
-def is_compliant(lingo: Lingo, d2_batch: Batch, a: Value) -> bool:
+def is_compliant(lingo: Lingo, d2_batch: Batch, a: Value,
+                 decoded: Optional[GResult] = None) -> bool:
     """True iff the wire batch has a preimage under f(., a): the decode
     succeeds and re-encoding reproduces the batch exactly.
 
     Total over arbitrary wire values: a batch the shape gate refuses is
-    simply non-compliant."""
+    simply non-compliant.  A caller that already holds ``g(d2_batch, a)``
+    for a batch that passed ``wire_fits`` hands it in as ``decoded``; the
+    gate and the decode are then skipped, every other check runs."""
     if lingo.param_space is not None and not space_contains(lingo.param_space, a):
         raise SpaceViolation(f"{lingo.name}: parameter {a!r} not in param space")
-    if not wire_fits(lingo, d2_batch):
-        return False
-    decoded = lingo.g(list(d2_batch), a)
+    if decoded is None:
+        if not wire_fits(lingo, d2_batch):
+            return False
+        decoded = lingo.g(list(d2_batch), a)
     if isinstance(decoded, DecodeFailure):
         return False
     if isinstance(decoded, DefaultFallback):

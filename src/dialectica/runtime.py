@@ -13,6 +13,12 @@ its lingo from the policy as a pure function of (seed, flow, n).  An
 aperiodic policy rotates the lingo every ``msg_bound`` messages of a flow;
 sender and receiver agree because both count the same messages.
 
+Each message's work is done once.  The sender derives the parameter and
+leaves it with the flow (``Configuration.sent_params``); the receiver takes
+it from there, and derives it afresh only for traffic the sender did not
+code under that counter and lingo (injections, desync).  ``rule_in``
+decodes a batch once and hands the result to the forgery check.
+
 Channels are FIFO and loss-free per (src, dst): counter-keyed parameters
 need ordered delivery.  The scheduler enumerates enabled rule instances in
 a canonical order and picks one with the shared seed, so a run is a pure
@@ -23,7 +29,7 @@ it touches as dirty (``Configuration.channel()`` marks its channel's
 ``deliver``), and the scheduler re-checks only those.  A wrapper's pending
 output is probed again only when its actor object changed.  Attack
 candidates are found through the attacker's per-flow capture and leak
-indexes.
+indexes, and rebuilt only when one of those indexes grew.
 """
 
 from __future__ import annotations
@@ -155,6 +161,15 @@ class Configuration:
         init=False, repr=False,
         default_factory=lambda: {"out": [], "deliver": [], "in": []})
     dirty: set[tuple] = field(init=False, repr=False, default_factory=set)
+    # Per flow (src, dst): (n, lingo, parameter) of each honest message the
+    # sender coded and the receiver has not reached yet, in send order.
+    sent_params: dict[tuple[str, str], deque] = field(
+        init=False, repr=False, default_factory=dict)
+    # ((len(latest), len(leaked)), candidates) from the last candidate
+    # search; the attacker's indexes never lose a key, so equal sizes mean
+    # equal key sets.
+    candidates: Optional[tuple[tuple[int, int], list]] = field(
+        init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         self.dirty.update(("out", oid) for oid in self.wrappers)
@@ -224,6 +239,7 @@ def rule_out(cfg: Configuration, oid: str) -> Configuration:
     else:
         plaintext = w.codec.j(msg)
         a = lingo.param(n, w.seed)
+        cfg.sent_params.setdefault((oid, dst), deque()).append((n, lingo, a))
         wire_batch = lingo.f([plaintext], a)
     hidden = HiddenCtx(lingo_name=lingo.name if lingo else None, param=a,
                        plaintext=plaintext, index=n, dialected=lingo is not None)
@@ -275,14 +291,15 @@ def rule_in(cfg: Configuration, oid: str, src: str) -> Configuration:
     msg = batch[0].payload
     if lingo is not None:
         wire_batch = [m.payload for m in batch]
-        a = lingo.param(n, w.seed)
+        a = _recv_param(cfg, w, src, n, lingo)
         decoded = (lingo.g(list(wire_batch), a) if wire_fits(lingo, wire_batch)
                    else DecodeFailure("wire value has the wrong shape"))
         if isinstance(decoded, DecodeFailure):
             reason = "decode:" + decoded.reason
         elif isinstance(decoded, DefaultFallback):
             reason = "default_fallback"
-        elif lingo.f_checkable and not is_compliant(lingo, list(wire_batch), a):
+        elif lingo.f_checkable and not is_compliant(lingo, wire_batch, a,
+                                                    decoded):
             reason = "noncompliant"
         else:
             if injected:
@@ -311,6 +328,21 @@ def rule_in(cfg: Configuration, oid: str, src: str) -> Configuration:
         _check_desync(cfg, w, src, n, batch)
     cfg.log("in", dst=oid, src=src, n=n, outcome="delivered", msg=repr(msg))
     return cfg
+
+
+def _recv_param(cfg, w, src, n, lingo):
+    """The parameter of message ``n`` of the flow src -> w.oid: the one its
+    sender derived, if the sender coded message ``n`` under the same lingo;
+    else (injected traffic, desync) derived afresh.  Entries below ``n`` are
+    dropped, so the store holds only honest messages still in flight."""
+    sent = cfg.sent_params.get((src, w.oid))
+    while sent and sent[0][0] < n:
+        sent.popleft()
+    if sent and sent[0][0] == n:
+        _, made_by, a = sent.popleft()
+        if made_by is lingo:
+            return a
+    return lingo.param(n, w.seed)
 
 
 def _log_switch(cfg, w, peer, direction, n) -> None:
@@ -373,13 +405,21 @@ def rule_attacker(cfg: Configuration) -> Configuration:
 
 def _attack_candidates(cfg) -> list[tuple[str, tuple[str, str]]]:
     """(strategy, pair) for every ready strategy, strategies in the
-    attacker's order and pairs in ``cfg.attack_pairs`` order."""
+    attacker's order and pairs in ``cfg.attack_pairs`` order.
+
+    Readiness depends only on the key sets of the attacker's ``latest`` and
+    ``leaked`` indexes, and neither ever loses a key, so the list is rebuilt
+    only when one of them grew."""
     atk = cfg.attacker
+    key = (len(atk.latest), len(atk.leaked))
+    if cfg.candidates is not None and cfg.candidates[0] == key:
+        return cfg.candidates[1]
     out = []
     for strategy in atk.strategies:
         for pair in _pairs_within(cfg, ready_flows(atk, strategy)):
             if strategy_ready(atk, strategy, pair[0], pair[1], None):
                 out.append((strategy, pair))
+    cfg.candidates = (key, out)
     return out
 
 

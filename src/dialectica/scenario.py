@@ -47,6 +47,7 @@ from .runtime import (
     scenario_lingos,
 )
 from .specs import SpecError, build_lingo
+from .values import int_from_json
 
 _COMMANDS = {"connect": Connect, "subscribe": Subscribe,
              "unsubscribe": Unsubscribe, "publish": Publish}
@@ -75,8 +76,9 @@ def _parse_cmd(obj, room: Optional[int]) -> object:
         command = _COMMANDS.get(key)
         if command is not None:
             if command is Publish:
-                topic, value = body
-                fields = (str(topic), str(value))
+                if not isinstance(body, list) or len(body) != 2:
+                    raise SpecError(f"publish takes [topic, value], got {body!r}")
+                fields = (str(body[0]), str(body[1]))
             else:
                 fields = (str(body),)
             size = 1
@@ -116,14 +118,14 @@ def _parse_actor(obj, room: Optional[int]) -> object:
 def parse_scenario(doc: dict) -> Scenario:
     """Validate and translate one scenario document."""
     try:
-        seed = int(doc["seed"])
+        seed = int_from_json(doc["seed"])
         payload = doc.get("payload", "nat")
         if payload == "nat":
             width = None
         elif payload == "bitvec":
             width = DEFAULT_BITVEC_WIDTH
         elif isinstance(payload, dict) and "bitvec" in payload:
-            width = int(payload["bitvec"])
+            width = int_from_json(payload["bitvec"])
         else:
             raise SpecError(f"unknown payload encoding {payload!r}")
         mqtt_codec_adaptor(width)   # checks the width
@@ -135,8 +137,9 @@ def parse_scenario(doc: dict) -> Scenario:
             policy = StaticPolicy(build_lingo(doc["lingo_stack"]))
         elif isinstance(policy_doc, dict) and "aperiodic" in policy_doc:
             body = policy_doc["aperiodic"]
-            policy = AperiodicPolicy(msg_bound=int(body["msg_bound"]), lingos=tuple(
-                build_lingo(s) for s in body["lingos"]))
+            policy = AperiodicPolicy(
+                msg_bound=int_from_json(body["msg_bound"]),
+                lingos=tuple(build_lingo(s) for s in body["lingos"]))
             if len({lingo.input_space for lingo in policy.lingos}) != 1:
                 raise SpecError("aperiodic lingos must share their input space")
         else:
@@ -164,7 +167,7 @@ def parse_scenario(doc: dict) -> Scenario:
                 advantage=AdvantageConfig.from_json(
                     _object(atk.get("advantage", {}), "advantage")),
                 strategies=strategies,
-                max_injections=int(atk.get("max_injections", 100)),
+                max_injections=int_from_json(atk.get("max_injections", 100)),
                 injection_rate=float(atk.get("injection_rate", 1.0)))
             if "targets" in atk:
                 targets = [(str(s), str(d)) for s, d in atk["targets"]]
@@ -173,7 +176,7 @@ def parse_scenario(doc: dict) -> Scenario:
                     raise SpecError(f"attacker targets name unknown actors: "
                                     f"{unknown}")
 
-        max_steps = int(doc.get("max_steps", 1000))
+        max_steps = int_from_json(doc.get("max_steps", 1000))
         if max_steps < 1:
             raise SpecError(f"max_steps must be >= 1, got {max_steps}")
 

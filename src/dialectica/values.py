@@ -315,6 +315,14 @@ def value_from_json(obj) -> Value:
         raise ValueError(f"not a value encoding: {obj!r}") from exc
 
 
+def int_from_json(obj) -> int:
+    """A JSON integer or digit string; a float or boolean raises ValueError
+    instead of being truncated."""
+    if isinstance(obj, (bool, float)):
+        raise ValueError(f"not an integer: {obj!r}")
+    return int(obj)
+
+
 def _value_from_json(obj) -> Value:
     if isinstance(obj, int) and not isinstance(obj, bool):
         return Nat(obj)
@@ -326,15 +334,15 @@ def _value_from_json(obj) -> Value:
         raise ValueError(f"not a value encoding: {obj!r}")
     key, body = next(iter(obj.items()))
     if key == "nat":
-        return Nat(int(body))
+        return Nat(int_from_json(body))
     if key == "bv":
-        return BitVec(int(body["w"]), int(body["n"]))
+        return BitVec(int_from_json(body["w"]), int_from_json(body["n"]))
     if key == "pair":
         return Pair(_value_from_json(body[0]), _value_from_json(body[1]))
     if key == "set":
         return AtomSet(tuple(body))
     if key == "tag":
-        return Tagged(int(body["i"]), _value_from_json(body["v"]))
+        return Tagged(int_from_json(body["i"]), _value_from_json(body["v"]))
     raise ValueError(f"unknown value kind: {key!r}")
 
 

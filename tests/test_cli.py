@@ -66,7 +66,9 @@ class TestLingoEval:
         assert code == EXIT_SPACE_VIOLATION
 
     @pytest.mark.parametrize("arg", ['{"pair": []}', '{"bv": 5}',
-                                     '{"set": [{"nat": "0"}]}', '{"tag": 1}'])
+                                     '{"set": [{"nat": "0"}]}', '{"tag": 1}',
+                                     '{"nat": 1.5}', '{"nat": true}',
+                                     '{"bv": {"w": 8.0, "n": 3}}'])
     def test_malformed_value_exits_2(self, capsys, arg):
         code = main(["lingo", "eval", XOR4, "f", arg, '{"bv":{"w":4,"n":1}}'])
         assert code == EXIT_SPEC_ERROR
@@ -215,12 +217,28 @@ class TestSimulate:
          {"lingo_stack": {"horizontal": {
              "branches": [{"kind": "xor_nat"}, {"kind": "divide_check"}],
              "defaults": [{"pair": []}, {"bv": 5}], "bias": [1, 1]}}}, []),
+        ("mqtt_xor.json",
+         {"actors": [{"client": {"oid": "c1", "cmds": [
+             {"connect": "b"}, {"publish": "ab"}]}},
+                     {"broker": {"oid": "b"}}]}, []),
+        ("mqtt_xor.json", {"seed": 1.9}, []),
+        ("mqtt_xor.json", {"seed": True}, []),
+        ("mqtt_xor.json", {"max_steps": 1.9}, []),
+        ("mqtt_xor.json", {"max_steps": True}, []),
+        ("mqtt_aperiodic.json",
+         {"policy": {"aperiodic": {"msg_bound": 1.9, "lingos": [
+             {"kind": "xor_nat"}, {"kind": "divide_check"}]}}}, []),
+        ("mqtt_aperiodic.json",
+         {"policy": {"aperiodic": {"msg_bound": True, "lingos": [
+             {"kind": "xor_nat"}, {"kind": "divide_check"}]}}}, []),
     ], ids=["zero_width", "negative_width", "zero_max_steps",
             "negative_max_steps_flag", "zero_max_steps_flag", "unknown_target",
             "unknown_broker", "attacker_list", "outputs_list",
             "trace_path_number", "advantage_number", "no_aperiodic_lingos",
             "empty_topic", "long_topic", "message_wider_than_payload",
-            "sharp_wide_payload", "bad_horizontal_defaults"])
+            "sharp_wide_payload", "bad_horizontal_defaults", "publish_string",
+            "float_seed", "bool_seed", "float_max_steps", "bool_max_steps",
+            "float_msg_bound", "bool_msg_bound"])
     def test_bad_scenario_values_exit_2(self, capsys, tmp_path, name, edit,
                                         flags):
         doc = json.loads(open(scenario_path(name)).read())
@@ -230,6 +248,30 @@ class TestSimulate:
         code = main(["simulate", str(path), *flags, "--out", "/dev/null"])
         assert code == EXIT_SPEC_ERROR
         assert "config error" in capsys.readouterr().err
+
+    def test_nonce_exhaustion_exits_2(self, capsys, tmp_path):
+        # An authenticating lingo has 2**k nonces per run; the 257th message
+        # of one flow asks for nonce 256 under k = 8.
+        doc = {"seed": 1, "payload": {"bitvec": 64}, "policy": "static",
+               "lingo_stack": {"auth": {
+                   "base": {"kind": "xor_bitvec", "width": 64},
+                   "oids": ["b", "c1"], "m": 64, "j": 16, "k": 8, "seed": 3}},
+               "actors": [
+                   {"client": {"oid": "c1", "cmds": [{"connect": "b"}] + [
+                       {"publish": ["t", "1"]}] * 300}},
+                   {"client": {"oid": "c2", "cmds": [{"connect": "b"},
+                                                     {"subscribe": "t"}]}},
+                   {"broker": {"oid": "b"}}],
+               "max_steps": 5000}
+        path = tmp_path / "auth.json"
+        path.write_text(json.dumps(doc))
+        code = main(["simulate", str(path), "--out", "/dev/null"])
+        assert code == EXIT_SPEC_ERROR
+        assert "2**8" in capsys.readouterr().err
+        doc["actors"][0]["client"]["cmds"] = doc["actors"][0]["client"][
+            "cmds"][:200]
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out", "/dev/null"]) == EXIT_OK
 
     def test_unwritable_output_exits_2(self, capsys, tmp_path):
         missing = str(tmp_path / "no" / "such" / "dir" / "out.json")

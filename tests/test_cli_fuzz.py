@@ -10,7 +10,7 @@ import json
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import ALL_SCENARIOS, ALL_SPECS, load_scenario_doc
 from dialectica import cli
@@ -88,8 +88,32 @@ def workdir(tmp_path_factory):
     return str(tmp_path_factory.mktemp("fuzz"))
 
 
+def _edited(name, path, value):
+    return replaced(load_scenario_doc(name), path, value)
+
+
+# Inputs the parsers once coerced instead of refusing (a string unpacked as
+# [topic, value], floats and booleans truncated to integers).
+STRICT_SEEDS = [
+    _edited("mqtt_xor.json", ("actors", 1, "client", "cmds", 1), {"publish": "ab"}),
+    _edited("mqtt_xor.json", ("seed",), 1.9),
+    _edited("mqtt_xor.json", ("seed",), True),
+    _edited("mqtt_xor.json", ("max_steps",), 1.9),
+    _edited("mqtt_xor.json", ("max_steps",), True),
+    _edited("mqtt_aperiodic.json", ("policy", "aperiodic", "msg_bound"), 1.9),
+    _edited("mqtt_aperiodic.json", ("policy", "aperiodic", "msg_bound"), True),
+]
+
+
+def _strict_seeded(test):
+    for doc in STRICT_SEEDS:
+        test = example(doc=doc)(test)
+    return test
+
+
 @FUZZ
 @given(doc=mutants([load_scenario_doc(n) for n in ALL_SCENARIOS]))
+@_strict_seeded
 def test_simulate_on_mutated_scenarios(workdir, doc):
     path = os.path.join(workdir, "scenario.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -103,6 +127,10 @@ def test_simulate_on_mutated_scenarios(workdir, doc):
 @FUZZ
 @given(spec=st.sampled_from(ALL_SPECS), op=st.sampled_from(["f", "g", "compliant"]),
        args=st.lists(value_encodings, min_size=1, max_size=3))
+@example(spec=ALL_SPECS[0], op="f", args=[{"nat": 1.5}, {"nat": "5"}])
+@example(spec=ALL_SPECS[0], op="f", args=[{"nat": True}, {"nat": "5"}])
+@example(spec=ALL_SPECS[0], op="f", args=[{"bv": {"w": 8.0, "n": 3}},
+                                          {"bv": {"w": 4, "n": 1}}])
 def test_lingo_eval_on_arbitrary_values(capsys, spec, op, args):
     code = exit_code(["lingo", "eval", json.dumps(spec), op,
                      *(json.dumps(a) for a in args)])

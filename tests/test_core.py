@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import ALL_SPECS
 from dialectica.core import (
@@ -17,8 +18,10 @@ from dialectica.core import (
     check_lingo_laws,
     find_noncompliant_witness,
     is_compliant,
+    law_params,
     make_param,
     sample_value,
+    wire_fits,
 )
 from dialectica.library import make_divide_check, make_xor_bitvec, make_xor_nat
 from dialectica.rng import SAMPLE_TAG, derive, fnv64
@@ -322,3 +325,60 @@ class TestOnePassHarness:
             "L0_left_inverse", lands, "L1_injectivity", c1}
         assert failing("l1_alone", 1000) == {
             "L0_left_inverse", c1, "C3_compliance_equivalence"}
+
+
+# ---------------------------------------------------------------------------
+# is_compliant on a batch the caller already decoded
+# ---------------------------------------------------------------------------
+
+SPEC_LINGOS = [build_lingo(spec) for spec in ALL_SPECS]
+WIRE_MODES = ("drawn", "image", "patched_image")
+
+
+def _wire_batch(lingo, a, rng, mode):
+    """A wire batch: values drawn from the output space, the image f(d, a)
+    of a drawn payload, or that image with its last value redrawn.  Small
+    naturals make drawn batches compliant now and then."""
+    def drawn():
+        return sample_value(lingo.output_space, rng, 16)
+
+    if mode == "drawn" or lingo.input_space is None:
+        return [drawn() for _ in range(lingo.egress_arity)]
+    image = lingo.f([sample_value(lingo.input_space, rng, 16)
+                     for _ in range(lingo.ingress_arity)], a)
+    if mode == "patched_image":
+        image[-1] = drawn()
+    return image
+
+
+def _case(lingo, seed, index, mode):
+    a = law_params(lingo, seed)(index)
+    return a, _wire_batch(lingo, a, Rng(seed, SAMPLE_TAG ^ index), mode)
+
+
+class TestCompliantOnDecoded:
+    @settings(max_examples=400, deadline=None)
+    @given(lingo=st.sampled_from(SPEC_LINGOS), seed=st.integers(0, 2**64 - 1),
+           index=st.integers(0, 200), mode=st.sampled_from(WIRE_MODES))
+    def test_decoded_result_gives_the_same_answer(self, lingo, seed, index,
+                                                  mode):
+        a, batch = _case(lingo, seed, index, mode)
+        assume(wire_fits(lingo, batch))
+        decoded = lingo.g(list(batch), a)
+        assert (is_compliant(lingo, batch, a, decoded)
+                == is_compliant(lingo, batch, a))
+
+    def test_cases_reach_every_decode_outcome(self):
+        # The property above sees compliant and non-compliant batches, and
+        # decodes that fail or fall back to a branch default.
+        seen = set()
+        for lingo in SPEC_LINGOS:
+            for seed in range(40):
+                for mode in WIRE_MODES:
+                    a, batch = _case(lingo, seed, seed, mode)
+                    if not wire_fits(lingo, batch):
+                        continue
+                    decoded = lingo.g(list(batch), a)
+                    seen.add(type(decoded).__name__)
+                    seen.add(is_compliant(lingo, batch, a, decoded))
+        assert seen == {"list", "DecodeFailure", "DefaultFallback", True, False}

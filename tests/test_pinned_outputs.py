@@ -5,11 +5,14 @@ report of every op it runs.  These tests run a few simulations and every
 law-check and experiment op of one variant through the CLI and check them
 against the pins, so a change to the simulator, the law harness or the
 experiment loops that alters any output byte fails here, not only in a
-benchmark run.  The
-benchmark's own helpers are reused read-only.
+benchmark run.  A few simulations also run in fresh interpreters under
+other string-hash seeds: outputs must not depend on set or dict iteration
+order of hashed keys.  The benchmark's own helpers are reused read-only.
 """
 
+import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -44,3 +47,45 @@ def test_output_matches_pinned_digests(pins, tmp_path, workload, op_name):
             if op.name == op_name]
     rc, _, _ = bench.invoke(main, op)
     assert bench.check_op(op, rc, pins.get(bench.pin_key(workload, 0, op))) == []
+
+
+HASH_SEED_CASES = [
+    ("honest_scale", "simulate"),
+    ("attacker_scale", "simulate"),
+    ("bundled_scenarios", "simulate:mqtt_aperiodic"),
+    ("bundled_scenarios", "simulate:mqtt_sharp_attack"),
+]
+
+# Runs the cases in a fresh interpreter; prints {case: mismatches}.
+_HASH_SEED_SCRIPT = """
+import json, os, sys
+import run as bench
+from dialectica.cli import main
+pins = bench.load_pins()
+problems = {}
+for i, (workload, op_name) in enumerate(json.loads(sys.argv[2])):
+    workdir = os.path.join(sys.argv[1], str(i))
+    os.mkdir(workdir)
+    [op] = [op for op in bench.build_ops(workload, 0, workdir)
+            if op.name == op_name]
+    rc, _, _ = bench.invoke(main, op)
+    problems[workload + "/" + op_name] = bench.check_op(
+        op, rc, pins.get(bench.pin_key(workload, 0, op)))
+print(json.dumps(problems))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "424242"])
+def test_outputs_hold_under_other_hash_seeds(tmp_path, hash_seed):
+    src = os.path.join(PERFBENCH, "..", "src")
+    env = {k: v for k, v in os.environ.items() if k != "DIALECTICA_SEED"}
+    env["PYTHONHASHSEED"] = hash_seed
+    env["PYTHONPATH"] = os.pathsep.join([PERFBENCH, src])
+    done = subprocess.run(
+        [sys.executable, "-c", _HASH_SEED_SCRIPT, str(tmp_path),
+         json.dumps(HASH_SEED_CASES)],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    problems = json.loads(done.stdout.splitlines()[-1])
+    assert sorted(problems) == sorted(f"{w}/{o}" for w, o in HASH_SEED_CASES)
+    assert all(v == [] for v in problems.values()), problems

@@ -524,20 +524,44 @@ def assert_indexes_match_records(atk):
         {k: id(v) for k, v in leaked.items()}
 
 
+def assert_param_store(cfg):
+    """Every stored parameter is the one its message's lingo derives, under
+    the lingo the policy names for that message, in send order per flow."""
+    for (src, dst), entries in cfg.sent_params.items():
+        policy = cfg.wrappers[src].policy
+        ns = [n for n, _, _ in entries]
+        assert ns == sorted(set(ns)), (src, dst)
+        for n, lingo, a in entries:
+            assert lingo is policy.lingo_at(cfg.seed, src, dst, n), (src, dst, n)
+            assert a == lingo.param(n, cfg.seed), (src, dst, n)
+
+
 def run_against_reference(cfg, budget):
-    """Step ``cfg`` like ``run`` does, checking the enabled set and the
-    attacker indexes against full recomputation before every step."""
+    """Step ``cfg`` like ``run`` does, checking the enabled set, the
+    attacker indexes and the parameter store against full recomputation
+    before every step.  After an ``in`` step no stored parameter of its
+    flow may lie below the receive counter."""
     steps = 0
     while True:
         got = _enabled_instances(cfg)
         assert got == reference_enabled_instances(cfg), f"step {cfg.clock}"
+        assert_param_store(cfg)
         if cfg.attacker is not None:
             assert_indexes_match_records(cfg.attacker)
             assert _attack_candidates(cfg) == reference_attack_candidates(cfg)
         if not got or steps == budget:
             return steps
+        clock, logged = cfg.clock, len(cfg.event_log)
         step(cfg)
         steps += 1
+        last = cfg.event_log[-1] if len(cfg.event_log) > logged else None
+        if last is not None and last["t"] == clock \
+                and last["ev"] in ("in", "reject"):
+            # rule_in logs its outcome last
+            oid, src = last["dst"], last["src"]
+            recv = cfg.wrappers[oid].recv_counters[src]
+            assert all(n >= recv for n, _, _ in
+                       cfg.sent_params.get((src, oid), ())), f"step {clock}"
 
 
 def _oracle_docs():
