@@ -45,6 +45,7 @@ from .values import (
     Tagged,
     TaggedSpace,
     Value,
+    int_from_json,
     xor_value,
 )
 
@@ -112,7 +113,7 @@ class AdvantageConfig:
     @staticmethod
     def from_json(obj: dict) -> "AdvantageConfig":
         def steps(key):
-            return tuple((int(t), float(p)) for t, p in obj.get(key, []))
+            return tuple((int_from_json(t), float(p)) for t, p in obj.get(key, []))
 
         return AdvantageConfig(t_max=steps("t_max"), w_max=steps("w_max"),
                                s_max=steps("s_max"))

@@ -273,11 +273,21 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError:
         print("config error: DIALECTICA_SEED must be an integer", file=sys.stderr)
         return EXIT_SPEC_ERROR
+    # A value of the widest bit-vector space, or a product of two large
+    # naturals, has more decimal digits than Python's default int/str
+    # conversion limit allows; lift it while the command runs so such a
+    # value is printed instead of crashing the JSON writer.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -21,18 +21,14 @@ from typing import Callable, Optional, Union
 from .rng import Rng, SAMPLE_TAG, derive, fnv64
 from .values import (
     AtomSet,
-    AtomSetSpace,
     BitVec,
-    BitVecSpace,
     Nat,
-    NatSpace,
     Pair,
-    PairSpace,
-    ParamPairSpace,
     Space,
     Tagged,
-    TaggedSpace,
+    UnsampleableSpace,
     Value,
+    sample_value,
     space_cardinality,
     space_contains,
     space_enumerate,
@@ -42,10 +38,6 @@ from .values import (
 
 class SpaceViolation(Exception):
     """A value fell outside the space a lingo operation requires."""
-
-
-class UnsampleableSpace(Exception):
-    """No sample generator exists for the requested space."""
 
 
 @dataclass(frozen=True)
@@ -94,6 +86,11 @@ class Lingo:
         return f"Lingo({self.name})"
 
 
+def _check_param(lingo: Lingo, a: Value) -> None:
+    if not space_contains(lingo.param_space, a):
+        raise SpaceViolation(f"{lingo.name}: parameter {a!r} not in param space")
+
+
 def apply_f(lingo: Lingo, d1_batch: Batch, a: Value) -> Batch:
     """Checked encode: validates arity and space membership, then runs f."""
     if len(d1_batch) != lingo.ingress_arity:
@@ -102,8 +99,7 @@ def apply_f(lingo: Lingo, d1_batch: Batch, a: Value) -> Batch:
     for d in d1_batch:
         if not space_contains(lingo.input_space, d):
             raise SpaceViolation(f"{lingo.name}: {d!r} not in input space")
-    if lingo.param_space is not None and not space_contains(lingo.param_space, a):
-        raise SpaceViolation(f"{lingo.name}: parameter {a!r} not in param space")
+    _check_param(lingo, a)
     out = lingo.f(list(d1_batch), a)
     if len(out) != lingo.egress_arity:
         raise SpaceViolation(
@@ -123,8 +119,7 @@ def apply_g(lingo: Lingo, d2_batch: Batch, a: Value) -> GResult:
     if not wire_fits(lingo, d2_batch):
         raise SpaceViolation(
             f"{lingo.name}: wire batch {d2_batch!r} does not fit the output space")
-    if lingo.param_space is not None and not space_contains(lingo.param_space, a):
-        raise SpaceViolation(f"{lingo.name}: parameter {a!r} not in param space")
+    _check_param(lingo, a)
     return lingo.g(list(d2_batch), a)
 
 
@@ -137,8 +132,7 @@ def is_compliant(lingo: Lingo, d2_batch: Batch, a: Value,
     simply non-compliant.  A caller that already holds ``g(d2_batch, a)``
     for a batch that passed ``wire_fits`` hands it in as ``decoded``; the
     gate and the decode are then skipped, every other check runs."""
-    if lingo.param_space is not None and not space_contains(lingo.param_space, a):
-        raise SpaceViolation(f"{lingo.name}: parameter {a!r} not in param space")
+    _check_param(lingo, a)
     if decoded is None:
         if not wire_fits(lingo, d2_batch):
             return False
@@ -156,78 +150,17 @@ def is_compliant(lingo: Lingo, d2_batch: Batch, a: Value,
 
 
 # ---------------------------------------------------------------------------
-# Sampling and parameter projection
+# Parameter streams
 # ---------------------------------------------------------------------------
-
-def sample_value(space: Optional[Space], rng: Rng, nat_ceiling: int = 1 << 32) -> Value:
-    """Draw a value of ``space`` from a derive stream.
-
-    Naturals are drawn below ``nat_ceiling`` (the space itself is unbounded;
-    the ceiling only bounds the generator).
-    """
-    if space is None:
-        raise UnsampleableSpace("opaque space has no generator")
-    if isinstance(space, NatSpace):
-        return Nat(rng.next_below(nat_ceiling))
-    if isinstance(space, BitVecSpace):
-        bits = 0
-        for _ in range((space.width + 63) // 64):
-            bits = (bits << 64) | rng.next_u64()
-        return BitVec(space.width, bits & ((1 << space.width) - 1))
-    if isinstance(space, PairSpace):
-        left = sample_value(space.left, rng, nat_ceiling)
-        return Pair(left, sample_value(space.right, rng, nat_ceiling))
-    if isinstance(space, AtomSetSpace):
-        atoms = sorted(space.universe)
-        picked = []
-        word, have = 0, 0
-        for a in atoms:
-            if have == 0:
-                word, have = rng.next_u64(), 64
-            if word & 1:
-                picked.append(a)
-            word >>= 1
-            have -= 1
-        return AtomSet(tuple(picked))
-    if isinstance(space, TaggedSpace):
-        branch = rng.next_below(len(space.branches)) + 1
-        return Tagged(branch, sample_value(space.branches[branch - 1], rng, nat_ceiling))
-    if isinstance(space, ParamPairSpace):
-        if space_cardinality(space.base) == 1:
-            raise UnsampleableSpace("base space has a single element")
-        first = sample_value(space.base, rng, nat_ceiling)
-        for _ in range(64):
-            second = sample_value(space.base, rng, nat_ceiling)
-            if second != first:
-                return Pair(first, second)
-        raise UnsampleableSpace(f"could not draw distinct pair from {space.base!r}")
-    raise UnsampleableSpace(f"no generator for {space!r}")
-
-
-def project_param(space: Space, seed: int, stream_tag: int, index: int,
-                  nat_ceiling: int = 1 << 32) -> Value:
-    """Reduce the keyed stream at (seed, stream_tag, index) into ``space``.
-
-    Single-word spaces consume derive(seed, tag, index) directly; composite
-    spaces expand it into a nested stream so the projection stays bit-exact
-    across platforms.
-    """
-    if isinstance(space, NatSpace):
-        return Nat(derive(seed, stream_tag, index) % nat_ceiling)
-    if isinstance(space, BitVecSpace) and space.width <= 64:
-        return BitVec(space.width,
-                      derive(seed, stream_tag, index) & ((1 << space.width) - 1))
-    rng = Rng(derive(seed, stream_tag, index), SAMPLE_TAG)
-    return sample_value(space, rng, nat_ceiling)
-
 
 def make_param(space: Space, name: str, nat_ceiling: int = 1 << 32
                ) -> Callable[[int, int], Value]:
-    """Standard param function: a per-lingo stream keyed by the lingo name."""
+    """Standard param function: a per-lingo stream keyed by the lingo name.
+    Parameter n is word n of that stream, projected into ``space``."""
     tag = fnv64(name)
 
     def param(n: int, seed: int) -> Value:
-        return project_param(space, seed, tag, n, nat_ceiling)
+        return space.project(derive(seed, tag, n), nat_ceiling)
 
     return param
 

@@ -332,11 +332,3 @@ def mqtt_codec_adaptor(width: Optional[int] = None) -> DataAdaptor:
                        j=lambda m: encode_mqtt(m, width), r=decode_mqtt,
                        retract_total=False, sparse_image=True)
 
-
-def initial_configuration() -> list[Actor]:
-    """Two clients and one broker: c1 subscribes to "temp", c2 publishes 34."""
-    return [
-        MqttClient(oid="c1", cmd_list=(Connect("b"), Subscribe("temp"))),
-        MqttClient(oid="c2", cmd_list=(Connect("b"), Publish("temp", "34"))),
-        MqttBroker(oid="b"),
-    ]

@@ -35,7 +35,7 @@ from .transforms import (
     nat_bitvec_adaptor,
     sparse_code_adaptor,
 )
-from .values import space_from_json, value_from_json
+from .values import atoms_from_json, int_from_json, space_from_json, value_from_json
 
 
 class SpecError(Exception):
@@ -47,15 +47,15 @@ _BUILD_ERRORS = (KeyError, IndexError, TypeError, ValueError, SpaceViolation,
 
 
 _LEAF_BUILDERS = {
-    "xor_bitvec": lambda s: make_xor_bitvec(int(s["width"])),
+    "xor_bitvec": lambda s: make_xor_bitvec(int_from_json(s["width"])),
     "xor_nat": lambda s: make_xor_nat(),
-    "xor_set": lambda s: make_xor_set(tuple(s["universe"])),
+    "xor_set": lambda s: make_xor_set(atoms_from_json(s["universe"])),
     "divide_check": lambda s: make_divide_check(
-        int(s.get("param_ceiling", 1 << 16))),
+        int_from_json(s.get("param_ceiling", 1 << 16))),
     "reverse_divide_check": lambda s: make_reverse_divide_check(
-        int(s.get("param_ceiling", 1 << 16))),
+        int_from_json(s.get("param_ceiling", 1 << 16))),
     "identity": lambda s: make_identity(space_from_json(s["space"])),
-    "split_bitvec": lambda s: make_split_bitvec(int(s["half_width"])),
+    "split_bitvec": lambda s: make_split_bitvec(int_from_json(s["half_width"])),
 }
 
 
@@ -65,20 +65,20 @@ def build_adaptor(spec: dict) -> DataAdaptor:
         if kind == "identity":
             return identity_adaptor(space_from_json(spec["space"]))
         if kind == "nat_bitvec":
-            return nat_bitvec_adaptor(int(spec["width"]))
+            return nat_bitvec_adaptor(int_from_json(spec["width"]))
         if kind == "bitvec_nat":
-            return bitvec_nat_adaptor(int(spec["width"]))
+            return bitvec_nat_adaptor(int_from_json(spec["width"]))
         if kind == "sparse":
-            count = int(spec.get("count", 64))
+            count = int_from_json(spec.get("count", 64))
             if not 1 <= count <= 1 << 16:
                 raise ValueError(f"codebook size must be in 1..65536, got {count}")
             words = spec.get("words", [f"w{i}" for i in range(count)])
-            return sparse_code_adaptor(list(words), int(spec["width"]),
-                                       int(spec.get("seed", 0)))
+            return sparse_code_adaptor(list(words), int_from_json(spec["width"]),
+                                       int_from_json(spec.get("seed", 0)))
         if kind == "mqtt_codec":
             from .mqtt import mqtt_codec_adaptor
             width = spec.get("width")
-            return mqtt_codec_adaptor(None if width is None else int(width))
+            return mqtt_codec_adaptor(None if width is None else int_from_json(width))
     except _BUILD_ERRORS as exc:
         raise SpecError(f"bad adaptor spec {spec!r}: {exc}") from exc
     raise SpecError(f"unknown adaptor kind {spec!r}")
@@ -107,9 +107,9 @@ def build_lingo(spec: dict) -> Lingo:
         if op == "horizontal":
             branches = tuple(build_lingo(b) for b in body["branches"])
             defaults = tuple(value_from_json(d) for d in body["defaults"])
-            bias = tuple(int(b) for b in body["bias"])
+            bias = tuple(int_from_json(b) for b in body["bias"])
             return horizontal(HorizontalSpec(branches, defaults, bias),
-                              seed=int(body.get("seed", 0)))
+                              seed=int_from_json(body.get("seed", 0)))
         if op == "functional":
             l1, l2 = (build_lingo(b) for b in body)
             return functional(l1, l2)
@@ -125,9 +125,9 @@ def build_lingo(spec: dict) -> Lingo:
                               build_adaptor(body["adaptor"]))
         if op == "auth":
             auth = authenticating(build_lingo(body["base"]),
-                                  list(body["oids"]), m=int(body["m"]),
-                                  j=int(body["j"]), k=int(body["k"]),
-                                  seed=int(body["seed"]))
+                                  list(body["oids"]), m=int_from_json(body["m"]),
+                                  j=int_from_json(body["j"]), k=int_from_json(body["k"]),
+                                  seed=int_from_json(body["seed"]))
             return auth.base
     except SpecError:
         raise

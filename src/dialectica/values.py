@@ -3,12 +3,14 @@
 Every transformation in this package moves values between *spaces*: plain
 naturals, fixed-width bit-vectors, pairs, finite atom-sets, tagged unions,
 and distinct-component pairs used as parameter spaces.  Values are immutable
-and hashable, so they can be shared freely and used as dict keys.
+and hashable, so they can be shared freely and used as dict keys.  Each
+space kind is one class that owns its membership test, size, enumeration,
+sampling and parameter projection.
 
 A bit-vector value is a ``(width, bits)`` pair rather than a bit array; the
 constructor is deliberately permissive about over-width ``bits`` so that
-over-width wire garbage is representable, while ``space_contains`` applies
-the strict ``bits < 2**width`` gate at every space boundary.
+over-width wire garbage is representable, while ``BitVecSpace.contains``
+applies the strict ``bits < 2**width`` gate at every space boundary.
 """
 
 from __future__ import annotations
@@ -16,13 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
+from .rng import SAMPLE_TAG, Rng
+
 
 class ShapeMismatch(Exception):
     """Raised when an operation is applied to values of incompatible shape."""
-
-
-class Overflow(Exception):
-    """Raised when a natural does not fit the requested byte length."""
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +45,7 @@ class BitVec:
     """Fixed-width bit-vector stored as (width, bits).
 
     ``bits`` may exceed ``2**width - 1``; such values exist only as wire
-    garbage and are rejected by ``space_contains``.
+    garbage and are rejected by ``BitVecSpace.contains``.
     """
 
     width: int
@@ -99,9 +99,54 @@ Value = Union[Nat, BitVec, Pair, AtomSet, Tagged]
 # Spaces
 # ---------------------------------------------------------------------------
 
+class UnsampleableSpace(Exception):
+    """No sample generator exists for the requested space."""
+
+
+class Space:
+    """A payload space.  Each kind answers for its own membership, size,
+    enumeration, sampling and parameter projection.
+
+    Children are reached through the module functions (``space_contains``,
+    ``space_cardinality``, ``space_values``, ``sample_value``), which read
+    ``None`` as an opaque domain: every value belongs, nothing is counted,
+    enumerated or sampled.
+    """
+
+    def contains(self, v: Value) -> bool:
+        """Structural membership; total, never raises."""
+        raise NotImplementedError
+
+    def cardinality(self) -> Optional[int]:
+        """Number of inhabitants, or None when infinite/unknown."""
+        return None
+
+    def values(self) -> Iterator[Value]:
+        """Every inhabitant, in a fixed order."""
+        raise ValueError(f"cannot enumerate {self!r}")
+
+    def sample(self, rng: Rng, nat_ceiling: int) -> Value:
+        """Draw an inhabitant from a derive stream; naturals are drawn below
+        ``nat_ceiling``."""
+        raise NotImplementedError
+
+    def project(self, word: int, nat_ceiling: int) -> Value:
+        """Reduce one 64-bit stream word into the space.  Composite spaces
+        expand it into a nested stream so the projection stays bit-exact
+        across platforms."""
+        return self.sample(Rng(word, SAMPLE_TAG), nat_ceiling)
+
+
 @dataclass(frozen=True)
-class NatSpace:
-    pass
+class NatSpace(Space):
+    def contains(self, v: Value) -> bool:
+        return isinstance(v, Nat)
+
+    def sample(self, rng: Rng, nat_ceiling: int) -> Value:
+        return Nat(rng.next_below(nat_ceiling))
+
+    def project(self, word: int, nat_ceiling: int) -> Value:
+        return Nat(word % nat_ceiling)
 
 
 # Widest bit-vector space: wider ones would make sampling, masks and
@@ -110,7 +155,7 @@ MAX_BITVEC_WIDTH = 1 << 16
 
 
 @dataclass(frozen=True)
-class BitVecSpace:
+class BitVecSpace(Space):
     width: int
 
     def __post_init__(self) -> None:
@@ -118,15 +163,55 @@ class BitVecSpace:
             raise ValueError(f"BitVecSpace width must be in 1..{MAX_BITVEC_WIDTH}, "
                              f"got {self.width}")
 
+    def contains(self, v: Value) -> bool:
+        return isinstance(v, BitVec) and v.width == self.width and v.in_range
+
+    def cardinality(self) -> Optional[int]:
+        return 1 << self.width
+
+    def values(self) -> Iterator[Value]:
+        for b in range(1 << self.width):
+            yield BitVec(self.width, b)
+
+    def sample(self, rng: Rng, nat_ceiling: int) -> Value:
+        bits = 0
+        for _ in range((self.width + 63) // 64):
+            bits = (bits << 64) | rng.next_u64()
+        return BitVec(self.width, bits & ((1 << self.width) - 1))
+
+    def project(self, word: int, nat_ceiling: int) -> Value:
+        if self.width > 64:
+            return super().project(word, nat_ceiling)
+        return BitVec(self.width, word & ((1 << self.width) - 1))
+
 
 @dataclass(frozen=True)
-class PairSpace:
-    left: "Space"
-    right: "Space"
+class PairSpace(Space):
+    left: Optional[Space]
+    right: Optional[Space]
+
+    def contains(self, v: Value) -> bool:
+        return (isinstance(v, Pair)
+                and space_contains(self.left, v.first)
+                and space_contains(self.right, v.second))
+
+    def cardinality(self) -> Optional[int]:
+        l, r = space_cardinality(self.left), space_cardinality(self.right)
+        return None if l is None or r is None else l * r
+
+    def values(self) -> Iterator[Value]:
+        rights = list(space_values(self.right))
+        for lft in space_values(self.left):
+            for rgt in rights:
+                yield Pair(lft, rgt)
+
+    def sample(self, rng: Rng, nat_ceiling: int) -> Value:
+        left = sample_value(self.left, rng, nat_ceiling)
+        return Pair(left, sample_value(self.right, rng, nat_ceiling))
 
 
 @dataclass(frozen=True)
-class AtomSetSpace:
+class AtomSetSpace(Space):
     universe: tuple[str, ...]
 
     def __post_init__(self) -> None:
@@ -135,26 +220,95 @@ class AtomSetSpace:
         if len(set(self.universe)) != len(self.universe):
             raise ValueError("AtomSetSpace universe must be duplicate-free")
 
+    def contains(self, v: Value) -> bool:
+        return isinstance(v, AtomSet) and set(v.members) <= set(self.universe)
+
+    def cardinality(self) -> Optional[int]:
+        return 1 << len(self.universe)
+
+    def values(self) -> Iterator[Value]:
+        atoms = sorted(self.universe)
+        for mask in range(1 << len(atoms)):
+            yield AtomSet(tuple(a for i, a in enumerate(atoms) if mask >> i & 1))
+
+    def sample(self, rng: Rng, nat_ceiling: int) -> Value:
+        picked = []
+        word, have = 0, 0
+        for a in sorted(self.universe):
+            if have == 0:
+                word, have = rng.next_u64(), 64
+            if word & 1:
+                picked.append(a)
+            word >>= 1
+            have -= 1
+        return AtomSet(tuple(picked))
+
 
 @dataclass(frozen=True)
-class TaggedSpace:
-    branches: tuple["Space", ...]
+class TaggedSpace(Space):
+    branches: tuple[Optional[Space], ...]
 
     def __post_init__(self) -> None:
         if len(self.branches) < 2:
             raise ValueError("TaggedSpace needs at least 2 branches")
 
+    def contains(self, v: Value) -> bool:
+        return (isinstance(v, Tagged)
+                and 1 <= v.branch <= len(self.branches)
+                and space_contains(self.branches[v.branch - 1], v.inner))
+
+    def cardinality(self) -> Optional[int]:
+        total = 0
+        for b in self.branches:
+            c = space_cardinality(b)
+            if c is None:
+                return None
+            total += c
+        return total
+
+    def values(self) -> Iterator[Value]:
+        for i, branch in enumerate(self.branches, start=1):
+            for inner in space_values(branch):
+                yield Tagged(i, inner)
+
+    def sample(self, rng: Rng, nat_ceiling: int) -> Value:
+        branch = rng.next_below(len(self.branches)) + 1
+        return Tagged(branch, sample_value(self.branches[branch - 1], rng, nat_ceiling))
+
 
 @dataclass(frozen=True)
-class ParamPairSpace:
+class ParamPairSpace(Space):
     """Pairs over ``base`` whose two components differ (base x base minus
     the diagonal)."""
 
-    base: "Space"
+    base: Optional[Space]
 
+    def contains(self, v: Value) -> bool:
+        return (isinstance(v, Pair)
+                and space_contains(self.base, v.first)
+                and space_contains(self.base, v.second)
+                and v.first != v.second)
 
-Space = Union[NatSpace, BitVecSpace, PairSpace, AtomSetSpace, TaggedSpace,
-              ParamPairSpace]
+    def cardinality(self) -> Optional[int]:
+        c = space_cardinality(self.base)
+        return None if c is None else c * (c - 1)
+
+    def values(self) -> Iterator[Value]:
+        base = list(space_values(self.base))
+        for x in base:
+            for y in base:
+                if x != y:
+                    yield Pair(x, y)
+
+    def sample(self, rng: Rng, nat_ceiling: int) -> Value:
+        if space_cardinality(self.base) == 1:
+            raise UnsampleableSpace("base space has a single element")
+        first = sample_value(self.base, rng, nat_ceiling)
+        for _ in range(64):
+            second = sample_value(self.base, rng, nat_ceiling)
+            if second != first:
+                return Pair(first, second)
+        raise UnsampleableSpace(f"could not draw distinct pair from {self.base!r}")
 
 
 def space_contains(space: Optional[Space], v: Value) -> bool:
@@ -163,88 +317,37 @@ def space_contains(space: Optional[Space], v: Value) -> bool:
     ``space`` may be ``None`` for opaque domains (protocol messages carried
     through data adaptors); membership is then vacuously true.
     """
-    if space is None:
-        return True
-    if isinstance(space, NatSpace):
-        return isinstance(v, Nat)
-    if isinstance(space, BitVecSpace):
-        return isinstance(v, BitVec) and v.width == space.width and v.in_range
-    if isinstance(space, PairSpace):
-        return (isinstance(v, Pair)
-                and space_contains(space.left, v.first)
-                and space_contains(space.right, v.second))
-    if isinstance(space, AtomSetSpace):
-        return isinstance(v, AtomSet) and set(v.members) <= set(space.universe)
-    if isinstance(space, TaggedSpace):
-        return (isinstance(v, Tagged)
-                and 1 <= v.branch <= len(space.branches)
-                and space_contains(space.branches[v.branch - 1], v.inner))
-    if isinstance(space, ParamPairSpace):
-        return (isinstance(v, Pair)
-                and space_contains(space.base, v.first)
-                and space_contains(space.base, v.second)
-                and v.first != v.second)
-    return False
+    return space is None or space.contains(v)
 
 
 def space_cardinality(space: Optional[Space]) -> Optional[int]:
     """Number of inhabitants, or None when infinite/unknown."""
-    if space is None or isinstance(space, NatSpace):
-        return None
-    if isinstance(space, BitVecSpace):
-        return 1 << space.width
-    if isinstance(space, PairSpace):
-        l, r = space_cardinality(space.left), space_cardinality(space.right)
-        return None if l is None or r is None else l * r
-    if isinstance(space, AtomSetSpace):
-        return 1 << len(space.universe)
-    if isinstance(space, TaggedSpace):
-        total = 0
-        for b in space.branches:
-            c = space_cardinality(b)
-            if c is None:
-                return None
-            total += c
-        return total
-    if isinstance(space, ParamPairSpace):
-        c = space_cardinality(space.base)
-        return None if c is None else c * (c - 1)
-    return None
+    return None if space is None else space.cardinality()
 
 
-def space_enumerate(space: Space, limit: int = 1 << 16) -> Optional[list[Value]]:
+def space_values(space: Optional[Space]) -> Iterator[Value]:
+    """Every value of ``space``; ValueError when it cannot be enumerated."""
+    if space is None:
+        raise ValueError("cannot enumerate None")
+    return space.values()
+
+
+def space_enumerate(space: Optional[Space], limit: int = 1 << 16
+                    ) -> Optional[list[Value]]:
     """Enumerate all values of a finite space, or None when too large."""
     card = space_cardinality(space)
-    if card is None or card > limit:
-        return None
-    return list(_enum(space))
+    return None if card is None or card > limit else list(space.values())
 
 
-def _enum(space: Space) -> Iterator[Value]:
-    if isinstance(space, BitVecSpace):
-        for b in range(1 << space.width):
-            yield BitVec(space.width, b)
-    elif isinstance(space, PairSpace):
-        rights = list(_enum(space.right))
-        for lft in _enum(space.left):
-            for rgt in rights:
-                yield Pair(lft, rgt)
-    elif isinstance(space, AtomSetSpace):
-        atoms = sorted(space.universe)
-        for mask in range(1 << len(atoms)):
-            yield AtomSet(tuple(a for i, a in enumerate(atoms) if mask >> i & 1))
-    elif isinstance(space, TaggedSpace):
-        for i, branch in enumerate(space.branches, start=1):
-            for inner in _enum(branch):
-                yield Tagged(i, inner)
-    elif isinstance(space, ParamPairSpace):
-        base = list(_enum(space.base))
-        for x in base:
-            for y in base:
-                if x != y:
-                    yield Pair(x, y)
-    else:
-        raise ValueError(f"cannot enumerate {space!r}")
+def sample_value(space: Optional[Space], rng: Rng, nat_ceiling: int = 1 << 32) -> Value:
+    """Draw a value of ``space`` from a derive stream.
+
+    Naturals are drawn below ``nat_ceiling`` (the space itself is unbounded;
+    the ceiling only bounds the generator).
+    """
+    if space is None:
+        raise UnsampleableSpace("opaque space has no generator")
+    return space.sample(rng, nat_ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -263,29 +366,6 @@ def xor_value(x: Value, y: Value) -> Value:
     if isinstance(x, AtomSet) and isinstance(y, AtomSet):
         return AtomSet(tuple(set(x.members) ^ set(y.members)))
     raise ShapeMismatch(f"cannot xor {type(x).__name__} with {type(y).__name__}")
-
-
-def zero_like(v: Value) -> Value:
-    """The xor identity of v's shape."""
-    if isinstance(v, Nat):
-        return Nat(0)
-    if isinstance(v, BitVec):
-        return BitVec(v.width, 0)
-    if isinstance(v, AtomSet):
-        return AtomSet(())
-    raise ShapeMismatch(f"no xor zero for {type(v).__name__}")
-
-
-def bytes_to_nat(data: bytes) -> Nat:
-    """Big-endian byte sequence to natural."""
-    return Nat(int.from_bytes(data, "big"))
-
-
-def nat_to_bytes(v: Nat, length: int) -> bytes:
-    """Natural to big-endian byte sequence of exactly ``length`` bytes."""
-    if v.n >= 256 ** length:
-        raise Overflow(f"{v.n} does not fit in {length} bytes")
-    return v.n.to_bytes(length, "big")
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +403,14 @@ def int_from_json(obj) -> int:
     return int(obj)
 
 
+def atoms_from_json(obj) -> tuple[str, ...]:
+    """A JSON list of strings as atom names; a bare string is refused
+    instead of being split into characters."""
+    if not isinstance(obj, list) or not all(isinstance(a, str) for a in obj):
+        raise ValueError(f"not a list of atom names: {obj!r}")
+    return tuple(obj)
+
+
 def _value_from_json(obj) -> Value:
     if isinstance(obj, int) and not isinstance(obj, bool):
         return Nat(obj)
@@ -340,26 +428,10 @@ def _value_from_json(obj) -> Value:
     if key == "pair":
         return Pair(_value_from_json(body[0]), _value_from_json(body[1]))
     if key == "set":
-        return AtomSet(tuple(body))
+        return AtomSet(atoms_from_json(body))
     if key == "tag":
         return Tagged(int_from_json(body["i"]), _value_from_json(body["v"]))
     raise ValueError(f"unknown value kind: {key!r}")
-
-
-def space_to_json(space: Space) -> object:
-    if isinstance(space, NatSpace):
-        return "nat"
-    if isinstance(space, BitVecSpace):
-        return {"bitvec": space.width}
-    if isinstance(space, PairSpace):
-        return {"pair": [space_to_json(space.left), space_to_json(space.right)]}
-    if isinstance(space, AtomSetSpace):
-        return {"atoms": list(space.universe)}
-    if isinstance(space, TaggedSpace):
-        return {"tagged": [space_to_json(b) for b in space.branches]}
-    if isinstance(space, ParamPairSpace):
-        return {"parampair": space_to_json(space.base)}
-    raise TypeError(f"not a Space: {space!r}")
 
 
 def space_from_json(obj) -> Space:
@@ -368,11 +440,11 @@ def space_from_json(obj) -> Space:
     if isinstance(obj, dict) and len(obj) == 1:
         key, body = next(iter(obj.items()))
         if key == "bitvec":
-            return BitVecSpace(int(body))
+            return BitVecSpace(int_from_json(body))
         if key == "pair":
             return PairSpace(space_from_json(body[0]), space_from_json(body[1]))
         if key == "atoms":
-            return AtomSetSpace(tuple(body))
+            return AtomSetSpace(atoms_from_json(body))
         if key == "tagged":
             return TaggedSpace(tuple(space_from_json(b) for b in body))
         if key == "parampair":

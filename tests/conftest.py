@@ -3,6 +3,8 @@ from importlib import resources
 
 import pytest
 
+from dialectica.mqtt import Connect, MqttBroker, MqttClient, Publish, Subscribe
+
 
 def scenario_path(name: str) -> str:
     return str(resources.files("dialectica") / "scenarios" / name)
@@ -16,6 +18,15 @@ def scenarios():
 def load_scenario_doc(name: str) -> dict:
     with open(scenario_path(name), "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def initial_configuration() -> list:
+    """Two clients and one broker: c1 subscribes to "temp", c2 publishes 34."""
+    return [
+        MqttClient(oid="c1", cmd_list=(Connect("b"), Subscribe("temp"))),
+        MqttClient(oid="c2", cmd_list=(Connect("b"), Publish("temp", "34"))),
+        MqttBroker(oid="b"),
+    ]
 
 
 def delivered_messages(cfg) -> tuple:

@@ -68,7 +68,9 @@ class TestLingoEval:
     @pytest.mark.parametrize("arg", ['{"pair": []}', '{"bv": 5}',
                                      '{"set": [{"nat": "0"}]}', '{"tag": 1}',
                                      '{"nat": 1.5}', '{"nat": true}',
-                                     '{"bv": {"w": 8.0, "n": 3}}'])
+                                     '{"bv": {"w": 8.0, "n": 3}}',
+                                     '{"set": "ba"}', '{"set": [1, 2]}',
+                                     '{"set": {"a": 1}}'])
     def test_malformed_value_exits_2(self, capsys, arg):
         code = main(["lingo", "eval", XOR4, "f", arg, '{"bv":{"w":4,"n":1}}'])
         assert code == EXIT_SPEC_ERROR
@@ -100,8 +102,22 @@ class TestLingoCheck:
                        "lingo": {"kind": "xor_bitvec", "width": 64}}},
         {"auth": {"base": {"kind": "xor_bitvec", "width": 8}, "oids": [False, True],
                   "m": 8, "j": 8, "k": 8, "seed": 3}},
+        {"kind": "xor_bitvec", "width": 8.9},
+        {"kind": "xor_bitvec", "width": True},
+        {"kind": "identity", "space": {"bitvec": 4.7}},
+        {"kind": "divide_check", "param_ceiling": 16.5},
+        {"kind": "split_bitvec", "half_width": 2.5},
+        {"horizontal": {"branches": [{"kind": "xor_nat"}, {"kind": "xor_nat"}],
+                        "defaults": [{"nat": "0"}, {"nat": "0"}],
+                        "bias": [1.5, 1]}},
+        {"auth": {"base": {"kind": "xor_bitvec", "width": 8}, "oids": ["a", "b"],
+                  "m": 8, "j": 8, "k": 16.5, "seed": 3}},
+        {"kind": "xor_set", "universe": "ab"},
+        {"kind": "identity", "space": {"atoms": "xyz"}},
     ], ids=["sharp_wide", "wide", "bad_defaults", "unhashable_kind", "huge_codebook",
-            "non_string_oids"])
+            "non_string_oids", "float_width", "bool_width", "float_space_width",
+            "float_param_ceiling", "float_half_width", "float_bias",
+            "float_auth_k", "string_universe", "string_atoms"])
     def test_bad_spec_values_exit_2(self, capsys, spec):
         assert main(["lingo", "check", json.dumps(spec)]) == EXIT_SPEC_ERROR
 
@@ -132,6 +148,17 @@ class TestLingoCheck:
                             "300", "--seed", "1")
         assert code == EXIT_OK
         assert out["f_checkable_probe"]["witness_found"]
+
+    def test_wide_witness_is_printed(self, capsys):
+        # a 14285-bit witness has more decimal digits than Python's default
+        # int/str conversion limit; the limit is lifted only while main runs
+        import sys
+        limit = sys.get_int_max_str_digits()
+        wide = json.dumps({"sharp": {"kind": "xor_bitvec", "width": 14285}})
+        code = main(["lingo", "check", wide, "--samples", "2", "--seed", "1"])
+        assert code == EXIT_OK
+        assert '"w":14285' in capsys.readouterr().out
+        assert sys.get_int_max_str_digits() == limit
 
     def test_law_failure_exits_1(self, capsys, monkeypatch):
         # no buildable spec violates the laws, so fault the harness itself
@@ -231,6 +258,11 @@ class TestSimulate:
         ("mqtt_aperiodic.json",
          {"policy": {"aperiodic": {"msg_bound": True, "lingos": [
              {"kind": "xor_nat"}, {"kind": "divide_check"}]}}}, []),
+        ("mqtt_adversarial.json",
+         {"attacker": {"strategies": ["replay"],
+                       "advantage": {"t_max": [[1.9, 0.5]]}}}, []),
+        ("mqtt_xor_bitvec.json",
+         {"lingo_stack": {"kind": "xor_bitvec", "width": 128.5}}, []),
     ], ids=["zero_width", "negative_width", "zero_max_steps",
             "negative_max_steps_flag", "zero_max_steps_flag", "unknown_target",
             "unknown_broker", "attacker_list", "outputs_list",
@@ -238,7 +270,8 @@ class TestSimulate:
             "empty_topic", "long_topic", "message_wider_than_payload",
             "sharp_wide_payload", "bad_horizontal_defaults", "publish_string",
             "float_seed", "bool_seed", "float_max_steps", "bool_max_steps",
-            "float_msg_bound", "bool_msg_bound"])
+            "float_msg_bound", "bool_msg_bound", "float_threshold",
+            "float_lingo_width"])
     def test_bad_scenario_values_exit_2(self, capsys, tmp_path, name, edit,
                                         flags):
         doc = json.loads(open(scenario_path(name)).read())

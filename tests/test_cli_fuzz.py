@@ -139,6 +139,7 @@ def test_lingo_eval_on_arbitrary_values(capsys, spec, op, args):
 
 @FUZZ
 @given(spec=mutants(ALL_SPECS))
+@example(spec={"sharp": {"kind": "xor_bitvec", "width": 14285}})
 def test_lingo_check_on_mutated_specs(capsys, spec):
     code = exit_code(["lingo", "check", json.dumps(spec), "--samples", "20"])
     assert code in range(5)

@@ -94,11 +94,16 @@ class TestSampling:
         NatSpace(), BitVecSpace(3), BitVecSpace(100),
         PairSpace(NatSpace(), BitVecSpace(5)), AtomSetSpace(("x", "y", "z")),
         TaggedSpace((NatSpace(), BitVecSpace(2))), ParamPairSpace(BitVecSpace(4)),
+        BitVecSpace(64), BitVecSpace(65),
+        PairSpace(TaggedSpace((AtomSetSpace(("a",)), NatSpace())),
+                  ParamPairSpace(PairSpace(BitVecSpace(1), NatSpace()))),
     ])
     def test_samples_inhabit_space(self, space):
         rng = Rng(99, 1)
         for _ in range(200):
             assert space_contains(space, sample_value(space, rng))
+            assert space_contains(space, space.sample(rng, 16))
+            assert space_contains(space, space.project(rng.next_u64(), 1 << 32))
 
     def test_opaque_space_unsampleable(self):
         with pytest.raises(UnsampleableSpace):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import initial_configuration
 from dialectica.core import Rng
 from dialectica.mqtt import (
     ConnAck,
@@ -25,7 +26,6 @@ from dialectica.mqtt import (
     actor_step,
     decode_mqtt,
     encode_mqtt,
-    initial_configuration,
 )
 from dialectica.values import AtomSet, BitVec, Nat, Pair, Tagged
 

@@ -54,6 +54,8 @@ HASH_SEED_CASES = [
     ("attacker_scale", "simulate"),
     ("bundled_scenarios", "simulate:mqtt_aperiodic"),
     ("bundled_scenarios", "simulate:mqtt_sharp_attack"),
+    ("lingo_lab", "check:xor_set"),
+    ("lingo_lab", "check:sharp"),
 ]
 
 # Runs the cases in a fresh interpreter; prints {case: mismatches}.

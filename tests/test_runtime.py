@@ -7,7 +7,12 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from conftest import ALL_SCENARIOS, delivered_messages, load_scenario_doc
+from conftest import (
+    ALL_SCENARIOS,
+    delivered_messages,
+    initial_configuration,
+    load_scenario_doc,
+)
 from dialectica.attacker import AttackerState
 from dialectica.mqtt import (
     Connect,
@@ -17,7 +22,6 @@ from dialectica.mqtt import (
     Reject,
     actor_step,
     encode_mqtt,
-    initial_configuration,
     mqtt_codec_adaptor,
 )
 from dialectica.net import Message

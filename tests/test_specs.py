@@ -99,6 +99,19 @@ class TestLingoSpecs:
         with pytest.raises(SpecError):
             build_adaptor({"kind": "teleport"})
 
+    @pytest.mark.parametrize("bad", [
+        {"kind": "nat_bitvec", "width": 8.5},
+        {"kind": "bitvec_nat", "width": True},
+        {"kind": "sparse", "width": 8, "count": 8.5},
+        {"kind": "sparse", "width": 8.5, "count": 8},
+        {"kind": "sparse", "width": 8, "count": 8, "seed": 1.5},
+        {"kind": "mqtt_codec", "width": 64.5},
+        {"kind": "identity", "space": {"atoms": "ab"}},
+    ])
+    def test_adaptor_refuses_coercion(self, bad):
+        with pytest.raises(SpecError):
+            build_adaptor(bad)
+
 
 def test_law_harness_needs_a_generator():
     lingo = adapt_pre(mqtt_codec_adaptor(), build_lingo({"kind": "xor_nat"}))

@@ -1,6 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dialectica.core import make_param
+from dialectica.rng import SAMPLE_TAG, Rng, derive, fnv64
 from dialectica.values import (
     AtomSet,
     AtomSetSpace,
@@ -8,24 +10,22 @@ from dialectica.values import (
     BitVecSpace,
     Nat,
     NatSpace,
-    Overflow,
     Pair,
     PairSpace,
     ParamPairSpace,
     ShapeMismatch,
     Tagged,
     TaggedSpace,
-    bytes_to_nat,
-    nat_to_bytes,
+    UnsampleableSpace,
+    sample_value,
     space_cardinality,
     space_contains,
     space_enumerate,
     space_from_json,
-    space_to_json,
+    space_values,
     value_from_json,
     value_to_json,
     xor_value,
-    zero_like,
 )
 
 
@@ -96,30 +96,13 @@ class TestXor:
     @given(st.lists(st.sampled_from("abcdef"), min_size=0, max_size=6))
     def test_self_inverse_is_zero(self, atoms):
         v = AtomSet(tuple(atoms))
-        assert xor_value(v, v) == zero_like(v)
+        assert xor_value(v, v) == AtomSet(())
         n = Nat(sum(ord(c) for c in atoms))
-        assert xor_value(n, n) == zero_like(n)
+        assert xor_value(n, n) == Nat(0)
 
     def test_atomset_canonical_form(self):
         # any permutation of the same members collapses to one representation
         assert AtomSet(("b", "a", "b")) == AtomSet(("a", "b"))
-
-
-class TestByteCodec:
-    def test_positional(self):
-        assert bytes_to_nat(bytes([0x01, 0x00])) == Nat(256)
-
-    def test_zero_padding(self):
-        assert nat_to_bytes(Nat(0), 2) == b"\x00\x00"
-
-    def test_overflow(self):
-        with pytest.raises(Overflow):
-            nat_to_bytes(Nat(256**2), 2)
-
-    @given(st.binary(min_size=0, max_size=32))
-    def test_round_trip(self, data):
-        n = bytes_to_nat(data)
-        assert nat_to_bytes(n, len(data)) == data
 
 
 VALUES = [
@@ -132,13 +115,13 @@ VALUES = [
     Tagged(2, Pair(AtomSet(()), Nat(9))),
 ]
 
-SPACES = [
-    NatSpace(),
-    BitVecSpace(8),
-    PairSpace(NatSpace(), BitVecSpace(4)),
-    AtomSetSpace(("a", "b")),
-    TaggedSpace((NatSpace(), BitVecSpace(4))),
-    ParamPairSpace(BitVecSpace(4)),
+SPACE_ENCODINGS = [
+    ("nat", NatSpace()),
+    ({"bitvec": 8}, BitVecSpace(8)),
+    ({"pair": ["nat", {"bitvec": 4}]}, PairSpace(NatSpace(), BitVecSpace(4))),
+    ({"atoms": ["a", "b"]}, AtomSetSpace(("a", "b"))),
+    ({"tagged": ["nat", {"bitvec": 4}]}, TaggedSpace((NatSpace(), BitVecSpace(4)))),
+    ({"parampair": {"bitvec": 4}}, ParamPairSpace(BitVecSpace(4))),
 ]
 
 
@@ -153,9 +136,11 @@ def test_value_json_shorthand():
     assert value_from_json({"bv": {"w": 8, "n": 6}}) == BitVec(8, 6)
 
 
-@pytest.mark.parametrize("s", SPACES)
-def test_space_json_round_trip(s):
-    assert space_from_json(space_to_json(s)) == s
+@pytest.mark.parametrize("encoding, space", SPACE_ENCODINGS,
+                         ids=["nat", "bitvec", "pair", "atoms", "tagged",
+                              "parampair"])
+def test_space_from_json(encoding, space):
+    assert space_from_json(encoding) == space
 
 
 def test_cardinality_and_enumeration():
@@ -168,3 +153,246 @@ def test_cardinality_and_enumeration():
     assert space_enumerate(NatSpace()) is None
     tagged = space_enumerate(TaggedSpace((BitVecSpace(1), BitVecSpace(2))))
     assert len(tagged) == 6
+
+
+# ---------------------------------------------------------------------------
+# Oracle: frozen copies of the isinstance-ladder dispatch that the space
+# classes replaced.  The classes must agree with them on every space,
+# including opaque (None) children, down to the number of stream words each
+# sampler consumes.
+# ---------------------------------------------------------------------------
+
+def _old_space_contains(space, v):
+    if space is None:
+        return True
+    if isinstance(space, NatSpace):
+        return isinstance(v, Nat)
+    if isinstance(space, BitVecSpace):
+        return isinstance(v, BitVec) and v.width == space.width and v.in_range
+    if isinstance(space, PairSpace):
+        return (isinstance(v, Pair)
+                and _old_space_contains(space.left, v.first)
+                and _old_space_contains(space.right, v.second))
+    if isinstance(space, AtomSetSpace):
+        return isinstance(v, AtomSet) and set(v.members) <= set(space.universe)
+    if isinstance(space, TaggedSpace):
+        return (isinstance(v, Tagged)
+                and 1 <= v.branch <= len(space.branches)
+                and _old_space_contains(space.branches[v.branch - 1], v.inner))
+    if isinstance(space, ParamPairSpace):
+        return (isinstance(v, Pair)
+                and _old_space_contains(space.base, v.first)
+                and _old_space_contains(space.base, v.second)
+                and v.first != v.second)
+    return False
+
+
+def _old_space_cardinality(space):
+    if space is None or isinstance(space, NatSpace):
+        return None
+    if isinstance(space, BitVecSpace):
+        return 1 << space.width
+    if isinstance(space, PairSpace):
+        l, r = _old_space_cardinality(space.left), _old_space_cardinality(space.right)
+        return None if l is None or r is None else l * r
+    if isinstance(space, AtomSetSpace):
+        return 1 << len(space.universe)
+    if isinstance(space, TaggedSpace):
+        total = 0
+        for b in space.branches:
+            c = _old_space_cardinality(b)
+            if c is None:
+                return None
+            total += c
+        return total
+    if isinstance(space, ParamPairSpace):
+        c = _old_space_cardinality(space.base)
+        return None if c is None else c * (c - 1)
+    return None
+
+
+def _old_enum(space):
+    if isinstance(space, BitVecSpace):
+        for b in range(1 << space.width):
+            yield BitVec(space.width, b)
+    elif isinstance(space, PairSpace):
+        rights = list(_old_enum(space.right))
+        for lft in _old_enum(space.left):
+            for rgt in rights:
+                yield Pair(lft, rgt)
+    elif isinstance(space, AtomSetSpace):
+        atoms = sorted(space.universe)
+        for mask in range(1 << len(atoms)):
+            yield AtomSet(tuple(a for i, a in enumerate(atoms) if mask >> i & 1))
+    elif isinstance(space, TaggedSpace):
+        for i, branch in enumerate(space.branches, start=1):
+            for inner in _old_enum(branch):
+                yield Tagged(i, inner)
+    elif isinstance(space, ParamPairSpace):
+        base = list(_old_enum(space.base))
+        for x in base:
+            for y in base:
+                if x != y:
+                    yield Pair(x, y)
+    else:
+        raise ValueError(f"cannot enumerate {space!r}")
+
+
+def _old_sample_value(space, rng, nat_ceiling=1 << 32):
+    if space is None:
+        raise UnsampleableSpace("opaque space has no generator")
+    if isinstance(space, NatSpace):
+        return Nat(rng.next_below(nat_ceiling))
+    if isinstance(space, BitVecSpace):
+        bits = 0
+        for _ in range((space.width + 63) // 64):
+            bits = (bits << 64) | rng.next_u64()
+        return BitVec(space.width, bits & ((1 << space.width) - 1))
+    if isinstance(space, PairSpace):
+        left = _old_sample_value(space.left, rng, nat_ceiling)
+        return Pair(left, _old_sample_value(space.right, rng, nat_ceiling))
+    if isinstance(space, AtomSetSpace):
+        atoms = sorted(space.universe)
+        picked = []
+        word, have = 0, 0
+        for a in atoms:
+            if have == 0:
+                word, have = rng.next_u64(), 64
+            if word & 1:
+                picked.append(a)
+            word >>= 1
+            have -= 1
+        return AtomSet(tuple(picked))
+    if isinstance(space, TaggedSpace):
+        branch = rng.next_below(len(space.branches)) + 1
+        return Tagged(branch,
+                      _old_sample_value(space.branches[branch - 1], rng, nat_ceiling))
+    if isinstance(space, ParamPairSpace):
+        if _old_space_cardinality(space.base) == 1:
+            raise UnsampleableSpace("base space has a single element")
+        first = _old_sample_value(space.base, rng, nat_ceiling)
+        for _ in range(64):
+            second = _old_sample_value(space.base, rng, nat_ceiling)
+            if second != first:
+                return Pair(first, second)
+        raise UnsampleableSpace(f"could not draw distinct pair from {space.base!r}")
+    raise UnsampleableSpace(f"no generator for {space!r}")
+
+
+def _old_project_param(space, seed, stream_tag, index, nat_ceiling=1 << 32):
+    if isinstance(space, NatSpace):
+        return Nat(derive(seed, stream_tag, index) % nat_ceiling)
+    if isinstance(space, BitVecSpace) and space.width <= 64:
+        return BitVec(space.width,
+                      derive(seed, stream_tag, index) & ((1 << space.width) - 1))
+    rng = Rng(derive(seed, stream_tag, index), SAMPLE_TAG)
+    return _old_sample_value(space, rng, nat_ceiling)
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+def _enum_work(space) -> int:
+    """An upper bound on the values an enumeration visits before it ends or
+    raises (opaque and natural children count as one)."""
+    if isinstance(space, BitVecSpace):
+        return 1 << space.width
+    if isinstance(space, AtomSetSpace):
+        return 1 << len(space.universe)
+    if isinstance(space, PairSpace):
+        return _enum_work(space.left) * _enum_work(space.right)
+    if isinstance(space, TaggedSpace):
+        return sum(_enum_work(b) for b in space.branches)
+    if isinstance(space, ParamPairSpace):
+        return _enum_work(space.base) ** 2
+    return 1
+
+
+_leaf_spaces = st.one_of(
+    st.just(NatSpace()),
+    st.builds(BitVecSpace, st.sampled_from([1, 2, 3, 8, 64, 65, 130])),
+    st.builds(AtomSetSpace,
+              st.lists(st.sampled_from("abcdefgh"), unique=True, max_size=5)
+              .map(tuple)),
+)
+
+
+def _composite_spaces(children):
+    child = st.none() | children
+    return st.one_of(
+        st.builds(PairSpace, child, child),
+        st.builds(TaggedSpace, st.lists(child, min_size=2, max_size=3).map(tuple)),
+        st.builds(ParamPairSpace, child),
+    )
+
+
+spaces = st.recursive(_leaf_spaces, _composite_spaces, max_leaves=5)
+
+values = st.recursive(
+    st.one_of(
+        st.builds(Nat, st.integers(0, 300)),
+        st.builds(BitVec, st.sampled_from([1, 2, 3, 8, 64]), st.integers(0, 300)),
+        st.builds(AtomSet, st.lists(st.sampled_from("abcdefghz"), max_size=4)
+                  .map(tuple)),
+    ),
+    lambda inner: st.one_of(st.builds(Pair, inner, inner),
+                            st.builds(Tagged, st.integers(1, 4), inner)),
+    max_leaves=4)
+
+
+class TestSpaceOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.none() | spaces, st.lists(values, max_size=4),
+           st.integers(0, 2**64 - 1))
+    def test_contains(self, space, others, seed):
+        drawn = _outcome(_old_sample_value, space, Rng(seed, 1))
+        if not isinstance(drawn, type):
+            others.append(drawn)
+        if isinstance(drawn, Pair):   # the diagonal a parameter pair excludes
+            others.append(Pair(drawn.first, drawn.first))
+        for v in others:
+            assert space_contains(space, v) == _old_space_contains(space, v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.none() | spaces)
+    def test_cardinality(self, space):
+        assert space_cardinality(space) == _old_space_cardinality(space)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.none() | spaces)
+    def test_enumeration(self, space):
+        if _enum_work(space) > 1 << 12:
+            return
+        assert (_outcome(lambda: list(space_values(space)))
+                == _outcome(lambda: list(_old_enum(space))))
+        limit = 1 << 10
+        card = _old_space_cardinality(space)
+        expected = (None if card is None or card > limit
+                    else list(_old_enum(space)))
+        assert space_enumerate(space, limit) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.none() | spaces, st.integers(0, 2**64 - 1),
+           st.sampled_from([1, 16, 1 << 32]))
+    def test_sampling(self, space, seed, ceiling):
+        new, old = Rng(seed, SAMPLE_TAG), Rng(seed, SAMPLE_TAG)
+        for _ in range(3):
+            assert (_outcome(sample_value, space, new, ceiling)
+                    == _outcome(_old_sample_value, space, old, ceiling))
+            assert new.index == old.index
+
+    @settings(max_examples=300, deadline=None)
+    @given(spaces, st.text(max_size=8), st.integers(0, 2**64 - 1),
+           st.integers(0, 1 << 20), st.sampled_from([1, 16, 1 << 32]))
+    @example(BitVecSpace(64), "p", 1, 2, 1 << 32)
+    @example(BitVecSpace(65), "p", 1, 2, 1 << 32)
+    @example(NatSpace(), "p", 1, 2, 16)
+    def test_projection(self, space, name, seed, n, ceiling):
+        tag = fnv64(name)
+        assert (_outcome(make_param(space, name, ceiling), n, seed)
+                == _outcome(_old_project_param, space, seed, tag, n, ceiling))
