@@ -25,12 +25,10 @@ from math import sqrt
 from typing import Optional, Union
 
 from .core import (
-    DecodeFailure,
-    DefaultFallback,
     Lingo,
     Rng,
     apply_f,
-    apply_g,
+    decode_wire,
     is_compliant,
     sample_value,
 )
@@ -46,6 +44,7 @@ from .values import (
     TaggedSpace,
     Value,
     int_from_json,
+    prob_from_json,
     xor_value,
 )
 
@@ -107,13 +106,10 @@ class AdvantageConfig:
                 raise ValueError(f"{name} probabilities must lie in [0, 1]")
 
     @staticmethod
-    def zero() -> "AdvantageConfig":
-        return AdvantageConfig()
-
-    @staticmethod
     def from_json(obj: dict) -> "AdvantageConfig":
         def steps(key):
-            return tuple((int_from_json(t), float(p)) for t, p in obj.get(key, []))
+            return tuple((int_from_json(t), prob_from_json(p))
+                         for t, p in obj.get(key, []))
 
         return AdvantageConfig(t_max=steps("t_max"), w_max=steps("w_max"),
                                s_max=steps("s_max"))
@@ -131,7 +127,7 @@ def eval_step(steps: tuple[tuple[int, float], ...], x: int) -> float:
 class AttackerState:
     records: list[CapturedRecord] = field(default_factory=list)
     clear: list[ClearRecord] = field(default_factory=list)
-    advantage: AdvantageConfig = field(default_factory=AdvantageConfig.zero)
+    advantage: AdvantageConfig = field(default_factory=AdvantageConfig)
     strategies: tuple[str, ...] = ()
     max_injections: int = 0
     injection_rate: float = 1.0
@@ -423,13 +419,10 @@ class ExperimentReport:
                 "wilson95": list(wilson_interval(self.compliance_hits, self.trials)),
             },
         }
-        if self.spoof_hits is not None:
-            out["spoof"] = {
-                "rate": self.spoof_rate,
-                "wilson95": list(wilson_interval(self.spoof_hits, self.trials)),
-            }
-        else:
-            out["spoof"] = None
+        out["spoof"] = None if self.spoof_hits is None else {
+            "rate": self.spoof_rate,
+            "wilson95": list(wilson_interval(self.spoof_hits, self.trials)),
+        }
         if self.distinguish_hits is not None:
             rate = self.distinguish_hits / self.trials
             out["distinguish"] = {"guess_rate": rate, "advantage": rate - 0.5}
@@ -462,7 +455,7 @@ def run_spoof_experiment(lingo: Lingo, param_policy: ParamPolicy, strategy: str,
     compliance_hits = 0
     spoof_hits = 0
     any_intent = False
-    trial_advantage = advantage or AdvantageConfig.zero()
+    trial_advantage = advantage or AdvantageConfig()
 
     for t in range(trials):
         trial_seed = derive(seed, _SPOOF_TAG, t)
@@ -487,14 +480,12 @@ def run_spoof_experiment(lingo: Lingo, param_policy: ParamPolicy, strategy: str,
         forged, intent = crafted
         a_cur = lingo.param(param_policy.index(observations), trial_seed)
 
-        if is_compliant(lingo, [forged], a_cur):
+        decoded = decode_wire(lingo, [forged], a_cur)
+        if is_compliant(lingo, [forged], a_cur, decoded):
             compliance_hits += 1
         if intent is not None:
             any_intent = True
-            decoded = apply_g(lingo, [forged], a_cur)
-            if isinstance(decoded, DefaultFallback):
-                decoded = DecodeFailure("fallback")
-            if not isinstance(decoded, DecodeFailure):
+            if isinstance(decoded, list):
                 want = intent.resolve() if isinstance(intent, _Intent) else intent
                 if decoded[0] == want:
                     spoof_hits += 1

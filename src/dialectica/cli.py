@@ -82,12 +82,22 @@ def _cannot_run(exc: Exception) -> int:
     return EXIT_SPEC_ERROR
 
 
-def cmd_lingo_eval(args) -> int:
+def _load_lingo(spec_text: str):
+    """The lingo a spec argument names; a bad spec raises SpecError, which
+    ``main`` reports as a spec error."""
     try:
-        lingo = build_lingo(json.loads(args.spec))
-    except (SpecError, json.JSONDecodeError) as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return EXIT_SPEC_ERROR
+        return build_lingo(json.loads(spec_text))
+    except json.JSONDecodeError as exc:
+        raise SpecError(str(exc)) from exc
+
+
+def _batch_json(batch: list):
+    return value_to_json(batch[0]) if len(batch) == 1 else [
+        value_to_json(v) for v in batch]
+
+
+def cmd_lingo_eval(args) -> int:
+    lingo = _load_lingo(args.spec)
     try:
         values = [value_from_json(json.loads(a)) for a in args.args]
     except ValueError as exc:
@@ -99,9 +109,7 @@ def cmd_lingo_eval(args) -> int:
     *batch, a = values
     try:
         if args.op == "f":
-            out = apply_f(lingo, batch, a)
-            result = value_to_json(out[0]) if len(out) == 1 else [
-                value_to_json(v) for v in out]
+            result = _batch_json(apply_f(lingo, batch, a))
         elif args.op == "g":
             out = apply_g(lingo, batch, a)
             if isinstance(out, DecodeFailure):
@@ -110,8 +118,7 @@ def cmd_lingo_eval(args) -> int:
                 result = {"default_fallback": [value_to_json(v)
                                                for v in out.values]}
             else:
-                result = value_to_json(out[0]) if len(out) == 1 else [
-                    value_to_json(v) for v in out]
+                result = _batch_json(out)
         else:
             result = is_compliant(lingo, batch, a)
     except (SpaceViolation, ShapeMismatch) as exc:
@@ -122,11 +129,7 @@ def cmd_lingo_eval(args) -> int:
 
 
 def cmd_lingo_check(args) -> int:
-    try:
-        lingo = build_lingo(json.loads(args.spec))
-    except (SpecError, json.JSONDecodeError) as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return EXIT_SPEC_ERROR
+    lingo = _load_lingo(args.spec)
     if args.samples < 1:
         print(f"--samples must be >= 1, got {args.samples}", file=sys.stderr)
         return EXIT_SPEC_ERROR
@@ -137,11 +140,9 @@ def cmd_lingo_check(args) -> int:
     except (NonceExhausted, UnsampleableSpace) as exc:
         return _cannot_run(exc)
 
-    probe_rng = Rng(seed, SAMPLE_TAG)
-    witness = None
     try:
-        a = law_params(lingo, seed)(0)
-        witness = find_noncompliant_witness(lingo, a, probe_rng)
+        witness = find_noncompliant_witness(lingo, law_params(lingo, seed)(0),
+                                            Rng(seed, SAMPLE_TAG))
     except UnsampleableSpace:
         witness = None   # opaque spaces cannot be probed
     out = report.to_json()
@@ -184,11 +185,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    try:
-        lingo = build_lingo(json.loads(args.lingo))
-    except (SpecError, json.JSONDecodeError) as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return EXIT_SPEC_ERROR
+    lingo = _load_lingo(args.lingo)
     k = args.policy[len("reuse:"):] if args.policy.startswith("reuse:") else ""
     if args.policy == "per_message":
         policy = PerMessage()
@@ -282,6 +279,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
+    except SpecError as exc:
+        print(f"spec error: {exc}", file=sys.stderr)
+        return EXIT_SPEC_ERROR
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR

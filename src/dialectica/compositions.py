@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DecodeFailure, DefaultFallback, Lingo, SpaceViolation
+from .core import DecodeFailure, DefaultFallback, Lingo, SpaceViolation, decode_then
 from .rng import BadBias, throw_biased
 from .values import (
     Pair,
@@ -22,7 +22,6 @@ from .values import (
     Tagged,
     TaggedSpace,
     Value,
-    space_cardinality,
     space_contains,
 )
 
@@ -93,8 +92,7 @@ def horizontal(spec: HorizontalSpec, seed: int = 0) -> Lingo:
 
     return Lingo(name=name, input_space=branches[0].input_space,
                  output_space=out_space, param_space=par_space,
-                 f=f, g=g, param=param,
-                 f_checkable=all(l.f_checkable for l in branches))
+                 f=f, g=g, param=param)
 
 
 def functional(l1: Lingo, l2: Lingo) -> Lingo:
@@ -115,21 +113,7 @@ def functional(l1: Lingo, l2: Lingo) -> Lingo:
         return l2.f(mid, a.second)
 
     def g(batch, a):
-        mid = l2.g(batch, a.second)
-        fell_back = isinstance(mid, DefaultFallback)
-        if isinstance(mid, DecodeFailure):
-            return mid
-        if fell_back:
-            mid = list(mid.values)
-        out = l1.g(mid, a.first)
-        if isinstance(out, DecodeFailure):
-            return out
-        inner_fallback = isinstance(out, DefaultFallback)
-        if inner_fallback:
-            out = list(out.values)
-        if fell_back or inner_fallback:
-            return DefaultFallback(tuple(out))
-        return out
+        return decode_then(l2.g(batch, a.second), lambda mid: l1.g(mid, a.first))
 
     def param(n: int, seed: int) -> Value:
         return Pair(l1.param(n, seed), l2.param(n, seed))
@@ -138,8 +122,7 @@ def functional(l1: Lingo, l2: Lingo) -> Lingo:
                  output_space=l2.output_space,
                  param_space=PairSpace(l1.param_space, l2.param_space),
                  f=f, g=g, param=param,
-                 ingress_arity=l1.ingress_arity, egress_arity=l2.egress_arity,
-                 f_checkable=l2.f_checkable)
+                 ingress_arity=l1.ingress_arity, egress_arity=l2.egress_arity)
 
 
 def _pairwise(ls: list[Lingo], combine) -> Lingo:
@@ -171,18 +154,8 @@ def _product2(l1: Lingo, l2: Lingo) -> Lingo:
 
     def g(batch, a):
         w = batch[0]
-        r1 = l1.g([w.first], a.first)
-        r2 = l2.g([w.second], a.second)
-        if isinstance(r1, DecodeFailure):
-            return r1
-        if isinstance(r2, DecodeFailure):
-            return r2
-        fallback = isinstance(r1, DefaultFallback) or isinstance(r2, DefaultFallback)
-        v1 = r1.values[0] if isinstance(r1, DefaultFallback) else r1[0]
-        v2 = r2.values[0] if isinstance(r2, DefaultFallback) else r2[0]
-        if fallback:
-            return DefaultFallback((Pair(v1, v2),))
-        return [Pair(v1, v2)]
+        return decode_then(l1.g([w.first], a.first), lambda v1: decode_then(
+            l2.g([w.second], a.second), lambda v2: [Pair(v1[0], v2[0])]))
 
     def param(n: int, seed: int) -> Value:
         return Pair(l1.param(n, seed), l2.param(n, seed))
@@ -191,8 +164,7 @@ def _product2(l1: Lingo, l2: Lingo) -> Lingo:
                  input_space=PairSpace(l1.input_space, l2.input_space),
                  output_space=PairSpace(l1.output_space, l2.output_space),
                  param_space=PairSpace(l1.param_space, l2.param_space),
-                 f=f, g=g, param=param,
-                 f_checkable=l1.f_checkable or l2.f_checkable)
+                 f=f, g=g, param=param)
 
 
 def tupling(ls: list[Lingo]) -> Lingo:
@@ -220,12 +192,7 @@ def _tupling2(l1: Lingo, l2: Lingo) -> Lingo:
     def param(n: int, seed: int) -> Value:
         return Pair(l1.param(n, seed), l2.param(n, seed))
 
-    # For a non-degenerate second output space some pair always lacks a
-    # preimage (the second component is determined by the first).
-    second_card = space_cardinality(l2.output_space)
-    checkable = second_card is None or second_card >= 2
-
     return Lingo(name=name, input_space=l1.input_space,
                  output_space=PairSpace(l1.output_space, l2.output_space),
                  param_space=PairSpace(l1.param_space, l2.param_space),
-                 f=f, g=g, param=param, f_checkable=checkable)
+                 f=f, g=g, param=param)

@@ -7,10 +7,10 @@ shared seed.  ``f`` and ``g`` work on batches so a single logical payload
 may fan out into several wire values (egress arity > 1).
 
 Besides the data type this module provides the checked entry points
-(``apply_f``/``apply_g``), the wire-shape gate ``wire_fits`` that every
-decode of untrusted wire values passes first, the compliance test used by
-dialects to reject forgeries, and a law-testing harness that exercises the
-defining equation and its consequences on seeded samples.
+(``apply_f``/``apply_g``), ``decode_wire`` that decodes untrusted wire
+values behind the wire-shape gate ``wire_fits``, the compliance test used
+by dialects to reject forgeries, and a law-testing harness that exercises
+the defining equation and its consequences on seeded samples.
 """
 
 from __future__ import annotations
@@ -61,6 +61,17 @@ Batch = list
 GResult = Union[list, DecodeFailure, DefaultFallback]
 
 
+def decode_then(out: GResult, step: Callable[[Batch], GResult]) -> GResult:
+    """Carry a decode outcome through one more stage: a DecodeFailure stops
+    here, values go through ``step``, and a DefaultFallback stays one."""
+    if isinstance(out, DecodeFailure):
+        return out
+    if isinstance(out, DefaultFallback):
+        after = step(list(out.values))
+        return DefaultFallback(tuple(after)) if isinstance(after, list) else after
+    return step(out)
+
+
 @dataclass(frozen=True)
 class Lingo:
     """A closed transformation object (input, output, parameter spaces plus
@@ -80,7 +91,6 @@ class Lingo:
     param: Callable[[int, int], Value]
     ingress_arity: int = 1
     egress_arity: int = 1
-    f_checkable: bool = False
 
     def __repr__(self) -> str:  # keep trace output short
         return f"Lingo({self.name})"
@@ -114,6 +124,13 @@ def wire_fits(lingo: Lingo, d2_batch: Batch) -> bool:
             and all(space_contains(lingo.output_space, w) for w in d2_batch))
 
 
+def decode_wire(lingo: Lingo, d2_batch: Batch, a: Value) -> GResult:
+    """Total decode of untrusted wire values: the shape gate, then g."""
+    if not wire_fits(lingo, d2_batch):
+        return DecodeFailure("wire value has the wrong shape")
+    return lingo.g(list(d2_batch), a)
+
+
 def apply_g(lingo: Lingo, d2_batch: Batch, a: Value) -> GResult:
     """Checked decode.  DecodeFailure/DefaultFallback are returned, not raised."""
     if not wire_fits(lingo, d2_batch):
@@ -129,14 +146,12 @@ def is_compliant(lingo: Lingo, d2_batch: Batch, a: Value,
     succeeds and re-encoding reproduces the batch exactly.
 
     Total over arbitrary wire values: a batch the shape gate refuses is
-    simply non-compliant.  A caller that already holds ``g(d2_batch, a)``
-    for a batch that passed ``wire_fits`` hands it in as ``decoded``; the
-    gate and the decode are then skipped, every other check runs."""
+    simply non-compliant.  A caller that already holds
+    ``decode_wire(lingo, d2_batch, a)`` hands it in as ``decoded``; the
+    decode is then skipped, every other check runs."""
     _check_param(lingo, a)
     if decoded is None:
-        if not wire_fits(lingo, d2_batch):
-            return False
-        decoded = lingo.g(list(d2_batch), a)
+        decoded = decode_wire(lingo, d2_batch, a)
     if isinstance(decoded, DecodeFailure):
         return False
     if isinstance(decoded, DefaultFallback):

@@ -22,38 +22,34 @@ from .values import (
 DC_PARAM_CEILING = 1 << 16
 
 
-def make_xor_bitvec(width: int) -> Lingo:
-    """xor over width-bit vectors; f and g are the same mask operation."""
-    space = BitVecSpace(width)
-    name = f"xor_bitvec{width}"
+def _xor_lingo(space: Space, name: str) -> Lingo:
+    """xor with the parameter over ``space``; f and g are the same mask
+    operation."""
     op = lambda batch, a: [xor_value(batch[0], a)]
     return Lingo(name=name, input_space=space, output_space=space,
                  param_space=space, f=op, g=op, param=make_param(space, name))
+
+
+def make_xor_bitvec(width: int) -> Lingo:
+    """xor over width-bit vectors."""
+    return _xor_lingo(BitVecSpace(width), f"xor_bitvec{width}")
 
 
 def make_xor_nat() -> Lingo:
     """xor over naturals viewed as bit sequences of arbitrary length."""
-    space = NatSpace()
-    name = "xor_nat"
-    op = lambda batch, a: [xor_value(batch[0], a)]
-    return Lingo(name=name, input_space=space, output_space=space,
-                 param_space=space, f=op, g=op, param=make_param(space, name))
+    return _xor_lingo(NatSpace(), "xor_nat")
 
 
 def make_xor_set(universe: tuple[str, ...]) -> Lingo:
     """Symmetric difference over finite subsets of a fixed atom universe."""
-    space = AtomSetSpace(tuple(universe))
-    name = "xor_set"
-    op = lambda batch, a: [xor_value(batch[0], a)]
-    return Lingo(name=name, input_space=space, output_space=space,
-                 param_space=space, f=op, g=op, param=make_param(space, name))
+    return _xor_lingo(AtomSetSpace(tuple(universe)), "xor_set")
 
 
 def make_divide_check(param_ceiling: int = DC_PARAM_CEILING) -> Lingo:
     """Divide-and-check: n maps to the (quotient, remainder) of n+a+2 by a+2.
 
-    The receiver can cheaply reject any pair whose remainder reaches a+2,
-    which is what makes the lingo f-checkable.  g rejects pairs that would
+    The receiver's compliance check rejects any pair whose remainder
+    reaches a+2: such a pair has no preimage.  g rejects pairs that would
     need a negative payload instead of saturating them to 0: saturation
     would deliver forged junk as payload 0.
     """
@@ -73,8 +69,7 @@ def make_divide_check(param_ceiling: int = DC_PARAM_CEILING) -> Lingo:
     return Lingo(name=name, input_space=NatSpace(),
                  output_space=PairSpace(NatSpace(), NatSpace()),
                  param_space=NatSpace(), f=f, g=g,
-                 param=make_param(NatSpace(), name, nat_ceiling=param_ceiling),
-                 f_checkable=True)
+                 param=make_param(NatSpace(), name, nat_ceiling=param_ceiling))
 
 
 def make_reverse_divide_check(param_ceiling: int = DC_PARAM_CEILING) -> Lingo:
@@ -92,8 +87,7 @@ def make_reverse_divide_check(param_ceiling: int = DC_PARAM_CEILING) -> Lingo:
 
     return Lingo(name=name, input_space=base.input_space,
                  output_space=base.output_space, param_space=base.param_space,
-                 f=f, g=g, param=make_param(NatSpace(), name, nat_ceiling=param_ceiling),
-                 f_checkable=True)
+                 f=f, g=g, param=make_param(NatSpace(), name, nat_ceiling=param_ceiling))
 
 
 def make_identity(space: Space) -> Lingo:

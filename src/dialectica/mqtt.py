@@ -32,11 +32,18 @@ from .values import (
 # Commands and messages
 # ---------------------------------------------------------------------------
 
-def _check_field(s: str, what: str) -> str:
-    data = s.encode("utf-8")
-    if not 1 <= len(data) <= 255:
-        raise ValueError(f"{what} must be 1..255 UTF-8 bytes")
-    return s
+def encoded_size(values) -> int:
+    """Bytes ``encode_mqtt`` writes for a message with these field values: a
+    tag byte, then per field a length byte and 1..255 UTF-8 bytes (else
+    ValueError)."""
+    size = 1
+    for v in values:
+        n = len(v.encode("utf-8"))
+        if not 1 <= n <= 255:
+            raise ValueError(f"field {v[:20]!r} must be 1..255 UTF-8 bytes, "
+                             f"got {n}")
+        size += 1 + n
+    return size
 
 
 @dataclass(frozen=True)
@@ -275,17 +282,17 @@ def encode_mqtt(msg: MqttMsg, width: Optional[int] = None) -> Value:
     """Message to payload value: a natural, or a width-bit vector when
     ``width`` is given (WidthOverflow if the encoding does not fit)."""
     tag, fields = _BY_TYPE[type(msg)]
+    values = [getattr(msg, f) for f in fields]
+    size = encoded_size(values)
+    if width is not None and size * 8 > width:
+        raise WidthOverflow(
+            f"{type(msg).__name__} needs {size * 8} bits, width is {width}")
     out = bytes([tag])
-    for f in fields:
-        data = _check_field(getattr(msg, f), f).encode("utf-8")
+    for v in values:
+        data = v.encode("utf-8")
         out += bytes([len(data)]) + data
     n = int.from_bytes(out, "big")
-    if width is None:
-        return Nat(n)
-    if len(out) * 8 > width:
-        raise WidthOverflow(
-            f"{type(msg).__name__} needs {len(out) * 8} bits, width is {width}")
-    return BitVec(width, n)
+    return Nat(n) if width is None else BitVec(width, n)
 
 
 def decode_mqtt(v: Value) -> Union[MqttMsg, RetractFailure]:
@@ -329,6 +336,5 @@ def mqtt_codec_adaptor(width: Optional[int] = None) -> DataAdaptor:
     pre-composing it with a payload lingo yields a lingo on messages."""
     return DataAdaptor(name="mqtt_codec", from_space=None,
                        to_space=NatSpace() if width is None else BitVecSpace(width),
-                       j=lambda m: encode_mqtt(m, width), r=decode_mqtt,
-                       retract_total=False, sparse_image=True)
+                       j=lambda m: encode_mqtt(m, width), r=decode_mqtt)
 

@@ -7,6 +7,8 @@ decodes buffered batches back into protocol messages (rule ``in``).  A
 rejected batch is logged with the first failing check's reason, in check
 order: ``decode:`` (shape gate or g), ``default_fallback``, ``noncompliant``
 (forgery check), ``malformed:`` (codec retract), ``actor:`` (protocol).
+The forgery check runs on every dialected batch; it never rejects under a
+lingo whose ``f(., a)`` is onto (xor, identity, split).
 Per-peer send/receive counters are the only per-flow state: message ``n``
 of a flow takes its parameter from the lingo's stream at index ``n``, and
 its lingo from the policy as a pure function of (seed, flow, n).  An
@@ -55,8 +57,8 @@ from .core import (
     Lingo,
     Rng,
     check_lingo_laws,
+    decode_wire,
     is_compliant,
-    wire_fits,
 )
 from .mqtt import Reject, actor_step
 from .net import HiddenCtx, Message
@@ -292,14 +294,12 @@ def rule_in(cfg: Configuration, oid: str, src: str) -> Configuration:
     if lingo is not None:
         wire_batch = [m.payload for m in batch]
         a = _recv_param(cfg, w, src, n, lingo)
-        decoded = (lingo.g(list(wire_batch), a) if wire_fits(lingo, wire_batch)
-                   else DecodeFailure("wire value has the wrong shape"))
+        decoded = decode_wire(lingo, wire_batch, a)
         if isinstance(decoded, DecodeFailure):
             reason = "decode:" + decoded.reason
         elif isinstance(decoded, DefaultFallback):
             reason = "default_fallback"
-        elif lingo.f_checkable and not is_compliant(lingo, wire_batch, a,
-                                                    decoded):
+        elif not is_compliant(lingo, wire_batch, a, decoded):
             reason = "noncompliant"
         else:
             if injected:

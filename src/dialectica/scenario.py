@@ -36,6 +36,7 @@ from .mqtt import (
     Unsubscribe,
     decode_mqtt,  # noqa: F401  (perfbench/probes.py patches these two names)
     encode_mqtt,  # noqa: F401
+    encoded_size,
     mqtt_codec_adaptor,
 )
 from .runtime import (
@@ -47,7 +48,7 @@ from .runtime import (
     scenario_lingos,
 )
 from .specs import SpecError, build_lingo
-from .values import int_from_json
+from .values import atoms_from_json, int_from_json, prob_from_json
 
 _COMMANDS = {"connect": Connect, "subscribe": Subscribe,
              "unsubscribe": Unsubscribe, "publish": Publish}
@@ -67,10 +68,9 @@ class Scenario:
 
 
 def _parse_cmd(obj, room: Optional[int]) -> object:
-    """One client command.  ``encode_mqtt`` writes its message as a tag byte,
-    then a length byte and 1..255 UTF-8 bytes per field; with a bit-vector
-    payload the message must fit ``room`` bytes.  No broker reply is longer
-    than the message it answers."""
+    """One client command.  ``encoded_size`` refuses fields the codec cannot
+    frame, and with a bit-vector payload the message must fit ``room``
+    bytes.  No broker reply is longer than the message it answers."""
     if isinstance(obj, dict) and len(obj) == 1:
         [(key, body)] = obj.items()
         command = _COMMANDS.get(key)
@@ -81,13 +81,7 @@ def _parse_cmd(obj, room: Optional[int]) -> object:
                 fields = (str(body[0]), str(body[1]))
             else:
                 fields = (str(body),)
-            size = 1
-            for f in fields:
-                n = len(f.encode("utf-8"))
-                if not 1 <= n <= 255:
-                    raise SpecError(f"{key} field {f[:20]!r} must be 1..255 "
-                                    f"UTF-8 bytes, got {n}")
-                size += 1 + n
+            size = encoded_size(fields)
             if room is not None and size > room:
                 raise SpecError(f"{key} message needs {8 * size} bits, the "
                                 f"payload has {8 * room}")
@@ -159,7 +153,7 @@ def parse_scenario(doc: dict) -> Scenario:
         targets = None
         if "attacker" in doc and doc["attacker"] is not None:
             atk = _object(doc["attacker"], "attacker")
-            strategies = tuple(atk.get("strategies", []))
+            strategies = atoms_from_json(atk.get("strategies", []))
             for s in strategies:
                 if s not in STRATEGIES:
                     raise SpecError(f"unknown strategy {s!r}")
@@ -168,7 +162,7 @@ def parse_scenario(doc: dict) -> Scenario:
                     _object(atk.get("advantage", {}), "advantage")),
                 strategies=strategies,
                 max_injections=int_from_json(atk.get("max_injections", 100)),
-                injection_rate=float(atk.get("injection_rate", 1.0)))
+                injection_rate=prob_from_json(atk.get("injection_rate", 1.0)))
             if "targets" in atk:
                 targets = [(str(s), str(d)) for s, d in atk["targets"]]
                 unknown = sorted({o for pair in targets for o in pair} - set(oids))

@@ -18,10 +18,10 @@ from typing import Callable, Optional, Union
 
 from .core import (
     DecodeFailure,
-    DefaultFallback,
     Lingo,
     Rng,
     SpaceViolation,
+    decode_then,
     sample_value,
 )
 from .rng import SAMPLE_TAG, derive, fnv64
@@ -99,7 +99,7 @@ def sharp(base: Lingo) -> Lingo:
     return Lingo(name=name, input_space=base.input_space,
                  output_space=PairSpace(base.output_space, base.output_space),
                  param_space=ParamPairSpace(base.param_space),
-                 f=f, g=g, param=param, f_checkable=True)
+                 f=f, g=g, param=param)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ def authenticating(base: Lingo, oids: list[str], m: int, j: int, k: int,
 
     wrapped = Lingo(name=name, input_space=base.input_space,
                     output_space=out_space, param_space=None,
-                    f=f, g=g, param=param, f_checkable=base.f_checkable)
+                    f=f, g=g, param=param)
     auth = AuthLingo(base=wrapped, inner=base, oid_universe=tuple(oids),
                      m=m, j=j, k=k, seed=seed)
     return auth
@@ -272,8 +272,8 @@ class DataAdaptor:
 
     ``from_space``/``to_space`` may be None for opaque domains (protocol
     messages); such adapted lingos skip membership checks on that side.
-    ``retract_total`` records whether r can fail; ``sparse_image`` marks
-    adaptors whose image is a thin subset of ``to_space``.
+    r may return RetractFailure off the image of j; adapted lingos decode
+    that to a DecodeFailure, and the compliance check catches the rest.
     """
 
     name: str
@@ -281,8 +281,17 @@ class DataAdaptor:
     to_space: Optional[Space]
     j: Callable[[object], object]
     r: Callable[[object], object]
-    retract_total: bool = True
-    sparse_image: bool = False
+
+
+def _retract_all(ad: DataAdaptor, values: list) -> Union[list, DecodeFailure]:
+    """r applied to every value; the first RetractFailure fails the decode."""
+    out = []
+    for v in values:
+        rv = ad.r(v)
+        if isinstance(rv, RetractFailure):
+            return DecodeFailure(f"retract failed: {rv.reason}")
+        out.append(rv)
+    return out
 
 
 def adapt_pre(ad: DataAdaptor, lingo: Lingo) -> Lingo:
@@ -297,24 +306,12 @@ def adapt_pre(ad: DataAdaptor, lingo: Lingo) -> Lingo:
         return lingo.f([ad.j(d) for d in batch], a)
 
     def g(batch, a):
-        out = lingo.g(batch, a)
-        if isinstance(out, DecodeFailure):
-            return out
-        fell_back = isinstance(out, DefaultFallback)
-        vals = list(out.values) if fell_back else out
-        retracted = []
-        for v in vals:
-            rv = ad.r(v)
-            if isinstance(rv, RetractFailure):
-                return DecodeFailure(f"retract failed: {rv.reason}")
-            retracted.append(rv)
-        return DefaultFallback(tuple(retracted)) if fell_back else retracted
+        return decode_then(lingo.g(batch, a), lambda vals: _retract_all(ad, vals))
 
     return Lingo(name=name, input_space=ad.from_space,
                  output_space=lingo.output_space, param_space=lingo.param_space,
                  f=f, g=g, param=lingo.param,
-                 ingress_arity=lingo.ingress_arity, egress_arity=lingo.egress_arity,
-                 f_checkable=lingo.f_checkable or ad.sparse_image)
+                 ingress_arity=lingo.ingress_arity, egress_arity=lingo.egress_arity)
 
 
 def adapt_post(lingo: Lingo, ad: DataAdaptor) -> Lingo:
@@ -329,19 +326,12 @@ def adapt_post(lingo: Lingo, ad: DataAdaptor) -> Lingo:
         return [ad.j(w) for w in lingo.f(batch, a)]
 
     def g(batch, a):
-        retracted = []
-        for w in batch:
-            rw = ad.r(w)
-            if isinstance(rw, RetractFailure):
-                return DecodeFailure(f"retract failed: {rw.reason}")
-            retracted.append(rw)
-        return lingo.g(retracted, a)
+        return decode_then(_retract_all(ad, batch), lambda ws: lingo.g(ws, a))
 
     return Lingo(name=name, input_space=lingo.input_space,
                  output_space=ad.to_space, param_space=lingo.param_space,
                  f=f, g=g, param=lingo.param,
-                 ingress_arity=lingo.ingress_arity, egress_arity=lingo.egress_arity,
-                 f_checkable=lingo.f_checkable or not ad.retract_total)
+                 ingress_arity=lingo.ingress_arity, egress_arity=lingo.egress_arity)
 
 
 def identity_adaptor(space: Optional[Space]) -> DataAdaptor:
@@ -378,7 +368,7 @@ def bitvec_nat_adaptor(width: int) -> DataAdaptor:
         return BitVec(width, v.n)
 
     return DataAdaptor(name=f"bitvec{width}_nat", from_space=BitVecSpace(width),
-                       to_space=NatSpace(), j=j, r=r, retract_total=False)
+                       to_space=NatSpace(), j=j, r=r)
 
 
 def sparse_code_adaptor(words: list[str], width: int, seed: int = 0) -> DataAdaptor:
@@ -409,8 +399,7 @@ def sparse_code_adaptor(words: list[str], width: int, seed: int = 0) -> DataAdap
         return Nat(seen[v.bits])
 
     return DataAdaptor(name=f"sparse{width}", from_space=None,
-                       to_space=BitVecSpace(width), j=j, r=r,
-                       retract_total=False, sparse_image=True)
+                       to_space=BitVecSpace(width), j=j, r=r)
 
 
 # ---------------------------------------------------------------------------

@@ -411,13 +411,27 @@ def atoms_from_json(obj) -> tuple[str, ...]:
     return tuple(obj)
 
 
+def prob_from_json(obj) -> float:
+    """A JSON number in [0, 1]; a boolean or a string raises ValueError."""
+    if type(obj) not in (int, float) or not 0 <= obj <= 1:
+        raise ValueError(f"not a probability in [0, 1]: {obj!r}")
+    return float(obj)
+
+
+def _pair_items(body) -> list:
+    """The body of a ``pair`` encoding: a JSON list of exactly two items."""
+    if not isinstance(body, list) or len(body) != 2:
+        raise ValueError(f"a pair takes a list of two items, got {body!r}")
+    return body
+
+
 def _value_from_json(obj) -> Value:
     if isinstance(obj, int) and not isinstance(obj, bool):
         return Nat(obj)
     if isinstance(obj, str) and obj.isdigit():
         return Nat(int(obj))
-    if isinstance(obj, list) and len(obj) == 2:
-        return Pair(_value_from_json(obj[0]), _value_from_json(obj[1]))
+    if isinstance(obj, list):
+        return Pair(*map(_value_from_json, _pair_items(obj)))
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"not a value encoding: {obj!r}")
     key, body = next(iter(obj.items()))
@@ -426,7 +440,7 @@ def _value_from_json(obj) -> Value:
     if key == "bv":
         return BitVec(int_from_json(body["w"]), int_from_json(body["n"]))
     if key == "pair":
-        return Pair(_value_from_json(body[0]), _value_from_json(body[1]))
+        return Pair(*map(_value_from_json, _pair_items(body)))
     if key == "set":
         return AtomSet(atoms_from_json(body))
     if key == "tag":
@@ -442,7 +456,7 @@ def space_from_json(obj) -> Space:
         if key == "bitvec":
             return BitVecSpace(int_from_json(body))
         if key == "pair":
-            return PairSpace(space_from_json(body[0]), space_from_json(body[1]))
+            return PairSpace(*map(space_from_json, _pair_items(body)))
         if key == "atoms":
             return AtomSetSpace(atoms_from_json(body))
         if key == "tagged":

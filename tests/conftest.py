@@ -3,7 +3,9 @@ from importlib import resources
 
 import pytest
 
+from dialectica.core import Rng, find_noncompliant_witness
 from dialectica.mqtt import Connect, MqttBroker, MqttClient, Publish, Subscribe
+from dialectica.rng import SAMPLE_TAG
 
 
 def scenario_path(name: str) -> str:
@@ -27,6 +29,14 @@ def initial_configuration() -> list:
         MqttClient(oid="c2", cmd_list=(Connect("b"), Publish("temp", "34"))),
         MqttBroker(oid="b"),
     ]
+
+
+def noncompliant_witness(lingo, seed: int = 1):
+    """A wire batch with no preimage under the lingo's parameter 0, or None
+    when the search finds none: a lingo the compliance check can use has
+    one, a lingo whose f(., a) is onto has none."""
+    return find_noncompliant_witness(lingo, lingo.param(0, seed),
+                                     Rng(seed, SAMPLE_TAG))
 
 
 def delivered_messages(cfg) -> tuple:

@@ -76,6 +76,13 @@ class TestLingoEval:
         assert code == EXIT_SPEC_ERROR
         assert "argument error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("arg", ['{"pair": "12"}', '{"pair": [1, 2, 3]}',
+                                     '[1, 2, 3]'])
+    def test_pair_needs_two_items_exits_2(self, capsys, arg):
+        code = main(["lingo", "eval", DC, "g", arg, "3"])
+        assert code == EXIT_SPEC_ERROR
+        assert "argument error" in capsys.readouterr().err
+
 
 class TestLingoCheck:
     @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -114,10 +121,12 @@ class TestLingoCheck:
                   "m": 8, "j": 8, "k": 16.5, "seed": 3}},
         {"kind": "xor_set", "universe": "ab"},
         {"kind": "identity", "space": {"atoms": "xyz"}},
+        {"kind": "identity", "space": {"pair": ["nat", "nat", "nat"]}},
     ], ids=["sharp_wide", "wide", "bad_defaults", "unhashable_kind", "huge_codebook",
             "non_string_oids", "float_width", "bool_width", "float_space_width",
             "float_param_ceiling", "float_half_width", "float_bias",
-            "float_auth_k", "string_universe", "string_atoms"])
+            "float_auth_k", "string_universe", "string_atoms",
+            "three_item_pair_space"])
     def test_bad_spec_values_exit_2(self, capsys, spec):
         assert main(["lingo", "check", json.dumps(spec)]) == EXIT_SPEC_ERROR
 
@@ -263,6 +272,15 @@ class TestSimulate:
                        "advantage": {"t_max": [[1.9, 0.5]]}}}, []),
         ("mqtt_xor_bitvec.json",
          {"lingo_stack": {"kind": "xor_bitvec", "width": 128.5}}, []),
+        *[("mqtt_adversarial.json",
+           {"attacker": {"strategies": ["replay"], "injection_rate": rate}}, [])
+          for rate in (True, "0.5", -3, 7)],
+        *[("mqtt_adversarial.json",
+           {"attacker": {"strategies": ["replay"],
+                         "advantage": {"t_max": [[1, p]]}}}, [])
+          for p in (True, "0.5")],
+        ("mqtt_adversarial.json", {"attacker": {"strategies": "random_wire"}},
+         []),
     ], ids=["zero_width", "negative_width", "zero_max_steps",
             "negative_max_steps_flag", "zero_max_steps_flag", "unknown_target",
             "unknown_broker", "attacker_list", "outputs_list",
@@ -271,7 +289,9 @@ class TestSimulate:
             "sharp_wide_payload", "bad_horizontal_defaults", "publish_string",
             "float_seed", "bool_seed", "float_max_steps", "bool_max_steps",
             "float_msg_bound", "bool_msg_bound", "float_threshold",
-            "float_lingo_width"])
+            "float_lingo_width", "bool_rate", "string_rate", "negative_rate",
+            "rate_above_1", "bool_probability", "string_probability",
+            "strategies_string"])
     def test_bad_scenario_values_exit_2(self, capsys, tmp_path, name, edit,
                                         flags):
         doc = json.loads(open(scenario_path(name)).read())
@@ -281,6 +301,14 @@ class TestSimulate:
         code = main(["simulate", str(path), *flags, "--out", "/dev/null"])
         assert code == EXIT_SPEC_ERROR
         assert "config error" in capsys.readouterr().err
+
+    def test_strategies_must_be_a_list(self, capsys, tmp_path):
+        doc = json.loads(open(scenario_path("mqtt_adversarial.json")).read())
+        doc["attacker"]["strategies"] = "random_wire"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out", "/dev/null"]) == EXIT_SPEC_ERROR
+        assert "not a list" in capsys.readouterr().err
 
     def test_nonce_exhaustion_exits_2(self, capsys, tmp_path):
         # An authenticating lingo has 2**k nonces per run; the 257th message

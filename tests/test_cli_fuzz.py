@@ -93,7 +93,8 @@ def _edited(name, path, value):
 
 
 # Inputs the parsers once coerced instead of refusing (a string unpacked as
-# [topic, value], floats and booleans truncated to integers).
+# [topic, value] or as a strategy list, floats and booleans truncated to
+# integers, booleans and strings read as probabilities).
 STRICT_SEEDS = [
     _edited("mqtt_xor.json", ("actors", 1, "client", "cmds", 1), {"publish": "ab"}),
     _edited("mqtt_xor.json", ("seed",), 1.9),
@@ -102,6 +103,11 @@ STRICT_SEEDS = [
     _edited("mqtt_xor.json", ("max_steps",), True),
     _edited("mqtt_aperiodic.json", ("policy", "aperiodic", "msg_bound"), 1.9),
     _edited("mqtt_aperiodic.json", ("policy", "aperiodic", "msg_bound"), True),
+    *[_edited("mqtt_adversarial.json", ("attacker", "injection_rate"), rate)
+      for rate in (True, "0.5", -3, 7)],
+    *[_edited("mqtt_adversarial.json", ("attacker", "advantage"),
+              {"t_max": [[1, p]]}) for p in (True, "0.5")],
+    _edited("mqtt_adversarial.json", ("attacker", "strategies"), "random_wire"),
 ]
 
 
@@ -131,6 +137,8 @@ def test_simulate_on_mutated_scenarios(workdir, doc):
 @example(spec=ALL_SPECS[0], op="f", args=[{"nat": True}, {"nat": "5"}])
 @example(spec=ALL_SPECS[0], op="f", args=[{"bv": {"w": 8.0, "n": 3}},
                                           {"bv": {"w": 4, "n": 1}}])
+@example(spec={"kind": "divide_check"}, op="g", args=[{"pair": "12"}, 3])
+@example(spec={"kind": "divide_check"}, op="g", args=[{"pair": [1, 2, 3]}, 3])
 def test_lingo_eval_on_arbitrary_values(capsys, spec, op, args):
     code = exit_code(["lingo", "eval", json.dumps(spec), op,
                      *(json.dumps(a) for a in args)])

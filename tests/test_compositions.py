@@ -1,5 +1,7 @@
 import pytest
 
+from conftest import noncompliant_witness
+
 from dialectica.compositions import (
     HorizontalSpec,
     functional,
@@ -103,12 +105,14 @@ class TestHorizontal:
         ones = sum(h.param(n, 2024).branch == 1 for n in range(draws))
         assert abs(ones / draws - 0.75) <= 0.01
 
-    def test_f_checkable_only_when_all_branches_are(self):
-        assert not xor_dc_horizontal().f_checkable
+    def test_f_checkable_by_witness(self):
+        # a wire value tagged with the other branch has no preimage, so a
+        # witness exists even when a branch is onto
+        assert noncompliant_witness(xor_dc_horizontal()) is not None
         both = horizontal(HorizontalSpec(
             branches=(make_divide_check(), make_reverse_divide_check()),
             defaults=(PAIR_ZERO, PAIR_ZERO), bias=(1, 1)))
-        assert both.f_checkable
+        assert noncompliant_witness(both) is not None
 
 
 class TestFunctional:
@@ -132,7 +136,7 @@ class TestFunctional:
 
     def test_f_check_propagates_from_second_stage(self):
         comp = functional(make_xor_nat(), make_divide_check())
-        assert comp.f_checkable
+        assert noncompliant_witness(comp) is not None
         rng = Rng(20, 1)
         for ap in range(17):
             witness = Pair(Nat(0), Nat(ap + 2))
@@ -175,6 +179,11 @@ class TestTupling:
     def test_shared_input_required(self):
         with pytest.raises(SpaceViolation):
             tupling([make_xor_bitvec(8), make_xor_nat()])
+
+    def test_f_checkable_by_witness(self):
+        # the second component is pinned by the first
+        assert noncompliant_witness(
+            tupling([make_xor_bitvec(4), make_xor_bitvec(4)])) is not None
 
     @pytest.mark.parametrize("base_name", ["xor4", "dc"])
     def test_sharp_is_a_sub_lingo(self, base_name):

@@ -25,7 +25,8 @@ from dialectica.core import (
 )
 from dialectica.library import make_divide_check, make_xor_bitvec, make_xor_nat
 from dialectica.rng import SAMPLE_TAG, derive, fnv64
-from dialectica.specs import build_lingo
+from dialectica.specs import build_adaptor, build_lingo
+from dialectica.transforms import RetractFailure
 from dialectica.values import (
     AtomSetSpace,
     BitVec,
@@ -387,3 +388,134 @@ class TestCompliantOnDecoded:
                     seen.add(type(decoded).__name__)
                     seen.add(is_compliant(lingo, batch, a, decoded))
         assert seen == {"list", "DecodeFailure", "DefaultFallback", True, False}
+
+
+# ---------------------------------------------------------------------------
+# Staged decodes against the hand-written stages they replaced
+# ---------------------------------------------------------------------------
+
+def _frozen_functional_g(g1, g2):
+    def g(batch, a):
+        mid = g2(batch, a.second)
+        fell_back = isinstance(mid, DefaultFallback)
+        if isinstance(mid, DecodeFailure):
+            return mid
+        if fell_back:
+            mid = list(mid.values)
+        out = g1(mid, a.first)
+        if isinstance(out, DecodeFailure):
+            return out
+        inner_fallback = isinstance(out, DefaultFallback)
+        if inner_fallback:
+            out = list(out.values)
+        if fell_back or inner_fallback:
+            return DefaultFallback(tuple(out))
+        return out
+    return g
+
+
+def _frozen_product_g(g1, g2):
+    def g(batch, a):
+        w = batch[0]
+        r1 = g1([w.first], a.first)
+        r2 = g2([w.second], a.second)
+        if isinstance(r1, DecodeFailure):
+            return r1
+        if isinstance(r2, DecodeFailure):
+            return r2
+        fallback = isinstance(r1, DefaultFallback) or isinstance(r2, DefaultFallback)
+        v1 = r1.values[0] if isinstance(r1, DefaultFallback) else r1[0]
+        v2 = r2.values[0] if isinstance(r2, DefaultFallback) else r2[0]
+        if fallback:
+            return DefaultFallback((Pair(v1, v2),))
+        return [Pair(v1, v2)]
+    return g
+
+
+def _frozen_adapt_pre_g(ad, inner_g):
+    def g(batch, a):
+        out = inner_g(batch, a)
+        if isinstance(out, DecodeFailure):
+            return out
+        fell_back = isinstance(out, DefaultFallback)
+        vals = list(out.values) if fell_back else out
+        retracted = []
+        for v in vals:
+            rv = ad.r(v)
+            if isinstance(rv, RetractFailure):
+                return DecodeFailure(f"retract failed: {rv.reason}")
+            retracted.append(rv)
+        return DefaultFallback(tuple(retracted)) if fell_back else retracted
+    return g
+
+
+def _frozen_adapt_post_g(inner_g, ad):
+    def g(batch, a):
+        retracted = []
+        for w in batch:
+            rw = ad.r(w)
+            if isinstance(rw, RetractFailure):
+                return DecodeFailure(f"retract failed: {rw.reason}")
+            retracted.append(rw)
+        return inner_g(retracted, a)
+    return g
+
+
+def _frozen_g(spec):
+    """g of ``build_lingo(spec)`` with the frozen stages at every
+    functional, product, adapt_pre and adapt_post node."""
+    op, body = next(iter(spec.items()))
+    if op == "functional":
+        return _frozen_functional_g(*map(_frozen_g, body))
+    if op == "product":
+        *rest, last = body
+        g = _frozen_g(last)
+        for part in reversed(rest):
+            g = _frozen_product_g(_frozen_g(part), g)
+        return g
+    if op == "adapt_pre":
+        return _frozen_adapt_pre_g(build_adaptor(body["adaptor"]),
+                                   _frozen_g(body["lingo"]))
+    if op == "adapt_post":
+        return _frozen_adapt_post_g(_frozen_g(body["lingo"]),
+                                    build_adaptor(body["adaptor"]))
+    return build_lingo(spec).g
+
+
+_HOR = {"horizontal": {"branches": [{"kind": "xor_nat"}, {"kind": "divide_check"}],
+                       "defaults": [{"nat": "0"},
+                                    {"pair": [{"nat": "0"}, {"nat": "0"}]}],
+                       "bias": [1, 2]}}
+_TAGGED = {"tagged": ["nat", {"pair": ["nat", "nat"]}]}
+# A branch default under each of the four stages, so decoys pass through.
+STAGED_SPECS = ALL_SPECS + [
+    {"functional": [{"kind": "xor_nat"}, _HOR]},
+    {"functional": [_HOR, {"kind": "identity", "space": _TAGGED}]},
+    {"product": [_HOR, {"kind": "divide_check"}, _HOR]},
+    {"adapt_pre": {"adaptor": {"kind": "identity", "space": "nat"},
+                   "lingo": _HOR}},
+    {"adapt_post": {"lingo": _HOR,
+                    "adaptor": {"kind": "identity", "space": _TAGGED}}},
+]
+STAGED = [(build_lingo(spec), _frozen_g(spec)) for spec in STAGED_SPECS]
+
+
+class TestStagedDecodes:
+    @settings(max_examples=400, deadline=None)
+    @given(pair=st.sampled_from(STAGED), seed=st.integers(0, 2**64 - 1),
+           index=st.integers(0, 200), mode=st.sampled_from(WIRE_MODES))
+    def test_matches_the_frozen_stages(self, pair, seed, index, mode):
+        lingo, frozen_g = pair
+        a, batch = _case(lingo, seed, index, mode)
+        assume(wire_fits(lingo, batch))
+        assert lingo.g(list(batch), a) == frozen_g(list(batch), a)
+
+    def test_cases_reach_every_decode_outcome(self):
+        seen = set()
+        for lingo, _ in STAGED[len(ALL_SPECS):]:
+            for seed in range(40):
+                for mode in WIRE_MODES:
+                    a, batch = _case(lingo, seed, seed, mode)
+                    if wire_fits(lingo, batch):
+                        seen.add(type(lingo.g(list(batch), a)).__name__)
+        assert seen == {"list", "DecodeFailure", "DefaultFallback"}

@@ -1,5 +1,7 @@
 import pytest
 
+from conftest import noncompliant_witness
+
 from dialectica.core import (
     DecodeFailure,
     Rng,
@@ -149,9 +151,9 @@ def test_laws_hold(lingo):
     assert report.all_passed, report.to_json()
 
 
-def test_f_checkable_flags():
-    assert make_divide_check().f_checkable
-    assert make_reverse_divide_check().f_checkable
-    assert not make_xor_bitvec(8).f_checkable
-    assert not make_identity(BitVecSpace(4)).f_checkable
-    assert not make_split_bitvec(4).f_checkable
+def test_f_checkable_by_witness():
+    assert noncompliant_witness(make_divide_check()) is not None
+    assert noncompliant_witness(make_reverse_divide_check()) is not None
+    assert noncompliant_witness(make_xor_bitvec(8)) is None
+    assert noncompliant_witness(make_identity(BitVecSpace(4))) is None
+    assert noncompliant_witness(make_split_bitvec(4)) is None

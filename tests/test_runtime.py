@@ -14,6 +14,7 @@ from conftest import (
     load_scenario_doc,
 )
 from dialectica.attacker import AttackerState
+from dialectica.core import is_compliant
 from dialectica.mqtt import (
     Connect,
     MqttBroker,
@@ -47,7 +48,7 @@ from dialectica.specs import build_lingo
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "perfbench"))
 from scale import scale_scenario  # noqa: E402
-from dialectica.values import BitVec, Nat, Pair
+from dialectica.values import BitVec, Nat, Pair, value_from_json
 
 
 def xor_nat():
@@ -416,6 +417,60 @@ class TestAttackerIntegration:
         [reject] = [e for e in cfg.event_log if e["ev"] == "reject"]
         assert reject["reason"] == "noncompliant"
         assert cfg.stats["forgeries_accepted"] == 0
+
+    @staticmethod
+    def forgery_run(stack, payload, strategy):
+        doc = {"seed": 5, "payload": payload, "lingo_stack": stack,
+               "policy": "static",
+               "actors": [
+                   {"client": {"oid": "c1", "cmds": [{"connect": "b"}] + [
+                       {"publish": ["t", str(i)]} for i in range(10)]}},
+                   {"client": {"oid": "c2", "cmds": [{"connect": "b"},
+                                                     {"subscribe": "t"}]}},
+                   {"broker": {"oid": "b"}}],
+               "attacker": {"strategies": [strategy], "max_injections": 200,
+                            "targets": [["c1", "b"]]},
+               "max_steps": 20000}
+        cfg = build_configuration(parse_scenario(doc))
+        quiesced, _ = run(cfg, doc["max_steps"])
+        assert quiesced and cfg.stats["injected"] == 200
+        return cfg
+
+    @pytest.mark.parametrize("strategy", ["random_wire", "replay"])
+    def test_auth_code_rejects_every_forgery(self, strategy):
+        stack = {"auth": {"base": {"kind": "xor_bitvec", "width": 128},
+                          "oids": ["b", "c1"], "m": 128, "j": 16, "k": 16,
+                          "seed": 3}}
+        cfg = self.forgery_run(stack, {"bitvec": 128}, strategy)
+        assert cfg.stats["forgeries_accepted"] == 0
+        reasons = {e["reason"] for e in cfg.event_log
+                   if e["ev"] == "reject" and e["injected"]}
+        assert reasons == {"noncompliant"}
+
+    @pytest.mark.parametrize("strategy", ["random_wire", "replay"])
+    def test_forgeries_past_the_lingo_layer_are_compliant(self, strategy):
+        # Rebuilt from the log: the n-th batch the receiver reads on a flow
+        # is the n-th message delivered on it (arity 1).
+        stack = {"horizontal": {
+            "branches": [{"kind": "xor_nat"}, {"kind": "divide_check"}],
+            "defaults": [{"nat": "0"}, {"pair": [{"nat": "0"}, {"nat": "0"}]}],
+            "bias": [1, 1]}}
+        cfg = self.forgery_run(stack, "nat", strategy)
+        lingo = cfg.wrappers["b"].policy.lingo
+        wires = {e["seq"]: e["wire"] for e in cfg.event_log if e["ev"] == "inject"}
+        delivered = [e["seq"] for e in cfg.event_log if e["ev"] == "deliver"
+                     and (e["src"], e["dst"]) == ("c1", "b")]
+        lingo_rejects = ("decode:", "default_fallback", "noncompliant")
+        passed = {delivered[e["n"]] for e in cfg.event_log
+                  if e["ev"] in ("reject", "in")
+                  and (e["src"], e["dst"]) == ("c1", "b")
+                  and not e.get("reason", "").startswith(lingo_rejects)}
+        forged = [(n, wires[seq]) for n, seq in enumerate(delivered)
+                  if seq in wires and seq in passed]
+        assert len(forged) == cfg.stats["forgeries_accepted"] > 0
+        for n, wire in forged:
+            assert is_compliant(lingo, [value_from_json(wire)],
+                                lingo.param(n, cfg.seed))
 
     def test_zero_injection_rate_disables_attacker(self):
         atk = AttackerState(strategies=("random_wire",), max_injections=50,

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ALL_SPECS
+from conftest import ALL_SPECS, noncompliant_witness
 
 from dialectica.core import (
     Rng,
@@ -33,7 +33,8 @@ class TestLingoSpecs:
         assert build_lingo({"kind": "xor_nat"}).input_space == NatSpace()
         assert build_lingo({"kind": "xor_set",
                             "universe": ["a", "b"]}).name == "xor_set"
-        assert build_lingo({"kind": "divide_check"}).f_checkable
+        assert noncompliant_witness(
+            build_lingo({"kind": "divide_check"})) is not None
         assert build_lingo({"kind": "identity",
                             "space": {"bitvec": 4}}).input_space == BitVecSpace(4)
         split = build_lingo({"kind": "split_bitvec", "half_width": 4})
@@ -41,7 +42,7 @@ class TestLingoSpecs:
 
     def test_operator_nodes(self):
         sx = build_lingo({"sharp": {"kind": "xor_bitvec", "width": 4}})
-        assert sx.f_checkable
+        assert noncompliant_witness(sx) is not None
         prod = build_lingo({"product": [{"kind": "xor_bitvec", "width": 4},
                                         {"kind": "divide_check"}]})
         assert prod.input_space == PairSpace(BitVecSpace(4), NatSpace())

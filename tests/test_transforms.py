@@ -1,5 +1,7 @@
 import pytest
 
+from conftest import noncompliant_witness
+
 from dialectica.core import (
     Lingo,
     Rng,
@@ -361,7 +363,7 @@ class TestSparseImage:
         # always, so the adapted compliance check catches the xor recipe
         words = [f"w{i}" for i in range(32)]
         adapted = adapt_pre(sparse_code_adaptor(words, 16), make_xor_bitvec(16))
-        assert adapted.f_checkable
+        assert noncompliant_witness(adapted) is not None
         rng = Rng(14, 18)
         survived = 0
         trials = 2000

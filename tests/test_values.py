@@ -143,6 +143,19 @@ def test_space_from_json(encoding, space):
     assert space_from_json(encoding) == space
 
 
+@pytest.mark.parametrize("body", [["nat"], ["nat", "nat", "nat"]])
+def test_pair_space_needs_two_items(body):
+    with pytest.raises(ValueError):
+        space_from_json({"pair": body})
+
+
+@pytest.mark.parametrize("obj", [{"pair": "12"}, {"pair": [1]},
+                                 {"pair": [1, 2, 3]}, [1, 2, 3]])
+def test_pair_value_needs_two_items(obj):
+    with pytest.raises(ValueError):
+        value_from_json(obj)
+
+
 def test_cardinality_and_enumeration():
     assert space_cardinality(BitVecSpace(4)) == 16
     assert space_cardinality(NatSpace()) is None
