@@ -175,10 +175,9 @@ def cmd_simulate(args) -> int:
 
     trace_path = args.trace or scenario.trace_path
     if trace_path:
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         with open(trace_path, "w", encoding="utf-8") as fh:
-            for ev in cfg.event_log:
-                fh.write(json.dumps(ev, sort_keys=True, separators=(",", ":")))
-                fh.write("\n")
+            fh.writelines(encode(ev) + "\n" for ev in cfg.event_log)
     report_path = args.out or scenario.report_path
     _emit(report, report_path)
     return EXIT_OK if quiesced else EXIT_BUDGET

@@ -59,6 +59,7 @@ class DefaultFallback:
 
 Batch = list
 GResult = Union[list, DecodeFailure, DefaultFallback]
+WRONG_SHAPE = DecodeFailure("wire value has the wrong shape")
 
 
 def decode_then(out: GResult, step: Callable[[Batch], GResult]) -> GResult:
@@ -127,7 +128,7 @@ def wire_fits(lingo: Lingo, d2_batch: Batch) -> bool:
 def decode_wire(lingo: Lingo, d2_batch: Batch, a: Value) -> GResult:
     """Total decode of untrusted wire values: the shape gate, then g."""
     if not wire_fits(lingo, d2_batch):
-        return DecodeFailure("wire value has the wrong shape")
+        return WRONG_SHAPE
     return lingo.g(list(d2_batch), a)
 
 
@@ -246,11 +247,12 @@ def check_lingo_laws(lingo: Lingo, sample_count: int, rng: Rng) -> LawReport:
         in the image of f(., a), checked exhaustively.
 
     L0 to C1 share one pass over the sample indices i.  Each index draws
-    payload d = sample 2i and parameter a = sample i once and encodes
-    w = f(d, a) once; then the laws still open are checked on it in the
-    order above, L1 drawing its second payload, sample 2i + 1, only while it
-    is open.  A law closes at its first counterexample, and the pass ends
-    early once all four have closed.  C3 runs after the pass.
+    payload d = sample 2i and parameter a = sample i once, encodes
+    w = f(d, a) once, and runs one wire-shape gate and at most one decode
+    on w, which L0 and C1 share; then the laws still open are checked on it
+    in the order above, L1 drawing its second payload, sample 2i + 1, only
+    while it is open.  A law closes at its first counterexample, and the
+    pass ends early once all four have closed.  C3 runs after the pass.
     """
     seed = rng.next_u64()
     param = law_params(lingo, seed)
@@ -272,23 +274,23 @@ def check_lingo_laws(lingo: Lingo, sample_count: int, rng: Rng) -> LawReport:
                 continue   # only L1 is open, and this pair cannot collide
         a = param(i)
         w = apply_f(lingo, d1, a)
-        if l0 is None:
-            # lingo.g, not apply_g: f_lands_in_output_space reports a stray image
-            back = lingo.g(list(w), a)
-            if isinstance(back, (DecodeFailure, DefaultFallback)) or back != d1:
-                l0 = LawResult("L0_left_inverse", False,
-                               _ce({"d1": d1, "a": a}, d1, back))
-        if lands_open:
-            for v in w:
-                if not space_contains(lingo.output_space, v):
-                    lands = LawResult("f_lands_in_output_space", False,
-                                      _ce({"d1": d1, "a": a}, "member", v))
-                    break
+        fits = wire_fits(lingo, w)   # apply_f checked the arity
+        # One decode serves L0 and C1.  lingo.g, not decode_wire: while L0
+        # is open g sees a stray image, which f_lands_in_output_space reports.
+        back = lingo.g(list(w), a) if l0 is None or (c1 is None and fits) else None
+        if l0 is None and (isinstance(back, (DecodeFailure, DefaultFallback))
+                           or back != d1):
+            l0 = LawResult("L0_left_inverse", False,
+                           _ce({"d1": d1, "a": a}, d1, back))
+        if lands_open and not fits:
+            stray = next(v for v in w if not space_contains(lingo.output_space, v))
+            lands = LawResult("f_lands_in_output_space", False,
+                              _ce({"d1": d1, "a": a}, "member", stray))
         if l1 is None and d1 != d1p and w == apply_f(lingo, d1p, a):
             l1 = LawResult("L1_injectivity", False,
                            _ce({"d1": d1, "d1'": d1p, "a": a},
                                "distinct images", "equal images"))
-        if c1 is None and not is_compliant(lingo, w, a):
+        if c1 is None and not is_compliant(lingo, w, a, back if fits else WRONG_SHAPE):
             c1 = LawResult("C1_image_compliant", False,
                            _ce({"d1": d1, "a": a}, "compliant", w))
 

@@ -2,10 +2,11 @@
 
 Every transformation in this package moves values between *spaces*: plain
 naturals, fixed-width bit-vectors, pairs, finite atom-sets, tagged unions,
-and distinct-component pairs used as parameter spaces.  Values are immutable
-and hashable, so they can be shared freely and used as dict keys.  Each
-space kind is one class that owns its membership test, size, enumeration,
-sampling and parameter projection.
+and distinct-component pairs used as parameter spaces.  Values are slotted
+immutable classes that own their equality, hash, ``repr``, xor and JSON
+form; they can be shared freely and used as dict keys.  Each space kind
+is one class that owns its membership test, size, enumeration, sampling
+and parameter projection.
 
 A bit-vector value is a ``(width, bits)`` pair rather than a bit array; the
 constructor is deliberately permissive about over-width ``bits`` so that
@@ -15,7 +16,7 @@ applies the strict ``bits < 2**width`` gate at every space boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterator, Optional, Union
 
 from .rng import SAMPLE_TAG, Rng
@@ -29,68 +30,156 @@ class ShapeMismatch(Exception):
 # Values
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Nat:
+class _Value:
+    """What the value classes share.  ``__init__`` writes each field once,
+    through its slot descriptor; a later write or delete raises
+    FrozenInstanceError.  Equality and hash go over the field tuple
+    ``_key()``, as a frozen dataclass has them."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return self.__class__, self._key()
+
+
+class Nat(_Value):
     """Arbitrary-precision non-negative integer."""
 
-    n: int
+    __slots__ = __match_args__ = ("n",)
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int) -> None:
+        if n < 0:
             raise ValueError("Nat must be non-negative")
+        _set_n(self, n)
+
+    def _key(self) -> tuple:
+        return (self.n,)
+
+    def __repr__(self):
+        return f"Nat(n={self.n!r})"
+
+    def xor(self, other: Nat) -> Nat:
+        return Nat(self.n ^ other.n)
+
+    def to_json(self) -> dict:
+        return {"nat": str(self.n)}
 
 
-@dataclass(frozen=True)
-class BitVec:
+class BitVec(_Value):
     """Fixed-width bit-vector stored as (width, bits).
 
     ``bits`` may exceed ``2**width - 1``; such values exist only as wire
     garbage and are rejected by ``BitVecSpace.contains``.
     """
 
-    width: int
-    bits: int
+    __slots__ = __match_args__ = ("width", "bits")
 
-    def __post_init__(self) -> None:
-        if self.width < 1:
+    def __init__(self, width: int, bits: int) -> None:
+        if width < 1:
             raise ValueError("BitVec width must be >= 1")
-        if self.bits < 0:
+        if bits < 0:
             raise ValueError("BitVec bits must be non-negative")
+        _set_width(self, width)
+        _set_bits(self, bits)
+
+    def _key(self) -> tuple:
+        return (self.width, self.bits)
+
+    def __repr__(self):
+        return f"BitVec(width={self.width!r}, bits={self.bits!r})"
 
     @property
     def in_range(self) -> bool:
         return self.bits < (1 << self.width)
 
+    def xor(self, other: BitVec) -> BitVec:
+        if self.width != other.width:
+            raise ShapeMismatch(f"bitvec widths differ: {self.width} vs {other.width}")
+        return BitVec(self.width, self.bits ^ other.bits)
 
-@dataclass(frozen=True)
-class Pair:
-    first: "Value"
-    second: "Value"
+    def to_json(self) -> dict:
+        return {"bv": {"w": self.width, "n": self.bits}}
 
 
-@dataclass(frozen=True)
-class AtomSet:
+class Pair(_Value):
+    __slots__ = __match_args__ = ("first", "second")
+
+    def __init__(self, first: Value, second: Value) -> None:
+        _set_first(self, first)
+        _set_second(self, second)
+
+    def _key(self) -> tuple:
+        return (self.first, self.second)
+
+    def __repr__(self):
+        return f"Pair(first={self.first!r}, second={self.second!r})"
+
+    def to_json(self) -> dict:
+        return {"pair": [value_to_json(self.first), value_to_json(self.second)]}
+
+
+class AtomSet(_Value):
     """Finite set of interned atom names, kept canonically sorted."""
 
-    members: tuple[str, ...]
+    __slots__ = __match_args__ = ("members",)
 
-    def __post_init__(self) -> None:
-        canonical = tuple(sorted(set(self.members)))
-        if canonical != self.members:
-            object.__setattr__(self, "members", canonical)
+    def __init__(self, members: tuple[str, ...]) -> None:
+        _set_members(self, tuple(sorted(set(members))))
+
+    def _key(self) -> tuple:
+        return (self.members,)
+
+    def __repr__(self):
+        return f"AtomSet(members={self.members!r})"
+
+    def xor(self, other: AtomSet) -> AtomSet:
+        return AtomSet(tuple(set(self.members) ^ set(other.members)))
+
+    def to_json(self) -> dict:
+        return {"set": list(self.members)}
 
 
-@dataclass(frozen=True)
-class Tagged:
+class Tagged(_Value):
     """Value of one branch of a tagged union; ``branch`` is 1-based."""
 
-    branch: int
-    inner: "Value"
+    __slots__ = __match_args__ = ("branch", "inner")
 
-    def __post_init__(self) -> None:
-        if self.branch < 1:
+    def __init__(self, branch: int, inner: Value) -> None:
+        if branch < 1:
             raise ValueError("Tagged branch index is 1-based")
+        _set_branch(self, branch)
+        _set_inner(self, inner)
 
+    def _key(self) -> tuple:
+        return (self.branch, self.inner)
+
+    def __repr__(self):
+        return f"Tagged(branch={self.branch!r}, inner={self.inner!r})"
+
+    def to_json(self) -> dict:
+        return {"tag": {"i": self.branch, "v": value_to_json(self.inner)}}
+
+
+# The slot descriptors' setters, the one way a field gets written.
+_set_n = Nat.n.__set__
+_set_width, _set_bits = BitVec.width.__set__, BitVec.bits.__set__
+_set_first, _set_second = Pair.first.__set__, Pair.second.__set__
+_set_members = AtomSet.members.__set__
+_set_branch, _set_inner = Tagged.branch.__set__, Tagged.inner.__set__
 
 Value = Union[Nat, BitVec, Pair, AtomSet, Tagged]
 
@@ -164,7 +253,8 @@ class BitVecSpace(Space):
                              f"got {self.width}")
 
     def contains(self, v: Value) -> bool:
-        return isinstance(v, BitVec) and v.width == self.width and v.in_range
+        return (isinstance(v, BitVec) and v.width == self.width
+                and v.bits < (1 << self.width))
 
     def cardinality(self) -> Optional[int]:
         return 1 << self.width
@@ -357,15 +447,9 @@ def sample_value(space: Optional[Space], rng: Rng, nat_ceiling: int = 1 << 32) -
 def xor_value(x: Value, y: Value) -> Value:
     """Bitwise xor for naturals and equal-width bit-vectors, symmetric
     difference for atom-sets.  Associative, commutative, self-inverse."""
-    if isinstance(x, Nat) and isinstance(y, Nat):
-        return Nat(x.n ^ y.n)
-    if isinstance(x, BitVec) and isinstance(y, BitVec):
-        if x.width != y.width:
-            raise ShapeMismatch(f"bitvec widths differ: {x.width} vs {y.width}")
-        return BitVec(x.width, x.bits ^ y.bits)
-    if isinstance(x, AtomSet) and isinstance(y, AtomSet):
-        return AtomSet(tuple(set(x.members) ^ set(y.members)))
-    raise ShapeMismatch(f"cannot xor {type(x).__name__} with {type(y).__name__}")
+    if x.__class__ is not y.__class__ or x.__class__ not in (Nat, BitVec, AtomSet):
+        raise ShapeMismatch(f"cannot xor {type(x).__name__} with {type(y).__name__}")
+    return x.xor(y)
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +457,10 @@ def xor_value(x: Value, y: Value) -> Value:
 # ---------------------------------------------------------------------------
 
 def value_to_json(v: Value) -> dict:
-    if isinstance(v, Nat):
-        return {"nat": str(v.n)}
-    if isinstance(v, BitVec):
-        return {"bv": {"w": v.width, "n": v.bits}}
-    if isinstance(v, Pair):
-        return {"pair": [value_to_json(v.first), value_to_json(v.second)]}
-    if isinstance(v, AtomSet):
-        return {"set": list(v.members)}
-    if isinstance(v, Tagged):
-        return {"tag": {"i": v.branch, "v": value_to_json(v.inner)}}
-    raise TypeError(f"not a Value: {v!r}")
+    """The canonical JSON form; TypeError on anything that is not a value."""
+    if not isinstance(v, _Value):
+        raise TypeError(f"not a Value: {v!r}")
+    return v.to_json()
 
 
 def value_from_json(obj) -> Value:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -331,6 +333,52 @@ class TestOnePassHarness:
             "L0_left_inverse", lands, "L1_injectivity", c1}
         assert failing("l1_alone", 1000) == {
             "L0_left_inverse", c1, "C3_compliance_equivalence"}
+
+
+def _g_refusing_strays(b, a):
+    if not space_contains(BitVecSpace(16), b[0]):
+        raise AssertionError(f"g decoded an image the gate refuses: {b[0]!r}")
+    return _xor16_g(b, a)
+
+
+def _counting_g(lingo):
+    calls = []
+
+    def g(batch, a):
+        calls.append(a)
+        return lingo.g(batch, a)
+    return dataclasses.replace(lingo, g=g), calls
+
+
+class TestOneDecodePerIndex:
+    def test_c1_never_decodes_an_image_the_gate_refuses(self):
+        # Even payloads encode like odd ones, so L0 fails at index 0 and
+        # closes before the first stray image; C1 stays open until that
+        # image, which g must not see.
+        lingo = _broken("stray_guarded", _stray_f(0, 2048, 1),
+                        _g_refusing_strays, BitVecSpace(16))
+        report = check_lingo_laws(lingo, 1000, Rng(11, 12))
+        failed = {r.law: r.counterexample for r in report.results if not r.passed}
+        assert set(failed) == {"L0_left_inverse", "f_lands_in_output_space",
+                               "C1_image_compliant"}
+        first = _reference_check_lingo_laws(lingo, 1, Rng(11, 12))
+        assert failed["L0_left_inverse"] == first.results[0].counterexample
+        [stray] = failed["C1_image_compliant"]["got"]
+        assert stray["bv"]["w"] == 17
+        assert (_outcome(check_lingo_laws, lingo, 1000)
+                == _outcome(_reference_check_lingo_laws, lingo, 1000))
+
+    def test_g_runs_once_per_index(self):
+        lingo, calls = _counting_g(make_xor_bitvec(128))
+        report = check_lingo_laws(lingo, 1000, Rng(11, 12))
+        assert report.all_passed and len(report.results) == 4
+        assert len(calls) == 1000
+
+    def test_c1_decodes_itself_once_l0_has_closed(self):
+        lingo, calls = _counting_g(BROKEN_LINGOS["l0_only"])
+        report = check_lingo_laws(lingo, 1000, Rng(11, 12))
+        assert {r.law for r in report.results if not r.passed} == {"L0_left_inverse"}
+        assert len(calls) == 1000
 
 
 # ---------------------------------------------------------------------------

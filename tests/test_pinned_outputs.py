@@ -56,6 +56,8 @@ HASH_SEED_CASES = [
     ("bundled_scenarios", "simulate:mqtt_sharp_attack"),
     ("lingo_lab", "check:xor_set"),
     ("lingo_lab", "check:sharp"),
+    ("lingo_lab", "spoof:xor_sharp_recipe"),
+    ("lingo_lab", "match:dc_zero_remainder"),
 ]
 
 # Runs the cases in a fresh interpreter; prints {case: mismatches}.
