@@ -6,9 +6,9 @@ reorders, or modifies honest traffic.  Knowledge grows through probability
 rules over message age, lingo reuse, and parameter reuse; revealed messages
 move into a cleartext registry that strategies may consult.
 
-Strategies see only public record fields; the ground-truth ``hidden``
-context is reserved for the reveal engine and is not reachable through the
-strategy-facing view.
+Strategies read captured wire values and revealed cleartext only; a
+record's ground-truth ``hidden`` context is for the reveal engine, and
+``_Intent`` carries it to the experiments' scoring.
 
 ``observe`` and ``reveal_sweep`` keep indexes over the registries up to
 date, so no query rescans them: the latest record per (src, dst) flow, the
@@ -61,19 +61,6 @@ class CapturedRecord:
     hidden: HiddenCtx
     revealed: bool = False
 
-    def public_view(self) -> "PublicRecord":
-        return PublicRecord(src=self.src, dst=self.dst, wire=self.wire, t=self.t)
-
-
-@dataclass(frozen=True)
-class PublicRecord:
-    """What a strategy is allowed to see of a captured message."""
-
-    src: str
-    dst: str
-    wire: object
-    t: int
-
 
 @dataclass(frozen=True)
 class ClearRecord:
@@ -82,8 +69,7 @@ class ClearRecord:
     wire: object
     t: int
     clear: object
-    dialect_info: Optional[str]
-    lingo_info: Optional[str]
+    lingo_info: Optional[str]   # None, like params, for a bare message
     params: Optional[object]
 
 
@@ -182,19 +168,16 @@ def reveal_sweep(state: AttackerState, now: int, rng: Rng) -> AttackerState:
         else:
             p_weak = eval_step(adv.w_max, state.lingo_counts[key[0]])
             p_strong = eval_step(adv.s_max, state.pair_counts[key])
-        p_clear = 0.0 if rec.hidden.dialected else 1.0
+        p_clear = 0.0 if rec.hidden.lingo_name is not None else 1.0
         p = min(p_age + p_weak + p_strong + p_clear, 1.0)
         if p <= 0.0:
             continue
         if rng.next_float() <= p:
             rec.revealed = revealed_any = True
-            dialected = rec.hidden.dialected
             clear = ClearRecord(
                 src=rec.src, dst=rec.dst, wire=rec.wire, t=rec.t,
-                clear=rec.hidden.plaintext,
-                dialect_info="static" if dialected else None,
-                lingo_info=rec.hidden.lingo_name if dialected else None,
-                params=rec.hidden.param if dialected else None)
+                clear=rec.hidden.plaintext, lingo_info=rec.hidden.lingo_name,
+                params=rec.hidden.param)
             state.clear.append(clear)
             if clear.params is not None:
                 state.leaked[(rec.src, rec.dst)] = clear
@@ -207,12 +190,6 @@ def reveal_sweep(state: AttackerState, now: int, rng: Rng) -> AttackerState:
 @dataclass(frozen=True)
 class NoAttempt:
     reason: str = ""
-
-
-def _latest_capture(state: AttackerState, src: str, dst: str
-                    ) -> Optional[PublicRecord]:
-    rec = state.latest.get((src, dst))
-    return rec.public_view() if rec is not None else None
 
 
 def _mask_for(wire_space, rng: Rng) -> Value:
@@ -233,33 +210,36 @@ def ready_flows(state: AttackerState, strategy: str
     return ()
 
 
-def strategy_ready(state: AttackerState, strategy: str, src: str, dst: str,
-                   wire_space) -> bool:
+def strategy_ready(state: AttackerState, strategy: str, src: str, dst: str
+                   ) -> bool:
     flows = ready_flows(state, strategy)
     return flows is None or (src, dst) in flows
 
 
 def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
-                  rng: Rng, wire_space=None, lingo: Optional[Lingo] = None
+                  rng: Rng, lingo: Optional[Lingo] = None
                   ) -> Union[tuple[object, Optional[object]], NoAttempt]:
     """Produce (payload, intended_plaintext) for a strategy, or NoAttempt.
 
+    ``lingo`` is the receiver's active lingo (None on a bare flow); its
+    output space is the wire space strategies sample from.
     ``intended_plaintext`` is what the attacker means the receiver to
     decode; None when the strategy only aims to pass the forgery check.
-    Only public record fields and revealed cleartext are consulted.
+    Strategies read captured wire values and revealed cleartext, never a
+    record's ``hidden`` ground truth.
     """
+    wire_space = lingo.output_space if lingo is not None else None
+    rec = state.latest.get((src, dst))
     if strategy == "passive":
         return NoAttempt("passive strategy never injects")
 
     if strategy == "replay":
-        rec = _latest_capture(state, src, dst)
         if rec is None:
             return NoAttempt("nothing to replay")
-        intended = _intended_replay(state, rec)
-        return rec.wire, intended
+        # Replay means to have the old plaintext accepted again.
+        return rec.wire, _Intent(rec)
 
     if strategy == "xor_recipe":
-        rec = _latest_capture(state, src, dst)
         if rec is None:
             return NoAttempt("no observation")
         if not isinstance(rec.wire, (Nat, BitVec)):
@@ -269,11 +249,10 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
             return NoAttempt("mask space does not match the wire")
         forged = xor_recipe(rec.wire, mask)
         applied = xor_value(forged, rec.wire)
-        intended = _relational_intent(state, rec, applied)
-        return forged, intended
+        # The mask that hit the wire also hits the (unknown) plaintext.
+        return forged, _Intent(rec, lambda plain: xor_value(plain, applied))
 
     if strategy == "xor_sharp_recipe":
-        rec = _latest_capture(state, src, dst)
         if rec is None or not isinstance(rec.wire, Pair) \
                 or not isinstance(rec.wire.first, BitVec):
             return NoAttempt("no bitvec-pair observation")
@@ -282,8 +261,7 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
             return NoAttempt("wire space is not a bitvec-pair space")
         forged = xor_sharp_recipe(rec.wire, mask)
         applied = xor_value(forged.first, rec.wire.first)
-        intended = _relational_intent(state, rec, applied)
-        return forged, intended
+        return forged, _Intent(rec, lambda plain: xor_value(plain, applied))
 
     if strategy == "dc_zero_remainder":
         x = Nat(1 + rng.next_below((1 << 16) - 1))
@@ -308,28 +286,6 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
     return NoAttempt(f"unknown strategy {strategy!r}")
 
 
-def _ground_truth(state: AttackerState, rec: PublicRecord):
-    # Strategies only hold the view of a flow's latest capture.
-    full = state.latest.get((rec.src, rec.dst))
-    return full if full is not None and full.t == rec.t else None
-
-
-def _intended_replay(state: AttackerState, rec: PublicRecord):
-    # Replay means "have the old plaintext accepted again"; the harness
-    # resolves the intent from ground truth when scoring.
-    full = _ground_truth(state, rec)
-    return _Intent(full) if full is not None else None
-
-
-def _relational_intent(state: AttackerState, rec: PublicRecord, applied: Value):
-    # The xor recipes malleate relative to the (unknown) victim plaintext:
-    # the mask that hit the wire also hits the decoded payload.
-    full = _ground_truth(state, rec)
-    if full is None:
-        return None
-    return _Intent(full, lambda plain: xor_value(plain, applied))
-
-
 @dataclass
 class _Intent:
     """Intended plaintext, resolvable only by the scoring harness (it holds
@@ -344,17 +300,16 @@ class _Intent:
 
 
 def attempt_forgery(state: AttackerState, strategy: str, target: tuple[str, str],
-                    rng: Rng, wire_space=None, lingo: Optional[Lingo] = None
+                    rng: Rng, lingo: Optional[Lingo] = None
                     ) -> Union[Message, NoAttempt]:
     """Craft and address a forged message for the (src, dst) channel."""
     src, dst = target
-    crafted = craft_forgery(state, strategy, src, dst, rng, wire_space, lingo)
+    crafted = craft_forgery(state, strategy, src, dst, rng, lingo)
     if isinstance(crafted, NoAttempt):
         return crafted
     payload, _ = crafted
     state.injected += 1
-    return Message(dst=dst, src=src, payload=payload, injected=True,
-                   strategy=strategy)
+    return Message(dst=dst, src=src, payload=payload, strategy=strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +424,11 @@ def run_spoof_experiment(lingo: Lingo, param_policy: ParamPolicy, strategy: str,
             msg = Message(dst="dst", src="src", payload=wire, seq=i)
             observe(state, msg, t=i,
                     hidden=HiddenCtx(lingo_name=lingo.name, param=a_i,
-                                     plaintext=d_i, index=i, dialected=True))
+                                     plaintext=d_i, index=i))
         if advantage is not None:
             reveal_sweep(state, now=observations, rng=rng)
 
-        crafted = craft_forgery(state, strategy, "src", "dst", rng,
-                                wire_space=lingo.output_space, lingo=lingo)
+        crafted = craft_forgery(state, strategy, "src", "dst", rng, lingo)
         if isinstance(crafted, NoAttempt):
             continue
         forged, intent = crafted

@@ -46,7 +46,7 @@ class HorizontalSpec:
         for lingo in self.branches:
             if lingo.input_space != first.input_space:
                 raise SpaceViolation("branches must share the input space")
-            if (lingo.ingress_arity, lingo.egress_arity) != (1, 1):
+            if lingo.egress_arity != 1:
                 raise SpaceViolation("horizontal branches must have arities 1/1")
         for lingo, d0 in zip(self.branches, self.defaults):
             if not space_contains(lingo.output_space, d0):
@@ -104,7 +104,7 @@ def functional(l1: Lingo, l2: Lingo) -> Lingo:
     if l1.output_space != l2.input_space:
         raise SpaceViolation(
             f"{l1.name} output space does not match {l2.name} input space")
-    if l1.egress_arity != 1 or l2.ingress_arity != 1:
+    if l1.egress_arity != 1:
         raise SpaceViolation("functional composition needs 1-arity junction")
     name = f"fun({l1.name},{l2.name})"
 
@@ -121,8 +121,7 @@ def functional(l1: Lingo, l2: Lingo) -> Lingo:
     return Lingo(name=name, input_space=l1.input_space,
                  output_space=l2.output_space,
                  param_space=PairSpace(l1.param_space, l2.param_space),
-                 f=f, g=g, param=param,
-                 ingress_arity=l1.ingress_arity, egress_arity=l2.egress_arity)
+                 f=f, g=g, param=param, egress_arity=l2.egress_arity)
 
 
 def _pairwise(ls: list[Lingo], combine) -> Lingo:
@@ -142,7 +141,7 @@ def product(ls: list[Lingo]) -> Lingo:
 
 def _product2(l1: Lingo, l2: Lingo) -> Lingo:
     for lingo in (l1, l2):
-        if (lingo.ingress_arity, lingo.egress_arity) != (1, 1):
+        if lingo.egress_arity != 1:
             raise SpaceViolation("product components must have arities 1/1")
     name = f"prod({l1.name},{l2.name})"
 
@@ -177,7 +176,7 @@ def _tupling2(l1: Lingo, l2: Lingo) -> Lingo:
     if l1.input_space != l2.input_space:
         raise SpaceViolation("tupling needs a shared input space")
     for lingo in (l1, l2):
-        if (lingo.ingress_arity, lingo.egress_arity) != (1, 1):
+        if lingo.egress_arity != 1:
             raise SpaceViolation("tupling components must have arities 1/1")
     name = f"tup({l1.name},{l2.name})"
 

@@ -76,7 +76,8 @@ def decode_then(out: GResult, step: Callable[[Batch], GResult]) -> GResult:
 @dataclass(frozen=True)
 class Lingo:
     """A closed transformation object (input, output, parameter spaces plus
-    f, g, param and the ingress/egress arities).
+    f, g, param and the egress arity).  ``f`` takes one payload; its batch
+    of wire values has ``egress_arity`` entries.
 
     ``param_space`` may be None for constructions whose parameters are not
     plain values (the authenticating transform); such lingos are sampled
@@ -90,7 +91,6 @@ class Lingo:
     f: Callable[[Batch, Value], Batch]
     g: Callable[[Batch, Value], GResult]
     param: Callable[[int, int], Value]
-    ingress_arity: int = 1
     egress_arity: int = 1
 
     def __repr__(self) -> str:  # keep trace output short
@@ -104,9 +104,9 @@ def _check_param(lingo: Lingo, a: Value) -> None:
 
 def apply_f(lingo: Lingo, d1_batch: Batch, a: Value) -> Batch:
     """Checked encode: validates arity and space membership, then runs f."""
-    if len(d1_batch) != lingo.ingress_arity:
+    if len(d1_batch) != 1:
         raise SpaceViolation(
-            f"{lingo.name}: expected {lingo.ingress_arity} inputs, got {len(d1_batch)}")
+            f"{lingo.name}: expected 1 inputs, got {len(d1_batch)}")
     for d in d1_batch:
         if not space_contains(lingo.input_space, d):
             raise SpaceViolation(f"{lingo.name}: {d!r} not in input space")
@@ -157,7 +157,7 @@ def is_compliant(lingo: Lingo, d2_batch: Batch, a: Value,
         return False
     if isinstance(decoded, DefaultFallback):
         decoded = list(decoded.values)
-    if len(decoded) != lingo.ingress_arity:
+    if len(decoded) != 1:
         return False
     for d in decoded:
         if not space_contains(lingo.input_space, d):
@@ -259,7 +259,7 @@ def check_lingo_laws(lingo: Lingo, sample_count: int, rng: Rng) -> LawReport:
 
     def draw_batch(n: int) -> Batch:
         r = Rng(derive(seed, SAMPLE_TAG, n), SAMPLE_TAG)
-        return [sample_value(lingo.input_space, r) for _ in range(lingo.ingress_arity)]
+        return [sample_value(lingo.input_space, r)]
 
     # First counterexample of each law; None while the law is open.
     l0 = lands = l1 = c1 = None
@@ -311,7 +311,7 @@ def _check_c3(lingo: Lingo, seed: int, param: Callable[[int], Value],
     if lingo.input_space is None or lingo.output_space is None:
         return None
     d1_card = space_cardinality(lingo.input_space)
-    if d1_card is None or d1_card > d1_limit or lingo.ingress_arity != 1:
+    if d1_card is None or d1_card > d1_limit:
         return None
     d1s = space_enumerate(lingo.input_space, d1_limit)
     d2s = space_enumerate(lingo.output_space, 256) if lingo.egress_arity == 1 else None

@@ -1,7 +1,7 @@
 """Concrete lingos: the xor family, divide-and-check, and helpers.
 
 Constructors are pure and the resulting lingos immutable.  All shipped
-lingos have ingress arity 1; the split lingo is the one with egress arity 2.
+lingos take one payload; the split lingo is the one with egress arity 2.
 """
 
 from __future__ import annotations
@@ -119,4 +119,4 @@ def make_split_bitvec(half_width: int) -> Lingo:
 
     return Lingo(name=name, input_space=full, output_space=half,
                  param_space=full, f=f, g=g, param=make_param(full, name),
-                 ingress_arity=1, egress_arity=2)
+                 egress_arity=2)

@@ -1,9 +1,11 @@
 """Toy MQTT: client and broker state machines plus the payload codec.
 
-Clients work through an ordered command list (connect, subscribe,
-unsubscribe, publish, disconnect), blocking until the broker acknowledges
-where an acknowledgement exists.  The broker tracks connected peers and
-per-topic subscriber sets and fans published values out to subscribers.
+A client's command list is the request messages it will send, in order
+(``ConnectMsg`` to its broker, then ``SubMsg``, ``UnsubMsg``, ``PubMsg``
+and ``DisconnectMsg`` to the connected peer); it blocks until the broker
+acknowledges where an acknowledgement exists.  The broker tracks connected
+peers and per-topic subscriber sets and fans published values out to
+subscribers.
 
 ``encode_mqtt``/``decode_mqtt`` map protocol messages to payload values:
 one tag byte followed by length-prefixed UTF-8 fields, read big-endian as a
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
+from .core import SpaceViolation
 from .transforms import DataAdaptor, RetractFailure, WidthOverflow
 from .values import (
     BitVec,
@@ -29,7 +32,7 @@ from .values import (
 
 
 # ---------------------------------------------------------------------------
-# Commands and messages
+# Messages
 # ---------------------------------------------------------------------------
 
 def encoded_size(values) -> int:
@@ -44,35 +47,6 @@ def encoded_size(values) -> int:
                              f"got {n}")
         size += 1 + n
     return size
-
-
-@dataclass(frozen=True)
-class Connect:
-    broker: str
-
-
-@dataclass(frozen=True)
-class Subscribe:
-    topic: str
-
-
-@dataclass(frozen=True)
-class Unsubscribe:
-    topic: str
-
-
-@dataclass(frozen=True)
-class Publish:
-    topic: str
-    value: str
-
-
-@dataclass(frozen=True)
-class Disconnect:
-    pass
-
-
-Command = Union[Connect, Subscribe, Unsubscribe, Publish, Disconnect]
 
 
 @dataclass(frozen=True)
@@ -141,7 +115,7 @@ class Reject:
 class MqttClient:
     oid: str
     peer: Optional[str] = None
-    cmd_list: tuple[Command, ...] = ()
+    cmd_list: tuple[MqttMsg, ...] = ()   # the requests to send, in order
     last_recv: tuple[tuple[str, str], ...] = ()
     awaiting: Optional[str] = None   # blocks the command list until acked
 
@@ -184,31 +158,27 @@ def actor_step(actor: Actor, incoming: Optional[tuple[str, MqttMsg]]
     raise TypeError(f"not an actor: {actor!r}")
 
 
+# The ack each request blocks the command list for; other requests are
+# not acknowledged.
+_AWAITS = {ConnectMsg: "connack", SubMsg: "suback", UnsubMsg: "unsuback"}
+
+
 def _client_step(c: MqttClient, incoming) -> Union[tuple[Actor, Outbound], Reject]:
     if incoming is None:
         if c.awaiting is not None or not c.cmd_list:
             return c, []
-        cmd, rest = c.cmd_list[0], c.cmd_list[1:]
-        if isinstance(cmd, Connect):
+        msg, rest = c.cmd_list[0], c.cmd_list[1:]
+        if isinstance(msg, ConnectMsg):
             if c.peer is not None:
                 return c, []
-            return (replace(c, cmd_list=rest, awaiting="connack"),
-                    [(cmd.broker, ConnectMsg(cmd.broker))])
-        if c.peer is None:
+            dst = msg.broker
+        elif c.peer is None:
             return c, []   # blocked until connected
-        if isinstance(cmd, Subscribe):
-            return (replace(c, cmd_list=rest, awaiting="suback"),
-                    [(c.peer, SubMsg(cmd.topic))])
-        if isinstance(cmd, Unsubscribe):
-            return (replace(c, cmd_list=rest, awaiting="unsuback"),
-                    [(c.peer, UnsubMsg(cmd.topic))])
-        if isinstance(cmd, Publish):
-            return (replace(c, cmd_list=rest),
-                    [(c.peer, PubMsg(cmd.topic, cmd.value))])
-        if isinstance(cmd, Disconnect):
-            return (replace(c, cmd_list=rest, peer=None, awaiting=None),
-                    [(c.peer, DisconnectMsg())])
-        return c, []
+        else:
+            dst = c.peer
+        peer = None if isinstance(msg, DisconnectMsg) else c.peer
+        return (replace(c, cmd_list=rest, peer=peer,
+                        awaiting=_AWAITS.get(type(msg))), [(dst, msg)])
 
     src, msg = incoming
     if isinstance(msg, ConnAck):
@@ -280,8 +250,13 @@ DEFAULT_BITVEC_WIDTH = 512
 
 def encode_mqtt(msg: MqttMsg, width: Optional[int] = None) -> Value:
     """Message to payload value: a natural, or a width-bit vector when
-    ``width`` is given (WidthOverflow if the encoding does not fit)."""
-    tag, fields = _BY_TYPE[type(msg)]
+    ``width`` is given (WidthOverflow if the encoding does not fit).  A
+    non-message raises SpaceViolation: the codec's ``from_space`` is opaque,
+    so ``apply_f`` lets any payload through to here."""
+    entry = _BY_TYPE.get(type(msg))
+    if entry is None:
+        raise SpaceViolation(f"{msg!r} is not an MQTT message")
+    tag, fields = entry
     values = [getattr(msg, f) for f in fields]
     size = encoded_size(values)
     if width is not None and size * 8 > width:

@@ -1,4 +1,9 @@
-"""Wire messages shared by the simulator and the attacker model."""
+"""Wire messages shared by the simulator and the attacker model.
+
+Each fact is read off one field: a message is injected exactly when it
+names the ``strategy`` that crafted it, and bare exactly when its hidden
+context names no lingo.
+"""
 
 from __future__ import annotations
 
@@ -16,14 +21,13 @@ class HiddenCtx:
     param: object
     plaintext: object
     index: int
-    dialected: bool
 
 
 @dataclass
 class Message:
     """One wire message in flight.
 
-    ``injected`` and ``hidden`` are bookkeeping invisible to receivers: a
+    ``strategy`` and ``hidden`` are bookkeeping invisible to receivers: a
     wrapper processes attacker messages exactly like honest ones.
     """
 
@@ -31,6 +35,5 @@ class Message:
     src: str
     payload: object          # Value, or a raw protocol message in bare runs
     seq: int = 0
-    injected: bool = False
     strategy: Optional[str] = None
     hidden: Optional[HiddenCtx] = None

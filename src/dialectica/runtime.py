@@ -7,13 +7,16 @@ decodes buffered batches back into protocol messages (rule ``in``).  A
 rejected batch is logged with the first failing check's reason, in check
 order: ``decode:`` (shape gate or g), ``default_fallback``, ``noncompliant``
 (forgery check), ``malformed:`` (codec retract), ``actor:`` (protocol).
-The forgery check runs on every dialected batch; it never rejects under a
+The forgery check runs on every lingo-coded batch; it never rejects under a
 lingo whose ``f(., a)`` is onto (xor, identity, split).
 Per-peer send/receive counters are the only per-flow state: message ``n``
 of a flow takes its parameter from the lingo's stream at index ``n``, and
 its lingo from the policy as a pure function of (seed, flow, n).  An
-aperiodic policy rotates the lingo every ``msg_bound`` messages of a flow;
-sender and receiver agree because both count the same messages.
+aperiodic policy rotates the lingo every ``msg_bound`` messages of a flow.
+Sender and receiver agree while both count the same messages, and an
+injection breaks that: the receiver counts every batch it reads, a
+rejected injected one included, so every later honest message on the
+flow is decoded under the wrong parameter.
 
 Each message's work is done once.  The sender derives the parameter and
 leaves it with the flow (``Configuration.sent_params``); the receiver takes
@@ -60,7 +63,7 @@ from .core import (
     decode_wire,
     is_compliant,
 )
-from .mqtt import Reject, actor_step
+from .mqtt import MqttBroker, MqttClient, Reject, actor_step
 from .net import HiddenCtx, Message
 from .rng import ATTACKER_TAG, MASK64, RATE_TAG, SCHED_TAG, derive, fnv64, throw_biased, uniform01
 from .transforms import DataAdaptor, RetractFailure
@@ -117,7 +120,7 @@ class DialectWrapper:
     def __init__(self, oid: str, actor, policy: LingoPolicy, seed: int,
                  codec: Optional[DataAdaptor] = None):
         if policy is not None and codec is None:
-            raise ValueError("dialected wrappers need a payload codec")
+            raise ValueError("wrappers under a lingo policy need a payload codec")
         self.oid = oid
         self.actor = actor
         self.policy = policy
@@ -244,7 +247,7 @@ def rule_out(cfg: Configuration, oid: str) -> Configuration:
         cfg.sent_params.setdefault((oid, dst), deque()).append((n, lingo, a))
         wire_batch = lingo.f([plaintext], a)
     hidden = HiddenCtx(lingo_name=lingo.name if lingo else None, param=a,
-                       plaintext=plaintext, index=n, dialected=lingo is not None)
+                       plaintext=plaintext, index=n)
     ch = cfg.channel(oid, dst)
     for wv in wire_batch:
         m = Message(dst=dst, src=oid, payload=wv, seq=cfg.seq, hidden=hidden)
@@ -271,11 +274,12 @@ def rule_deliver(cfg: Configuration, src: str, dst: str) -> Configuration:
 def rule_in(cfg: Configuration, oid: str, src: str) -> Configuration:
     """Decode one buffered batch and hand the plaintext to the inner actor.
 
-    Bare and dialected batches go through one sequence of checks (shape
+    Bare and lingo-coded batches go through one sequence of checks (shape
     gate, decode, default fallback, forgery check, codec retract, protocol);
     a bare batch skips the lingo and codec stages.  The first failing check
     drops the batch with a logged rejection.  The receive counter advances
-    either way so honest peers stay in step."""
+    either way, so honest peers stay in step only while no injected batch
+    is read on the flow."""
     w = cfg.wrappers[oid]
     buf = w.in_buffers[src]
     # The buffer and receive lingo change here, and the actor may.
@@ -286,7 +290,7 @@ def rule_in(cfg: Configuration, oid: str, src: str) -> Configuration:
     _log_switch(cfg, w, src, "recv", n)
     batch = [buf.popleft() for _ in range(lingo.egress_arity if lingo else 1)]
     # The strategy of the batch's first injected message, if any.
-    injector = next((m.strategy or "?" for m in batch if m.injected), None)
+    injector = next((m.strategy for m in batch if m.strategy is not None), None)
     injected = injector is not None
 
     reason = None
@@ -360,7 +364,7 @@ def _check_desync(cfg, w, src, n, batch) -> None:
     # means the FIFO/counter model was violated; with an attacker in play
     # injections can shift counters, so log instead of failing the run.
     hidden = batch[0].hidden
-    if hidden is None or not hidden.dialected:
+    if hidden is None or hidden.lingo_name is None:
         return
     if hidden.index != n:
         if cfg.attacker is None:
@@ -388,9 +392,7 @@ def rule_attacker(cfg: Configuration) -> Configuration:
     strategy, (src, dst) = candidates[atk.rng.next_below(len(candidates))]
     w = cfg.wrappers.get(dst)
     lingo = w.lingo_for(src, sending=False) if w is not None else None
-    forged = attempt_forgery(atk, strategy, (src, dst), atk.rng,
-                             wire_space=lingo.output_space if lingo else None,
-                             lingo=lingo)
+    forged = attempt_forgery(atk, strategy, (src, dst), atk.rng, lingo)
     if isinstance(forged, NoAttempt):
         return cfg
     forged.seq = cfg.seq
@@ -417,7 +419,7 @@ def _attack_candidates(cfg) -> list[tuple[str, tuple[str, str]]]:
     out = []
     for strategy in atk.strategies:
         for pair in _pairs_within(cfg, ready_flows(atk, strategy)):
-            if strategy_ready(atk, strategy, pair[0], pair[1], None):
+            if strategy_ready(atk, strategy, pair[0], pair[1]):
                 out.append((strategy, pair))
     cfg.candidates = (key, out)
     return out
@@ -521,7 +523,6 @@ def run(cfg: Configuration, max_steps: int) -> tuple[bool, int]:
 # ---------------------------------------------------------------------------
 
 def actor_digest(actor) -> dict:
-    from .mqtt import MqttBroker, MqttClient
     if isinstance(actor, MqttClient):
         return {"type": "client", "peer": actor.peer,
                 "last_recv": dict(actor.last_recv),

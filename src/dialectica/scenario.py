@@ -27,13 +27,13 @@ from typing import Optional
 from .attacker import STRATEGIES, AdvantageConfig, AttackerState
 from .mqtt import (
     DEFAULT_BITVEC_WIDTH,
-    Connect,
-    Disconnect,
+    ConnectMsg,
+    DisconnectMsg,
     MqttBroker,
     MqttClient,
-    Publish,
-    Subscribe,
-    Unsubscribe,
+    PubMsg,
+    SubMsg,
+    UnsubMsg,
     decode_mqtt,  # noqa: F401  (perfbench/probes.py patches these two names)
     encode_mqtt,  # noqa: F401
     encoded_size,
@@ -50,8 +50,8 @@ from .runtime import (
 from .specs import SpecError, build_lingo
 from .values import atoms_from_json, int_from_json, prob_from_json
 
-_COMMANDS = {"connect": Connect, "subscribe": Subscribe,
-             "unsubscribe": Unsubscribe, "publish": Publish}
+_COMMANDS = {"connect": ConnectMsg, "subscribe": SubMsg,
+             "unsubscribe": UnsubMsg, "publish": PubMsg}
 
 
 @dataclass
@@ -68,14 +68,15 @@ class Scenario:
 
 
 def _parse_cmd(obj, room: Optional[int]) -> object:
-    """One client command.  ``encoded_size`` refuses fields the codec cannot
-    frame, and with a bit-vector payload the message must fit ``room``
-    bytes.  No broker reply is longer than the message it answers."""
+    """One client command, as the message it sends.  ``encoded_size``
+    refuses fields the codec cannot frame, and with a bit-vector payload the
+    message must fit ``room`` bytes.  No broker reply is longer than the
+    message it answers."""
     if isinstance(obj, dict) and len(obj) == 1:
         [(key, body)] = obj.items()
         command = _COMMANDS.get(key)
         if command is not None:
-            if command is Publish:
+            if command is PubMsg:
                 if not isinstance(body, list) or len(body) != 2:
                     raise SpecError(f"publish takes [topic, value], got {body!r}")
                 fields = (str(body[0]), str(body[1]))
@@ -87,7 +88,7 @@ def _parse_cmd(obj, room: Optional[int]) -> object:
                                 f"payload has {8 * room}")
             return command(*fields)
     if obj == "disconnect":
-        return Disconnect()
+        return DisconnectMsg()
     raise SpecError(f"unknown command {obj!r}")
 
 
@@ -145,7 +146,7 @@ def parse_scenario(doc: dict) -> Scenario:
         if len(set(oids)) != len(oids):
             raise SpecError(f"duplicate actor oids: {oids}")
         unknown = {c.broker for a in actors for c in getattr(a, "cmd_list", ())
-                   if type(c) is Connect} - set(oids)
+                   if type(c) is ConnectMsg} - set(oids)
         if unknown:
             raise SpecError(f"clients connect to unknown actors: {sorted(unknown)}")
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from .compositions import HorizontalSpec, functional, horizontal, product, tupling
 from .core import Lingo, SpaceViolation
-from .rng import BadBias
 from .library import (
     make_divide_check,
     make_identity,
@@ -22,6 +21,8 @@ from .library import (
     make_xor_nat,
     make_xor_set,
 )
+from .mqtt import mqtt_codec_adaptor
+from .rng import BadBias
 from .transforms import (
     DataAdaptor,
     DegenerateParamSpace,
@@ -33,6 +34,7 @@ from .transforms import (
     bitvec_nat_adaptor,
     identity_adaptor,
     nat_bitvec_adaptor,
+    sharp,
     sparse_code_adaptor,
 )
 from .values import atoms_from_json, int_from_json, space_from_json, value_from_json
@@ -76,7 +78,6 @@ def build_adaptor(spec: dict) -> DataAdaptor:
             return sparse_code_adaptor(list(words), int_from_json(spec["width"]),
                                        int_from_json(spec.get("seed", 0)))
         if kind == "mqtt_codec":
-            from .mqtt import mqtt_codec_adaptor
             width = spec.get("width")
             return mqtt_codec_adaptor(None if width is None else int_from_json(width))
     except _BUILD_ERRORS as exc:
@@ -102,7 +103,6 @@ def build_lingo(spec: dict) -> Lingo:
     op, body = next(iter(spec.items()))
     try:
         if op == "sharp":
-            from .transforms import sharp
             return sharp(build_lingo(body))
         if op == "horizontal":
             branches = tuple(build_lingo(b) for b in body["branches"])

@@ -68,7 +68,7 @@ def sharp(base: Lingo) -> Lingo:
     both components encode the same payload, so for each parameter pair some
     wire value has no preimage and the receiver gains a real forgery check.
     """
-    if base.ingress_arity != 1 or base.egress_arity != 1:
+    if base.egress_arity != 1:
         raise SpaceViolation("sharp needs a 1/1-arity base lingo")
     d1_card = space_cardinality(base.input_space)
     if d1_card is not None and d1_card < 2:
@@ -202,7 +202,7 @@ def authenticating(base: Lingo, oids: list[str], m: int, j: int, k: int,
     with a nonce-derived involution.  The code construction is a model of a
     one-way hash, not a cryptographic primitive.
     """
-    if base.ingress_arity != 1 or base.egress_arity != 1:
+    if base.egress_arity != 1:
         raise SpaceViolation("authenticating needs a 1/1-arity base lingo")
     if len(set(oids)) < 2 or not all(isinstance(o, str) for o in oids):
         raise ValueError("need at least 2 distinct string oids")
@@ -310,8 +310,7 @@ def adapt_pre(ad: DataAdaptor, lingo: Lingo) -> Lingo:
 
     return Lingo(name=name, input_space=ad.from_space,
                  output_space=lingo.output_space, param_space=lingo.param_space,
-                 f=f, g=g, param=lingo.param,
-                 ingress_arity=lingo.ingress_arity, egress_arity=lingo.egress_arity)
+                 f=f, g=g, param=lingo.param, egress_arity=lingo.egress_arity)
 
 
 def adapt_post(lingo: Lingo, ad: DataAdaptor) -> Lingo:
@@ -330,8 +329,7 @@ def adapt_post(lingo: Lingo, ad: DataAdaptor) -> Lingo:
 
     return Lingo(name=name, input_space=lingo.input_space,
                  output_space=ad.to_space, param_space=lingo.param_space,
-                 f=f, g=g, param=lingo.param,
-                 ingress_arity=lingo.ingress_arity, egress_arity=lingo.egress_arity)
+                 f=f, g=g, param=lingo.param, egress_arity=lingo.egress_arity)
 
 
 def identity_adaptor(space: Optional[Space]) -> DataAdaptor:
@@ -479,7 +477,7 @@ def generic_recipe(lingo: Lingo, a0_sample: list[Value], seed: int = 0,
     for a in distinct:
         if not space_contains(lingo.param_space, a):
             return NotApplicable("a0_sample", f"{a!r} outside param space")
-    if lingo.ingress_arity != 1 or lingo.egress_arity != 1:
+    if lingo.egress_arity != 1:
         return NotApplicable("arity", "recipe construction needs 1/1 arities")
 
     rng = Rng(derive(seed, fnv64("generic-recipe"), 0), SAMPLE_TAG)

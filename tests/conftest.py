@@ -4,7 +4,7 @@ from importlib import resources
 import pytest
 
 from dialectica.core import Rng, find_noncompliant_witness
-from dialectica.mqtt import Connect, MqttBroker, MqttClient, Publish, Subscribe
+from dialectica.mqtt import ConnectMsg, MqttBroker, MqttClient, PubMsg, SubMsg
 from dialectica.rng import SAMPLE_TAG
 
 
@@ -25,8 +25,8 @@ def load_scenario_doc(name: str) -> dict:
 def initial_configuration() -> list:
     """Two clients and one broker: c1 subscribes to "temp", c2 publishes 34."""
     return [
-        MqttClient(oid="c1", cmd_list=(Connect("b"), Subscribe("temp"))),
-        MqttClient(oid="c2", cmd_list=(Connect("b"), Publish("temp", "34"))),
+        MqttClient(oid="c1", cmd_list=(ConnectMsg("b"), SubMsg("temp"))),
+        MqttClient(oid="c2", cmd_list=(ConnectMsg("b"), PubMsg("temp", "34"))),
         MqttBroker(oid="b"),
     ]
 

@@ -5,8 +5,8 @@ from dialectica.attacker import (
     AttackerState,
     NoAttempt,
     PerMessage,
-    PublicRecord,
     ReuseK,
+    STRATEGIES,
     attempt_forgery,
     craft_forgery,
     eval_step,
@@ -21,10 +21,10 @@ from dialectica.core import Rng, apply_f, sample_value
 from dialectica.net import HiddenCtx, Message
 from dialectica.rng import ATTACKER_TAG
 from dialectica.specs import build_lingo
-from dialectica.values import Nat
+from dialectica.values import Nat, Tagged
 
 
-def observed_state(lingo, count=5, seed=77, dialected=True, reuse=1):
+def observed_state(lingo, count=5, seed=77, reuse=1):
     state = AttackerState()
     rng = Rng(seed, 123)
     for i in range(count):
@@ -33,7 +33,7 @@ def observed_state(lingo, count=5, seed=77, dialected=True, reuse=1):
         [wire] = apply_f(lingo, [d], a)
         observe(state, Message(dst="b", src="a", payload=wire, seq=i), t=i,
                 hidden=HiddenCtx(lingo_name=lingo.name, param=a, plaintext=d,
-                                 index=i, dialected=dialected))
+                                 index=i))
     return state
 
 
@@ -42,14 +42,6 @@ class TestObservation:
         state = observed_state(build_lingo({"kind": "xor_nat"}), count=5)
         assert len(state.records) == 5
         assert all(r.src == "a" and r.dst == "b" for r in state.records)
-
-    def test_public_view_hides_ground_truth(self):
-        state = observed_state(build_lingo({"kind": "xor_nat"}), count=1)
-        view = state.records[0].public_view()
-        assert isinstance(view, PublicRecord)
-        assert not hasattr(view, "hidden")
-        # strategies receive only the view's fields
-        assert set(view.__dataclass_fields__) == {"src", "dst", "wire", "t"}
 
 
 class TestAdvantage:
@@ -83,12 +75,11 @@ class TestRevealSweep:
         state = AttackerState()
         observe(state, Message(dst="b", src="a", payload=Nat(7)), t=0,
                 hidden=HiddenCtx(lingo_name=None, param=None, plaintext=Nat(7),
-                                 index=0, dialected=False))
+                                 index=0))
         reveal_sweep(state, now=1, rng=Rng(2, ATTACKER_TAG))
         [rec] = state.clear
         assert rec.clear == Nat(7)
-        assert rec.dialect_info is None and rec.lingo_info is None \
-            and rec.params is None
+        assert rec.lingo_info is None and rec.params is None
 
     def test_strong_reuse_reveals_deterministically(self):
         lingo = build_lingo({"kind": "xor_nat"})
@@ -143,26 +134,69 @@ class TestForgeryCrafting:
         lingo = build_lingo({"kind": "xor_nat"})
         state = observed_state(lingo, count=2)
         msg = attempt_forgery(state, "replay", ("a", "b"),
-                              Rng(7, ATTACKER_TAG), lingo.output_space, lingo)
-        assert isinstance(msg, Message) and msg.injected
+                              Rng(7, ATTACKER_TAG), lingo)
+        assert isinstance(msg, Message) and msg.strategy == "replay"
         assert msg.payload == state.records[-1].wire
 
     def test_requirements_gate(self):
         state = AttackerState()
-        assert not strategy_ready(state, "replay", "a", "b", None)
+        assert not strategy_ready(state, "replay", "a", "b")
         out = craft_forgery(state, "replay", "a", "b", Rng(8, ATTACKER_TAG))
         assert isinstance(out, NoAttempt)
-        assert strategy_ready(state, "random_wire", "a", "b", None)
-        assert not strategy_ready(state, "passive", "a", "b", None)
+        assert strategy_ready(state, "random_wire", "a", "b")
+        assert not strategy_ready(state, "passive", "a", "b")
 
     def test_dc_zero_remainder_wraps_tagged_wire(self):
-        from dialectica.values import TaggedSpace, PairSpace, NatSpace, Tagged
-        space = TaggedSpace((PairSpace(NatSpace(), NatSpace()),) * 2)
+        dc = {"kind": "divide_check"}
+        zero = {"pair": [{"nat": "0"}, {"nat": "0"}]}
+        lingo = build_lingo({"horizontal": {
+            "branches": [dc, dc], "defaults": [zero, zero], "bias": [1, 1]}})
         state = AttackerState()
         payload, intent = craft_forgery(state, "dc_zero_remainder", "a", "b",
-                                        Rng(9, ATTACKER_TAG), space)
+                                        Rng(9, ATTACKER_TAG), lingo)
         assert isinstance(payload, Tagged) and payload.branch == 1
         assert intent is None
+
+    # Each strategy on a lingo whose wire it can act on; param_reuse_oracle
+    # reads revealed cleartext by design and is left out.
+    GROUND_TRUTH_BLIND = {
+        "passive": {"kind": "xor_bitvec", "width": 8},
+        "replay": {"kind": "xor_bitvec", "width": 8},
+        "xor_recipe": {"kind": "xor_bitvec", "width": 8},
+        "xor_sharp_recipe": {"sharp": {"kind": "xor_bitvec", "width": 8}},
+        "dc_zero_remainder": {"kind": "divide_check"},
+        "random_wire": {"kind": "xor_bitvec", "width": 8},
+    }
+
+    def test_ground_truth_cases_cover_every_strategy(self):
+        assert set(self.GROUND_TRUTH_BLIND) == \
+            set(STRATEGIES) - {"param_reuse_oracle"}
+
+    @pytest.mark.parametrize("strategy", sorted(GROUND_TRUTH_BLIND))
+    def test_strategies_read_no_ground_truth(self, strategy):
+        # Rewriting every record's hidden plaintext and parameter leaves the
+        # crafted payload as it was.
+        lingo = build_lingo(self.GROUND_TRUTH_BLIND[strategy])
+        state = observed_state(lingo, count=3)
+        before = craft_forgery(state, strategy, "a", "b",
+                               Rng(10, ATTACKER_TAG), lingo)
+        assert isinstance(before, NoAttempt) == (strategy == "passive")
+        rng = Rng(11, 123)
+        for rec in state.records:
+            old = rec.hidden
+            d, a = old.plaintext, old.param
+            while d == old.plaintext:
+                d = sample_value(lingo.input_space, rng)
+            while a == old.param:
+                a = sample_value(lingo.param_space, rng)
+            rec.hidden = HiddenCtx(lingo_name=old.lingo_name, param=a,
+                                   plaintext=d, index=old.index)
+        after = craft_forgery(state, strategy, "a", "b",
+                              Rng(10, ATTACKER_TAG), lingo)
+        if strategy == "passive":
+            assert after == before
+        else:
+            assert after[0] == before[0]
 
 
 class TestWilson:

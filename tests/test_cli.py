@@ -60,6 +60,12 @@ class TestLingoEval:
                      '{"bv":{"w":8,"n":300}}', '{"bv":{"w":8,"n":5}}'])
         assert code == EXIT_SPACE_VIOLATION
 
+    def test_second_payload_exits_3(self, capsys):
+        # f takes one payload: "1 2" is two payloads before the parameter.
+        code = main(["lingo", "eval", '{"kind":"xor_nat"}', "f", "1", "2", "3"])
+        assert code == EXIT_SPACE_VIOLATION
+        assert "expected 1 inputs, got 2" in capsys.readouterr().err
+
     def test_wire_outside_output_space_exits_3(self, capsys):
         code = main(["lingo", "eval", DC, "g", '{"bv":{"w":8,"n":3}}',
                      '{"nat":"5"}'])

@@ -139,6 +139,9 @@ def test_simulate_on_mutated_scenarios(workdir, doc):
                                           {"bv": {"w": 4, "n": 1}}])
 @example(spec={"kind": "divide_check"}, op="g", args=[{"pair": "12"}, 3])
 @example(spec={"kind": "divide_check"}, op="g", args=[{"pair": [1, 2, 3]}, 3])
+@example(spec={"adapt_pre": {"adaptor": {"kind": "mqtt_codec"},
+                             "lingo": {"kind": "xor_nat"}}},
+         op="f", args=[{"nat": "0"}, {"nat": "0"}])
 def test_lingo_eval_on_arbitrary_values(capsys, spec, op, args):
     code = exit_code(["lingo", "eval", json.dumps(spec), op,
                      *(json.dumps(a) for a in args)])

@@ -192,7 +192,7 @@ def _reference_check_lingo_laws(lingo, sample_count, rng):
 
     def draw_batch(n):
         r = Rng(derive(seed, SAMPLE_TAG, n), SAMPLE_TAG)
-        return [sample_value(lingo.input_space, r) for _ in range(lingo.ingress_arity)]
+        return [sample_value(lingo.input_space, r)]
 
     failure = None
     for i in range(sample_count):
@@ -398,8 +398,7 @@ def _wire_batch(lingo, a, rng, mode):
 
     if mode == "drawn" or lingo.input_space is None:
         return [drawn() for _ in range(lingo.egress_arity)]
-    image = lingo.f([sample_value(lingo.input_space, rng, 16)
-                     for _ in range(lingo.ingress_arity)], a)
+    image = lingo.f([sample_value(lingo.input_space, rng, 16)], a)
     if mode == "patched_image":
         image[-1] = drawn()
     return image

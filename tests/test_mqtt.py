@@ -5,23 +5,18 @@ from conftest import initial_configuration
 from dialectica.core import Rng
 from dialectica.mqtt import (
     ConnAck,
-    Connect,
     ConnectMsg,
-    Disconnect,
     DisconnectMsg,
     Forward,
     MqttBroker,
     MqttClient,
     PubMsg,
-    Publish,
     Reject,
     RetractFailure,
     SubAck,
     SubMsg,
-    Subscribe,
     UnsubAck,
     UnsubMsg,
-    Unsubscribe,
     WidthOverflow,
     actor_step,
     decode_mqtt,
@@ -36,7 +31,7 @@ field_text = st.text(
 
 class TestClientRules:
     def test_send_connect_only_when_unconnected(self):
-        c = MqttClient(oid="c1", cmd_list=(Connect("b"), Subscribe("t")))
+        c = MqttClient(oid="c1", cmd_list=(ConnectMsg("b"), SubMsg("t")))
         c2, outs = actor_step(c, None)
         assert outs == [("b", ConnectMsg("b"))]
         assert c2.awaiting == "connack"
@@ -54,14 +49,14 @@ class TestClientRules:
         assert isinstance(actor_step(c, ("b", ConnAck())), Reject)
 
     def test_subscribe_blocked_until_connected(self):
-        c = MqttClient(oid="c1", cmd_list=(Subscribe("t"),))
+        c = MqttClient(oid="c1", cmd_list=(SubMsg("t"),))
         c2, outs = actor_step(c, None)
         assert outs == [] and c2 == c
 
     def test_command_sequence(self):
         c = MqttClient(oid="c1", peer="b",
-                       cmd_list=(Subscribe("t"), Publish("t", "v"),
-                                 Unsubscribe("t"), Disconnect()))
+                       cmd_list=(SubMsg("t"), PubMsg("t", "v"),
+                                 UnsubMsg("t"), DisconnectMsg()))
         c, outs = actor_step(c, None)
         assert outs == [("b", SubMsg("t"))]
         c, _ = actor_step(c, ("b", SubAck()))
@@ -171,5 +166,5 @@ class TestCodec:
 def test_initial_configuration_shape():
     actors = initial_configuration()
     assert [a.oid for a in actors] == ["c1", "c2", "b"]
-    assert actors[0].cmd_list == (Connect("b"), Subscribe("temp"))
-    assert actors[1].cmd_list == (Connect("b"), Publish("temp", "34"))
+    assert actors[0].cmd_list == (ConnectMsg("b"), SubMsg("temp"))
+    assert actors[1].cmd_list == (ConnectMsg("b"), PubMsg("temp", "34"))

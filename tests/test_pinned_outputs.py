@@ -1,9 +1,9 @@
 """Pinned output digests, checked inside the test suite.
 
 The benchmark in ``perfbench/`` pins SHA-256 digests of the trace and the
-report of every op it runs.  These tests run a few simulations and every
-law-check and experiment op of one variant through the CLI and check them
-against the pins, so a change to the simulator, the law harness or the
+report of every op it runs.  These tests run both scale simulations, every
+bundled scenario and every law-check and experiment op of one variant
+through the CLI and check them against the pins, so a change to the simulator, the law harness or the
 experiment loops that alters any output byte fails here, not only in a
 benchmark run.  A few simulations also run in fresh interpreters under
 other string-hash seeds: outputs must not depend on set or dict iteration
@@ -27,9 +27,7 @@ from dialectica.cli import main  # noqa: E402
 CASES = [
     ("honest_scale", "simulate"),
     ("attacker_scale", "simulate"),
-    ("bundled_scenarios", "simulate:mqtt_adversarial"),
-    ("bundled_scenarios", "simulate:mqtt_aperiodic"),
-    ("bundled_scenarios", "simulate:mqtt_sharp_attack"),
+    *[("bundled_scenarios", f"simulate:{name}") for name in bench.BUNDLED],
     *[("lingo_lab", f"check:{name}") for name, _ in bench.LAW_SPECS],
     *[("lingo_lab", f"{kind}:{strategy}")
       for kind, strategy, _, _ in bench.EXPERIMENTS],

@@ -16,10 +16,10 @@ from conftest import (
 from dialectica.attacker import AttackerState
 from dialectica.core import is_compliant
 from dialectica.mqtt import (
-    Connect,
+    ConnectMsg,
     MqttBroker,
     MqttClient,
-    Publish,
+    PubMsg,
     Reject,
     actor_step,
     encode_mqtt,
@@ -62,7 +62,7 @@ def final_digests(cfg):
 class TestRules:
     def make_pair(self, lingo_spec=None, seed=5):
         policy = StaticPolicy(build_lingo(lingo_spec or {"kind": "xor_nat"}))
-        actors = [MqttClient(oid="c1", cmd_list=(Connect("b"),)),
+        actors = [MqttClient(oid="c1", cmd_list=(ConnectMsg("b"),)),
                   MqttBroker(oid="b")]
         return make_configuration(actors, policy, seed, codec=mqtt_codec_adaptor())
 
@@ -104,7 +104,7 @@ class TestRules:
     def test_split_lingo_two_wires_one_logical_send(self):
         policy = StaticPolicy(build_lingo({"kind": "split_bitvec",
                                            "half_width": 64}))
-        actors = [MqttClient(oid="c1", cmd_list=(Connect("b"),)),
+        actors = [MqttClient(oid="c1", cmd_list=(ConnectMsg("b"),)),
                   MqttBroker(oid="b")]
         cfg = make_configuration(actors, policy, 5, codec=mqtt_codec_adaptor(128))
         rule_out(cfg, "c1")
@@ -123,7 +123,7 @@ class TestRules:
         rule_out(cfg, "c1")
         head = cfg.channel("c1", "b")[0]
         replay = Message(dst=head.dst, src=head.src, payload=head.payload,
-                         seq=head.seq, injected=True)
+                         seq=head.seq, strategy="replay")
         rule_deliver(cfg, "c1", "b")
         rule_in(cfg, "b", "c1")
         cfg.channel("c1", "b").append(replay)
@@ -136,7 +136,8 @@ class TestRules:
     def test_rejection_advances_recv_counter(self):
         cfg = self.make_pair()
         cfg.channel("c1", "b").append(
-            Message(dst="b", src="c1", payload=Nat(12345), injected=True))
+            Message(dst="b", src="c1", payload=Nat(12345),
+                    strategy="random_wire"))
         rule_deliver(cfg, "c1", "b")
         rule_in(cfg, "b", "c1")
         assert cfg.stats["rejected"] == 1
@@ -147,7 +148,8 @@ class TestRules:
         actors = [MqttClient(oid="c1"), MqttBroker(oid="b")]
         cfg = make_configuration(actors, policy, 5, codec=mqtt_codec_adaptor(128))
         cfg.channel("c1", "b").append(Message(
-            dst="b", src="c1", payload=BitVec(128, 1 << 200), injected=True))
+            dst="b", src="c1", payload=BitVec(128, 1 << 200),
+            strategy="random_wire"))
         rule_deliver(cfg, "c1", "b")
         rule_in(cfg, "b", "c1")
         [reject] = [e for e in cfg.event_log if e["ev"] == "reject"]
@@ -190,7 +192,7 @@ class TestScheduler:
 
     def test_fifo_order_preserved(self):
         actors = [MqttClient(oid="c1", peer="b",
-                             cmd_list=tuple(Publish("t", f"v{i}")
+                             cmd_list=tuple(PubMsg("t", f"v{i}")
                                             for i in range(20))),
                   MqttBroker(oid="b", peers=frozenset({"c1"}))]
         cfg = make_configuration(actors, StaticPolicy(xor_nat()), 7,
@@ -411,7 +413,8 @@ class TestAttackerIntegration:
         a = policy.lingo.param(0, 4)
         witness = Pair(Nat(0), Nat(a.n + 2))
         cfg.channel("c1", "b").append(
-            Message(dst="b", src="c1", payload=witness, injected=True))
+            Message(dst="b", src="c1", payload=witness,
+                    strategy="dc_zero_remainder"))
         rule_deliver(cfg, "c1", "b")
         rule_in(cfg, "b", "c1")
         [reject] = [e for e in cfg.event_log if e["ev"] == "reject"]
@@ -688,7 +691,7 @@ class TestIncrementalEnabledSet:
         cfg = TestRules().make_pair()
         run_against_reference(cfg, 0)
         cfg.channel("c1", "b").append(
-            Message(dst="b", src="c1", payload=Nat(1), injected=True))
+            Message(dst="b", src="c1", payload=Nat(1), strategy="random_wire"))
         run_against_reference(cfg, 100)
 
 
@@ -737,7 +740,7 @@ class RuntimeMachine(RuleBasedStateMachine):
         cfg = self.cfg
         for (src, dst), channel in cfg.channels.items():
             held = list(cfg.wrappers[dst].in_buffers.get(src, ())) + list(channel)
-            seqs = [m.seq for m in held if not m.injected]
+            seqs = [m.seq for m in held if m.strategy is None]
             assert seqs == sorted(set(seqs)), (src, dst)
 
     @invariant()
@@ -766,7 +769,7 @@ class RuntimeMachine(RuleBasedStateMachine):
             done = delivered.get(flow, [])
             assert done == seqs[:len(done)], flow
             in_flight = [m.seq for m in self.cfg.channels.get(flow, ())
-                         if not m.injected]
+                         if m.strategy is None]
             assert done + in_flight == seqs, flow
 
     @invariant()
