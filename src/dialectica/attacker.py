@@ -25,6 +25,8 @@ from math import sqrt
 from typing import Optional, Union
 
 from .core import (
+    DecodeFailure,
+    DefaultFallback,
     Lingo,
     Rng,
     apply_f,
@@ -280,7 +282,7 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
         if leak is None or lingo is None:
             return NoAttempt("no revealed parameters")
         chosen = leak.clear
-        wire = apply_f(lingo, [chosen], leak.params)[0]
+        wire = apply_f(lingo, chosen, leak.params)[0]
         return wire, chosen
 
     return NoAttempt(f"unknown strategy {strategy!r}")
@@ -420,7 +422,7 @@ def run_spoof_experiment(lingo: Lingo, param_policy: ParamPolicy, strategy: str,
         for i in range(observations):
             a_i = lingo.param(param_policy.index(i), trial_seed)
             d_i = sample_value(lingo.input_space, in_rng)
-            [wire] = apply_f(lingo, [d_i], a_i)
+            [wire] = apply_f(lingo, d_i, a_i)
             msg = Message(dst="dst", src="src", payload=wire, seq=i)
             observe(state, msg, t=i,
                     hidden=HiddenCtx(lingo_name=lingo.name, param=a_i,
@@ -439,9 +441,9 @@ def run_spoof_experiment(lingo: Lingo, param_policy: ParamPolicy, strategy: str,
             compliance_hits += 1
         if intent is not None:
             any_intent = True
-            if isinstance(decoded, list):
+            if not isinstance(decoded, (DecodeFailure, DefaultFallback)):
                 want = intent.resolve() if isinstance(intent, _Intent) else intent
-                if decoded[0] == want:
+                if decoded == want:
                     spoof_hits += 1
 
     return ExperimentReport(lingo=lingo.name, strategy=strategy,
@@ -465,9 +467,9 @@ def run_match_experiment(lingo: Lingo, strategy: str, trials: int, seed: int,
         p_other = lingo.param(1, trial_seed)
         same = rng.next_u64() & 1 == 1
         q = p if same else p_other
-        t1 = [apply_f(lingo, [sample_value(lingo.input_space, in_rng)], p)[0]
+        t1 = [apply_f(lingo, sample_value(lingo.input_space, in_rng), p)[0]
               for _ in range(transcript_len)]
-        t2 = [apply_f(lingo, [sample_value(lingo.input_space, in_rng)], q)[0]
+        t2 = [apply_f(lingo, sample_value(lingo.input_space, in_rng), q)[0]
               for _ in range(transcript_len)]
         if guesser is not None and guesser(t1, t2) == same:
             hits += 1

@@ -91,11 +91,6 @@ def _load_lingo(spec_text: str):
         raise SpecError(str(exc)) from exc
 
 
-def _batch_json(batch: list):
-    return value_to_json(batch[0]) if len(batch) == 1 else [
-        value_to_json(v) for v in batch]
-
-
 def cmd_lingo_eval(args) -> int:
     lingo = _load_lingo(args.spec)
     try:
@@ -106,21 +101,24 @@ def cmd_lingo_eval(args) -> int:
     if len(values) < 2:
         print("need at least one payload value and one parameter", file=sys.stderr)
         return EXIT_SPEC_ERROR
-    *batch, a = values
+    *inputs, a = values
     try:
         if args.op == "f":
-            result = _batch_json(apply_f(lingo, batch, a))
+            if len(inputs) != 1:
+                raise SpaceViolation(
+                    f"{lingo.name}: expected 1 inputs, got {len(inputs)}")
+            ws = [value_to_json(w) for w in apply_f(lingo, inputs[0], a)]
+            result = ws[0] if len(ws) == 1 else ws
         elif args.op == "g":
-            out = apply_g(lingo, batch, a)
+            out = apply_g(lingo, inputs, a)
             if isinstance(out, DecodeFailure):
                 result = {"decode_failure": out.reason}
             elif isinstance(out, DefaultFallback):
-                result = {"default_fallback": [value_to_json(v)
-                                               for v in out.values]}
+                result = {"default_fallback": value_to_json(out.value)}
             else:
-                result = _batch_json(out)
+                result = value_to_json(out)
         else:
-            result = is_compliant(lingo, batch, a)
+            result = is_compliant(lingo, inputs, a)
     except (SpaceViolation, ShapeMismatch) as exc:
         print(f"space violation: {exc}", file=sys.stderr)
         return EXIT_SPACE_VIOLATION
@@ -229,7 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("spec", help="lingo spec JSON")
     ev.add_argument("op", choices=["f", "g", "compliant"])
     ev.add_argument("args", nargs="+",
-                    help="payload value(s) then the parameter, as JSON")
+                    help="the arguments as JSON, then the parameter: one "
+                         "payload for f, the lingo's egress-arity wire "
+                         "values for g and compliant")
     ev.add_argument("--out")
     ev.set_defaults(fn=cmd_lingo_eval)
 

@@ -69,22 +69,21 @@ def horizontal(spec: HorizontalSpec, seed: int = 0) -> Lingo:
     par_space = TaggedSpace(tuple(l.param_space for l in branches))
     ctor_seed = seed
 
-    def f(batch, a):
+    def f(d, a):
         i = a.branch
-        lingo = branches[i - 1]
-        [w] = lingo.f(batch, a.inner)
+        [w] = branches[i - 1].f(d, a.inner)
         return [Tagged(i, w)]
 
-    def g(batch, a):
+    def g(ws, a):
         i = a.branch
         lingo = branches[i - 1]
-        wire = batch[0]
+        wire = ws[0]
         if isinstance(wire, Tagged) and wire.branch == i:
             return lingo.g([wire.inner], a.inner)
         decoy = lingo.g([spec.defaults[i - 1]], a.inner)
         if isinstance(decoy, (DecodeFailure, DefaultFallback)):
             return DecodeFailure("default decode failed on tag mismatch")
-        return DefaultFallback(tuple(decoy))
+        return DefaultFallback(decoy)
 
     def param(n: int, seed: int) -> Value:
         i = throw_biased(seed ^ ctor_seed, n, spec.bias)
@@ -108,12 +107,12 @@ def functional(l1: Lingo, l2: Lingo) -> Lingo:
         raise SpaceViolation("functional composition needs 1-arity junction")
     name = f"fun({l1.name},{l2.name})"
 
-    def f(batch, a):
-        mid = l1.f(batch, a.first)
+    def f(d, a):
+        [mid] = l1.f(d, a.first)
         return l2.f(mid, a.second)
 
-    def g(batch, a):
-        return decode_then(l2.g(batch, a.second), lambda mid: l1.g(mid, a.first))
+    def g(ws, a):
+        return decode_then(l2.g(ws, a.second), lambda mid: l1.g([mid], a.first))
 
     def param(n: int, seed: int) -> Value:
         return Pair(l1.param(n, seed), l2.param(n, seed))
@@ -145,16 +144,15 @@ def _product2(l1: Lingo, l2: Lingo) -> Lingo:
             raise SpaceViolation("product components must have arities 1/1")
     name = f"prod({l1.name},{l2.name})"
 
-    def f(batch, a):
-        d = batch[0]
-        [w1] = l1.f([d.first], a.first)
-        [w2] = l2.f([d.second], a.second)
+    def f(d, a):
+        [w1] = l1.f(d.first, a.first)
+        [w2] = l2.f(d.second, a.second)
         return [Pair(w1, w2)]
 
-    def g(batch, a):
-        w = batch[0]
+    def g(ws, a):
+        w = ws[0]
         return decode_then(l1.g([w.first], a.first), lambda v1: decode_then(
-            l2.g([w.second], a.second), lambda v2: [Pair(v1[0], v2[0])]))
+            l2.g([w.second], a.second), lambda v2: Pair(v1, v2)))
 
     def param(n: int, seed: int) -> Value:
         return Pair(l1.param(n, seed), l2.param(n, seed))
@@ -180,13 +178,13 @@ def _tupling2(l1: Lingo, l2: Lingo) -> Lingo:
             raise SpaceViolation("tupling components must have arities 1/1")
     name = f"tup({l1.name},{l2.name})"
 
-    def f(batch, a):
-        [w1] = l1.f(batch, a.first)
-        [w2] = l2.f(batch, a.second)
+    def f(d, a):
+        [w1] = l1.f(d, a.first)
+        [w2] = l2.f(d, a.second)
         return [Pair(w1, w2)]
 
-    def g(batch, a):
-        return l1.g([batch[0].first], a.first)
+    def g(ws, a):
+        return l1.g([ws[0].first], a.first)
 
     def param(n: int, seed: int) -> Value:
         return Pair(l1.param(n, seed), l2.param(n, seed))

@@ -3,8 +3,8 @@
 A lingo carries an encode function ``f``, its one-sided inverse ``g``
 (``g(f(d, a), a) == d`` for every payload d and parameter a), and a
 ``param`` function deriving the parameter for message number n from a
-shared seed.  ``f`` and ``g`` work on batches so a single logical payload
-may fan out into several wire values (egress arity > 1).
+shared seed.  ``f`` maps one payload to a batch of ``egress_arity`` wire
+values, and ``g`` maps such a batch back to one payload or a rejection.
 
 Besides the data type this module provides the checked entry points
 (``apply_f``/``apply_g``), ``decode_wire`` that decodes untrusted wire
@@ -51,33 +51,34 @@ class DecodeFailure:
 @dataclass(frozen=True)
 class DefaultFallback:
     """Decode that fell back to a branch default value (horizontal
-    composition with a mismatched tag).  Carries the decoy plaintext so the
+    composition with a mismatched tag).  Carries the decoy payload so the
     caller can still inspect it, but dialects treat it as a rejection."""
 
-    values: tuple[Value, ...]
+    value: Value
 
 
 Batch = list
-GResult = Union[list, DecodeFailure, DefaultFallback]
+GResult = Union[Value, DecodeFailure, DefaultFallback]
 WRONG_SHAPE = DecodeFailure("wire value has the wrong shape")
 
 
-def decode_then(out: GResult, step: Callable[[Batch], GResult]) -> GResult:
+def decode_then(out: GResult, step: Callable[[Value], GResult]) -> GResult:
     """Carry a decode outcome through one more stage: a DecodeFailure stops
-    here, values go through ``step``, and a DefaultFallback stays one."""
+    here, a value goes through ``step``, and a DefaultFallback stays one."""
     if isinstance(out, DecodeFailure):
         return out
     if isinstance(out, DefaultFallback):
-        after = step(list(out.values))
-        return DefaultFallback(tuple(after)) if isinstance(after, list) else after
+        after = step(out.value)
+        rejected = isinstance(after, (DecodeFailure, DefaultFallback))
+        return after if rejected else DefaultFallback(after)
     return step(out)
 
 
 @dataclass(frozen=True)
 class Lingo:
     """A closed transformation object (input, output, parameter spaces plus
-    f, g, param and the egress arity).  ``f`` takes one payload; its batch
-    of wire values has ``egress_arity`` entries.
+    f, g, param and the egress arity).  ``f(d, a)`` returns the batch of
+    ``egress_arity`` wire values of payload d; ``g(ws, a)`` decodes it.
 
     ``param_space`` may be None for constructions whose parameters are not
     plain values (the authenticating transform); such lingos are sampled
@@ -88,7 +89,7 @@ class Lingo:
     input_space: Optional[Space]
     output_space: Optional[Space]
     param_space: Optional[Space]
-    f: Callable[[Batch, Value], Batch]
+    f: Callable[[Value, Value], Batch]
     g: Callable[[Batch, Value], GResult]
     param: Callable[[int, int], Value]
     egress_arity: int = 1
@@ -102,16 +103,12 @@ def _check_param(lingo: Lingo, a: Value) -> None:
         raise SpaceViolation(f"{lingo.name}: parameter {a!r} not in param space")
 
 
-def apply_f(lingo: Lingo, d1_batch: Batch, a: Value) -> Batch:
-    """Checked encode: validates arity and space membership, then runs f."""
-    if len(d1_batch) != 1:
-        raise SpaceViolation(
-            f"{lingo.name}: expected 1 inputs, got {len(d1_batch)}")
-    for d in d1_batch:
-        if not space_contains(lingo.input_space, d):
-            raise SpaceViolation(f"{lingo.name}: {d!r} not in input space")
+def apply_f(lingo: Lingo, d: Value, a: Value) -> Batch:
+    """Checked encode: validates space membership, then runs f."""
+    if not space_contains(lingo.input_space, d):
+        raise SpaceViolation(f"{lingo.name}: {d!r} not in input space")
     _check_param(lingo, a)
-    out = lingo.f(list(d1_batch), a)
+    out = lingo.f(d, a)
     if len(out) != lingo.egress_arity:
         raise SpaceViolation(
             f"{lingo.name}: f produced {len(out)} values, expected {lingo.egress_arity}")
@@ -156,13 +153,9 @@ def is_compliant(lingo: Lingo, d2_batch: Batch, a: Value,
     if isinstance(decoded, DecodeFailure):
         return False
     if isinstance(decoded, DefaultFallback):
-        decoded = list(decoded.values)
-    if len(decoded) != 1:
-        return False
-    for d in decoded:
-        if not space_contains(lingo.input_space, d):
-            return False
-    return lingo.f(list(decoded), a) == list(d2_batch)
+        decoded = decoded.value
+    return (space_contains(lingo.input_space, decoded)
+            and lingo.f(decoded, a) == list(d2_batch))
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +250,9 @@ def check_lingo_laws(lingo: Lingo, sample_count: int, rng: Rng) -> LawReport:
     seed = rng.next_u64()
     param = law_params(lingo, seed)
 
-    def draw_batch(n: int) -> Batch:
-        r = Rng(derive(seed, SAMPLE_TAG, n), SAMPLE_TAG)
-        return [sample_value(lingo.input_space, r)]
+    def draw(n: int) -> Value:
+        return sample_value(lingo.input_space,
+                            Rng(derive(seed, SAMPLE_TAG, n), SAMPLE_TAG))
 
     # First counterexample of each law; None while the law is open.
     l0 = lands = l1 = c1 = None
@@ -267,9 +260,9 @@ def check_lingo_laws(lingo: Lingo, sample_count: int, rng: Rng) -> LawReport:
         lands_open = lands is None and i < 200
         if l0 and l1 and c1 and not lands_open:
             break
-        d1 = draw_batch(2 * i)
+        d1 = draw(2 * i)
         if l1 is None:
-            d1p = draw_batch(2 * i + 1)
+            d1p = draw(2 * i + 1)
             if l0 and c1 and not lands_open and d1 == d1p:
                 continue   # only L1 is open, and this pair cannot collide
         a = param(i)
@@ -319,7 +312,7 @@ def _check_c3(lingo: Lingo, seed: int, param: Callable[[int], Value],
         a = param(i)
         image = set()
         for d1 in d1s:
-            image.add(tuple(apply_f(lingo, [d1], a)))
+            image.add(tuple(apply_f(lingo, d1, a)))
         if d2s is not None:
             candidates = [(w,) for w in d2s]
         else:

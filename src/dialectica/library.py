@@ -1,7 +1,8 @@
 """Concrete lingos: the xor family, divide-and-check, and helpers.
 
-Constructors are pure and the resulting lingos immutable.  All shipped
-lingos take one payload; the split lingo is the one with egress arity 2.
+Constructors are pure and the resulting lingos immutable.  Every lingo's
+``f`` takes one payload and its ``g`` returns one; the split lingo is the
+one whose wire batch has two values (egress arity 2).
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ DC_PARAM_CEILING = 1 << 16
 def _xor_lingo(space: Space, name: str) -> Lingo:
     """xor with the parameter over ``space``; f and g are the same mask
     operation."""
-    op = lambda batch, a: [xor_value(batch[0], a)]
     return Lingo(name=name, input_space=space, output_space=space,
-                 param_space=space, f=op, g=op, param=make_param(space, name))
+                 param_space=space, f=lambda d, a: [xor_value(d, a)],
+                 g=lambda ws, a: xor_value(ws[0], a),
+                 param=make_param(space, name))
 
 
 def make_xor_bitvec(width: int) -> Lingo:
@@ -55,16 +57,16 @@ def make_divide_check(param_ceiling: int = DC_PARAM_CEILING) -> Lingo:
     """
     name = "divide_check"
 
-    def f(batch, a):
-        n, m = batch[0].n, a.n + 2
+    def f(d, a):
+        n, m = d.n, a.n + 2
         return [Pair(Nat((n + m) // m), Nat((n + m) % m))]
 
-    def g(batch, a):
-        p, m = batch[0], a.n + 2
+    def g(ws, a):
+        p, m = ws[0], a.n + 2
         total = p.first.n * m + p.second.n
         if total < m:
             return DecodeFailure("pair has no preimage (payload would be negative)")
-        return [Nat(total - m)]
+        return Nat(total - m)
 
     return Lingo(name=name, input_space=NatSpace(),
                  output_space=PairSpace(NatSpace(), NatSpace()),
@@ -77,12 +79,12 @@ def make_reverse_divide_check(param_ceiling: int = DC_PARAM_CEILING) -> Lingo:
     base = make_divide_check(param_ceiling)
     name = "reverse_divide_check"
 
-    def f(batch, a):
-        [p] = base.f(batch, a)
+    def f(d, a):
+        [p] = base.f(d, a)
         return [Pair(p.second, p.first)]
 
-    def g(batch, a):
-        p = batch[0]
+    def g(ws, a):
+        p = ws[0]
         return base.g([Pair(p.second, p.first)], a)
 
     return Lingo(name=name, input_space=base.input_space,
@@ -93,10 +95,9 @@ def make_reverse_divide_check(param_ceiling: int = DC_PARAM_CEILING) -> Lingo:
 def make_identity(space: Space) -> Lingo:
     """No-op lingo over ``space``; the baseline every dialect degenerates to."""
     name = "identity"
-    op = lambda batch, a: list(batch)
     return Lingo(name=name, input_space=space, output_space=space,
-                 param_space=BitVecSpace(1), f=op, g=op,
-                 param=make_param(BitVecSpace(1), name))
+                 param_space=BitVecSpace(1), f=lambda d, a: [d],
+                 g=lambda ws, a: ws[0], param=make_param(BitVecSpace(1), name))
 
 
 def make_split_bitvec(half_width: int) -> Lingo:
@@ -109,13 +110,13 @@ def make_split_bitvec(half_width: int) -> Lingo:
     name = f"split_bitvec{h}"
     lo_mask = (1 << h) - 1
 
-    def f(batch, a):
-        m = batch[0].bits ^ a.bits
+    def f(d, a):
+        m = d.bits ^ a.bits
         return [BitVec(h, m >> h), BitVec(h, m & lo_mask)]
 
-    def g(batch, a):
-        hi, lo = batch
-        return [BitVec(2 * h, ((hi.bits << h) | lo.bits) ^ a.bits)]
+    def g(ws, a):
+        hi, lo = ws
+        return BitVec(2 * h, ((hi.bits << h) | lo.bits) ^ a.bits)
 
     return Lingo(name=name, input_space=full, output_space=half,
                  param_space=full, f=f, g=g, param=make_param(full, name),

@@ -119,8 +119,10 @@ class MqttClient:
     last_recv: tuple[tuple[str, str], ...] = ()
     awaiting: Optional[str] = None   # blocks the command list until acked
 
-    def last_recv_map(self) -> dict[str, str]:
-        return dict(self.last_recv)
+    def digest(self) -> dict:
+        return {"type": "client", "peer": self.peer,
+                "last_recv": dict(self.last_recv),
+                "pending_cmds": len(self.cmd_list), "awaiting": self.awaiting}
 
     def _with_recv(self, topic: str, value: str) -> "MqttClient":
         entries = dict(self.last_recv)
@@ -133,6 +135,10 @@ class MqttBroker:
     oid: str
     peers: frozenset[str] = frozenset()
     subscribers: tuple[tuple[str, frozenset[str]], ...] = ()
+
+    def digest(self) -> dict:
+        return {"type": "broker", "peers": sorted(self.peers),
+                "subscribers": {t: sorted(s) for t, s in self.subscribers}}
 
     def subscriber_map(self) -> dict[str, frozenset[str]]:
         return dict(self.subscribers)

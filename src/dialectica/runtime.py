@@ -63,7 +63,7 @@ from .core import (
     decode_wire,
     is_compliant,
 )
-from .mqtt import MqttBroker, MqttClient, Reject, actor_step
+from .mqtt import Reject, actor_step
 from .net import HiddenCtx, Message
 from .rng import ATTACKER_TAG, MASK64, RATE_TAG, SCHED_TAG, derive, fnv64, throw_biased, uniform01
 from .transforms import DataAdaptor, RetractFailure
@@ -77,6 +77,13 @@ class Quiescent(Exception):
 @dataclass(frozen=True)
 class StaticPolicy:
     lingo: Lingo
+
+    @property
+    def lingos(self) -> tuple[Lingo, ...]:
+        return (self.lingo,)
+
+    def epoch(self, n: int) -> int:
+        return 0
 
     def lingo_at(self, seed: int, src: str, dst: str, n: int) -> Lingo:
         return self.lingo
@@ -97,11 +104,14 @@ class AperiodicPolicy:
         if len(self.lingos) < 1:
             raise ValueError("aperiodic policy needs at least one lingo")
 
+    def epoch(self, n: int) -> int:
+        return n // self.msg_bound
+
     def lingo_at(self, seed: int, src: str, dst: str, n: int) -> Lingo:
         k = len(self.lingos)
         if k == 1:
             return self.lingos[0]
-        tag = ((n // self.msg_bound) ^ fnv64(src + "|" + dst)) & MASK64
+        tag = (self.epoch(n) ^ fnv64(src + "|" + dst)) & MASK64
         return self.lingos[throw_biased(seed, tag, (1,) * k) - 1]
 
 
@@ -245,7 +255,7 @@ def rule_out(cfg: Configuration, oid: str) -> Configuration:
         plaintext = w.codec.j(msg)
         a = lingo.param(n, w.seed)
         cfg.sent_params.setdefault((oid, dst), deque()).append((n, lingo, a))
-        wire_batch = lingo.f([plaintext], a)
+        wire_batch = lingo.f(plaintext, a)
     hidden = HiddenCtx(lingo_name=lingo.name if lingo else None, param=a,
                        plaintext=plaintext, index=n)
     ch = cfg.channel(oid, dst)
@@ -309,7 +319,7 @@ def rule_in(cfg: Configuration, oid: str, src: str) -> Configuration:
             if injected:
                 cfg.stats["forgeries_accepted"] += 1
                 _strategy_stat(cfg, injector, "dialect_accepted")
-            msg = w.codec.r(decoded[0])
+            msg = w.codec.r(decoded)
             if isinstance(msg, RetractFailure):
                 reason = "malformed:" + msg.reason
     if reason is None:
@@ -350,12 +360,12 @@ def _recv_param(cfg, w, src, n, lingo):
 
 
 def _log_switch(cfg, w, peer, direction, n) -> None:
-    """Log the rotation that takes effect after message ``n`` of a flow,
-    naming the lingo of message ``n + 1``; call it after the counter moved."""
+    """Log the rotation when message ``n + 1`` of a flow opens a new epoch,
+    naming its lingo; call it after the counter moved."""
     policy = w.policy
-    if isinstance(policy, AperiodicPolicy) and (n + 1) % policy.msg_bound == 0:
+    if policy is not None and policy.epoch(n + 1) != policy.epoch(n):
         cfg.log("switch", oid=w.oid, peer=peer, direction=direction,
-                epoch=(n + 1) // policy.msg_bound,
+                epoch=policy.epoch(n + 1),
                 lingo=w.lingo_for(peer, direction == "send").name)
 
 
@@ -522,24 +532,8 @@ def run(cfg: Configuration, max_steps: int) -> tuple[bool, int]:
 # Reports
 # ---------------------------------------------------------------------------
 
-def actor_digest(actor) -> dict:
-    if isinstance(actor, MqttClient):
-        return {"type": "client", "peer": actor.peer,
-                "last_recv": dict(actor.last_recv),
-                "pending_cmds": len(actor.cmd_list),
-                "awaiting": actor.awaiting}
-    if isinstance(actor, MqttBroker):
-        return {"type": "broker", "peers": sorted(actor.peers),
-                "subscribers": {t: sorted(s) for t, s in actor.subscribers}}
-    return {"type": type(actor).__name__}
-
-
 def scenario_lingos(policy: LingoPolicy) -> list[Lingo]:
-    if policy is None:
-        return []
-    if isinstance(policy, StaticPolicy):
-        return [policy.lingo]
-    return list(policy.lingos)
+    return [] if policy is None else list(policy.lingos)
 
 
 def build_report(cfg: Configuration, quiesced: bool, steps: int,
@@ -554,7 +548,7 @@ def build_report(cfg: Configuration, quiesced: bool, steps: int,
         "steps": steps,
         **cfg.stats,
         "per_strategy": {k: dict(v) for k, v in sorted(cfg.per_strategy.items())},
-        "final_actors": {oid: actor_digest(w.actor)
+        "final_actors": {oid: w.actor.digest()
                          for oid, w in sorted(cfg.wrappers.items())},
         "law_checks": laws,
     }

@@ -92,6 +92,18 @@ def _parse_cmd(obj, room: Optional[int]) -> object:
     raise SpecError(f"unknown command {obj!r}")
 
 
+def _check_session(oid: str, cmds: tuple) -> None:
+    """Refuse a command list the client can only stall on: a connect while
+    connected, or any other command while not connected."""
+    connected = False
+    for i, msg in enumerate(cmds):
+        if (type(msg) is ConnectMsg) == connected:
+            state = "connected" if connected else "not connected"
+            raise SpecError(f"client {oid}: cmds[{i}] {msg!r} would stall, "
+                            f"the client is {state}")
+        connected = type(msg) is not DisconnectMsg
+
+
 def _object(obj, what: str) -> dict:
     if not isinstance(obj, dict):
         raise SpecError(f"{what} must be an object, got {obj!r}")
@@ -103,8 +115,10 @@ def _parse_actor(obj, room: Optional[int]) -> object:
         raise SpecError(f"actor spec must be a single-key object: {obj!r}")
     key, body = next(iter(obj.items()))
     if key == "client":
-        return MqttClient(oid=str(body["oid"]), cmd_list=tuple(
-            [_parse_cmd(c, room) for c in body.get("cmds", [])]))
+        oid = str(body["oid"])
+        cmds = tuple(_parse_cmd(c, room) for c in body.get("cmds", []))
+        _check_session(oid, cmds)
+        return MqttClient(oid=oid, cmd_list=cmds)
     if key == "broker":
         return MqttBroker(oid=str(body["oid"]))
     raise SpecError(f"unknown actor kind {key!r}")

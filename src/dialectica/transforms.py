@@ -79,13 +79,13 @@ def sharp(base: Lingo) -> Lingo:
             f"{base.name} param space has fewer than 2 elements")
     name = f"sharp({base.name})"
 
-    def f(batch, a):
-        [x] = base.f(batch, a.first)
-        [y] = base.f(batch, a.second)
+    def f(d, a):
+        [x] = base.f(d, a.first)
+        [y] = base.f(d, a.second)
         return [Pair(x, y)]
 
-    def g(batch, a):
-        return base.g([batch[0].first], a.first)
+    def g(ws, a):
+        return base.g([ws[0].first], a.first)
 
     def param(n: int, seed: int) -> Value:
         first = base.param(2 * n, seed)
@@ -165,8 +165,7 @@ class AuthLingo:
         return BitVec(self.j, bits & ((1 << self.j) - 1))
 
     def encode(self, d1: Value, n: int, pair: tuple[str, str]) -> BitVec:
-        [wire] = self.base.f([d1], self.param2(n, pair))
-        return wire
+        return self.base.f(d1, self.param2(n, pair))[0]
 
     def decode(self, wire: Value, n: int, pair: tuple[str, str]):
         return self.base.g([wire], self.param2(n, pair))
@@ -215,14 +214,14 @@ def authenticating(base: Lingo, oids: list[str], m: int, j: int, k: int,
     name = f"auth({base.name})"
     out_space = BitVecSpace(width)
 
-    def f(batch, a: AuthParam):
-        [w] = base.f(batch, a.a0)
+    def f(d, a: AuthParam):
+        [w] = base.f(d, a.a0)
         payload = _wire_bits(w, m)
         concat = (payload << j) | a.code_word
         return [BitVec(width, _apply_involution(concat, width, a.sigma))]
 
-    def g(batch, a: AuthParam):
-        bits = _apply_involution(_wire_bits(batch[0], width), width, a.sigma)
+    def g(ws, a: AuthParam):
+        bits = _apply_involution(_wire_bits(ws[0], width), width, a.sigma)
         payload = bits >> j
         if isinstance(base.output_space, BitVecSpace):
             mid: Value = BitVec(base.output_space.width, payload)
@@ -283,15 +282,18 @@ class DataAdaptor:
     r: Callable[[object], object]
 
 
+def _retract(ad: DataAdaptor, v: object) -> object:
+    """r(v), or a DecodeFailure where r returns a RetractFailure."""
+    rv = ad.r(v)
+    if isinstance(rv, RetractFailure):
+        return DecodeFailure(f"retract failed: {rv.reason}")
+    return rv
+
+
 def _retract_all(ad: DataAdaptor, values: list) -> Union[list, DecodeFailure]:
-    """r applied to every value; the first RetractFailure fails the decode."""
-    out = []
-    for v in values:
-        rv = ad.r(v)
-        if isinstance(rv, RetractFailure):
-            return DecodeFailure(f"retract failed: {rv.reason}")
-        out.append(rv)
-    return out
+    """r applied to every wire value; a RetractFailure fails the decode."""
+    out = [_retract(ad, v) for v in values]
+    return next((rv for rv in out if isinstance(rv, DecodeFailure)), out)
 
 
 def adapt_pre(ad: DataAdaptor, lingo: Lingo) -> Lingo:
@@ -302,11 +304,11 @@ def adapt_pre(ad: DataAdaptor, lingo: Lingo) -> Lingo:
             f"lingo {lingo.name} expects {lingo.input_space!r}")
     name = f"pre({ad.name};{lingo.name})"
 
-    def f(batch, a):
-        return lingo.f([ad.j(d) for d in batch], a)
+    def f(d, a):
+        return lingo.f(ad.j(d), a)
 
-    def g(batch, a):
-        return decode_then(lingo.g(batch, a), lambda vals: _retract_all(ad, vals))
+    def g(ws, a):
+        return decode_then(lingo.g(ws, a), lambda v: _retract(ad, v))
 
     return Lingo(name=name, input_space=ad.from_space,
                  output_space=lingo.output_space, param_space=lingo.param_space,
@@ -321,11 +323,11 @@ def adapt_post(lingo: Lingo, ad: DataAdaptor) -> Lingo:
             f"adaptor {ad.name} expects {ad.from_space!r}")
     name = f"post({lingo.name};{ad.name})"
 
-    def f(batch, a):
-        return [ad.j(w) for w in lingo.f(batch, a)]
+    def f(d, a):
+        return [ad.j(w) for w in lingo.f(d, a)]
 
-    def g(batch, a):
-        return decode_then(_retract_all(ad, batch), lambda ws: lingo.g(ws, a))
+    def g(ws, a):
+        return decode_then(_retract_all(ad, ws), lambda rs: lingo.g(rs, a))
 
     return Lingo(name=name, input_space=lingo.input_space,
                  output_space=ad.to_space, param_space=lingo.param_space,
@@ -389,6 +391,8 @@ def sparse_code_adaptor(words: list[str], width: int, seed: int = 0) -> DataAdap
         codes.append(c)
 
     def j(v: Nat) -> BitVec:
+        if not (isinstance(v, Nat) and v.n < len(codes)):
+            raise SpaceViolation(f"{v!r} is not a codebook index")
         return BitVec(width, codes[v.n])
 
     def r(v: BitVec):
@@ -449,7 +453,7 @@ class Recipe:
         return a_prime if a_prime in self.a0_set else self.a0_set[0]
 
     def forge(self, observed: Value, a_prime: Value) -> Value:
-        return self.lingo.f([observed], self.repair(a_prime))[0]
+        return self.lingo.f(observed, self.repair(a_prime))[0]
 
 
 @dataclass(frozen=True)
@@ -485,15 +489,15 @@ def generic_recipe(lingo: Lingo, a0_sample: list[Value], seed: int = 0,
         d = sample_value(lingo.input_space, rng)
         a = sample_value(lingo.param_space, rng)
         ap = sample_value(lingo.param_space, rng)
-        [fd] = lingo.f([d], a)
+        [fd] = lingo.f(d, a)
         if not space_contains(lingo.input_space, fd):
             return NotApplicable(
                 "closure", f"f({d!r}, {a!r}) left the payload space")
         a2 = distinct[i % len(distinct)]
-        if lingo.f([d], a2)[0] == d:
+        if lingo.f(d, a2)[0] == d:
             return NotApplicable(
                 "movement", f"f fixed {d!r} under mask {a2!r}")
-        if lingo.f([fd], ap) != lingo.f([lingo.f([d], ap)[0]], a):
+        if lingo.f(fd, ap) != lingo.f(lingo.f(d, ap)[0], a):
             return NotApplicable(
                 "commutation", f"f does not commute at {d!r}")
     return Recipe(lingo=lingo, a0_set=tuple(distinct))

@@ -78,27 +78,27 @@ def run_scenario(name, seed_override=None):
 def test_criterion_01_paper_worked_values():
     with criterion("criterion 01: worked values reproduce exactly"):
         xor8 = make_xor_bitvec(8)
-        assert apply_f(xor8, [BitVec(8, 3)], BitVec(8, 5)) == [BitVec(8, 6)]
-        assert apply_g(xor8, [BitVec(8, 3)], BitVec(8, 5)) == [BitVec(8, 6)]
+        assert apply_f(xor8, BitVec(8, 3), BitVec(8, 5)) == [BitVec(8, 6)]
+        assert apply_g(xor8, [BitVec(8, 3)], BitVec(8, 5)) == BitVec(8, 6)
 
         xor_nat = make_xor_nat()
-        assert apply_f(xor_nat, [Nat(3)], Nat(5)) == [Nat(6)]
-        assert apply_g(xor_nat, [Nat(6)], Nat(5)) == [Nat(3)]
+        assert apply_f(xor_nat, Nat(3), Nat(5)) == [Nat(6)]
+        assert apply_g(xor_nat, [Nat(6)], Nat(5)) == Nat(3)
 
         xor_set = make_xor_set(("a", "b", "c", "d", "e", "f"))
-        assert apply_f(xor_set, [AtomSet(("a", "b", "c", "d"))],
+        assert apply_f(xor_set, AtomSet(("a", "b", "c", "d")),
                        AtomSet(("c", "d", "e", "f"))) == \
             [AtomSet(("a", "b", "e", "f"))]
 
         dc = make_divide_check()
-        assert apply_f(dc, [Nat(13)], Nat(3)) == [Pair(Nat(3), Nat(3))]
-        assert apply_g(dc, [Pair(Nat(3), Nat(3))], Nat(3)) == [Nat(13)]
+        assert apply_f(dc, Nat(13), Nat(3)) == [Pair(Nat(3), Nat(3))]
+        assert apply_g(dc, [Pair(Nat(3), Nat(3))], Nat(3)) == Nat(13)
 
         sx = sharp(xor8)
         a = Pair(BitVec(8, 5), BitVec(8, 7))
-        wire = apply_f(sx, [BitVec(8, 3)], a)
+        wire = apply_f(sx, BitVec(8, 3), a)
         assert wire == [Pair(BitVec(8, 6), BitVec(8, 4))]
-        assert apply_g(sx, wire, a) == [BitVec(8, 3)]
+        assert apply_g(sx, wire, a) == BitVec(8, 3)
 
 
 def _bundled_lingos():
@@ -170,7 +170,7 @@ def test_criterion_03_f_checkability():
                     a = Pair(BitVec(n, a_bits), BitVec(n, ap_bits))
                     image = set()
                     for d_bits in range(size):
-                        image.add(sx.f([BitVec(n, d_bits)], a)[0])
+                        image.add(sx.f(BitVec(n, d_bits), a)[0])
                     assert len(image) == size
                     assert len(image) < size * size   # witness exists
                     if exhaustive_compliance:
@@ -183,7 +183,7 @@ def test_criterion_03_f_checkability():
                 rng = Rng(n, 33)
                 for _ in range(40):
                     a = sample_value(sx.param_space, rng)
-                    image = {sx.f([BitVec(n, d)], a)[0] for d in range(size)}
+                    image = {sx.f(BitVec(n, d), a)[0] for d in range(size)}
                     inside = next(iter(image))
                     assert is_compliant(sx, [inside], a)
                     outside = Pair(BitVec(n, 0), BitVec(n, 0))
@@ -214,7 +214,7 @@ def test_criterion_04_malleability():
         for _ in range(10_000):
             d = sample_value(xor8.input_space, rng)
             a = sample_value(xor8.param_space, rng)
-            observed = xor8.f([d], a)[0]
+            observed = xor8.f(d, a)[0]
             forged = xor_recipe(observed, sample_value(xor8.param_space, rng))
             assert forged != observed and is_compliant(xor8, [forged], a)
 
@@ -222,7 +222,7 @@ def test_criterion_04_malleability():
         for _ in range(10_000):
             d = sample_value(sx.input_space, rng)
             a = sample_value(sx.param_space, rng)
-            observed = sx.f([d], a)[0]
+            observed = sx.f(d, a)[0]
             forged = xor_sharp_recipe(observed, sample_value(sx.param_space, rng))
             assert forged != observed and is_compliant(sx, [forged], a)
 
@@ -232,7 +232,7 @@ def test_criterion_04_malleability():
         for _ in range(1000):
             d = sample_value(xor8.input_space, rng)
             a = sample_value(xor8.param_space, rng)
-            observed = xor8.f([d], a)[0]
+            observed = xor8.f(d, a)[0]
             forged = recipe.forge(observed, sample_value(xor8.param_space, rng))
             assert forged != observed and is_compliant(xor8, [forged], a)
 
@@ -290,7 +290,7 @@ def test_criterion_07_adaptor_theorems():
         for _ in range(1000):
             d = Nat(rng.next_below(1 << 32))
             a = sample_value(BitVecSpace(64), rng)
-            assert assoc_left.f([d], a) == assoc_right.f([d], a)
+            assert assoc_left.f(d, a) == assoc_right.f(d, a)
             w = Nat(rng.next_u64())
             assert assoc_left.g([w], a) == assoc_right.g([w], a)
 
@@ -300,9 +300,9 @@ def test_criterion_07_adaptor_theorems():
             d = sample_value(BitVecSpace(64), rng)
             a = Pair(sample_value(BitVecSpace(64), rng),
                      Nat(rng.next_below(1 << 16)))
-            wire = slide_left.f([d], a)
-            assert wire == slide_right.f([d], a)
-            assert slide_left.g(wire, a) == slide_right.g(wire, a) == [d]
+            wire = slide_left.f(d, a)
+            assert wire == slide_right.f(d, a)
+            assert slide_left.g(wire, a) == slide_right.g(wire, a) == d
 
 
 def test_criterion_08_sub_lingo_containment():
@@ -315,7 +315,7 @@ def test_criterion_08_sub_lingo_containment():
             for _ in range(1000):
                 d = sample_value(base.input_space, rng)
                 a = sample_value(sh.param_space, rng)
-                assert sh.f([d], a) == tup.f([d], a)
+                assert sh.f(d, a) == tup.f(d, a)
 
 
 def test_criterion_09_authenticating_lingo():
@@ -329,7 +329,7 @@ def test_criterion_09_authenticating_lingo():
             pair = ("alice", "bob") if i % 2 else ("carol", "alice")
             d1 = sample_value(auth.inner.input_space, rng)
             a = auth.param2(n, pair)
-            [wire] = auth.base.f([d1], a)
+            [wire] = auth.base.f(d1, a)
             assert auth.code(wire, a) == auth.hash(n, pair)
             assert verify_auth(auth, wire, n, pair)
 
@@ -353,8 +353,7 @@ def test_criterion_10_mqtt_end_to_end():
                    "wrapped runs land in identical states"):
         scenario, cfg, quiesced, steps = run_scenario("mqtt_bare.json")
         assert quiesced and steps <= 64
-        from dialectica.runtime import actor_digest
-        bare = {oid: actor_digest(w.actor)
+        bare = {oid: w.actor.digest()
                 for oid, w in sorted(cfg.wrappers.items())}
         assert bare["c1"]["last_recv"] == {"temp": "34"}
         bare_delivered = delivered_messages(cfg)
@@ -363,7 +362,7 @@ def test_criterion_10_mqtt_end_to_end():
                      "mqtt_horizontal.json", "mqtt_functional.json"):
             _, cfg, quiesced, _ = run_scenario(name)
             assert quiesced, name
-            wrapped = {oid: actor_digest(w.actor)
+            wrapped = {oid: w.actor.digest()
                        for oid, w in sorted(cfg.wrappers.items())}
             assert wrapped == bare, name
             assert delivered_messages(cfg) == bare_delivered, name

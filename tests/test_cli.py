@@ -308,6 +308,30 @@ class TestSimulate:
         assert code == EXIT_SPEC_ERROR
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmds, error", [
+        # a second connect while connected: c1 would never publish
+        ([{"connect": "b"}, {"connect": "b"}, {"publish": ["t", "1"]}],
+         "client c1: cmds[1] ConnectMsg(broker='b') would stall, the client "
+         "is connected"),
+        ([{"subscribe": "t"}],
+         "client c1: cmds[0] SubMsg(topic='t') would stall, the client is "
+         "not connected"),
+        ([{"connect": "b"}, "disconnect", {"publish": ["t", "1"]}],
+         "client c1: cmds[2] PubMsg(topic='t', value='1') would stall, the "
+         "client is not connected"),
+    ], ids=["connect_while_connected", "subscribe_before_connect",
+            "publish_after_disconnect"])
+    def test_stalling_command_list_exits_2(self, capsys, tmp_path, cmds, error):
+        path = tmp_path / "stall.json"
+        path.write_text(json.dumps({
+            "seed": 1, "lingo_stack": {"kind": "xor_nat"},
+            "actors": [{"client": {"oid": "c1", "cmds": cmds}},
+                       {"client": {"oid": "c2", "cmds": [
+                           {"connect": "b"}, {"subscribe": "t"}]}},
+                       {"broker": {"oid": "b"}}]}))
+        assert main(["simulate", str(path), "--out", "/dev/null"]) == EXIT_SPEC_ERROR
+        assert error in capsys.readouterr().err
+
     def test_strategies_must_be_a_list(self, capsys, tmp_path):
         doc = json.loads(open(scenario_path("mqtt_adversarial.json")).read())
         doc["attacker"]["strategies"] = "random_wire"

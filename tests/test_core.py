@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -26,6 +28,7 @@ from dialectica.core import (
     wire_fits,
 )
 from dialectica.library import make_divide_check, make_xor_bitvec, make_xor_nat
+from dialectica.mqtt import ConnAck, ConnectMsg, DisconnectMsg, PubMsg, SubMsg
 from dialectica.rng import SAMPLE_TAG, derive, fnv64
 from dialectica.specs import build_adaptor, build_lingo
 from dialectica.transforms import RetractFailure
@@ -43,12 +46,16 @@ from dialectica.values import (
     space_enumerate,
 )
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "perfbench"))
+from run import LAW_SPECS  # noqa: E402
+
 
 class TestApply:
     def test_checked_encode_decode(self):
         dc = make_divide_check()
-        assert apply_f(dc, [Nat(13)], Nat(3)) == [Pair(Nat(3), Nat(3))]
-        assert apply_g(dc, [Pair(Nat(3), Nat(3))], Nat(3)) == [Nat(13)]
+        assert apply_f(dc, Nat(13), Nat(3)) == [Pair(Nat(3), Nat(3))]
+        assert apply_g(dc, [Pair(Nat(3), Nat(3))], Nat(3)) == Nat(13)
 
     def test_arity_violation(self):
         xr = make_xor_nat()
@@ -60,14 +67,14 @@ class TestApply:
     def test_input_space_violation(self):
         xr = make_xor_bitvec(8)
         with pytest.raises(SpaceViolation):
-            apply_f(xr, [BitVec(8, 300)], BitVec(8, 1))
+            apply_f(xr, BitVec(8, 300), BitVec(8, 1))
         with pytest.raises(SpaceViolation):
-            apply_f(xr, [Nat(3)], BitVec(8, 1))
+            apply_f(xr, Nat(3), BitVec(8, 1))
 
     def test_param_space_violation(self):
         xr = make_xor_bitvec(8)
         with pytest.raises(SpaceViolation):
-            apply_f(xr, [BitVec(8, 3)], Nat(5))
+            apply_f(xr, BitVec(8, 3), Nat(5))
 
     def test_decode_failure_is_a_value(self):
         dc = make_divide_check()
@@ -143,12 +150,12 @@ class TestLawHarness:
     def test_broken_lingo_caught_with_counterexample(self):
         space = NatSpace()
 
-        def bad_g(batch, a):
-            return [Nat(batch[0].n ^ a.n ^ 1)]   # off by one bit
+        def bad_g(ws, a):
+            return Nat(ws[0].n ^ a.n ^ 1)   # off by one bit
 
         broken = Lingo(name="broken", input_space=space, output_space=space,
                        param_space=space,
-                       f=lambda b, a: [Nat(b[0].n ^ a.n)], g=bad_g,
+                       f=lambda d, a: [Nat(d.n ^ a.n)], g=bad_g,
                        param=make_param(space, "broken"))
         report = check_lingo_laws(broken, 100, Rng(1, 2))
         assert not report.all_passed
@@ -190,13 +197,13 @@ def _reference_check_lingo_laws(lingo, sample_count, rng):
     report = LawReport(lingo=lingo.name)
     seed = rng.next_u64()
 
-    def draw_batch(n):
+    def draw(n):
         r = Rng(derive(seed, SAMPLE_TAG, n), SAMPLE_TAG)
-        return [sample_value(lingo.input_space, r)]
+        return sample_value(lingo.input_space, r)
 
     failure = None
     for i in range(sample_count):
-        d1, a = draw_batch(2 * i), _reference_sample_param(lingo, i, seed)
+        d1, a = draw(2 * i), _reference_sample_param(lingo, i, seed)
         back = lingo.g(apply_f(lingo, d1, a), a)
         if isinstance(back, (DecodeFailure, DefaultFallback)) or back != d1:
             failure = LawResult("L0_left_inverse", False,
@@ -206,7 +213,7 @@ def _reference_check_lingo_laws(lingo, sample_count, rng):
 
     failure = None
     for i in range(min(sample_count, 200)):
-        d1, a = draw_batch(2 * i), _reference_sample_param(lingo, i, seed)
+        d1, a = draw(2 * i), _reference_sample_param(lingo, i, seed)
         for w in apply_f(lingo, d1, a):
             if not space_contains(lingo.output_space, w):
                 failure = LawResult("f_lands_in_output_space", False,
@@ -218,7 +225,7 @@ def _reference_check_lingo_laws(lingo, sample_count, rng):
 
     failure = None
     for i in range(sample_count):
-        d1, d1p = draw_batch(2 * i), draw_batch(2 * i + 1)
+        d1, d1p = draw(2 * i), draw(2 * i + 1)
         if d1 == d1p:
             continue
         a = _reference_sample_param(lingo, i, seed)
@@ -231,7 +238,7 @@ def _reference_check_lingo_laws(lingo, sample_count, rng):
 
     failure = None
     for i in range(sample_count):
-        d1, a = draw_batch(2 * i), _reference_sample_param(lingo, i, seed)
+        d1, a = draw(2 * i), _reference_sample_param(lingo, i, seed)
         d2 = apply_f(lingo, d1, a)
         if not is_compliant(lingo, d2, a):
             failure = LawResult("C1_image_compliant", False,
@@ -262,21 +269,21 @@ def _broken(name, f, g, space=NatSpace(), out_space=None):
 def _stray_f(lo, hi, low_bit=0):
     # Leaves the 16-bit output space for payloads in [lo, hi); ``low_bit``
     # set makes even payloads encode like the odd payload above them.
-    def f(b, a):
-        width = 17 if lo <= b[0].bits < hi else 16
-        return [BitVec(width, (b[0].bits | low_bit) ^ a.bits)]
+    def f(d, a):
+        width = 17 if lo <= d.bits < hi else 16
+        return [BitVec(width, (d.bits | low_bit) ^ a.bits)]
     return f
 
 
-def _xor16_g(b, a):
-    return [BitVec(16, (b[0].bits ^ a.bits) & 0xFFFF)]
+def _xor16_g(ws, a):
+    return BitVec(16, (ws[0].bits ^ a.bits) & 0xFFFF)
 
 
 BROKEN_LINGOS = {
     # g is off by one on even payloads; f stays injective on samples and
     # every image decodes to a preimage, so only L0 fails
-    "l0_only": _broken("l0_only", lambda b, a: [Nat((b[0].n | 1) ^ a.n)],
-                       lambda b, a: [Nat(b[0].n ^ a.n)]),
+    "l0_only": _broken("l0_only", lambda d, a: [Nat((d.n | 1) ^ a.n)],
+                       lambda ws, a: Nat(ws[0].n ^ a.n)),
     # the first stray image comes after index 0, but before 200
     "stray_early": _broken("stray_early", _stray_f(0, 2048), _xor16_g,
                            BitVecSpace(16)),
@@ -284,16 +291,16 @@ BROKEN_LINGOS = {
     # the membership bound, and only C1 reports it
     "stray_late": _broken("stray_late", _stray_f(4096, 4352, 1), _xor16_g,
                           BitVecSpace(16)),
-    "constant_f": _broken("constant_f", lambda b, a: [Nat(0)],
-                          lambda b, a: DecodeFailure("constant")),
+    "constant_f": _broken("constant_f", lambda d, a: [Nat(0)],
+                          lambda ws, a: DecodeFailure("constant")),
     # all four laws fail, so the pass ends early
-    "fails_all": _broken("fails_all", lambda b, a: [BitVec(5, 0)],
-                         lambda b, a: DecodeFailure("never"),
+    "fails_all": _broken("fails_all", lambda d, a: [BitVec(5, 0)],
+                         lambda ws, a: DecodeFailure("never"),
                          BitVecSpace(4)),
     # L0 and C1 fail at once and membership holds, so past index 200 only
     # L1 is open, on a space small enough for equal payload pairs
-    "l1_alone": _broken("l1_alone", lambda b, a: [BitVec(2, b[0].bits ^ a.bits)],
-                        lambda b, a: DecodeFailure("never"), BitVecSpace(2)),
+    "l1_alone": _broken("l1_alone", lambda d, a: [BitVec(2, d.bits ^ a.bits)],
+                        lambda ws, a: DecodeFailure("never"), BitVecSpace(2)),
 }
 LAW_SAMPLE_COUNTS = (1, 7, 199, 200, 201, 1000)
 
@@ -335,18 +342,18 @@ class TestOnePassHarness:
             "L0_left_inverse", c1, "C3_compliance_equivalence"}
 
 
-def _g_refusing_strays(b, a):
-    if not space_contains(BitVecSpace(16), b[0]):
-        raise AssertionError(f"g decoded an image the gate refuses: {b[0]!r}")
-    return _xor16_g(b, a)
+def _g_refusing_strays(ws, a):
+    if not space_contains(BitVecSpace(16), ws[0]):
+        raise AssertionError(f"g decoded an image the gate refuses: {ws[0]!r}")
+    return _xor16_g(ws, a)
 
 
 def _counting_g(lingo):
     calls = []
 
-    def g(batch, a):
+    def g(ws, a):
         calls.append(a)
-        return lingo.g(batch, a)
+        return lingo.g(ws, a)
     return dataclasses.replace(lingo, g=g), calls
 
 
@@ -398,10 +405,17 @@ def _wire_batch(lingo, a, rng, mode):
 
     if mode == "drawn" or lingo.input_space is None:
         return [drawn() for _ in range(lingo.egress_arity)]
-    image = lingo.f([sample_value(lingo.input_space, rng, 16)], a)
+    image = lingo.f(sample_value(lingo.input_space, rng, 16), a)
     if mode == "patched_image":
         image[-1] = drawn()
     return image
+
+
+def _decode_kind(decoded):
+    """The class name of a decode outcome, "value" for a decoded payload."""
+    if isinstance(decoded, (DecodeFailure, DefaultFallback)):
+        return type(decoded).__name__
+    return "value"
 
 
 def _case(lingo, seed, index, mode):
@@ -432,9 +446,9 @@ class TestCompliantOnDecoded:
                     if not wire_fits(lingo, batch):
                         continue
                     decoded = lingo.g(list(batch), a)
-                    seen.add(type(decoded).__name__)
+                    seen.add(_decode_kind(decoded))
                     seen.add(is_compliant(lingo, batch, a, decoded))
-        assert seen == {"list", "DecodeFailure", "DefaultFallback", True, False}
+        assert seen == {"value", "DecodeFailure", "DefaultFallback", True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -442,28 +456,28 @@ class TestCompliantOnDecoded:
 # ---------------------------------------------------------------------------
 
 def _frozen_functional_g(g1, g2):
-    def g(batch, a):
-        mid = g2(batch, a.second)
+    def g(ws, a):
+        mid = g2(ws, a.second)
         fell_back = isinstance(mid, DefaultFallback)
         if isinstance(mid, DecodeFailure):
             return mid
         if fell_back:
-            mid = list(mid.values)
-        out = g1(mid, a.first)
+            mid = mid.value
+        out = g1([mid], a.first)
         if isinstance(out, DecodeFailure):
             return out
         inner_fallback = isinstance(out, DefaultFallback)
         if inner_fallback:
-            out = list(out.values)
+            out = out.value
         if fell_back or inner_fallback:
-            return DefaultFallback(tuple(out))
+            return DefaultFallback(out)
         return out
     return g
 
 
 def _frozen_product_g(g1, g2):
-    def g(batch, a):
-        w = batch[0]
+    def g(ws, a):
+        w = ws[0]
         r1 = g1([w.first], a.first)
         r2 = g2([w.second], a.second)
         if isinstance(r1, DecodeFailure):
@@ -471,35 +485,32 @@ def _frozen_product_g(g1, g2):
         if isinstance(r2, DecodeFailure):
             return r2
         fallback = isinstance(r1, DefaultFallback) or isinstance(r2, DefaultFallback)
-        v1 = r1.values[0] if isinstance(r1, DefaultFallback) else r1[0]
-        v2 = r2.values[0] if isinstance(r2, DefaultFallback) else r2[0]
+        v1 = r1.value if isinstance(r1, DefaultFallback) else r1
+        v2 = r2.value if isinstance(r2, DefaultFallback) else r2
         if fallback:
-            return DefaultFallback((Pair(v1, v2),))
-        return [Pair(v1, v2)]
+            return DefaultFallback(Pair(v1, v2))
+        return Pair(v1, v2)
     return g
 
 
 def _frozen_adapt_pre_g(ad, inner_g):
-    def g(batch, a):
-        out = inner_g(batch, a)
+    def g(ws, a):
+        out = inner_g(ws, a)
         if isinstance(out, DecodeFailure):
             return out
         fell_back = isinstance(out, DefaultFallback)
-        vals = list(out.values) if fell_back else out
-        retracted = []
-        for v in vals:
-            rv = ad.r(v)
-            if isinstance(rv, RetractFailure):
-                return DecodeFailure(f"retract failed: {rv.reason}")
-            retracted.append(rv)
-        return DefaultFallback(tuple(retracted)) if fell_back else retracted
+        v = out.value if fell_back else out
+        rv = ad.r(v)
+        if isinstance(rv, RetractFailure):
+            return DecodeFailure(f"retract failed: {rv.reason}")
+        return DefaultFallback(rv) if fell_back else rv
     return g
 
 
 def _frozen_adapt_post_g(inner_g, ad):
-    def g(batch, a):
+    def g(ws, a):
         retracted = []
-        for w in batch:
+        for w in ws:
             rw = ad.r(w)
             if isinstance(rw, RetractFailure):
                 return DecodeFailure(f"retract failed: {rw.reason}")
@@ -564,5 +575,52 @@ class TestStagedDecodes:
                 for mode in WIRE_MODES:
                     a, batch = _case(lingo, seed, seed, mode)
                     if wire_fits(lingo, batch):
-                        seen.add(type(lingo.g(list(batch), a)).__name__)
-        assert seen == {"list", "DecodeFailure", "DefaultFallback"}
+                        seen.add(_decode_kind(lingo.g(list(batch), a)))
+        assert seen == {"value", "DecodeFailure", "DefaultFallback"}
+
+
+# ---------------------------------------------------------------------------
+# The lingo interface: one payload in, egress_arity wire values out
+# ---------------------------------------------------------------------------
+
+# Every leaf kind, operator and adaptor kind the specs can build, and the
+# lingos the benchmark law-checks.
+CONTRACT_LINGOS = SPEC_LINGOS + [build_lingo(spec) for _, spec in LAW_SPECS]
+# Payloads of the lingos whose input space is opaque, so cannot be drawn.
+OPAQUE_PAYLOADS = {
+    "pre(mqtt_codec;xor_nat)": [ConnectMsg("b"), ConnAck(), SubMsg("temp"),
+                                PubMsg("temp", "34"), DisconnectMsg()],
+    "pre(sparse8;xor_bitvec8)": [Nat(i) for i in range(8)],
+}
+
+
+def _payload_cases(lingo, count=20):
+    """(payload, parameter) pairs: drawn payloads, or the listed ones."""
+    payloads = OPAQUE_PAYLOADS.get(lingo.name)
+    if payloads is None:
+        rng = Rng(5, SAMPLE_TAG)
+        payloads = [sample_value(lingo.input_space, rng, 16)
+                    for _ in range(count)]
+    param = law_params(lingo, 5)
+    return [(d, param(i)) for i, d in enumerate(payloads)]
+
+
+@pytest.mark.parametrize("lingo", CONTRACT_LINGOS, ids=lambda l: l.name)
+class TestOnePayloadInterface:
+    def test_f_returns_egress_arity_wire_values(self, lingo):
+        for d, a in _payload_cases(lingo):
+            ws = lingo.f(d, a)
+            assert type(ws) is list and len(ws) == lingo.egress_arity
+            assert apply_f(lingo, d, a) == ws and wire_fits(lingo, ws)
+
+    def test_g_returns_the_payload_itself(self, lingo):
+        for d, a in _payload_cases(lingo):
+            ws = lingo.f(d, a)
+            back = lingo.g(list(ws), a)
+            assert not isinstance(back, list) and back == d
+            assert apply_g(lingo, ws, a) == d and is_compliant(lingo, ws, a)
+
+    def test_stale_payload_list_fails_loudly(self, lingo):
+        for d, a in _payload_cases(lingo, count=5):
+            with pytest.raises(SpaceViolation):
+                apply_f(lingo, [d], a)

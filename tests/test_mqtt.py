@@ -71,7 +71,7 @@ class TestClientRules:
     def test_forward_recorded(self):
         c = MqttClient(oid="c1", peer="b")
         c2, _ = actor_step(c, ("b", Forward("temp", "34")))
-        assert c2.last_recv_map() == {"temp": "34"}
+        assert dict(c2.last_recv) == {"temp": "34"}
 
 
 class TestBrokerRules:

@@ -33,7 +33,6 @@ from dialectica.runtime import (
     StaticPolicy,
     _attack_candidates,
     _enabled_instances,
-    actor_digest,
     build_report,
     make_configuration,
     rule_deliver,
@@ -56,7 +55,7 @@ def xor_nat():
 
 
 def final_digests(cfg):
-    return {oid: actor_digest(w.actor) for oid, w in sorted(cfg.wrappers.items())}
+    return {oid: w.actor.digest() for oid, w in sorted(cfg.wrappers.items())}
 
 
 class TestRules:
@@ -72,8 +71,8 @@ class TestRules:
         assert cfg.wrappers["c1"].send_counters == {"b": 1}
         [msg] = list(cfg.channel("c1", "b"))
         lingo = cfg.wrappers["c1"].policy.lingo
-        expected = lingo.f([encode_mqtt(__import__("dialectica.mqtt",
-                           fromlist=["ConnectMsg"]).ConnectMsg("b"))],
+        expected = lingo.f(encode_mqtt(__import__("dialectica.mqtt",
+                           fromlist=["ConnectMsg"]).ConnectMsg("b")),
                            lingo.param(0, 5))
         assert [msg.payload] == expected
 

@@ -55,7 +55,7 @@ class TestLingoSpecs:
             "adaptor": {"kind": "nat_bitvec", "width": 16},
             "lingo": {"kind": "xor_bitvec", "width": 16}}})
         assert pre.input_space == NatSpace()
-        assert apply_f(pre, [Nat(3)], BitVec(16, 5)) == [BitVec(16, 6)]
+        assert apply_f(pre, Nat(3), BitVec(16, 5)) == [BitVec(16, 6)]
         post = build_lingo({"adapt_post": {
             "lingo": {"kind": "xor_bitvec", "width": 16},
             "adaptor": {"kind": "bitvec_nat", "width": 16}}})
