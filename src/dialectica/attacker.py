@@ -42,6 +42,7 @@ from .values import (
     Nat,
     NatSpace,
     Pair,
+    ShapeMismatch,
     Tagged,
     TaggedSpace,
     Value,
@@ -256,7 +257,8 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
 
     if strategy == "xor_sharp_recipe":
         if rec is None or not isinstance(rec.wire, Pair) \
-                or not isinstance(rec.wire.first, BitVec):
+                or not isinstance(rec.wire.first, BitVec) \
+                or not isinstance(rec.wire.second, BitVec):
             return NoAttempt("no bitvec-pair observation")
         mask = _mask_for(wire_space, rng)
         if not isinstance(mask, Pair) or not isinstance(mask.first, BitVec):
@@ -282,8 +284,7 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
         if leak is None or lingo is None:
             return NoAttempt("no revealed parameters")
         chosen = leak.clear
-        wire = apply_f(lingo, chosen, leak.params)[0]
-        return wire, chosen
+        return apply_f(lingo, chosen, leak.params), chosen
 
     return NoAttempt(f"unknown strategy {strategy!r}")
 
@@ -422,8 +423,8 @@ def run_spoof_experiment(lingo: Lingo, param_policy: ParamPolicy, strategy: str,
         for i in range(observations):
             a_i = lingo.param(param_policy.index(i), trial_seed)
             d_i = sample_value(lingo.input_space, in_rng)
-            [wire] = apply_f(lingo, d_i, a_i)
-            msg = Message(dst="dst", src="src", payload=wire, seq=i)
+            msg = Message(dst="dst", src="src", payload=apply_f(lingo, d_i, a_i),
+                          seq=i)
             observe(state, msg, t=i,
                     hidden=HiddenCtx(lingo_name=lingo.name, param=a_i,
                                      plaintext=d_i, index=i))
@@ -436,13 +437,16 @@ def run_spoof_experiment(lingo: Lingo, param_policy: ParamPolicy, strategy: str,
         forged, intent = crafted
         a_cur = lingo.param(param_policy.index(observations), trial_seed)
 
-        decoded = decode_wire(lingo, [forged], a_cur)
-        if is_compliant(lingo, [forged], a_cur, decoded):
+        decoded = decode_wire(lingo, forged, a_cur)
+        if is_compliant(lingo, forged, a_cur, decoded):
             compliance_hits += 1
         if intent is not None:
             any_intent = True
             if not isinstance(decoded, (DecodeFailure, DefaultFallback)):
-                want = intent.resolve() if isinstance(intent, _Intent) else intent
+                try:
+                    want = intent.resolve() if isinstance(intent, _Intent) else intent
+                except ShapeMismatch:
+                    continue   # the wire's mask does not fit the payload: a miss
                 if decoded == want:
                     spoof_hits += 1
 
@@ -467,9 +471,9 @@ def run_match_experiment(lingo: Lingo, strategy: str, trials: int, seed: int,
         p_other = lingo.param(1, trial_seed)
         same = rng.next_u64() & 1 == 1
         q = p if same else p_other
-        t1 = [apply_f(lingo, sample_value(lingo.input_space, in_rng), p)[0]
+        t1 = [apply_f(lingo, sample_value(lingo.input_space, in_rng), p)
               for _ in range(transcript_len)]
-        t2 = [apply_f(lingo, sample_value(lingo.input_space, in_rng), q)[0]
+        t2 = [apply_f(lingo, sample_value(lingo.input_space, in_rng), q)
               for _ in range(transcript_len)]
         if guesser is not None and guesser(t1, t2) == same:
             hits += 1
@@ -481,9 +485,12 @@ def run_match_experiment(lingo: Lingo, strategy: str, trials: int, seed: int,
 
 def _guess_dc_remainders(t1: list[Value], t2: list[Value]) -> bool:
     # Remainders stay below a+2; transcripts with compatible remainder
-    # ceilings look like the same parameter.
+    # ceilings look like the same parameter.  Only a pair ending in a
+    # natural carries a remainder.
     def ceiling(ts):
-        return max((w.second.n for w in ts if isinstance(w, Pair)), default=0)
+        return max((w.second.n for w in ts
+                    if isinstance(w, Pair) and isinstance(w.second, Nat)),
+                   default=0)
 
     return ceiling(t2) <= ceiling(t1) + 1
 

@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Subcommands:
-  lingo eval   <spec> f|g|compliant <args...>   evaluate one application
+  lingo eval   <spec> f|g|compliant <x> <a>     evaluate one application
   lingo check  <spec>                           law suite + forgery-check probe
   simulate     <scenario.json>                  run a scenario, write trace/report
   experiment   spoof|match                      attacker experiment harness
@@ -44,7 +44,7 @@ from .runtime import build_report, run
 from .scenario import build_configuration, load_scenario
 from .specs import SpecError, build_lingo
 from .transforms import NonceExhausted
-from .values import ShapeMismatch, value_from_json, value_to_json
+from .values import ShapeMismatch, json_or_raw, value_from_json, value_to_json
 
 EXIT_OK = 0
 EXIT_LAW_FAILURE = 1
@@ -98,30 +98,23 @@ def cmd_lingo_eval(args) -> int:
     except ValueError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
-    if len(values) < 2:
-        print("need at least one payload value and one parameter", file=sys.stderr)
-        return EXIT_SPEC_ERROR
-    *inputs, a = values
-    try:
-        if args.op == "f":
-            if len(inputs) != 1:
-                raise SpaceViolation(
-                    f"{lingo.name}: expected 1 inputs, got {len(inputs)}")
-            ws = [value_to_json(w) for w in apply_f(lingo, inputs[0], a)]
-            result = ws[0] if len(ws) == 1 else ws
-        elif args.op == "g":
-            out = apply_g(lingo, inputs, a)
-            if isinstance(out, DecodeFailure):
-                result = {"decode_failure": out.reason}
-            elif isinstance(out, DefaultFallback):
-                result = {"default_fallback": value_to_json(out.value)}
-            else:
-                result = value_to_json(out)
+    if len(values) != 2:
+        raise SpaceViolation(f"{lingo.name}: expected 1 inputs, got {len(values) - 1}")
+    x, a = values
+    if args.op == "f":
+        result = value_to_json(apply_f(lingo, x, a))
+    elif args.op == "g":
+        # A codec pre-composition decodes to a protocol message, which is
+        # not a value.
+        out = apply_g(lingo, x, a)
+        if isinstance(out, DecodeFailure):
+            result = {"decode_failure": out.reason}
+        elif isinstance(out, DefaultFallback):
+            result = {"default_fallback": json_or_raw(out.value)}
         else:
-            result = is_compliant(lingo, inputs, a)
-    except (SpaceViolation, ShapeMismatch) as exc:
-        print(f"space violation: {exc}", file=sys.stderr)
-        return EXIT_SPACE_VIOLATION
+            result = json_or_raw(out)
+    else:
+        result = is_compliant(lingo, x, a)
     _emit(result, args.out)
     return EXIT_OK
 
@@ -144,9 +137,10 @@ def cmd_lingo_check(args) -> int:
     except UnsampleableSpace:
         witness = None   # opaque spaces cannot be probed
     out = report.to_json()
+    # ``witness`` stays a one-element list: the report schema is pinned.
     out["f_checkable_probe"] = {
         "witness_found": witness is not None,
-        "witness": [value_to_json(v) for v in witness] if witness else None,
+        "witness": None if witness is None else [value_to_json(witness)],
     }
     _emit(out, args.out)
     return EXIT_OK if report.all_passed else EXIT_LAW_FAILURE
@@ -227,9 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("spec", help="lingo spec JSON")
     ev.add_argument("op", choices=["f", "g", "compliant"])
     ev.add_argument("args", nargs="+",
-                    help="the arguments as JSON, then the parameter: one "
-                         "payload for f, the lingo's egress-arity wire "
-                         "values for g and compliant")
+                    help="one value as JSON, then the parameter: the "
+                         "payload for f, the wire value for g and compliant")
     ev.add_argument("--out")
     ev.set_defaults(fn=cmd_lingo_eval)
 
@@ -281,6 +274,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
+    except (SpaceViolation, ShapeMismatch) as exc:
+        print(f"space violation: {exc}", file=sys.stderr)
+        return EXIT_SPACE_VIOLATION
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR

@@ -46,8 +46,6 @@ class HorizontalSpec:
         for lingo in self.branches:
             if lingo.input_space != first.input_space:
                 raise SpaceViolation("branches must share the input space")
-            if lingo.egress_arity != 1:
-                raise SpaceViolation("horizontal branches must have arities 1/1")
         for lingo, d0 in zip(self.branches, self.defaults):
             if not space_contains(lingo.output_space, d0):
                 raise SpaceViolation(f"default {d0!r} not in {lingo.name} output space")
@@ -71,16 +69,14 @@ def horizontal(spec: HorizontalSpec, seed: int = 0) -> Lingo:
 
     def f(d, a):
         i = a.branch
-        [w] = branches[i - 1].f(d, a.inner)
-        return [Tagged(i, w)]
+        return Tagged(i, branches[i - 1].f(d, a.inner))
 
-    def g(ws, a):
+    def g(wire, a):
         i = a.branch
         lingo = branches[i - 1]
-        wire = ws[0]
         if isinstance(wire, Tagged) and wire.branch == i:
-            return lingo.g([wire.inner], a.inner)
-        decoy = lingo.g([spec.defaults[i - 1]], a.inner)
+            return lingo.g(wire.inner, a.inner)
+        decoy = lingo.g(spec.defaults[i - 1], a.inner)
         if isinstance(decoy, (DecodeFailure, DefaultFallback)):
             return DecodeFailure("default decode failed on tag mismatch")
         return DefaultFallback(decoy)
@@ -103,16 +99,13 @@ def functional(l1: Lingo, l2: Lingo) -> Lingo:
     if l1.output_space != l2.input_space:
         raise SpaceViolation(
             f"{l1.name} output space does not match {l2.name} input space")
-    if l1.egress_arity != 1:
-        raise SpaceViolation("functional composition needs 1-arity junction")
     name = f"fun({l1.name},{l2.name})"
 
     def f(d, a):
-        [mid] = l1.f(d, a.first)
-        return l2.f(mid, a.second)
+        return l2.f(l1.f(d, a.first), a.second)
 
-    def g(ws, a):
-        return decode_then(l2.g(ws, a.second), lambda mid: l1.g([mid], a.first))
+    def g(w, a):
+        return decode_then(l2.g(w, a.second), lambda mid: l1.g(mid, a.first))
 
     def param(n: int, seed: int) -> Value:
         return Pair(l1.param(n, seed), l2.param(n, seed))
@@ -120,7 +113,7 @@ def functional(l1: Lingo, l2: Lingo) -> Lingo:
     return Lingo(name=name, input_space=l1.input_space,
                  output_space=l2.output_space,
                  param_space=PairSpace(l1.param_space, l2.param_space),
-                 f=f, g=g, param=param, egress_arity=l2.egress_arity)
+                 f=f, g=g, param=param)
 
 
 def _pairwise(ls: list[Lingo], combine) -> Lingo:
@@ -139,20 +132,14 @@ def product(ls: list[Lingo]) -> Lingo:
 
 
 def _product2(l1: Lingo, l2: Lingo) -> Lingo:
-    for lingo in (l1, l2):
-        if lingo.egress_arity != 1:
-            raise SpaceViolation("product components must have arities 1/1")
     name = f"prod({l1.name},{l2.name})"
 
     def f(d, a):
-        [w1] = l1.f(d.first, a.first)
-        [w2] = l2.f(d.second, a.second)
-        return [Pair(w1, w2)]
+        return Pair(l1.f(d.first, a.first), l2.f(d.second, a.second))
 
-    def g(ws, a):
-        w = ws[0]
-        return decode_then(l1.g([w.first], a.first), lambda v1: decode_then(
-            l2.g([w.second], a.second), lambda v2: Pair(v1, v2)))
+    def g(w, a):
+        return decode_then(l1.g(w.first, a.first), lambda v1: decode_then(
+            l2.g(w.second, a.second), lambda v2: Pair(v1, v2)))
 
     def param(n: int, seed: int) -> Value:
         return Pair(l1.param(n, seed), l2.param(n, seed))
@@ -173,18 +160,13 @@ def tupling(ls: list[Lingo]) -> Lingo:
 def _tupling2(l1: Lingo, l2: Lingo) -> Lingo:
     if l1.input_space != l2.input_space:
         raise SpaceViolation("tupling needs a shared input space")
-    for lingo in (l1, l2):
-        if lingo.egress_arity != 1:
-            raise SpaceViolation("tupling components must have arities 1/1")
     name = f"tup({l1.name},{l2.name})"
 
     def f(d, a):
-        [w1] = l1.f(d, a.first)
-        [w2] = l2.f(d, a.second)
-        return [Pair(w1, w2)]
+        return Pair(l1.f(d, a.first), l2.f(d, a.second))
 
-    def g(ws, a):
-        return l1.g([ws[0].first], a.first)
+    def g(w, a):
+        return l1.g(w.first, a.first)
 
     def param(n: int, seed: int) -> Value:
         return Pair(l1.param(n, seed), l2.param(n, seed))

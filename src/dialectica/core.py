@@ -3,8 +3,8 @@
 A lingo carries an encode function ``f``, its one-sided inverse ``g``
 (``g(f(d, a), a) == d`` for every payload d and parameter a), and a
 ``param`` function deriving the parameter for message number n from a
-shared seed.  ``f`` maps one payload to a batch of ``egress_arity`` wire
-values, and ``g`` maps such a batch back to one payload or a rejection.
+shared seed.  ``f`` maps one payload to one wire value, and ``g`` maps a
+wire value back to one payload or a rejection.
 
 Besides the data type this module provides the checked entry points
 (``apply_f``/``apply_g``), ``decode_wire`` that decodes untrusted wire
@@ -57,7 +57,6 @@ class DefaultFallback:
     value: Value
 
 
-Batch = list
 GResult = Union[Value, DecodeFailure, DefaultFallback]
 WRONG_SHAPE = DecodeFailure("wire value has the wrong shape")
 
@@ -77,8 +76,8 @@ def decode_then(out: GResult, step: Callable[[Value], GResult]) -> GResult:
 @dataclass(frozen=True)
 class Lingo:
     """A closed transformation object (input, output, parameter spaces plus
-    f, g, param and the egress arity).  ``f(d, a)`` returns the batch of
-    ``egress_arity`` wire values of payload d; ``g(ws, a)`` decodes it.
+    f, g and param).  ``f(d, a)`` returns the wire value of payload d;
+    ``g(w, a)`` decodes it.
 
     ``param_space`` may be None for constructions whose parameters are not
     plain values (the authenticating transform); such lingos are sampled
@@ -89,10 +88,9 @@ class Lingo:
     input_space: Optional[Space]
     output_space: Optional[Space]
     param_space: Optional[Space]
-    f: Callable[[Value, Value], Batch]
-    g: Callable[[Batch, Value], GResult]
+    f: Callable[[Value, Value], Value]
+    g: Callable[[Value, Value], GResult]
     param: Callable[[int, int], Value]
-    egress_arity: int = 1
 
     def __repr__(self) -> str:  # keep trace output short
         return f"Lingo({self.name})"
@@ -103,59 +101,53 @@ def _check_param(lingo: Lingo, a: Value) -> None:
         raise SpaceViolation(f"{lingo.name}: parameter {a!r} not in param space")
 
 
-def apply_f(lingo: Lingo, d: Value, a: Value) -> Batch:
+def apply_f(lingo: Lingo, d: Value, a: Value) -> Value:
     """Checked encode: validates space membership, then runs f."""
     if not space_contains(lingo.input_space, d):
         raise SpaceViolation(f"{lingo.name}: {d!r} not in input space")
     _check_param(lingo, a)
-    out = lingo.f(d, a)
-    if len(out) != lingo.egress_arity:
-        raise SpaceViolation(
-            f"{lingo.name}: f produced {len(out)} values, expected {lingo.egress_arity}")
-    return out
+    return lingo.f(d, a)
 
 
-def wire_fits(lingo: Lingo, d2_batch: Batch) -> bool:
-    """The wire-shape gate: the batch has the egress arity and every value
-    lies in the output space.  Total; g only ever sees batches that pass."""
-    return (len(d2_batch) == lingo.egress_arity
-            and all(space_contains(lingo.output_space, w) for w in d2_batch))
+def wire_fits(lingo: Lingo, w: Value) -> bool:
+    """The wire-shape gate: the wire value lies in the output space.  Total;
+    g only ever sees wire values that pass."""
+    return space_contains(lingo.output_space, w)
 
 
-def decode_wire(lingo: Lingo, d2_batch: Batch, a: Value) -> GResult:
-    """Total decode of untrusted wire values: the shape gate, then g."""
-    if not wire_fits(lingo, d2_batch):
+def decode_wire(lingo: Lingo, w: Value, a: Value) -> GResult:
+    """Total decode of an untrusted wire value: the shape gate, then g."""
+    if not wire_fits(lingo, w):
         return WRONG_SHAPE
-    return lingo.g(list(d2_batch), a)
+    return lingo.g(w, a)
 
 
-def apply_g(lingo: Lingo, d2_batch: Batch, a: Value) -> GResult:
+def apply_g(lingo: Lingo, w: Value, a: Value) -> GResult:
     """Checked decode.  DecodeFailure/DefaultFallback are returned, not raised."""
-    if not wire_fits(lingo, d2_batch):
+    if not wire_fits(lingo, w):
         raise SpaceViolation(
-            f"{lingo.name}: wire batch {d2_batch!r} does not fit the output space")
+            f"{lingo.name}: wire value {w!r} is not in the output space")
     _check_param(lingo, a)
-    return lingo.g(list(d2_batch), a)
+    return lingo.g(w, a)
 
 
-def is_compliant(lingo: Lingo, d2_batch: Batch, a: Value,
+def is_compliant(lingo: Lingo, w: Value, a: Value,
                  decoded: Optional[GResult] = None) -> bool:
-    """True iff the wire batch has a preimage under f(., a): the decode
-    succeeds and re-encoding reproduces the batch exactly.
+    """True iff the wire value has a preimage under f(., a): the decode
+    succeeds and re-encoding reproduces the wire value exactly.
 
-    Total over arbitrary wire values: a batch the shape gate refuses is
-    simply non-compliant.  A caller that already holds
-    ``decode_wire(lingo, d2_batch, a)`` hands it in as ``decoded``; the
-    decode is then skipped, every other check runs."""
+    Total over arbitrary wire values: one the shape gate refuses is simply
+    non-compliant.  A caller that already holds
+    ``decode_wire(lingo, w, a)`` hands it in as ``decoded``; the decode is
+    then skipped, every other check runs."""
     _check_param(lingo, a)
     if decoded is None:
-        decoded = decode_wire(lingo, d2_batch, a)
+        decoded = decode_wire(lingo, w, a)
     if isinstance(decoded, DecodeFailure):
         return False
     if isinstance(decoded, DefaultFallback):
         decoded = decoded.value
-    return (space_contains(lingo.input_space, decoded)
-            and lingo.f(decoded, a) == list(d2_batch))
+    return space_contains(lingo.input_space, decoded) and lingo.f(decoded, a) == w
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +210,6 @@ class LawReport:
 
 def _ce(inputs: dict, expected, got) -> dict:
     def enc(x):
-        if isinstance(x, list):
-            return [enc(v) for v in x]
         if isinstance(x, (Nat, BitVec, Pair, AtomSet, Tagged)):
             return value_to_json(x)
         return repr(x)
@@ -267,18 +257,17 @@ def check_lingo_laws(lingo: Lingo, sample_count: int, rng: Rng) -> LawReport:
                 continue   # only L1 is open, and this pair cannot collide
         a = param(i)
         w = apply_f(lingo, d1, a)
-        fits = wire_fits(lingo, w)   # apply_f checked the arity
+        fits = wire_fits(lingo, w)
         # One decode serves L0 and C1.  lingo.g, not decode_wire: while L0
         # is open g sees a stray image, which f_lands_in_output_space reports.
-        back = lingo.g(list(w), a) if l0 is None or (c1 is None and fits) else None
+        back = lingo.g(w, a) if l0 is None or (c1 is None and fits) else None
         if l0 is None and (isinstance(back, (DecodeFailure, DefaultFallback))
                            or back != d1):
             l0 = LawResult("L0_left_inverse", False,
                            _ce({"d1": d1, "a": a}, d1, back))
         if lands_open and not fits:
-            stray = next(v for v in w if not space_contains(lingo.output_space, v))
             lands = LawResult("f_lands_in_output_space", False,
-                              _ce({"d1": d1, "a": a}, "member", stray))
+                              _ce({"d1": d1, "a": a}, "member", w))
         if l1 is None and d1 != d1p and w == apply_f(lingo, d1p, a):
             l1 = LawResult("L1_injectivity", False,
                            _ce({"d1": d1, "d1'": d1p, "a": a},
@@ -307,48 +296,41 @@ def _check_c3(lingo: Lingo, seed: int, param: Callable[[int], Value],
     if d1_card is None or d1_card > d1_limit:
         return None
     d1s = space_enumerate(lingo.input_space, d1_limit)
-    d2s = space_enumerate(lingo.output_space, 256) if lingo.egress_arity == 1 else None
+    d2s = space_enumerate(lingo.output_space, 256)
     for i in range(4):
         a = param(i)
-        image = set()
-        for d1 in d1s:
-            image.add(tuple(apply_f(lingo, d1, a)))
+        image = {apply_f(lingo, d1, a) for d1 in d1s}
         if d2s is not None:
-            candidates = [(w,) for w in d2s]
+            candidates = d2s
         else:
             r = Rng(derive(seed, SAMPLE_TAG, 1000 + i), SAMPLE_TAG)
             candidates = list(image)
             for _ in range(64):
-                candidates.append(tuple(
-                    sample_value(lingo.output_space, r)
-                    for _ in range(lingo.egress_arity)))
-        for cand in candidates:
-            has_preimage = cand in image
-            if is_compliant(lingo, list(cand), a) != has_preimage:
+                candidates.append(sample_value(lingo.output_space, r))
+        for w in candidates:
+            has_preimage = w in image
+            if is_compliant(lingo, w, a) != has_preimage:
                 return LawResult("C3_compliance_equivalence", False,
-                                 _ce({"d2": list(cand), "a": a},
+                                 _ce({"d2": w, "a": a},
                                      has_preimage, not has_preimage))
     return LawResult("C3_compliance_equivalence", True)
 
 
 def find_noncompliant_witness(lingo: Lingo, a: Value, rng: Rng,
-                              attempts: int = 4096) -> Optional[Batch]:
-    """Search for a wire batch with no preimage under f(., a).
+                              attempts: int = 4096) -> Optional[Value]:
+    """Search for a wire value with no preimage under f(., a).
 
     Exhaustive when the output space is small, seeded random otherwise;
     None means no witness was found within the budget (the lingo looks
     symmetric for this parameter).
     """
-    if lingo.output_space is not None and lingo.egress_arity == 1:
+    if lingo.output_space is not None:
         enumerated = space_enumerate(lingo.output_space, min(attempts, 4096))
         if enumerated is not None:
-            for w in enumerated:
-                if not is_compliant(lingo, [w], a):
-                    return [w]
-            return None
+            return next((w for w in enumerated if not is_compliant(lingo, w, a)),
+                        None)
     for _ in range(attempts):
-        batch = [sample_value(lingo.output_space, rng)
-                 for _ in range(lingo.egress_arity)]
-        if not is_compliant(lingo, batch, a):
-            return batch
+        w = sample_value(lingo.output_space, rng)
+        if not is_compliant(lingo, w, a):
+            return w
     return None

@@ -1,8 +1,8 @@
 """Concrete lingos: the xor family, divide-and-check, and helpers.
 
 Constructors are pure and the resulting lingos immutable.  Every lingo's
-``f`` takes one payload and its ``g`` returns one; the split lingo is the
-one whose wire batch has two values (egress arity 2).
+``f`` maps one payload to one wire value and its ``g`` maps one back; the
+split lingo's wire value is the pair of its two halves.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ def _xor_lingo(space: Space, name: str) -> Lingo:
     """xor with the parameter over ``space``; f and g are the same mask
     operation."""
     return Lingo(name=name, input_space=space, output_space=space,
-                 param_space=space, f=lambda d, a: [xor_value(d, a)],
-                 g=lambda ws, a: xor_value(ws[0], a),
+                 param_space=space, f=xor_value, g=xor_value,
                  param=make_param(space, name))
 
 
@@ -59,10 +58,10 @@ def make_divide_check(param_ceiling: int = DC_PARAM_CEILING) -> Lingo:
 
     def f(d, a):
         n, m = d.n, a.n + 2
-        return [Pair(Nat((n + m) // m), Nat((n + m) % m))]
+        return Pair(Nat((n + m) // m), Nat((n + m) % m))
 
-    def g(ws, a):
-        p, m = ws[0], a.n + 2
+    def g(p, a):
+        m = a.n + 2
         total = p.first.n * m + p.second.n
         if total < m:
             return DecodeFailure("pair has no preimage (payload would be negative)")
@@ -80,12 +79,11 @@ def make_reverse_divide_check(param_ceiling: int = DC_PARAM_CEILING) -> Lingo:
     name = "reverse_divide_check"
 
     def f(d, a):
-        [p] = base.f(d, a)
-        return [Pair(p.second, p.first)]
+        p = base.f(d, a)
+        return Pair(p.second, p.first)
 
-    def g(ws, a):
-        p = ws[0]
-        return base.g([Pair(p.second, p.first)], a)
+    def g(p, a):
+        return base.g(Pair(p.second, p.first), a)
 
     return Lingo(name=name, input_space=base.input_space,
                  output_space=base.output_space, param_space=base.param_space,
@@ -96,14 +94,14 @@ def make_identity(space: Space) -> Lingo:
     """No-op lingo over ``space``; the baseline every dialect degenerates to."""
     name = "identity"
     return Lingo(name=name, input_space=space, output_space=space,
-                 param_space=BitVecSpace(1), f=lambda d, a: [d],
-                 g=lambda ws, a: ws[0], param=make_param(BitVecSpace(1), name))
+                 param_space=BitVecSpace(1), f=lambda d, a: d,
+                 g=lambda w, a: w, param=make_param(BitVecSpace(1), name))
 
 
 def make_split_bitvec(half_width: int) -> Lingo:
-    """Mask a 2h-bit payload with the parameter, then split it into two
-    h-bit wire values (egress arity 2).  Masking before the split forces a
-    forger to know the parameter to recombine the halves."""
+    """Mask a 2h-bit payload with the parameter, then split it into the
+    pair of its h-bit halves.  Masking before the split forces a forger to
+    know the parameter to recombine the halves."""
     h = half_width
     full = BitVecSpace(2 * h)
     half = BitVecSpace(h)
@@ -112,12 +110,10 @@ def make_split_bitvec(half_width: int) -> Lingo:
 
     def f(d, a):
         m = d.bits ^ a.bits
-        return [BitVec(h, m >> h), BitVec(h, m & lo_mask)]
+        return Pair(BitVec(h, m >> h), BitVec(h, m & lo_mask))
 
-    def g(ws, a):
-        hi, lo = ws
-        return BitVec(2 * h, ((hi.bits << h) | lo.bits) ^ a.bits)
+    def g(w, a):
+        return BitVec(2 * h, ((w.first.bits << h) | w.second.bits) ^ a.bits)
 
-    return Lingo(name=name, input_space=full, output_space=half,
-                 param_space=full, f=f, g=g, param=make_param(full, name),
-                 egress_arity=2)
+    return Lingo(name=name, input_space=full, output_space=PairSpace(half, half),
+                 param_space=full, f=f, g=g, param=make_param(full, name))

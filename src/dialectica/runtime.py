@@ -3,18 +3,19 @@
 Each protocol actor is wrapped in a meta-object that encodes outgoing
 messages with the codec adaptor ``mqtt_codec_adaptor`` and the active lingo
 (rule ``out``), buffers arriving wire messages (rule ``deliver``), and
-decodes buffered batches back into protocol messages (rule ``in``).  A
-rejected batch is logged with the first failing check's reason, in check
-order: ``decode:`` (shape gate or g), ``default_fallback``, ``noncompliant``
-(forgery check), ``malformed:`` (codec retract), ``actor:`` (protocol).
-The forgery check runs on every lingo-coded batch; it never rejects under a
-lingo whose ``f(., a)`` is onto (xor, identity, split).
+decodes buffered wire messages back into protocol messages (rule ``in``).
+A rejected wire message is logged with the first failing check's reason, in
+check order: ``decode:`` (shape gate or g), ``default_fallback``,
+``noncompliant`` (forgery check), ``malformed:`` (codec retract), ``actor:``
+(protocol).  The forgery check runs on every lingo-coded wire message; it
+never rejects under a lingo whose ``f(., a)`` is onto (xor, identity,
+split).
 Per-peer send/receive counters are the only per-flow state: message ``n``
 of a flow takes its parameter from the lingo's stream at index ``n``, and
 its lingo from the policy as a pure function of (seed, flow, n).  An
 aperiodic policy rotates the lingo every ``msg_bound`` messages of a flow.
 Sender and receiver agree while both count the same messages, and an
-injection breaks that: the receiver counts every batch it reads, a
+injection breaks that: the receiver counts every wire message it reads, a
 rejected injected one included, so every later honest message on the
 flow is decoded under the wrong parameter.
 
@@ -22,7 +23,7 @@ Each message's work is done once.  The sender derives the parameter and
 leaves it with the flow (``Configuration.sent_params``); the receiver takes
 it from there, and derives it afresh only for traffic the sender did not
 code under that counter and lingo (injections, desync).  ``rule_in``
-decodes a batch once and hands the result to the forgery check.
+decodes a wire message once and hands the result to the forgery check.
 
 Channels are FIFO and loss-free per (src, dst): counter-keyed parameters
 need ordered delivery.  The scheduler enumerates enabled rule instances in
@@ -67,7 +68,7 @@ from .mqtt import Reject, actor_step
 from .net import HiddenCtx, Message
 from .rng import ATTACKER_TAG, MASK64, RATE_TAG, SCHED_TAG, derive, fnv64, throw_biased, uniform01
 from .transforms import DataAdaptor, RetractFailure
-from .values import value_to_json
+from .values import json_or_raw
 
 
 class Quiescent(Exception):
@@ -234,8 +235,8 @@ def _out_pending(w: DialectWrapper) -> bool:
 
 
 def rule_out(cfg: Configuration, oid: str) -> Configuration:
-    """Transform one pending outbound protocol message and put the wire
-    values on the channel; the attacker sees copies."""
+    """Transform one pending outbound protocol message and put its wire
+    message on the channel; the attacker sees a copy."""
     w = cfg.wrappers[oid]
     if not w.outbox:
         actor2, outs = actor_step(w.actor, None)
@@ -248,27 +249,25 @@ def rule_out(cfg: Configuration, oid: str) -> Configuration:
     w.send_counters[dst] = n + 1
     _log_switch(cfg, w, dst, "send", n)
     if lingo is None:
-        wire_batch: list = [msg]
+        wire: object = msg
         a = None
         plaintext: object = msg
     else:
         plaintext = w.codec.j(msg)
         a = lingo.param(n, w.seed)
         cfg.sent_params.setdefault((oid, dst), deque()).append((n, lingo, a))
-        wire_batch = lingo.f(plaintext, a)
+        wire = lingo.f(plaintext, a)
     hidden = HiddenCtx(lingo_name=lingo.name if lingo else None, param=a,
                        plaintext=plaintext, index=n)
-    ch = cfg.channel(oid, dst)
-    for wv in wire_batch:
-        m = Message(dst=dst, src=oid, payload=wv, seq=cfg.seq, hidden=hidden)
-        cfg.seq += 1
-        ch.append(m)
-        if cfg.attacker is not None:
-            observe(cfg.attacker, m, cfg.clock, hidden)
+    m = Message(dst=dst, src=oid, payload=wire, seq=cfg.seq, hidden=hidden)
+    cfg.seq += 1
+    cfg.channel(oid, dst).append(m)
+    if cfg.attacker is not None:
+        observe(cfg.attacker, m, cfg.clock, hidden)
     cfg.stats["honest_sends"] += 1
+    # ``wire`` stays a one-element list: the trace schema is pinned.
     cfg.log("out", src=oid, dst=dst, n=n,
-            lingo=lingo.name if lingo else None,
-            wire=[_wire_json(v) for v in wire_batch])
+            lingo=lingo.name if lingo else None, wire=[json_or_raw(wire)])
     return cfg
 
 
@@ -282,38 +281,37 @@ def rule_deliver(cfg: Configuration, src: str, dst: str) -> Configuration:
 
 
 def rule_in(cfg: Configuration, oid: str, src: str) -> Configuration:
-    """Decode one buffered batch and hand the plaintext to the inner actor.
+    """Decode one buffered wire message and hand the plaintext to the inner
+    actor.
 
-    Bare and lingo-coded batches go through one sequence of checks (shape
-    gate, decode, default fallback, forgery check, codec retract, protocol);
-    a bare batch skips the lingo and codec stages.  The first failing check
-    drops the batch with a logged rejection.  The receive counter advances
-    either way, so honest peers stay in step only while no injected batch
-    is read on the flow."""
+    Bare and lingo-coded wire messages go through one sequence of checks
+    (shape gate, decode, default fallback, forgery check, codec retract,
+    protocol); a bare one skips the lingo and codec stages.  The first
+    failing check drops the message with a logged rejection.  The receive
+    counter advances either way, so honest peers stay in step only while no
+    injected message is read on the flow."""
     w = cfg.wrappers[oid]
     buf = w.in_buffers[src]
-    # The buffer and receive lingo change here, and the actor may.
+    # The buffer changes here, and the actor may.
     cfg.dirty.update((("in", oid, src), ("out", oid)))
     n = w.recv_counters.get(src, 0)
     lingo = w.lingo_for(src, sending=False)
     w.recv_counters[src] = n + 1
     _log_switch(cfg, w, src, "recv", n)
-    batch = [buf.popleft() for _ in range(lingo.egress_arity if lingo else 1)]
-    # The strategy of the batch's first injected message, if any.
-    injector = next((m.strategy for m in batch if m.strategy is not None), None)
+    m = buf.popleft()
+    injector = m.strategy
     injected = injector is not None
 
     reason = None
-    msg = batch[0].payload
+    msg = m.payload
     if lingo is not None:
-        wire_batch = [m.payload for m in batch]
         a = _recv_param(cfg, w, src, n, lingo)
-        decoded = decode_wire(lingo, wire_batch, a)
+        decoded = decode_wire(lingo, m.payload, a)
         if isinstance(decoded, DecodeFailure):
             reason = "decode:" + decoded.reason
         elif isinstance(decoded, DefaultFallback):
             reason = "default_fallback"
-        elif not is_compliant(lingo, wire_batch, a, decoded):
+        elif not is_compliant(lingo, m.payload, a, decoded):
             reason = "noncompliant"
         else:
             if injected:
@@ -339,7 +337,7 @@ def rule_in(cfg: Configuration, oid: str, src: str) -> Configuration:
         cfg.stats["forgeries_delivered"] += 1
         _strategy_stat(cfg, injector, "delivered")
     else:
-        _check_desync(cfg, w, src, n, batch)
+        _check_desync(cfg, w, src, n, m)
     cfg.log("in", dst=oid, src=src, n=n, outcome="delivered", msg=repr(msg))
     return cfg
 
@@ -369,11 +367,11 @@ def _log_switch(cfg, w, peer, direction, n) -> None:
                 lingo=w.lingo_for(peer, direction == "send").name)
 
 
-def _check_desync(cfg, w, src, n, batch) -> None:
+def _check_desync(cfg, w, src, n, m) -> None:
     # Honest traffic accepted under a counter other than its encode index
     # means the FIFO/counter model was violated; with an attacker in play
     # injections can shift counters, so log instead of failing the run.
-    hidden = batch[0].hidden
+    hidden = m.hidden
     if hidden is None or hidden.lingo_name is None:
         return
     if hidden.index != n:
@@ -411,7 +409,7 @@ def rule_attacker(cfg: Configuration) -> Configuration:
     cfg.stats["injected"] += 1
     _strategy_stat(cfg, strategy, "attempts")
     cfg.log("inject", src=src, dst=dst, strategy=strategy, seq=forged.seq,
-            wire=_wire_json(forged.payload))
+            wire=json_or_raw(forged.payload))
     return cfg
 
 
@@ -447,13 +445,6 @@ def _pairs_within(cfg, flows) -> list[tuple[str, str]]:
                   and p[0] in cfg.wrappers and p[1] in cfg.wrappers)
 
 
-def _wire_json(v) -> object:
-    try:
-        return value_to_json(v)
-    except TypeError:
-        return {"raw": repr(v)}
-
-
 # ---------------------------------------------------------------------------
 # Scheduler
 # ---------------------------------------------------------------------------
@@ -465,12 +456,7 @@ def _instance_enabled(cfg: Configuration, inst: tuple) -> bool:
     if kind == "deliver":
         return bool(cfg.channels[inst[1:]])
     _, oid, src = inst
-    w = cfg.wrappers[oid]
-    buf = w.in_buffers.get(src)
-    if not buf:
-        return False
-    lingo = w.lingo_for(src, sending=False)
-    return len(buf) >= (lingo.egress_arity if lingo else 1)
+    return bool(cfg.wrappers[oid].in_buffers.get(src))
 
 
 def _enabled_instances(cfg: Configuration) -> list[tuple]:

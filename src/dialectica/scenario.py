@@ -159,10 +159,12 @@ def parse_scenario(doc: dict) -> Scenario:
         oids = [a.oid for a in actors]
         if len(set(oids)) != len(oids):
             raise SpecError(f"duplicate actor oids: {oids}")
-        unknown = {c.broker for a in actors for c in getattr(a, "cmd_list", ())
-                   if type(c) is ConnectMsg} - set(oids)
-        if unknown:
-            raise SpecError(f"clients connect to unknown actors: {sorted(unknown)}")
+        brokers = {a.oid for a in actors if type(a) is MqttBroker}
+        stray = {c.broker for a in actors for c in getattr(a, "cmd_list", ())
+                 if type(c) is ConnectMsg} - brokers
+        if stray:
+            raise SpecError(f"clients connect to actors that are not brokers: "
+                            f"{sorted(stray)}")
 
         attacker = None
         targets = None

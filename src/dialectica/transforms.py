@@ -45,7 +45,7 @@ class SpaceMismatch(Exception):
     """Adaptor and lingo spaces do not line up."""
 
 
-class WidthOverflow(Exception):
+class WidthOverflow(SpaceViolation):
     """A value does not fit the configured bit width."""
 
 
@@ -68,8 +68,6 @@ def sharp(base: Lingo) -> Lingo:
     both components encode the same payload, so for each parameter pair some
     wire value has no preimage and the receiver gains a real forgery check.
     """
-    if base.egress_arity != 1:
-        raise SpaceViolation("sharp needs a 1/1-arity base lingo")
     d1_card = space_cardinality(base.input_space)
     if d1_card is not None and d1_card < 2:
         raise SpaceViolation("sharp needs an input space with >= 2 values")
@@ -80,12 +78,10 @@ def sharp(base: Lingo) -> Lingo:
     name = f"sharp({base.name})"
 
     def f(d, a):
-        [x] = base.f(d, a.first)
-        [y] = base.f(d, a.second)
-        return [Pair(x, y)]
+        return Pair(base.f(d, a.first), base.f(d, a.second))
 
-    def g(ws, a):
-        return base.g([ws[0].first], a.first)
+    def g(w, a):
+        return base.g(w.first, a.first)
 
     def param(n: int, seed: int) -> Value:
         first = base.param(2 * n, seed)
@@ -165,10 +161,10 @@ class AuthLingo:
         return BitVec(self.j, bits & ((1 << self.j) - 1))
 
     def encode(self, d1: Value, n: int, pair: tuple[str, str]) -> BitVec:
-        return self.base.f(d1, self.param2(n, pair))[0]
+        return self.base.f(d1, self.param2(n, pair))
 
     def decode(self, wire: Value, n: int, pair: tuple[str, str]):
-        return self.base.g([wire], self.param2(n, pair))
+        return self.base.g(wire, self.param2(n, pair))
 
 
 def _wire_bits(wire: Value, width: int) -> int:
@@ -201,12 +197,12 @@ def authenticating(base: Lingo, oids: list[str], m: int, j: int, k: int,
     with a nonce-derived involution.  The code construction is a model of a
     one-way hash, not a cryptographic primitive.
     """
-    if base.egress_arity != 1:
-        raise SpaceViolation("authenticating needs a 1/1-arity base lingo")
     if len(set(oids)) < 2 or not all(isinstance(o, str) for o in oids):
         raise ValueError("need at least 2 distinct string oids")
     if j < 8 or k < 8:
         raise ValueError("code and nonce lengths must be >= 8 bits")
+    if not isinstance(base.output_space, (BitVecSpace, NatSpace)):
+        raise SpaceViolation(f"{base.name} wire values are not bit vectors or naturals")
     if isinstance(base.output_space, BitVecSpace) and base.output_space.width > m:
         raise WidthOverflow(
             f"base output width {base.output_space.width} exceeds m={m}")
@@ -215,13 +211,12 @@ def authenticating(base: Lingo, oids: list[str], m: int, j: int, k: int,
     out_space = BitVecSpace(width)
 
     def f(d, a: AuthParam):
-        [w] = base.f(d, a.a0)
-        payload = _wire_bits(w, m)
+        payload = _wire_bits(base.f(d, a.a0), m)
         concat = (payload << j) | a.code_word
-        return [BitVec(width, _apply_involution(concat, width, a.sigma))]
+        return BitVec(width, _apply_involution(concat, width, a.sigma))
 
-    def g(ws, a: AuthParam):
-        bits = _apply_involution(_wire_bits(ws[0], width), width, a.sigma)
+    def g(w, a: AuthParam):
+        bits = _apply_involution(_wire_bits(w, width), width, a.sigma)
         payload = bits >> j
         if isinstance(base.output_space, BitVecSpace):
             mid: Value = BitVec(base.output_space.width, payload)
@@ -229,7 +224,7 @@ def authenticating(base: Lingo, oids: list[str], m: int, j: int, k: int,
                 return DecodeFailure("payload bits outside base output space")
         else:
             mid = Nat(payload)
-        return base.g([mid], a.a0)
+        return base.g(mid, a.a0)
 
     # default channel pair for callers that treat the wrapped lingo as a
     # plain Lingo (the law harness); real traffic supplies its own pair
@@ -290,12 +285,6 @@ def _retract(ad: DataAdaptor, v: object) -> object:
     return rv
 
 
-def _retract_all(ad: DataAdaptor, values: list) -> Union[list, DecodeFailure]:
-    """r applied to every wire value; a RetractFailure fails the decode."""
-    out = [_retract(ad, v) for v in values]
-    return next((rv for rv in out if isinstance(rv, DecodeFailure)), out)
-
-
 def adapt_pre(ad: DataAdaptor, lingo: Lingo) -> Lingo:
     """Feed adapted payloads in: encode f(j(d)), decode r(g(w))."""
     if ad.to_space != lingo.input_space:
@@ -307,12 +296,12 @@ def adapt_pre(ad: DataAdaptor, lingo: Lingo) -> Lingo:
     def f(d, a):
         return lingo.f(ad.j(d), a)
 
-    def g(ws, a):
-        return decode_then(lingo.g(ws, a), lambda v: _retract(ad, v))
+    def g(w, a):
+        return decode_then(lingo.g(w, a), lambda v: _retract(ad, v))
 
     return Lingo(name=name, input_space=ad.from_space,
                  output_space=lingo.output_space, param_space=lingo.param_space,
-                 f=f, g=g, param=lingo.param, egress_arity=lingo.egress_arity)
+                 f=f, g=g, param=lingo.param)
 
 
 def adapt_post(lingo: Lingo, ad: DataAdaptor) -> Lingo:
@@ -324,14 +313,14 @@ def adapt_post(lingo: Lingo, ad: DataAdaptor) -> Lingo:
     name = f"post({lingo.name};{ad.name})"
 
     def f(d, a):
-        return [ad.j(w) for w in lingo.f(d, a)]
+        return ad.j(lingo.f(d, a))
 
-    def g(ws, a):
-        return decode_then(_retract_all(ad, ws), lambda rs: lingo.g(rs, a))
+    def g(w, a):
+        return decode_then(_retract(ad, w), lambda r: lingo.g(r, a))
 
     return Lingo(name=name, input_space=lingo.input_space,
                  output_space=ad.to_space, param_space=lingo.param_space,
-                 f=f, g=g, param=lingo.param, egress_arity=lingo.egress_arity)
+                 f=f, g=g, param=lingo.param)
 
 
 def identity_adaptor(space: Optional[Space]) -> DataAdaptor:
@@ -453,7 +442,7 @@ class Recipe:
         return a_prime if a_prime in self.a0_set else self.a0_set[0]
 
     def forge(self, observed: Value, a_prime: Value) -> Value:
-        return self.lingo.f(observed, self.repair(a_prime))[0]
+        return self.lingo.f(observed, self.repair(a_prime))
 
 
 @dataclass(frozen=True)
@@ -481,23 +470,20 @@ def generic_recipe(lingo: Lingo, a0_sample: list[Value], seed: int = 0,
     for a in distinct:
         if not space_contains(lingo.param_space, a):
             return NotApplicable("a0_sample", f"{a!r} outside param space")
-    if lingo.egress_arity != 1:
-        return NotApplicable("arity", "recipe construction needs 1/1 arities")
-
     rng = Rng(derive(seed, fnv64("generic-recipe"), 0), SAMPLE_TAG)
     for i in range(samples):
         d = sample_value(lingo.input_space, rng)
         a = sample_value(lingo.param_space, rng)
         ap = sample_value(lingo.param_space, rng)
-        [fd] = lingo.f(d, a)
+        fd = lingo.f(d, a)
         if not space_contains(lingo.input_space, fd):
             return NotApplicable(
                 "closure", f"f({d!r}, {a!r}) left the payload space")
         a2 = distinct[i % len(distinct)]
-        if lingo.f(d, a2)[0] == d:
+        if lingo.f(d, a2) == d:
             return NotApplicable(
                 "movement", f"f fixed {d!r} under mask {a2!r}")
-        if lingo.f(fd, ap) != lingo.f(lingo.f(d, ap)[0], a):
+        if lingo.f(fd, ap) != lingo.f(lingo.f(d, ap), a):
             return NotApplicable(
                 "commutation", f"f does not commute at {d!r}")
     return Recipe(lingo=lingo, a0_set=tuple(distinct))

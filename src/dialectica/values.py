@@ -463,6 +463,15 @@ def value_to_json(v: Value) -> dict:
     return v.to_json()
 
 
+def json_or_raw(v) -> object:
+    """The JSON form of a value; anything else, such as a protocol message,
+    is shown as ``{"raw": repr}``."""
+    try:
+        return value_to_json(v)
+    except TypeError:
+        return {"raw": repr(v)}
+
+
 def value_from_json(obj) -> Value:
     """Parse the canonical JSON encoding; bare non-negative ints are accepted
     as shorthand for naturals.  Anything else raises ValueError."""

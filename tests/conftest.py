@@ -32,7 +32,7 @@ def initial_configuration() -> list:
 
 
 def noncompliant_witness(lingo, seed: int = 1):
-    """A wire batch with no preimage under the lingo's parameter 0, or None
+    """A wire value with no preimage under the lingo's parameter 0, or None
     when the search finds none: a lingo the compliance check can use has
     one, a lingo whose f(., a) is onto has none."""
     return find_noncompliant_witness(lingo, lingo.param(0, seed),

@@ -78,26 +78,26 @@ def run_scenario(name, seed_override=None):
 def test_criterion_01_paper_worked_values():
     with criterion("criterion 01: worked values reproduce exactly"):
         xor8 = make_xor_bitvec(8)
-        assert apply_f(xor8, BitVec(8, 3), BitVec(8, 5)) == [BitVec(8, 6)]
-        assert apply_g(xor8, [BitVec(8, 3)], BitVec(8, 5)) == BitVec(8, 6)
+        assert apply_f(xor8, BitVec(8, 3), BitVec(8, 5)) == BitVec(8, 6)
+        assert apply_g(xor8, BitVec(8, 3), BitVec(8, 5)) == BitVec(8, 6)
 
         xor_nat = make_xor_nat()
-        assert apply_f(xor_nat, Nat(3), Nat(5)) == [Nat(6)]
-        assert apply_g(xor_nat, [Nat(6)], Nat(5)) == Nat(3)
+        assert apply_f(xor_nat, Nat(3), Nat(5)) == Nat(6)
+        assert apply_g(xor_nat, Nat(6), Nat(5)) == Nat(3)
 
         xor_set = make_xor_set(("a", "b", "c", "d", "e", "f"))
         assert apply_f(xor_set, AtomSet(("a", "b", "c", "d")),
                        AtomSet(("c", "d", "e", "f"))) == \
-            [AtomSet(("a", "b", "e", "f"))]
+            AtomSet(("a", "b", "e", "f"))
 
         dc = make_divide_check()
-        assert apply_f(dc, Nat(13), Nat(3)) == [Pair(Nat(3), Nat(3))]
-        assert apply_g(dc, [Pair(Nat(3), Nat(3))], Nat(3)) == Nat(13)
+        assert apply_f(dc, Nat(13), Nat(3)) == Pair(Nat(3), Nat(3))
+        assert apply_g(dc, Pair(Nat(3), Nat(3)), Nat(3)) == Nat(13)
 
         sx = sharp(xor8)
         a = Pair(BitVec(8, 5), BitVec(8, 7))
         wire = apply_f(sx, BitVec(8, 3), a)
-        assert wire == [Pair(BitVec(8, 6), BitVec(8, 4))]
+        assert wire == Pair(BitVec(8, 6), BitVec(8, 4))
         assert apply_g(sx, wire, a) == BitVec(8, 3)
 
 
@@ -147,14 +147,14 @@ def test_criterion_03_f_checkability():
         # divide-and-check witness, exact for every parameter up to 16
         dc = make_divide_check()
         for a in range(17):
-            assert not is_compliant(dc, [Pair(Nat(0), Nat(a + 2))], Nat(a))
+            assert not is_compliant(dc, Pair(Nat(0), Nat(a + 2)), Nat(a))
 
         # plain xor is never f-checkable (exhaustive for n <= 6)
         for n in range(1, 7):
             xr = make_xor_bitvec(n)
             values = space_enumerate(BitVecSpace(n))
             for a in values:
-                assert all(is_compliant(xr, [d2], a) for d2 in values)
+                assert all(is_compliant(xr, d2, a) for d2 in values)
 
         # sharp(xor{n}): for every parameter pair the compliant pairs are
         # exactly the image of f, i.e. 2^n of 2^(2n) wire pairs
@@ -170,12 +170,12 @@ def test_criterion_03_f_checkability():
                     a = Pair(BitVec(n, a_bits), BitVec(n, ap_bits))
                     image = set()
                     for d_bits in range(size):
-                        image.add(sx.f(BitVec(n, d_bits), a)[0])
+                        image.add(sx.f(BitVec(n, d_bits), a))
                     assert len(image) == size
                     assert len(image) < size * size   # witness exists
                     if exhaustive_compliance:
                         count = sum(
-                            is_compliant(sx, [Pair(BitVec(n, x), BitVec(n, y))], a)
+                            is_compliant(sx, Pair(BitVec(n, x), BitVec(n, y)), a)
                             for x in range(size) for y in range(size))
                         assert count * size == size * size  # rate 2^-n exactly
             if not exhaustive_compliance:
@@ -183,13 +183,13 @@ def test_criterion_03_f_checkability():
                 rng = Rng(n, 33)
                 for _ in range(40):
                     a = sample_value(sx.param_space, rng)
-                    image = {sx.f(BitVec(n, d), a)[0] for d in range(size)}
+                    image = {sx.f(BitVec(n, d), a) for d in range(size)}
                     inside = next(iter(image))
-                    assert is_compliant(sx, [inside], a)
+                    assert is_compliant(sx, inside, a)
                     outside = Pair(BitVec(n, 0), BitVec(n, 0))
                     if outside in image:
                         outside = Pair(BitVec(n, 0), BitVec(n, 1))
-                    assert (outside in image) == is_compliant(sx, [outside], a)
+                    assert (outside in image) == is_compliant(sx, outside, a)
 
         # n = 8: Monte Carlo, the Wilson interval must cover 2^-8
         sx = sharp(make_xor_bitvec(8))
@@ -200,7 +200,7 @@ def test_criterion_03_f_checkability():
             a = sample_value(sx.param_space, rng)
             w = Pair(sample_value(BitVecSpace(8), rng),
                      sample_value(BitVecSpace(8), rng))
-            if is_compliant(sx, [w], a):
+            if is_compliant(sx, w, a):
                 hits += 1
         lo, hi = wilson_interval(hits, trials)
         assert lo <= 2**-8 <= hi, (hits, lo, hi)
@@ -214,17 +214,17 @@ def test_criterion_04_malleability():
         for _ in range(10_000):
             d = sample_value(xor8.input_space, rng)
             a = sample_value(xor8.param_space, rng)
-            observed = xor8.f(d, a)[0]
+            observed = xor8.f(d, a)
             forged = xor_recipe(observed, sample_value(xor8.param_space, rng))
-            assert forged != observed and is_compliant(xor8, [forged], a)
+            assert forged != observed and is_compliant(xor8, forged, a)
 
         sx = sharp(xor8)
         for _ in range(10_000):
             d = sample_value(sx.input_space, rng)
             a = sample_value(sx.param_space, rng)
-            observed = sx.f(d, a)[0]
+            observed = sx.f(d, a)
             forged = xor_sharp_recipe(observed, sample_value(sx.param_space, rng))
-            assert forged != observed and is_compliant(sx, [forged], a)
+            assert forged != observed and is_compliant(sx, forged, a)
 
         masks = [BitVec(8, 1), BitVec(8, 0xF0)]
         recipe = generic_recipe(xor8, masks)
@@ -232,9 +232,9 @@ def test_criterion_04_malleability():
         for _ in range(1000):
             d = sample_value(xor8.input_space, rng)
             a = sample_value(xor8.param_space, rng)
-            observed = xor8.f(d, a)[0]
+            observed = xor8.f(d, a)
             forged = recipe.forge(observed, sample_value(xor8.param_space, rng))
-            assert forged != observed and is_compliant(xor8, [forged], a)
+            assert forged != observed and is_compliant(xor8, forged, a)
 
         assert isinstance(generic_recipe(make_divide_check(),
                                          [Nat(1), Nat(2)]), NotApplicable)
@@ -269,7 +269,7 @@ def test_criterion_06_functional_f_check_propagation():
             witness = Pair(Nat(0), Nat(ap + 2))
             for _ in range(10):
                 a = Pair(sample_value(NatSpace(), rng), Nat(ap))
-                assert not is_compliant(comp, [witness], a)
+                assert not is_compliant(comp, witness, a)
 
 
 def test_criterion_07_adaptor_theorems():
@@ -292,7 +292,7 @@ def test_criterion_07_adaptor_theorems():
             a = sample_value(BitVecSpace(64), rng)
             assert assoc_left.f(d, a) == assoc_right.f(d, a)
             w = Nat(rng.next_u64())
-            assert assoc_left.g([w], a) == assoc_right.g([w], a)
+            assert assoc_left.g(w, a) == assoc_right.g(w, a)
 
         slide_left = functional(adapt_post(base, bn), make_divide_check())
         slide_right = functional(base, adapt_pre(bn, make_divide_check()))
@@ -329,7 +329,7 @@ def test_criterion_09_authenticating_lingo():
             pair = ("alice", "bob") if i % 2 else ("carol", "alice")
             d1 = sample_value(auth.inner.input_space, rng)
             a = auth.param2(n, pair)
-            [wire] = auth.base.f(d1, a)
+            wire = auth.base.f(d1, a)
             assert auth.code(wire, a) == auth.hash(n, pair)
             assert verify_auth(auth, wire, n, pair)
 

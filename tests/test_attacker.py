@@ -30,7 +30,7 @@ def observed_state(lingo, count=5, seed=77, reuse=1):
     for i in range(count):
         a = lingo.param(i // reuse, seed)
         d = sample_value(lingo.input_space, rng)
-        [wire] = apply_f(lingo, d, a)
+        wire = apply_f(lingo, d, a)
         observe(state, Message(dst="b", src="a", payload=wire, seq=i), t=i,
                 hidden=HiddenCtx(lingo_name=lingo.name, param=a, plaintext=d,
                                  index=i))
@@ -96,7 +96,7 @@ class TestRevealSweep:
         state.advantage = AdvantageConfig(s_max=((2, 1.0),))
         reveal_sweep(state, now=4, rng=Rng(4, ATTACKER_TAG))
         for rec in state.clear:
-            assert apply_f(lingo, rec.clear, rec.params) == [rec.wire]
+            assert apply_f(lingo, rec.clear, rec.params) == rec.wire
 
     def test_weak_reuse_rule(self):
         # same lingo, different parameters each time

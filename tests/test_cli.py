@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from conftest import ALL_SCENARIOS, scenario_path
+from conftest import ALL_SCENARIOS, ALL_SPECS, scenario_path
 from dialectica import cli
+from dialectica.attacker import STRATEGIES
 from dialectica.cli import (
     EXIT_BUDGET,
     EXIT_LAW_FAILURE,
@@ -65,6 +66,36 @@ class TestLingoEval:
         code = main(["lingo", "eval", '{"kind":"xor_nat"}', "f", "1", "2", "3"])
         assert code == EXIT_SPACE_VIOLATION
         assert "expected 1 inputs, got 2" in capsys.readouterr().err
+
+    def test_codec_decode_prints_the_message(self, capsys):
+        # A codec pre-composition decodes to a protocol message, not a value.
+        spec = json.dumps({"adapt_pre": {"adaptor": {"kind": "mqtt_codec"},
+                                         "lingo": {"kind": "xor_nat"}}})
+        code, out = run_cli(capsys, "lingo", "eval", spec, "g", '{"nat":"2"}',
+                            '{"nat":"0"}')
+        assert code == EXIT_OK
+        assert out == {"raw": "ConnAck()"}
+
+    def test_split_f_prints_one_pair(self, capsys):
+        split = json.dumps({"kind": "split_bitvec", "half_width": 4})
+        code, out = run_cli(capsys, "lingo", "eval", split, "f",
+                            '{"bv":{"w":8,"n":171}}', '{"bv":{"w":8,"n":0}}')
+        assert code == EXIT_OK
+        assert out == {"pair": [{"bv": {"w": 4, "n": 10}},
+                                {"bv": {"w": 4, "n": 11}}]}
+        code = main(["lingo", "eval", split, "g", '{"bv":{"w":4,"n":10}}',
+                     '{"bv":{"w":4,"n":11}}', '{"bv":{"w":8,"n":0}}'])
+        assert code == EXIT_SPACE_VIOLATION
+        assert "expected 1 inputs, got 2" in capsys.readouterr().err
+
+    def test_payload_too_wide_for_the_adaptor_exits_3(self, capsys):
+        spec = json.dumps({"adapt_pre": {
+            "adaptor": {"kind": "nat_bitvec", "width": 4},
+            "lingo": {"kind": "xor_bitvec", "width": 4}}})
+        code = main(["lingo", "eval", spec, "f", '{"nat":"100"}',
+                     '{"bv":{"w":4,"n":0}}'])
+        assert code == EXIT_SPACE_VIOLATION
+        assert "does not fit in 4 bits" in capsys.readouterr().err
 
     def test_wire_outside_output_space_exits_3(self, capsys):
         code = main(["lingo", "eval", DC, "g", '{"bv":{"w":8,"n":3}}',
@@ -128,11 +159,15 @@ class TestLingoCheck:
         {"kind": "xor_set", "universe": "ab"},
         {"kind": "identity", "space": {"atoms": "xyz"}},
         {"kind": "identity", "space": {"pair": ["nat", "nat", "nat"]}},
+        *[{"auth": {"base": base, "oids": ["a", "b"], "m": 8, "j": 8, "k": 8,
+                    "seed": 3}}
+          for base in ({"kind": "divide_check"},
+                       {"kind": "split_bitvec", "half_width": 4})],
     ], ids=["sharp_wide", "wide", "bad_defaults", "unhashable_kind", "huge_codebook",
             "non_string_oids", "float_width", "bool_width", "float_space_width",
             "float_param_ceiling", "float_half_width", "float_bias",
             "float_auth_k", "string_universe", "string_atoms",
-            "three_item_pair_space"])
+            "three_item_pair_space", "auth_over_pairs", "auth_over_split"])
     def test_bad_spec_values_exit_2(self, capsys, spec):
         assert main(["lingo", "check", json.dumps(spec)]) == EXIT_SPEC_ERROR
 
@@ -319,8 +354,11 @@ class TestSimulate:
         ([{"connect": "b"}, "disconnect", {"publish": ["t", "1"]}],
          "client c1: cmds[2] PubMsg(topic='t', value='1') would stall, the "
          "client is not connected"),
+        # c2 is a client: c1 would wait for a connack that never comes
+        ([{"connect": "c2"}, {"publish": ["t", "1"]}],
+         "clients connect to actors that are not brokers: ['c2']"),
     ], ids=["connect_while_connected", "subscribe_before_connect",
-            "publish_after_disconnect"])
+            "publish_after_disconnect", "connect_to_a_client"])
     def test_stalling_command_list_exits_2(self, capsys, tmp_path, cmds, error):
         path = tmp_path / "stall.json"
         path.write_text(json.dumps({
@@ -452,6 +490,18 @@ class TestExperiment:
             code = main(["experiment", "spoof", "--lingo", XOR8,
                          "--strategy", "replay", *bad])
             assert code == EXIT_SPEC_ERROR, bad
+
+
+def test_every_spec_and_strategy_ends_with_an_exit_code(capsys):
+    """Each experiment on every spec kind, and the law suite on each, ends
+    with a documented exit code, never a traceback."""
+    for spec in map(json.dumps, ALL_SPECS):
+        assert main(["lingo", "check", spec]) in range(5), spec
+        for strategy in STRATEGIES:
+            for kind in ("spoof", "match"):
+                code = main(["experiment", kind, "--lingo", spec, "--strategy",
+                             strategy, "--trials", "20"])
+                assert code in range(5), (spec, strategy, kind)
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)

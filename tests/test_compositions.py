@@ -57,9 +57,9 @@ class TestHorizontal:
     def test_branch_dispatch(self):
         h = xor_dc_horizontal()
         a1 = Tagged(1, Nat(5))
-        assert apply_f(h, Nat(3), a1) == [Tagged(1, Nat(6))]
+        assert apply_f(h, Nat(3), a1) == Tagged(1, Nat(6))
         a2 = Tagged(2, Nat(3))
-        assert apply_f(h, Nat(13), a2) == [Tagged(2, Pair(Nat(3), Nat(3)))]
+        assert apply_f(h, Nat(13), a2) == Tagged(2, Pair(Nat(3), Nat(3)))
 
     def test_param_tag_drives_the_dice(self):
         h = xor_dc_horizontal()
@@ -74,7 +74,7 @@ class TestHorizontal:
     def test_mismatched_tag_falls_back_to_default(self):
         h = xor_dc_horizontal()
         a1 = Tagged(1, Nat(5))
-        out = apply_g(h, [Tagged(2, Pair(Nat(3), Nat(3)))], a1)
+        out = apply_g(h, Tagged(2, Pair(Nat(3), Nat(3))), a1)
         assert isinstance(out, DefaultFallback)
         # the decoy is the branch's decode of its default value
         assert out.value == Nat(5)   # g_xor(0, 5) = 5
@@ -82,7 +82,7 @@ class TestHorizontal:
     def test_mismatched_tag_is_noncompliant(self):
         h = xor_dc_horizontal()
         a1 = Tagged(1, Nat(5))
-        assert not is_compliant(h, [Tagged(2, Pair(Nat(3), Nat(3)))], a1)
+        assert not is_compliant(h, Tagged(2, Pair(Nat(3), Nat(3))), a1)
 
     def test_validation(self):
         with pytest.raises(SpaceViolation):
@@ -120,8 +120,8 @@ class TestFunctional:
         comp = functional(make_xor_nat(), make_divide_check())
         a = Pair(Nat(6), Nat(3))
         # 13 xor 6 = 11, then 11+5 = 16 = 3*5+1
-        assert apply_f(comp, Nat(13), a) == [Pair(Nat(3), Nat(1))]
-        assert apply_g(comp, [Pair(Nat(3), Nat(1))], a) == Nat(13)
+        assert apply_f(comp, Nat(13), a) == Pair(Nat(3), Nat(1))
+        assert apply_g(comp, Pair(Nat(3), Nat(1)), a) == Nat(13)
 
     def test_space_mismatch(self):
         with pytest.raises(SpaceViolation):
@@ -142,7 +142,7 @@ class TestFunctional:
             witness = Pair(Nat(0), Nat(ap + 2))
             for _ in range(5):
                 a = Pair(sample_value(make_xor_nat().param_space, rng), Nat(ap))
-                assert not is_compliant(comp, [witness], a)
+                assert not is_compliant(comp, witness, a)
 
 
 class TestProduct:
@@ -150,7 +150,7 @@ class TestProduct:
         prod = product([make_xor_bitvec(8), make_divide_check()])
         a = Pair(BitVec(8, 5), Nat(3))
         got = apply_f(prod, Pair(BitVec(8, 3), Nat(13)), a)
-        assert got == [Pair(BitVec(8, 6), Pair(Nat(3), Nat(3)))]
+        assert got == Pair(BitVec(8, 6), Pair(Nat(3), Nat(3)))
         assert apply_g(prod, got, a) == Pair(BitVec(8, 3), Nat(13))
 
     def test_product_of_identities_is_identity(self):
@@ -160,7 +160,7 @@ class TestProduct:
         for _ in range(200):
             d = sample_value(prod.input_space, rng)
             a = sample_value(prod.param_space, rng)
-            assert apply_f(prod, d, a) == [d]
+            assert apply_f(prod, d, a) == d
 
     def test_k_ary_folds_into_nested_pairs(self):
         prod = product([make_xor_bitvec(4)] * 3)
@@ -173,8 +173,8 @@ class TestTupling:
         tup = tupling([make_xor_bitvec(8), make_xor_bitvec(8)])
         a = Pair(BitVec(8, 5), BitVec(8, 7))
         assert apply_f(tup, BitVec(8, 3), a) == \
-            [Pair(BitVec(8, 6), BitVec(8, 4))]
-        assert apply_g(tup, [Pair(BitVec(8, 6), BitVec(8, 4))], a) == BitVec(8, 3)
+            Pair(BitVec(8, 6), BitVec(8, 4))
+        assert apply_g(tup, Pair(BitVec(8, 6), BitVec(8, 4)), a) == BitVec(8, 3)
 
     def test_shared_input_required(self):
         with pytest.raises(SpaceViolation):
@@ -225,4 +225,4 @@ def test_horizontal_f_check_closure_brute_force():
             a = Tagged(branch, Nat(a_val))
             witness = Pair(Nat(0), Nat(a_val + 2)) if branch == 1 \
                 else Pair(Nat(a_val + 2), Nat(0))
-            assert not is_compliant(both, [Tagged(branch, witness)], a)
+            assert not is_compliant(both, Tagged(branch, witness), a)

@@ -54,8 +54,8 @@ from run import LAW_SPECS  # noqa: E402
 class TestApply:
     def test_checked_encode_decode(self):
         dc = make_divide_check()
-        assert apply_f(dc, Nat(13), Nat(3)) == [Pair(Nat(3), Nat(3))]
-        assert apply_g(dc, [Pair(Nat(3), Nat(3))], Nat(3)) == Nat(13)
+        assert apply_f(dc, Nat(13), Nat(3)) == Pair(Nat(3), Nat(3))
+        assert apply_g(dc, Pair(Nat(3), Nat(3)), Nat(3)) == Nat(13)
 
     def test_arity_violation(self):
         xr = make_xor_nat()
@@ -78,25 +78,25 @@ class TestApply:
 
     def test_decode_failure_is_a_value(self):
         dc = make_divide_check()
-        out = apply_g(dc, [Pair(Nat(0), Nat(0))], Nat(3))
+        out = apply_g(dc, Pair(Nat(0), Nat(0)), Nat(3))
         assert isinstance(out, DecodeFailure)
 
 
 class TestCompliance:
     def test_dc_image_value(self):
         dc = make_divide_check()
-        assert is_compliant(dc, [Pair(Nat(3), Nat(3))], Nat(3))
+        assert is_compliant(dc, Pair(Nat(3), Nat(3)), Nat(3))
 
     def test_dc_remainder_too_big(self):
         # f(g((1,5),1),1): g gives 1*3+5-3 = 5, f(5,1) = (2,2) != (1,5)
         dc = make_divide_check()
-        assert not is_compliant(dc, [Pair(Nat(1), Nat(5))], Nat(1))
+        assert not is_compliant(dc, Pair(Nat(1), Nat(5)), Nat(1))
 
     def test_xor_everything_compliant(self):
         xr = make_xor_bitvec(4)
         for a in space_enumerate(BitVecSpace(4)):
             for d2 in space_enumerate(BitVecSpace(4)):
-                assert is_compliant(xr, [d2], a)
+                assert is_compliant(xr, d2, a)
 
 
 class TestSampling:
@@ -150,12 +150,12 @@ class TestLawHarness:
     def test_broken_lingo_caught_with_counterexample(self):
         space = NatSpace()
 
-        def bad_g(ws, a):
-            return Nat(ws[0].n ^ a.n ^ 1)   # off by one bit
+        def bad_g(w, a):
+            return Nat(w.n ^ a.n ^ 1)   # off by one bit
 
         broken = Lingo(name="broken", input_space=space, output_space=space,
                        param_space=space,
-                       f=lambda d, a: [Nat(d.n ^ a.n)], g=bad_g,
+                       f=lambda d, a: Nat(d.n ^ a.n), g=bad_g,
                        param=make_param(space, "broken"))
         report = check_lingo_laws(broken, 100, Rng(1, 2))
         assert not report.all_passed
@@ -214,12 +214,10 @@ def _reference_check_lingo_laws(lingo, sample_count, rng):
     failure = None
     for i in range(min(sample_count, 200)):
         d1, a = draw(2 * i), _reference_sample_param(lingo, i, seed)
-        for w in apply_f(lingo, d1, a):
-            if not space_contains(lingo.output_space, w):
-                failure = LawResult("f_lands_in_output_space", False,
-                                    _ce({"d1": d1, "a": a}, "member", w))
-                break
-        if failure:
+        w = apply_f(lingo, d1, a)
+        if not space_contains(lingo.output_space, w):
+            failure = LawResult("f_lands_in_output_space", False,
+                                _ce({"d1": d1, "a": a}, "member", w))
             break
     report.results.append(failure or LawResult("f_lands_in_output_space", True))
 
@@ -271,19 +269,19 @@ def _stray_f(lo, hi, low_bit=0):
     # set makes even payloads encode like the odd payload above them.
     def f(d, a):
         width = 17 if lo <= d.bits < hi else 16
-        return [BitVec(width, (d.bits | low_bit) ^ a.bits)]
+        return BitVec(width, (d.bits | low_bit) ^ a.bits)
     return f
 
 
-def _xor16_g(ws, a):
-    return BitVec(16, (ws[0].bits ^ a.bits) & 0xFFFF)
+def _xor16_g(w, a):
+    return BitVec(16, (w.bits ^ a.bits) & 0xFFFF)
 
 
 BROKEN_LINGOS = {
     # g is off by one on even payloads; f stays injective on samples and
     # every image decodes to a preimage, so only L0 fails
-    "l0_only": _broken("l0_only", lambda d, a: [Nat((d.n | 1) ^ a.n)],
-                       lambda ws, a: Nat(ws[0].n ^ a.n)),
+    "l0_only": _broken("l0_only", lambda d, a: Nat((d.n | 1) ^ a.n),
+                       lambda w, a: Nat(w.n ^ a.n)),
     # the first stray image comes after index 0, but before 200
     "stray_early": _broken("stray_early", _stray_f(0, 2048), _xor16_g,
                            BitVecSpace(16)),
@@ -291,16 +289,16 @@ BROKEN_LINGOS = {
     # the membership bound, and only C1 reports it
     "stray_late": _broken("stray_late", _stray_f(4096, 4352, 1), _xor16_g,
                           BitVecSpace(16)),
-    "constant_f": _broken("constant_f", lambda d, a: [Nat(0)],
-                          lambda ws, a: DecodeFailure("constant")),
+    "constant_f": _broken("constant_f", lambda d, a: Nat(0),
+                          lambda w, a: DecodeFailure("constant")),
     # all four laws fail, so the pass ends early
-    "fails_all": _broken("fails_all", lambda d, a: [BitVec(5, 0)],
-                         lambda ws, a: DecodeFailure("never"),
+    "fails_all": _broken("fails_all", lambda d, a: BitVec(5, 0),
+                         lambda w, a: DecodeFailure("never"),
                          BitVecSpace(4)),
     # L0 and C1 fail at once and membership holds, so past index 200 only
     # L1 is open, on a space small enough for equal payload pairs
-    "l1_alone": _broken("l1_alone", lambda d, a: [BitVec(2, d.bits ^ a.bits)],
-                        lambda ws, a: DecodeFailure("never"), BitVecSpace(2)),
+    "l1_alone": _broken("l1_alone", lambda d, a: BitVec(2, d.bits ^ a.bits),
+                        lambda w, a: DecodeFailure("never"), BitVecSpace(2)),
 }
 LAW_SAMPLE_COUNTS = (1, 7, 199, 200, 201, 1000)
 
@@ -342,18 +340,18 @@ class TestOnePassHarness:
             "L0_left_inverse", c1, "C3_compliance_equivalence"}
 
 
-def _g_refusing_strays(ws, a):
-    if not space_contains(BitVecSpace(16), ws[0]):
-        raise AssertionError(f"g decoded an image the gate refuses: {ws[0]!r}")
-    return _xor16_g(ws, a)
+def _g_refusing_strays(w, a):
+    if not space_contains(BitVecSpace(16), w):
+        raise AssertionError(f"g decoded an image the gate refuses: {w!r}")
+    return _xor16_g(w, a)
 
 
 def _counting_g(lingo):
     calls = []
 
-    def g(ws, a):
+    def g(w, a):
         calls.append(a)
-        return lingo.g(ws, a)
+        return lingo.g(w, a)
     return dataclasses.replace(lingo, g=g), calls
 
 
@@ -370,7 +368,7 @@ class TestOneDecodePerIndex:
                                "C1_image_compliant"}
         first = _reference_check_lingo_laws(lingo, 1, Rng(11, 12))
         assert failed["L0_left_inverse"] == first.results[0].counterexample
-        [stray] = failed["C1_image_compliant"]["got"]
+        stray = failed["C1_image_compliant"]["got"]
         assert stray["bv"]["w"] == 17
         assert (_outcome(check_lingo_laws, lingo, 1000)
                 == _outcome(_reference_check_lingo_laws, lingo, 1000))
@@ -389,25 +387,29 @@ class TestOneDecodePerIndex:
 
 
 # ---------------------------------------------------------------------------
-# is_compliant on a batch the caller already decoded
+# is_compliant on a wire value the caller already decoded
 # ---------------------------------------------------------------------------
 
 SPEC_LINGOS = [build_lingo(spec) for spec in ALL_SPECS]
 WIRE_MODES = ("drawn", "image", "patched_image")
 
 
-def _wire_batch(lingo, a, rng, mode):
-    """A wire batch: values drawn from the output space, the image f(d, a)
-    of a drawn payload, or that image with its last value redrawn.  Small
-    naturals make drawn batches compliant now and then."""
+def _wire_value(lingo, a, rng, mode):
+    """A wire value: drawn from the output space, the image f(d, a) of a
+    drawn payload, or that image redrawn, in its second component where
+    it is a pair.  Small naturals make drawn values compliant now and
+    then."""
     def drawn():
         return sample_value(lingo.output_space, rng, 16)
 
     if mode == "drawn" or lingo.input_space is None:
-        return [drawn() for _ in range(lingo.egress_arity)]
+        return drawn()
     image = lingo.f(sample_value(lingo.input_space, rng, 16), a)
     if mode == "patched_image":
-        image[-1] = drawn()
+        patch = drawn()
+        if isinstance(image, Pair) and isinstance(patch, Pair):
+            return Pair(image.first, patch.second)
+        return patch
     return image
 
 
@@ -420,7 +422,7 @@ def _decode_kind(decoded):
 
 def _case(lingo, seed, index, mode):
     a = law_params(lingo, seed)(index)
-    return a, _wire_batch(lingo, a, Rng(seed, SAMPLE_TAG ^ index), mode)
+    return a, _wire_value(lingo, a, Rng(seed, SAMPLE_TAG ^ index), mode)
 
 
 class TestCompliantOnDecoded:
@@ -429,25 +431,24 @@ class TestCompliantOnDecoded:
            index=st.integers(0, 200), mode=st.sampled_from(WIRE_MODES))
     def test_decoded_result_gives_the_same_answer(self, lingo, seed, index,
                                                   mode):
-        a, batch = _case(lingo, seed, index, mode)
-        assume(wire_fits(lingo, batch))
-        decoded = lingo.g(list(batch), a)
-        assert (is_compliant(lingo, batch, a, decoded)
-                == is_compliant(lingo, batch, a))
+        a, w = _case(lingo, seed, index, mode)
+        assume(wire_fits(lingo, w))
+        decoded = lingo.g(w, a)
+        assert is_compliant(lingo, w, a, decoded) == is_compliant(lingo, w, a)
 
     def test_cases_reach_every_decode_outcome(self):
-        # The property above sees compliant and non-compliant batches, and
-        # decodes that fail or fall back to a branch default.
+        # The property above sees compliant and non-compliant wire values,
+        # and decodes that fail or fall back to a branch default.
         seen = set()
         for lingo in SPEC_LINGOS:
             for seed in range(40):
                 for mode in WIRE_MODES:
-                    a, batch = _case(lingo, seed, seed, mode)
-                    if not wire_fits(lingo, batch):
+                    a, w = _case(lingo, seed, seed, mode)
+                    if not wire_fits(lingo, w):
                         continue
-                    decoded = lingo.g(list(batch), a)
+                    decoded = lingo.g(w, a)
                     seen.add(_decode_kind(decoded))
-                    seen.add(is_compliant(lingo, batch, a, decoded))
+                    seen.add(is_compliant(lingo, w, a, decoded))
         assert seen == {"value", "DecodeFailure", "DefaultFallback", True, False}
 
 
@@ -456,14 +457,14 @@ class TestCompliantOnDecoded:
 # ---------------------------------------------------------------------------
 
 def _frozen_functional_g(g1, g2):
-    def g(ws, a):
-        mid = g2(ws, a.second)
+    def g(w, a):
+        mid = g2(w, a.second)
         fell_back = isinstance(mid, DefaultFallback)
         if isinstance(mid, DecodeFailure):
             return mid
         if fell_back:
             mid = mid.value
-        out = g1([mid], a.first)
+        out = g1(mid, a.first)
         if isinstance(out, DecodeFailure):
             return out
         inner_fallback = isinstance(out, DefaultFallback)
@@ -476,10 +477,9 @@ def _frozen_functional_g(g1, g2):
 
 
 def _frozen_product_g(g1, g2):
-    def g(ws, a):
-        w = ws[0]
-        r1 = g1([w.first], a.first)
-        r2 = g2([w.second], a.second)
+    def g(w, a):
+        r1 = g1(w.first, a.first)
+        r2 = g2(w.second, a.second)
         if isinstance(r1, DecodeFailure):
             return r1
         if isinstance(r2, DecodeFailure):
@@ -494,8 +494,8 @@ def _frozen_product_g(g1, g2):
 
 
 def _frozen_adapt_pre_g(ad, inner_g):
-    def g(ws, a):
-        out = inner_g(ws, a)
+    def g(w, a):
+        out = inner_g(w, a)
         if isinstance(out, DecodeFailure):
             return out
         fell_back = isinstance(out, DefaultFallback)
@@ -508,14 +508,11 @@ def _frozen_adapt_pre_g(ad, inner_g):
 
 
 def _frozen_adapt_post_g(inner_g, ad):
-    def g(ws, a):
-        retracted = []
-        for w in ws:
-            rw = ad.r(w)
-            if isinstance(rw, RetractFailure):
-                return DecodeFailure(f"retract failed: {rw.reason}")
-            retracted.append(rw)
-        return inner_g(retracted, a)
+    def g(w, a):
+        rw = ad.r(w)
+        if isinstance(rw, RetractFailure):
+            return DecodeFailure(f"retract failed: {rw.reason}")
+        return inner_g(rw, a)
     return g
 
 
@@ -564,23 +561,23 @@ class TestStagedDecodes:
            index=st.integers(0, 200), mode=st.sampled_from(WIRE_MODES))
     def test_matches_the_frozen_stages(self, pair, seed, index, mode):
         lingo, frozen_g = pair
-        a, batch = _case(lingo, seed, index, mode)
-        assume(wire_fits(lingo, batch))
-        assert lingo.g(list(batch), a) == frozen_g(list(batch), a)
+        a, w = _case(lingo, seed, index, mode)
+        assume(wire_fits(lingo, w))
+        assert lingo.g(w, a) == frozen_g(w, a)
 
     def test_cases_reach_every_decode_outcome(self):
         seen = set()
         for lingo, _ in STAGED[len(ALL_SPECS):]:
             for seed in range(40):
                 for mode in WIRE_MODES:
-                    a, batch = _case(lingo, seed, seed, mode)
-                    if wire_fits(lingo, batch):
-                        seen.add(_decode_kind(lingo.g(list(batch), a)))
+                    a, w = _case(lingo, seed, seed, mode)
+                    if wire_fits(lingo, w):
+                        seen.add(_decode_kind(lingo.g(w, a)))
         assert seen == {"value", "DecodeFailure", "DefaultFallback"}
 
 
 # ---------------------------------------------------------------------------
-# The lingo interface: one payload in, egress_arity wire values out
+# The lingo interface: one payload in, one wire value out
 # ---------------------------------------------------------------------------
 
 # Every leaf kind, operator and adaptor kind the specs can build, and the
@@ -607,18 +604,26 @@ def _payload_cases(lingo, count=20):
 
 @pytest.mark.parametrize("lingo", CONTRACT_LINGOS, ids=lambda l: l.name)
 class TestOnePayloadInterface:
-    def test_f_returns_egress_arity_wire_values(self, lingo):
+    def test_f_returns_one_wire_value(self, lingo):
         for d, a in _payload_cases(lingo):
-            ws = lingo.f(d, a)
-            assert type(ws) is list and len(ws) == lingo.egress_arity
-            assert apply_f(lingo, d, a) == ws and wire_fits(lingo, ws)
+            w = lingo.f(d, a)
+            assert not isinstance(w, list)
+            assert space_contains(lingo.output_space, w)
+            assert apply_f(lingo, d, a) == w
 
     def test_g_returns_the_payload_itself(self, lingo):
         for d, a in _payload_cases(lingo):
-            ws = lingo.f(d, a)
-            back = lingo.g(list(ws), a)
+            w = lingo.f(d, a)
+            back = lingo.g(w, a)
             assert not isinstance(back, list) and back == d
-            assert apply_g(lingo, ws, a) == d and is_compliant(lingo, ws, a)
+            assert apply_g(lingo, w, a) == d and is_compliant(lingo, w, a)
+
+    def test_stale_wire_list_is_refused(self, lingo):
+        for d, a in _payload_cases(lingo, count=5):
+            w = lingo.f(d, a)
+            with pytest.raises(SpaceViolation):
+                apply_g(lingo, [w], a)
+            assert is_compliant(lingo, [w], a) is False
 
     def test_stale_payload_list_fails_loudly(self, lingo):
         for d, a in _payload_cases(lingo, count=5):

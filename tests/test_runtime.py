@@ -74,7 +74,7 @@ class TestRules:
         expected = lingo.f(encode_mqtt(__import__("dialectica.mqtt",
                            fromlist=["ConnectMsg"]).ConnectMsg("b")),
                            lingo.param(0, 5))
-        assert [msg.payload] == expected
+        assert msg.payload == expected
 
     def test_identity_lingo_wire_equals_payload(self):
         cfg = self.make_pair({"kind": "identity", "space": "nat"})
@@ -100,19 +100,18 @@ class TestRules:
         assert cfg.wrappers["b"].outbox   # the connack reply
         assert cfg.wrappers["b"].recv_counters == {"c1": 1}
 
-    def test_split_lingo_two_wires_one_logical_send(self):
+    def test_split_lingo_one_wire_message_per_send(self):
         policy = StaticPolicy(build_lingo({"kind": "split_bitvec",
                                            "half_width": 64}))
         actors = [MqttClient(oid="c1", cmd_list=(ConnectMsg("b"),)),
                   MqttBroker(oid="b")]
         cfg = make_configuration(actors, policy, 5, codec=mqtt_codec_adaptor(128))
         rule_out(cfg, "c1")
-        assert len(cfg.channel("c1", "b")) == 2
+        [m] = cfg.channel("c1", "b")
+        assert isinstance(m.payload, Pair)
         assert cfg.wrappers["c1"].send_counters == {"b": 1}
         rule_deliver(cfg, "c1", "b")
-        # one wire message is not enough for an egress-2 lingo
-        assert ("in", "b", "c1") not in _enabled_instances(cfg)
-        rule_deliver(cfg, "c1", "b")
+        assert ("in", "b", "c1") in _enabled_instances(cfg)
         rule_in(cfg, "b", "c1")
         assert cfg.stats["delivered"] == 1
         assert cfg.wrappers["b"].recv_counters == {"c1": 1}
@@ -451,8 +450,8 @@ class TestAttackerIntegration:
 
     @pytest.mark.parametrize("strategy", ["random_wire", "replay"])
     def test_forgeries_past_the_lingo_layer_are_compliant(self, strategy):
-        # Rebuilt from the log: the n-th batch the receiver reads on a flow
-        # is the n-th message delivered on it (arity 1).
+        # Rebuilt from the log: the n-th wire message the receiver reads on
+        # a flow is the n-th message delivered on it.
         stack = {"horizontal": {
             "branches": [{"kind": "xor_nat"}, {"kind": "divide_check"}],
             "defaults": [{"nat": "0"}, {"pair": [{"nat": "0"}, {"nat": "0"}]}],
@@ -471,7 +470,7 @@ class TestAttackerIntegration:
                   if seq in wires and seq in passed]
         assert len(forged) == cfg.stats["forgeries_accepted"] > 0
         for n, wire in forged:
-            assert is_compliant(lingo, [value_from_json(wire)],
+            assert is_compliant(lingo, value_from_json(wire),
                                 lingo.param(n, cfg.seed))
 
     def test_zero_injection_rate_disables_attacker(self):
@@ -543,12 +542,7 @@ def reference_enabled_instances(cfg):
     for oid in sorted(cfg.wrappers):
         w = cfg.wrappers[oid]
         for src in sorted(w.in_buffers):
-            buf = w.in_buffers[src]
-            if not buf:
-                continue
-            lingo = w.lingo_for(src, sending=False)
-            need = lingo.egress_arity if lingo else 1
-            if len(buf) >= need:
+            if w.in_buffers[src]:
                 instances.append(("in", oid, src))
     atk = cfg.attacker
     if atk is not None and atk.budget_left > 0:
@@ -641,18 +635,18 @@ def _oracle_docs():
         "injection_rate": 0.3, "max_injections": 40,
         "advantage": {"s_max": [[1, 0.2]], "t_max": [[30, 0.05]]}}
     docs["param_reuse_oracle"] = oracle
-    # Egress arity 1 and 2 under one aperiodic policy: in-readiness of a
-    # buffered wire flips with the receive lingo.
+    # xor and split under one aperiodic policy: the wire rotates between a
+    # bit-vector and a pair of halves.
     mixed = scale_scenario(6, 4, 3, 128, False, 0)
     del mixed["lingo_stack"]
     mixed["policy"] = {"aperiodic": {"msg_bound": 2, "lingos": [
         {"kind": "xor_bitvec", "width": 128},
         {"kind": "split_bitvec", "half_width": 64}]}}
-    docs["aperiodic_mixed_arity"] = mixed
+    docs["aperiodic_xor_split"] = mixed
     mixed_attacked = json.loads(json.dumps(mixed))
     mixed_attacked["attacker"] = {"strategies": ["replay", "random_wire"],
                                   "injection_rate": 0.1, "max_injections": 20}
-    docs["aperiodic_mixed_arity_attacked"] = mixed_attacked
+    docs["aperiodic_xor_split_attacked"] = mixed_attacked
     return docs
 
 
@@ -666,25 +660,6 @@ class TestIncrementalEnabledSet:
         cfg = build_configuration(scenario)
         steps = run_against_reference(cfg, scenario.max_steps)
         assert steps > 0
-
-    def test_mixed_arity_flips_in_readiness(self):
-        # One buffered wire is enough under xor_bitvec and too few under
-        # split_bitvec: both must be seen, or the oracle run above proves
-        # nothing about arity.
-        cfg = build_configuration(parse_scenario(
-            ORACLE_DOCS["aperiodic_mixed_arity"]))
-        seen = set()
-        while True:
-            enabled = _enabled_instances(cfg)
-            for oid, w in cfg.wrappers.items():
-                for src, buf in w.in_buffers.items():
-                    if len(buf) == 1:
-                        seen.add(("in", oid, src) in enabled)
-            if not enabled:
-                break
-            step(cfg)
-        assert seen == {True, False}
-        assert cfg.stats["rejected"] == 0
 
     def test_direct_channel_append_is_seen(self):
         cfg = TestRules().make_pair()
