@@ -12,7 +12,8 @@ record's ground-truth ``hidden`` context is for the reveal engine, and
 
 ``observe`` and ``reveal_sweep`` keep indexes over the registries up to
 date, so no query rescans them: the latest record per (src, dst) flow, the
-running lingo and (lingo, parameter) use counts the reveal rules read, the
+running lingo and (lingo, parameter) use counts the reveal rules read (the
+second only when the strong-reveal rule ``s_max`` has steps), the
 unrevealed records in record order, and the latest revealed record with
 parameters per flow.
 """
@@ -128,7 +129,8 @@ class AttackerState:
     lingo_counts: dict[str, int] = field(default_factory=dict, repr=False)
     pair_counts: dict[tuple[str, str], int] = field(default_factory=dict,
                                                     repr=False)
-    # (record, its (lingo, repr(param)) key or None), in record order.
+    # (record, its (lingo, repr(param)) key), in record order; the key is
+    # None for a bare record, and for every record when ``s_max`` is empty.
     unrevealed: list[tuple[CapturedRecord, Optional[tuple[str, str]]]] = field(
         default_factory=list, repr=False)
     leaked: dict[tuple[str, str], ClearRecord] = field(default_factory=dict,
@@ -149,9 +151,11 @@ def observe(state: AttackerState, msg: Message, t: int,
     key = None
     name = hidden.lingo_name
     if name is not None:
-        key = (name, repr(hidden.param))
         state.lingo_counts[name] = state.lingo_counts.get(name, 0) + 1
-        state.pair_counts[key] = state.pair_counts.get(key, 0) + 1
+        # Only the strong-reveal step reads the (lingo, parameter) count.
+        if state.advantage.s_max:
+            key = (name, repr(hidden.param))
+            state.pair_counts[key] = state.pair_counts.get(key, 0) + 1
     state.unrevealed.append((rec, key))
     return state
 
@@ -166,12 +170,14 @@ def reveal_sweep(state: AttackerState, now: int, rng: Rng) -> AttackerState:
     revealed_any = False
     for rec, key in state.unrevealed:
         p_age = eval_step(adv.t_max, now - rec.t)
-        if key is None:
+        name = rec.hidden.lingo_name
+        if name is None:
             p_weak = p_strong = 0.0
         else:
-            p_weak = eval_step(adv.w_max, state.lingo_counts[key[0]])
-            p_strong = eval_step(adv.s_max, state.pair_counts[key])
-        p_clear = 0.0 if rec.hidden.lingo_name is not None else 1.0
+            p_weak = eval_step(adv.w_max, state.lingo_counts[name])
+            p_strong = (0.0 if key is None
+                        else eval_step(adv.s_max, state.pair_counts[key]))
+        p_clear = 0.0 if name is not None else 1.0
         p = min(p_age + p_weak + p_strong + p_clear, 1.0)
         if p <= 0.0:
             continue

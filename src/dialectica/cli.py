@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from typing import Optional
 
 from .attacker import (
@@ -72,6 +73,24 @@ def _emit(obj, out_path: Optional[str]) -> None:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _discard(event: dict) -> None:
+    pass
+
+
+@contextmanager
+def _trace_sink(path: Optional[str]):
+    """Where ``simulate`` sends trace events: one JSON line each in
+    ``path``, written as the run logs them, or nowhere without a path."""
+    if not path:
+        yield _discard
+        return
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              check_circular=False).encode
+    with open(path, "w", encoding="utf-8") as fh:
+        write = fh.write
+        yield lambda event: write(encode(event) + "\n")
 
 
 def _cannot_run(exc: Exception) -> int:
@@ -159,17 +178,18 @@ def cmd_simulate(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
     max_steps = scenario.max_steps if args.max_steps is None else args.max_steps
-    try:
-        quiesced, steps = run(cfg, max_steps)
-        report = build_report(cfg, quiesced, steps, scenario.policy)
-    except NonceExhausted as exc:
-        return _cannot_run(exc)
-
     trace_path = args.trace or scenario.trace_path
-    if trace_path:
-        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            fh.writelines(encode(ev) + "\n" for ev in cfg.event_log)
+    try:
+        with _trace_sink(trace_path) as sink:
+            cfg.sink = sink
+            quiesced, steps = run(cfg, max_steps)
+            report = build_report(cfg, quiesced, steps, scenario.policy)
+    except NonceExhausted as exc:
+        # A run that cannot finish leaves no trace; /dev/null and other
+        # paths that are not regular files are left alone.
+        if trace_path and os.path.isfile(trace_path):
+            os.remove(trace_path)
+        return _cannot_run(exc)
     report_path = args.out or scenario.report_path
     _emit(report, report_path)
     return EXIT_OK if quiesced else EXIT_BUDGET

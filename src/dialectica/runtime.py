@@ -19,11 +19,17 @@ injection breaks that: the receiver counts every wire message it reads, a
 rejected injected one included, so every later honest message on the
 flow is decoded under the wrong parameter.
 
-Each message's work is done once.  The sender derives the parameter and
-leaves it with the flow (``Configuration.sent_params``); the receiver takes
-it from there, and derives it afresh only for traffic the sender did not
-code under that counter and lingo (injections, desync).  ``rule_in``
-decodes a wire message once and hands the result to the forgery check.
+Each message's work is done once.  The parameter of message ``n`` under a
+lingo is ``lingo.param(n, seed)`` on every flow, so a run derives it once:
+``rule_out`` leaves it in the run's memo (``Configuration.params``, keyed by
+lingo identity and ``n``) and ``rule_in`` reads it from there.  A receive
+that misses (injected or desynchronised traffic) derives it afresh and does
+not insert it, so forgery floods do not grow the memo.  ``rule_in`` decodes
+a wire message once and hands the result to the forgery check.
+
+Every trace event goes to ``Configuration.sink`` as it happens.  By default
+the sink appends to ``Configuration.event_log``; ``simulate`` writes each
+event to the trace file instead, so a run holds no events in memory.
 
 Channels are FIFO and loss-free per (src, dst): counter-keyed parameters
 need ordered delivery.  The scheduler enumerates enabled rule instances in
@@ -44,7 +50,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .attacker import (
     AttackerState,
@@ -177,9 +183,14 @@ class Configuration:
         init=False, repr=False,
         default_factory=lambda: {"out": [], "deliver": [], "in": []})
     dirty: set[tuple] = field(init=False, repr=False, default_factory=set)
-    # Per flow (src, dst): (n, lingo, parameter) of each honest message the
-    # sender coded and the receiver has not reached yet, in send order.
-    sent_params: dict[tuple[str, str], deque] = field(
+    # Where each trace event goes when it is logged; appends to
+    # ``event_log`` unless the caller sets another writer.
+    sink: Callable[[dict], object] = field(init=False, repr=False)
+    # The parameter of message n under each lingo honest senders used, by
+    # (id(lingo), n).  The policy holds its lingos for the whole run, so an
+    # id names one lingo, and a lookup hashes no lingo fields.  A run has one
+    # seed; a flow-bound ``param`` would add the flow to the key.
+    params: dict[tuple[int, int], object] = field(
         init=False, repr=False, default_factory=dict)
     # ((len(latest), len(leaked)), candidates) from the last candidate
     # search; the attacker's indexes never lose a key, so equal sizes mean
@@ -189,6 +200,7 @@ class Configuration:
 
     def __post_init__(self) -> None:
         self.dirty.update(("out", oid) for oid in self.wrappers)
+        self.sink = self.event_log.append
 
     def channel(self, src: str, dst: str) -> deque:
         """The (src, dst) channel; callers may change it, so its deliver
@@ -205,7 +217,9 @@ class Configuration:
         return [(s, d) for s in oids for d in oids if s != d]
 
     def log(self, ev: str, **fields) -> None:
-        self.event_log.append({"t": self.clock, "ev": ev, **fields})
+        fields["t"] = self.clock
+        fields["ev"] = ev
+        self.sink(fields)
 
 
 def make_configuration(actors, policy: LingoPolicy, seed: int,
@@ -254,8 +268,10 @@ def rule_out(cfg: Configuration, oid: str) -> Configuration:
         plaintext: object = msg
     else:
         plaintext = w.codec.j(msg)
-        a = lingo.param(n, w.seed)
-        cfg.sent_params.setdefault((oid, dst), deque()).append((n, lingo, a))
+        key = (id(lingo), n)
+        a = cfg.params.get(key)
+        if a is None:
+            a = cfg.params[key] = lingo.param(n, w.seed)
         wire = lingo.f(plaintext, a)
     hidden = HiddenCtx(lingo_name=lingo.name if lingo else None, param=a,
                        plaintext=plaintext, index=n)
@@ -305,7 +321,11 @@ def rule_in(cfg: Configuration, oid: str, src: str) -> Configuration:
     reason = None
     msg = m.payload
     if lingo is not None:
-        a = _recv_param(cfg, w, src, n, lingo)
+        a = cfg.params.get((id(lingo), n))
+        if a is None:
+            # No honest sender coded message n under this lingo: injected
+            # or desynchronised traffic, which stays out of the memo.
+            a = lingo.param(n, w.seed)
         decoded = decode_wire(lingo, m.payload, a)
         if isinstance(decoded, DecodeFailure):
             reason = "decode:" + decoded.reason
@@ -340,21 +360,6 @@ def rule_in(cfg: Configuration, oid: str, src: str) -> Configuration:
         _check_desync(cfg, w, src, n, m)
     cfg.log("in", dst=oid, src=src, n=n, outcome="delivered", msg=repr(msg))
     return cfg
-
-
-def _recv_param(cfg, w, src, n, lingo):
-    """The parameter of message ``n`` of the flow src -> w.oid: the one its
-    sender derived, if the sender coded message ``n`` under the same lingo;
-    else (injected traffic, desync) derived afresh.  Entries below ``n`` are
-    dropped, so the store holds only honest messages still in flight."""
-    sent = cfg.sent_params.get((src, w.oid))
-    while sent and sent[0][0] < n:
-        sent.popleft()
-    if sent and sent[0][0] == n:
-        _, made_by, a = sent.popleft()
-        if made_by is lingo:
-            return a
-    return lingo.param(n, w.seed)
 
 
 def _log_switch(cfg, w, peer, direction, n) -> None:
@@ -503,7 +508,7 @@ def step(cfg: Configuration) -> str:
 
 def run(cfg: Configuration, max_steps: int) -> tuple[bool, int]:
     """Step until quiescence or the budget runs out.  Returns (quiesced,
-    steps taken); the trace accumulates in cfg.event_log."""
+    steps taken); each trace event goes to cfg.sink as it is logged."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     for i in range(max_steps):

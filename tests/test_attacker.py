@@ -24,8 +24,10 @@ from dialectica.specs import build_lingo
 from dialectica.values import Nat, Tagged
 
 
-def observed_state(lingo, count=5, seed=77, reuse=1):
-    state = AttackerState()
+def observed_state(lingo, count=5, seed=77, reuse=1, advantage=None):
+    # The advantage is fixed before the first capture: observe keeps the
+    # (lingo, parameter) count only for an s_max rule.
+    state = AttackerState(advantage=advantage or AdvantageConfig())
     rng = Rng(seed, 123)
     for i in range(count):
         a = lingo.param(i // reuse, seed)
@@ -83,8 +85,8 @@ class TestRevealSweep:
 
     def test_strong_reuse_reveals_deterministically(self):
         lingo = build_lingo({"kind": "xor_nat"})
-        state = observed_state(lingo, count=3, reuse=3)
-        state.advantage = AdvantageConfig(s_max=((2, 1.0),))
+        state = observed_state(lingo, count=3, reuse=3,
+                               advantage=AdvantageConfig(s_max=((2, 1.0),)))
         reveal_sweep(state, now=3, rng=Rng(3, ATTACKER_TAG))
         assert len(state.clear) == 3
         for rec in state.clear:
@@ -92,8 +94,8 @@ class TestRevealSweep:
 
     def test_revealed_params_re_encode_the_cleartext(self):
         lingo = build_lingo({"kind": "xor_nat"})
-        state = observed_state(lingo, count=4, reuse=4)
-        state.advantage = AdvantageConfig(s_max=((2, 1.0),))
+        state = observed_state(lingo, count=4, reuse=4,
+                               advantage=AdvantageConfig(s_max=((2, 1.0),)))
         reveal_sweep(state, now=4, rng=Rng(4, ATTACKER_TAG))
         for rec in state.clear:
             assert apply_f(lingo, rec.clear, rec.params) == rec.wire
@@ -101,18 +103,18 @@ class TestRevealSweep:
     def test_weak_reuse_rule(self):
         # same lingo, different parameters each time
         lingo = build_lingo({"kind": "xor_nat"})
-        state = observed_state(lingo, count=4, reuse=1)
-        state.advantage = AdvantageConfig(w_max=((4, 1.0),))
+        state = observed_state(lingo, count=4, reuse=1,
+                               advantage=AdvantageConfig(w_max=((4, 1.0),)))
         reveal_sweep(state, now=4, rng=Rng(30, ATTACKER_TAG))
         assert len(state.clear) == 4
-        state2 = observed_state(lingo, count=3, reuse=1)
-        state2.advantage = AdvantageConfig(w_max=((4, 1.0),))
+        state2 = observed_state(lingo, count=3, reuse=1,
+                                advantage=AdvantageConfig(w_max=((4, 1.0),)))
         reveal_sweep(state2, now=3, rng=Rng(30, ATTACKER_TAG))
         assert state2.clear == []   # below the reuse threshold
 
     def test_age_rule(self):
-        state = observed_state(build_lingo({"kind": "xor_nat"}), count=2)
-        state.advantage = AdvantageConfig(t_max=((50, 1.0),))
+        state = observed_state(build_lingo({"kind": "xor_nat"}), count=2,
+                               advantage=AdvantageConfig(t_max=((50, 1.0),)))
         reveal_sweep(state, now=10, rng=Rng(5, ATTACKER_TAG))
         assert state.clear == []
         reveal_sweep(state, now=100, rng=Rng(5, ATTACKER_TAG))
@@ -120,8 +122,8 @@ class TestRevealSweep:
 
     def test_monotone(self):
         lingo = build_lingo({"kind": "xor_nat"})
-        state = observed_state(lingo, count=6, reuse=6)
-        state.advantage = AdvantageConfig(s_max=((2, 1.0),))
+        state = observed_state(lingo, count=6, reuse=6,
+                               advantage=AdvantageConfig(s_max=((2, 1.0),)))
         sizes = []
         for now in (6, 7, 8):
             reveal_sweep(state, now=now, rng=Rng(6, ATTACKER_TAG))

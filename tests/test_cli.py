@@ -1,4 +1,7 @@
 import json
+import os
+import sys
+import tracemalloc
 
 import pytest
 
@@ -13,6 +16,12 @@ from dialectica.cli import (
     EXIT_SPEC_ERROR,
     main,
 )
+from dialectica.runtime import run
+from dialectica.scenario import build_configuration, load_scenario
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "perfbench"))
+from scale import scale_scenario, scenario_bytes  # noqa: E402
 
 DC = json.dumps({"kind": "divide_check"})
 XOR8 = json.dumps({"kind": "xor_bitvec", "width": 8})
@@ -236,10 +245,15 @@ class TestSimulate:
         assert doc["final_actors"]["c1"]["last_recv"] == {"temp": "34"}
         assert trace.read_text().count("\n") == doc["steps"]
 
-    def test_budget_exhaustion_exits_4(self, capsys):
+    def test_budget_exhaustion_exits_4(self, capsys, tmp_path):
+        trace = tmp_path / "trace.jsonl"
         code = main(["simulate", scenario_path("mqtt_xor.json"),
-                     "--max-steps", "5", "--out", "/dev/null"])
+                     "--max-steps", "5", "--trace", str(trace),
+                     "--out", "/dev/null"])
         assert code == EXIT_BUDGET
+        # The run stops early, and its whole trace is written.
+        assert trace.read_bytes() == listed_trace(
+            scenario_path("mqtt_xor.json"), max_steps=5)
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["simulate", "/nonexistent.json"]) == EXIT_SPEC_ERROR
@@ -394,13 +408,57 @@ class TestSimulate:
                "max_steps": 5000}
         path = tmp_path / "auth.json"
         path.write_text(json.dumps(doc))
-        code = main(["simulate", str(path), "--out", "/dev/null"])
+        trace = tmp_path / "trace.jsonl"
+        code = main(["simulate", str(path), "--trace", str(trace),
+                     "--out", "/dev/null"])
         assert code == EXIT_SPEC_ERROR
         assert "2**8" in capsys.readouterr().err
+        # The trace was being written when the run failed; none is left.
+        assert not trace.exists()
         doc["actors"][0]["client"]["cmds"] = doc["actors"][0]["client"][
             "cmds"][:200]
         path.write_text(json.dumps(doc))
-        assert main(["simulate", str(path), "--out", "/dev/null"]) == EXIT_OK
+        assert main(["simulate", str(path), "--trace", str(trace),
+                     "--out", "/dev/null"]) == EXIT_OK
+        assert trace.exists()
+
+    def test_nonce_exhaustion_in_the_report_leaves_no_trace(
+            self, capsys, tmp_path, monkeypatch):
+        # The run finishes and its whole trace is written; the report's law
+        # checks then ask the auth lingo for 300 of its 2**8 nonces.
+        doc = {"seed": 1, "payload": {"bitvec": 64}, "policy": "static",
+               "lingo_stack": {"auth": {
+                   "base": {"kind": "xor_bitvec", "width": 64},
+                   "oids": ["b", "c1"], "m": 64, "j": 16, "k": 8, "seed": 3}},
+               "actors": [
+                   {"client": {"oid": "c1", "cmds": [
+                       {"connect": "b"}, {"publish": ["t", "1"]}]}},
+                   {"broker": {"oid": "b"}}]}
+        path = tmp_path / "auth.json"
+        path.write_text(json.dumps(doc))
+        report = cli.build_report
+        monkeypatch.setattr(cli, "build_report",
+                            lambda *args: report(*args, law_samples=300))
+        trace = tmp_path / "trace.jsonl"
+        code = main(["simulate", str(path), "--trace", str(trace),
+                     "--out", str(tmp_path / "report.json")])
+        assert code == EXIT_SPEC_ERROR
+        assert "2**8" in capsys.readouterr().err
+        assert not trace.exists()
+        assert not (tmp_path / "report.json").exists()
+
+    def test_unwritable_trace_exits_2_before_the_run(self, capsys, tmp_path,
+                                                     monkeypatch):
+        def no_run(*args):
+            raise AssertionError("the run started")
+        monkeypatch.setattr(cli, "run", no_run)
+        report = tmp_path / "report.json"
+        code = main(["simulate", scenario_path("mqtt_xor.json"),
+                     "--trace", str(tmp_path / "no" / "dir" / "t.jsonl"),
+                     "--out", str(report)])
+        assert code == EXIT_SPEC_ERROR
+        assert "output error:" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_unwritable_output_exits_2(self, capsys, tmp_path):
         missing = str(tmp_path / "no" / "such" / "dir" / "out.json")
@@ -447,6 +505,52 @@ class TestSimulate:
         main(["simulate", scenario_path("mqtt_xor.json"),
               "--trace", str(t3), "--out", "/dev/null"])
         assert t3.read_bytes() != t1.read_bytes()
+
+
+def listed_trace(path: str, max_steps=None) -> bytes:
+    """The trace of a run whose events go to the default list sink,
+    encoded as ``simulate`` encodes each streamed event."""
+    scenario = load_scenario(path)
+    cfg = build_configuration(scenario)
+    run(cfg, scenario.max_steps if max_steps is None else max_steps)
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              check_circular=False).encode
+    return "".join(encode(e) + "\n" for e in cfg.event_log).encode("utf-8")
+
+
+SCALE_DOCS = {f"scale_attacker{int(attacker)}": scale_scenario(
+    20 if attacker else 40, 10, 5, 128, attacker, 0)
+    for attacker in (False, True)}
+
+
+class TestStreamedTrace:
+    @pytest.mark.parametrize("name", ALL_SCENARIOS + sorted(SCALE_DOCS))
+    def test_streamed_trace_equals_the_list_sink(self, capsys, tmp_path, name):
+        if name in SCALE_DOCS:
+            path = str(tmp_path / "scenario.json")
+            with open(path, "wb") as fh:
+                fh.write(scenario_bytes(SCALE_DOCS[name]))
+        else:
+            path = scenario_path(name)
+        trace = tmp_path / "trace.jsonl"
+        assert main(["simulate", path, "--trace", str(trace),
+                     "--out", "/dev/null"]) in (EXIT_OK, EXIT_BUDGET)
+        assert trace.read_bytes() == listed_trace(path)
+
+    @pytest.mark.parametrize("traced", [True, False], ids=["trace", "no_trace"])
+    def test_flood_runs_in_little_memory(self, capsys, tmp_path, traced):
+        # 30,000 events; holding them as dicts took about 19 MB.
+        argv = ["simulate", scenario_path("mqtt_sharp_attack.json"),
+                "--out", str(tmp_path / "report.json")]
+        if traced:
+            argv += ["--trace", str(tmp_path / "trace.jsonl")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, peak
 
 
 class TestExperiment:

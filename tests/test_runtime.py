@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -12,6 +14,7 @@ from conftest import (
     delivered_messages,
     initial_configuration,
     load_scenario_doc,
+    scenario_path,
 )
 from dialectica.attacker import AttackerState
 from dialectica.core import is_compliant
@@ -41,7 +44,7 @@ from dialectica.runtime import (
     run,
     step,
 )
-from dialectica.scenario import build_configuration, parse_scenario
+from dialectica.scenario import build_configuration, load_scenario, parse_scenario
 from dialectica.specs import build_lingo
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -553,14 +556,17 @@ def reference_enabled_instances(cfg):
 
 
 def assert_indexes_match_records(atk):
+    # The (lingo, parameter) key is built only for the strong-reveal rule.
+    keyed = bool(atk.advantage.s_max)
     latest, lingo_counts, pair_counts = {}, {}, {}
     for rec in atk.records:
         latest[(rec.src, rec.dst)] = rec
         name = rec.hidden.lingo_name
         if name is not None:
             lingo_counts[name] = lingo_counts.get(name, 0) + 1
-            key = (name, repr(rec.hidden.param))
-            pair_counts[key] = pair_counts.get(key, 0) + 1
+            if keyed:
+                key = (name, repr(rec.hidden.param))
+                pair_counts[key] = pair_counts.get(key, 0) + 1
     assert {k: id(v) for k, v in atk.latest.items()} == \
         {k: id(v) for k, v in latest.items()}
     assert atk.lingo_counts == lingo_counts
@@ -568,7 +574,7 @@ def assert_indexes_match_records(atk):
     assert [id(r) for r, _ in atk.unrevealed] == \
         [id(r) for r in atk.records if not r.revealed]
     assert [k for _, k in atk.unrevealed] == [
-        None if r.hidden.lingo_name is None
+        None if r.hidden.lingo_name is None or not keyed
         else (r.hidden.lingo_name, repr(r.hidden.param))
         for r in atk.records if not r.revealed]
     leaked = {}
@@ -579,44 +585,44 @@ def assert_indexes_match_records(atk):
         {k: id(v) for k, v in leaked.items()}
 
 
-def assert_param_store(cfg):
-    """Every stored parameter is the one its message's lingo derives, under
-    the lingo the policy names for that message, in send order per flow."""
-    for (src, dst), entries in cfg.sent_params.items():
-        policy = cfg.wrappers[src].policy
-        ns = [n for n, _, _ in entries]
-        assert ns == sorted(set(ns)), (src, dst)
-        for n, lingo, a in entries:
-            assert lingo is policy.lingo_at(cfg.seed, src, dst, n), (src, dst, n)
-            assert a == lingo.param(n, cfg.seed), (src, dst, n)
+def policy_lingos(cfg):
+    """id -> lingo for every lingo the wrappers' policies name."""
+    return {id(lingo): lingo for w in cfg.wrappers.values()
+            if w.policy is not None for lingo in w.policy.lingos}
+
+
+def assert_param_memo(cfg):
+    """The memo holds exactly the (lingo, n) of the honest messages sent so
+    far, each under the lingo the policy names for it, and every entry is
+    the parameter that lingo derives for n."""
+    sent = set()
+    for src, w in cfg.wrappers.items():
+        if w.policy is not None:
+            for dst, count in w.send_counters.items():
+                sent.update((id(w.policy.lingo_at(cfg.seed, src, dst, n)), n)
+                            for n in range(count))
+    assert set(cfg.params) == sent
+    lingos = policy_lingos(cfg)
+    for (key, n), a in cfg.params.items():
+        assert a == lingos[key].param(n, cfg.seed), (lingos[key], n)
 
 
 def run_against_reference(cfg, budget):
     """Step ``cfg`` like ``run`` does, checking the enabled set, the
-    attacker indexes and the parameter store against full recomputation
-    before every step.  After an ``in`` step no stored parameter of its
-    flow may lie below the receive counter."""
+    attacker indexes and the parameter memo against full recomputation
+    before every step."""
     steps = 0
     while True:
         got = _enabled_instances(cfg)
         assert got == reference_enabled_instances(cfg), f"step {cfg.clock}"
-        assert_param_store(cfg)
+        assert_param_memo(cfg)
         if cfg.attacker is not None:
             assert_indexes_match_records(cfg.attacker)
             assert _attack_candidates(cfg) == reference_attack_candidates(cfg)
         if not got or steps == budget:
             return steps
-        clock, logged = cfg.clock, len(cfg.event_log)
         step(cfg)
         steps += 1
-        last = cfg.event_log[-1] if len(cfg.event_log) > logged else None
-        if last is not None and last["t"] == clock \
-                and last["ev"] in ("in", "reject"):
-            # rule_in logs its outcome last
-            oid, src = last["dst"], last["src"]
-            recv = cfg.wrappers[oid].recv_counters[src]
-            assert all(n >= recv for n, _, _ in
-                       cfg.sent_params.get((src, oid), ())), f"step {clock}"
 
 
 def _oracle_docs():
@@ -667,6 +673,47 @@ class TestIncrementalEnabledSet:
         cfg.channel("c1", "b").append(
             Message(dst="b", src="c1", payload=Nat(1), strategy="random_wire"))
         run_against_reference(cfg, 100)
+
+
+class TestParamMemo:
+    def test_each_parameter_is_derived_once(self):
+        cfg = build_configuration(parse_scenario(
+            scale_scenario(6, 4, 3, 128, False, 0)))
+        lingo = cfg.wrappers["b"].policy.lingo
+        calls = Counter()
+
+        def param(n, seed):
+            calls[n] += 1
+            return lingo.param(n, seed)
+        counted = StaticPolicy(dataclasses.replace(lingo, param=param))
+        for w in cfg.wrappers.values():
+            w.policy = counted
+        assert run(cfg, 100_000)[0]
+        sent = [e["n"] for e in cfg.event_log if e["ev"] == "out"]
+        assert len(sent) > len(set(sent))     # flows share counters
+        assert calls == Counter(set(sent))
+
+    def test_forgery_flood_leaves_the_memo_empty(self):
+        # c1 sends nothing, so every wire b reads is a forgery, and a
+        # receive that misses the memo does not fill it.
+        scenario = load_scenario(scenario_path("mqtt_sharp_attack.json"))
+        cfg = build_configuration(scenario)
+        run(cfg, scenario.max_steps)
+        assert cfg.stats["injected"] == 10_000
+        assert cfg.params == {}
+
+    def test_lingos_at_one_counter_keep_their_own_entries(self):
+        cfg = build_configuration(parse_scenario(
+            ORACLE_DOCS["aperiodic_xor_split"]))
+        assert run(cfg, 100_000)[0]
+        lingos = policy_lingos(cfg)
+        held = {(lingos[key].name, n) for key, n in cfg.params}
+        assert held == {(e["lingo"], e["n"])
+                        for e in cfg.event_log if e["ev"] == "out"}
+        names_at = Counter(n for _, n in held)
+        assert max(names_at.values()) == 2
+        for (key, n), a in cfg.params.items():
+            assert a == lingos[key].param(n, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
