@@ -17,8 +17,8 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
-from typing import Optional
+from contextlib import nullcontext
+from typing import Callable, Optional
 
 from .attacker import (
     STRATEGIES,
@@ -41,7 +41,7 @@ from .core import (
     law_params,
 )
 from .rng import SAMPLE_TAG, fnv64
-from .runtime import build_report, run
+from .runtime import TRACE_LINES, build_report, run
 from .scenario import build_configuration, load_scenario
 from .specs import SpecError, build_lingo
 from .transforms import NonceExhausted
@@ -75,22 +75,14 @@ def _emit(obj, out_path: Optional[str]) -> None:
         print(text)
 
 
-def _discard(event: dict) -> None:
-    pass
-
-
-@contextmanager
-def _trace_sink(path: Optional[str]):
-    """Where ``simulate`` sends trace events: one JSON line each in
-    ``path``, written as the run logs them, or nowhere without a path."""
-    if not path:
-        yield _discard
-        return
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                              check_circular=False).encode
-    with open(path, "w", encoding="utf-8") as fh:
-        write = fh.write
-        yield lambda event: write(encode(event) + "\n")
+def _trace_sink(fh) -> Callable[[dict], object]:
+    """Where ``simulate`` sends trace events: each event's line from
+    ``runtime.TRACE_LINES``, written to ``fh`` as the run logs it, or
+    nowhere without a file.  An event kind the table lacks raises."""
+    if fh is None:
+        return lambda event: None
+    write, lines = fh.write, TRACE_LINES
+    return lambda event: write(lines[event["ev"]](event))
 
 
 def _cannot_run(exc: Exception) -> int:
@@ -179,19 +171,23 @@ def cmd_simulate(args) -> int:
         return EXIT_SPEC_ERROR
     max_steps = scenario.max_steps if args.max_steps is None else args.max_steps
     trace_path = args.trace or scenario.trace_path
+    # A trace path that cannot be opened fails here, before the run, and
+    # whatever is there is left alone.
+    trace = open(trace_path, "w", encoding="utf-8") if trace_path else None
     try:
-        with _trace_sink(trace_path) as sink:
-            cfg.sink = sink
+        with trace or nullcontext():
+            cfg.sink = _trace_sink(trace)
             quiesced, steps = run(cfg, max_steps)
             report = build_report(cfg, quiesced, steps, scenario.policy)
-    except NonceExhausted as exc:
-        # A run that cannot finish leaves no trace; /dev/null and other
-        # paths that are not regular files are left alone.
-        if trace_path and os.path.isfile(trace_path):
+        _emit(report, args.out or scenario.report_path)
+    except (NonceExhausted, OSError) as exc:
+        # A run that exits 2 leaves no trace; /dev/null and other paths that
+        # are not regular files are left alone.
+        if trace is not None and os.path.isfile(trace_path):
             os.remove(trace_path)
+        if isinstance(exc, OSError):
+            raise
         return _cannot_run(exc)
-    report_path = args.out or scenario.report_path
-    _emit(report, report_path)
     return EXIT_OK if quiesced else EXIT_BUDGET
 
 

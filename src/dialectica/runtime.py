@@ -29,7 +29,9 @@ a wire message once and hands the result to the forgery check.
 
 Every trace event goes to ``Configuration.sink`` as it happens.  By default
 the sink appends to ``Configuration.event_log``; ``simulate`` writes each
-event to the trace file instead, so a run holds no events in memory.
+event to the trace file instead, so a run holds no events in memory.  An
+event's line is its kind's entry in ``TRACE_LINES``: the kind's fixed keys
+in sorted order, with only the nested ``wire`` value through a JSON encoder.
 
 Channels are FIFO and loss-free per (src, dst): counter-keyed parameters
 need ordered delivery.  The scheduler enumerates enabled rule instances in
@@ -46,10 +48,12 @@ indexes, and rebuilt only when one of those indexes grew.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Union
 
 from .attacker import (
@@ -220,6 +224,38 @@ class Configuration:
         fields["t"] = self.clock
         fields["ev"] = ev
         self.sink(fields)
+
+
+_str = encode_basestring_ascii
+_wire = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                         check_circular=False).encode
+
+# Each event kind's trace line, keys in sorted order: byte for byte what
+# ``json.dumps(event, sort_keys=True, separators=(",", ":"))`` writes.
+TRACE_LINES: dict[str, Callable[[dict], str]] = {
+    "out": lambda e: f'{{"dst":{_str(e["dst"])},"ev":"out","lingo":'
+        f'{"null" if e["lingo"] is None else _str(e["lingo"])},"n":{e["n"]},'
+        f'"src":{_str(e["src"])},"t":{e["t"]},"wire":{_wire(e["wire"])}}}\n',
+    "deliver": lambda e: f'{{"dst":{_str(e["dst"])},"ev":"deliver",'
+        f'"seq":{e["seq"]},"src":{_str(e["src"])},"t":{e["t"]}}}\n',
+    "in": lambda e: f'{{"dst":{_str(e["dst"])},"ev":"in","msg":'
+        f'{_str(e["msg"])},"n":{e["n"]},"outcome":{_str(e["outcome"])},'
+        f'"src":{_str(e["src"])},"t":{e["t"]}}}\n',
+    "reject": lambda e: f'{{"dst":{_str(e["dst"])},"ev":"reject","injected":'
+        f'{"true" if e["injected"] else "false"},"n":{e["n"]},"reason":'
+        f'{_str(e["reason"])},"src":{_str(e["src"])},"t":{e["t"]}}}\n',
+    "switch": lambda e: f'{{"direction":{_str(e["direction"])},"epoch":'
+        f'{e["epoch"]},"ev":"switch","lingo":{_str(e["lingo"])},"oid":'
+        f'{_str(e["oid"])},"peer":{_str(e["peer"])},"t":{e["t"]}}}\n',
+    "desync": lambda e: f'{{"dst":{_str(e["dst"])},"encoded":'
+        f'{e["encoded"]},"ev":"desync","src":{_str(e["src"])},"t":{e["t"]},'
+        f'"used":{e["used"]}}}\n',
+    "reveal": lambda e:
+        f'{{"ev":"reveal","revealed":{e["revealed"]},"t":{e["t"]}}}\n',
+    "inject": lambda e: f'{{"dst":{_str(e["dst"])},"ev":"inject","seq":'
+        f'{e["seq"]},"src":{_str(e["src"])},"strategy":{_str(e["strategy"])},'
+        f'"t":{e["t"]},"wire":{_wire(e["wire"])}}}\n',
+}
 
 
 def make_configuration(actors, policy: LingoPolicy, seed: int,

@@ -1,11 +1,13 @@
+import io
 import json
 import os
+import subprocess
 import sys
 import tracemalloc
 
 import pytest
 
-from conftest import ALL_SCENARIOS, ALL_SPECS, scenario_path
+from conftest import ALL_SCENARIOS, ALL_SPECS, load_scenario_doc, scenario_path
 from dialectica import cli
 from dialectica.attacker import STRATEGIES
 from dialectica.cli import (
@@ -460,6 +462,44 @@ class TestSimulate:
         assert "output error:" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_failed_trace_write_leaves_no_trace(self, tmp_path):
+        # The trace outgrows a 200,000-byte file size limit mid-run; the
+        # limit is set in a child process, so it acts only on that child.
+        trace = tmp_path / "trace.jsonl"
+        child = (
+            "import resource, signal, sys\n"
+            "from dialectica.cli import main\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (200_000, 200_000))\n"
+            f"sys.exit(main(['simulate', {scenario_path('mqtt_sharp_attack.json')!r},"
+            f" '--trace', {str(trace)!r}, '--out', '/dev/null']))\n")
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        done = subprocess.run([sys.executable, "-c", child], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_SPEC_ERROR, done.stderr
+        assert "output error:" in done.stderr
+        assert "File too large" in done.stderr
+        assert not trace.exists()
+
+    def test_unwritable_report_leaves_no_trace(self, capsys, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        code = main(["simulate", scenario_path("mqtt_xor.json"),
+                     "--trace", str(trace),
+                     "--out", str(tmp_path / "no" / "dir" / "r.json")])
+        assert code == EXIT_SPEC_ERROR
+        assert "output error:" in capsys.readouterr().err
+        assert not trace.exists()
+
+    def test_refused_trace_path_is_left_alone(self, capsys, tmp_path):
+        # ``open`` refuses a directory; the run never starts, and the
+        # directory stays.
+        code = main(["simulate", scenario_path("mqtt_xor.json"),
+                     "--trace", str(tmp_path), "--out", "/dev/null"])
+        assert code == EXIT_SPEC_ERROR
+        assert "output error:" in capsys.readouterr().err
+        assert tmp_path.is_dir()
+
     def test_unwritable_output_exits_2(self, capsys, tmp_path):
         missing = str(tmp_path / "no" / "such" / "dir" / "out.json")
         assert main(["simulate", scenario_path("mqtt_xor.json"),
@@ -518,24 +558,54 @@ def listed_trace(path: str, max_steps=None) -> bytes:
     return "".join(encode(e) + "\n" for e in cfg.event_log).encode("utf-8")
 
 
-SCALE_DOCS = {f"scale_attacker{int(attacker)}": scale_scenario(
-    20 if attacker else 40, 10, 5, 128, attacker, 0)
-    for attacker in (False, True)}
+def _xor_doc(oid: str, topic: str, value: str, payload, lingo) -> dict:
+    doc = load_scenario_doc("mqtt_xor.json")
+    doc.update(payload=payload, lingo_stack=lingo)
+    doc["actors"] = [
+        {"client": {"oid": "c1", "cmds": [{"connect": "b"},
+                                          {"subscribe": topic}]}},
+        {"client": {"oid": oid, "cmds": [{"connect": "b"},
+                                         {"publish": [topic, value]}]}},
+        {"broker": {"oid": "b"}}]
+    return doc
+
+
+EXTRA_DOCS = {
+    **{f"scale_attacker{int(attacker)}": scenario_bytes(scale_scenario(
+        20 if attacker else 40, 10, 5, 128, attacker, 0))
+       for attacker in (False, True)},
+    # An oid, topic and value the trace must escape: quotes, backslashes, a
+    # newline, non-ASCII and astral text.
+    "escaped_text": json.dumps(_xor_doc(
+        'c"\u00e9\\1', 't"\u00e9\n\u2603', 'v"\\\n\u00e9\U0001d11e',
+        "nat", {"kind": "xor_nat"})).encode(),
+    "bitvec512": json.dumps(_xor_doc(
+        "c2", "temp", "x" * 40, {"bitvec": 512},
+        {"kind": "xor_bitvec", "width": 512})).encode(),
+}
 
 
 class TestStreamedTrace:
-    @pytest.mark.parametrize("name", ALL_SCENARIOS + sorted(SCALE_DOCS))
+    @pytest.mark.parametrize("name", ALL_SCENARIOS + sorted(EXTRA_DOCS))
     def test_streamed_trace_equals_the_list_sink(self, capsys, tmp_path, name):
-        if name in SCALE_DOCS:
+        if name in EXTRA_DOCS:
             path = str(tmp_path / "scenario.json")
             with open(path, "wb") as fh:
-                fh.write(scenario_bytes(SCALE_DOCS[name]))
+                fh.write(EXTRA_DOCS[name])
         else:
             path = scenario_path(name)
         trace = tmp_path / "trace.jsonl"
         assert main(["simulate", path, "--trace", str(trace),
                      "--out", "/dev/null"]) in (EXIT_OK, EXIT_BUDGET)
         assert trace.read_bytes() == listed_trace(path)
+
+    def test_sink_writes_the_table_line_and_refuses_other_kinds(self):
+        out = io.StringIO()
+        sink = cli._trace_sink(out)
+        sink({"revealed": 2, "t": 5, "ev": "reveal"})
+        assert out.getvalue() == '{"ev":"reveal","revealed":2,"t":5}\n'
+        with pytest.raises(KeyError):
+            sink({"t": 6, "ev": "unknown"})
 
     @pytest.mark.parametrize("traced", [True, False], ids=["trace", "no_trace"])
     def test_flood_runs_in_little_memory(self, capsys, tmp_path, traced):

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -6,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from conftest import (
@@ -30,7 +32,9 @@ from dialectica.mqtt import (
 )
 from dialectica.net import Message
 from dialectica.rng import MASK64, RATE_TAG, derive, fnv64, throw_biased, uniform01
+from dialectica import runtime
 from dialectica.runtime import (
+    TRACE_LINES,
     AperiodicPolicy,
     Quiescent,
     StaticPolicy,
@@ -50,7 +54,7 @@ from dialectica.specs import build_lingo
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "perfbench"))
 from scale import scale_scenario  # noqa: E402
-from dialectica.values import BitVec, Nat, Pair, value_from_json
+from dialectica.values import BitVec, Nat, Pair, json_or_raw, value_from_json
 
 
 def xor_nat():
@@ -714,6 +718,67 @@ class TestParamMemo:
         assert max(names_at.values()) == 2
         for (key, n), a in cfg.params.items():
             assert a == lingos[key].param(n, cfg.seed)
+
+
+def generic_line(event) -> str:
+    return json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# Quotes, backslashes, a newline and other control characters, non-ASCII
+# and an astral character, in every string field.
+HARD = 'a"b\\c\nd\t\x00\x1f\x7fé☃\U0001d11e'
+
+
+def hard_events(text=HARD, injected=True, lingo=None):
+    """One event of each kind the runtime logs, as ``Configuration.log``
+    builds it."""
+    wide = json_or_raw(BitVec(4096, 2 ** 4096 - 1))
+    raw = json_or_raw(PubMsg(text, text))
+    return [
+        dict(src=text, dst=text, n=3, lingo=lingo, wire=[wide], t=0, ev="out"),
+        dict(src=text, dst=text, seq=7, t=1, ev="deliver"),
+        dict(dst=text, src=text, n=3, outcome=text, msg=text, t=2, ev="in"),
+        dict(dst=text, src=text, n=4, reason=text, injected=injected, t=3,
+             ev="reject"),
+        dict(oid=text, peer=text, direction=text, epoch=2, lingo=text, t=4,
+             ev="switch"),
+        dict(dst=text, src=text, encoded=5, used=6, t=5, ev="desync"),
+        dict(revealed=2, t=6, ev="reveal"),
+        dict(src=text, dst=text, strategy=text, seq=8, wire=raw, t=7,
+             ev="inject"),
+    ]
+
+
+def logged_kinds() -> set[str]:
+    """Every event kind a ``log`` call in the runtime's source names."""
+    tree = ast.parse(inspect.getsource(runtime))
+    return {node.args[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "log"
+            and isinstance(node.args[0], ast.Constant)}
+
+
+class TestTraceLines:
+    def test_table_covers_exactly_the_logged_kinds(self):
+        assert set(TRACE_LINES) == logged_kinds() == {
+            "out", "deliver", "in", "reject", "switch", "desync", "reveal",
+            "inject"}
+
+    @pytest.mark.parametrize("injected", [True, False])
+    @pytest.mark.parametrize("lingo", [None, "xor_nat", HARD])
+    def test_each_kind_writes_the_generic_line(self, injected, lingo):
+        events = hard_events(injected=injected, lingo=lingo)
+        assert [e["ev"] for e in events] == list(TRACE_LINES)
+        for event in events:
+            assert TRACE_LINES[event["ev"]](event) == generic_line(event)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(), injected=st.booleans(),
+           lingo=st.none() | st.text())
+    def test_arbitrary_text_writes_the_generic_line(self, text, injected,
+                                                    lingo):
+        for event in hard_events(text, injected, lingo):
+            assert TRACE_LINES[event["ev"]](event) == generic_line(event)
 
 
 # ---------------------------------------------------------------------------
