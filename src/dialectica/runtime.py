@@ -30,25 +30,30 @@ a wire message once and hands the result to the forgery check.
 Every trace event goes to ``Configuration.sink`` as it happens.  By default
 the sink appends to ``Configuration.event_log``; ``simulate`` writes each
 event to the trace file instead, so a run holds no events in memory.  An
-event's line is its kind's entry in ``TRACE_LINES``: the kind's fixed keys
-in sorted order, with only the nested ``wire`` value through a JSON encoder.
+``out`` or ``inject`` event carries its wire value itself.  An event's line
+is its kind's entry in ``TRACE_LINES``: the kind's fixed keys in sorted
+order, with the wire value's own JSON text (``values.json_text``).
 
 Channels are FIFO and loss-free per (src, dst): counter-keyed parameters
-need ordered delivery.  The scheduler enumerates enabled rule instances in
-a canonical order and picks one with the shared seed, so a run is a pure
-function of (configuration, seed).
+need ordered delivery.  The enabled rule instances have a canonical order
+(out, deliver, in, then the attacker), and step ``clock`` applies instance
+``derive(seed, SCHED_TAG, clock) % total`` of it, so a run is a pure
+function of (configuration, seed).  The attacker is enabled when it has
+budget, a seeded draw passes its injection rate (not drawn at rate 1, where
+it cannot fail) and a candidate is ready.
 
 The enabled set is maintained, not rebuilt: each rule marks the instances
 it touches as dirty (``Configuration.channel()`` marks its channel's
-``deliver``), and the scheduler re-checks only those.  A wrapper's pending
-output is probed again only when its actor object changed.  Attack
+``deliver``), and the scheduler re-checks only those.  It keeps one sorted
+list per kind, and ``step`` indexes across them without joining them.  A
+wrapper's pending output is probed again only when its actor object
+changed.  Attack
 candidates are found through the attacker's per-flow capture and leak
 indexes, and rebuilt only when one of those indexes grew.
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
@@ -78,7 +83,7 @@ from .mqtt import Reject, actor_step
 from .net import HiddenCtx, Message
 from .rng import ATTACKER_TAG, MASK64, RATE_TAG, SCHED_TAG, derive, fnv64, throw_biased, uniform01
 from .transforms import DataAdaptor, RetractFailure
-from .values import json_or_raw
+from .values import json_text
 
 
 class Quiescent(Exception):
@@ -227,15 +232,16 @@ class Configuration:
 
 
 _str = encode_basestring_ascii
-_wire = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                         check_circular=False).encode
 
 # Each event kind's trace line, keys in sorted order: byte for byte what
-# ``json.dumps(event, sort_keys=True, separators=(",", ":"))`` writes.
+# ``json.dumps(event, sort_keys=True, separators=(",", ":"))`` writes for
+# the event with its ``wire`` value in ``json_or_raw`` form, which an
+# ``out`` line holds in a one-element list.
 TRACE_LINES: dict[str, Callable[[dict], str]] = {
     "out": lambda e: f'{{"dst":{_str(e["dst"])},"ev":"out","lingo":'
         f'{"null" if e["lingo"] is None else _str(e["lingo"])},"n":{e["n"]},'
-        f'"src":{_str(e["src"])},"t":{e["t"]},"wire":{_wire(e["wire"])}}}\n',
+        f'"src":{_str(e["src"])},"t":{e["t"]},'
+        f'"wire":[{json_text(e["wire"])}]}}\n',
     "deliver": lambda e: f'{{"dst":{_str(e["dst"])},"ev":"deliver",'
         f'"seq":{e["seq"]},"src":{_str(e["src"])},"t":{e["t"]}}}\n',
     "in": lambda e: f'{{"dst":{_str(e["dst"])},"ev":"in","msg":'
@@ -254,7 +260,7 @@ TRACE_LINES: dict[str, Callable[[dict], str]] = {
         f'{{"ev":"reveal","revealed":{e["revealed"]},"t":{e["t"]}}}\n',
     "inject": lambda e: f'{{"dst":{_str(e["dst"])},"ev":"inject","seq":'
         f'{e["seq"]},"src":{_str(e["src"])},"strategy":{_str(e["strategy"])},'
-        f'"t":{e["t"]},"wire":{_wire(e["wire"])}}}\n',
+        f'"t":{e["t"]},"wire":{json_text(e["wire"])}}}\n',
 }
 
 
@@ -317,9 +323,8 @@ def rule_out(cfg: Configuration, oid: str) -> Configuration:
     if cfg.attacker is not None:
         observe(cfg.attacker, m, cfg.clock, hidden)
     cfg.stats["honest_sends"] += 1
-    # ``wire`` stays a one-element list: the trace schema is pinned.
     cfg.log("out", src=oid, dst=dst, n=n,
-            lingo=lingo.name if lingo else None, wire=[json_or_raw(wire)])
+            lingo=lingo.name if lingo else None, wire=wire)
     return cfg
 
 
@@ -450,7 +455,7 @@ def rule_attacker(cfg: Configuration) -> Configuration:
     cfg.stats["injected"] += 1
     _strategy_stat(cfg, strategy, "attempts")
     cfg.log("inject", src=src, dst=dst, strategy=strategy, seq=forged.seq,
-            wire=json_or_raw(forged.payload))
+            wire=forged.payload)
     return cfg
 
 
@@ -500,9 +505,9 @@ def _instance_enabled(cfg: Configuration, inst: tuple) -> bool:
     return bool(cfg.wrappers[oid].in_buffers.get(src))
 
 
-def _enabled_instances(cfg: Configuration) -> list[tuple]:
-    """Enabled instances in canonical order: out by oid, deliver by
-    (src, dst), in by (oid, src), then the attacker."""
+def _refresh_enabled(cfg: Configuration) -> None:
+    """Bring the sorted per-kind lists ``cfg.enabled`` up to date by
+    re-checking the dirty instances."""
     for inst in cfg.dirty:
         ready = cfg.enabled[inst[0]]
         i = bisect_left(ready, inst)
@@ -513,30 +518,54 @@ def _enabled_instances(cfg: Configuration) -> list[tuple]:
             else:
                 ready.insert(i, inst)
     cfg.dirty.clear()
-    instances = cfg.enabled["out"] + cfg.enabled["deliver"] + cfg.enabled["in"]
+
+
+def _attacker_enabled(cfg: Configuration) -> bool:
+    """The attacker may act at this clock: it has budget, the seeded rate
+    gate passes, and some candidate is ready.  At a rate of 1 the gate
+    cannot fail (``uniform01`` stays below 1), so it is not drawn."""
     atk = cfg.attacker
-    if atk is not None and atk.budget_left > 0:
-        gate = uniform01(derive(cfg.seed, RATE_TAG, cfg.clock))
-        if gate < atk.injection_rate and _attack_candidates(cfg):
-            instances.append(("attacker",))
+    if atk is None or atk.budget_left <= 0:
+        return False
+    rate = atk.injection_rate
+    if rate >= 1 or uniform01(derive(cfg.seed, RATE_TAG, cfg.clock)) < rate:
+        return bool(_attack_candidates(cfg))
+    return False
+
+
+def _enabled_instances(cfg: Configuration) -> list[tuple]:
+    """Enabled instances in canonical order: out by oid, deliver by
+    (src, dst), in by (oid, src), then the attacker."""
+    _refresh_enabled(cfg)
+    instances = cfg.enabled["out"] + cfg.enabled["deliver"] + cfg.enabled["in"]
+    if _attacker_enabled(cfg):
+        instances.append(("attacker",))
     return instances
 
 
 def step(cfg: Configuration) -> str:
-    """Apply one enabled rule instance, chosen by the seeded scheduler.
+    """Apply one enabled rule instance, chosen by the seeded scheduler:
+    instance ``derive(seed, SCHED_TAG, clock) % total`` of the canonical
+    order, indexed across the per-kind lists without joining them.
     Raises Quiescent when nothing is enabled."""
-    instances = _enabled_instances(cfg)
-    if not instances:
+    _refresh_enabled(cfg)
+    outs, delivers, ins = (cfg.enabled["out"], cfg.enabled["deliver"],
+                           cfg.enabled["in"])
+    total = len(outs) + len(delivers) + len(ins) + _attacker_enabled(cfg)
+    if not total:
         raise Quiescent()
-    pick = instances[derive(cfg.seed, SCHED_TAG, cfg.clock) % len(instances)]
-    kind = pick[0]
-    if kind == "out":
-        rule_out(cfg, pick[1])
-    elif kind == "deliver":
-        rule_deliver(cfg, pick[1], pick[2])
-    elif kind == "in":
-        rule_in(cfg, pick[1], pick[2])
+    i = derive(cfg.seed, SCHED_TAG, cfg.clock) % total
+    if i < len(outs):
+        kind = "out"
+        rule_out(cfg, outs[i][1])
+    elif (i := i - len(outs)) < len(delivers):
+        kind, src, dst = delivers[i]
+        rule_deliver(cfg, src, dst)
+    elif (i := i - len(delivers)) < len(ins):
+        kind, oid, src = ins[i]
+        rule_in(cfg, oid, src)
     else:
+        kind = "attacker"
         rule_attacker(cfg)
     cfg.clock += 1
     return kind

@@ -174,11 +174,15 @@ def parse_scenario(doc: dict) -> Scenario:
             for s in strategies:
                 if s not in STRATEGIES:
                     raise SpecError(f"unknown strategy {s!r}")
+            max_injections = int_from_json(atk.get("max_injections", 100))
+            if max_injections < 0:
+                raise SpecError(f"attacker max_injections must be >= 0, got "
+                                f"{max_injections}")
             attacker = AttackerState(
                 advantage=AdvantageConfig.from_json(
                     _object(atk.get("advantage", {}), "advantage")),
                 strategies=strategies,
-                max_injections=int_from_json(atk.get("max_injections", 100)),
+                max_injections=max_injections,
                 injection_rate=prob_from_json(atk.get("injection_rate", 1.0)))
             if "targets" in atk:
                 targets = [(str(s), str(d)) for s, d in atk["targets"]]
@@ -186,6 +190,11 @@ def parse_scenario(doc: dict) -> Scenario:
                 if unknown:
                     raise SpecError(f"attacker targets name unknown actors: "
                                     f"{unknown}")
+                # No actor sends to itself, so such a flow carries nothing.
+                looped = sorted({s for s, d in targets if s == d})
+                if looped:
+                    raise SpecError(f"attacker targets address their own "
+                                    f"sender: {looped}")
 
         max_steps = int_from_json(doc.get("max_steps", 1000))
         if max_steps < 1:

@@ -4,7 +4,8 @@ Every transformation in this package moves values between *spaces*: plain
 naturals, fixed-width bit-vectors, pairs, finite atom-sets, tagged unions,
 and distinct-component pairs used as parameter spaces.  Values are slotted
 immutable classes that own their equality, hash, ``repr``, xor and JSON
-form; they can be shared freely and used as dict keys.  Each space kind
+text (compact, keys sorted; the dict form is parsed from it); they can be
+shared freely and used as dict keys.  Each space kind
 is one class that owns its membership test, size, enumeration, sampling
 and parameter projection.
 
@@ -16,7 +17,9 @@ applies the strict ``bits < 2**width`` gate at every space boundary.
 
 from __future__ import annotations
 
+import json
 from dataclasses import FrozenInstanceError, dataclass
+from json.encoder import encode_basestring_ascii as _str
 from typing import Iterator, Optional, Union
 
 from .rng import SAMPLE_TAG, Rng
@@ -75,8 +78,8 @@ class Nat(_Value):
     def xor(self, other: Nat) -> Nat:
         return Nat(self.n ^ other.n)
 
-    def to_json(self) -> dict:
-        return {"nat": str(self.n)}
+    def json_text(self) -> str:
+        return f'{{"nat":"{self.n}"}}'
 
 
 class BitVec(_Value):
@@ -111,8 +114,8 @@ class BitVec(_Value):
             raise ShapeMismatch(f"bitvec widths differ: {self.width} vs {other.width}")
         return BitVec(self.width, self.bits ^ other.bits)
 
-    def to_json(self) -> dict:
-        return {"bv": {"w": self.width, "n": self.bits}}
+    def json_text(self) -> str:
+        return f'{{"bv":{{"n":{self.bits},"w":{self.width}}}}}'
 
 
 class Pair(_Value):
@@ -128,8 +131,9 @@ class Pair(_Value):
     def __repr__(self):
         return f"Pair(first={self.first!r}, second={self.second!r})"
 
-    def to_json(self) -> dict:
-        return {"pair": [value_to_json(self.first), value_to_json(self.second)]}
+    def json_text(self) -> str:
+        return (f'{{"pair":[{_value_text(self.first)},'
+                f'{_value_text(self.second)}]}}')
 
 
 class AtomSet(_Value):
@@ -149,8 +153,8 @@ class AtomSet(_Value):
     def xor(self, other: AtomSet) -> AtomSet:
         return AtomSet(tuple(set(self.members) ^ set(other.members)))
 
-    def to_json(self) -> dict:
-        return {"set": list(self.members)}
+    def json_text(self) -> str:
+        return f'{{"set":[{",".join(map(_str, self.members))}]}}'
 
 
 class Tagged(_Value):
@@ -170,8 +174,9 @@ class Tagged(_Value):
     def __repr__(self):
         return f"Tagged(branch={self.branch!r}, inner={self.inner!r})"
 
-    def to_json(self) -> dict:
-        return {"tag": {"i": self.branch, "v": value_to_json(self.inner)}}
+    def json_text(self) -> str:
+        return (f'{{"tag":{{"i":{self.branch},'
+                f'"v":{_value_text(self.inner)}}}}}')
 
 
 # The slot descriptors' setters, the one way a field gets written.
@@ -456,20 +461,33 @@ def xor_value(x: Value, y: Value) -> Value:
 # JSON encoding (trace/config interchange format)
 # ---------------------------------------------------------------------------
 
-def value_to_json(v: Value) -> dict:
-    """The canonical JSON form; TypeError on anything that is not a value."""
+def _value_text(v: Value) -> str:
+    """The canonical JSON form as compact, sorted-key text; TypeError on
+    anything that is not a value."""
     if not isinstance(v, _Value):
         raise TypeError(f"not a Value: {v!r}")
-    return v.to_json()
+    return v.json_text()
+
+
+def json_text(v) -> str:
+    """What ``json.dumps(json_or_raw(v), sort_keys=True, separators=(",",
+    ":"))`` writes, from the value itself: its canonical form, or
+    ``{"raw":<repr>}`` for anything else, such as a protocol message."""
+    try:
+        return _value_text(v)
+    except TypeError:
+        return f'{{"raw":{_str(repr(v))}}}'
+
+
+def value_to_json(v: Value) -> dict:
+    """The canonical JSON form; TypeError on anything that is not a value."""
+    return json.loads(_value_text(v))
 
 
 def json_or_raw(v) -> object:
     """The JSON form of a value; anything else, such as a protocol message,
     is shown as ``{"raw": repr}``."""
-    try:
-        return value_to_json(v)
-    except TypeError:
-        return {"raw": repr(v)}
+    return json.loads(json_text(v))
 
 
 def value_from_json(obj) -> Value:

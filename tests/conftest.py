@@ -6,6 +6,7 @@ import pytest
 from dialectica.core import Rng, find_noncompliant_witness
 from dialectica.mqtt import ConnectMsg, MqttBroker, MqttClient, PubMsg, SubMsg
 from dialectica.rng import SAMPLE_TAG
+from dialectica.values import json_or_raw
 
 
 def scenario_path(name: str) -> str:
@@ -37,6 +38,24 @@ def noncompliant_witness(lingo, seed: int = 1):
     one, a lingo whose f(., a) is onto has none."""
     return find_noncompliant_witness(lingo, lingo.param(0, seed),
                                      Rng(seed, SAMPLE_TAG))
+
+
+def trace_form(event: dict) -> dict:
+    """A logged event as its trace line carries it: the ``wire`` value in
+    ``json_or_raw`` form, inside a one-element list on ``out``.  Built
+    apart from ``runtime.TRACE_LINES``, so tests can check the table
+    against it."""
+    if "wire" not in event:
+        return event
+    wire = json_or_raw(event["wire"])
+    return {**event, "wire": [wire] if event["ev"] == "out" else wire}
+
+
+def event_json(events, **dumps_args) -> str:
+    """``json.dumps`` of one event, or of a list of events, in trace form."""
+    if isinstance(events, dict):
+        return json.dumps(trace_form(events), **dumps_args)
+    return json.dumps([trace_form(e) for e in events], **dumps_args)
 
 
 def delivered_messages(cfg) -> tuple:

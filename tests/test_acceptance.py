@@ -2,10 +2,9 @@
 pass/fail line (visible under ``pytest -s``).  Tolerances are fixed here
 and nowhere else."""
 
-import json
 from contextlib import contextmanager
 
-from conftest import ALL_SCENARIOS, delivered_messages, scenario_path
+from conftest import ALL_SCENARIOS, delivered_messages, event_json, scenario_path
 from dialectica.attacker import (
     AdvantageConfig,
     PerMessage,
@@ -400,7 +399,7 @@ def test_criterion_12_trace_determinism():
             for _ in range(2):
                 _, cfg, _, _ = run_scenario(name)
                 blobs.append("\n".join(
-                    json.dumps(e, sort_keys=True, separators=(",", ":"))
+                    event_json(e, sort_keys=True, separators=(",", ":"))
                     for e in cfg.event_log).encode())
             assert blobs[0] == blobs[1], name
 

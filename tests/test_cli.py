@@ -7,7 +7,13 @@ import tracemalloc
 
 import pytest
 
-from conftest import ALL_SCENARIOS, ALL_SPECS, load_scenario_doc, scenario_path
+from conftest import (
+    ALL_SCENARIOS,
+    ALL_SPECS,
+    event_json,
+    load_scenario_doc,
+    scenario_path,
+)
 from dialectica import cli
 from dialectica.attacker import STRATEGIES
 from dialectica.cli import (
@@ -338,6 +344,14 @@ class TestSimulate:
           for p in (True, "0.5")],
         ("mqtt_adversarial.json", {"attacker": {"strategies": "random_wire"}},
          []),
+        ("mqtt_sharp_attack.json",
+         {"attacker": {"strategies": ["random_wire"], "targets": [["c1", "c1"]]}},
+         []),
+        ("mqtt_sharp_attack.json",
+         {"attacker": {"strategies": ["random_wire"],
+                       "targets": [["c1", "b"], ["b", "b"]]}}, []),
+        ("mqtt_adversarial.json",
+         {"attacker": {"strategies": ["replay"], "max_injections": -1}}, []),
     ], ids=["zero_width", "negative_width", "zero_max_steps",
             "negative_max_steps_flag", "zero_max_steps_flag", "unknown_target",
             "unknown_broker", "attacker_list", "outputs_list",
@@ -348,7 +362,8 @@ class TestSimulate:
             "float_msg_bound", "bool_msg_bound", "float_threshold",
             "float_lingo_width", "bool_rate", "string_rate", "negative_rate",
             "rate_above_1", "bool_probability", "string_probability",
-            "strategies_string"])
+            "strategies_string", "self_target", "self_target_among_others",
+            "negative_max_injections"])
     def test_bad_scenario_values_exit_2(self, capsys, tmp_path, name, edit,
                                         flags):
         doc = json.loads(open(scenario_path(name)).read())
@@ -358,6 +373,31 @@ class TestSimulate:
         code = main(["simulate", str(path), *flags, "--out", "/dev/null"])
         assert code == EXIT_SPEC_ERROR
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("attacker, error", [
+        ({"strategies": ["random_wire"], "targets": [["c1", "b"], ["c1", "c1"]]},
+         "attacker targets address their own sender: ['c1']"),
+        ({"strategies": ["replay"], "max_injections": -1},
+         "attacker max_injections must be >= 0, got -1"),
+    ])
+    def test_attacker_error_names_the_field(self, capsys, tmp_path, attacker,
+                                            error):
+        doc = load_scenario_doc("mqtt_adversarial.json")
+        doc["attacker"] = attacker
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out", "/dev/null"]) == \
+            EXIT_SPEC_ERROR
+        assert capsys.readouterr().err == f"config error: {error}\n"
+
+    def test_zero_max_injections_is_accepted(self, capsys, tmp_path):
+        doc = load_scenario_doc("mqtt_adversarial.json")
+        doc["attacker"]["max_injections"] = 0
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        report = tmp_path / "report.json"
+        assert main(["simulate", str(path), "--out", str(report)]) == EXIT_OK
+        assert json.loads(report.read_text())["injected"] == 0
 
     @pytest.mark.parametrize("cmds, error", [
         # a second connect while connected: c1 would never publish
@@ -553,9 +593,8 @@ def listed_trace(path: str, max_steps=None) -> bytes:
     scenario = load_scenario(path)
     cfg = build_configuration(scenario)
     run(cfg, scenario.max_steps if max_steps is None else max_steps)
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                              check_circular=False).encode
-    return "".join(encode(e) + "\n" for e in cfg.event_log).encode("utf-8")
+    return "".join(event_json(e, sort_keys=True, separators=(",", ":")) + "\n"
+                   for e in cfg.event_log).encode("utf-8")
 
 
 def _xor_doc(oid: str, topic: str, value: str, payload, lingo) -> dict:

@@ -51,6 +51,9 @@ HASH_SEED_CASES = [
     ("honest_scale", "simulate"),
     ("attacker_scale", "simulate"),
     ("bundled_scenarios", "simulate:mqtt_aperiodic"),
+    # Raw wires (protocol messages) and tagged wires, each written as text.
+    ("bundled_scenarios", "simulate:mqtt_bare"),
+    ("bundled_scenarios", "simulate:mqtt_horizontal"),
     ("bundled_scenarios", "simulate:mqtt_sharp_attack"),
     ("lingo_lab", "check:xor_set"),
     ("lingo_lab", "check:sharp"),

@@ -14,9 +14,11 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from conftest import (
     ALL_SCENARIOS,
     delivered_messages,
+    event_json,
     initial_configuration,
     load_scenario_doc,
     scenario_path,
+    trace_form,
 )
 from dialectica.attacker import AttackerState
 from dialectica.core import is_compliant
@@ -31,7 +33,15 @@ from dialectica.mqtt import (
     mqtt_codec_adaptor,
 )
 from dialectica.net import Message
-from dialectica.rng import MASK64, RATE_TAG, derive, fnv64, throw_biased, uniform01
+from dialectica.rng import (
+    MASK64,
+    RATE_TAG,
+    SCHED_TAG,
+    derive,
+    fnv64,
+    throw_biased,
+    uniform01,
+)
 from dialectica import runtime
 from dialectica.runtime import (
     TRACE_LINES,
@@ -54,7 +64,7 @@ from dialectica.specs import build_lingo
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "perfbench"))
 from scale import scale_scenario  # noqa: E402
-from dialectica.values import BitVec, Nat, Pair, json_or_raw, value_from_json
+from dialectica.values import BitVec, Nat, Pair, value_from_json
 
 
 def xor_nat():
@@ -173,7 +183,7 @@ class TestScheduler:
                                      StaticPolicy(xor_nat()), 11,
                                      codec=mqtt_codec_adaptor())
             run(cfg, 500)
-            return json.dumps(cfg.event_log, sort_keys=True)
+            return event_json(cfg.event_log, sort_keys=True)
 
         assert one_run() == one_run()
 
@@ -184,7 +194,7 @@ class TestScheduler:
                                      StaticPolicy(xor_nat()), seed,
                                      codec=mqtt_codec_adaptor())
             run(cfg, 500)
-            traces.append(json.dumps(cfg.event_log, sort_keys=True))
+            traces.append(event_json(cfg.event_log, sort_keys=True))
         assert traces[0] != traces[1]
 
     def test_run_takes_exactly_the_budget(self):
@@ -194,6 +204,27 @@ class TestScheduler:
         assert run(cfg, 3) == (False, 3)
         assert cfg.clock == 3
         assert len(cfg.event_log) == 3
+
+    @pytest.mark.parametrize("rate", [0.0, 0.05, 1.0])
+    def test_rate_gate_is_drawn_only_below_rate_1(self, monkeypatch, rate):
+        # Every step() call, the one that raises Quiescent too, and run's
+        # final check draw the gate while budget is left; at rate 1 the
+        # gate cannot fail and is never drawn.
+        doc = scale_scenario(6, 4, 3, 128, True, 0)
+        doc["attacker"]["injection_rate"] = rate
+        cfg = build_configuration(parse_scenario(doc))
+        tags = Counter()
+
+        def counted(seed, tag, index):
+            tags[tag] += 1
+            return derive(seed, tag, index)
+        monkeypatch.setattr(runtime, "derive", counted)
+        quiesced, steps = run(cfg, 3000)
+        assert cfg.attacker.budget_left > 0
+        assert (cfg.stats["injected"] > 0) == (rate > 0)
+        assert set(tags) <= {SCHED_TAG, RATE_TAG}
+        assert tags[SCHED_TAG] == steps
+        assert tags[RATE_TAG] == (0 if rate == 1 else steps + 1)
 
     def test_fifo_order_preserved(self):
         actors = [MqttClient(oid="c1", peer="b",
@@ -465,7 +496,8 @@ class TestAttackerIntegration:
             "bias": [1, 1]}}
         cfg = self.forgery_run(stack, "nat", strategy)
         lingo = cfg.wrappers["b"].policy.lingo
-        wires = {e["seq"]: e["wire"] for e in cfg.event_log if e["ev"] == "inject"}
+        wires = {e["seq"]: trace_form(e)["wire"]
+                 for e in cfg.event_log if e["ev"] == "inject"}
         delivered = [e["seq"] for e in cfg.event_log if e["ev"] == "deliver"
                      and (e["src"], e["dst"]) == ("c1", "b")]
         lingo_rejects = ("decode:", "default_fallback", "noncompliant")
@@ -611,10 +643,47 @@ def assert_param_memo(cfg):
         assert a == lingos[key].param(n, cfg.seed), (lingos[key], n)
 
 
+def applied_instance(events) -> tuple:
+    """The rule instance a step applied, read from the first event it
+    logged.  Every rule but the attacker's logs at least one event."""
+    if not events:
+        return ("attacker",)
+    e = events[0]
+    if e["ev"] == "switch":
+        if e["direction"] == "send":
+            return ("out", e["oid"])
+        return ("in", e["oid"], e["peer"])
+    if e["ev"] == "out":
+        return ("out", e["src"])
+    if e["ev"] == "deliver":
+        return ("deliver", e["src"], e["dst"])
+    if e["ev"] in ("in", "reject", "desync"):
+        return ("in", e["dst"], e["src"])
+    assert e["ev"] in ("reveal", "inject"), e
+    return ("attacker",)
+
+
+def step_picks_from_reference(cfg) -> bool:
+    """One ``step``, checked to apply instance ``derive(seed, SCHED_TAG,
+    clock) % len`` of the reference enabled set, or to raise Quiescent
+    when that set is empty.  False when quiescent."""
+    ref = reference_enabled_instances(cfg)
+    if not ref:
+        with pytest.raises(Quiescent):
+            step(cfg)
+        return False
+    expected = ref[derive(cfg.seed, SCHED_TAG, cfg.clock) % len(ref)]
+    start = len(cfg.event_log)
+    assert step(cfg) == expected[0], f"step {cfg.clock}"
+    assert applied_instance(cfg.event_log[start:]) == expected, \
+        f"step {cfg.clock - 1}"
+    return True
+
+
 def run_against_reference(cfg, budget):
     """Step ``cfg`` like ``run`` does, checking the enabled set, the
     attacker indexes and the parameter memo against full recomputation
-    before every step."""
+    before every step, and each step's pick against the reference set."""
     steps = 0
     while True:
         got = _enabled_instances(cfg)
@@ -625,7 +694,7 @@ def run_against_reference(cfg, budget):
             assert _attack_candidates(cfg) == reference_attack_candidates(cfg)
         if not got or steps == budget:
             return steps
-        step(cfg)
+        assert step_picks_from_reference(cfg)
         steps += 1
 
 
@@ -657,6 +726,10 @@ def _oracle_docs():
     mixed_attacked["attacker"] = {"strategies": ["replay", "random_wire"],
                                   "injection_rate": 0.1, "max_injections": 20}
     docs["aperiodic_xor_split_attacked"] = mixed_attacked
+    # The bundled attacks inject at rate 1 and scale6_attacker1 at 0.05.
+    idle = load_scenario_doc("mqtt_adversarial.json")
+    idle["attacker"]["injection_rate"] = 0
+    docs["injection_rate_0"] = idle
     return docs
 
 
@@ -721,7 +794,7 @@ class TestParamMemo:
 
 
 def generic_line(event) -> str:
-    return json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
+    return event_json(event, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # Quotes, backslashes, a newline and other control characters, non-ASCII
@@ -732,10 +805,10 @@ HARD = 'a"b\\c\nd\t\x00\x1f\x7fé☃\U0001d11e'
 def hard_events(text=HARD, injected=True, lingo=None):
     """One event of each kind the runtime logs, as ``Configuration.log``
     builds it."""
-    wide = json_or_raw(BitVec(4096, 2 ** 4096 - 1))
-    raw = json_or_raw(PubMsg(text, text))
+    wide = BitVec(4096, 2 ** 4096 - 1)
+    raw = PubMsg(text, text)
     return [
-        dict(src=text, dst=text, n=3, lingo=lingo, wire=[wide], t=0, ev="out"),
+        dict(src=text, dst=text, n=3, lingo=lingo, wire=wide, t=0, ev="out"),
         dict(src=text, dst=text, seq=7, t=1, ev="deliver"),
         dict(dst=text, src=text, n=3, outcome=text, msg=text, t=2, ev="in"),
         dict(dst=text, src=text, n=4, reason=text, injected=injected, t=3,
@@ -793,7 +866,7 @@ def honest_seqs_per_flow(cfg):
     seq = 0
     for e in cfg.event_log:
         if e["ev"] == "out":
-            n = len(e["wire"])
+            n = len(trace_form(e)["wire"])
             sent.setdefault((e["src"], e["dst"]), []).extend(range(seq, seq + n))
             seq += n
         elif e["ev"] == "inject":
@@ -816,9 +889,7 @@ class RuntimeMachine(RuleBasedStateMachine):
     @rule(n=st.integers(1, 40))
     def advance(self, n):
         for _ in range(n):
-            try:
-                step(self.cfg)
-            except Quiescent:
+            if not step_picks_from_reference(self.cfg):
                 return
 
     @invariant()
