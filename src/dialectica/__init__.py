@@ -46,6 +46,7 @@ from .values import (
     BitVecSpace,
     Nat,
     NatSpace,
+    OpaqueSpace,
     Pair,
     PairSpace,
     ParamPairSpace,

@@ -33,7 +33,6 @@ from .core import (
     apply_f,
     decode_wire,
     is_compliant,
-    sample_value,
 )
 from .net import HiddenCtx, Message
 from .rng import ATTACKER_TAG, derive, fnv64
@@ -42,6 +41,7 @@ from .values import (
     BitVec,
     Nat,
     NatSpace,
+    OpaqueSpace,
     Pair,
     ShapeMismatch,
     Tagged,
@@ -202,8 +202,7 @@ class NoAttempt:
 
 
 def _mask_for(wire_space, rng: Rng) -> Value:
-    space = wire_space if wire_space is not None else NatSpace()
-    return sample_value(space, rng)
+    return (NatSpace() if wire_space.opaque else wire_space).sample(rng)
 
 
 def ready_flows(state: AttackerState, strategy: str
@@ -230,14 +229,15 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
                   ) -> Union[tuple[object, Optional[object]], NoAttempt]:
     """Produce (payload, intended_plaintext) for a strategy, or NoAttempt.
 
-    ``lingo`` is the receiver's active lingo (None on a bare flow); its
-    output space is the wire space strategies sample from.
+    ``lingo`` is the receiver's active lingo (None on a bare flow, whose
+    wire space is opaque); its output space is the wire space strategies
+    sample from.
     ``intended_plaintext`` is what the attacker means the receiver to
     decode; None when the strategy only aims to pass the forgery check.
     Strategies read captured wire values and revealed cleartext, never a
     record's ``hidden`` ground truth.
     """
-    wire_space = lingo.output_space if lingo is not None else None
+    wire_space = lingo.output_space if lingo is not None else OpaqueSpace()
     rec = state.latest.get((src, dst))
     if strategy == "passive":
         return NoAttempt("passive strategy never injects")
@@ -281,9 +281,9 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
         return payload, None
 
     if strategy == "random_wire":
-        if wire_space is None:
+        if wire_space.opaque:
             return NoAttempt("no wire space to sample")
-        return sample_value(wire_space, rng), None
+        return wire_space.sample(rng), None
 
     if strategy == "param_reuse_oracle":
         leak = state.leaked.get((src, dst))
@@ -428,7 +428,7 @@ def run_spoof_experiment(lingo: Lingo, param_policy: ParamPolicy, strategy: str,
         in_rng = Rng(trial_seed, _PLAINTEXT_TAG)
         for i in range(observations):
             a_i = lingo.param(param_policy.index(i), trial_seed)
-            d_i = sample_value(lingo.input_space, in_rng)
+            d_i = lingo.input_space.sample(in_rng)
             msg = Message(dst="dst", src="src", payload=apply_f(lingo, d_i, a_i),
                           seq=i)
             observe(state, msg, t=i,
@@ -477,9 +477,9 @@ def run_match_experiment(lingo: Lingo, strategy: str, trials: int, seed: int,
         p_other = lingo.param(1, trial_seed)
         same = rng.next_u64() & 1 == 1
         q = p if same else p_other
-        t1 = [apply_f(lingo, sample_value(lingo.input_space, in_rng), p)
+        t1 = [apply_f(lingo, lingo.input_space.sample(in_rng), p)
               for _ in range(transcript_len)]
-        t2 = [apply_f(lingo, sample_value(lingo.input_space, in_rng), q)
+        t2 = [apply_f(lingo, lingo.input_space.sample(in_rng), q)
               for _ in range(transcript_len)]
         if guesser is not None and guesser(t1, t2) == same:
             hits += 1

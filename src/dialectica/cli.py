@@ -104,6 +104,11 @@ def _load_lingo(spec_text: str):
 
 def cmd_lingo_eval(args) -> int:
     lingo = _load_lingo(args.spec)
+    if lingo.param_space.opaque:
+        # An authenticating lingo's parameters carry its involution and code
+        # word; a parameter typed here is always a plain value.
+        raise SpaceViolation(f"{lingo.name}: its parameters are not values, so "
+                             f"none can be given on the command line")
     try:
         values = [value_from_json(json.loads(a)) for a in args.args]
     except ValueError as exc:
@@ -146,7 +151,7 @@ def cmd_lingo_check(args) -> int:
         witness = find_noncompliant_witness(lingo, law_params(lingo, seed)(0),
                                             Rng(seed, SAMPLE_TAG))
     except UnsampleableSpace:
-        witness = None   # opaque spaces cannot be probed
+        witness = None   # no generator for the output space, e.g. an opaque part
     out = report.to_json()
     # ``witness`` stays a one-element list: the report schema is pinned.
     out["f_checkable_probe"] = {

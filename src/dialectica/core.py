@@ -28,10 +28,7 @@ from .values import (
     Tagged,
     UnsampleableSpace,
     Value,
-    sample_value,
-    space_cardinality,
     space_contains,
-    space_enumerate,
     value_to_json,
 )
 
@@ -79,15 +76,16 @@ class Lingo:
     f, g and param).  ``f(d, a)`` returns the wire value of payload d;
     ``g(w, a)`` decodes it.
 
-    ``param_space`` may be None for constructions whose parameters are not
-    plain values (the authenticating transform); such lingos are sampled
-    through their ``param`` function instead.
+    ``param_space`` is an ``OpaqueSpace`` for constructions whose
+    parameters are not plain values (the authenticating transform); the law
+    harness draws such parameters, and those of any space with an opaque
+    part, from the lingo's ``param`` function instead.
     """
 
     name: str
-    input_space: Optional[Space]
-    output_space: Optional[Space]
-    param_space: Optional[Space]
+    input_space: Space
+    output_space: Space
+    param_space: Space
     f: Callable[[Value, Value], Value]
     g: Callable[[Value, Value], GResult]
     param: Callable[[int, int], Value]
@@ -169,12 +167,12 @@ def make_param(space: Space, name: str, nat_ceiling: int = 1 << 32
 def law_params(lingo: Lingo, seed: int) -> Callable[[int], Value]:
     """The law-checking parameter stream: n -> sample n.  Prefers the space
     generator, keyed by the lingo name; falls back to the lingo's own param
-    stream for opaque parameter spaces."""
-    if lingo.param_space is None:
+    stream when the parameter space has an opaque part, which has no
+    generator."""
+    if lingo.param_space.opaque:
         return lambda n: lingo.param(n, seed)
-    tag = fnv64(lingo.name + "/laws")
-    return lambda n: sample_value(lingo.param_space,
-                                  Rng(derive(seed, tag, n), SAMPLE_TAG))
+    tag, sample = fnv64(lingo.name + "/laws"), lingo.param_space.sample
+    return lambda n: sample(Rng(derive(seed, tag, n), SAMPLE_TAG))
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +237,10 @@ def check_lingo_laws(lingo: Lingo, sample_count: int, rng: Rng) -> LawReport:
     """
     seed = rng.next_u64()
     param = law_params(lingo, seed)
+    sample = lingo.input_space.sample
 
     def draw(n: int) -> Value:
-        return sample_value(lingo.input_space,
-                            Rng(derive(seed, SAMPLE_TAG, n), SAMPLE_TAG))
+        return sample(Rng(derive(seed, SAMPLE_TAG, n), SAMPLE_TAG))
 
     # First counterexample of each law; None while the law is open.
     l0 = lands = l1 = c1 = None
@@ -290,13 +288,10 @@ def check_lingo_laws(lingo: Lingo, sample_count: int, rng: Rng) -> LawReport:
 
 def _check_c3(lingo: Lingo, seed: int, param: Callable[[int], Value],
               d1_limit: int = 4096) -> Optional[LawResult]:
-    if lingo.input_space is None or lingo.output_space is None:
+    d1s = lingo.input_space.enumerate(d1_limit)
+    if d1s is None or lingo.output_space.opaque:
         return None
-    d1_card = space_cardinality(lingo.input_space)
-    if d1_card is None or d1_card > d1_limit:
-        return None
-    d1s = space_enumerate(lingo.input_space, d1_limit)
-    d2s = space_enumerate(lingo.output_space, 256)
+    d2s = lingo.output_space.enumerate(256)
     for i in range(4):
         a = param(i)
         image = {apply_f(lingo, d1, a) for d1 in d1s}
@@ -306,7 +301,7 @@ def _check_c3(lingo: Lingo, seed: int, param: Callable[[int], Value],
             r = Rng(derive(seed, SAMPLE_TAG, 1000 + i), SAMPLE_TAG)
             candidates = list(image)
             for _ in range(64):
-                candidates.append(sample_value(lingo.output_space, r))
+                candidates.append(lingo.output_space.sample(r))
         for w in candidates:
             has_preimage = w in image
             if is_compliant(lingo, w, a) != has_preimage:
@@ -322,15 +317,16 @@ def find_noncompliant_witness(lingo: Lingo, a: Value, rng: Rng,
 
     Exhaustive when the output space is small, seeded random otherwise;
     None means no witness was found within the budget (the lingo looks
-    symmetric for this parameter).
+    symmetric for this parameter).  An output space that is neither small
+    nor sampleable, such as one with an opaque part, raises
+    UnsampleableSpace.
     """
-    if lingo.output_space is not None:
-        enumerated = space_enumerate(lingo.output_space, min(attempts, 4096))
-        if enumerated is not None:
-            return next((w for w in enumerated if not is_compliant(lingo, w, a)),
-                        None)
+    enumerated = lingo.output_space.enumerate(min(attempts, 4096))
+    if enumerated is not None:
+        return next((w for w in enumerated if not is_compliant(lingo, w, a)),
+                    None)
     for _ in range(attempts):
-        w = sample_value(lingo.output_space, rng)
+        w = lingo.output_space.sample(rng)
         if not is_compliant(lingo, w, a):
             return w
     return None

@@ -27,6 +27,7 @@ from .values import (
     BitVecSpace,
     Nat,
     NatSpace,
+    OpaqueSpace,
     Value,
 )
 
@@ -315,7 +316,7 @@ def decode_mqtt(v: Value) -> Union[MqttMsg, RetractFailure]:
 def mqtt_codec_adaptor(width: Optional[int] = None) -> DataAdaptor:
     """Section-retract pair between protocol messages and payload values;
     pre-composing it with a payload lingo yields a lingo on messages."""
-    return DataAdaptor(name="mqtt_codec", from_space=None,
+    return DataAdaptor(name="mqtt_codec", from_space=OpaqueSpace(),
                        to_space=NatSpace() if width is None else BitVecSpace(width),
                        j=lambda m: encode_mqtt(m, width), r=decode_mqtt)
 

@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from .core import (
     DecodeFailure,
@@ -22,7 +22,6 @@ from .core import (
     Rng,
     SpaceViolation,
     decode_then,
-    sample_value,
 )
 from .rng import SAMPLE_TAG, derive, fnv64
 from .values import (
@@ -30,12 +29,12 @@ from .values import (
     BitVecSpace,
     Nat,
     NatSpace,
+    OpaqueSpace,
     Pair,
     PairSpace,
     ParamPairSpace,
     Space,
     Value,
-    space_cardinality,
     space_contains,
     xor_value,
 )
@@ -68,10 +67,10 @@ def sharp(base: Lingo) -> Lingo:
     both components encode the same payload, so for each parameter pair some
     wire value has no preimage and the receiver gains a real forgery check.
     """
-    d1_card = space_cardinality(base.input_space)
+    d1_card = base.input_space.cardinality()
     if d1_card is not None and d1_card < 2:
         raise SpaceViolation("sharp needs an input space with >= 2 values")
-    a_card = space_cardinality(base.param_space)
+    a_card = base.param_space.cardinality()
     if a_card is not None and a_card < 2:
         raise DegenerateParamSpace(
             f"{base.name} param space has fewer than 2 elements")
@@ -234,7 +233,7 @@ def authenticating(base: Lingo, oids: list[str], m: int, j: int, k: int,
         return auth.param2(n, (ordered[0], ordered[1]))
 
     wrapped = Lingo(name=name, input_space=base.input_space,
-                    output_space=out_space, param_space=None,
+                    output_space=out_space, param_space=OpaqueSpace(),
                     f=f, g=g, param=param)
     auth = AuthLingo(base=wrapped, inner=base, oid_universe=tuple(oids),
                      m=m, j=j, k=k, seed=seed)
@@ -264,15 +263,16 @@ class RetractFailure:
 class DataAdaptor:
     """Section-retract pair (j, r) with r(j(d)) = d.
 
-    ``from_space``/``to_space`` may be None for opaque domains (protocol
-    messages); such adapted lingos skip membership checks on that side.
+    ``from_space`` is an ``OpaqueSpace`` for domains with no payload
+    structure (protocol messages): every payload passes the adapted lingo's
+    membership check on that side, so ``j`` refuses what it cannot encode.
     r may return RetractFailure off the image of j; adapted lingos decode
     that to a DecodeFailure, and the compliance check catches the rest.
     """
 
     name: str
-    from_space: Optional[Space]
-    to_space: Optional[Space]
+    from_space: Space
+    to_space: Space
     j: Callable[[object], object]
     r: Callable[[object], object]
 
@@ -323,7 +323,7 @@ def adapt_post(lingo: Lingo, ad: DataAdaptor) -> Lingo:
                  f=f, g=g, param=lingo.param)
 
 
-def identity_adaptor(space: Optional[Space]) -> DataAdaptor:
+def identity_adaptor(space: Space) -> DataAdaptor:
     ident = lambda v: v
     return DataAdaptor(name="identity", from_space=space, to_space=space,
                        j=ident, r=ident)
@@ -389,7 +389,7 @@ def sparse_code_adaptor(words: list[str], width: int, seed: int = 0) -> DataAdap
             return RetractFailure("not a codebook entry")
         return Nat(seen[v.bits])
 
-    return DataAdaptor(name=f"sparse{width}", from_space=None,
+    return DataAdaptor(name=f"sparse{width}", from_space=OpaqueSpace(),
                        to_space=BitVecSpace(width), j=j, r=r)
 
 
@@ -472,9 +472,9 @@ def generic_recipe(lingo: Lingo, a0_sample: list[Value], seed: int = 0,
             return NotApplicable("a0_sample", f"{a!r} outside param space")
     rng = Rng(derive(seed, fnv64("generic-recipe"), 0), SAMPLE_TAG)
     for i in range(samples):
-        d = sample_value(lingo.input_space, rng)
-        a = sample_value(lingo.param_space, rng)
-        ap = sample_value(lingo.param_space, rng)
+        d = lingo.input_space.sample(rng)
+        a = lingo.param_space.sample(rng)
+        ap = lingo.param_space.sample(rng)
         fd = lingo.f(d, a)
         if not space_contains(lingo.input_space, fd):
             return NotApplicable(

@@ -2,12 +2,12 @@
 
 Every transformation in this package moves values between *spaces*: plain
 naturals, fixed-width bit-vectors, pairs, finite atom-sets, tagged unions,
-and distinct-component pairs used as parameter spaces.  Values are slotted
-immutable classes that own their equality, hash, ``repr``, xor and JSON
-text (compact, keys sorted; the dict form is parsed from it); they can be
-shared freely and used as dict keys.  Each space kind
-is one class that owns its membership test, size, enumeration, sampling
-and parameter projection.
+distinct-component pairs used as parameter spaces, and the opaque domain
+of protocol messages.  Values are slotted immutable classes that own their
+equality, hash, ``repr``, xor and JSON text (compact, keys sorted; the dict
+form is parsed from it); they can be shared freely and used as dict keys.
+Each space kind is one class that owns its membership test, size,
+enumeration, sampling and parameter projection.
 
 A bit-vector value is a ``(width, bits)`` pair rather than a bit array; the
 constructor is deliberately permissive about over-width ``bits`` so that
@@ -199,13 +199,16 @@ class UnsampleableSpace(Exception):
 
 class Space:
     """A payload space.  Each kind answers for its own membership, size,
-    enumeration, sampling and parameter projection.
+    enumeration, sampling and parameter projection; a composite asks its
+    children directly.
 
-    Children are reached through the module functions (``space_contains``,
-    ``space_cardinality``, ``space_values``, ``sample_value``), which read
-    ``None`` as an opaque domain: every value belongs, nothing is counted,
-    enumerated or sampled.
+    ``OpaqueSpace`` is the kind for domains with no payload structure
+    (protocol messages behind data adaptors, an authenticating lingo's
+    parameters); ``opaque`` says whether a space is one or has one as a
+    part.
     """
+
+    opaque = False
 
     def contains(self, v: Value) -> bool:
         """Structural membership; total, never raises."""
@@ -219,9 +222,15 @@ class Space:
         """Every inhabitant, in a fixed order."""
         raise ValueError(f"cannot enumerate {self!r}")
 
-    def sample(self, rng: Rng, nat_ceiling: int) -> Value:
+    def enumerate(self, limit: int = 1 << 16) -> Optional[list[Value]]:
+        """Every inhabitant of a finite space, or None when it has more than
+        ``limit`` or cannot be counted."""
+        card = self.cardinality()
+        return None if card is None or card > limit else list(self.values())
+
+    def sample(self, rng: Rng, nat_ceiling: int = 1 << 32) -> Value:
         """Draw an inhabitant from a derive stream; naturals are drawn below
-        ``nat_ceiling``."""
+        ``nat_ceiling``, which bounds the generator, not the space."""
         raise NotImplementedError
 
     def project(self, word: int, nat_ceiling: int) -> Value:
@@ -232,11 +241,26 @@ class Space:
 
 
 @dataclass(frozen=True)
+class OpaqueSpace(Space):
+    """A domain with no payload structure, such as the protocol messages a
+    codec adaptor carries: every value belongs, and nothing is counted,
+    enumerated or sampled."""
+
+    opaque = True
+
+    def contains(self, v: Value) -> bool:
+        return True
+
+    def sample(self, rng: Rng, nat_ceiling: int = 1 << 32) -> Value:
+        raise UnsampleableSpace("opaque space has no generator")
+
+
+@dataclass(frozen=True)
 class NatSpace(Space):
     def contains(self, v: Value) -> bool:
         return isinstance(v, Nat)
 
-    def sample(self, rng: Rng, nat_ceiling: int) -> Value:
+    def sample(self, rng: Rng, nat_ceiling: int = 1 << 32) -> Value:
         return Nat(rng.next_below(nat_ceiling))
 
     def project(self, word: int, nat_ceiling: int) -> Value:
@@ -268,7 +292,7 @@ class BitVecSpace(Space):
         for b in range(1 << self.width):
             yield BitVec(self.width, b)
 
-    def sample(self, rng: Rng, nat_ceiling: int) -> Value:
+    def sample(self, rng: Rng, nat_ceiling: int = 1 << 32) -> Value:
         bits = 0
         for _ in range((self.width + 63) // 64):
             bits = (bits << 64) | rng.next_u64()
@@ -282,27 +306,30 @@ class BitVecSpace(Space):
 
 @dataclass(frozen=True)
 class PairSpace(Space):
-    left: Optional[Space]
-    right: Optional[Space]
+    left: Space
+    right: Space
+
+    @property
+    def opaque(self) -> bool:
+        return self.left.opaque or self.right.opaque
 
     def contains(self, v: Value) -> bool:
-        return (isinstance(v, Pair)
-                and space_contains(self.left, v.first)
-                and space_contains(self.right, v.second))
+        return (isinstance(v, Pair) and self.left.contains(v.first)
+                and self.right.contains(v.second))
 
     def cardinality(self) -> Optional[int]:
-        l, r = space_cardinality(self.left), space_cardinality(self.right)
+        l, r = self.left.cardinality(), self.right.cardinality()
         return None if l is None or r is None else l * r
 
     def values(self) -> Iterator[Value]:
-        rights = list(space_values(self.right))
-        for lft in space_values(self.left):
+        rights = list(self.right.values())
+        for lft in self.left.values():
             for rgt in rights:
                 yield Pair(lft, rgt)
 
-    def sample(self, rng: Rng, nat_ceiling: int) -> Value:
-        left = sample_value(self.left, rng, nat_ceiling)
-        return Pair(left, sample_value(self.right, rng, nat_ceiling))
+    def sample(self, rng: Rng, nat_ceiling: int = 1 << 32) -> Value:
+        left = self.left.sample(rng, nat_ceiling)
+        return Pair(left, self.right.sample(rng, nat_ceiling))
 
 
 @dataclass(frozen=True)
@@ -326,7 +353,7 @@ class AtomSetSpace(Space):
         for mask in range(1 << len(atoms)):
             yield AtomSet(tuple(a for i, a in enumerate(atoms) if mask >> i & 1))
 
-    def sample(self, rng: Rng, nat_ceiling: int) -> Value:
+    def sample(self, rng: Rng, nat_ceiling: int = 1 << 32) -> Value:
         picked = []
         word, have = 0, 0
         for a in sorted(self.universe):
@@ -341,21 +368,25 @@ class AtomSetSpace(Space):
 
 @dataclass(frozen=True)
 class TaggedSpace(Space):
-    branches: tuple[Optional[Space], ...]
+    branches: tuple[Space, ...]
 
     def __post_init__(self) -> None:
         if len(self.branches) < 2:
             raise ValueError("TaggedSpace needs at least 2 branches")
 
+    @property
+    def opaque(self) -> bool:
+        return any(b.opaque for b in self.branches)
+
     def contains(self, v: Value) -> bool:
         return (isinstance(v, Tagged)
                 and 1 <= v.branch <= len(self.branches)
-                and space_contains(self.branches[v.branch - 1], v.inner))
+                and self.branches[v.branch - 1].contains(v.inner))
 
     def cardinality(self) -> Optional[int]:
         total = 0
         for b in self.branches:
-            c = space_cardinality(b)
+            c = b.cardinality()
             if c is None:
                 return None
             total += c
@@ -363,12 +394,12 @@ class TaggedSpace(Space):
 
     def values(self) -> Iterator[Value]:
         for i, branch in enumerate(self.branches, start=1):
-            for inner in space_values(branch):
+            for inner in branch.values():
                 yield Tagged(i, inner)
 
-    def sample(self, rng: Rng, nat_ceiling: int) -> Value:
+    def sample(self, rng: Rng, nat_ceiling: int = 1 << 32) -> Value:
         branch = rng.next_below(len(self.branches)) + 1
-        return Tagged(branch, sample_value(self.branches[branch - 1], rng, nat_ceiling))
+        return Tagged(branch, self.branches[branch - 1].sample(rng, nat_ceiling))
 
 
 @dataclass(frozen=True)
@@ -376,73 +407,42 @@ class ParamPairSpace(Space):
     """Pairs over ``base`` whose two components differ (base x base minus
     the diagonal)."""
 
-    base: Optional[Space]
+    base: Space
+
+    @property
+    def opaque(self) -> bool:
+        return self.base.opaque
 
     def contains(self, v: Value) -> bool:
-        return (isinstance(v, Pair)
-                and space_contains(self.base, v.first)
-                and space_contains(self.base, v.second)
-                and v.first != v.second)
+        return (isinstance(v, Pair) and self.base.contains(v.first)
+                and self.base.contains(v.second) and v.first != v.second)
 
     def cardinality(self) -> Optional[int]:
-        c = space_cardinality(self.base)
+        c = self.base.cardinality()
         return None if c is None else c * (c - 1)
 
     def values(self) -> Iterator[Value]:
-        base = list(space_values(self.base))
+        base = list(self.base.values())
         for x in base:
             for y in base:
                 if x != y:
                     yield Pair(x, y)
 
-    def sample(self, rng: Rng, nat_ceiling: int) -> Value:
-        if space_cardinality(self.base) == 1:
+    def sample(self, rng: Rng, nat_ceiling: int = 1 << 32) -> Value:
+        if self.base.cardinality() == 1:
             raise UnsampleableSpace("base space has a single element")
-        first = sample_value(self.base, rng, nat_ceiling)
+        first = self.base.sample(rng, nat_ceiling)
         for _ in range(64):
-            second = sample_value(self.base, rng, nat_ceiling)
+            second = self.base.sample(rng, nat_ceiling)
             if second != first:
                 return Pair(first, second)
         raise UnsampleableSpace(f"could not draw distinct pair from {self.base!r}")
 
 
-def space_contains(space: Optional[Space], v: Value) -> bool:
-    """Structural membership test; total, never raises.
-
-    ``space`` may be ``None`` for opaque domains (protocol messages carried
-    through data adaptors); membership is then vacuously true.
-    """
-    return space is None or space.contains(v)
-
-
-def space_cardinality(space: Optional[Space]) -> Optional[int]:
-    """Number of inhabitants, or None when infinite/unknown."""
-    return None if space is None else space.cardinality()
-
-
-def space_values(space: Optional[Space]) -> Iterator[Value]:
-    """Every value of ``space``; ValueError when it cannot be enumerated."""
-    if space is None:
-        raise ValueError("cannot enumerate None")
-    return space.values()
-
-
-def space_enumerate(space: Optional[Space], limit: int = 1 << 16
-                    ) -> Optional[list[Value]]:
-    """Enumerate all values of a finite space, or None when too large."""
-    card = space_cardinality(space)
-    return None if card is None or card > limit else list(space.values())
-
-
-def sample_value(space: Optional[Space], rng: Rng, nat_ceiling: int = 1 << 32) -> Value:
-    """Draw a value of ``space`` from a derive stream.
-
-    Naturals are drawn below ``nat_ceiling`` (the space itself is unbounded;
-    the ceiling only bounds the generator).
-    """
-    if space is None:
-        raise UnsampleableSpace("opaque space has no generator")
-    return space.sample(rng, nat_ceiling)
+def space_contains(space: Space, v: Value) -> bool:
+    # Kept, not inlined, because the benchmark counts membership checks by
+    # patching this name in every module that imports it.
+    return space.contains(v)
 
 
 # ---------------------------------------------------------------------------

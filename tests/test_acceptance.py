@@ -19,7 +19,6 @@ from dialectica.core import (
     apply_g,
     check_lingo_laws,
     is_compliant,
-    sample_value,
 )
 from dialectica.library import (
     make_divide_check,
@@ -53,7 +52,6 @@ from dialectica.values import (
     Nat,
     NatSpace,
     Pair,
-    space_enumerate,
 )
 
 
@@ -151,7 +149,7 @@ def test_criterion_03_f_checkability():
         # plain xor is never f-checkable (exhaustive for n <= 6)
         for n in range(1, 7):
             xr = make_xor_bitvec(n)
-            values = space_enumerate(BitVecSpace(n))
+            values = BitVecSpace(n).enumerate()
             for a in values:
                 assert all(is_compliant(xr, d2, a) for d2 in values)
 
@@ -181,7 +179,7 @@ def test_criterion_03_f_checkability():
                 # spot-check compliance/image agreement on sampled pairs
                 rng = Rng(n, 33)
                 for _ in range(40):
-                    a = sample_value(sx.param_space, rng)
+                    a = sx.param_space.sample(rng)
                     image = {sx.f(BitVec(n, d), a) for d in range(size)}
                     inside = next(iter(image))
                     assert is_compliant(sx, inside, a)
@@ -196,9 +194,9 @@ def test_criterion_03_f_checkability():
         trials = 100_000
         hits = 0
         for _ in range(trials):
-            a = sample_value(sx.param_space, rng)
-            w = Pair(sample_value(BitVecSpace(8), rng),
-                     sample_value(BitVecSpace(8), rng))
+            a = sx.param_space.sample(rng)
+            w = Pair(BitVecSpace(8).sample(rng),
+                     BitVecSpace(8).sample(rng))
             if is_compliant(sx, w, a):
                 hits += 1
         lo, hi = wilson_interval(hits, trials)
@@ -211,28 +209,28 @@ def test_criterion_04_malleability():
         xor8 = make_xor_bitvec(8)
         rng = Rng(404, 1)
         for _ in range(10_000):
-            d = sample_value(xor8.input_space, rng)
-            a = sample_value(xor8.param_space, rng)
+            d = xor8.input_space.sample(rng)
+            a = xor8.param_space.sample(rng)
             observed = xor8.f(d, a)
-            forged = xor_recipe(observed, sample_value(xor8.param_space, rng))
+            forged = xor_recipe(observed, xor8.param_space.sample(rng))
             assert forged != observed and is_compliant(xor8, forged, a)
 
         sx = sharp(xor8)
         for _ in range(10_000):
-            d = sample_value(sx.input_space, rng)
-            a = sample_value(sx.param_space, rng)
+            d = sx.input_space.sample(rng)
+            a = sx.param_space.sample(rng)
             observed = sx.f(d, a)
-            forged = xor_sharp_recipe(observed, sample_value(sx.param_space, rng))
+            forged = xor_sharp_recipe(observed, sx.param_space.sample(rng))
             assert forged != observed and is_compliant(sx, forged, a)
 
         masks = [BitVec(8, 1), BitVec(8, 0xF0)]
         recipe = generic_recipe(xor8, masks)
         assert isinstance(recipe, Recipe)
         for _ in range(1000):
-            d = sample_value(xor8.input_space, rng)
-            a = sample_value(xor8.param_space, rng)
+            d = xor8.input_space.sample(rng)
+            a = xor8.param_space.sample(rng)
             observed = xor8.f(d, a)
-            forged = recipe.forge(observed, sample_value(xor8.param_space, rng))
+            forged = recipe.forge(observed, xor8.param_space.sample(rng))
             assert forged != observed and is_compliant(xor8, forged, a)
 
         assert isinstance(generic_recipe(make_divide_check(),
@@ -267,7 +265,7 @@ def test_criterion_06_functional_f_check_propagation():
         for ap in range(17):
             witness = Pair(Nat(0), Nat(ap + 2))
             for _ in range(10):
-                a = Pair(sample_value(NatSpace(), rng), Nat(ap))
+                a = Pair(NatSpace().sample(rng), Nat(ap))
                 assert not is_compliant(comp, witness, a)
 
 
@@ -288,7 +286,7 @@ def test_criterion_07_adaptor_theorems():
         assoc_right = adapt_pre(nb, adapt_post(base, bn))
         for _ in range(1000):
             d = Nat(rng.next_below(1 << 32))
-            a = sample_value(BitVecSpace(64), rng)
+            a = BitVecSpace(64).sample(rng)
             assert assoc_left.f(d, a) == assoc_right.f(d, a)
             w = Nat(rng.next_u64())
             assert assoc_left.g(w, a) == assoc_right.g(w, a)
@@ -296,8 +294,8 @@ def test_criterion_07_adaptor_theorems():
         slide_left = functional(adapt_post(base, bn), make_divide_check())
         slide_right = functional(base, adapt_pre(bn, make_divide_check()))
         for _ in range(1000):
-            d = sample_value(BitVecSpace(64), rng)
-            a = Pair(sample_value(BitVecSpace(64), rng),
+            d = BitVecSpace(64).sample(rng)
+            a = Pair(BitVecSpace(64).sample(rng),
                      Nat(rng.next_below(1 << 16)))
             wire = slide_left.f(d, a)
             assert wire == slide_right.f(d, a)
@@ -312,8 +310,8 @@ def test_criterion_08_sub_lingo_containment():
             tup = tupling([base, base])
             rng = Rng(808, 1)
             for _ in range(1000):
-                d = sample_value(base.input_space, rng)
-                a = sample_value(sh.param_space, rng)
+                d = base.input_space.sample(rng)
+                a = sh.param_space.sample(rng)
                 assert sh.f(d, a) == tup.f(d, a)
 
 
@@ -326,7 +324,7 @@ def test_criterion_09_authenticating_lingo():
         for i in range(500):
             n = rng.next_below(1 << 24)
             pair = ("alice", "bob") if i % 2 else ("carol", "alice")
-            d1 = sample_value(auth.inner.input_space, rng)
+            d1 = auth.inner.input_space.sample(rng)
             a = auth.param2(n, pair)
             wire = auth.base.f(d1, a)
             assert auth.code(wire, a) == auth.hash(n, pair)
@@ -339,7 +337,7 @@ def test_criterion_09_authenticating_lingo():
         trials = 10_000
         for _ in range(trials):
             n = rng.next_below(1 << 24)
-            d1 = sample_value(auth.inner.input_space, rng)
+            d1 = auth.inner.input_space.sample(rng)
             wire = auth.encode(d1, n, ("alice", "bob"))
             tampered = BitVec(width, wire.bits ^ (1 << rng.next_below(width)))
             if not verify_auth(auth, tampered, n + 1, ("alice", "bob")):

@@ -17,11 +17,12 @@ from dialectica.attacker import (
     strategy_ready,
     wilson_interval,
 )
-from dialectica.core import Rng, apply_f, sample_value
+from dialectica.core import Rng, apply_f
+from dialectica.mqtt import PubMsg, encode_mqtt
 from dialectica.net import HiddenCtx, Message
 from dialectica.rng import ATTACKER_TAG
 from dialectica.specs import build_lingo
-from dialectica.values import Nat, Tagged
+from dialectica.values import Nat, Pair, Tagged
 
 
 def observed_state(lingo, count=5, seed=77, reuse=1, advantage=None):
@@ -31,7 +32,7 @@ def observed_state(lingo, count=5, seed=77, reuse=1, advantage=None):
     rng = Rng(seed, 123)
     for i in range(count):
         a = lingo.param(i // reuse, seed)
-        d = sample_value(lingo.input_space, rng)
+        d = lingo.input_space.sample(rng)
         wire = apply_f(lingo, d, a)
         observe(state, Message(dst="b", src="a", payload=wire, seq=i), t=i,
                 hidden=HiddenCtx(lingo_name=lingo.name, param=a, plaintext=d,
@@ -188,9 +189,9 @@ class TestForgeryCrafting:
             old = rec.hidden
             d, a = old.plaintext, old.param
             while d == old.plaintext:
-                d = sample_value(lingo.input_space, rng)
+                d = lingo.input_space.sample(rng)
             while a == old.param:
-                a = sample_value(lingo.param_space, rng)
+                a = lingo.param_space.sample(rng)
             rec.hidden = HiddenCtx(lingo_name=old.lingo_name, param=a,
                                    plaintext=d, index=old.index)
         after = craft_forgery(state, strategy, "a", "b",
@@ -199,6 +200,58 @@ class TestForgeryCrafting:
             assert after == before
         else:
             assert after[0] == before[0]
+
+
+# A bare flow has no lingo, so its wire space is opaque.  Each strategy
+# against one captured publish, carried raw as a bare run sends it, or as
+# its codec encoding: the outcome (a NoAttempt reason, or the payload and
+# the resolved intent) and the attacker stream's next word.  Strategies
+# that draw nothing leave the stream at word 0; one draw moves it to word 1.
+_WORD0, _WORD1 = 7527320677765747599, 15816010485259326836
+_PUB = PubMsg("temp", "34")
+_PUB_NAT = Nat(129448201510122042164)      # encode_mqtt(_PUB)
+_DC_FORGERY = ((Pair(Nat(19195), Nat(0)), None), _WORD1)
+BARE_FLOW_FORGERIES = {
+    (_PUB, "passive"): ("passive strategy never injects", _WORD0),
+    (_PUB, "replay"): ((_PUB, _PUB), _WORD0),
+    (_PUB, "xor_recipe"): ("wire is not xor-shaped", _WORD0),
+    (_PUB, "xor_sharp_recipe"): ("no bitvec-pair observation", _WORD0),
+    (_PUB, "dc_zero_remainder"): _DC_FORGERY,
+    (_PUB, "random_wire"): ("no wire space to sample", _WORD0),
+    (_PUB, "param_reuse_oracle"): ("no revealed parameters", _WORD0),
+    (_PUB_NAT, "passive"): ("passive strategy never injects", _WORD0),
+    (_PUB_NAT, "replay"): ((_PUB_NAT, _PUB_NAT), _WORD0),
+    # The mask is a natural drawn in place of the missing wire space.
+    (_PUB_NAT, "xor_recipe"): ((Nat(129448201508589674683),
+                                Nat(129448201508589674683)), _WORD1),
+    (_PUB_NAT, "xor_sharp_recipe"): ("no bitvec-pair observation", _WORD0),
+    (_PUB_NAT, "dc_zero_remainder"): _DC_FORGERY,
+    (_PUB_NAT, "random_wire"): ("no wire space to sample", _WORD0),
+    (_PUB_NAT, "param_reuse_oracle"): ("no revealed parameters", _WORD0),
+}
+
+
+def test_bare_flow_cases_cover_every_strategy():
+    assert _PUB_NAT == encode_mqtt(_PUB)
+    assert set(BARE_FLOW_FORGERIES) == {
+        (wire, s) for wire in (_PUB, _PUB_NAT) for s in STRATEGIES}
+
+
+@pytest.mark.parametrize("wire, strategy", list(BARE_FLOW_FORGERIES),
+                         ids=lambda x: x if isinstance(x, str) else type(x).__name__)
+def test_bare_flow_forgery(wire, strategy):
+    state = AttackerState()
+    observe(state, Message(dst="b", src="c2", payload=wire), t=0,
+            hidden=HiddenCtx(lingo_name=None, param=None, plaintext=wire,
+                             index=0))
+    rng = Rng(5, ATTACKER_TAG)
+    out = craft_forgery(state, strategy, "c2", "b", rng, lingo=None)
+    if isinstance(out, NoAttempt):
+        outcome = out.reason
+    else:
+        payload, intent = out
+        outcome = (payload, intent if intent is None else intent.resolve())
+    assert (outcome, rng.next_u64()) == BARE_FLOW_FORGERIES[wire, strategy]
 
 
 class TestWilson:

@@ -717,6 +717,53 @@ def test_every_spec_and_strategy_ends_with_an_exit_code(capsys):
                 assert code in range(5), (spec, strategy, kind)
 
 
+_AUTH = json.loads(AUTH_K8)
+# Operators over an authenticating lingo: their parameter spaces have an
+# opaque part.
+OVER_AUTH = [{"sharp": _AUTH}, {"product": [_AUTH, {"kind": "xor_nat"}]}]
+EVAL_ARGS = ['{"nat":"5"}', '{"bv":{"n":3,"w":8}}', '{"bv":{"n":3,"w":16}}',
+             '{"pair":[{"bv":{"n":3,"w":8}},{"nat":"2"}]}']
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + OVER_AUTH,
+                         ids=lambda s: json.dumps(s)[:40])
+def test_every_spec_evaluation_ends_with_an_exit_code(capsys, spec):
+    """lingo eval of f, g and compliant ends with a documented exit code
+    on every spec kind, whatever shapes the value and parameter take."""
+    for op in ("f", "g", "compliant"):
+        for x in EVAL_ARGS:
+            for a in EVAL_ARGS:
+                code = main(["lingo", "eval", json.dumps(spec), op, x, a])
+                assert code in range(5), (op, x, a)
+
+
+@pytest.mark.parametrize("spec", [_AUTH, *OVER_AUTH])
+def test_eval_refuses_a_parameter_that_is_not_a_value(capsys, spec):
+    code = main(["lingo", "eval", json.dumps(spec), "f", '{"bv":{"n":3,"w":8}}',
+                 '{"nat":"5"}'])
+    assert code == EXIT_SPACE_VIOLATION
+    err = capsys.readouterr().err
+    assert "auth(xor_bitvec8)" in err and "parameters are not values" in err
+
+
+_AUTH_K12 = {"auth": {**_AUTH["auth"], "k": 12}}
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("spec", [
+    {"sharp": _AUTH_K12},
+    {"product": [_AUTH_K12, {"kind": "xor_bitvec", "width": 8}]},
+    {"tupling": [_AUTH_K12, _AUTH_K12]},
+], ids=["sharp", "product", "tupling"])
+def test_laws_hold_for_operators_over_auth(capsys, spec, seed):
+    """A parameter space with an opaque part is drawn from the lingo's own
+    param stream, as a wholly opaque one is."""
+    code, out = run_cli(capsys, "lingo", "check", json.dumps(spec),
+                        "--seed", str(seed))
+    assert code == EXIT_OK
+    assert out["passed"]
+
+
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_all_bundled_scenarios_parse(name):
     from dialectica.scenario import load_scenario

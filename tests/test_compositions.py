@@ -17,7 +17,6 @@ from dialectica.core import (
     apply_g,
     check_lingo_laws,
     is_compliant,
-    sample_value,
 )
 from dialectica.library import (
     make_divide_check,
@@ -141,7 +140,7 @@ class TestFunctional:
         for ap in range(17):
             witness = Pair(Nat(0), Nat(ap + 2))
             for _ in range(5):
-                a = Pair(sample_value(make_xor_nat().param_space, rng), Nat(ap))
+                a = Pair(make_xor_nat().param_space.sample(rng), Nat(ap))
                 assert not is_compliant(comp, witness, a)
 
 
@@ -158,8 +157,8 @@ class TestProduct:
                         make_identity(BitVecSpace(4))])
         rng = Rng(21, 2)
         for _ in range(200):
-            d = sample_value(prod.input_space, rng)
-            a = sample_value(prod.param_space, rng)
+            d = prod.input_space.sample(rng)
+            a = prod.param_space.sample(rng)
             assert apply_f(prod, d, a) == d
 
     def test_k_ary_folds_into_nested_pairs(self):
@@ -192,8 +191,8 @@ class TestTupling:
         tup = tupling([base, base])
         rng = Rng(22, 3)
         for _ in range(1000):
-            d = sample_value(base.input_space, rng)
-            a = sample_value(sh.param_space, rng)   # distinct components
+            d = base.input_space.sample(rng)
+            a = sh.param_space.sample(rng)   # distinct components
             assert sh.f(d, a) == tup.f(d, a)
             assert sh.g(sh.f(d, a), a) == tup.g(tup.f(d, a), a)
 

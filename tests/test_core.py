@@ -24,7 +24,6 @@ from dialectica.core import (
     is_compliant,
     law_params,
     make_param,
-    sample_value,
     wire_fits,
 )
 from dialectica.library import make_divide_check, make_xor_bitvec, make_xor_nat
@@ -38,12 +37,12 @@ from dialectica.values import (
     BitVecSpace,
     Nat,
     NatSpace,
+    OpaqueSpace,
     Pair,
     PairSpace,
     ParamPairSpace,
     TaggedSpace,
     space_contains,
-    space_enumerate,
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -94,8 +93,8 @@ class TestCompliance:
 
     def test_xor_everything_compliant(self):
         xr = make_xor_bitvec(4)
-        for a in space_enumerate(BitVecSpace(4)):
-            for d2 in space_enumerate(BitVecSpace(4)):
+        for a in BitVecSpace(4).enumerate():
+            for d2 in BitVecSpace(4).enumerate():
                 assert is_compliant(xr, d2, a)
 
 
@@ -111,17 +110,17 @@ class TestSampling:
     def test_samples_inhabit_space(self, space):
         rng = Rng(99, 1)
         for _ in range(200):
-            assert space_contains(space, sample_value(space, rng))
+            assert space_contains(space, space.sample(rng))
             assert space_contains(space, space.sample(rng, 16))
             assert space_contains(space, space.project(rng.next_u64(), 1 << 32))
 
     def test_opaque_space_unsampleable(self):
         with pytest.raises(UnsampleableSpace):
-            sample_value(None, Rng(0, 0))
+            OpaqueSpace().sample(Rng(0, 0))
 
     def test_degenerate_parampair(self):
         with pytest.raises(UnsampleableSpace):
-            sample_value(ParamPairSpace(AtomSetSpace(())), Rng(0, 0))
+            ParamPairSpace(AtomSetSpace(())).sample(Rng(0, 0))
 
 
 class TestParamStream:
@@ -185,10 +184,10 @@ class TestWitnessSearch:
 # ---------------------------------------------------------------------------
 
 def _reference_sample_param(lingo, n, seed):
-    if lingo.param_space is None:
+    if lingo.param_space.opaque:
         return lingo.param(n, seed)
     rng = Rng(derive(seed, fnv64(lingo.name + "/laws"), n), SAMPLE_TAG)
-    return sample_value(lingo.param_space, rng)
+    return lingo.param_space.sample(rng)
 
 
 def _reference_check_lingo_laws(lingo, sample_count, rng):
@@ -199,7 +198,7 @@ def _reference_check_lingo_laws(lingo, sample_count, rng):
 
     def draw(n):
         r = Rng(derive(seed, SAMPLE_TAG, n), SAMPLE_TAG)
-        return sample_value(lingo.input_space, r)
+        return lingo.input_space.sample(r)
 
     failure = None
     for i in range(sample_count):
@@ -400,11 +399,11 @@ def _wire_value(lingo, a, rng, mode):
     it is a pair.  Small naturals make drawn values compliant now and
     then."""
     def drawn():
-        return sample_value(lingo.output_space, rng, 16)
+        return lingo.output_space.sample(rng, 16)
 
-    if mode == "drawn" or lingo.input_space is None:
+    if mode == "drawn" or lingo.input_space.opaque:
         return drawn()
-    image = lingo.f(sample_value(lingo.input_space, rng, 16), a)
+    image = lingo.f(lingo.input_space.sample(rng, 16), a)
     if mode == "patched_image":
         patch = drawn()
         if isinstance(image, Pair) and isinstance(patch, Pair):
@@ -596,7 +595,7 @@ def _payload_cases(lingo, count=20):
     payloads = OPAQUE_PAYLOADS.get(lingo.name)
     if payloads is None:
         rng = Rng(5, SAMPLE_TAG)
-        payloads = [sample_value(lingo.input_space, rng, 16)
+        payloads = [lingo.input_space.sample(rng, 16)
                     for _ in range(count)]
     param = law_params(lingo, 5)
     return [(d, param(i)) for i, d in enumerate(payloads)]

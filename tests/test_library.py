@@ -9,7 +9,6 @@ from dialectica.core import (
     apply_g,
     check_lingo_laws,
     is_compliant,
-    sample_value,
 )
 from dialectica.library import (
     make_divide_check,
@@ -102,8 +101,8 @@ class TestReverseDivideCheck:
         rdc = make_reverse_divide_check()
         rng = Rng(8, 1)
         for _ in range(1000):
-            d = sample_value(rdc.input_space, rng)
-            a = sample_value(rdc.param_space, rng)
+            d = rdc.input_space.sample(rng)
+            a = rdc.param_space.sample(rng)
             assert apply_g(rdc, apply_f(rdc, d, a), a) == d
 
     def test_zero_first_component_blind_forgery(self):
@@ -140,8 +139,8 @@ class TestSplit:
         sp = make_split_bitvec(4)
         rng = Rng(9, 2)
         for _ in range(1000):
-            d = sample_value(sp.input_space, rng)
-            a = sample_value(sp.param_space, rng)
+            d = sp.input_space.sample(rng)
+            a = sp.param_space.sample(rng)
             assert apply_g(sp, apply_f(sp, d, a), a) == d
 
 

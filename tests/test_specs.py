@@ -9,7 +9,6 @@ from dialectica.core import (
     apply_f,
     check_lingo_laws,
     is_compliant,
-    sample_value,
 )
 from dialectica.mqtt import mqtt_codec_adaptor
 from dialectica.specs import SpecError, build_adaptor, build_lingo
@@ -140,7 +139,7 @@ def test_compliance_gate_is_total(spec, data):
     lingo = build_lingo(spec)
     a = lingo.param(data.draw(st.integers(0, 200)), 7)
     in_space = st.integers(0, 2**64 - 1).map(
-        lambda s: sample_value(lingo.output_space, Rng(s, 1)))
+        lambda s: lingo.output_space.sample(Rng(s, 1)))
     w = data.draw(st.one_of(ANY_VALUE, in_space,
                             st.lists(st.one_of(ANY_VALUE, in_space), max_size=3)))
     ok = is_compliant(lingo, w, a)

@@ -9,7 +9,6 @@ from dialectica.core import (
     apply_g,
     check_lingo_laws,
     is_compliant,
-    sample_value,
 )
 from dialectica.library import (
     make_divide_check,
@@ -48,7 +47,6 @@ from dialectica.values import (
     NatSpace,
     Pair,
     space_contains,
-    space_enumerate,
 )
 
 
@@ -64,7 +62,7 @@ class TestSharp:
         # the defining witness: components encoding different payloads
         base = make_xor_bitvec(4)
         sx = sharp(base)
-        values = space_enumerate(BitVecSpace(4))
+        values = BitVecSpace(4).enumerate()
         for a_bits in range(16):
             for ap_bits in range(16):
                 if a_bits == ap_bits:
@@ -118,7 +116,7 @@ class TestAuthenticating:
         for i in range(500):
             n = rng.next_below(1 << 20)
             pair = ("alice", "bob") if i % 2 else ("bob", "carol")
-            d1 = sample_value(auth.inner.input_space, rng)
+            d1 = auth.inner.input_space.sample(rng)
             a = auth.param2(n, pair)
             wire = auth.base.f(d1, a)
             assert auth.code(wire, a) == auth.hash(n, pair)
@@ -129,7 +127,7 @@ class TestAuthenticating:
         rng = Rng(2, 6)
         for i in range(300):
             n = rng.next_below(1 << 20)
-            d1 = sample_value(auth.inner.input_space, rng)
+            d1 = auth.inner.input_space.sample(rng)
             wire = auth.encode(d1, n, ("alice", "bob"))
             assert auth.decode(wire, n, ("alice", "bob")) == d1
 
@@ -140,7 +138,7 @@ class TestAuthenticating:
         trials = 2000
         for i in range(trials):
             n = rng.next_below(1 << 20)
-            d1 = sample_value(auth.inner.input_space, rng)
+            d1 = auth.inner.input_space.sample(rng)
             wire = auth.encode(d1, n, ("alice", "bob"))
             if not verify_auth(auth, wire, n, ("bob", "alice")):
                 rejected += 1
@@ -156,7 +154,7 @@ class TestAuthenticating:
         trials = 10_000
         for i in range(trials):
             n = rng.next_below(1 << 20)
-            d1 = sample_value(auth.inner.input_space, rng)
+            d1 = auth.inner.input_space.sample(rng)
             wire = auth.encode(d1, n, ("alice", "bob"))
             flip = rng.next_below(width)
             tampered = BitVec(width, wire.bits ^ (1 << flip))
@@ -220,8 +218,8 @@ class TestAdaptors:
         wrapped = adapt_pre(identity_adaptor(NatSpace()), base)
         rng = Rng(7, 11)
         for _ in range(200):
-            d = sample_value(NatSpace(), rng)
-            a = sample_value(NatSpace(), rng)
+            d = NatSpace().sample(rng)
+            a = NatSpace().sample(rng)
             assert wrapped.f(d, a) == base.f(d, a)
             assert wrapped.g(d, a) == base.g(d, a)
 
@@ -232,7 +230,7 @@ class TestAdaptors:
                 PubMsg("a" * 200, "b" * 200)]
         for i in range(100):
             msg = msgs[i % len(msgs)]
-            a = sample_value(NatSpace(), rng)
+            a = NatSpace().sample(rng)
             assert lingo.g(lingo.f(msg, a), a) == msg
 
     def test_associativity_of_attachment(self):
@@ -245,7 +243,7 @@ class TestAdaptors:
         rng = Rng(9, 13)
         for _ in range(1000):
             d = Nat(rng.next_below(1 << 32))
-            a = sample_value(BitVecSpace(64), rng)
+            a = BitVecSpace(64).sample(rng)
             assert left.f(d, a) == right.f(d, a)
             w = Nat(rng.next_below(1 << 64))
             assert left.g(w, a) == right.g(w, a)
@@ -260,8 +258,8 @@ class TestAdaptors:
         right = functional(l1, adapt_pre(ad, l2))
         rng = Rng(10, 14)
         for _ in range(1000):
-            d = sample_value(BitVecSpace(64), rng)
-            a = Pair(sample_value(BitVecSpace(64), rng),
+            d = BitVecSpace(64).sample(rng)
+            a = Pair(BitVecSpace(64).sample(rng),
                      Nat(rng.next_below(1 << 16)))
             fl = left.f(d, a)
             assert fl == right.f(d, a)
@@ -284,10 +282,10 @@ class TestXorRecipe:
         xr = make_xor_bitvec(8)
         rng = Rng(11, 15)
         for _ in range(1000):
-            d = sample_value(xr.input_space, rng)
-            a = sample_value(xr.param_space, rng)
+            d = xr.input_space.sample(rng)
+            a = xr.param_space.sample(rng)
             observed = xr.f(d, a)
-            forged = xor_recipe(observed, sample_value(xr.param_space, rng))
+            forged = xor_recipe(observed, xr.param_space.sample(rng))
             assert forged != observed
             assert is_compliant(xr, forged, a)
 
@@ -317,10 +315,10 @@ class TestXorSharpRecipe:
         sx = sharp(make_xor_bitvec(8))
         rng = Rng(12, 16)
         for _ in range(1000):
-            d = sample_value(sx.input_space, rng)
-            a = sample_value(sx.param_space, rng)
+            d = sx.input_space.sample(rng)
+            a = sx.param_space.sample(rng)
             observed = sx.f(d, a)
-            forged = xor_sharp_recipe(observed, sample_value(sx.param_space, rng))
+            forged = xor_sharp_recipe(observed, sx.param_space.sample(rng))
             assert forged != observed
             assert is_compliant(sx, forged, a)
 
@@ -333,10 +331,10 @@ class TestGenericRecipe:
         assert isinstance(recipe, Recipe)
         rng = Rng(13, 17)
         for _ in range(500):
-            d = sample_value(xr.input_space, rng)
-            a = sample_value(xr.param_space, rng)
+            d = xr.input_space.sample(rng)
+            a = xr.param_space.sample(rng)
             observed = xr.f(d, a)
-            forged = recipe.forge(observed, sample_value(xr.param_space, rng))
+            forged = recipe.forge(observed, xr.param_space.sample(rng))
             assert forged != observed
             assert is_compliant(xr, forged, a)
 
@@ -369,9 +367,9 @@ class TestSparseImage:
         trials = 2000
         for _ in range(trials):
             idx = Nat(rng.next_below(32))
-            a = sample_value(BitVecSpace(16), rng)
+            a = BitVecSpace(16).sample(rng)
             observed = adapted.f(idx, a)
-            forged = xor_recipe(observed, sample_value(BitVecSpace(16), rng))
+            forged = xor_recipe(observed, BitVecSpace(16).sample(rng))
             if is_compliant(adapted, forged, a):
                 survived += 1
         rate = survived / trials

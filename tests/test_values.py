@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dialectica
 from dialectica.core import make_param
 from dialectica.rng import SAMPLE_TAG, Rng, derive, fnv64
 from dialectica.values import (
@@ -10,6 +14,7 @@ from dialectica.values import (
     BitVecSpace,
     Nat,
     NatSpace,
+    OpaqueSpace,
     Pair,
     PairSpace,
     ParamPairSpace,
@@ -17,12 +22,8 @@ from dialectica.values import (
     Tagged,
     TaggedSpace,
     UnsampleableSpace,
-    sample_value,
-    space_cardinality,
     space_contains,
-    space_enumerate,
     space_from_json,
-    space_values,
     value_from_json,
     value_to_json,
     xor_value,
@@ -157,26 +158,26 @@ def test_pair_value_needs_two_items(obj):
 
 
 def test_cardinality_and_enumeration():
-    assert space_cardinality(BitVecSpace(4)) == 16
-    assert space_cardinality(NatSpace()) is None
-    assert space_cardinality(ParamPairSpace(BitVecSpace(2))) == 12
-    vals = space_enumerate(ParamPairSpace(BitVecSpace(2)))
+    assert BitVecSpace(4).cardinality() == 16
+    assert NatSpace().cardinality() is None
+    assert ParamPairSpace(BitVecSpace(2)).cardinality() == 12
+    vals = ParamPairSpace(BitVecSpace(2)).enumerate()
     assert len(vals) == 12
     assert all(space_contains(ParamPairSpace(BitVecSpace(2)), v) for v in vals)
-    assert space_enumerate(NatSpace()) is None
-    tagged = space_enumerate(TaggedSpace((BitVecSpace(1), BitVecSpace(2))))
+    assert NatSpace().enumerate() is None
+    tagged = TaggedSpace((BitVecSpace(1), BitVecSpace(2))).enumerate()
     assert len(tagged) == 6
 
 
 # ---------------------------------------------------------------------------
 # Oracle: frozen copies of the isinstance-ladder dispatch that the space
 # classes replaced.  The classes must agree with them on every space,
-# including opaque (None) children, down to the number of stream words each
+# including opaque children, down to the number of stream words each
 # sampler consumes.
 # ---------------------------------------------------------------------------
 
 def _old_space_contains(space, v):
-    if space is None:
+    if isinstance(space, OpaqueSpace):
         return True
     if isinstance(space, NatSpace):
         return isinstance(v, Nat)
@@ -201,7 +202,7 @@ def _old_space_contains(space, v):
 
 
 def _old_space_cardinality(space):
-    if space is None or isinstance(space, NatSpace):
+    if isinstance(space, (OpaqueSpace, NatSpace)):
         return None
     if isinstance(space, BitVecSpace):
         return 1 << space.width
@@ -252,7 +253,7 @@ def _old_enum(space):
 
 
 def _old_sample_value(space, rng, nat_ceiling=1 << 32):
-    if space is None:
+    if isinstance(space, OpaqueSpace):
         raise UnsampleableSpace("opaque space has no generator")
     if isinstance(space, NatSpace):
         return Nat(rng.next_below(nat_ceiling))
@@ -302,6 +303,16 @@ def _old_project_param(space, seed, stream_tag, index, nat_ceiling=1 << 32):
     return _old_sample_value(space, rng, nat_ceiling)
 
 
+def _has_opaque_part(space):
+    if isinstance(space, PairSpace):
+        return _has_opaque_part(space.left) or _has_opaque_part(space.right)
+    if isinstance(space, TaggedSpace):
+        return any(map(_has_opaque_part, space.branches))
+    if isinstance(space, ParamPairSpace):
+        return _has_opaque_part(space.base)
+    return isinstance(space, OpaqueSpace)
+
+
 def _outcome(fn, *args):
     """The result of fn(*args), or the type of the exception it raised."""
     try:
@@ -336,7 +347,7 @@ _leaf_spaces = st.one_of(
 
 
 def _composite_spaces(children):
-    child = st.none() | children
+    child = st.just(OpaqueSpace()) | children
     return st.one_of(
         st.builds(PairSpace, child, child),
         st.builds(TaggedSpace, st.lists(child, min_size=2, max_size=3).map(tuple)),
@@ -360,7 +371,7 @@ values = st.recursive(
 
 class TestSpaceOracle:
     @settings(max_examples=300, deadline=None)
-    @given(st.none() | spaces, st.lists(values, max_size=4),
+    @given(st.just(OpaqueSpace()) | spaces, st.lists(values, max_size=4),
            st.integers(0, 2**64 - 1))
     def test_contains(self, space, others, seed):
         drawn = _outcome(_old_sample_value, space, Rng(seed, 1))
@@ -372,30 +383,39 @@ class TestSpaceOracle:
             assert space_contains(space, v) == _old_space_contains(space, v)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.none() | spaces)
+    @given(st.just(OpaqueSpace()) | spaces)
     def test_cardinality(self, space):
-        assert space_cardinality(space) == _old_space_cardinality(space)
+        assert space.cardinality() == _old_space_cardinality(space)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.none() | spaces)
+    @given(st.just(OpaqueSpace()) | spaces)
+    def test_opaque(self, space):
+        assert space.opaque == _has_opaque_part(space)
+        # _check_c3 relies on this: a space with an opaque part is never
+        # enumerated.
+        if space.opaque:
+            assert space.cardinality() is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.just(OpaqueSpace()) | spaces)
     def test_enumeration(self, space):
         if _enum_work(space) > 1 << 12:
             return
-        assert (_outcome(lambda: list(space_values(space)))
+        assert (_outcome(lambda: list(space.values()))
                 == _outcome(lambda: list(_old_enum(space))))
         limit = 1 << 10
         card = _old_space_cardinality(space)
         expected = (None if card is None or card > limit
                     else list(_old_enum(space)))
-        assert space_enumerate(space, limit) == expected
+        assert space.enumerate(limit) == expected
 
     @settings(max_examples=300, deadline=None)
-    @given(st.none() | spaces, st.integers(0, 2**64 - 1),
+    @given(st.just(OpaqueSpace()) | spaces, st.integers(0, 2**64 - 1),
            st.sampled_from([1, 16, 1 << 32]))
     def test_sampling(self, space, seed, ceiling):
         new, old = Rng(seed, SAMPLE_TAG), Rng(seed, SAMPLE_TAG)
         for _ in range(3):
-            assert (_outcome(sample_value, space, new, ceiling)
+            assert (_outcome(space.sample, new, ceiling)
                     == _outcome(_old_sample_value, space, old, ceiling))
             assert new.index == old.index
 
@@ -409,3 +429,71 @@ class TestSpaceOracle:
         tag = fnv64(name)
         assert (_outcome(make_param(space, name, ceiling), n, seed)
                 == _outcome(_old_project_param, space, seed, tag, n, ceiling))
+
+
+# ---------------------------------------------------------------------------
+# Guard: an opaque domain is an OpaqueSpace, never a None space
+# ---------------------------------------------------------------------------
+
+_SPACE_NAMES = {"space", "from_space", "to_space", "base", "left", "right"}
+_SOURCES = sorted(Path(dialectica.__file__).parent.glob("*.py"))
+
+
+def _is_space_name(name: str) -> bool:
+    return name in _SPACE_NAMES or name.endswith("_space")
+
+
+def _holds_space(node) -> bool:
+    """A name or attribute whose name says it holds a space."""
+    return _is_space_name(getattr(node, "id", None) or getattr(node, "attr", ""))
+
+
+def _none_space_uses(tree) -> list[str]:
+    """Each ``Optional[Space]`` annotation, each ``is None``/``is not None``
+    test of a name or attribute that holds a space, and each space keyword
+    given ``None``."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript)
+                and ast.unparse(node.value) == "Optional"
+                and ast.unparse(node.slice) == "Space"):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for op, lhs, rhs in zip(node.ops, operands, operands[1:]):
+                if (isinstance(op, (ast.Is, ast.IsNot))
+                        and any(isinstance(x, ast.Constant) and x.value is None
+                                for x in (lhs, rhs))
+                        and (_holds_space(lhs) or _holds_space(rhs))):
+                    found.append(ast.unparse(node))
+        elif (isinstance(node, ast.keyword) and node.arg is not None
+              and _is_space_name(node.arg)
+              and isinstance(node.value, ast.Constant)
+              and node.value.value is None):
+            found.append(f"{node.arg}=None")
+    return found
+
+
+def test_guard_reads_every_module():
+    assert {p.name for p in _SOURCES} >= {"values.py", "core.py", "cli.py",
+                                          "attacker.py", "transforms.py"}
+
+
+def test_guard_catches_each_none_space_form():
+    source = ("def f(x: Optional[Space]):\n"
+              "    if lingo.param_space is None or space is not None:\n"
+              "        return DataAdaptor(from_space=None)\n"
+              "    return base is None, n is None, lingo is None\n")
+    assert _none_space_uses(ast.parse(source)) == [
+        "Optional[Space]",
+        "lingo.param_space is None",
+        "space is not None",
+        "base is None",
+        "from_space=None",
+    ]
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
+def test_no_none_space_in_source(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _none_space_uses(tree) == []
