@@ -462,11 +462,11 @@ def run_spoof_experiment(lingo: Lingo, param_policy: ParamPolicy, strategy: str,
                             spoof_hits=spoof_hits if any_intent else None)
 
 
-def run_match_experiment(lingo: Lingo, strategy: str, trials: int, seed: int,
-                         transcript_len: int = 4) -> ExperimentReport:
-    """Distinguishing game: the strategy guesses whether two transcripts
-    share the same fixed parameter.  Only strategies with a guess function
-    participate; others report no distinguishing data."""
+def run_match_experiment(lingo: Lingo, strategy: str, trials: int, seed: int
+                         ) -> ExperimentReport:
+    """Distinguishing game: the strategy guesses whether two four-message
+    transcripts share the same fixed parameter.  Only strategies with a
+    guess function participate; others report no distinguishing data."""
     guesser = _GUESSERS.get(strategy)
     hits: Optional[int] = 0 if guesser else None
     for t in range(trials):
@@ -478,9 +478,9 @@ def run_match_experiment(lingo: Lingo, strategy: str, trials: int, seed: int,
         same = rng.next_u64() & 1 == 1
         q = p if same else p_other
         t1 = [apply_f(lingo, lingo.input_space.sample(in_rng), p)
-              for _ in range(transcript_len)]
+              for _ in range(4)]
         t2 = [apply_f(lingo, lingo.input_space.sample(in_rng), q)
-              for _ in range(transcript_len)]
+              for _ in range(4)]
         if guesser is not None and guesser(t1, t2) == same:
             hits += 1
     return ExperimentReport(lingo=lingo.name, strategy=strategy,

@@ -90,6 +90,15 @@ def horizontal(spec: HorizontalSpec, seed: int = 0) -> Lingo:
                  f=f, g=g, param=param)
 
 
+def _paired(l1: Lingo, l2: Lingo, **parts) -> Lingo:
+    """A lingo whose parameter pairs l1's and l2's, l1's drawn first."""
+    def param(n: int, seed: int) -> Value:
+        return Pair(l1.param(n, seed), l2.param(n, seed))
+
+    return Lingo(param_space=PairSpace(l1.param_space, l2.param_space),
+                 param=param, **parts)
+
+
 def functional(l1: Lingo, l2: Lingo) -> Lingo:
     """Pipeline: encode through l1 then l2, decode through l2 then l1.
 
@@ -107,13 +116,8 @@ def functional(l1: Lingo, l2: Lingo) -> Lingo:
     def g(w, a):
         return decode_then(l2.g(w, a.second), lambda mid: l1.g(mid, a.first))
 
-    def param(n: int, seed: int) -> Value:
-        return Pair(l1.param(n, seed), l2.param(n, seed))
-
-    return Lingo(name=name, input_space=l1.input_space,
-                 output_space=l2.output_space,
-                 param_space=PairSpace(l1.param_space, l2.param_space),
-                 f=f, g=g, param=param)
+    return _paired(l1, l2, name=name, input_space=l1.input_space,
+                   output_space=l2.output_space, f=f, g=g)
 
 
 def _pairwise(ls: list[Lingo], combine) -> Lingo:
@@ -141,14 +145,10 @@ def _product2(l1: Lingo, l2: Lingo) -> Lingo:
         return decode_then(l1.g(w.first, a.first), lambda v1: decode_then(
             l2.g(w.second, a.second), lambda v2: Pair(v1, v2)))
 
-    def param(n: int, seed: int) -> Value:
-        return Pair(l1.param(n, seed), l2.param(n, seed))
-
-    return Lingo(name=name,
-                 input_space=PairSpace(l1.input_space, l2.input_space),
-                 output_space=PairSpace(l1.output_space, l2.output_space),
-                 param_space=PairSpace(l1.param_space, l2.param_space),
-                 f=f, g=g, param=param)
+    return _paired(l1, l2, name=name,
+                   input_space=PairSpace(l1.input_space, l2.input_space),
+                   output_space=PairSpace(l1.output_space, l2.output_space),
+                   f=f, g=g)
 
 
 def tupling(ls: list[Lingo]) -> Lingo:
@@ -168,10 +168,6 @@ def _tupling2(l1: Lingo, l2: Lingo) -> Lingo:
     def g(w, a):
         return l1.g(w.first, a.first)
 
-    def param(n: int, seed: int) -> Value:
-        return Pair(l1.param(n, seed), l2.param(n, seed))
-
-    return Lingo(name=name, input_space=l1.input_space,
-                 output_space=PairSpace(l1.output_space, l2.output_space),
-                 param_space=PairSpace(l1.param_space, l2.param_space),
-                 f=f, g=g, param=param)
+    return _paired(l1, l2, name=name, input_space=l1.input_space,
+                   output_space=PairSpace(l1.output_space, l2.output_space),
+                   f=f, g=g)

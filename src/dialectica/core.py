@@ -286,9 +286,9 @@ def check_lingo_laws(lingo: Lingo, sample_count: int, rng: Rng) -> LawReport:
     return LawReport(lingo=lingo.name, results=results)
 
 
-def _check_c3(lingo: Lingo, seed: int, param: Callable[[int], Value],
-              d1_limit: int = 4096) -> Optional[LawResult]:
-    d1s = lingo.input_space.enumerate(d1_limit)
+def _check_c3(lingo: Lingo, seed: int, param: Callable[[int], Value]
+              ) -> Optional[LawResult]:
+    d1s = lingo.input_space.enumerate(4096)
     if d1s is None or lingo.output_space.opaque:
         return None
     d2s = lingo.output_space.enumerate(256)
@@ -311,21 +311,20 @@ def _check_c3(lingo: Lingo, seed: int, param: Callable[[int], Value],
     return LawResult("C3_compliance_equivalence", True)
 
 
-def find_noncompliant_witness(lingo: Lingo, a: Value, rng: Rng,
-                              attempts: int = 4096) -> Optional[Value]:
+def find_noncompliant_witness(lingo: Lingo, a: Value, rng: Rng) -> Optional[Value]:
     """Search for a wire value with no preimage under f(., a).
 
-    Exhaustive when the output space is small, seeded random otherwise;
-    None means no witness was found within the budget (the lingo looks
+    Exhaustive when the output space has at most 4,096 values, 4,096
+    seeded samples otherwise; None means no witness was found (the lingo looks
     symmetric for this parameter).  An output space that is neither small
     nor sampleable, such as one with an opaque part, raises
     UnsampleableSpace.
     """
-    enumerated = lingo.output_space.enumerate(min(attempts, 4096))
+    enumerated = lingo.output_space.enumerate(4096)
     if enumerated is not None:
         return next((w for w in enumerated if not is_compliant(lingo, w, a)),
                     None)
-    for _ in range(attempts):
+    for _ in range(4096):
         w = lingo.output_space.sample(rng)
         if not is_compliant(lingo, w, a):
             return w

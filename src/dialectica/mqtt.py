@@ -17,7 +17,7 @@ RetractFailure instead of raising, so the pair forms the data adaptor
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
 from .core import SpaceViolation
@@ -112,6 +112,14 @@ class Reject:
 # Actors
 # ---------------------------------------------------------------------------
 
+Outbound = list[tuple[str, MqttMsg]]
+
+# The ack each request blocks the command list for; other requests are
+# not acknowledged.
+_AWAITS = {ConnectMsg: "connack", SubMsg: "suback", UnsubMsg: "unsuback"}
+_ACK_NAMES = {ConnAck: "connack", SubAck: "suback", UnsubAck: "unsuback"}
+
+
 @dataclass(frozen=True)
 class MqttClient:
     oid: str
@@ -129,6 +137,34 @@ class MqttClient:
         entries = dict(self.last_recv)
         entries[topic] = value
         return replace(self, last_recv=tuple(sorted(entries.items())))
+
+    def step(self, incoming) -> Union[tuple["MqttClient", Outbound], Reject]:
+        if incoming is None:
+            if self.awaiting is not None or not self.cmd_list:
+                return self, []
+            msg, rest = self.cmd_list[0], self.cmd_list[1:]
+            if isinstance(msg, ConnectMsg):
+                if self.peer is not None:
+                    return self, []
+                dst = msg.broker
+            elif self.peer is None:
+                return self, []   # blocked until connected
+            else:
+                dst = self.peer
+            peer = None if isinstance(msg, DisconnectMsg) else self.peer
+            return (replace(self, cmd_list=rest, peer=peer,
+                            awaiting=_AWAITS.get(type(msg))), [(dst, msg)])
+
+        src, msg = incoming
+        ack = _ACK_NAMES.get(type(msg))
+        if ack is not None:
+            if self.awaiting != ack or (ack == "connack" and self.peer is not None):
+                return Reject(f"unexpected {ack}")
+            peer = src if ack == "connack" else self.peer
+            return replace(self, peer=peer, awaiting=None), []
+        if isinstance(msg, Forward):
+            return self._with_recv(msg.topic, msg.value), []
+        return Reject(f"client cannot handle {type(msg).__name__}")
 
 
 @dataclass(frozen=True)
@@ -148,9 +184,33 @@ class MqttBroker:
         pruned = {t: s for t, s in subs.items() if s}
         return replace(self, subscribers=tuple(sorted(pruned.items())))
 
+    def step(self, incoming) -> Union[tuple["MqttBroker", Outbound], Reject]:
+        if incoming is None:
+            return self, []
+        src, msg = incoming
+        if isinstance(msg, ConnectMsg):
+            if msg.broker != self.oid:
+                return Reject("connect addressed to a different broker")
+            return replace(self, peers=self.peers | {src}), [(src, ConnAck())]
+        if src not in self.peers:
+            return Reject(f"{src} is not a connected peer")
+        subs = self.subscriber_map()
+        if isinstance(msg, SubMsg):
+            subs[msg.topic] = subs.get(msg.topic, frozenset()) | {src}
+            return self._with_subscribers(subs), [(src, SubAck())]
+        if isinstance(msg, UnsubMsg):
+            subs[msg.topic] = subs.get(msg.topic, frozenset()) - {src}
+            return self._with_subscribers(subs), [(src, UnsubAck())]
+        if isinstance(msg, PubMsg):
+            targets = sorted(subs.get(msg.topic, frozenset()))
+            return self, [(t, Forward(msg.topic, msg.value)) for t in targets]
+        if isinstance(msg, DisconnectMsg):
+            subs = {t: s - {src} for t, s in subs.items()}
+            return replace(self, peers=self.peers - {src})._with_subscribers(subs), []
+        return Reject(f"broker cannot handle {type(msg).__name__}")
+
 
 Actor = Union[MqttClient, MqttBroker]
-Outbound = list[tuple[str, MqttMsg]]
 
 
 def actor_step(actor: Actor, incoming: Optional[tuple[str, MqttMsg]]
@@ -158,78 +218,9 @@ def actor_step(actor: Actor, incoming: Optional[tuple[str, MqttMsg]]
     """One transition: with ``incoming=None``, let the actor act
     spontaneously (clients working their command list); otherwise deliver
     ``(src, msg)``.  Unknown or ill-timed messages come back as Reject."""
-    if isinstance(actor, MqttClient):
-        return _client_step(actor, incoming)
-    if isinstance(actor, MqttBroker):
-        return _broker_step(actor, incoming)
-    raise TypeError(f"not an actor: {actor!r}")
-
-
-# The ack each request blocks the command list for; other requests are
-# not acknowledged.
-_AWAITS = {ConnectMsg: "connack", SubMsg: "suback", UnsubMsg: "unsuback"}
-
-
-def _client_step(c: MqttClient, incoming) -> Union[tuple[Actor, Outbound], Reject]:
-    if incoming is None:
-        if c.awaiting is not None or not c.cmd_list:
-            return c, []
-        msg, rest = c.cmd_list[0], c.cmd_list[1:]
-        if isinstance(msg, ConnectMsg):
-            if c.peer is not None:
-                return c, []
-            dst = msg.broker
-        elif c.peer is None:
-            return c, []   # blocked until connected
-        else:
-            dst = c.peer
-        peer = None if isinstance(msg, DisconnectMsg) else c.peer
-        return (replace(c, cmd_list=rest, peer=peer,
-                        awaiting=_AWAITS.get(type(msg))), [(dst, msg)])
-
-    src, msg = incoming
-    if isinstance(msg, ConnAck):
-        if c.peer is None and c.awaiting == "connack":
-            return replace(c, peer=src, awaiting=None), []
-        return Reject("unexpected connack")
-    if isinstance(msg, SubAck):
-        if c.awaiting == "suback":
-            return replace(c, awaiting=None), []
-        return Reject("unexpected suback")
-    if isinstance(msg, UnsubAck):
-        if c.awaiting == "unsuback":
-            return replace(c, awaiting=None), []
-        return Reject("unexpected unsuback")
-    if isinstance(msg, Forward):
-        return c._with_recv(msg.topic, msg.value), []
-    return Reject(f"client cannot handle {type(msg).__name__}")
-
-
-def _broker_step(b: MqttBroker, incoming) -> Union[tuple[Actor, Outbound], Reject]:
-    if incoming is None:
-        return b, []
-    src, msg = incoming
-    if isinstance(msg, ConnectMsg):
-        if msg.broker != b.oid:
-            return Reject("connect addressed to a different broker")
-        return replace(b, peers=b.peers | {src}), [(src, ConnAck())]
-    if src not in b.peers:
-        return Reject(f"{src} is not a connected peer")
-    if isinstance(msg, SubMsg):
-        subs = b.subscriber_map()
-        subs[msg.topic] = subs.get(msg.topic, frozenset()) | {src}
-        return b._with_subscribers(subs), [(src, SubAck())]
-    if isinstance(msg, UnsubMsg):
-        subs = b.subscriber_map()
-        subs[msg.topic] = subs.get(msg.topic, frozenset()) - {src}
-        return b._with_subscribers(subs), [(src, UnsubAck())]
-    if isinstance(msg, PubMsg):
-        targets = sorted(b.subscriber_map().get(msg.topic, frozenset()))
-        return b, [(t, Forward(msg.topic, msg.value)) for t in targets]
-    if isinstance(msg, DisconnectMsg):
-        subs = {t: s - {src} for t, s in b.subscriber_map().items()}
-        return replace(b, peers=b.peers - {src})._with_subscribers(subs), []
-    return Reject(f"broker cannot handle {type(msg).__name__}")
+    # Kept as a module function: the simulator calls it through its own
+    # global, which is where the benchmark's probe wraps it.
+    return actor.step(incoming)
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +229,19 @@ def _broker_step(b: MqttBroker, incoming) -> Union[tuple[Actor, Outbound], Rejec
 
 # Tag byte per message kind; a tag of 0 never occurs, so encodings are
 # nonzero and survive the integer round trip without length framing.
-_TAGS: list[tuple[type, int, tuple[str, ...]]] = [
-    (ConnectMsg, 1, ("broker",)),
-    (ConnAck, 2, ()),
-    (SubMsg, 3, ("topic",)),
-    (SubAck, 4, ()),
-    (UnsubMsg, 5, ("topic",)),
-    (UnsubAck, 6, ()),
-    (PubMsg, 7, ("topic", "value")),
-    (Forward, 8, ("topic", "value")),
-    (DisconnectMsg, 9, ()),
+_TAGS: list[tuple[type, int]] = [
+    (ConnectMsg, 1),
+    (ConnAck, 2),
+    (SubMsg, 3),
+    (SubAck, 4),
+    (UnsubMsg, 5),
+    (UnsubAck, 6),
+    (PubMsg, 7),
+    (Forward, 8),
+    (DisconnectMsg, 9),
 ]
-_BY_TYPE = {t: (tag, fields) for t, tag, fields in _TAGS}
-_BY_TAG = {tag: (t, fields) for t, tag, fields in _TAGS}
+_BY_TYPE = {t: (tag, tuple(f.name for f in fields(t))) for t, tag in _TAGS}
+_BY_TAG = {tag: (t, names) for t, (tag, names) in _BY_TYPE.items()}
 
 DEFAULT_BITVEC_WIDTH = 512
 
@@ -263,8 +254,8 @@ def encode_mqtt(msg: MqttMsg, width: Optional[int] = None) -> Value:
     entry = _BY_TYPE.get(type(msg))
     if entry is None:
         raise SpaceViolation(f"{msg!r} is not an MQTT message")
-    tag, fields = entry
-    values = [getattr(msg, f) for f in fields]
+    tag, names = entry
+    values = [getattr(msg, f) for f in names]
     size = encoded_size(values)
     if width is not None and size * 8 > width:
         raise WidthOverflow(
@@ -293,10 +284,10 @@ def decode_mqtt(v: Value) -> Union[MqttMsg, RetractFailure]:
     tag = data[0]
     if tag not in _BY_TAG:
         return RetractFailure(f"unknown tag {tag}")
-    msg_type, fields = _BY_TAG[tag]
+    msg_type, names = _BY_TAG[tag]
     pos = 1
     parsed = []
-    for _ in fields:
+    for _ in names:
         if pos >= len(data):
             return RetractFailure("truncated field")
         length = data[pos]

@@ -1,4 +1,4 @@
-"""Build lingos, adaptors, and policies from their JSON spec trees.
+"""Build lingos and data adaptors from their JSON spec trees.
 
 Leaf lingos are ``{"kind": ..., ...}`` records; compositions and transforms
 are single-key nodes wrapping child specs, e.g.::
@@ -72,10 +72,12 @@ def build_adaptor(spec: dict) -> DataAdaptor:
             return bitvec_nat_adaptor(int_from_json(spec["width"]))
         if kind == "sparse":
             count = int_from_json(spec.get("count", 64))
-            if not 1 <= count <= 1 << 16:
-                raise ValueError(f"codebook size must be in 1..65536, got {count}")
-            words = spec.get("words", [f"w{i}" for i in range(count)])
-            return sparse_code_adaptor(list(words), int_from_json(spec["width"]),
+            words = atoms_from_json(spec["words"]) if "words" in spec else None
+            size = count if words is None else len(words)
+            if not 1 <= size <= 1 << 16:
+                raise ValueError(f"codebook size must be in 1..65536, got {size}")
+            return sparse_code_adaptor(list(words or (f"w{i}" for i in range(count))),
+                                       int_from_json(spec["width"]),
                                        int_from_json(spec.get("seed", 0)))
         if kind == "mqtt_codec":
             width = spec.get("width")
@@ -125,7 +127,7 @@ def build_lingo(spec: dict) -> Lingo:
                               build_adaptor(body["adaptor"]))
         if op == "auth":
             auth = authenticating(build_lingo(body["base"]),
-                                  list(body["oids"]), m=int_from_json(body["m"]),
+                                  atoms_from_json(body["oids"]), m=int_from_json(body["m"]),
                                   j=int_from_json(body["j"]), k=int_from_json(body["k"]),
                                   seed=int_from_json(body["seed"]))
             return auth.base

@@ -90,6 +90,9 @@ class TestLingoSpecs:
                         "defaults": [{"nat": "0"},
                                      {"pair": [{"nat": "0"}, {"nat": "0"}]}],
                         "bias": [1, 0]}},
+        # a bare string is not a list of oids, however many characters it has
+        {"auth": {"base": {"kind": "xor_bitvec", "width": 8}, "oids": "ab",
+                  "m": 8, "j": 8, "k": 8, "seed": 3}},
     ])
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(SpecError):
@@ -107,6 +110,9 @@ class TestLingoSpecs:
         {"kind": "sparse", "width": 8, "count": 8, "seed": 1.5},
         {"kind": "mqtt_codec", "width": 64.5},
         {"kind": "identity", "space": {"atoms": "ab"}},
+        {"kind": "sparse", "width": 8, "words": "abcd"},
+        {"kind": "sparse", "width": 8, "words": [1, 2]},
+        {"kind": "sparse", "width": 8, "words": []},
     ])
     def test_adaptor_refuses_coercion(self, bad):
         with pytest.raises(SpecError):
