@@ -35,7 +35,6 @@ from .transforms import (
     authenticating,
     generic_recipe,
     sharp,
-    verify_auth,
     xor_recipe,
     xor_sharp_recipe,
 )

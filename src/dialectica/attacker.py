@@ -325,23 +325,6 @@ def attempt_forgery(state: AttackerState, strategy: str, target: tuple[str, str]
 # Spoofing experiments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PerMessage:
-    def index(self, n: int) -> int:
-        return n
-
-
-@dataclass(frozen=True)
-class ReuseK:
-    k: int
-
-    def index(self, n: int) -> int:
-        return n // self.k
-
-
-ParamPolicy = Union[PerMessage, ReuseK]
-
-
 def wilson_interval(successes: int, trials: int, z: float = 1.96
                     ) -> tuple[float, float]:
     if trials == 0:
@@ -398,17 +381,14 @@ _MATCH_TAG = fnv64("match-trial")
 _PLAINTEXT_TAG = fnv64("honest-plaintext")
 
 
-def _policy_name(policy: ParamPolicy) -> str:
-    return "per_message" if isinstance(policy, PerMessage) else f"reuse_{policy.k}"
-
-
-def run_spoof_experiment(lingo: Lingo, param_policy: ParamPolicy, strategy: str,
+def run_spoof_experiment(lingo: Lingo, reuse: int, strategy: str,
                          trials: int, seed: int, observations: int = 1,
                          advantage: Optional[AdvantageConfig] = None
                          ) -> ExperimentReport:
-    """Per trial: emit a short honest exchange under the parameter policy,
-    let the strategy observe and forge once, then score the forgery against
-    the receiver's next parameter.
+    """Per trial: emit a short honest exchange in which each parameter
+    serves ``reuse`` consecutive messages (message i uses parameter
+    i // reuse), let the strategy observe and forge once, then score the
+    forgery against the receiver's next parameter.
 
     Scores both compliance (the forgery check) and, when the strategy
     declares an intent, actual spoofing (the receiver decodes exactly the
@@ -416,6 +396,8 @@ def run_spoof_experiment(lingo: Lingo, param_policy: ParamPolicy, strategy: str,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if reuse < 1:
+        raise ValueError(f"reuse must be >= 1, got {reuse}")
     compliance_hits = 0
     spoof_hits = 0
     any_intent = False
@@ -427,7 +409,7 @@ def run_spoof_experiment(lingo: Lingo, param_policy: ParamPolicy, strategy: str,
         rng = Rng(trial_seed, ATTACKER_TAG)
         in_rng = Rng(trial_seed, _PLAINTEXT_TAG)
         for i in range(observations):
-            a_i = lingo.param(param_policy.index(i), trial_seed)
+            a_i = lingo.param(i // reuse, trial_seed)
             d_i = lingo.input_space.sample(in_rng)
             msg = Message(dst="dst", src="src", payload=apply_f(lingo, d_i, a_i),
                           seq=i)
@@ -441,7 +423,7 @@ def run_spoof_experiment(lingo: Lingo, param_policy: ParamPolicy, strategy: str,
         if isinstance(crafted, NoAttempt):
             continue
         forged, intent = crafted
-        a_cur = lingo.param(param_policy.index(observations), trial_seed)
+        a_cur = lingo.param(observations // reuse, trial_seed)
 
         decoded = decode_wire(lingo, forged, a_cur)
         if is_compliant(lingo, forged, a_cur, decoded):
@@ -456,8 +438,9 @@ def run_spoof_experiment(lingo: Lingo, param_policy: ParamPolicy, strategy: str,
                 if decoded == want:
                     spoof_hits += 1
 
+    policy = "per_message" if reuse == 1 else f"reuse_{reuse}"
     return ExperimentReport(lingo=lingo.name, strategy=strategy,
-                            policy=_policy_name(param_policy), trials=trials,
+                            policy=policy, trials=trials,
                             compliance_hits=compliance_hits,
                             spoof_hits=spoof_hits if any_intent else None)
 

@@ -22,8 +22,6 @@ from typing import Callable, Optional
 
 from .attacker import (
     STRATEGIES,
-    PerMessage,
-    ReuseK,
     run_match_experiment,
     run_spoof_experiment,
 )
@@ -200,9 +198,9 @@ def cmd_experiment(args) -> int:
     lingo = _load_lingo(args.lingo)
     k = args.policy[len("reuse:"):] if args.policy.startswith("reuse:") else ""
     if args.policy == "per_message":
-        policy = PerMessage()
-    elif k.isdigit() and int(k) >= 1:
-        policy = ReuseK(int(k))
+        reuse = 1
+    elif k.isascii() and k.isdigit() and int(k) >= 1:
+        reuse = int(k)
     else:
         print(f"policy must be per_message or reuse:K with K >= 1, got "
               f"{args.policy!r}", file=sys.stderr)
@@ -217,7 +215,7 @@ def cmd_experiment(args) -> int:
     seed = _effective_seed(args.seed, 0)
     try:
         if args.kind == "spoof":
-            report = run_spoof_experiment(lingo, policy, args.strategy,
+            report = run_spoof_experiment(lingo, reuse, args.strategy,
                                           trials=args.trials, seed=seed,
                                           observations=args.observations)
         else:

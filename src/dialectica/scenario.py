@@ -67,6 +67,13 @@ class Scenario:
     report_path: Optional[str] = None
 
 
+def _text(obj, what: str) -> str:
+    """A JSON string field; any other JSON value is refused, not coerced."""
+    if not isinstance(obj, str):
+        raise SpecError(f"{what} must be a string, got {obj!r}")
+    return obj
+
+
 def _parse_cmd(obj, room: Optional[int]) -> object:
     """One client command, as the message it sends.  ``encoded_size``
     refuses fields the codec cannot frame, and with a bit-vector payload the
@@ -79,9 +86,10 @@ def _parse_cmd(obj, room: Optional[int]) -> object:
             if command is PubMsg:
                 if not isinstance(body, list) or len(body) != 2:
                     raise SpecError(f"publish takes [topic, value], got {body!r}")
-                fields = (str(body[0]), str(body[1]))
+                fields = (_text(body[0], "publish topic"),
+                          _text(body[1], "publish value"))
             else:
-                fields = (str(body),)
+                fields = (_text(body, key),)
             size = encoded_size(fields)
             if room is not None and size > room:
                 raise SpecError(f"{key} message needs {8 * size} bits, the "
@@ -115,12 +123,12 @@ def _parse_actor(obj, room: Optional[int]) -> object:
         raise SpecError(f"actor spec must be a single-key object: {obj!r}")
     key, body = next(iter(obj.items()))
     if key == "client":
-        oid = str(body["oid"])
+        oid = _text(body["oid"], "client oid")
         cmds = tuple(_parse_cmd(c, room) for c in body.get("cmds", []))
         _check_session(oid, cmds)
         return MqttClient(oid=oid, cmd_list=cmds)
     if key == "broker":
-        return MqttBroker(oid=str(body["oid"]))
+        return MqttBroker(oid=_text(body["oid"], "broker oid"))
     raise SpecError(f"unknown actor kind {key!r}")
 
 
@@ -185,7 +193,8 @@ def parse_scenario(doc: dict) -> Scenario:
                 max_injections=max_injections,
                 injection_rate=prob_from_json(atk.get("injection_rate", 1.0)))
             if "targets" in atk:
-                targets = [(str(s), str(d)) for s, d in atk["targets"]]
+                targets = [(_text(s, "attacker target"), _text(d, "attacker target"))
+                           for s, d in atk["targets"]]
                 unknown = sorted({o for pair in targets for o in pair} - set(oids))
                 if unknown:
                     raise SpecError(f"attacker targets name unknown actors: "

@@ -71,13 +71,12 @@ def build_adaptor(spec: dict) -> DataAdaptor:
         if kind == "bitvec_nat":
             return bitvec_nat_adaptor(int_from_json(spec["width"]))
         if kind == "sparse":
+            if "words" in spec:
+                raise ValueError("a sparse codebook takes a count, not words")
             count = int_from_json(spec.get("count", 64))
-            words = atoms_from_json(spec["words"]) if "words" in spec else None
-            size = count if words is None else len(words)
-            if not 1 <= size <= 1 << 16:
-                raise ValueError(f"codebook size must be in 1..65536, got {size}")
-            return sparse_code_adaptor(list(words or (f"w{i}" for i in range(count))),
-                                       int_from_json(spec["width"]),
+            if not 1 <= count <= 1 << 16:
+                raise ValueError(f"codebook size must be in 1..65536, got {count}")
+            return sparse_code_adaptor(count, int_from_json(spec["width"]),
                                        int_from_json(spec.get("seed", 0)))
         if kind == "mqtt_codec":
             width = spec.get("width")
@@ -126,11 +125,10 @@ def build_lingo(spec: dict) -> Lingo:
             return adapt_post(build_lingo(body["lingo"]),
                               build_adaptor(body["adaptor"]))
         if op == "auth":
-            auth = authenticating(build_lingo(body["base"]),
+            return authenticating(build_lingo(body["base"]),
                                   atoms_from_json(body["oids"]), m=int_from_json(body["m"]),
                                   j=int_from_json(body["j"]), k=int_from_json(body["k"]),
                                   seed=int_from_json(body["seed"]))
-            return auth.base
     except SpecError:
         raise
     except _BUILD_ERRORS as exc:

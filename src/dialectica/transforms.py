@@ -3,8 +3,10 @@
 * ``sharp`` sends the payload through f twice under two distinct parameters
   and ships the pair; a forger who cannot solve for both components at once
   passes the receiver's compliance check with probability 1/|D2|.
-* ``authenticating`` appends a keyed code to the payload and scrambles the
-  result with a secret involution, so receivers can check who encoded it.
+* ``authenticating`` appends a code keyed to one (sender, receiver) pair to
+  the payload and scrambles the result with a secret involution; the
+  result is again a lingo, whose compliance check rejects a wire value that
+  does not carry the code.
 * Data adaptors are section-retract pairs (j, r) with r(j(d)) = d used to
   connect lingos whose spaces do not line up.
 * The recipes demonstrate malleability: they convert an observed wire value
@@ -115,55 +117,17 @@ class AuthParam:
     code_word: int
 
 
-@dataclass(frozen=True)
-class AuthLingo:
-    base: Lingo                      # the wrapped lingo (operates on AuthParam)
-    inner: Lingo                     # the original lingo the code protects
-    oid_universe: tuple[str, ...]
-    m: int                           # payload bit-length
-    j: int                           # code bit-length
-    k: int                           # nonce bit-length
-    seed: int                        # enclave secret keying hash and involution
-
-    def hash(self, n: int, pair: tuple[str, str]) -> BitVec:
-        """Keyed j-bit code for (nonce, ordered oid pair)."""
-        a, b = pair
-        if a == b:
-            raise ValueError("oid pair must be ordered and distinct")
-        if not (0 <= n < (1 << self.k)):
-            raise NonceExhausted(f"nonce must be below 2**{self.k}, got {n}")
-        word = derive(self.seed, _HASH_TAG ^ fnv64(a + ">" + b), n)
-        return BitVec(self.j, word & ((1 << self.j) - 1))
-
-    def involution(self, n: int) -> tuple[int, ...]:
-        """Secret bit-position involution for nonce n."""
-        width = self.m + self.j
-        perm = [-1] * width
-        rng = Rng(derive(self.seed, _INVO_TAG, n), SAMPLE_TAG)
-        for i in range(width):
-            if perm[i] != -1:
-                continue
-            free = [p for p in range(i, width) if perm[p] == -1]
-            partner = free[rng.next_below(len(free))]
-            perm[i], perm[partner] = partner, i
-        return tuple(perm)
-
-    def param2(self, n: int, pair: tuple[str, str]) -> AuthParam:
-        return AuthParam(a0=self.inner.param(n, self.seed),
-                         sigma=self.involution(n),
-                         code_word=self.hash(n, pair).bits)
-
-    def code(self, wire: Value, a: AuthParam) -> BitVec:
-        """The last j bits of the un-scrambled wire vector."""
-        bits = _apply_involution(_wire_bits(wire, self.m + self.j),
-                                 self.m + self.j, a.sigma)
-        return BitVec(self.j, bits & ((1 << self.j) - 1))
-
-    def encode(self, d1: Value, n: int, pair: tuple[str, str]) -> BitVec:
-        return self.base.f(d1, self.param2(n, pair))
-
-    def decode(self, wire: Value, n: int, pair: tuple[str, str]):
-        return self.base.g(wire, self.param2(n, pair))
+def _involution(seed: int, n: int, width: int) -> tuple[int, ...]:
+    """Secret bit-position involution on ``width`` positions for nonce n."""
+    perm = [-1] * width
+    rng = Rng(derive(seed, _INVO_TAG, n), SAMPLE_TAG)
+    for i in range(width):
+        if perm[i] != -1:
+            continue
+        free = [p for p in range(i, width) if perm[p] == -1]
+        partner = free[rng.next_below(len(free))]
+        perm[i], perm[partner] = partner, i
+    return tuple(perm)
 
 
 def _wire_bits(wire: Value, width: int) -> int:
@@ -188,16 +152,18 @@ def _apply_involution(bits: int, width: int, perm: tuple[int, ...]) -> int:
 
 
 def authenticating(base: Lingo, oids: list[str], m: int, j: int, k: int,
-                   seed: int) -> AuthLingo:
+                   seed: int) -> Lingo:
     """Wrap ``base`` so each wire value carries a keyed j-bit code.
 
+    ``oids`` is the ordered (sender, receiver) pair the code binds.
     Encoding concatenates the m-bit base output with the code for the
-    current (nonce, sender, receiver) and scrambles the m+j bit positions
-    with a nonce-derived involution.  The code construction is a model of a
+    current nonce and that pair, and scrambles the m+j bit positions with a
+    nonce-derived involution.  The code construction is a model of a
     one-way hash, not a cryptographic primitive.
     """
-    if len(set(oids)) < 2 or not all(isinstance(o, str) for o in oids):
-        raise ValueError("need at least 2 distinct string oids")
+    if (isinstance(oids, str) or len(oids) != 2 or oids[0] == oids[1]
+            or not all(isinstance(o, str) for o in oids)):
+        raise ValueError(f"oids must be two distinct strings, got {oids!r}")
     if j < 8 or k < 8:
         raise ValueError("code and nonce lengths must be >= 8 bits")
     if not isinstance(base.output_space, (BitVecSpace, NatSpace)):
@@ -207,7 +173,7 @@ def authenticating(base: Lingo, oids: list[str], m: int, j: int, k: int,
             f"base output width {base.output_space.width} exceeds m={m}")
     width = m + j
     name = f"auth({base.name})"
-    out_space = BitVecSpace(width)
+    pair_tag = _HASH_TAG ^ fnv64(oids[0] + ">" + oids[1])
 
     def f(d, a: AuthParam):
         payload = _wire_bits(base.f(d, a.a0), m)
@@ -225,29 +191,18 @@ def authenticating(base: Lingo, oids: list[str], m: int, j: int, k: int,
             mid = Nat(payload)
         return base.g(mid, a.a0)
 
-    # default channel pair for callers that treat the wrapped lingo as a
-    # plain Lingo (the law harness); real traffic supplies its own pair
-    ordered = sorted(set(oids))[:2]
-
     def param(n: int, _seed: int) -> AuthParam:
-        return auth.param2(n, (ordered[0], ordered[1]))
+        # Keyed by the lingo's own seed, the enclave secret, not the
+        # caller's: the pinned `lingo check` digest of an auth spec rests on
+        # this stream.
+        if not 0 <= n < 1 << k:
+            raise NonceExhausted(f"nonce must be below 2**{k}, got {n}")
+        return AuthParam(a0=base.param(n, seed), sigma=_involution(seed, n, width),
+                         code_word=derive(seed, pair_tag, n) & ((1 << j) - 1))
 
-    wrapped = Lingo(name=name, input_space=base.input_space,
-                    output_space=out_space, param_space=OpaqueSpace(),
-                    f=f, g=g, param=param)
-    auth = AuthLingo(base=wrapped, inner=base, oid_universe=tuple(oids),
-                     m=m, j=j, k=k, seed=seed)
-    return auth
-
-
-def verify_auth(auth: AuthLingo, wire_value: Value, n: int,
-                pair: tuple[str, str]) -> bool:
-    """True iff the wire value carries the code for (n, pair)."""
-    a = auth.param2(n, pair)
-    try:
-        return auth.code(wire_value, a) == auth.hash(n, pair)
-    except WidthOverflow:
-        return False
+    return Lingo(name=name, input_space=base.input_space,
+                 output_space=BitVecSpace(width), param_space=OpaqueSpace(),
+                 f=f, g=g, param=param)
 
 
 # ---------------------------------------------------------------------------
@@ -360,18 +315,18 @@ def bitvec_nat_adaptor(width: int) -> DataAdaptor:
                        to_space=NatSpace(), j=j, r=r)
 
 
-def sparse_code_adaptor(words: list[str], width: int, seed: int = 0) -> DataAdaptor:
-    """Codebook adaptor: word index (as a natural) to a width-bit code drawn
-    from a thin, seeded subset of the code space.  The retract rejects
-    anything outside the codebook, so most forged wire values fail the
-    adapted compliance check."""
-    if (1 << width) < 4 * len(words):
+def sparse_code_adaptor(count: int, width: int, seed: int = 0) -> DataAdaptor:
+    """Codebook adaptor: index below ``count`` (as a natural) to a width-bit
+    code drawn from a thin, seeded subset of the code space.  The retract
+    rejects anything outside the codebook, so most forged wire values fail
+    the adapted compliance check."""
+    if (1 << width) < 4 * count:
         raise WidthOverflow("code space too dense to be called sparse")
     tag = fnv64("sparse-codebook")
     codes: list[int] = []
     seen: dict[int, int] = {}
     idx = 0
-    while len(codes) < len(words):
+    while len(codes) < count:
         c = derive(seed, tag, idx) & ((1 << width) - 1)
         idx += 1
         if c in seen:

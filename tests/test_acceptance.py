@@ -4,11 +4,10 @@ and nowhere else."""
 
 from contextlib import contextmanager
 
+from auth_oracle import OldAuthLingo
 from conftest import ALL_SCENARIOS, delivered_messages, event_json, scenario_path
 from dialectica.attacker import (
     AdvantageConfig,
-    PerMessage,
-    ReuseK,
     run_spoof_experiment,
     wilson_interval,
 )
@@ -41,7 +40,6 @@ from dialectica.transforms import (
     generic_recipe,
     nat_bitvec_adaptor,
     sharp,
-    verify_auth,
     xor_recipe,
     xor_sharp_recipe,
 )
@@ -130,7 +128,7 @@ def test_criterion_02_lingo_law_suite():
             adapt_pre(nat_bitvec_adaptor(64), make_xor_bitvec(64)),
             adapt_post(make_xor_bitvec(64), bitvec_nat_adaptor(64)),
             authenticating(make_xor_bitvec(16), ["alice", "bob"],
-                           m=16, j=16, k=32, seed=2).base,
+                           m=16, j=16, k=32, seed=2),
         ]
         every = shipped + transformed + list(_bundled_lingos().values())
         for lingo in every:
@@ -244,7 +242,7 @@ def test_criterion_05_horizontal_strengthening():
     with criterion("criterion 05: zero-remainder forgery halved by the "
                    "two-branch composition"):
         dc_alone = run_spoof_experiment(
-            make_divide_check(), PerMessage(), "dc_zero_remainder",
+            make_divide_check(), 1, "dc_zero_remainder",
             trials=10_000, seed=50, observations=0)
         assert dc_alone.compliance_rate == 1.0
 
@@ -252,7 +250,7 @@ def test_criterion_05_horizontal_strengthening():
             branches=(make_divide_check(), make_reverse_divide_check()),
             defaults=(Pair(Nat(0), Nat(0)), Pair(Nat(0), Nat(0))),
             bias=(1, 1)))
-        hedged = run_spoof_experiment(both, PerMessage(), "dc_zero_remainder",
+        hedged = run_spoof_experiment(both, 1, "dc_zero_remainder",
                                       trials=10_000, seed=50, observations=0)
         assert 0.45 <= hedged.compliance_rate <= 0.55, hedged.compliance_rate
 
@@ -318,29 +316,35 @@ def test_criterion_08_sub_lingo_containment():
 def test_criterion_09_authenticating_lingo():
     with criterion("criterion 09: code law (500 samples) and tamper "
                    "detection at j=16"):
-        auth = authenticating(make_xor_bitvec(16), ["alice", "bob", "carol"],
-                              m=16, j=16, k=32, seed=99)
+        pairs = (("alice", "bob"), ("carol", "alice"))
+        lingos = {pair: authenticating(make_xor_bitvec(16), list(pair),
+                                       m=16, j=16, k=32, seed=99)
+                  for pair in pairs}
+        oracle = OldAuthLingo(inner=make_xor_bitvec(16), m=16, j=16, k=32,
+                              seed=99)
         rng = Rng(909, 1)
         for i in range(500):
             n = rng.next_below(1 << 24)
-            pair = ("alice", "bob") if i % 2 else ("carol", "alice")
-            d1 = auth.inner.input_space.sample(rng)
-            a = auth.param2(n, pair)
-            wire = auth.base.f(d1, a)
-            assert auth.code(wire, a) == auth.hash(n, pair)
-            assert verify_auth(auth, wire, n, pair)
+            pair = pairs[0] if i % 2 else pairs[1]
+            auth = lingos[pair]
+            d1 = auth.input_space.sample(rng)
+            a = auth.param(n, 0)
+            wire = auth.f(d1, a)
+            assert oracle.code(wire, a) == oracle.hash(n, pair)
+            assert is_compliant(auth, wire, a)
 
         # a tampered copy is injected after the original, so it is verified
         # under the already-advanced nonce
-        width = auth.m + auth.j
+        auth = lingos[pairs[0]]
+        width = 16 + 16
         detected = 0
         trials = 10_000
         for _ in range(trials):
             n = rng.next_below(1 << 24)
-            d1 = auth.inner.input_space.sample(rng)
-            wire = auth.encode(d1, n, ("alice", "bob"))
+            d1 = auth.input_space.sample(rng)
+            wire = auth.f(d1, auth.param(n, 0))
             tampered = BitVec(width, wire.bits ^ (1 << rng.next_below(width)))
-            if not verify_auth(auth, tampered, n + 1, ("alice", "bob")):
+            if not is_compliant(auth, tampered, auth.param(n + 1, 0)):
                 detected += 1
         assert detected / trials >= 1 - 2**-16 - 0.01, detected
 
@@ -369,16 +373,16 @@ def test_criterion_11_attacker_outcomes():
     with criterion("criterion 11: replay blocked, recipes exploit reuse, "
                    "reveals enable oracle forgeries, clean dialect holds"):
         x8 = make_xor_bitvec(8)
-        replay = run_spoof_experiment(x8, PerMessage(), "replay",
+        replay = run_spoof_experiment(x8, 1, "replay",
                                       trials=100, seed=11)
         assert replay.spoof_rate == 0.0
 
-        reuse = run_spoof_experiment(x8, ReuseK(2), "xor_recipe",
+        reuse = run_spoof_experiment(x8, 2, "xor_recipe",
                                      trials=100, seed=11)
         assert reuse.spoof_rate == 1.0
 
         oracle = run_spoof_experiment(
-            x8, ReuseK(3), "param_reuse_oracle", trials=100, seed=11,
+            x8, 3, "param_reuse_oracle", trials=100, seed=11,
             observations=2, advantage=AdvantageConfig(s_max=((2, 1.0),)))
         assert oracle.spoof_rate == 1.0
 

@@ -4,8 +4,6 @@ from dialectica.attacker import (
     AdvantageConfig,
     AttackerState,
     NoAttempt,
-    PerMessage,
-    ReuseK,
     STRATEGIES,
     attempt_forgery,
     craft_forgery,
@@ -267,20 +265,20 @@ class TestWilson:
 class TestExperiments:
     def test_replay_blocked_by_per_message_params(self):
         x8 = build_lingo({"kind": "xor_bitvec", "width": 8})
-        rep = run_spoof_experiment(x8, PerMessage(), "replay",
+        rep = run_spoof_experiment(x8, 1, "replay",
                                    trials=100, seed=5)
         assert rep.spoof_rate == 0.0
         assert rep.compliance_rate == 1.0   # xor takes any wire value
 
     def test_xor_recipe_needs_no_parameter_knowledge(self):
         x8 = build_lingo({"kind": "xor_bitvec", "width": 8})
-        rep = run_spoof_experiment(x8, ReuseK(2), "xor_recipe",
+        rep = run_spoof_experiment(x8, 2, "xor_recipe",
                                    trials=100, seed=5)
         assert rep.spoof_rate == 1.0
 
     def test_sharp_blocks_random_wires_at_two_to_minus_n(self):
         sx = build_lingo({"sharp": {"kind": "xor_bitvec", "width": 8}})
-        rep = run_spoof_experiment(sx, PerMessage(), "random_wire",
+        rep = run_spoof_experiment(sx, 1, "random_wire",
                                    trials=20_000, seed=0)
         lo, hi = wilson_interval(rep.compliance_hits, rep.trials)
         assert lo <= 2**-8 <= hi
@@ -289,10 +287,10 @@ class TestExperiments:
         # the forgery check does not make the pair encoding non-malleable:
         # while a parameter is live the recipe passes it every time
         sx = build_lingo({"sharp": {"kind": "xor_bitvec", "width": 8}})
-        reuse = run_spoof_experiment(sx, ReuseK(2), "xor_sharp_recipe",
+        reuse = run_spoof_experiment(sx, 2, "xor_sharp_recipe",
                                      trials=200, seed=6)
         assert reuse.compliance_rate == 1.0 and reuse.spoof_rate == 1.0
-        fresh = run_spoof_experiment(sx, PerMessage(), "xor_sharp_recipe",
+        fresh = run_spoof_experiment(sx, 1, "xor_sharp_recipe",
                                      trials=200, seed=6)
         assert fresh.spoof_rate == 0.0
         assert fresh.compliance_rate <= 0.05
@@ -300,7 +298,7 @@ class TestExperiments:
     def test_param_reuse_oracle_after_strong_reuse_reveal(self):
         x8 = build_lingo({"kind": "xor_bitvec", "width": 8})
         rep = run_spoof_experiment(
-            x8, ReuseK(3), "param_reuse_oracle", trials=100, seed=5,
+            x8, 3, "param_reuse_oracle", trials=100, seed=5,
             observations=2, advantage=AdvantageConfig(s_max=((2, 1.0),)))
         assert rep.spoof_rate == 1.0
 
@@ -316,9 +314,15 @@ class TestExperiments:
         assert rep.distinguish_hits is None
         assert "distinguish" not in rep.to_json()
 
+    @pytest.mark.parametrize("reuse", [0, -1])
+    def test_reuse_below_1_refused(self, reuse):
+        x8 = build_lingo({"kind": "xor_bitvec", "width": 8})
+        with pytest.raises(ValueError, match="reuse must be >= 1"):
+            run_spoof_experiment(x8, reuse, "replay", trials=1, seed=5)
+
     def test_report_serialization(self):
         x8 = build_lingo({"kind": "xor_bitvec", "width": 8})
-        rep = run_spoof_experiment(x8, PerMessage(), "random_wire",
+        rep = run_spoof_experiment(x8, 1, "random_wire",
                                    trials=50, seed=5)
         js = rep.to_json()
         assert js["trials"] == 50

@@ -180,11 +180,16 @@ class TestLingoCheck:
                     "seed": 3}}
           for base in ({"kind": "divide_check"},
                        {"kind": "split_bitvec", "half_width": 4})],
+        # the oids are the one ordered (sender, receiver) pair the code binds
+        *[{"auth": {"base": {"kind": "xor_bitvec", "width": 8}, "oids": oids,
+                    "m": 8, "j": 8, "k": 16, "seed": 3}}
+          for oids in (["a"], ["a", "b", "c"], ["a", "a"])],
     ], ids=["sharp_wide", "wide", "bad_defaults", "unhashable_kind", "huge_codebook",
             "non_string_oids", "float_width", "bool_width", "float_space_width",
             "float_param_ceiling", "float_half_width", "float_bias",
             "float_auth_k", "string_universe", "string_atoms",
-            "three_item_pair_space", "auth_over_pairs", "auth_over_split"])
+            "three_item_pair_space", "auth_over_pairs", "auth_over_split",
+            "one_oid", "three_oids", "duplicate_oids"])
     def test_bad_spec_values_exit_2(self, capsys, spec):
         assert main(["lingo", "check", json.dumps(spec)]) == EXIT_SPEC_ERROR
 
@@ -352,6 +357,27 @@ class TestSimulate:
                        "targets": [["c1", "b"], ["b", "b"]]}}, []),
         ("mqtt_adversarial.json",
          {"attacker": {"strategies": ["replay"], "max_injections": -1}}, []),
+        # text fields take JSON strings only; nothing is coerced with str()
+        ("mqtt_xor.json",
+         {"actors": [{"client": {"oid": "c1", "cmds": [
+             {"connect": "b"}, {"subscribe": ["temp"]}]}},
+                     {"broker": {"oid": "b"}}]}, []),
+        ("mqtt_xor.json",
+         {"actors": [{"client": {"oid": "c1", "cmds": [
+             {"connect": "b"}, {"publish": ["temp", True]}]}},
+                     {"broker": {"oid": "b"}}]}, []),
+        ("mqtt_xor.json",
+         {"actors": [{"client": {"oid": None, "cmds": [{"connect": "b"}]}},
+                     {"broker": {"oid": "b"}}]}, []),
+        ("mqtt_xor.json",
+         {"actors": [{"client": {"oid": "c1", "cmds": [{"connect": 7}]}},
+                     {"broker": {"oid": 7}}]}, []),
+        ("mqtt_xor.json",
+         {"actors": [{"client": {"oid": "c1", "cmds": [{"connect": "7"}]}},
+                     {"broker": {"oid": 7}}]}, []),
+        ("mqtt_sharp_attack.json",
+         {"attacker": {"strategies": ["random_wire"], "targets": [["c1", 5]]}},
+         []),
     ], ids=["zero_width", "negative_width", "zero_max_steps",
             "negative_max_steps_flag", "zero_max_steps_flag", "unknown_target",
             "unknown_broker", "attacker_list", "outputs_list",
@@ -363,7 +389,9 @@ class TestSimulate:
             "float_lingo_width", "bool_rate", "string_rate", "negative_rate",
             "rate_above_1", "bool_probability", "string_probability",
             "strategies_string", "self_target", "self_target_among_others",
-            "negative_max_injections"])
+            "negative_max_injections", "subscribe_list", "publish_bool",
+            "null_client_oid", "number_connect", "number_broker_oid",
+            "number_target"])
     def test_bad_scenario_values_exit_2(self, capsys, tmp_path, name, edit,
                                         flags):
         doc = json.loads(open(scenario_path(name)).read())
@@ -684,6 +712,17 @@ class TestExperiment:
         assert code == EXIT_OK
         assert out["spoof"]["rate"] == 1.0
 
+    def test_reuse_1_is_per_message(self, capsys, tmp_path):
+        written = []
+        for policy in ("per_message", "reuse:1"):
+            path = tmp_path / f"{policy.replace(':', '_')}.json"
+            assert main(["experiment", "spoof", "--lingo", XOR8, "--strategy",
+                         "xor_recipe", "--policy", policy, "--trials", "50",
+                         "--seed", "5", "--out", str(path)]) == EXIT_OK
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+        assert json.loads(written[0])["policy"] == "per_message"
+
     def test_nonce_exhaustion_exits_2(self, capsys):
         code = main(["experiment", "spoof", "--lingo", AUTH_K8, "--strategy",
                      "replay", "--observations", "300", "--trials", "2"])
@@ -698,7 +737,8 @@ class TestExperiment:
 
     def test_bad_policy_exits_2(self, capsys):
         for bad in (["--policy", "weekly"], ["--policy", "reuse:0"],
-                    ["--policy", "reuse:x"], ["--trials", "0"],
+                    ["--policy", "reuse:x"], ["--policy", "reuse:\u00b2"],
+                    ["--trials", "0"],
                     ["--observations", "-1"]):
             code = main(["experiment", "spoof", "--lingo", XOR8,
                          "--strategy", "replay", *bad])

@@ -1,9 +1,12 @@
-"""The README's layout table names every module of the package."""
+"""The README's layout table names every module of the package, and its
+`lingo eval` examples print what the README says they print."""
 
 import re
+import shlex
 from pathlib import Path
 
 import dialectica
+from dialectica.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 _PACKAGE = Path(dialectica.__file__).parent
@@ -29,3 +32,37 @@ def test_layout_rows_are_read():
 
 def test_every_module_has_a_layout_row():
     assert _module_names() - _layout_rows(README.read_text(encoding="utf-8")) == set()
+
+
+def _eval_examples(text: str) -> list[tuple[list[str], str]]:
+    """Each ``dialectica lingo eval`` command of the CLI block, its ``\\``
+    continuations joined, as (argv after the program name, expected stdout)."""
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if not line.startswith("dialectica lingo eval"):
+            continue
+        command = line
+        while command.endswith("\\"):
+            i += 1
+            command = command[:-1] + lines[i]
+        expected = lines[i + 1]
+        assert expected.startswith("# -> "), expected
+        examples.append((shlex.split(command)[1:], expected[len("# -> "):]))
+    return examples
+
+
+def test_eval_examples_are_read():
+    text = ("## CLI\n\n```sh\n# note\ndialectica lingo eval 'x y' f \\\n"
+            "    1 2\n# -> out\ndialectica lingo check z\n```\n")
+    assert _eval_examples(text) == [(["lingo", "eval", "x y", "f", "1", "2"],
+                                     "out")]
+
+
+def test_readme_eval_examples_hold(capsys):
+    examples = _eval_examples(README.read_text(encoding="utf-8"))
+    assert len(examples) == 2
+    for argv, expected in examples:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out == expected + "\n", argv

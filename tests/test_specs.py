@@ -69,6 +69,14 @@ class TestLingoSpecs:
         report = check_lingo_laws(auth, 150, Rng(2, 2))
         assert report.all_passed
 
+    def test_auth_binds_the_oid_order(self):
+        def code_words(oids):
+            auth = build_lingo({"auth": {
+                "base": {"kind": "xor_bitvec", "width": 16}, "oids": oids,
+                "m": 16, "j": 16, "k": 32, "seed": 4}})
+            return [auth.param(n, 0).code_word for n in range(8)]
+        assert code_words(["a", "b"]) != code_words(["b", "a"])
+
     @pytest.mark.parametrize("bad", [
         {"kind": "warp_drive"},
         {"sharp": {"kind": "xor_bitvec"}},
@@ -113,6 +121,8 @@ class TestLingoSpecs:
         {"kind": "sparse", "width": 8, "words": "abcd"},
         {"kind": "sparse", "width": 8, "words": [1, 2]},
         {"kind": "sparse", "width": 8, "words": []},
+        # only the count sets the codebook, so a words list is refused
+        {"kind": "sparse", "width": 8, "words": ["a", "b"]},
     ])
     def test_adaptor_refuses_coercion(self, bad):
         with pytest.raises(SpecError):

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from auth_oracle import OldAuthLingo
 from conftest import noncompliant_witness
 
 from dialectica.core import (
@@ -34,7 +36,6 @@ from dialectica.transforms import (
     nat_bitvec_adaptor,
     sharp,
     sparse_code_adaptor,
-    verify_auth,
     xor_recipe,
     xor_sharp_recipe,
 )
@@ -98,49 +99,61 @@ class TestSharp:
 
 
 class TestAuthenticating:
-    def make(self, j=16, seed=909):
-        return authenticating(make_xor_bitvec(16), ["alice", "bob", "carol"],
-                              m=16, j=j, k=32, seed=seed)
+    M = J = 16
+
+    def make(self, pair=("alice", "bob"), seed=909):
+        return authenticating(make_xor_bitvec(16), list(pair),
+                              m=self.M, j=self.J, k=32, seed=seed)
+
+    def oracle(self, seed=909):
+        return OldAuthLingo(inner=make_xor_bitvec(16), m=self.M, j=self.J,
+                            k=32, seed=seed)
+
+    def test_returns_a_lingo(self):
+        assert isinstance(self.make(), Lingo)
 
     def test_identity_involution_is_plain_concatenation(self):
         auth = self.make()
-        width = auth.m + auth.j
+        width = self.M + self.J
         ident = AuthParam(a0=BitVec(16, 0), sigma=tuple(range(width)),
                           code_word=0)
-        wire = auth.base.f(BitVec(16, 0xBEEF), ident)
-        assert wire == BitVec(width, 0xBEEF << auth.j)
+        wire = auth.f(BitVec(16, 0xBEEF), ident)
+        assert wire == BitVec(width, 0xBEEF << self.J)
 
     def test_code_extracts_embedded_hash(self):
-        auth = self.make()
+        lingos = {pair: self.make(pair)
+                  for pair in (("alice", "bob"), ("bob", "carol"))}
+        oracle = self.oracle()
         rng = Rng(1, 5)
         for i in range(500):
             n = rng.next_below(1 << 20)
             pair = ("alice", "bob") if i % 2 else ("bob", "carol")
-            d1 = auth.inner.input_space.sample(rng)
-            a = auth.param2(n, pair)
-            wire = auth.base.f(d1, a)
-            assert auth.code(wire, a) == auth.hash(n, pair)
-            assert verify_auth(auth, wire, n, pair)
+            auth = lingos[pair]
+            d1 = auth.input_space.sample(rng)
+            a = auth.param(n, 0)
+            wire = auth.f(d1, a)
+            assert oracle.code(wire, a) == oracle.hash(n, pair)
+            assert is_compliant(auth, wire, a)
 
     def test_round_trip(self):
         auth = self.make()
         rng = Rng(2, 6)
         for i in range(300):
             n = rng.next_below(1 << 20)
-            d1 = auth.inner.input_space.sample(rng)
-            wire = auth.encode(d1, n, ("alice", "bob"))
-            assert auth.decode(wire, n, ("alice", "bob")) == d1
+            d1 = auth.input_space.sample(rng)
+            a = auth.param(n, 0)
+            assert auth.g(auth.f(d1, a), a) == d1
 
     def test_swapped_pair_rejected(self):
-        auth = self.make()
+        sender, receiver = self.make(("alice", "bob")), self.make(("bob", "alice"))
         rng = Rng(3, 7)
         rejected = 0
         trials = 2000
         for i in range(trials):
             n = rng.next_below(1 << 20)
-            d1 = auth.inner.input_space.sample(rng)
-            wire = auth.encode(d1, n, ("alice", "bob"))
-            if not verify_auth(auth, wire, n, ("bob", "alice")):
+            d1 = sender.input_space.sample(rng)
+            wire = sender.f(d1, sender.param(n, 0))
+            if not is_compliant(receiver, wire, receiver.param(n, 0)):
                 rejected += 1
         assert rejected / trials >= 1 - 2**-16 - 0.01
 
@@ -149,42 +162,77 @@ class TestAuthenticating:
         # checked under the next nonce's involution and hash.
         auth = self.make()
         rng = Rng(4, 8)
-        width = auth.m + auth.j
+        width = self.M + self.J
         detected = 0
         trials = 10_000
         for i in range(trials):
             n = rng.next_below(1 << 20)
-            d1 = auth.inner.input_space.sample(rng)
-            wire = auth.encode(d1, n, ("alice", "bob"))
+            d1 = auth.input_space.sample(rng)
+            wire = auth.f(d1, auth.param(n, 0))
             flip = rng.next_below(width)
             tampered = BitVec(width, wire.bits ^ (1 << flip))
-            if not verify_auth(auth, tampered, n + 1, ("alice", "bob")):
+            if not is_compliant(auth, tampered, auth.param(n + 1, 0)):
                 detected += 1
         assert detected / trials >= 1 - 2**-16 - 0.01
 
     def test_involution_property(self):
         auth = self.make()
         for n in (0, 1, 77, 12345):
-            perm = auth.involution(n)
-            assert sorted(perm) == list(range(auth.m + auth.j))
+            perm = auth.param(n, 0).sigma
+            assert sorted(perm) == list(range(self.M + self.J))
             assert all(perm[perm[i]] == i for i in range(len(perm)))
 
     def test_oid_pair_must_differ(self):
-        auth = self.make()
         with pytest.raises(ValueError):
-            auth.hash(1, ("alice", "alice"))
+            self.make(("alice", "alice"))
+
+    @pytest.mark.parametrize("oids", [
+        ["alice"], ["alice", "bob", "carol"], [], ["alice", 7], "ab"])
+    def test_oids_are_exactly_one_pair(self, oids):
+        with pytest.raises(ValueError, match="two distinct strings"):
+            authenticating(make_xor_bitvec(16), oids, m=16, j=16, k=32, seed=1)
 
     def test_nonce_space_is_bounded_by_k(self):
         auth = authenticating(make_xor_bitvec(8), ["a", "b"], m=8, j=8, k=8,
                               seed=3)
-        auth.hash(255, ("a", "b"))
+        auth.param(255, 0)
         with pytest.raises(NonceExhausted, match=r"2\*\*8") as info:
-            auth.hash(256, ("a", "b"))
+            auth.param(256, 0)
         assert isinstance(info.value, ValueError)
 
     def test_laws_on_wrapped_lingo(self):
-        report = check_lingo_laws(self.make().base, 300, Rng(5, 9))
+        report = check_lingo_laws(self.make(), 300, Rng(5, 9))
         assert report.all_passed, report.to_json()
+
+
+_oids = st.text(alphabet="abc>", min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=st.tuples(_oids, _oids).filter(lambda p: p[0] != p[1]),
+       seed=st.integers(0, 2**64 - 1), caller_seed=st.integers(0, 2**64 - 1),
+       base_width=st.integers(1, 24), extra=st.integers(0, 8),
+       j=st.integers(8, 24), k=st.integers(8, 24), data=st.data())
+def test_auth_lingo_matches_the_pair_oracle(pair, seed, caller_seed, base_width,
+                                            extra, j, k, data):
+    base = make_xor_bitvec(base_width)
+    m = base_width + extra
+    auth = authenticating(base, list(pair), m=m, j=j, k=k, seed=seed)
+    oracle = OldAuthLingo(inner=base, m=m, j=j, k=k, seed=seed)
+    n = data.draw(st.integers(0, (1 << k) - 1), label="n")
+    a = auth.param(n, caller_seed)
+    assert a == oracle.param2(n, pair)
+    d1 = BitVec(base_width, data.draw(st.integers(0, (1 << base_width) - 1)))
+    wire = auth.f(d1, a)
+    assert wire == oracle.encode(d1, n, pair)
+    assert auth.g(wire, a) == oracle.decode(wire, n, pair) == d1
+    other = BitVec(m + j, data.draw(st.integers(0, (1 << (m + j)) - 1)))
+    assert auth.g(other, a) == oracle.decode(other, n, pair)
+    with pytest.raises(NonceExhausted) as got:
+        auth.param(1 << k, caller_seed)
+    with pytest.raises(NonceExhausted) as want:
+        oracle.param2(1 << k, pair)
+    assert str(got.value) == str(want.value)
 
 
 class TestAdaptors:
@@ -192,7 +240,7 @@ class TestAdaptors:
         rng = Rng(6, 10)
         nb = nat_bitvec_adaptor(64)
         bn = bitvec_nat_adaptor(16)
-        sparse = sparse_code_adaptor([f"w{i}" for i in range(32)], 16)
+        sparse = sparse_code_adaptor(32, 16)
         ident = identity_adaptor(NatSpace())
         for _ in range(1000):
             n = Nat(rng.next_below(1 << 32))
@@ -359,8 +407,7 @@ class TestSparseImage:
     def test_recipe_rarely_survives_sparse_adaptor(self):
         # thin codebook inside 16 bits: forged masks land outside it almost
         # always, so the adapted compliance check catches the xor recipe
-        words = [f"w{i}" for i in range(32)]
-        adapted = adapt_pre(sparse_code_adaptor(words, 16), make_xor_bitvec(16))
+        adapted = adapt_pre(sparse_code_adaptor(32, 16), make_xor_bitvec(16))
         assert noncompliant_witness(adapted) is not None
         rng = Rng(14, 18)
         survived = 0
