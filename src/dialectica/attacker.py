@@ -1,21 +1,22 @@
 """On-path attacker: observation, knowledge reveals, forgery strategies.
 
-The attacker reads every wire message (appending to a captured-message
-registry) and may append its own messages to channels, but never removes,
-reorders, or modifies honest traffic.  Knowledge grows through probability
-rules over message age, lingo reuse, and parameter reuse; revealed messages
-move into a cleartext registry that strategies may consult.
+The attacker reads every wire message (appending one record to a
+captured-message registry) and may append its own messages to channels, but
+never removes, reorders, or modifies honest traffic.  Knowledge grows
+through probability rules over message age, lingo reuse, and parameter
+reuse; a reveal marks the record ``revealed``.
 
-Strategies read captured wire values and revealed cleartext only; a
-record's ground-truth ``hidden`` context is for the reveal engine, and
-``_Intent`` carries it to the experiments' scoring.
+A record's ``hidden`` context (plaintext, lingo, parameter) is what the
+lingo hides.  A strategy reads it only once the record is revealed
+(``param_reuse_oracle``), never before; the others read captured wire
+values only, and ``_Intent`` carries a record to the experiments' scoring.
 
-``observe`` and ``reveal_sweep`` keep indexes over the registries up to
-date, so no query rescans them: the latest record per (src, dst) flow, the
+``observe`` and ``reveal_sweep`` keep indexes over the registry up to
+date, so no query rescans it: the latest record per (src, dst) flow, the
 running lingo and (lingo, parameter) use counts the reveal rules read (the
 second only when the strong-reveal rule ``s_max`` has steps), the
-unrevealed records in record order, and the latest revealed record with
-parameters per flow.
+unrevealed records in record order, and the latest revealed record with a
+parameter per flow.
 """
 
 from __future__ import annotations
@@ -67,17 +68,6 @@ class CapturedRecord:
 
 
 @dataclass(frozen=True)
-class ClearRecord:
-    src: str
-    dst: str
-    wire: object
-    t: int
-    clear: object
-    lingo_info: Optional[str]   # None, like params, for a bare message
-    params: Optional[object]
-
-
-@dataclass(frozen=True)
 class AdvantageConfig:
     """Step functions over thresholds: evaluation at x returns the
     probability of the greatest threshold <= x, default 0."""
@@ -116,14 +106,13 @@ def eval_step(steps: tuple[tuple[int, float], ...], x: int) -> float:
 @dataclass
 class AttackerState:
     records: list[CapturedRecord] = field(default_factory=list)
-    clear: list[ClearRecord] = field(default_factory=list)
     advantage: AdvantageConfig = field(default_factory=AdvantageConfig)
     strategies: tuple[str, ...] = ()
     max_injections: int = 0
     injection_rate: float = 1.0
     injected: int = 0
     rng: Optional[Rng] = None
-    # Indexes over ``records`` and ``clear``, kept by observe/reveal_sweep.
+    # Indexes over ``records``, kept by observe/reveal_sweep.
     latest: dict[tuple[str, str], CapturedRecord] = field(
         default_factory=dict, repr=False)
     lingo_counts: dict[str, int] = field(default_factory=dict, repr=False)
@@ -133,8 +122,8 @@ class AttackerState:
     # None for a bare record, and for every record when ``s_max`` is empty.
     unrevealed: list[tuple[CapturedRecord, Optional[tuple[str, str]]]] = field(
         default_factory=list, repr=False)
-    leaked: dict[tuple[str, str], ClearRecord] = field(default_factory=dict,
-                                                       repr=False)
+    leaked: dict[tuple[str, str], CapturedRecord] = field(
+        default_factory=dict, repr=False)
 
     @property
     def budget_left(self) -> int:
@@ -160,14 +149,15 @@ def observe(state: AttackerState, msg: Message, t: int,
     return state
 
 
-def reveal_sweep(state: AttackerState, now: int, rng: Rng) -> AttackerState:
+def reveal_sweep(state: AttackerState, now: int, rng: Rng) -> int:
     """Try to reveal every captured message with the additive probability
-    min(p_age + p_weak + p_strong + p_cleartext, 1).
+    min(p_age + p_weak + p_strong + p_cleartext, 1), and return how many
+    records it revealed.
 
     Draws happen in record order, one per unrevealed record whose
     probability is positive."""
     adv = state.advantage
-    revealed_any = False
+    revealed = 0
     for rec, key in state.unrevealed:
         p_age = eval_step(adv.t_max, now - rec.t)
         name = rec.hidden.lingo_name
@@ -182,18 +172,14 @@ def reveal_sweep(state: AttackerState, now: int, rng: Rng) -> AttackerState:
         if p <= 0.0:
             continue
         if rng.next_float() <= p:
-            rec.revealed = revealed_any = True
-            clear = ClearRecord(
-                src=rec.src, dst=rec.dst, wire=rec.wire, t=rec.t,
-                clear=rec.hidden.plaintext, lingo_info=rec.hidden.lingo_name,
-                params=rec.hidden.param)
-            state.clear.append(clear)
-            if clear.params is not None:
-                state.leaked[(rec.src, rec.dst)] = clear
-    if revealed_any:
+            rec.revealed = True
+            revealed += 1
+            if rec.hidden.param is not None:
+                state.leaked[(rec.src, rec.dst)] = rec
+    if revealed:
         state.unrevealed = [entry for entry in state.unrevealed
                             if not entry[0].revealed]
-    return state
+    return revealed
 
 
 @dataclass(frozen=True)
@@ -232,10 +218,10 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
     ``lingo`` is the receiver's active lingo (None on a bare flow, whose
     wire space is opaque); its output space is the wire space strategies
     sample from.
-    ``intended_plaintext`` is what the attacker means the receiver to
-    decode; None when the strategy only aims to pass the forgery check.
-    Strategies read captured wire values and revealed cleartext, never a
-    record's ``hidden`` ground truth.
+    ``intended_plaintext`` is an ``_Intent`` naming what the attacker means
+    the receiver to decode; None when the strategy only aims to pass the
+    forgery check.  A strategy reads a record's ``hidden`` context only once
+    the record is revealed (``param_reuse_oracle``), never before.
     """
     wire_space = lingo.output_space if lingo is not None else OpaqueSpace()
     rec = state.latest.get((src, dst))
@@ -289,16 +275,18 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
         leak = state.leaked.get((src, dst))
         if leak is None or lingo is None:
             return NoAttempt("no revealed parameters")
-        chosen = leak.clear
-        return apply_f(lingo, chosen, leak.params), chosen
+        hidden = leak.hidden
+        return apply_f(lingo, hidden.plaintext, hidden.param), _Intent(leak)
 
     return NoAttempt(f"unknown strategy {strategy!r}")
 
 
 @dataclass
 class _Intent:
-    """Intended plaintext, resolvable only by the scoring harness (it holds
-    the ground truth the strategy itself never sees)."""
+    """The plaintext a forgery means the receiver to decode: the record's,
+    through ``transform`` if given.  Only the scoring harness resolves it,
+    since a strategy never reads an unrevealed record's ``hidden`` context
+    (``param_reuse_oracle`` names a record already revealed)."""
 
     record: CapturedRecord
     transform: Optional[object] = None
@@ -432,7 +420,7 @@ def run_spoof_experiment(lingo: Lingo, reuse: int, strategy: str,
             any_intent = True
             if not isinstance(decoded, (DecodeFailure, DefaultFallback)):
                 try:
-                    want = intent.resolve() if isinstance(intent, _Intent) else intent
+                    want = intent.resolve()
                 except ShapeMismatch:
                     continue   # the wire's mask does not fit the payload: a miss
                 if decoded == want:

@@ -52,8 +52,11 @@ def make_divide_check(param_ceiling: int = DC_PARAM_CEILING) -> Lingo:
     The receiver's compliance check rejects any pair whose remainder
     reaches a+2: such a pair has no preimage.  g rejects pairs that would
     need a negative payload instead of saturating them to 0: saturation
-    would deliver forged junk as payload 0.
+    would deliver forged junk as payload 0.  Parameters are drawn below
+    ``param_ceiling``, which must be at least 1.
     """
+    if param_ceiling < 1:
+        raise ValueError(f"param_ceiling must be >= 1, got {param_ceiling}")
     name = "divide_check"
 
     def f(d, a):

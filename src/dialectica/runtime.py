@@ -436,10 +436,9 @@ def _strategy_stat(cfg, strategy, key) -> None:
 def rule_attacker(cfg: Configuration) -> Configuration:
     """One attacker action: a reveal sweep followed by one injection."""
     atk = cfg.attacker
-    before = len(atk.clear)
-    reveal_sweep(atk, now=cfg.clock, rng=atk.rng)
-    if len(atk.clear) != before:
-        cfg.log("reveal", revealed=len(atk.clear) - before)
+    revealed = reveal_sweep(atk, now=cfg.clock, rng=atk.rng)
+    if revealed:
+        cfg.log("reveal", revealed=revealed)
     candidates = _attack_candidates(cfg)
     if not candidates:
         return cfg
@@ -472,23 +471,12 @@ def _attack_candidates(cfg) -> list[tuple[str, tuple[str, str]]]:
         return cfg.candidates[1]
     out = []
     for strategy in atk.strategies:
-        for pair in _pairs_within(cfg, ready_flows(atk, strategy)):
+        flows = ready_flows(atk, strategy)
+        for pair in [p for p in cfg.attack_pairs if flows is None or p in flows]:
             if strategy_ready(atk, strategy, pair[0], pair[1]):
                 out.append((strategy, pair))
     cfg.candidates = (key, out)
     return out
-
-
-def _pairs_within(cfg, flows) -> list[tuple[str, str]]:
-    """The attack pairs among ``flows`` (None: all of them), in order."""
-    if flows is None:
-        return cfg.attack_pairs
-    if cfg.attacker_targets is not None:
-        return [p for p in cfg.attacker_targets if p in flows]
-    # The all-pairs order is sorted order; a flow to or from a non-actor, or
-    # to its own sender, is not an attack pair.
-    return sorted(p for p in flows if p[0] != p[1]
-                  and p[0] in cfg.wrappers and p[1] in cfg.wrappers)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ policy, an optional attacker, the seed, and the step budget::
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -48,7 +49,7 @@ from .runtime import (
     scenario_lingos,
 )
 from .specs import SpecError, build_lingo
-from .values import atoms_from_json, int_from_json, prob_from_json
+from .values import atoms_from_json, int_from_json, list_from_json, prob_from_json
 
 _COMMANDS = {"connect": ConnectMsg, "subscribe": SubMsg,
              "unsubscribe": UnsubMsg, "publish": PubMsg}
@@ -193,8 +194,9 @@ def parse_scenario(doc: dict) -> Scenario:
                 max_injections=max_injections,
                 injection_rate=prob_from_json(atk.get("injection_rate", 1.0)))
             if "targets" in atk:
-                targets = [(_text(s, "attacker target"), _text(d, "attacker target"))
-                           for s, d in atk["targets"]]
+                targets = [tuple(_text(o, "attacker target")
+                                 for o in list_from_json(pair, 2))
+                           for pair in list_from_json(atk["targets"])]
                 unknown = sorted({o for pair in targets for o in pair} - set(oids))
                 if unknown:
                     raise SpecError(f"attacker targets name unknown actors: "
@@ -240,13 +242,8 @@ def build_configuration(scenario: Scenario, seed_override: Optional[int] = None
             raise SpecError(
                 f"lingo {lingo.name} input space does not match the "
                 f"{'nat' if width is None else width}-payload codec")
-    attacker = scenario.attacker
-    if attacker is not None:
-        # Fresh mutable state per build so a scenario can be run repeatedly.
-        attacker = AttackerState(advantage=attacker.advantage,
-                                 strategies=attacker.strategies,
-                                 max_injections=attacker.max_injections,
-                                 injection_rate=attacker.injection_rate)
+    # Fresh mutable state per build so a scenario can be run repeatedly.
+    attacker = copy.deepcopy(scenario.attacker)
     return make_configuration(scenario.actors, scenario.policy, seed,
                               codec=codec, attacker=attacker,
                               attacker_targets=scenario.attacker_targets)

@@ -37,7 +37,13 @@ from .transforms import (
     sharp,
     sparse_code_adaptor,
 )
-from .values import atoms_from_json, int_from_json, space_from_json, value_from_json
+from .values import (
+    atoms_from_json,
+    int_from_json,
+    list_from_json,
+    space_from_json,
+    value_from_json,
+)
 
 
 class SpecError(Exception):
@@ -107,8 +113,9 @@ def build_lingo(spec: dict) -> Lingo:
             return sharp(build_lingo(body))
         if op == "horizontal":
             branches = tuple(build_lingo(b) for b in body["branches"])
-            defaults = tuple(value_from_json(d) for d in body["defaults"])
-            bias = tuple(int_from_json(b) for b in body["bias"])
+            defaults = tuple(map(value_from_json,
+                                 list_from_json(body["defaults"])))
+            bias = tuple(map(int_from_json, list_from_json(body["bias"])))
             return horizontal(HorizontalSpec(branches, defaults, bias),
                               seed=int_from_json(body.get("seed", 0)))
         if op == "functional":

@@ -164,6 +164,8 @@ def authenticating(base: Lingo, oids: list[str], m: int, j: int, k: int,
     if (isinstance(oids, str) or len(oids) != 2 or oids[0] == oids[1]
             or not all(isinstance(o, str) for o in oids)):
         raise ValueError(f"oids must be two distinct strings, got {oids!r}")
+    if m < 1:
+        raise ValueError(f"payload length m must be >= 1 bit, got {m}")
     if j < 8 or k < 8:
         raise ValueError("code and nonce lengths must be >= 8 bits")
     if not isinstance(base.output_space, (BitVecSpace, NatSpace)):

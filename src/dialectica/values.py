@@ -522,11 +522,13 @@ def prob_from_json(obj) -> float:
     return float(obj)
 
 
-def _pair_items(body) -> list:
-    """The body of a ``pair`` encoding: a JSON list of exactly two items."""
-    if not isinstance(body, list) or len(body) != 2:
-        raise ValueError(f"a pair takes a list of two items, got {body!r}")
-    return body
+def list_from_json(obj, length: Optional[int] = None) -> list:
+    """A JSON list, of exactly ``length`` items if given; a string or an
+    object is refused instead of being iterated."""
+    if not isinstance(obj, list) or length is not None and len(obj) != length:
+        items = "" if length is None else f" of {length} items"
+        raise ValueError(f"not a JSON list{items}: {obj!r}")
+    return obj
 
 
 def _value_from_json(obj) -> Value:
@@ -535,7 +537,7 @@ def _value_from_json(obj) -> Value:
     if isinstance(obj, str) and obj.isdigit():
         return Nat(int(obj))
     if isinstance(obj, list):
-        return Pair(*map(_value_from_json, _pair_items(obj)))
+        return Pair(*map(_value_from_json, list_from_json(obj, 2)))
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"not a value encoding: {obj!r}")
     key, body = next(iter(obj.items()))
@@ -544,7 +546,7 @@ def _value_from_json(obj) -> Value:
     if key == "bv":
         return BitVec(int_from_json(body["w"]), int_from_json(body["n"]))
     if key == "pair":
-        return Pair(*map(_value_from_json, _pair_items(body)))
+        return Pair(*map(_value_from_json, list_from_json(body, 2)))
     if key == "set":
         return AtomSet(atoms_from_json(body))
     if key == "tag":
@@ -560,7 +562,7 @@ def space_from_json(obj) -> Space:
         if key == "bitvec":
             return BitVecSpace(int_from_json(body))
         if key == "pair":
-            return PairSpace(*map(space_from_json, _pair_items(body)))
+            return PairSpace(*map(space_from_json, list_from_json(body, 2)))
         if key == "atoms":
             return AtomSetSpace(atoms_from_json(body))
         if key == "tagged":

@@ -66,67 +66,77 @@ class TestAdvantage:
         assert cfg.s_max == ((2, 1.0),)
 
 
+def revealed(state):
+    return [r for r in state.records if r.revealed]
+
+
 class TestRevealSweep:
     def test_zero_advantage_reveals_nothing(self):
         state = observed_state(build_lingo({"kind": "xor_nat"}))
-        reveal_sweep(state, now=100, rng=Rng(1, ATTACKER_TAG))
-        assert state.clear == []
+        assert reveal_sweep(state, now=100, rng=Rng(1, ATTACKER_TAG)) == 0
+        assert revealed(state) == []
 
     def test_cleartext_revealed_immediately_with_null_info(self):
         state = AttackerState()
         observe(state, Message(dst="b", src="a", payload=Nat(7)), t=0,
                 hidden=HiddenCtx(lingo_name=None, param=None, plaintext=Nat(7),
                                  index=0))
-        reveal_sweep(state, now=1, rng=Rng(2, ATTACKER_TAG))
-        [rec] = state.clear
-        assert rec.clear == Nat(7)
-        assert rec.lingo_info is None and rec.params is None
+        assert reveal_sweep(state, now=1, rng=Rng(2, ATTACKER_TAG)) == 1
+        [rec] = revealed(state)
+        assert rec.hidden.plaintext == Nat(7)
+        assert rec.hidden.lingo_name is None and rec.hidden.param is None
+        assert state.leaked == {}   # a bare record has no parameter to leak
 
     def test_strong_reuse_reveals_deterministically(self):
         lingo = build_lingo({"kind": "xor_nat"})
         state = observed_state(lingo, count=3, reuse=3,
                                advantage=AdvantageConfig(s_max=((2, 1.0),)))
-        reveal_sweep(state, now=3, rng=Rng(3, ATTACKER_TAG))
-        assert len(state.clear) == 3
-        for rec in state.clear:
-            assert rec.params is not None
+        assert reveal_sweep(state, now=3, rng=Rng(3, ATTACKER_TAG)) == 3
+        assert len(revealed(state)) == 3
+        for rec in revealed(state):
+            assert rec.hidden.param is not None
+        assert state.leaked == {("a", "b"): state.records[-1]}
 
     def test_revealed_params_re_encode_the_cleartext(self):
         lingo = build_lingo({"kind": "xor_nat"})
         state = observed_state(lingo, count=4, reuse=4,
                                advantage=AdvantageConfig(s_max=((2, 1.0),)))
         reveal_sweep(state, now=4, rng=Rng(4, ATTACKER_TAG))
-        for rec in state.clear:
-            assert apply_f(lingo, rec.clear, rec.params) == rec.wire
+        assert revealed(state)
+        for rec in revealed(state):
+            assert apply_f(lingo, rec.hidden.plaintext,
+                           rec.hidden.param) == rec.wire
 
     def test_weak_reuse_rule(self):
         # same lingo, different parameters each time
         lingo = build_lingo({"kind": "xor_nat"})
         state = observed_state(lingo, count=4, reuse=1,
                                advantage=AdvantageConfig(w_max=((4, 1.0),)))
-        reveal_sweep(state, now=4, rng=Rng(30, ATTACKER_TAG))
-        assert len(state.clear) == 4
+        assert reveal_sweep(state, now=4, rng=Rng(30, ATTACKER_TAG)) == 4
+        assert len(revealed(state)) == 4
         state2 = observed_state(lingo, count=3, reuse=1,
                                 advantage=AdvantageConfig(w_max=((4, 1.0),)))
-        reveal_sweep(state2, now=3, rng=Rng(30, ATTACKER_TAG))
-        assert state2.clear == []   # below the reuse threshold
+        assert reveal_sweep(state2, now=3, rng=Rng(30, ATTACKER_TAG)) == 0
+        assert revealed(state2) == []   # below the reuse threshold
 
     def test_age_rule(self):
         state = observed_state(build_lingo({"kind": "xor_nat"}), count=2,
                                advantage=AdvantageConfig(t_max=((50, 1.0),)))
-        reveal_sweep(state, now=10, rng=Rng(5, ATTACKER_TAG))
-        assert state.clear == []
-        reveal_sweep(state, now=100, rng=Rng(5, ATTACKER_TAG))
-        assert len(state.clear) == 2
+        assert reveal_sweep(state, now=10, rng=Rng(5, ATTACKER_TAG)) == 0
+        assert revealed(state) == []
+        assert reveal_sweep(state, now=100, rng=Rng(5, ATTACKER_TAG)) == 2
+        assert len(revealed(state)) == 2
 
     def test_monotone(self):
         lingo = build_lingo({"kind": "xor_nat"})
         state = observed_state(lingo, count=6, reuse=6,
                                advantage=AdvantageConfig(s_max=((2, 1.0),)))
         sizes = []
+        total = 0
         for now in (6, 7, 8):
-            reveal_sweep(state, now=now, rng=Rng(6, ATTACKER_TAG))
-            sizes.append(len(state.clear))
+            total += reveal_sweep(state, now=now, rng=Rng(6, ATTACKER_TAG))
+            sizes.append(len(revealed(state)))
+            assert sizes[-1] == total   # the count is the records it revealed
         assert sizes == sorted(sizes)
 
 

@@ -184,14 +184,34 @@ class TestLingoCheck:
         *[{"auth": {"base": {"kind": "xor_bitvec", "width": 8}, "oids": oids,
                     "m": 8, "j": 8, "k": 16, "seed": 3}}
           for oids in (["a"], ["a", "b", "c"], ["a", "a"])],
+        # a string where a JSON list belongs is not split into characters
+        {"horizontal": {"branches": [{"kind": "xor_nat"}, {"kind": "xor_nat"}],
+                        "defaults": [{"nat": "0"}, {"nat": "0"}], "bias": "11"}},
+        {"horizontal": {"branches": [{"kind": "xor_nat"}, {"kind": "xor_nat"}],
+                        "defaults": "00", "bias": [1, 1]}},
+        # out-of-range integers
+        *[{"kind": kind, "param_ceiling": ceiling}
+          for kind in ("divide_check", "reverse_divide_check")
+          for ceiling in (0, -1, -3)],
+        {"auth": {"base": {"kind": "xor_nat"}, "oids": ["a", "b"], "m": -1,
+                  "j": 16, "k": 16, "seed": 1}},
+        {"auth": {"base": {"kind": "xor_nat"}, "oids": ["a", "b"], "m": 0,
+                  "j": 16, "k": 16, "seed": 1}},
     ], ids=["sharp_wide", "wide", "bad_defaults", "unhashable_kind", "huge_codebook",
             "non_string_oids", "float_width", "bool_width", "float_space_width",
             "float_param_ceiling", "float_half_width", "float_bias",
             "float_auth_k", "string_universe", "string_atoms",
             "three_item_pair_space", "auth_over_pairs", "auth_over_split",
-            "one_oid", "three_oids", "duplicate_oids"])
+            "one_oid", "three_oids", "duplicate_oids", "string_bias",
+            "string_defaults",
+            "dc_ceiling_0", "dc_ceiling_-1", "dc_ceiling_-3",
+            "reverse_dc_ceiling_0", "reverse_dc_ceiling_-1",
+            "reverse_dc_ceiling_-3", "auth_m_-1", "auth_m_0"])
     def test_bad_spec_values_exit_2(self, capsys, spec):
         assert main(["lingo", "check", json.dumps(spec)]) == EXIT_SPEC_ERROR
+        assert main(["experiment", "spoof", "--lingo", json.dumps(spec),
+                     "--strategy", "dc_zero_remainder", "--trials", "3"]) == \
+            EXIT_SPEC_ERROR
 
     def test_unsampleable_input_space_exits_2(self, capsys):
         spec = json.dumps({"adapt_pre": {"adaptor": {"kind": "mqtt_codec"},
@@ -378,6 +398,17 @@ class TestSimulate:
         ("mqtt_sharp_attack.json",
          {"attacker": {"strategies": ["random_wire"], "targets": [["c1", 5]]}},
          []),
+        # a target is a two-item list, not a string of two one-letter oids
+        ("mqtt_adversarial.json",
+         {"actors": [{"client": {"oid": "a", "cmds": [{"connect": "b"}]}},
+                     {"broker": {"oid": "b"}}],
+          "attacker": {"strategies": ["random_wire"], "targets": ["ab"]}}, []),
+        ("mqtt_adversarial.json",
+         {"attacker": {"strategies": ["random_wire"],
+                       "targets": {"c1": "b"}}}, []),
+        ("mqtt_adversarial.json",
+         {"attacker": {"strategies": ["random_wire"],
+                       "targets": [["c1", "b", "c2"]]}}, []),
     ], ids=["zero_width", "negative_width", "zero_max_steps",
             "negative_max_steps_flag", "zero_max_steps_flag", "unknown_target",
             "unknown_broker", "attacker_list", "outputs_list",
@@ -391,7 +422,8 @@ class TestSimulate:
             "strategies_string", "self_target", "self_target_among_others",
             "negative_max_injections", "subscribe_list", "publish_bool",
             "null_client_oid", "number_connect", "number_broker_oid",
-            "number_target"])
+            "number_target", "string_target", "object_targets",
+            "three_item_target"])
     def test_bad_scenario_values_exit_2(self, capsys, tmp_path, name, edit,
                                         flags):
         doc = json.loads(open(scenario_path(name)).read())

@@ -162,3 +162,61 @@ def test_experiment_on_mutated_specs(capsys, spec, kind):
     code = exit_code(["experiment", kind, "--lingo", json.dumps(spec),
                      "--strategy", "random_wire", "--trials", "5"])
     assert code in range(5)
+
+
+# Every integer field the spec language has, a ``{"bitvec": w}`` space
+# width included; each is set to each bad value in turn, one at a time.
+INT_FIELDS = ("width", "half_width", "param_ceiling", "count", "seed", "bias",
+              "m", "j", "k", "bitvec")
+BAD_INTS = (0, -1, -3)
+# ALL_SPECS with the optional integer fields spelled out.
+SWEEP_SPECS = ALL_SPECS + [
+    {"kind": "divide_check", "param_ceiling": 16},
+    {"kind": "reverse_divide_check", "param_ceiling": 16},
+    {"horizontal": {"branches": [{"kind": "xor_nat"}, {"kind": "xor_nat"}],
+                    "defaults": [{"nat": "0"}, {"nat": "0"}], "bias": [1, 1],
+                    "seed": 5}},
+    {"adapt_pre": {"adaptor": {"kind": "sparse", "width": 8, "count": 8,
+                               "seed": 2},
+                   "lingo": {"kind": "xor_bitvec", "width": 8}}},
+    {"adapt_pre": {"adaptor": {"kind": "mqtt_codec", "width": 64},
+                   "lingo": {"kind": "xor_bitvec", "width": 64}}},
+    # over naturals, so no base width bounds ``m``
+    {"auth": {"base": {"kind": "xor_nat"}, "oids": ["a", "b"], "m": 16,
+              "j": 16, "k": 16, "seed": 1}},
+]
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _int_paths(spec):
+    """(path, field name) of every integer in ``spec``; each item of a list
+    field (``bias``) is one."""
+    for path in paths(spec):
+        names = [key for key in path if isinstance(key, str)]
+        if names and type(_at(spec, path)) is int:
+            yield path, names[-1]
+
+
+INT_FIELD_CASES = [
+    pytest.param(replaced(spec, path, bad),
+                 id=f"spec{i}.{'.'.join(map(str, path))}={bad}")
+    for i, spec in enumerate(SWEEP_SPECS) for path, _ in _int_paths(spec)
+    for bad in BAD_INTS]
+
+
+def test_int_field_sweep_covers_every_field():
+    assert {name for spec in SWEEP_SPECS
+            for _, name in _int_paths(spec)} == set(INT_FIELDS)
+
+
+@pytest.mark.parametrize("spec", INT_FIELD_CASES)
+def test_bad_integer_fields_end_with_an_exit_code(capsys, spec):
+    text = json.dumps(spec)
+    assert cli.main(["lingo", "check", text, "--samples", "20"]) in range(5)
+    assert cli.main(["experiment", "spoof", "--lingo", text, "--strategy",
+                     "random_wire", "--trials", "5"]) in range(5)

@@ -1,12 +1,17 @@
-"""The README's layout table names every module of the package, and its
-`lingo eval` examples print what the README says they print."""
+"""The README's layout table names every module of the package, its
+`lingo eval` examples print what the README says they print, and its trace
+format table lists each event kind's fields in the order its line writes
+them."""
 
+import json
 import re
 import shlex
 from pathlib import Path
 
 import dialectica
 from dialectica.cli import main
+from dialectica.runtime import TRACE_LINES
+from dialectica.values import Nat
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 _PACKAGE = Path(dialectica.__file__).parent
@@ -66,3 +71,38 @@ def test_readme_eval_examples_hold(capsys):
     for argv, expected in examples:
         assert main(argv) == 0, argv
         assert capsys.readouterr().out == expected + "\n", argv
+
+
+def _trace_rows(text: str) -> dict[str, list[str]]:
+    """Event kind -> its fields, from the table of the Trace format section."""
+    section = text.split("## Trace format", 1)[1].split("\n## ", 1)[0]
+    return {kind: re.findall(r"`(\w+)`", fields)
+            for kind, fields in re.findall(r"^\| `(\w+)` \| (`.*`) \|$", section,
+                                           re.MULTILINE)}
+
+
+def test_trace_rows_are_read():
+    text = ("## Trace format\n\n| `ev` | fields |\n|---|---|\n"
+            "| `reveal` | `ev`, `revealed`, `t` |\n\n## Next\n\n"
+            "| `out` | `t` |\n")
+    assert _trace_rows(text) == {"reveal": ["ev", "revealed", "t"]}
+
+
+# One event holding every field any kind writes; each kind's line reads
+# only its own.
+_STUB_EVENT = {
+    "t": 7, "src": "c1", "dst": "b", "oid": "c1", "peer": "b", "n": 2,
+    "seq": 3, "lingo": "xor_nat", "wire": Nat(5), "msg": "PubMsg()",
+    "outcome": "delivered", "injected": True, "reason": "noncompliant",
+    "direction": "send", "epoch": 1, "encoded": 2, "used": 3, "revealed": 4,
+    "strategy": "replay",
+}
+
+
+def test_readme_trace_table_matches_the_trace_lines():
+    rows = _trace_rows(README.read_text(encoding="utf-8"))
+    assert set(rows) == set(TRACE_LINES)
+    for kind, line in TRACE_LINES.items():
+        event = json.loads(line({**_STUB_EVENT, "ev": kind}))
+        assert event["ev"] == kind
+        assert rows[kind] == list(event), kind

@@ -540,20 +540,34 @@ class TestReport:
 
 # ---------------------------------------------------------------------------
 # Reference scheduler: the full rebuild of the enabled set on every step,
-# with attack candidates found by scanning the attacker's registries.  The
-# runtime maintains the same list incrementally; it must match in order.
+# with attack candidates found by scanning the attacker's registry and a
+# log of its reveals.  The runtime maintains the same list incrementally;
+# it must match in order.
 # ---------------------------------------------------------------------------
 
-def reference_strategy_ready(atk, strategy, src, dst):
+def log_reveals(cfg, reveals):
+    """Append to ``reveals`` the records revealed since it was last
+    updated, in record order, and return how many.  Called after every
+    step, the log holds the records in reveal order: sweep by sweep, record
+    order within a sweep.  The registry itself keeps no reveal order."""
+    if cfg.attacker is None:
+        return 0
+    seen = {id(r) for r in reveals}
+    new = [r for r in cfg.attacker.records if r.revealed and id(r) not in seen]
+    reveals.extend(new)
+    return len(new)
+
+
+def reference_strategy_ready(atk, reveals, strategy, src, dst):
     if strategy in ("replay", "xor_recipe", "xor_sharp_recipe"):
         return any(r.src == src and r.dst == dst for r in reversed(atk.records))
     if strategy == "param_reuse_oracle":
-        return any(c.params is not None and c.src == src and c.dst == dst
-                   for c in atk.clear)
+        return any(r.hidden.param is not None and r.src == src and r.dst == dst
+                   for r in reveals)
     return strategy in ("dc_zero_remainder", "random_wire")
 
 
-def reference_attack_candidates(cfg):
+def reference_attack_candidates(cfg, reveals):
     atk = cfg.attacker
     oids = sorted(cfg.wrappers)
     if cfg.attacker_targets is not None:
@@ -561,10 +575,10 @@ def reference_attack_candidates(cfg):
     else:
         pairs = [(s, d) for s in oids for d in oids if s != d]
     return [(strategy, pair) for strategy in atk.strategies for pair in pairs
-            if reference_strategy_ready(atk, strategy, *pair)]
+            if reference_strategy_ready(atk, reveals, strategy, *pair)]
 
 
-def reference_enabled_instances(cfg):
+def reference_enabled_instances(cfg, reveals):
     def out_pending(w):
         if w.outbox:
             return True
@@ -586,12 +600,13 @@ def reference_enabled_instances(cfg):
     atk = cfg.attacker
     if atk is not None and atk.budget_left > 0:
         gate = uniform01(derive(cfg.seed, RATE_TAG, cfg.clock))
-        if gate < atk.injection_rate and reference_attack_candidates(cfg):
+        if gate < atk.injection_rate and reference_attack_candidates(cfg,
+                                                                     reveals):
             instances.append(("attacker",))
     return instances
 
 
-def assert_indexes_match_records(atk):
+def assert_indexes_match_records(atk, reveals):
     # The (lingo, parameter) key is built only for the strong-reveal rule.
     keyed = bool(atk.advantage.s_max)
     latest, lingo_counts, pair_counts = {}, {}, {}
@@ -614,9 +629,9 @@ def assert_indexes_match_records(atk):
         else (r.hidden.lingo_name, repr(r.hidden.param))
         for r in atk.records if not r.revealed]
     leaked = {}
-    for c in atk.clear:
-        if c.params is not None:
-            leaked[(c.src, c.dst)] = c
+    for r in reveals:
+        if r.hidden.param is not None:
+            leaked[(r.src, r.dst)] = r
     assert {k: id(v) for k, v in atk.leaked.items()} == \
         {k: id(v) for k, v in leaked.items()}
 
@@ -663,11 +678,13 @@ def applied_instance(events) -> tuple:
     return ("attacker",)
 
 
-def step_picks_from_reference(cfg) -> bool:
+def step_picks_from_reference(cfg, reveals) -> bool:
     """One ``step``, checked to apply instance ``derive(seed, SCHED_TAG,
     clock) % len`` of the reference enabled set, or to raise Quiescent
-    when that set is empty.  False when quiescent."""
-    ref = reference_enabled_instances(cfg)
+    when that set is empty, with ``reveals`` brought up to date.  A
+    ``reveal`` event counts the records the step revealed.  False when
+    quiescent."""
+    ref = reference_enabled_instances(cfg, reveals)
     if not ref:
         with pytest.raises(Quiescent):
             step(cfg)
@@ -677,6 +694,8 @@ def step_picks_from_reference(cfg) -> bool:
     assert step(cfg) == expected[0], f"step {cfg.clock}"
     assert applied_instance(cfg.event_log[start:]) == expected, \
         f"step {cfg.clock - 1}"
+    assert log_reveals(cfg, reveals) == sum(
+        e["revealed"] for e in cfg.event_log[start:] if e["ev"] == "reveal")
     return True
 
 
@@ -685,16 +704,20 @@ def run_against_reference(cfg, budget):
     attacker indexes and the parameter memo against full recomputation
     before every step, and each step's pick against the reference set."""
     steps = 0
+    reveals = []
+    log_reveals(cfg, reveals)
     while True:
         got = _enabled_instances(cfg)
-        assert got == reference_enabled_instances(cfg), f"step {cfg.clock}"
+        assert got == reference_enabled_instances(cfg, reveals), \
+            f"step {cfg.clock}"
         assert_param_memo(cfg)
         if cfg.attacker is not None:
-            assert_indexes_match_records(cfg.attacker)
-            assert _attack_candidates(cfg) == reference_attack_candidates(cfg)
+            assert_indexes_match_records(cfg.attacker, reveals)
+            assert _attack_candidates(cfg) == \
+                reference_attack_candidates(cfg, reveals)
         if not got or steps == budget:
             return steps
-        assert step_picks_from_reference(cfg)
+        assert step_picks_from_reference(cfg, reveals)
         steps += 1
 
 
@@ -885,11 +908,12 @@ class RuntimeMachine(RuleBasedStateMachine):
     def build(self, name, seed):
         self.cfg = build_configuration(parse_scenario(ORACLE_DOCS[name]),
                                        seed_override=seed)
+        self.reveals = []
 
     @rule(n=st.integers(1, 40))
     def advance(self, n):
         for _ in range(n):
-            if not step_picks_from_reference(self.cfg):
+            if not step_picks_from_reference(self.cfg, self.reveals):
                 return
 
     @invariant()
@@ -932,7 +956,7 @@ class RuntimeMachine(RuleBasedStateMachine):
     @invariant()
     def enabled_set_matches_reference(self):
         assert _enabled_instances(self.cfg) == \
-            reference_enabled_instances(self.cfg)
+            reference_enabled_instances(self.cfg, self.reveals)
 
 
 RuntimeMachine.TestCase.settings = settings(
