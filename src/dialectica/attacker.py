@@ -49,6 +49,7 @@ from .values import (
     TaggedSpace,
     Value,
     int_from_json,
+    object_from_json,
     prob_from_json,
     xor_value,
 )
@@ -86,7 +87,9 @@ class AdvantageConfig:
                 raise ValueError(f"{name} probabilities must lie in [0, 1]")
 
     @staticmethod
-    def from_json(obj: dict) -> "AdvantageConfig":
+    def from_json(obj: dict, at: str = "advantage") -> "AdvantageConfig":
+        obj = object_from_json(obj, ("t_max", "w_max", "s_max"), at)
+
         def steps(key):
             return tuple((int_from_json(t), prob_from_json(p))
                          for t, p in obj.get(key, []))
@@ -103,15 +106,29 @@ def eval_step(steps: tuple[tuple[int, float], ...], x: int) -> float:
     return prob
 
 
-@dataclass
-class AttackerState:
-    records: list[CapturedRecord] = field(default_factory=list)
-    advantage: AdvantageConfig = field(default_factory=AdvantageConfig)
+@dataclass(frozen=True)
+class AttackerConfig:
+    """What a scenario fixes about its attacker before a run: the
+    strategies it draws from, its injection budget and rate, its reveal
+    advantage, and the (src, dst) flows it may target (None: every flow).
+    Immutable, so every run built from one scenario shares it."""
+
     strategies: tuple[str, ...] = ()
     max_injections: int = 0
     injection_rate: float = 1.0
+    advantage: AdvantageConfig = AdvantageConfig()
+    targets: Optional[tuple[tuple[str, str], ...]] = None
+
+
+@dataclass
+class AttackerState:
+    """One run's attacker: its fixed config and random stream, and what it
+    has captured, revealed and injected so far."""
+
+    config: AttackerConfig
+    rng: Rng
+    records: list[CapturedRecord] = field(default_factory=list)
     injected: int = 0
-    rng: Optional[Rng] = None
     # Indexes over ``records``, kept by observe/reveal_sweep.
     latest: dict[tuple[str, str], CapturedRecord] = field(
         default_factory=dict, repr=False)
@@ -127,7 +144,7 @@ class AttackerState:
 
     @property
     def budget_left(self) -> int:
-        return self.max_injections - self.injected
+        return self.config.max_injections - self.injected
 
 
 def observe(state: AttackerState, msg: Message, t: int,
@@ -142,7 +159,7 @@ def observe(state: AttackerState, msg: Message, t: int,
     if name is not None:
         state.lingo_counts[name] = state.lingo_counts.get(name, 0) + 1
         # Only the strong-reveal step reads the (lingo, parameter) count.
-        if state.advantage.s_max:
+        if state.config.advantage.s_max:
             key = (name, repr(hidden.param))
             state.pair_counts[key] = state.pair_counts.get(key, 0) + 1
     state.unrevealed.append((rec, key))
@@ -156,7 +173,7 @@ def reveal_sweep(state: AttackerState, now: int, rng: Rng) -> int:
 
     Draws happen in record order, one per unrevealed record whose
     probability is positive."""
-    adv = state.advantage
+    adv = state.config.advantage
     revealed = 0
     for rec, key in state.unrevealed:
         p_age = eval_step(adv.t_max, now - rec.t)
@@ -389,12 +406,12 @@ def run_spoof_experiment(lingo: Lingo, reuse: int, strategy: str,
     compliance_hits = 0
     spoof_hits = 0
     any_intent = False
-    trial_advantage = advantage or AdvantageConfig()
+    config = AttackerConfig(advantage=advantage or AdvantageConfig())
 
     for t in range(trials):
         trial_seed = derive(seed, _SPOOF_TAG, t)
-        state = AttackerState(advantage=trial_advantage)
         rng = Rng(trial_seed, ATTACKER_TAG)
+        state = AttackerState(config, rng)
         in_rng = Rng(trial_seed, _PLAINTEXT_TAG)
         for i in range(observations):
             a_i = lingo.param(i // reuse, trial_seed)

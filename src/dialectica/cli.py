@@ -167,11 +167,11 @@ def cmd_simulate(args) -> int:
         return EXIT_SPEC_ERROR
     try:
         scenario = load_scenario(args.scenario)
-        seed = _effective_seed(args.seed, scenario.seed)
-        cfg = build_configuration(scenario, seed_override=seed)
     except (SpecError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
+    seed = _effective_seed(args.seed, scenario.seed)
+    cfg = build_configuration(scenario, seed_override=seed)
     max_steps = scenario.max_steps if args.max_steps is None else args.max_steps
     trace_path = args.trace or scenario.trace_path
     # A trace path that cannot be opened fails here, before the run, and

@@ -62,6 +62,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Union
 
 from .attacker import (
+    AttackerConfig,
     AttackerState,
     NoAttempt,
     attempt_forgery,
@@ -177,7 +178,6 @@ class Configuration:
     wrappers: dict[str, DialectWrapper]
     seed: int
     attacker: Optional[AttackerState] = None
-    attacker_targets: Optional[list[tuple[str, str]]] = None
     channels: dict[tuple[str, str], deque] = field(default_factory=dict)
     event_log: list[dict] = field(default_factory=list)
     clock: int = 0
@@ -220,8 +220,9 @@ class Configuration:
     @cached_property
     def attack_pairs(self) -> list[tuple[str, str]]:
         """Flows the attacker may target, in candidate order."""
-        if self.attacker_targets is not None:
-            return list(self.attacker_targets)
+        targets = self.attacker.config.targets
+        if targets is not None:
+            return list(targets)
         oids = sorted(self.wrappers)
         return [(s, d) for s in oids for d in oids if s != d]
 
@@ -266,14 +267,16 @@ TRACE_LINES: dict[str, Callable[[dict], str]] = {
 
 def make_configuration(actors, policy: LingoPolicy, seed: int,
                        codec: Optional[DataAdaptor] = None,
-                       attacker: Optional[AttackerState] = None,
-                       attacker_targets=None) -> Configuration:
+                       attacker: Optional[AttackerConfig] = None
+                       ) -> Configuration:
+    """A fresh run: a wrapper per actor and, given an attacker config, a
+    fresh attacker state with its own random stream.  The arguments are
+    only read, so runs may share them."""
     wrappers = {a.oid: DialectWrapper(a.oid, a, policy, seed, codec)
                 for a in actors}
-    if attacker is not None and attacker.rng is None:
-        attacker.rng = Rng(seed, ATTACKER_TAG)
-    return Configuration(wrappers=wrappers, seed=seed, attacker=attacker,
-                         attacker_targets=attacker_targets)
+    state = (None if attacker is None
+             else AttackerState(attacker, Rng(seed, ATTACKER_TAG)))
+    return Configuration(wrappers=wrappers, seed=seed, attacker=state)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +473,7 @@ def _attack_candidates(cfg) -> list[tuple[str, tuple[str, str]]]:
     if cfg.candidates is not None and cfg.candidates[0] == key:
         return cfg.candidates[1]
     out = []
-    for strategy in atk.strategies:
+    for strategy in atk.config.strategies:
         flows = ready_flows(atk, strategy)
         for pair in [p for p in cfg.attack_pairs if flows is None or p in flows]:
             if strategy_ready(atk, strategy, pair[0], pair[1]):
@@ -515,7 +518,7 @@ def _attacker_enabled(cfg: Configuration) -> bool:
     atk = cfg.attacker
     if atk is None or atk.budget_left <= 0:
         return False
-    rate = atk.injection_rate
+    rate = atk.config.injection_rate
     if rate >= 1 or uniform01(derive(cfg.seed, RATE_TAG, cfg.clock)) < rate:
         return bool(_attack_candidates(cfg))
     return False

@@ -16,16 +16,18 @@ policy, an optional attacker, the seed, and the step budget::
       "max_steps": 400,
       "outputs": {"trace_path": "trace.jsonl", "report_path": "report.json"}
     }
+
+Every object in the document is closed: a key its reader does not name is
+refused.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .attacker import STRATEGIES, AdvantageConfig, AttackerState
+from .attacker import STRATEGIES, AdvantageConfig, AttackerConfig
 from .mqtt import (
     DEFAULT_BITVEC_WIDTH,
     ConnectMsg,
@@ -49,21 +51,36 @@ from .runtime import (
     scenario_lingos,
 )
 from .specs import SpecError, build_lingo
-from .values import atoms_from_json, int_from_json, list_from_json, prob_from_json
+from .transforms import DataAdaptor
+from .values import (
+    atoms_from_json,
+    int_from_json,
+    list_from_json,
+    object_from_json,
+    prob_from_json,
+)
 
 _COMMANDS = {"connect": ConnectMsg, "subscribe": SubMsg,
              "unsubscribe": UnsubMsg, "publish": PubMsg}
 
+# The keys a scenario and its attacker may have; any other key is refused.
+SCENARIO_KEYS = ("seed", "payload", "actors", "lingo_stack", "policy",
+                 "max_steps", "attacker", "outputs")
+ATTACKER_KEYS = ("strategies", "max_injections", "injection_rate",
+                 "advantage", "targets")
 
-@dataclass
+
+@dataclass(frozen=True)
 class Scenario:
+    """A parsed scenario.  Nothing in it changes during a run, so every
+    configuration built from it shares it."""
+
     seed: int
-    actors: list
+    actors: tuple
     policy: LingoPolicy
+    codec: DataAdaptor    # the payload codec; bare runs never use it
     max_steps: int = 1000
-    payload_width: Optional[int] = None   # None encodes payloads as naturals
-    attacker: Optional[AttackerState] = None
-    attacker_targets: Optional[list[tuple[str, str]]] = None
+    attacker: Optional[AttackerConfig] = None
     trace_path: Optional[str] = None
     report_path: Optional[str] = None
 
@@ -113,61 +130,115 @@ def _check_session(oid: str, cmds: tuple) -> None:
         connected = type(msg) is not DisconnectMsg
 
 
-def _object(obj, what: str) -> dict:
-    if not isinstance(obj, dict):
-        raise SpecError(f"{what} must be an object, got {obj!r}")
-    return obj
-
-
-def _parse_actor(obj, room: Optional[int]) -> object:
+def _parse_actor(obj, room: Optional[int], i: int) -> object:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise SpecError(f"actor spec must be a single-key object: {obj!r}")
     key, body = next(iter(obj.items()))
     if key == "client":
+        body = object_from_json(body, ("oid", "cmds"),
+                                ("scenario", "actors", i, "client"))
         oid = _text(body["oid"], "client oid")
         cmds = tuple(_parse_cmd(c, room) for c in body.get("cmds", []))
         _check_session(oid, cmds)
         return MqttClient(oid=oid, cmd_list=cmds)
     if key == "broker":
+        body = object_from_json(body, ("oid",),
+                                ("scenario", "actors", i, "broker"))
         return MqttBroker(oid=_text(body["oid"], "broker oid"))
     raise SpecError(f"unknown actor kind {key!r}")
+
+
+def _refuse_repeats(items, what: str) -> None:
+    if len(set(items)) != len(items):
+        repeated = sorted({x for x in items if items.count(x) > 1})
+        raise SpecError(f"duplicate {what}: {repeated}")
+
+
+def _parse_attacker(obj, oids: list[str]) -> AttackerConfig:
+    atk = object_from_json(obj, ATTACKER_KEYS, "scenario.attacker")
+    strategies = atoms_from_json(atk.get("strategies", []))
+    for s in strategies:
+        if s not in STRATEGIES:
+            raise SpecError(f"unknown strategy {s!r}")
+    # A repeated entry would weigh twice in the attacker's candidate draw.
+    _refuse_repeats(strategies, "attacker strategies")
+    max_injections = int_from_json(atk.get("max_injections", 100))
+    if max_injections < 0:
+        raise SpecError(f"attacker max_injections must be >= 0, got "
+                        f"{max_injections}")
+    advantage = AdvantageConfig.from_json(atk.get("advantage", {}),
+                                          "scenario.attacker.advantage")
+    targets = None
+    if "targets" in atk:
+        targets = tuple(tuple(_text(o, "attacker target")
+                              for o in list_from_json(pair, 2))
+                        for pair in list_from_json(atk["targets"]))
+        unknown = sorted({o for pair in targets for o in pair} - set(oids))
+        if unknown:
+            raise SpecError(f"attacker targets name unknown actors: {unknown}")
+        # No actor sends to itself, so such a flow carries nothing.
+        looped = sorted({s for s, d in targets if s == d})
+        if looped:
+            raise SpecError(f"attacker targets address their own sender: "
+                            f"{looped}")
+        _refuse_repeats(targets, "attacker targets")
+    return AttackerConfig(
+        strategies=strategies, max_injections=max_injections,
+        injection_rate=prob_from_json(atk.get("injection_rate", 1.0)),
+        advantage=advantage, targets=targets)
 
 
 def parse_scenario(doc: dict) -> Scenario:
     """Validate and translate one scenario document."""
     try:
+        doc = object_from_json(doc, SCENARIO_KEYS, "scenario")
         seed = int_from_json(doc["seed"])
         payload = doc.get("payload", "nat")
         if payload == "nat":
             width = None
         elif payload == "bitvec":
             width = DEFAULT_BITVEC_WIDTH
-        elif isinstance(payload, dict) and "bitvec" in payload:
-            width = int_from_json(payload["bitvec"])
+        elif isinstance(payload, dict):
+            width = int_from_json(object_from_json(
+                payload, ("bitvec",), "scenario.payload")["bitvec"])
         else:
             raise SpecError(f"unknown payload encoding {payload!r}")
-        mqtt_codec_adaptor(width)   # checks the width
+        codec = mqtt_codec_adaptor(width)   # checks the width
 
         policy_doc = doc.get("policy", "static")
+        if policy_doc != "static" and "lingo_stack" in doc:
+            raise SpecError("lingo_stack is read only under the static "
+                            "policy: a bare scenario has no lingo, and an "
+                            "aperiodic one lists its own")
         if policy_doc == "bare":
             policy: LingoPolicy = None
         elif policy_doc == "static":
-            policy = StaticPolicy(build_lingo(doc["lingo_stack"]))
-        elif isinstance(policy_doc, dict) and "aperiodic" in policy_doc:
-            body = policy_doc["aperiodic"]
+            policy = StaticPolicy(build_lingo(doc["lingo_stack"],
+                                              "scenario.lingo_stack"))
+        elif isinstance(policy_doc, dict):
+            at = "scenario.policy.aperiodic"
+            body = object_from_json(policy_doc, ("aperiodic",),
+                                    "scenario.policy")["aperiodic"]
+            body = object_from_json(body, ("msg_bound", "lingos"), at)
             policy = AperiodicPolicy(
                 msg_bound=int_from_json(body["msg_bound"]),
-                lingos=tuple(build_lingo(s) for s in body["lingos"]))
+                lingos=tuple(build_lingo(s, (at, "lingos", i))
+                             for i, s in enumerate(body["lingos"])))
             if len({lingo.input_space for lingo in policy.lingos}) != 1:
                 raise SpecError("aperiodic lingos must share their input space")
         else:
             raise SpecError(f"unknown policy {policy_doc!r}")
+        for lingo in scenario_lingos(policy):
+            if lingo.input_space != codec.to_space:
+                raise SpecError(
+                    f"lingo {lingo.name} input space does not match the "
+                    f"{'nat' if width is None else width}-payload codec")
 
         room = None if policy is None or width is None else width // 8
-        actors = [_parse_actor(a, room) for a in doc["actors"]]
+        actors = tuple(_parse_actor(a, room, i)
+                       for i, a in enumerate(doc["actors"]))
         oids = [a.oid for a in actors]
-        if len(set(oids)) != len(oids):
-            raise SpecError(f"duplicate actor oids: {oids}")
+        _refuse_repeats(oids, "actor oids")
         brokers = {a.oid for a in actors if type(a) is MqttBroker}
         stray = {c.broker for a in actors for c in getattr(a, "cmd_list", ())
                  if type(c) is ConnectMsg} - brokers
@@ -176,49 +247,21 @@ def parse_scenario(doc: dict) -> Scenario:
                             f"{sorted(stray)}")
 
         attacker = None
-        targets = None
-        if "attacker" in doc and doc["attacker"] is not None:
-            atk = _object(doc["attacker"], "attacker")
-            strategies = atoms_from_json(atk.get("strategies", []))
-            for s in strategies:
-                if s not in STRATEGIES:
-                    raise SpecError(f"unknown strategy {s!r}")
-            max_injections = int_from_json(atk.get("max_injections", 100))
-            if max_injections < 0:
-                raise SpecError(f"attacker max_injections must be >= 0, got "
-                                f"{max_injections}")
-            attacker = AttackerState(
-                advantage=AdvantageConfig.from_json(
-                    _object(atk.get("advantage", {}), "advantage")),
-                strategies=strategies,
-                max_injections=max_injections,
-                injection_rate=prob_from_json(atk.get("injection_rate", 1.0)))
-            if "targets" in atk:
-                targets = [tuple(_text(o, "attacker target")
-                                 for o in list_from_json(pair, 2))
-                           for pair in list_from_json(atk["targets"])]
-                unknown = sorted({o for pair in targets for o in pair} - set(oids))
-                if unknown:
-                    raise SpecError(f"attacker targets name unknown actors: "
-                                    f"{unknown}")
-                # No actor sends to itself, so such a flow carries nothing.
-                looped = sorted({s for s, d in targets if s == d})
-                if looped:
-                    raise SpecError(f"attacker targets address their own "
-                                    f"sender: {looped}")
+        if doc.get("attacker") is not None:
+            attacker = _parse_attacker(doc["attacker"], oids)
 
         max_steps = int_from_json(doc.get("max_steps", 1000))
         if max_steps < 1:
             raise SpecError(f"max_steps must be >= 1, got {max_steps}")
 
-        outputs = _object(doc.get("outputs", {}), "outputs")
+        outputs = object_from_json(doc.get("outputs", {}),
+                                   ("trace_path", "report_path"),
+                                   "scenario.outputs")
         for path in outputs.values():
             if not isinstance(path, (str, type(None))):
                 raise SpecError(f"output paths must be strings, got {path!r}")
-        return Scenario(seed=seed, actors=actors, policy=policy,
-                        max_steps=max_steps,
-                        payload_width=width, attacker=attacker,
-                        attacker_targets=targets,
+        return Scenario(seed=seed, actors=actors, policy=policy, codec=codec,
+                        max_steps=max_steps, attacker=attacker,
                         trace_path=outputs.get("trace_path"),
                         report_path=outputs.get("report_path"))
     except SpecError:
@@ -234,16 +277,8 @@ def load_scenario(path: str) -> Scenario:
 
 def build_configuration(scenario: Scenario, seed_override: Optional[int] = None
                         ) -> Configuration:
+    """A fresh run of ``scenario``.  The scenario is only read, so
+    configurations built from it share it and run independently."""
     seed = scenario.seed if seed_override is None else seed_override
-    width = scenario.payload_width
-    codec = None if scenario.policy is None else mqtt_codec_adaptor(width)
-    for lingo in scenario_lingos(scenario.policy):
-        if lingo.input_space != codec.to_space:
-            raise SpecError(
-                f"lingo {lingo.name} input space does not match the "
-                f"{'nat' if width is None else width}-payload codec")
-    # Fresh mutable state per build so a scenario can be run repeatedly.
-    attacker = copy.deepcopy(scenario.attacker)
     return make_configuration(scenario.actors, scenario.policy, seed,
-                              codec=codec, attacker=attacker,
-                              attacker_targets=scenario.attacker_targets)
+                              codec=scenario.codec, attacker=scenario.attacker)

@@ -41,6 +41,8 @@ from .values import (
     atoms_from_json,
     int_from_json,
     list_from_json,
+    JsonPath,
+    object_from_json,
     space_from_json,
     value_from_json,
 )
@@ -53,6 +55,23 @@ class SpecError(Exception):
 _BUILD_ERRORS = (KeyError, IndexError, TypeError, ValueError, SpaceViolation,
                  SpaceMismatch, WidthOverflow, DegenerateParamSpace, BadBias)
 
+
+# The keys each spec object may have: a leaf lingo or an adaptor by its
+# kind, an operator's object body by its operator.
+_KIND_FIELDS = {
+    "xor_bitvec": ("kind", "width"), "xor_nat": ("kind",),
+    "xor_set": ("kind", "universe"), "divide_check": ("kind", "param_ceiling"),
+    "reverse_divide_check": ("kind", "param_ceiling"),
+    "identity": ("kind", "space"), "split_bitvec": ("kind", "half_width"),
+    "nat_bitvec": ("kind", "width"), "bitvec_nat": ("kind", "width"),
+    "sparse": ("kind", "count", "width", "seed"),
+    "mqtt_codec": ("kind", "width"),
+}
+_OPERATOR_FIELDS = {
+    "horizontal": ("branches", "defaults", "bias", "seed"),
+    "adapt_pre": ("adaptor", "lingo"), "adapt_post": ("lingo", "adaptor"),
+    "auth": ("base", "oids", "m", "j", "k", "seed"),
+}
 
 _LEAF_BUILDERS = {
     "xor_bitvec": lambda s: make_xor_bitvec(int_from_json(s["width"])),
@@ -67,9 +86,12 @@ _LEAF_BUILDERS = {
 }
 
 
-def build_adaptor(spec: dict) -> DataAdaptor:
+def build_adaptor(spec: dict, at: JsonPath = "adaptor") -> DataAdaptor:
+    """Build a data adaptor from its spec; ``at``, the spec's path in its
+    document, is named when the spec has a stray key."""
     try:
         kind = spec["kind"]
+        spec = object_from_json(spec, _KIND_FIELDS.get(kind, ("kind",)), at)
         if kind == "identity":
             return identity_adaptor(space_from_json(spec["space"]))
         if kind == "nat_bitvec":
@@ -77,8 +99,6 @@ def build_adaptor(spec: dict) -> DataAdaptor:
         if kind == "bitvec_nat":
             return bitvec_nat_adaptor(int_from_json(spec["width"]))
         if kind == "sparse":
-            if "words" in spec:
-                raise ValueError("a sparse codebook takes a count, not words")
             count = int_from_json(spec.get("count", 64))
             if not 1 <= count <= 1 << 16:
                 raise ValueError(f"codebook size must be in 1..65536, got {count}")
@@ -92,8 +112,9 @@ def build_adaptor(spec: dict) -> DataAdaptor:
     raise SpecError(f"unknown adaptor kind {spec!r}")
 
 
-def build_lingo(spec: dict) -> Lingo:
-    """Recursively build a lingo from its spec tree."""
+def build_lingo(spec: dict, at: JsonPath = "lingo") -> Lingo:
+    """Recursively build a lingo from its spec tree; ``at``, the spec's path
+    in its document, is named when an object in it has a stray key."""
     if not isinstance(spec, dict):
         raise SpecError(f"lingo spec must be an object, got {spec!r}")
     if "kind" in spec:
@@ -102,37 +123,41 @@ def build_lingo(spec: dict) -> Lingo:
         if builder is None:
             raise SpecError(f"unknown lingo kind {spec['kind']!r}")
         try:
-            return builder(spec)
+            return builder(object_from_json(spec, _KIND_FIELDS[kind], at))
         except _BUILD_ERRORS as exc:
             raise SpecError(f"bad lingo spec {spec!r}: {exc}") from exc
     if len(spec) != 1:
         raise SpecError(f"composite spec must have a single operator key: {spec!r}")
     op, body = next(iter(spec.items()))
+    at = (at, op)
     try:
+        if op in _OPERATOR_FIELDS:
+            body = object_from_json(body, _OPERATOR_FIELDS[op], at)
         if op == "sharp":
-            return sharp(build_lingo(body))
+            return sharp(build_lingo(body, at))
         if op == "horizontal":
-            branches = tuple(build_lingo(b) for b in body["branches"])
-            defaults = tuple(map(value_from_json,
-                                 list_from_json(body["defaults"])))
+            branches = tuple(build_lingo(b, (at, "branches", i))
+                             for i, b in enumerate(body["branches"]))
+            defaults = tuple(value_from_json(d, (at, "defaults", i)) for i, d
+                             in enumerate(list_from_json(body["defaults"])))
             bias = tuple(map(int_from_json, list_from_json(body["bias"])))
             return horizontal(HorizontalSpec(branches, defaults, bias),
                               seed=int_from_json(body.get("seed", 0)))
         if op == "functional":
-            l1, l2 = (build_lingo(b) for b in body)
+            l1, l2 = _children(body, at)
             return functional(l1, l2)
         if op == "product":
-            return product([build_lingo(b) for b in body])
+            return product(_children(body, at))
         if op == "tupling":
-            return tupling([build_lingo(b) for b in body])
+            return tupling(_children(body, at))
         if op == "adapt_pre":
-            return adapt_pre(build_adaptor(body["adaptor"]),
-                             build_lingo(body["lingo"]))
+            return adapt_pre(build_adaptor(body["adaptor"], (at, "adaptor")),
+                             build_lingo(body["lingo"], (at, "lingo")))
         if op == "adapt_post":
-            return adapt_post(build_lingo(body["lingo"]),
-                              build_adaptor(body["adaptor"]))
+            return adapt_post(build_lingo(body["lingo"], (at, "lingo")),
+                              build_adaptor(body["adaptor"], (at, "adaptor")))
         if op == "auth":
-            return authenticating(build_lingo(body["base"]),
+            return authenticating(build_lingo(body["base"], (at, "base")),
                                   atoms_from_json(body["oids"]), m=int_from_json(body["m"]),
                                   j=int_from_json(body["j"]), k=int_from_json(body["k"]),
                                   seed=int_from_json(body["seed"]))
@@ -141,3 +166,7 @@ def build_lingo(spec: dict) -> Lingo:
     except _BUILD_ERRORS as exc:
         raise SpecError(f"bad {op!r} spec: {exc}") from exc
     raise SpecError(f"unknown lingo operator {op!r}")
+
+
+def _children(body, at: JsonPath) -> list[Lingo]:
+    return [build_lingo(b, (at, i)) for i, b in enumerate(body)]

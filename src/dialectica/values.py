@@ -490,11 +490,25 @@ def json_or_raw(v) -> object:
     return json.loads(json_text(v))
 
 
-def value_from_json(obj) -> Value:
+JsonPath = Union[str, tuple]
+
+
+def path_text(at: JsonPath) -> str:
+    """The text of a JSON path: a root name, or a tuple of a path and the
+    keys and indexes below it, kept as a tuple until an error names it."""
+    if isinstance(at, str):
+        return at
+    head, *keys = at
+    return path_text(head) + "".join(
+        f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+
+
+def value_from_json(obj, at: JsonPath = "value") -> Value:
     """Parse the canonical JSON encoding; bare non-negative ints are accepted
-    as shorthand for naturals.  Anything else raises ValueError."""
+    as shorthand for naturals.  Anything else raises ValueError.  ``at`` is
+    the value's path in its document, named when a body has a stray key."""
     try:
-        return _value_from_json(obj)
+        return _value_from_json(obj, at)
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"not a value encoding: {obj!r}") from exc
 
@@ -522,6 +536,18 @@ def prob_from_json(obj) -> float:
     return float(obj)
 
 
+def object_from_json(obj, keys: tuple[str, ...], at: JsonPath) -> dict:
+    """A JSON object whose keys are all among ``keys``; anything else raises
+    ValueError naming a stray key and ``at``, the object's path in its
+    document, so a misspelt key is refused rather than ignored."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path_text(at)} is not a JSON object: {obj!r}")
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {path_text(at)}")
+    return obj
+
+
 def list_from_json(obj, length: Optional[int] = None) -> list:
     """A JSON list, of exactly ``length`` items if given; a string or an
     object is refused instead of being iterated."""
@@ -531,26 +557,34 @@ def list_from_json(obj, length: Optional[int] = None) -> list:
     return obj
 
 
-def _value_from_json(obj) -> Value:
+def _pair_from_json(obj, at: JsonPath) -> Pair:
+    return Pair(*(_value_from_json(v, (at, i))
+                  for i, v in enumerate(list_from_json(obj, 2))))
+
+
+def _value_from_json(obj, at: JsonPath) -> Value:
     if isinstance(obj, int) and not isinstance(obj, bool):
         return Nat(obj)
     if isinstance(obj, str) and obj.isdigit():
         return Nat(int(obj))
     if isinstance(obj, list):
-        return Pair(*map(_value_from_json, list_from_json(obj, 2)))
+        return _pair_from_json(obj, at)
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"not a value encoding: {obj!r}")
     key, body = next(iter(obj.items()))
     if key == "nat":
         return Nat(int_from_json(body))
     if key == "bv":
+        body = object_from_json(body, ("w", "n"), (at, "bv"))
         return BitVec(int_from_json(body["w"]), int_from_json(body["n"]))
     if key == "pair":
-        return Pair(*map(_value_from_json, list_from_json(body, 2)))
+        return _pair_from_json(body, (at, "pair"))
     if key == "set":
         return AtomSet(atoms_from_json(body))
     if key == "tag":
-        return Tagged(int_from_json(body["i"]), _value_from_json(body["v"]))
+        body = object_from_json(body, ("i", "v"), (at, "tag"))
+        return Tagged(int_from_json(body["i"]),
+                      _value_from_json(body["v"], (at, "tag", "v")))
     raise ValueError(f"unknown value kind: {key!r}")
 
 

@@ -2,6 +2,7 @@ import pytest
 
 from dialectica.attacker import (
     AdvantageConfig,
+    AttackerConfig,
     AttackerState,
     NoAttempt,
     STRATEGIES,
@@ -23,10 +24,15 @@ from dialectica.specs import build_lingo
 from dialectica.values import Nat, Pair, Tagged
 
 
+def fresh_state():
+    return AttackerState(AttackerConfig(), Rng(0, ATTACKER_TAG))
+
+
 def observed_state(lingo, count=5, seed=77, reuse=1, advantage=None):
     # The advantage is fixed before the first capture: observe keeps the
     # (lingo, parameter) count only for an s_max rule.
-    state = AttackerState(advantage=advantage or AdvantageConfig())
+    config = AttackerConfig(advantage=advantage or AdvantageConfig())
+    state = AttackerState(config, Rng(seed, ATTACKER_TAG))
     rng = Rng(seed, 123)
     for i in range(count):
         a = lingo.param(i // reuse, seed)
@@ -77,7 +83,7 @@ class TestRevealSweep:
         assert revealed(state) == []
 
     def test_cleartext_revealed_immediately_with_null_info(self):
-        state = AttackerState()
+        state = fresh_state()
         observe(state, Message(dst="b", src="a", payload=Nat(7)), t=0,
                 hidden=HiddenCtx(lingo_name=None, param=None, plaintext=Nat(7),
                                  index=0))
@@ -150,7 +156,7 @@ class TestForgeryCrafting:
         assert msg.payload == state.records[-1].wire
 
     def test_requirements_gate(self):
-        state = AttackerState()
+        state = fresh_state()
         assert not strategy_ready(state, "replay", "a", "b")
         out = craft_forgery(state, "replay", "a", "b", Rng(8, ATTACKER_TAG))
         assert isinstance(out, NoAttempt)
@@ -162,7 +168,7 @@ class TestForgeryCrafting:
         zero = {"pair": [{"nat": "0"}, {"nat": "0"}]}
         lingo = build_lingo({"horizontal": {
             "branches": [dc, dc], "defaults": [zero, zero], "bias": [1, 1]}})
-        state = AttackerState()
+        state = fresh_state()
         payload, intent = craft_forgery(state, "dc_zero_remainder", "a", "b",
                                         Rng(9, ATTACKER_TAG), lingo)
         assert isinstance(payload, Tagged) and payload.branch == 1
@@ -248,7 +254,7 @@ def test_bare_flow_cases_cover_every_strategy():
 @pytest.mark.parametrize("wire, strategy", list(BARE_FLOW_FORGERIES),
                          ids=lambda x: x if isinstance(x, str) else type(x).__name__)
 def test_bare_flow_forgery(wire, strategy):
-    state = AttackerState()
+    state = fresh_state()
     observe(state, Message(dst="b", src="c2", payload=wire), t=0,
             hidden=HiddenCtx(lingo_name=None, param=None, plaintext=wire,
                              index=0))

@@ -213,6 +213,11 @@ class TestLingoCheck:
                      "--strategy", "dc_zero_remainder", "--trials", "3"]) == \
             EXIT_SPEC_ERROR
 
+    def test_misspelt_field_exits_2(self, capsys):
+        spec = json.dumps({"kind": "divide_check", "param_ceilng": 3})
+        assert main(["lingo", "check", spec]) == EXIT_SPEC_ERROR
+        assert "unknown key 'param_ceilng' in lingo" in capsys.readouterr().err
+
     def test_unsampleable_input_space_exits_2(self, capsys):
         spec = json.dumps({"adapt_pre": {"adaptor": {"kind": "mqtt_codec"},
                                          "lingo": {"kind": "xor_nat"}}})
@@ -444,6 +449,46 @@ class TestSimulate:
                                             error):
         doc = load_scenario_doc("mqtt_adversarial.json")
         doc["attacker"] = attacker
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out", "/dev/null"]) == \
+            EXIT_SPEC_ERROR
+        assert capsys.readouterr().err == f"config error: {error}\n"
+
+    @pytest.mark.parametrize("name, edit, error", [
+        ("mqtt_xor.json", {"max_step": 5},
+         "bad scenario: unknown key 'max_step' in scenario"),
+        ("mqtt_xor.json", {"atacker": {"strategies": ["replay"]}},
+         "bad scenario: unknown key 'atacker' in scenario"),
+        ("mqtt_xor.json", {"outputs": {"trace": "t.jsonl"}},
+         "bad scenario: unknown key 'trace' in scenario.outputs"),
+        ("mqtt_adversarial.json",
+         {"attacker": {"strategies": ["replay"],
+                       "advantage": {"t_max": [], "x_max": []}}},
+         "bad scenario: unknown key 'x_max' in scenario.attacker.advantage"),
+        ("mqtt_xor.json", {"lingo_stack": {"kind": "divide_check",
+                                           "param_ceilng": 3}},
+         "bad lingo spec {'kind': 'divide_check', 'param_ceilng': 3}: "
+         "unknown key 'param_ceilng' in scenario.lingo_stack"),
+        *[(name, {"lingo_stack": {"kind": "nonsense"}},
+           "lingo_stack is read only under the static policy: a bare "
+           "scenario has no lingo, and an aperiodic one lists its own")
+          for name in ("mqtt_bare.json", "mqtt_aperiodic.json")],
+        ("mqtt_adversarial.json",
+         {"attacker": {"strategies": ["replay", "random_wire", "replay"],
+                       "targets": [["c1", "b"], ["c1", "b"]]}},
+         "duplicate attacker strategies: ['replay']"),
+        ("mqtt_adversarial.json",
+         {"attacker": {"strategies": ["replay", "random_wire"],
+                       "targets": [["c1", "b"], ["b", "c2"], ["c1", "b"]]}},
+         "duplicate attacker targets: [('c1', 'b')]"),
+    ], ids=["max_step", "atacker", "outputs_trace", "advantage_x_max",
+            "param_ceilng", "bare_lingo_stack", "aperiodic_lingo_stack",
+            "duplicate_strategies", "duplicate_targets"])
+    def test_refusal_names_the_key(self, capsys, tmp_path, name, edit, error):
+        # Each of these ran before as if the key or entry were not there.
+        doc = load_scenario_doc(name)
+        doc.update(edit)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["simulate", str(path), "--out", "/dev/null"]) == \

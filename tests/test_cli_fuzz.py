@@ -3,7 +3,8 @@ documented exit code (0-4), never an exception.
 
 Each case starts from a well-formed input (a bundled scenario, a spec from
 ``ALL_SPECS``) and replaces one value at a random path with arbitrary JSON,
-so the mutation lands at every depth of the document.
+so the mutation lands at every depth of the document.  Every JSON object is
+closed: a key its reader does not name, added at any depth, exits 2.
 """
 
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import ALL_SCENARIOS, ALL_SPECS, load_scenario_doc
-from dialectica import cli
+from dialectica import cli, specs
 
 # Keys the documents use, so generated objects sometimes look like the
 # real thing one level down.
@@ -220,3 +221,150 @@ def test_bad_integer_fields_end_with_an_exit_code(capsys, spec):
     assert cli.main(["lingo", "check", text, "--samples", "20"]) in range(5)
     assert cli.main(["experiment", "spoof", "--lingo", text, "--strategy",
                      "random_wire", "--trials", "5"]) in range(5)
+
+
+# ---------------------------------------------------------------------------
+# Closed objects: one key no reader names, added to one object, exits 2.
+# ---------------------------------------------------------------------------
+
+_X4 = {"kind": "xor_bitvec", "width": 4}
+_BV0 = {"bv": {"w": 4, "n": 0}}
+_H4 = {"horizontal": {"branches": [_X4, _X4], "defaults": [_BV0, _BV0],
+                      "bias": [1, 1]}}
+# The bundled scenarios, and one that spells out every optional object and
+# field they leave out.
+CLOSED_SCENARIOS = [load_scenario_doc(n) for n in ALL_SCENARIOS] + [{
+    **load_scenario_doc("mqtt_adversarial.json"),
+    "attacker": {"strategies": ["replay", "random_wire"],
+                 "max_injections": 20, "injection_rate": 0.5,
+                 "advantage": {"t_max": [[50, 0.01]], "w_max": [[4, 0.1]],
+                               "s_max": [[2, 0.2]]},
+                 "targets": [["c1", "b"], ["b", "c2"]]},
+    "outputs": {"trace_path": None, "report_path": None}}]
+# Every spec of the integer sweep, and one whose horizontal defaults are
+# bit-vector and tagged value encodings.
+CLOSED_SPECS = SWEEP_SPECS + [
+    {"horizontal": {"branches": [_H4, _H4],
+                    "defaults": [{"tag": {"i": 1, "v": _BV0}}] * 2,
+                    "bias": [1, 1]}},
+]
+
+# The objects with named fields, each by the reader that takes it: a
+# ``kind`` node by its kind, any other by the key it hangs from.
+OPERATORS = ("horizontal", "adapt_pre", "adapt_post", "auth")
+BODY_KINDS = ("payload", "policy", "aperiodic", "client", "broker",
+              "attacker", "advantage", "outputs", *OPERATORS, "bv", "tag")
+ADAPTOR_KINDS = ("identity", "nat_bitvec", "bitvec_nat", "sparse",
+                 "mqtt_codec")
+OBJECT_KINDS = {"scenario", *BODY_KINDS,
+                *(f"lingo:{k}" for k in specs._LEAF_BUILDERS),
+                *(f"adaptor:{k}" for k in ADAPTOR_KINDS)}
+UNKNOWN = "zz_unknown"
+
+
+def object_kind(path, obj):
+    """The reader of the object ``obj`` at ``path``, or None for a one-key
+    node (an actor, command, operator, value or space encoding), which
+    refuses a second key as such."""
+    if "kind" in obj:
+        return f"{'adaptor' if path[-1:] == ('adaptor',) else 'lingo'}:" \
+            f"{obj['kind']}"
+    if not path:
+        return "scenario" if "actors" in obj else None
+    return path[-1] if path[-1] in BODY_KINDS else None
+
+
+def json_path(root, path):
+    return root + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                          for k in path)
+
+
+def object_paths(doc):
+    return [path for path in paths(doc) if isinstance(_at(doc, path), dict)]
+
+
+def with_key(doc, path, key):
+    doc = json.loads(json.dumps(doc))
+    _at(doc, path)[key] = 1
+    return doc
+
+
+def closed_exit(doc, workdir, scenario: bool) -> int:
+    if not scenario:
+        return exit_code(["lingo", "check", json.dumps(doc), "--samples", "5"])
+    path = os.path.join(workdir, "closed.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return exit_code(["simulate", path, "--max-steps", "1",
+                      "--out", os.devnull])
+
+
+CLOSED_CASES = [
+    pytest.param(doc, path, scenario,
+                 id=f"{'scenario' if scenario else 'spec'}{i}:"
+                    f"{json_path('', path) or '/'}")
+    for scenario, docs in ((True, CLOSED_SCENARIOS), (False, CLOSED_SPECS))
+    for i, doc in enumerate(docs) for path in object_paths(doc)]
+
+
+def test_closed_object_sweep_covers_every_kind():
+    assert set(specs._KIND_FIELDS) == {*specs._LEAF_BUILDERS, *ADAPTOR_KINDS}
+    assert set(specs._OPERATOR_FIELDS) == set(OPERATORS)
+    assert {object_kind(path, _at(doc, path))
+            for doc, path, _ in (case.values for case in CLOSED_CASES)
+            } - {None} == OBJECT_KINDS
+
+
+@pytest.mark.parametrize("doc, scenario", [
+    pytest.param(doc, scenario, id=f"{'scenario' if scenario else 'spec'}{i}")
+    for scenario, docs in ((True, CLOSED_SCENARIOS), (False, CLOSED_SPECS))
+    for i, doc in enumerate(docs)])
+def test_closed_sweep_documents_are_accepted(capsys, workdir, doc, scenario):
+    # Not every lingo can be law-checked, so a spec is only built.
+    if scenario:
+        assert closed_exit(doc, workdir, scenario) in (0, 4)
+    else:
+        specs.build_lingo(doc)
+
+
+@pytest.mark.parametrize("doc, path, scenario", CLOSED_CASES)
+def test_unknown_key_exits_2(capsys, workdir, doc, path, scenario):
+    assert closed_exit(with_key(doc, path, UNKNOWN), workdir, scenario) == 2
+    err = capsys.readouterr().err
+    if object_kind(path, _at(doc, path)) is None:
+        assert repr(UNKNOWN) in err
+    else:
+        root = "scenario" if scenario else "lingo"
+        assert f"unknown key {UNKNOWN!r} in {json_path(root, path)}" in err
+
+
+# Every field name an object may have, so a drawn key is one none takes.
+ACCEPTED = {key for docs in (CLOSED_SCENARIOS, CLOSED_SPECS) for doc in docs
+            for path in object_paths(doc) for key in _at(doc, path)}
+
+
+@st.composite
+def unknown_key_mutants(draw, docs):
+    doc = draw(st.sampled_from(docs))
+    path = draw(st.sampled_from(object_paths(doc)))
+    near = st.sampled_from(sorted(ACCEPTED)).flatmap(
+        lambda k: st.integers(0, len(k)).map(lambda i: k[:i] + k[i + 1:]))
+    key = draw((st.text(max_size=6) | near).filter(
+        lambda k: k not in ACCEPTED))
+    return with_key(doc, path, key), key
+
+
+@FUZZ
+@given(case=unknown_key_mutants([load_scenario_doc(n) for n in ALL_SCENARIOS]))
+def test_simulate_refuses_an_unknown_key(capsys, workdir, case):
+    doc, key = case
+    assert closed_exit(doc, workdir, scenario=True) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+@FUZZ
+@given(case=unknown_key_mutants(ALL_SPECS))
+def test_lingo_check_refuses_an_unknown_key(capsys, workdir, case):
+    spec, key = case
+    assert closed_exit(spec, workdir, scenario=False) == 2
+    assert repr(key) in capsys.readouterr().err

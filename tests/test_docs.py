@@ -1,7 +1,8 @@
 """The README's layout table names every module of the package, its
-`lingo eval` examples print what the README says they print, and its trace
+`lingo eval` examples print what the README says they print, its trace
 format table lists each event kind's fields in the order its line writes
-them."""
+them, and its scenario key table names the keys the scenario and attacker
+readers accept."""
 
 import json
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import dialectica
 from dialectica.cli import main
 from dialectica.runtime import TRACE_LINES
+from dialectica.scenario import ATTACKER_KEYS, SCENARIO_KEYS
 from dialectica.values import Nat
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -106,3 +108,27 @@ def test_readme_trace_table_matches_the_trace_lines():
         event = json.loads(line({**_STUB_EVENT, "ev": kind}))
         assert event["ev"] == kind
         assert rows[kind] == list(event), kind
+
+
+def _key_rows(text: str) -> dict[str, list[str]]:
+    """Object -> the keys in its row of the Scenario files key table; rows
+    that name no key (the header) are left out."""
+    section = text.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| ([^|]+) \| ([^|]+) \| [^|]* \|$", section,
+                      re.MULTILINE)
+    return {obj: re.findall(r"`(\w+)`", keys) for obj, keys in rows
+            if "`" in keys}
+
+
+def test_key_rows_are_read():
+    text = ("## Scenario files\n\n| object | keys | notes |\n"
+            "| --- | --- | --- |\n"
+            "| `attacker` | `strategies`, `targets` | `x` is not a key |\n"
+            "\n## Next\n\n| `outputs` | `trace_path` | |\n")
+    assert _key_rows(text) == {"`attacker`": ["strategies", "targets"]}
+
+
+def test_readme_names_the_scenario_and_attacker_keys():
+    rows = _key_rows(README.read_text(encoding="utf-8"))
+    assert rows["the scenario"] == list(SCENARIO_KEYS)
+    assert rows["`attacker`"] == list(ATTACKER_KEYS)

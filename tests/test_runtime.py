@@ -20,7 +20,7 @@ from conftest import (
     scenario_path,
     trace_form,
 )
-from dialectica.attacker import AttackerState
+from dialectica.attacker import AttackerConfig
 from dialectica.core import is_compliant
 from dialectica.mqtt import (
     ConnectMsg,
@@ -423,6 +423,29 @@ class TestAperiodic:
 
 
 class TestAttackerIntegration:
+    def test_builds_share_the_parsed_scenario(self):
+        # One parse, two builds: each run gets its own attacker state over
+        # the one parsed config, and the runs match byte for byte.
+        scenario = load_scenario(scenario_path("mqtt_sharp_attack.json"))
+
+        def one_run():
+            cfg = build_configuration(scenario)
+            lines = []
+            cfg.sink = lambda e: lines.append(TRACE_LINES[e["ev"]](e))
+            quiesced, steps = run(cfg, 2000)
+            report = build_report(cfg, quiesced, steps, scenario.policy,
+                                  law_samples=10)
+            return cfg, "".join(lines), json.dumps(report, sort_keys=True)
+
+        first, trace1, report1 = one_run()
+        second, trace2, report2 = one_run()
+        assert first.stats["injected"] > 0
+        assert (trace1, report1) == (trace2, report2)
+        assert first.attacker is not second.attacker
+        assert first.attacker.config is second.attacker.config \
+            is scenario.attacker
+        assert second.attacker.records is not first.attacker.records
+
     def test_on_path_order_preserved(self):
         # honest wire messages are delivered in exactly the order sent
         from conftest import scenario_path
@@ -513,12 +536,11 @@ class TestAttackerIntegration:
                                 lingo.param(n, cfg.seed))
 
     def test_zero_injection_rate_disables_attacker(self):
-        atk = AttackerState(strategies=("random_wire",), max_injections=50,
-                            injection_rate=0.0)
+        atk = AttackerConfig(strategies=("random_wire",), max_injections=50,
+                             injection_rate=0.0, targets=(("c1", "b"),))
         actors = [MqttClient(oid="c1"), MqttBroker(oid="b")]
         cfg = make_configuration(actors, StaticPolicy(xor_nat()), 4,
-                                 codec=mqtt_codec_adaptor(), attacker=atk,
-                                 attacker_targets=[("c1", "b")])
+                                 codec=mqtt_codec_adaptor(), attacker=atk)
         quiesced, _ = run(cfg, 500)
         assert quiesced
         assert cfg.stats["injected"] == 0
@@ -570,11 +592,12 @@ def reference_strategy_ready(atk, reveals, strategy, src, dst):
 def reference_attack_candidates(cfg, reveals):
     atk = cfg.attacker
     oids = sorted(cfg.wrappers)
-    if cfg.attacker_targets is not None:
-        pairs = list(cfg.attacker_targets)
+    if atk.config.targets is not None:
+        pairs = list(atk.config.targets)
     else:
         pairs = [(s, d) for s in oids for d in oids if s != d]
-    return [(strategy, pair) for strategy in atk.strategies for pair in pairs
+    return [(strategy, pair) for strategy in atk.config.strategies
+            for pair in pairs
             if reference_strategy_ready(atk, reveals, strategy, *pair)]
 
 
@@ -600,15 +623,15 @@ def reference_enabled_instances(cfg, reveals):
     atk = cfg.attacker
     if atk is not None and atk.budget_left > 0:
         gate = uniform01(derive(cfg.seed, RATE_TAG, cfg.clock))
-        if gate < atk.injection_rate and reference_attack_candidates(cfg,
-                                                                     reveals):
+        if gate < atk.config.injection_rate and \
+                reference_attack_candidates(cfg, reveals):
             instances.append(("attacker",))
     return instances
 
 
 def assert_indexes_match_records(atk, reveals):
     # The (lingo, parameter) key is built only for the strong-reveal rule.
-    keyed = bool(atk.advantage.s_max)
+    keyed = bool(atk.config.advantage.s_max)
     latest, lingo_counts, pair_counts = {}, {}, {}
     for rec in atk.records:
         latest[(rec.src, rec.dst)] = rec
@@ -728,7 +751,7 @@ def _oracle_docs():
             6, 4, 3, 128, attacker, 0)
     targeted = load_scenario_doc("mqtt_adversarial.json")
     targeted["attacker"]["targets"] = [["c1", "b"], ["b", "c2"], ["c1", "c2"],
-                                       ["c1", "b"]]
+                                       ["b", "c1"]]
     targeted["attacker"]["max_injections"] = 60
     docs["targets"] = targeted
     oracle = scale_scenario(6, 4, 3, 128, False, 0)
