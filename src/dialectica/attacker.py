@@ -36,7 +36,7 @@ from .core import (
     is_compliant,
 )
 from .net import HiddenCtx, Message
-from .rng import ATTACKER_TAG, derive, fnv64
+from .rng import ATTACKER_TAG, fnv64
 from .transforms import xor_recipe, xor_sharp_recipe
 from .values import (
     BitVec,
@@ -408,8 +408,9 @@ def run_spoof_experiment(lingo: Lingo, reuse: int, strategy: str,
     any_intent = False
     config = AttackerConfig(advantage=advantage or AdvantageConfig())
 
+    trial_seeds = Rng(seed, _SPOOF_TAG).at
     for t in range(trials):
-        trial_seed = derive(seed, _SPOOF_TAG, t)
+        trial_seed = trial_seeds(t)
         rng = Rng(trial_seed, ATTACKER_TAG)
         state = AttackerState(config, rng)
         in_rng = Rng(trial_seed, _PLAINTEXT_TAG)
@@ -457,8 +458,9 @@ def run_match_experiment(lingo: Lingo, strategy: str, trials: int, seed: int
     guess function participate; others report no distinguishing data."""
     guesser = _GUESSERS.get(strategy)
     hits: Optional[int] = 0 if guesser else None
+    trial_seeds = Rng(seed, _MATCH_TAG).at
     for t in range(trials):
-        trial_seed = derive(seed, _MATCH_TAG, t)
+        trial_seed = trial_seeds(t)
         rng = Rng(trial_seed, ATTACKER_TAG)
         in_rng = Rng(trial_seed, _PLAINTEXT_TAG)
         p = lingo.param(0, trial_seed)

@@ -108,7 +108,8 @@ def cmd_lingo_eval(args) -> int:
         raise SpaceViolation(f"{lingo.name}: its parameters are not values, so "
                              f"none can be given on the command line")
     try:
-        values = [value_from_json(json.loads(a)) for a in args.args]
+        values = [value_from_json(json.loads(a), ("args", i))
+                  for i, a in enumerate(args.args)]
     except ValueError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR

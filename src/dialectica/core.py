@@ -171,8 +171,9 @@ def law_params(lingo: Lingo, seed: int) -> Callable[[int], Value]:
     generator."""
     if lingo.param_space.opaque:
         return lambda n: lingo.param(n, seed)
-    tag, sample = fnv64(lingo.name + "/laws"), lingo.param_space.sample
-    return lambda n: sample(Rng(derive(seed, tag, n), SAMPLE_TAG))
+    word = Rng(seed, fnv64(lingo.name + "/laws")).at
+    sample = lingo.param_space.sample
+    return lambda n: sample(Rng(word(n), SAMPLE_TAG))
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +238,10 @@ def check_lingo_laws(lingo: Lingo, sample_count: int, rng: Rng) -> LawReport:
     """
     seed = rng.next_u64()
     param = law_params(lingo, seed)
-    sample = lingo.input_space.sample
+    sample, word = lingo.input_space.sample, Rng(seed, SAMPLE_TAG).at
 
     def draw(n: int) -> Value:
-        return sample(Rng(derive(seed, SAMPLE_TAG, n), SAMPLE_TAG))
+        return sample(Rng(word(n), SAMPLE_TAG))
 
     # First counterexample of each law; None while the law is open.
     l0 = lands = l1 = c1 = None

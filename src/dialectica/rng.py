@@ -1,15 +1,20 @@
 """Deterministic keyed 64-bit streams.
 
-All randomness in the package flows through ``derive``, a SplitMix64
+All randomness in the package is defined by ``derive``, a SplitMix64
 finalizer over a mixed (seed, stream_tag, index) key.  The same triple gives
 the same output on every platform, which is what makes traces reproducible
 and lets sender and receiver agree on per-message parameters from a shared
 seed alone.
+
+``derive`` is the definition and the one-shot form, for a word whose seed
+or tag changes from call to call.  An ``Rng`` is the stream of words under
+one (seed, stream_tag): it mixes the pair into its key once, when it is
+built, and word i finalizes that key with i mixed in, equal to
+``derive(seed, stream_tag, i)``.  ``next_u64`` reads the word at ``index``
+and advances; ``at`` reads any word without advancing.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -51,18 +56,56 @@ def fnv64(text: str) -> int:
     return h
 
 
-@dataclass
 class Rng:
-    """Stateful view on one derive stream: each call consumes the next index."""
+    """Stateful view on one derive stream: each ``next_*`` call consumes
+    the word at ``index``.  ``seed`` and ``stream_tag`` are read-only, as
+    the key mixed from them is fixed when the stream is built."""
 
-    seed: int
-    stream_tag: int
-    index: int = 0
+    __slots__ = ("_seed", "_stream_tag", "_key", "index")
+
+    def __init__(self, seed: int, stream_tag: int, index: int = 0) -> None:
+        self._seed = seed
+        self._stream_tag = stream_tag
+        self.index = index
+        # derive's key without the index; masked now, since derive masks
+        # after mixing the index in and the low 64 bits are all it keeps.
+        tag = stream_tag & MASK64
+        self._key = (seed ^ (tag << 17) ^ (tag >> 47)) & MASK64
+
+    @property
+    def seed(self) -> int:
+        return self._seed
+
+    @property
+    def stream_tag(self) -> int:
+        return self._stream_tag
+
+    def __eq__(self, other):
+        if other.__class__ is Rng:
+            return (self._seed, self._stream_tag, self.index) == (
+                other._seed, other._stream_tag, other.index)
+        return NotImplemented
+
+    def __repr__(self):
+        return (f"Rng(seed={self._seed!r}, stream_tag={self._stream_tag!r}, "
+                f"index={self.index!r})")
+
+    def at(self, i: int) -> int:
+        """Word i of the stream, ``derive(seed, stream_tag, i)``; ``index``
+        does not move."""
+        z = ((self._key ^ i * GOLDEN) + GOLDEN) & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
 
     def next_u64(self) -> int:
-        word = derive(self.seed, self.stream_tag, self.index)
-        self.index += 1
-        return word
+        # at(index), inlined: every draw of a stream comes through here
+        i = self.index
+        self.index = i + 1
+        z = ((self._key ^ i * GOLDEN) + GOLDEN) & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
 
     def next_float(self) -> float:
         return uniform01(self.next_u64())

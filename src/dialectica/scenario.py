@@ -53,10 +53,12 @@ from .runtime import (
 from .specs import SpecError, build_lingo
 from .transforms import DataAdaptor
 from .values import (
+    JsonPath,
     atoms_from_json,
     int_from_json,
     list_from_json,
     object_from_json,
+    path_text,
     prob_from_json,
 )
 
@@ -92,11 +94,11 @@ def _text(obj, what: str) -> str:
     return obj
 
 
-def _parse_cmd(obj, room: Optional[int]) -> object:
-    """One client command, as the message it sends.  ``encoded_size``
-    refuses fields the codec cannot frame, and with a bit-vector payload the
-    message must fit ``room`` bytes.  No broker reply is longer than the
-    message it answers."""
+def _parse_cmd(obj, room: Optional[int], at: JsonPath) -> object:
+    """One client command, as the message it sends; ``at`` is its path.
+    ``encoded_size`` refuses fields the codec cannot frame, and with a
+    bit-vector payload the message must fit ``room`` bytes.  No broker reply
+    is longer than the message it answers."""
     if isinstance(obj, dict) and len(obj) == 1:
         [(key, body)] = obj.items()
         command = _COMMANDS.get(key)
@@ -115,7 +117,7 @@ def _parse_cmd(obj, room: Optional[int]) -> object:
             return command(*fields)
     if obj == "disconnect":
         return DisconnectMsg()
-    raise SpecError(f"unknown command {obj!r}")
+    raise SpecError(f"unknown command at {path_text(at)}: {obj!r}")
 
 
 def _check_session(oid: str, cmds: tuple) -> None:
@@ -131,21 +133,22 @@ def _check_session(oid: str, cmds: tuple) -> None:
 
 
 def _parse_actor(obj, room: Optional[int], i: int) -> object:
+    at = ("scenario", "actors", i)
     if not isinstance(obj, dict) or len(obj) != 1:
-        raise SpecError(f"actor spec must be a single-key object: {obj!r}")
+        raise SpecError(f"actor spec at {path_text(at)} must be a single-key "
+                        f"object: {obj!r}")
     key, body = next(iter(obj.items()))
     if key == "client":
-        body = object_from_json(body, ("oid", "cmds"),
-                                ("scenario", "actors", i, "client"))
+        body = object_from_json(body, ("oid", "cmds"), (at, "client"))
         oid = _text(body["oid"], "client oid")
-        cmds = tuple(_parse_cmd(c, room) for c in body.get("cmds", []))
+        cmds = tuple(_parse_cmd(c, room, (at, "client", "cmds", k))
+                     for k, c in enumerate(body.get("cmds", [])))
         _check_session(oid, cmds)
         return MqttClient(oid=oid, cmd_list=cmds)
     if key == "broker":
-        body = object_from_json(body, ("oid",),
-                                ("scenario", "actors", i, "broker"))
+        body = object_from_json(body, ("oid",), (at, "broker"))
         return MqttBroker(oid=_text(body["oid"], "broker oid"))
-    raise SpecError(f"unknown actor kind {key!r}")
+    raise SpecError(f"unknown actor kind {key!r} at {path_text(at)}")
 
 
 def _refuse_repeats(items, what: str) -> None:

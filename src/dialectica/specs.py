@@ -43,6 +43,7 @@ from .values import (
     list_from_json,
     JsonPath,
     object_from_json,
+    path_text,
     space_from_json,
     value_from_json,
 )
@@ -127,7 +128,8 @@ def build_lingo(spec: dict, at: JsonPath = "lingo") -> Lingo:
         except _BUILD_ERRORS as exc:
             raise SpecError(f"bad lingo spec {spec!r}: {exc}") from exc
     if len(spec) != 1:
-        raise SpecError(f"composite spec must have a single operator key: {spec!r}")
+        raise SpecError(f"composite spec at {path_text(at)} must have a single "
+                        f"operator key: {spec!r}")
     op, body = next(iter(spec.items()))
     at = (at, op)
     try:

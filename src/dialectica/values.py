@@ -6,6 +6,9 @@ distinct-component pairs used as parameter spaces, and the opaque domain
 of protocol messages.  Values are slotted immutable classes that own their
 equality, hash, ``repr``, xor and JSON text (compact, keys sorted; the dict
 form is parsed from it); they can be shared freely and used as dict keys.
+Equality, under every law check and compliance test, compares a class's
+fields directly and holds only within one class; the hash is that of the
+field tuple, as it was for the frozen dataclasses the classes replaced.
 Each space kind is one class that owns its membership test, size,
 enumeration, sampling and parameter projection.
 
@@ -36,8 +39,11 @@ class ShapeMismatch(Exception):
 class _Value:
     """What the value classes share.  ``__init__`` writes each field once,
     through its slot descriptor; a later write or delete raises
-    FrozenInstanceError.  Equality and hash go over the field tuple
-    ``_key()``, as a frozen dataclass has them."""
+    FrozenInstanceError.  The hash goes over the field tuple ``_key()``, as
+    a frozen dataclass has it.  Each class defines its own ``__eq__``, which
+    compares the fields directly and is equal only to its own class; as
+    defining ``__eq__`` sets a class's ``__hash__`` to None, each also
+    names ``_Value.__hash__`` again."""
 
     __slots__ = ()
 
@@ -46,11 +52,6 @@ class _Value:
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
 
     def __hash__(self):
         return hash(self._key())
@@ -71,6 +72,13 @@ class Nat(_Value):
 
     def _key(self) -> tuple:
         return (self.n,)
+
+    def __eq__(self, other):
+        if other.__class__ is Nat:
+            return self.n == other.n
+        return NotImplemented
+
+    __hash__ = _Value.__hash__
 
     def __repr__(self):
         return f"Nat(n={self.n!r})"
@@ -102,6 +110,13 @@ class BitVec(_Value):
     def _key(self) -> tuple:
         return (self.width, self.bits)
 
+    def __eq__(self, other):
+        if other.__class__ is BitVec:
+            return self.bits == other.bits and self.width == other.width
+        return NotImplemented
+
+    __hash__ = _Value.__hash__
+
     def __repr__(self):
         return f"BitVec(width={self.width!r}, bits={self.bits!r})"
 
@@ -128,6 +143,13 @@ class Pair(_Value):
     def _key(self) -> tuple:
         return (self.first, self.second)
 
+    def __eq__(self, other):
+        if other.__class__ is Pair:
+            return self.first == other.first and self.second == other.second
+        return NotImplemented
+
+    __hash__ = _Value.__hash__
+
     def __repr__(self):
         return f"Pair(first={self.first!r}, second={self.second!r})"
 
@@ -146,6 +168,13 @@ class AtomSet(_Value):
 
     def _key(self) -> tuple:
         return (self.members,)
+
+    def __eq__(self, other):
+        if other.__class__ is AtomSet:
+            return self.members == other.members
+        return NotImplemented
+
+    __hash__ = _Value.__hash__
 
     def __repr__(self):
         return f"AtomSet(members={self.members!r})"
@@ -170,6 +199,13 @@ class Tagged(_Value):
 
     def _key(self) -> tuple:
         return (self.branch, self.inner)
+
+    def __eq__(self, other):
+        if other.__class__ is Tagged:
+            return self.branch == other.branch and self.inner == other.inner
+        return NotImplemented
+
+    __hash__ = _Value.__hash__
 
     def __repr__(self):
         return f"Tagged(branch={self.branch!r}, inner={self.inner!r})"
@@ -510,7 +546,8 @@ def value_from_json(obj, at: JsonPath = "value") -> Value:
     try:
         return _value_from_json(obj, at)
     except (KeyError, IndexError, TypeError) as exc:
-        raise ValueError(f"not a value encoding: {obj!r}") from exc
+        raise ValueError(f"not a value encoding at {path_text(at)}: "
+                         f"{obj!r}") from exc
 
 
 def int_from_json(obj) -> int:
@@ -570,7 +607,7 @@ def _value_from_json(obj, at: JsonPath) -> Value:
     if isinstance(obj, list):
         return _pair_from_json(obj, at)
     if not isinstance(obj, dict) or len(obj) != 1:
-        raise ValueError(f"not a value encoding: {obj!r}")
+        raise ValueError(f"not a value encoding at {path_text(at)}: {obj!r}")
     key, body = next(iter(obj.items()))
     if key == "nat":
         return Nat(int_from_json(body))
@@ -585,7 +622,7 @@ def _value_from_json(obj, at: JsonPath) -> Value:
         body = object_from_json(body, ("i", "v"), (at, "tag"))
         return Tagged(int_from_json(body["i"]),
                       _value_from_json(body["v"], (at, "tag", "v")))
-    raise ValueError(f"unknown value kind: {key!r}")
+    raise ValueError(f"unknown value kind {key!r} at {path_text(at)}")
 
 
 def space_from_json(obj) -> Space:

@@ -130,6 +130,14 @@ class TestLingoEval:
         assert code == EXIT_SPEC_ERROR
         assert "argument error" in capsys.readouterr().err
 
+    def test_malformed_value_names_its_argument(self, capsys):
+        code = main(["lingo", "eval", DC, "g",
+                     '{"pair": [1, {"nat": "1", "zz": 2}]}', "3"])
+        assert code == EXIT_SPEC_ERROR
+        assert capsys.readouterr().err == (
+            "argument error: not a value encoding at args[0].pair[1]: "
+            "{'nat': '1', 'zz': 2}\n")
+
     @pytest.mark.parametrize("arg", ['{"pair": "12"}', '{"pair": [1, 2, 3]}',
                                      '[1, 2, 3]'])
     def test_pair_needs_two_items_exits_2(self, capsys, arg):
@@ -489,6 +497,37 @@ class TestSimulate:
         # Each of these ran before as if the key or entry were not there.
         doc = load_scenario_doc(name)
         doc.update(edit)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out", "/dev/null"]) == \
+            EXIT_SPEC_ERROR
+        assert capsys.readouterr().err == f"config error: {error}\n"
+
+    @pytest.mark.parametrize("name, edit, error", [
+        ("mqtt_xor.json",
+         lambda doc: doc["actors"][1]["client"]["cmds"][1].update(zz=1),
+         "unknown command at scenario.actors[1].client.cmds[1]: "
+         "{'publish': ['temp', '34'], 'zz': 1}"),
+        ("mqtt_xor.json", lambda doc: doc["actors"][2].update(zz=1),
+         "actor spec at scenario.actors[2] must be a single-key object: "
+         "{'broker': {'oid': 'b'}, 'zz': 1}"),
+        ("mqtt_xor.json",
+         lambda doc: doc.update(lingo_stack={
+             "sharp": {"sharp": {"kind": "xor_nat"}, "zz": 1}}),
+         "composite spec at scenario.lingo_stack.sharp must have a single "
+         "operator key: {'sharp': {'kind': 'xor_nat'}, 'zz': 1}"),
+        ("mqtt_horizontal.json",
+         lambda doc: doc["lingo_stack"]["horizontal"]["defaults"][1]["pair"][0]
+         .update(zz=1),
+         "bad 'horizontal' spec: not a value encoding at "
+         "scenario.lingo_stack.horizontal.defaults[1].pair[0]: "
+         "{'nat': '0', 'zz': 1}"),
+    ], ids=["command", "actor", "operator", "value"])
+    def test_one_key_node_error_names_its_path(self, capsys, tmp_path, name,
+                                               edit, error):
+        # A node whose one key says what it is refuses a second key.
+        doc = load_scenario_doc(name)
+        edit(doc)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["simulate", str(path), "--out", "/dev/null"]) == \

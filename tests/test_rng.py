@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dialectica.rng import BadBias, Rng, derive, fnv64, throw_biased, uniform01
 
@@ -93,3 +94,31 @@ class TestThrowBiased:
 def test_uniform01_bounds():
     assert uniform01(0) == 0.0
     assert uniform01(2**64 - 1) < 1.0
+
+
+# Any int: negative and wider than 64 bits, as seeds, tags and indexes may be.
+any_int = st.one_of(st.integers(-(2**64), 2**64),
+                    st.integers(-(2**130), 2**130))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_int, any_int, any_int)
+def test_stream_words_are_derive_at_each_index(seed, tag, start):
+    r = Rng(seed, tag, start)
+    assert [r.next_u64() for _ in range(4)] == [
+        _reference_derive(seed, tag, start + k) for k in range(4)]
+    assert r.index == start + 4
+    fresh = Rng(seed, tag)
+    assert fresh.at(start) == _reference_derive(seed, tag, start)
+    assert fresh.index == 0
+    assert (fresh.seed, fresh.stream_tag) == (seed, tag)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_int, any_int, any_int, st.integers(1, 2**70))
+def test_draws_follow_their_derive_formulas(seed, tag, start, bound):
+    r = Rng(seed, tag, start)
+    assert r.next_below(bound) == derive(seed, tag, start) % bound
+    assert r.next_float() == uniform01(derive(seed, tag, start + 1))
+    assert r == Rng(seed, tag, start + 2)
+    assert repr(r) == f"Rng(seed={seed!r}, stream_tag={tag!r}, index={start + 2!r})"

@@ -192,3 +192,39 @@ class TestValueOracle:
         for kind, fields in FIELDS.items():
             assert getattr(slotted, kind).__match_args__ == fields
             assert getattr(DATACLASSES, kind).__match_args__ == fields
+
+
+class TestValueContract:
+    """Each class's own ``__eq__`` against the hash the classes share."""
+
+    values = trees.filter(lambda t: t[0] != "raw").map(
+        lambda t: build(t, slotted))
+
+    @settings(max_examples=300, deadline=None)
+    @given(values)
+    def test_hash_is_the_field_tuples(self, v):
+        assert hash(v) == hash(v._key())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(trees.filter(lambda t: t[0] != "raw"), min_size=1,
+                    max_size=4))
+    def test_equal_values_hash_equal(self, drawn):
+        # each tree built twice, so every value has an equal, distinct twin
+        built = [build(t, slotted) for t in drawn + drawn]
+        for a in built:
+            for b in built:
+                if a == b:
+                    assert hash(a) == hash(b), (a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2**70), trees)
+    def test_equal_fields_of_another_class_are_unequal(self, n, tree):
+        v = build(tree, slotted)
+        for a, b in [(slotted.Nat(n), slotted.BitVec(n, n)),
+                     (slotted.Nat(1), slotted.BitVec(1, 1)),
+                     (slotted.Pair(n, v), slotted.Tagged(n, v)),
+                     (slotted.Pair(n, v), (n, v)),
+                     (slotted.Tagged(n, v), (n, v)),
+                     (slotted.Nat(n), (n,))]:
+            assert not a == b and not b == a, (a, b)
+            assert a != b and b != a, (a, b)
