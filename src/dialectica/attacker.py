@@ -21,6 +21,7 @@ parameter per flow.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Container
 from dataclasses import dataclass, field
 from math import sqrt
@@ -172,20 +173,26 @@ def reveal_sweep(state: AttackerState, now: int, rng: Rng) -> int:
     records it revealed.
 
     Draws happen in record order, one per unrevealed record whose
-    probability is positive."""
+    probability is positive.  No count changes during a sweep, so it reads
+    each lingo's and each key's step once, and the age step by bisection."""
+    if not state.unrevealed:
+        return 0
     adv = state.config.advantage
+    ages = [t for t, _ in adv.t_max]
+    weak = {n: eval_step(adv.w_max, c) for n, c in state.lingo_counts.items()}
+    strong: dict[tuple[str, str], float] = {}
     revealed = 0
     for rec, key in state.unrevealed:
-        p_age = eval_step(adv.t_max, now - rec.t)
         name = rec.hidden.lingo_name
-        if name is None:
-            p_weak = p_strong = 0.0
-        else:
-            p_weak = eval_step(adv.w_max, state.lingo_counts[name])
-            p_strong = (0.0 if key is None
-                        else eval_step(adv.s_max, state.pair_counts[key]))
-        p_clear = 0.0 if name is not None else 1.0
-        p = min(p_age + p_weak + p_strong + p_clear, 1.0)
+        p = 1.0   # a bare record is cleartext: p_clear is 1
+        if name is not None:
+            i = bisect_right(ages, now - rec.t)
+            p = (adv.t_max[i - 1][1] if i else 0.0) + weak[name]
+            if key is not None:
+                if key not in strong:
+                    strong[key] = eval_step(adv.s_max, state.pair_counts[key])
+                p += strong[key]
+            p = min(p, 1.0)
         if p <= 0.0:
             continue
         if rng.next_float() <= p:

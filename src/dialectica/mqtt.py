@@ -9,15 +9,16 @@ subscribers.
 
 ``encode_mqtt``/``decode_mqtt`` map protocol messages to payload values:
 one tag byte followed by length-prefixed UTF-8 fields, read big-endian as a
-natural or zero-padded into a bit-vector of configured width.  The decoder
-is a strict parser: anything not produced by the encoder comes back as
-RetractFailure instead of raising, so the pair forms the data adaptor
-``mqtt_codec_adaptor``, the simulator's only message codec.
+natural or zero-padded into a bit-vector of configured width; each field is
+encoded once, into one buffer, through the check ``encoded_size`` also
+applies.  The decoder is a strict parser: anything not produced by the
+encoder comes back as RetractFailure instead of raising, so the pair forms
+the data adaptor ``mqtt_codec_adaptor``, the simulator's only message codec.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 from .core import SpaceViolation
@@ -36,17 +37,20 @@ from .values import (
 # Messages
 # ---------------------------------------------------------------------------
 
+def _field(v: str) -> bytes:
+    """A field's UTF-8 bytes; ValueError unless there are 1..255."""
+    data = v.encode("utf-8")
+    if not 1 <= len(data) <= 255:
+        raise ValueError(f"field {v[:20]!r} must be 1..255 UTF-8 bytes, "
+                         f"got {len(data)}")
+    return data
+
+
 def encoded_size(values) -> int:
-    """Bytes ``encode_mqtt`` writes for a message with these field values: a
-    tag byte, then per field a length byte and 1..255 UTF-8 bytes (else
-    ValueError)."""
+    """Bytes ``encode_mqtt`` writes for a message with these field values."""
     size = 1
     for v in values:
-        n = len(v.encode("utf-8"))
-        if not 1 <= n <= 255:
-            raise ValueError(f"field {v[:20]!r} must be 1..255 UTF-8 bytes, "
-                             f"got {n}")
-        size += 1 + n
+        size += 1 + len(_field(v))
     return size
 
 
@@ -136,7 +140,9 @@ class MqttClient:
     def _with_recv(self, topic: str, value: str) -> "MqttClient":
         entries = dict(self.last_recv)
         entries[topic] = value
-        return replace(self, last_recv=tuple(sorted(entries.items())))
+        return MqttClient(oid=self.oid, peer=self.peer, cmd_list=self.cmd_list,
+                          last_recv=tuple(sorted(entries.items())),
+                          awaiting=self.awaiting)
 
     def step(self, incoming) -> Union[tuple["MqttClient", Outbound], Reject]:
         if incoming is None:
@@ -152,8 +158,9 @@ class MqttClient:
             else:
                 dst = self.peer
             peer = None if isinstance(msg, DisconnectMsg) else self.peer
-            return (replace(self, cmd_list=rest, peer=peer,
-                            awaiting=_AWAITS.get(type(msg))), [(dst, msg)])
+            return (MqttClient(oid=self.oid, peer=peer, cmd_list=rest,
+                               last_recv=self.last_recv,
+                               awaiting=_AWAITS.get(type(msg))), [(dst, msg)])
 
         src, msg = incoming
         ack = _ACK_NAMES.get(type(msg))
@@ -161,7 +168,8 @@ class MqttClient:
             if self.awaiting != ack or (ack == "connack" and self.peer is not None):
                 return Reject(f"unexpected {ack}")
             peer = src if ack == "connack" else self.peer
-            return replace(self, peer=peer, awaiting=None), []
+            return MqttClient(oid=self.oid, peer=peer, cmd_list=self.cmd_list,
+                              last_recv=self.last_recv, awaiting=None), []
         if isinstance(msg, Forward):
             return self._with_recv(msg.topic, msg.value), []
         return Reject(f"client cannot handle {type(msg).__name__}")
@@ -182,7 +190,8 @@ class MqttBroker:
 
     def _with_subscribers(self, subs: dict[str, frozenset[str]]) -> "MqttBroker":
         pruned = {t: s for t, s in subs.items() if s}
-        return replace(self, subscribers=tuple(sorted(pruned.items())))
+        return MqttBroker(oid=self.oid, peers=self.peers,
+                          subscribers=tuple(sorted(pruned.items())))
 
     def step(self, incoming) -> Union[tuple["MqttBroker", Outbound], Reject]:
         if incoming is None:
@@ -191,7 +200,8 @@ class MqttBroker:
         if isinstance(msg, ConnectMsg):
             if msg.broker != self.oid:
                 return Reject("connect addressed to a different broker")
-            return replace(self, peers=self.peers | {src}), [(src, ConnAck())]
+            return (MqttBroker(oid=self.oid, peers=self.peers | {src},
+                               subscribers=self.subscribers), [(src, ConnAck())])
         if src not in self.peers:
             return Reject(f"{src} is not a connected peer")
         subs = self.subscriber_map()
@@ -206,7 +216,8 @@ class MqttBroker:
             return self, [(t, Forward(msg.topic, msg.value)) for t in targets]
         if isinstance(msg, DisconnectMsg):
             subs = {t: s - {src} for t, s in subs.items()}
-            return replace(self, peers=self.peers - {src})._with_subscribers(subs), []
+            gone = MqttBroker(oid=self.oid, peers=self.peers - {src})
+            return gone._with_subscribers(subs), []
         return Reject(f"broker cannot handle {type(msg).__name__}")
 
 
@@ -255,15 +266,14 @@ def encode_mqtt(msg: MqttMsg, width: Optional[int] = None) -> Value:
     if entry is None:
         raise SpaceViolation(f"{msg!r} is not an MQTT message")
     tag, names = entry
-    values = [getattr(msg, f) for f in names]
-    size = encoded_size(values)
-    if width is not None and size * 8 > width:
+    out = bytearray((tag,))
+    for name in names:
+        data = _field(getattr(msg, name))
+        out.append(len(data))
+        out += data
+    if width is not None and len(out) * 8 > width:
         raise WidthOverflow(
-            f"{type(msg).__name__} needs {size * 8} bits, width is {width}")
-    out = bytes([tag])
-    for v in values:
-        data = v.encode("utf-8")
-        out += bytes([len(data)]) + data
+            f"{type(msg).__name__} needs {len(out) * 8} bits, width is {width}")
     n = int.from_bytes(out, "big")
     return Nat(n) if width is None else BitVec(width, n)
 

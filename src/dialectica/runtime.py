@@ -46,10 +46,10 @@ The enabled set is maintained, not rebuilt: each rule marks the instances
 it touches as dirty (``Configuration.channel()`` marks its channel's
 ``deliver``), and the scheduler re-checks only those.  It keeps one sorted
 list per kind, and ``step`` indexes across them without joining them.  A
-wrapper's pending output is probed again only when its actor object
-changed.  Attack
-candidates are found through the attacker's per-flow capture and leak
-indexes, and rebuilt only when one of those indexes grew.
+wrapper's probe keeps its actor's spontaneous transition until the actor
+object changes, and ``rule_out`` applies it.  Attack candidates are found
+through the attacker's per-flow capture and leak indexes, and rebuilt only
+when one of those indexes grew.
 """
 
 from __future__ import annotations
@@ -157,9 +157,9 @@ class DialectWrapper:
         self.in_buffers: dict[str, deque[Message]] = {}
         self.send_counters: dict[str, int] = {}
         self.recv_counters: dict[str, int] = {}
-        # (actor, has pending output) from the last spontaneous-step probe;
-        # actors are immutable, so the answer holds while the object does.
-        self.probe: Optional[tuple[object, bool]] = None
+        # (actor, its spontaneous transition, None if it sends nothing): an
+        # actor is immutable and its spontaneous step pure, so this holds.
+        self.probe: Optional[tuple[object, Optional[tuple]]] = None
 
     def lingo_for(self, peer: str, sending: bool) -> Optional[Lingo]:
         """Active lingo for the next message sent to or received from
@@ -283,13 +283,12 @@ def make_configuration(actors, policy: LingoPolicy, seed: int,
 # Rewrite rules
 # ---------------------------------------------------------------------------
 
-def _out_pending(w: DialectWrapper) -> bool:
-    if w.outbox:
-        return True
+def _spontaneous(w: DialectWrapper) -> Optional[tuple]:
+    """The actor's sending transition, or None; stepped once per actor object."""
     if w.probe is None or w.probe[0] is not w.actor:
         stepped = actor_step(w.actor, None)
-        w.probe = (w.actor,
-                   not isinstance(stepped, Reject) and bool(stepped[1]))
+        w.probe = (w.actor, None if isinstance(stepped, Reject)
+                   or not stepped[1] else stepped)
     return w.probe[1]
 
 
@@ -298,8 +297,7 @@ def rule_out(cfg: Configuration, oid: str) -> Configuration:
     message on the channel; the attacker sees a copy."""
     w = cfg.wrappers[oid]
     if not w.outbox:
-        actor2, outs = actor_step(w.actor, None)
-        w.actor = actor2
+        w.actor, outs = _spontaneous(w)
         w.outbox.extend(outs)
     dst, msg = w.outbox.popleft()
     cfg.dirty.add(("out", oid))
@@ -489,7 +487,8 @@ def _attack_candidates(cfg) -> list[tuple[str, tuple[str, str]]]:
 def _instance_enabled(cfg: Configuration, inst: tuple) -> bool:
     kind = inst[0]
     if kind == "out":
-        return _out_pending(cfg.wrappers[inst[1]])
+        w = cfg.wrappers[inst[1]]
+        return True if w.outbox else _spontaneous(w) is not None
     if kind == "deliver":
         return bool(cfg.channels[inst[1:]])
     _, oid, src = inst

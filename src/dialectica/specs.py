@@ -75,15 +75,15 @@ _OPERATOR_FIELDS = {
 }
 
 _LEAF_BUILDERS = {
-    "xor_bitvec": lambda s: make_xor_bitvec(int_from_json(s["width"])),
-    "xor_nat": lambda s: make_xor_nat(),
-    "xor_set": lambda s: make_xor_set(atoms_from_json(s["universe"])),
-    "divide_check": lambda s: make_divide_check(
+    "xor_bitvec": lambda s, at: make_xor_bitvec(int_from_json(s["width"])),
+    "xor_nat": lambda s, at: make_xor_nat(),
+    "xor_set": lambda s, at: make_xor_set(atoms_from_json(s["universe"])),
+    "divide_check": lambda s, at: make_divide_check(
         int_from_json(s.get("param_ceiling", 1 << 16))),
-    "reverse_divide_check": lambda s: make_reverse_divide_check(
+    "reverse_divide_check": lambda s, at: make_reverse_divide_check(
         int_from_json(s.get("param_ceiling", 1 << 16))),
-    "identity": lambda s: make_identity(space_from_json(s["space"])),
-    "split_bitvec": lambda s: make_split_bitvec(int_from_json(s["half_width"])),
+    "identity": lambda s, at: make_identity(space_from_json(s["space"], (at, "space"))),
+    "split_bitvec": lambda s, at: make_split_bitvec(int_from_json(s["half_width"])),
 }
 
 
@@ -94,7 +94,7 @@ def build_adaptor(spec: dict, at: JsonPath = "adaptor") -> DataAdaptor:
         kind = spec["kind"]
         spec = object_from_json(spec, _KIND_FIELDS.get(kind, ("kind",)), at)
         if kind == "identity":
-            return identity_adaptor(space_from_json(spec["space"]))
+            return identity_adaptor(space_from_json(spec["space"], (at, "space")))
         if kind == "nat_bitvec":
             return nat_bitvec_adaptor(int_from_json(spec["width"]))
         if kind == "bitvec_nat":
@@ -124,7 +124,7 @@ def build_lingo(spec: dict, at: JsonPath = "lingo") -> Lingo:
         if builder is None:
             raise SpecError(f"unknown lingo kind {spec['kind']!r}")
         try:
-            return builder(object_from_json(spec, _KIND_FIELDS[kind], at))
+            return builder(object_from_json(spec, _KIND_FIELDS[kind], at), at)
         except _BUILD_ERRORS as exc:
             raise SpecError(f"bad lingo spec {spec!r}: {exc}") from exc
     if len(spec) != 1:

@@ -121,12 +121,15 @@ def _involution(seed: int, n: int, width: int) -> tuple[int, ...]:
     """Secret bit-position involution on ``width`` positions for nonce n."""
     perm = [-1] * width
     rng = Rng(derive(seed, _INVO_TAG, n), SAMPLE_TAG)
-    for i in range(width):
-        if perm[i] != -1:
-            continue
-        free = [p for p in range(i, width) if perm[p] == -1]
-        partner = free[rng.next_below(len(free))]
+    # Unpaired positions, ascending; each step pairs the lowest with a draw.
+    free = list(range(width))
+    while free:
+        k = rng.next_below(len(free))
+        i, partner = free[0], free[k]
         perm[i], perm[partner] = partner, i
+        del free[k]
+        if k:
+            del free[0]
     return tuple(perm)
 
 
@@ -143,12 +146,9 @@ def _wire_bits(wire: Value, width: int) -> int:
 
 
 def _apply_involution(bits: int, width: int, perm: tuple[int, ...]) -> int:
-    # Position 0 is the most significant bit.
-    out = 0
-    for i in range(width):
-        bit = (bits >> (width - 1 - perm[i])) & 1
-        out |= bit << (width - 1 - i)
-    return out
+    # Position 0 is the most significant bit; position i takes bit perm[i].
+    text = format(bits, f"0{width}b")
+    return int("".join([text[p] for p in perm]), 2)
 
 
 def authenticating(base: Lingo, oids: list[str], m: int, j: int, k: int,

@@ -625,7 +625,8 @@ def _value_from_json(obj, at: JsonPath) -> Value:
     raise ValueError(f"unknown value kind {key!r} at {path_text(at)}")
 
 
-def space_from_json(obj) -> Space:
+def space_from_json(obj, at: JsonPath = "space") -> Space:
+    """A space from its encoding; a ValueError names the bad part's path."""
     if obj == "nat":
         return NatSpace()
     if isinstance(obj, dict) and len(obj) == 1:
@@ -633,11 +634,13 @@ def space_from_json(obj) -> Space:
         if key == "bitvec":
             return BitVecSpace(int_from_json(body))
         if key == "pair":
-            return PairSpace(*map(space_from_json, list_from_json(body, 2)))
+            return PairSpace(*(space_from_json(b, (at, key, i)) for i, b
+                               in enumerate(list_from_json(body, 2))))
         if key == "atoms":
             return AtomSetSpace(atoms_from_json(body))
         if key == "tagged":
-            return TaggedSpace(tuple(space_from_json(b) for b in body))
+            return TaggedSpace(tuple(space_from_json(b, (at, key, i)) for i, b
+                                     in enumerate(list_from_json(body))))
         if key == "parampair":
-            return ParamPairSpace(space_from_json(body))
-    raise ValueError(f"not a space encoding: {obj!r}")
+            return ParamPairSpace(space_from_json(body, (at, key)))
+    raise ValueError(f"not a space encoding at {path_text(at)}: {obj!r}")

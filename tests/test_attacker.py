@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dialectica.attacker import (
     AdvantageConfig,
@@ -144,6 +145,84 @@ class TestRevealSweep:
             sizes.append(len(revealed(state)))
             assert sizes[-1] == total   # the count is the records it revealed
         assert sizes == sorted(sizes)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: a frozen copy of the sweep that evaluated all three step functions
+# per record.  ``reveal_sweep`` must reveal the same records, leave the same
+# indexes, return the same count and consume the same draws.
+# ---------------------------------------------------------------------------
+
+def _old_reveal_sweep(state, now, rng):
+    adv = state.config.advantage
+    revealed = 0
+    for rec, key in state.unrevealed:
+        p_age = eval_step(adv.t_max, now - rec.t)
+        name = rec.hidden.lingo_name
+        if name is None:
+            p_weak = p_strong = 0.0
+        else:
+            p_weak = eval_step(adv.w_max, state.lingo_counts[name])
+            p_strong = (0.0 if key is None
+                        else eval_step(adv.s_max, state.pair_counts[key]))
+        p_clear = 0.0 if name is not None else 1.0
+        p = min(p_age + p_weak + p_strong + p_clear, 1.0)
+        if p <= 0.0:
+            continue
+        if rng.next_float() <= p:
+            rec.revealed = True
+            revealed += 1
+            if rec.hidden.param is not None:
+                state.leaked[(rec.src, rec.dst)] = rec
+    if revealed:
+        state.unrevealed = [entry for entry in state.unrevealed
+                            if not entry[0].revealed]
+    return revealed
+
+
+# Step functions with few thresholds, so records cross them, and
+# probabilities at the edges and in between.
+_adv_steps = st.dictionaries(
+    st.integers(0, 12), st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0, 1),
+    max_size=4).map(lambda d: tuple(sorted(d.items())))
+# (src, lingo or None for a bare record, parameter): few of each, so
+# lingos and (lingo, parameter) keys repeat.
+_captures = st.tuples(st.sampled_from("abc"), st.sampled_from([None, "x", "y"]),
+                      st.integers(0, 2))
+
+
+def _sweep_view(state):
+    at = {id(rec): i for i, rec in enumerate(state.records)}
+    return ([rec.revealed for rec in state.records],
+            {flow: at[id(rec)] for flow, rec in state.leaked.items()},
+            [(at[id(rec)], key) for rec, key in state.unrevealed],
+            state.rng.index)
+
+
+@settings(deadline=None)
+@given(t_max=_adv_steps, w_max=_adv_steps, s_max=_adv_steps,
+       batches=st.lists(st.tuples(st.lists(_captures, max_size=12),
+                                  st.integers(0, 8)),
+                        min_size=1, max_size=4),
+       seed=st.integers(0, 2**32))
+def test_reveal_sweep_matches_the_old_sweep(t_max, w_max, s_max, batches, seed):
+    config = AttackerConfig(advantage=AdvantageConfig(t_max=t_max, w_max=w_max,
+                                                      s_max=s_max))
+    new, old = (AttackerState(config, Rng(seed, ATTACKER_TAG)) for _ in "ab")
+    t = 0
+    for captures, gap in batches:
+        for src, name, param in captures:
+            hidden = HiddenCtx(lingo_name=name,
+                               param=None if name is None else Nat(param),
+                               plaintext=Nat(t), index=t)
+            for state in (new, old):
+                observe(state, Message(dst="d", src=src, payload=Nat(t)), t,
+                        hidden)
+            t += 1
+        now = t + gap
+        assert (reveal_sweep(new, now, new.rng)
+                == _old_reveal_sweep(old, now, old.rng))
+        assert _sweep_view(new) == _sweep_view(old)
 
 
 class TestForgeryCrafting:

@@ -130,6 +130,24 @@ class TestLingoEval:
         assert code == EXIT_SPEC_ERROR
         assert "argument error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, error", [
+        ({"kind": "identity", "space": {"tagged": 5}},
+         "not a JSON list: 5"),
+        ({"kind": "identity", "space": {"tagged": {"a": 1}}},
+         "not a JSON list: {'a': 1}"),
+        ({"kind": "identity", "space": {"pair": [{"bitvec": 8}, {"nope": 1}]}},
+         "not a space encoding at lingo.space.pair[1]: {'nope': 1}"),
+        ({"adapt_pre": {"adaptor": {"kind": "identity",
+                                    "space": {"tagged": ["nat", {"nope": 1}]}},
+                        "lingo": {"kind": "xor_nat"}}},
+         "not a space encoding at lingo.adapt_pre.adaptor.space.tagged[1]: "
+         "{'nope': 1}"),
+    ], ids=["tagged_int", "tagged_object", "pair_item", "adaptor_tagged_item"])
+    def test_bad_space_names_its_path(self, capsys, spec, error):
+        code = main(["lingo", "eval", json.dumps(spec), "f", "1", "2"])
+        assert code == EXIT_SPEC_ERROR
+        assert capsys.readouterr().err.endswith(f": {error}\n")
+
     def test_malformed_value_names_its_argument(self, capsys):
         code = main(["lingo", "eval", DC, "g",
                      '{"pair": [1, {"nat": "1", "zz": 2}]}', "3"])

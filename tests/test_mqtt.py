@@ -1,5 +1,5 @@
 import ast
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -290,6 +290,81 @@ def test_actor_step_matches_the_old_ladder(actor, incoming):
     assert new == old
     if not isinstance(old, Reject):
         assert new[0].digest() == old[0].digest()
+
+
+# ---------------------------------------------------------------------------
+# Oracle: a frozen copy of the encoder that checked every field, then
+# encoded each field again and grew its frame by concatenation.
+# ``encode_mqtt`` must return the same value, or raise the same exception
+# class with the same message, for every message and width.
+# ---------------------------------------------------------------------------
+
+_OLD_TAGS = {ConnectMsg: 1, ConnAck: 2, SubMsg: 3, SubAck: 4, UnsubMsg: 5,
+             UnsubAck: 6, PubMsg: 7, Forward: 8, DisconnectMsg: 9}
+
+
+def _old_encoded_size(values):
+    size = 1
+    for v in values:
+        n = len(v.encode("utf-8"))
+        if not 1 <= n <= 255:
+            raise ValueError(f"field {v[:20]!r} must be 1..255 UTF-8 bytes, "
+                             f"got {n}")
+        size += 1 + n
+    return size
+
+
+def _old_encode_mqtt(msg, width=None):
+    tag = _OLD_TAGS[type(msg)]
+    values = [getattr(msg, f.name) for f in fields(msg)]
+    size = _old_encoded_size(values)
+    if width is not None and size * 8 > width:
+        raise WidthOverflow(
+            f"{type(msg).__name__} needs {size * 8} bits, width is {width}")
+    out = bytes([tag])
+    for v in values:
+        data = v.encode("utf-8")
+        out += bytes([len(data)]) + data
+    n = int.from_bytes(out, "big")
+    return Nat(n) if width is None else BitVec(width, n)
+
+
+def _clip_utf8(text: str, limit: int = 256) -> str:
+    """The longest prefix of ``text`` of at most ``limit`` UTF-8 bytes."""
+    return text.encode("utf-8")[:limit].decode("utf-8", "ignore")
+
+
+# Fields of 0 to 256 UTF-8 bytes: 1..255 frame, the ends do not.  One- to
+# four-byte characters, and runs of one character to reach the long ones.
+_chars = st.characters(codec="utf-8")
+_wire_fields = (st.text(_chars, max_size=256)
+                | st.builds(lambda c, k: c * k, _chars, st.integers(0, 256))
+                ).map(_clip_utf8)
+_wire_msgs = st.one_of(
+    st.builds(ConnectMsg, _wire_fields), st.just(ConnAck()),
+    st.builds(SubMsg, _wire_fields), st.just(SubAck()),
+    st.builds(UnsubMsg, _wire_fields), st.just(UnsubAck()),
+    st.builds(PubMsg, _wire_fields, _wire_fields),
+    st.builds(Forward, _wire_fields, _wire_fields),
+    st.just(DisconnectMsg()))
+
+
+def _encoding(encode, msg, width):
+    try:
+        value = encode(msg, width)
+    except (ValueError, WidthOverflow) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+@given(msg=_wire_msgs)
+@example(msg=PubMsg("x" * 255, "\u00e9" * 128))
+@example(msg=Forward("\U0001f600" * 63 + "abc", ""))
+@example(msg=SubMsg("t" * 62))
+def test_encode_matches_the_old_encoder(msg):
+    for width in (None, 8, 64, 512):
+        assert (_encoding(encode_mqtt, msg, width)
+                == _encoding(_old_encode_mqtt, msg, width))
 
 
 # ---------------------------------------------------------------------------

@@ -798,6 +798,24 @@ class TestIncrementalEnabledSet:
         run_against_reference(cfg, 100)
 
 
+@pytest.mark.parametrize("name", [*ALL_SCENARIOS, "scale6_attacker1"])
+def test_no_actor_is_stepped_spontaneously_twice(name, monkeypatch):
+    # ``rule_out`` applies the transition the enabled-set probe computed, so
+    # each actor object takes at most one spontaneous step.
+    stepped = []   # the actors themselves, kept alive so no id is reused
+
+    def recording_step(actor, incoming):
+        if incoming is None:
+            stepped.append(actor)
+        return actor_step(actor, incoming)
+
+    monkeypatch.setattr(runtime, "actor_step", recording_step)
+    scenario = parse_scenario(ORACLE_DOCS[name])
+    run(build_configuration(scenario), scenario.max_steps)
+    assert stepped
+    assert len({id(actor) for actor in stepped}) == len(stepped)
+
+
 class TestParamMemo:
     def test_each_parameter_is_derived_once(self):
         cfg = build_configuration(parse_scenario(

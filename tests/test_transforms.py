@@ -19,6 +19,7 @@ from dialectica.library import (
     make_xor_nat,
 )
 from dialectica.mqtt import ConnAck, PubMsg, SubMsg, mqtt_codec_adaptor
+from dialectica.rng import SAMPLE_TAG, derive, fnv64
 from dialectica.transforms import (
     AuthParam,
     DegenerateParamSpace,
@@ -38,6 +39,8 @@ from dialectica.transforms import (
     sparse_code_adaptor,
     xor_recipe,
     xor_sharp_recipe,
+    _apply_involution,
+    _involution,
 )
 from dialectica.values import (
     AtomSet,
@@ -233,6 +236,41 @@ def test_auth_lingo_matches_the_pair_oracle(pair, seed, caller_seed, base_width,
     with pytest.raises(NonceExhausted) as want:
         oracle.param2(1 << k, pair)
     assert str(got.value) == str(want.value)
+
+
+# Frozen copies of the authenticating lingo's bit scrambling before it ran
+# in O(width): a free list rebuilt at every step, and a loop over bits.
+
+def _old_involution(seed, n, width):
+    perm = [-1] * width
+    rng = Rng(derive(seed, fnv64("involution"), n), SAMPLE_TAG)
+    for i in range(width):
+        if perm[i] != -1:
+            continue
+        free = [p for p in range(i, width) if perm[p] == -1]
+        partner = free[rng.next_below(len(free))]
+        perm[i], perm[partner] = partner, i
+    return tuple(perm)
+
+
+def _old_apply_involution(bits, width, perm):
+    out = 0
+    for i in range(width):
+        bit = (bits >> (width - 1 - perm[i])) & 1
+        out |= bit << (width - 1 - i)
+    return out
+
+
+@settings(deadline=None)
+@given(width=st.integers(1, 200), seed=st.integers(0, 2**64 - 1),
+       n=st.integers(0, 2**32), data=st.data())
+def test_involution_matches_the_old_loops(width, seed, n, data):
+    perm = _involution(seed, n, width)
+    assert perm == _old_involution(seed, n, width)
+    bits = data.draw(st.integers(0, (1 << width) - 1)
+                     | st.sampled_from([0, (1 << width) - 1]), label="bits")
+    assert (_apply_involution(bits, width, perm)
+            == _old_apply_involution(bits, width, perm))
 
 
 class TestAdaptors:
