@@ -26,7 +26,7 @@ from .library import (
     make_xor_nat,
     make_xor_set,
 )
-from .compositions import HorizontalSpec, functional, horizontal, product, tupling
+from .compositions import functional, horizontal, product, tupling
 from .rng import derive, throw_biased
 from .transforms import (
     DataAdaptor,

@@ -50,6 +50,7 @@ from .values import (
     TaggedSpace,
     Value,
     int_from_json,
+    list_from_json,
     object_from_json,
     prob_from_json,
     xor_value,
@@ -92,8 +93,9 @@ class AdvantageConfig:
         obj = object_from_json(obj, ("t_max", "w_max", "s_max"), at)
 
         def steps(key):
-            return tuple((int_from_json(t), prob_from_json(p))
-                         for t, p in obj.get(key, []))
+            return tuple((int_from_json(t), prob_from_json(p)) for t, p in (
+                list_from_json(step, (at, key, i), 2) for i, step
+                in enumerate(list_from_json(obj.get(key, []), (at, key)))))
 
         return AdvantageConfig(t_max=steps("t_max"), w_max=steps("w_max"),
                                s_max=steps("s_max"))
@@ -148,35 +150,34 @@ class AttackerState:
         return self.config.max_injections - self.injected
 
 
-def observe(state: AttackerState, msg: Message, t: int,
-            hidden: HiddenCtx) -> AttackerState:
-    """Record a cloned wire message; channels are never touched."""
+def observe(state: AttackerState, msg: Message, t: int) -> None:
+    """Record a cloned wire message and its hidden context; channels are untouched."""
     rec = CapturedRecord(src=msg.src, dst=msg.dst, wire=msg.payload, t=t,
-                         hidden=hidden)
+                         hidden=msg.hidden)
     state.records.append(rec)
     state.latest[(rec.src, rec.dst)] = rec
     key = None
-    name = hidden.lingo_name
+    name = rec.hidden.lingo_name
     if name is not None:
         state.lingo_counts[name] = state.lingo_counts.get(name, 0) + 1
         # Only the strong-reveal step reads the (lingo, parameter) count.
         if state.config.advantage.s_max:
-            key = (name, repr(hidden.param))
+            key = (name, repr(rec.hidden.param))
             state.pair_counts[key] = state.pair_counts.get(key, 0) + 1
     state.unrevealed.append((rec, key))
-    return state
 
 
-def reveal_sweep(state: AttackerState, now: int, rng: Rng) -> int:
+def reveal_sweep(state: AttackerState, now: int) -> int:
     """Try to reveal every captured message with the additive probability
     min(p_age + p_weak + p_strong + p_cleartext, 1), and return how many
     records it revealed.
 
-    Draws happen in record order, one per unrevealed record whose
-    probability is positive.  No count changes during a sweep, so it reads
-    each lingo's and each key's step once, and the age step by bisection."""
+    Draws come from ``state.rng`` in record order, one per unrevealed
+    record with a positive probability.  No count changes in a sweep, so it
+    reads each lingo's and each key's step once, the age step by bisection."""
     if not state.unrevealed:
         return 0
+    rng = state.rng
     adv = state.config.advantage
     ages = [t for t, _ in adv.t_max]
     weak = {n: eval_step(adv.w_max, c) for n, c in state.lingo_counts.items()}
@@ -235,13 +236,13 @@ def strategy_ready(state: AttackerState, strategy: str, src: str, dst: str
 
 
 def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
-                  rng: Rng, lingo: Optional[Lingo] = None
+                  lingo: Optional[Lingo] = None
                   ) -> Union[tuple[object, Optional[object]], NoAttempt]:
     """Produce (payload, intended_plaintext) for a strategy, or NoAttempt.
 
     ``lingo`` is the receiver's active lingo (None on a bare flow, whose
     wire space is opaque); its output space is the wire space strategies
-    sample from.
+    sample from, with ``state.rng``.
     ``intended_plaintext`` is an ``_Intent`` naming what the attacker means
     the receiver to decode; None when the strategy only aims to pass the
     forgery check.  A strategy reads a record's ``hidden`` context only once
@@ -263,7 +264,7 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
             return NoAttempt("no observation")
         if not isinstance(rec.wire, (Nat, BitVec)):
             return NoAttempt("wire is not xor-shaped")
-        mask = _mask_for(wire_space, rng)
+        mask = _mask_for(wire_space, state.rng)
         if type(mask) is not type(rec.wire):
             return NoAttempt("mask space does not match the wire")
         forged = xor_recipe(rec.wire, mask)
@@ -276,7 +277,7 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
                 or not isinstance(rec.wire.first, BitVec) \
                 or not isinstance(rec.wire.second, BitVec):
             return NoAttempt("no bitvec-pair observation")
-        mask = _mask_for(wire_space, rng)
+        mask = _mask_for(wire_space, state.rng)
         if not isinstance(mask, Pair) or not isinstance(mask.first, BitVec):
             return NoAttempt("wire space is not a bitvec-pair space")
         forged = xor_sharp_recipe(rec.wire, mask)
@@ -284,7 +285,7 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
         return forged, _Intent(rec, lambda plain: xor_value(plain, applied))
 
     if strategy == "dc_zero_remainder":
-        x = Nat(1 + rng.next_below((1 << 16) - 1))
+        x = Nat(1 + state.rng.next_below((1 << 16) - 1))
         payload: object = Pair(x, Nat(0))
         if isinstance(wire_space, TaggedSpace):
             payload = Tagged(1, payload)
@@ -293,13 +294,15 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
     if strategy == "random_wire":
         if wire_space.opaque:
             return NoAttempt("no wire space to sample")
-        return wire_space.sample(rng), None
+        return wire_space.sample(state.rng), None
 
     if strategy == "param_reuse_oracle":
         leak = state.leaked.get((src, dst))
         if leak is None or lingo is None:
             return NoAttempt("no revealed parameters")
         hidden = leak.hidden
+        if hidden.lingo_name != lingo.name:   # the flow rotated since the leak
+            return NoAttempt("the revealed parameter is another lingo's")
         return apply_f(lingo, hidden.plaintext, hidden.param), _Intent(leak)
 
     return NoAttempt(f"unknown strategy {strategy!r}")
@@ -321,11 +324,10 @@ class _Intent:
 
 
 def attempt_forgery(state: AttackerState, strategy: str, target: tuple[str, str],
-                    rng: Rng, lingo: Optional[Lingo] = None
-                    ) -> Union[Message, NoAttempt]:
+                    lingo: Optional[Lingo] = None) -> Union[Message, NoAttempt]:
     """Craft and address a forged message for the (src, dst) channel."""
     src, dst = target
-    crafted = craft_forgery(state, strategy, src, dst, rng, lingo)
+    crafted = craft_forgery(state, strategy, src, dst, lingo)
     if isinstance(crafted, NoAttempt):
         return crafted
     payload, _ = crafted
@@ -337,8 +339,8 @@ def attempt_forgery(state: AttackerState, strategy: str, target: tuple[str, str]
 # Spoofing experiments
 # ---------------------------------------------------------------------------
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96
-                    ) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    z = 1.96   # the 95 % interval
     if trials == 0:
         return 0.0, 1.0
     phat = successes / trials
@@ -418,21 +420,19 @@ def run_spoof_experiment(lingo: Lingo, reuse: int, strategy: str,
     trial_seeds = Rng(seed, _SPOOF_TAG).at
     for t in range(trials):
         trial_seed = trial_seeds(t)
-        rng = Rng(trial_seed, ATTACKER_TAG)
-        state = AttackerState(config, rng)
+        state = AttackerState(config, Rng(trial_seed, ATTACKER_TAG))
         in_rng = Rng(trial_seed, _PLAINTEXT_TAG)
         for i in range(observations):
             a_i = lingo.param(i // reuse, trial_seed)
             d_i = lingo.input_space.sample(in_rng)
-            msg = Message(dst="dst", src="src", payload=apply_f(lingo, d_i, a_i),
-                          seq=i)
-            observe(state, msg, t=i,
-                    hidden=HiddenCtx(lingo_name=lingo.name, param=a_i,
-                                     plaintext=d_i, index=i))
+            hidden = HiddenCtx(lingo_name=lingo.name, param=a_i, plaintext=d_i,
+                               index=i)
+            observe(state, Message(dst="dst", src="src", seq=i, hidden=hidden,
+                                   payload=apply_f(lingo, d_i, a_i)), t=i)
         if advantage is not None:
-            reveal_sweep(state, now=observations, rng=rng)
+            reveal_sweep(state, now=observations)
 
-        crafted = craft_forgery(state, strategy, "src", "dst", rng, lingo)
+        crafted = craft_forgery(state, strategy, "src", "dst", lingo)
         if isinstance(crafted, NoAttempt):
             continue
         forged, intent = crafted

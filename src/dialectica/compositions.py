@@ -2,8 +2,8 @@
 
 Four ways of building a new lingo from existing ones:
 
-* horizontal: behave as one of k branch lingos, the branch picked per
-  message by a biased dice over the shared seed;
+* horizontal(branches, defaults, bias): behave as one of k branch lingos,
+  the branch picked per message by a biased dice over the shared seed;
 * functional: pipeline two lingos, encoding through both and decoding in
   reverse order;
 * product: transform independent payload components side by side;
@@ -11,8 +11,6 @@ Four ways of building a new lingo from existing ones:
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .core import DecodeFailure, DefaultFallback, Lingo, SpaceViolation, decode_then
 from .rng import BadBias, throw_biased
@@ -26,46 +24,31 @@ from .values import (
 )
 
 
-@dataclass(frozen=True)
-class HorizontalSpec:
-    """Branches plus per-branch default wire values and the dice bias."""
-
-    branches: tuple[Lingo, ...]
-    defaults: tuple[Value, ...]
-    bias: tuple[int, ...]
-
-    def validate(self) -> None:
-        k = len(self.branches)
-        if k < 2:
-            raise SpaceViolation("horizontal composition needs >= 2 branches")
-        if len(self.defaults) != k or len(self.bias) != k:
-            raise SpaceViolation("defaults and bias must match branch count")
-        if any(b < 1 for b in self.bias):
-            raise BadBias(f"all bias weights must be >= 1, got {self.bias}")
-        first = self.branches[0]
-        for lingo in self.branches:
-            if lingo.input_space != first.input_space:
-                raise SpaceViolation("branches must share the input space")
-        for lingo, d0 in zip(self.branches, self.defaults):
-            if not space_contains(lingo.output_space, d0):
-                raise SpaceViolation(f"default {d0!r} not in {lingo.name} output space")
-
-
-def horizontal(spec: HorizontalSpec, seed: int = 0) -> Lingo:
+def horizontal(branches: tuple[Lingo, ...], defaults: tuple[Value, ...],
+               bias: tuple[int, ...], seed: int = 0) -> Lingo:
     """Disjoint union of the branches, selected per message by a biased dice.
 
     Wire and parameter values are tagged with the branch index; the
     parameter's tag is authoritative.  Decoding a wire value whose tag does
     not match the parameter's branch yields that branch's decode of its
-    default value, flagged as DefaultFallback so the dialect can reject it
-    rather than deliver decoy plaintext.
+    default wire value in ``defaults``, flagged as DefaultFallback so the
+    dialect can reject it rather than deliver decoy plaintext.
     """
-    spec.validate()
-    branches = spec.branches
+    k = len(branches)
+    if k < 2:
+        raise SpaceViolation("horizontal composition needs >= 2 branches")
+    if len(defaults) != k or len(bias) != k:
+        raise SpaceViolation("defaults and bias must match branch count")
+    if any(b < 1 for b in bias):
+        raise BadBias(f"all bias weights must be >= 1, got {bias}")
+    if any(lingo.input_space != branches[0].input_space for lingo in branches):
+        raise SpaceViolation("branches must share the input space")
+    for lingo, d0 in zip(branches, defaults):
+        if not space_contains(lingo.output_space, d0):
+            raise SpaceViolation(f"default {d0!r} not in {lingo.name} output space")
     name = "hor(" + ",".join(l.name for l in branches) + ")"
     out_space = TaggedSpace(tuple(l.output_space for l in branches))
     par_space = TaggedSpace(tuple(l.param_space for l in branches))
-    ctor_seed = seed
 
     def f(d, a):
         i = a.branch
@@ -76,14 +59,14 @@ def horizontal(spec: HorizontalSpec, seed: int = 0) -> Lingo:
         lingo = branches[i - 1]
         if isinstance(wire, Tagged) and wire.branch == i:
             return lingo.g(wire.inner, a.inner)
-        decoy = lingo.g(spec.defaults[i - 1], a.inner)
+        decoy = lingo.g(defaults[i - 1], a.inner)
         if isinstance(decoy, (DecodeFailure, DefaultFallback)):
             return DecodeFailure("default decode failed on tag mismatch")
         return DefaultFallback(decoy)
 
-    def param(n: int, seed: int) -> Value:
-        i = throw_biased(seed ^ ctor_seed, n, spec.bias)
-        return Tagged(i, branches[i - 1].param(n, seed))
+    def param(n: int, run_seed: int) -> Value:
+        i = throw_biased(run_seed ^ seed, n, bias)
+        return Tagged(i, branches[i - 1].param(n, run_seed))
 
     return Lingo(name=name, input_space=branches[0].input_space,
                  output_space=out_space, param_space=par_space,

@@ -152,14 +152,13 @@ def is_compliant(lingo: Lingo, w: Value, a: Value,
 # Parameter streams
 # ---------------------------------------------------------------------------
 
-def make_param(space: Space, name: str, nat_ceiling: int = 1 << 32
-               ) -> Callable[[int, int], Value]:
+def make_param(space: Space, name: str) -> Callable[[int, int], Value]:
     """Standard param function: a per-lingo stream keyed by the lingo name.
     Parameter n is word n of that stream, projected into ``space``."""
     tag = fnv64(name)
 
     def param(n: int, seed: int) -> Value:
-        return space.project(derive(seed, tag, n), nat_ceiling)
+        return space.project(derive(seed, tag, n))
 
     return param
 

@@ -8,6 +8,7 @@ split lingo's wire value is the pair of its two halves.
 from __future__ import annotations
 
 from .core import DecodeFailure, Lingo, make_param
+from .rng import derive, fnv64
 from .values import (
     BitVec,
     BitVecSpace,
@@ -21,6 +22,12 @@ from .values import (
 )
 
 DC_PARAM_CEILING = 1 << 16
+
+
+def _nat_param_below(name: str, ceiling: int):
+    """Parameter n: word n of the lingo's stream, modulo ``ceiling``."""
+    tag = fnv64(name)
+    return lambda n, seed: Nat(derive(seed, tag, n) % ceiling)
 
 
 def _xor_lingo(space: Space, name: str) -> Lingo:
@@ -73,7 +80,7 @@ def make_divide_check(param_ceiling: int = DC_PARAM_CEILING) -> Lingo:
     return Lingo(name=name, input_space=NatSpace(),
                  output_space=PairSpace(NatSpace(), NatSpace()),
                  param_space=NatSpace(), f=f, g=g,
-                 param=make_param(NatSpace(), name, nat_ceiling=param_ceiling))
+                 param=_nat_param_below(name, param_ceiling))
 
 
 def make_reverse_divide_check(param_ceiling: int = DC_PARAM_CEILING) -> Lingo:
@@ -90,7 +97,7 @@ def make_reverse_divide_check(param_ceiling: int = DC_PARAM_CEILING) -> Lingo:
 
     return Lingo(name=name, input_space=base.input_space,
                  output_space=base.output_space, param_space=base.param_space,
-                 f=f, g=g, param=make_param(NatSpace(), name, nat_ceiling=param_ceiling))
+                 f=f, g=g, param=_nat_param_below(name, param_ceiling))
 
 
 def make_identity(space: Space) -> Lingo:

@@ -120,6 +120,11 @@ class AperiodicPolicy:
             raise ValueError("msg_bound must be >= 1")
         if len(self.lingos) < 1:
             raise ValueError("aperiodic policy needs at least one lingo")
+        # Trace events and the attacker's counts tell lingos apart by name.
+        names = [lingo.name for lingo in self.lingos]
+        shared = sorted({name for name in names if names.count(name) > 1})
+        if shared:
+            raise ValueError(f"aperiodic lingos share the names {shared}")
 
     def epoch(self, n: int) -> int:
         return n // self.msg_bound
@@ -316,13 +321,13 @@ def rule_out(cfg: Configuration, oid: str) -> Configuration:
         if a is None:
             a = cfg.params[key] = lingo.param(n, w.seed)
         wire = lingo.f(plaintext, a)
-    hidden = HiddenCtx(lingo_name=lingo.name if lingo else None, param=a,
-                       plaintext=plaintext, index=n)
-    m = Message(dst=dst, src=oid, payload=wire, seq=cfg.seq, hidden=hidden)
+    m = Message(dst=dst, src=oid, payload=wire, seq=cfg.seq,
+                hidden=HiddenCtx(lingo_name=lingo.name if lingo else None,
+                                 param=a, plaintext=plaintext, index=n))
     cfg.seq += 1
     cfg.channel(oid, dst).append(m)
     if cfg.attacker is not None:
-        observe(cfg.attacker, m, cfg.clock, hidden)
+        observe(cfg.attacker, m, cfg.clock)
     cfg.stats["honest_sends"] += 1
     cfg.log("out", src=oid, dst=dst, n=n,
             lingo=lingo.name if lingo else None, wire=wire)
@@ -437,7 +442,7 @@ def _strategy_stat(cfg, strategy, key) -> None:
 def rule_attacker(cfg: Configuration) -> Configuration:
     """One attacker action: a reveal sweep followed by one injection."""
     atk = cfg.attacker
-    revealed = reveal_sweep(atk, now=cfg.clock, rng=atk.rng)
+    revealed = reveal_sweep(atk, now=cfg.clock)
     if revealed:
         cfg.log("reveal", revealed=revealed)
     candidates = _attack_candidates(cfg)
@@ -446,7 +451,7 @@ def rule_attacker(cfg: Configuration) -> Configuration:
     strategy, (src, dst) = candidates[atk.rng.next_below(len(candidates))]
     w = cfg.wrappers.get(dst)
     lingo = w.lingo_for(src, sending=False) if w is not None else None
-    forged = attempt_forgery(atk, strategy, (src, dst), atk.rng, lingo)
+    forged = attempt_forgery(atk, strategy, (src, dst), lingo)
     if isinstance(forged, NoAttempt):
         return cfg
     forged.seq = cfg.seq

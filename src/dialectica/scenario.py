@@ -50,7 +50,7 @@ from .runtime import (
     make_configuration,
     scenario_lingos,
 )
-from .specs import SpecError, build_lingo
+from .specs import SpecError, build_lingo, build_lingos
 from .transforms import DataAdaptor
 from .values import (
     JsonPath,
@@ -141,8 +141,9 @@ def _parse_actor(obj, room: Optional[int], i: int) -> object:
     if key == "client":
         body = object_from_json(body, ("oid", "cmds"), (at, "client"))
         oid = _text(body["oid"], "client oid")
-        cmds = tuple(_parse_cmd(c, room, (at, "client", "cmds", k))
-                     for k, c in enumerate(body.get("cmds", [])))
+        cmds_at = (at, "client", "cmds")
+        cmds = tuple(_parse_cmd(c, room, (cmds_at, k)) for k, c
+                     in enumerate(list_from_json(body.get("cmds", []), cmds_at)))
         _check_session(oid, cmds)
         return MqttClient(oid=oid, cmd_list=cmds)
     if key == "broker":
@@ -173,9 +174,10 @@ def _parse_attacker(obj, oids: list[str]) -> AttackerConfig:
                                           "scenario.attacker.advantage")
     targets = None
     if "targets" in atk:
+        at = ("scenario.attacker", "targets")
         targets = tuple(tuple(_text(o, "attacker target")
-                              for o in list_from_json(pair, 2))
-                        for pair in list_from_json(atk["targets"]))
+                              for o in list_from_json(pair, (at, i), 2))
+                        for i, pair in enumerate(list_from_json(atk["targets"], at)))
         unknown = sorted({o for pair in targets for o in pair} - set(oids))
         if unknown:
             raise SpecError(f"attacker targets name unknown actors: {unknown}")
@@ -225,8 +227,7 @@ def parse_scenario(doc: dict) -> Scenario:
             body = object_from_json(body, ("msg_bound", "lingos"), at)
             policy = AperiodicPolicy(
                 msg_bound=int_from_json(body["msg_bound"]),
-                lingos=tuple(build_lingo(s, (at, "lingos", i))
-                             for i, s in enumerate(body["lingos"])))
+                lingos=tuple(build_lingos(body["lingos"], (at, "lingos"))))
             if len({lingo.input_space for lingo in policy.lingos}) != 1:
                 raise SpecError("aperiodic lingos must share their input space")
         else:
@@ -238,8 +239,8 @@ def parse_scenario(doc: dict) -> Scenario:
                     f"{'nat' if width is None else width}-payload codec")
 
         room = None if policy is None or width is None else width // 8
-        actors = tuple(_parse_actor(a, room, i)
-                       for i, a in enumerate(doc["actors"]))
+        actors = tuple(_parse_actor(a, room, i) for i, a in enumerate(
+            list_from_json(doc["actors"], ("scenario", "actors"))))
         oids = [a.oid for a in actors]
         _refuse_repeats(oids, "actor oids")
         brokers = {a.oid for a in actors if type(a) is MqttBroker}

@@ -10,7 +10,7 @@ are single-key nodes wrapping child specs, e.g.::
 
 from __future__ import annotations
 
-from .compositions import HorizontalSpec, functional, horizontal, product, tupling
+from .compositions import functional, horizontal, product, tupling
 from .core import Lingo, SpaceViolation
 from .library import (
     make_divide_check,
@@ -138,20 +138,19 @@ def build_lingo(spec: dict, at: JsonPath = "lingo") -> Lingo:
         if op == "sharp":
             return sharp(build_lingo(body, at))
         if op == "horizontal":
-            branches = tuple(build_lingo(b, (at, "branches", i))
-                             for i, b in enumerate(body["branches"]))
+            branches = tuple(build_lingos(body["branches"], (at, "branches")))
             defaults = tuple(value_from_json(d, (at, "defaults", i)) for i, d
-                             in enumerate(list_from_json(body["defaults"])))
-            bias = tuple(map(int_from_json, list_from_json(body["bias"])))
-            return horizontal(HorizontalSpec(branches, defaults, bias),
+                             in enumerate(list_from_json(body["defaults"],
+                                                         (at, "defaults"))))
+            bias = tuple(map(int_from_json, list_from_json(body["bias"], (at, "bias"))))
+            return horizontal(branches, defaults, bias,
                               seed=int_from_json(body.get("seed", 0)))
         if op == "functional":
-            l1, l2 = _children(body, at)
-            return functional(l1, l2)
+            return functional(*build_lingos(list_from_json(body, at, 2), at))
         if op == "product":
-            return product(_children(body, at))
+            return product(build_lingos(body, at))
         if op == "tupling":
-            return tupling(_children(body, at))
+            return tupling(build_lingos(body, at))
         if op == "adapt_pre":
             return adapt_pre(build_adaptor(body["adaptor"], (at, "adaptor")),
                              build_lingo(body["lingo"], (at, "lingo")))
@@ -170,5 +169,6 @@ def build_lingo(spec: dict, at: JsonPath = "lingo") -> Lingo:
     raise SpecError(f"unknown lingo operator {op!r}")
 
 
-def _children(body, at: JsonPath) -> list[Lingo]:
-    return [build_lingo(b, (at, i)) for i, b in enumerate(body)]
+def build_lingos(specs, at: JsonPath) -> list[Lingo]:
+    """The lingos of a JSON list of specs at path ``at``."""
+    return [build_lingo(s, (at, i)) for i, s in enumerate(list_from_json(specs, at))]

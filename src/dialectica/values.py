@@ -264,16 +264,15 @@ class Space:
         card = self.cardinality()
         return None if card is None or card > limit else list(self.values())
 
-    def sample(self, rng: Rng, nat_ceiling: int = 1 << 32) -> Value:
-        """Draw an inhabitant from a derive stream; naturals are drawn below
-        ``nat_ceiling``, which bounds the generator, not the space."""
+    def sample(self, rng: Rng) -> Value:
+        """Draw an inhabitant from a derive stream."""
         raise NotImplementedError
 
-    def project(self, word: int, nat_ceiling: int) -> Value:
+    def project(self, word: int) -> Value:
         """Reduce one 64-bit stream word into the space.  Composite spaces
         expand it into a nested stream so the projection stays bit-exact
         across platforms."""
-        return self.sample(Rng(word, SAMPLE_TAG), nat_ceiling)
+        return self.sample(Rng(word, SAMPLE_TAG))
 
 
 @dataclass(frozen=True)
@@ -287,8 +286,15 @@ class OpaqueSpace(Space):
     def contains(self, v: Value) -> bool:
         return True
 
-    def sample(self, rng: Rng, nat_ceiling: int = 1 << 32) -> Value:
+    def sample(self, rng: Rng) -> Value:
         raise UnsampleableSpace("opaque space has no generator")
+
+
+# Sampled and projected naturals lie below NAT_CEILING, which bounds the
+# generator, not the space.  Wider bit-vector spaces than MAX_BITVEC_WIDTH
+# would make sampling, masks and cardinalities arbitrarily expensive.
+NAT_CEILING = 1 << 32
+MAX_BITVEC_WIDTH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -296,16 +302,11 @@ class NatSpace(Space):
     def contains(self, v: Value) -> bool:
         return isinstance(v, Nat)
 
-    def sample(self, rng: Rng, nat_ceiling: int = 1 << 32) -> Value:
-        return Nat(rng.next_below(nat_ceiling))
+    def sample(self, rng: Rng) -> Value:
+        return Nat(rng.next_below(NAT_CEILING))
 
-    def project(self, word: int, nat_ceiling: int) -> Value:
-        return Nat(word % nat_ceiling)
-
-
-# Widest bit-vector space: wider ones would make sampling, masks and
-# cardinalities arbitrarily expensive.
-MAX_BITVEC_WIDTH = 1 << 16
+    def project(self, word: int) -> Value:
+        return Nat(word % NAT_CEILING)
 
 
 @dataclass(frozen=True)
@@ -328,15 +329,15 @@ class BitVecSpace(Space):
         for b in range(1 << self.width):
             yield BitVec(self.width, b)
 
-    def sample(self, rng: Rng, nat_ceiling: int = 1 << 32) -> Value:
+    def sample(self, rng: Rng) -> Value:
         bits = 0
         for _ in range((self.width + 63) // 64):
             bits = (bits << 64) | rng.next_u64()
         return BitVec(self.width, bits & ((1 << self.width) - 1))
 
-    def project(self, word: int, nat_ceiling: int) -> Value:
+    def project(self, word: int) -> Value:
         if self.width > 64:
-            return super().project(word, nat_ceiling)
+            return super().project(word)
         return BitVec(self.width, word & ((1 << self.width) - 1))
 
 
@@ -363,9 +364,9 @@ class PairSpace(Space):
             for rgt in rights:
                 yield Pair(lft, rgt)
 
-    def sample(self, rng: Rng, nat_ceiling: int = 1 << 32) -> Value:
-        left = self.left.sample(rng, nat_ceiling)
-        return Pair(left, self.right.sample(rng, nat_ceiling))
+    def sample(self, rng: Rng) -> Value:
+        left = self.left.sample(rng)
+        return Pair(left, self.right.sample(rng))
 
 
 @dataclass(frozen=True)
@@ -389,7 +390,7 @@ class AtomSetSpace(Space):
         for mask in range(1 << len(atoms)):
             yield AtomSet(tuple(a for i, a in enumerate(atoms) if mask >> i & 1))
 
-    def sample(self, rng: Rng, nat_ceiling: int = 1 << 32) -> Value:
+    def sample(self, rng: Rng) -> Value:
         picked = []
         word, have = 0, 0
         for a in sorted(self.universe):
@@ -433,9 +434,9 @@ class TaggedSpace(Space):
             for inner in branch.values():
                 yield Tagged(i, inner)
 
-    def sample(self, rng: Rng, nat_ceiling: int = 1 << 32) -> Value:
+    def sample(self, rng: Rng) -> Value:
         branch = rng.next_below(len(self.branches)) + 1
-        return Tagged(branch, self.branches[branch - 1].sample(rng, nat_ceiling))
+        return Tagged(branch, self.branches[branch - 1].sample(rng))
 
 
 @dataclass(frozen=True)
@@ -464,12 +465,12 @@ class ParamPairSpace(Space):
                 if x != y:
                     yield Pair(x, y)
 
-    def sample(self, rng: Rng, nat_ceiling: int = 1 << 32) -> Value:
+    def sample(self, rng: Rng) -> Value:
         if self.base.cardinality() == 1:
             raise UnsampleableSpace("base space has a single element")
-        first = self.base.sample(rng, nat_ceiling)
+        first = self.base.sample(rng)
         for _ in range(64):
-            second = self.base.sample(rng, nat_ceiling)
+            second = self.base.sample(rng)
             if second != first:
                 return Pair(first, second)
         raise UnsampleableSpace(f"could not draw distinct pair from {self.base!r}")
@@ -585,18 +586,18 @@ def object_from_json(obj, keys: tuple[str, ...], at: JsonPath) -> dict:
     return obj
 
 
-def list_from_json(obj, length: Optional[int] = None) -> list:
-    """A JSON list, of exactly ``length`` items if given; a string or an
-    object is refused instead of being iterated."""
+def list_from_json(obj, at: JsonPath, length: Optional[int] = None) -> list:
+    """A JSON list at path ``at``, of exactly ``length`` items if given; a
+    string or an object is refused instead of being iterated."""
     if not isinstance(obj, list) or length is not None and len(obj) != length:
         items = "" if length is None else f" of {length} items"
-        raise ValueError(f"not a JSON list{items}: {obj!r}")
+        raise ValueError(f"not a JSON list{items} at {path_text(at)}: {obj!r}")
     return obj
 
 
 def _pair_from_json(obj, at: JsonPath) -> Pair:
     return Pair(*(_value_from_json(v, (at, i))
-                  for i, v in enumerate(list_from_json(obj, 2))))
+                  for i, v in enumerate(list_from_json(obj, at, 2))))
 
 
 def _value_from_json(obj, at: JsonPath) -> Value:
@@ -635,12 +636,12 @@ def space_from_json(obj, at: JsonPath = "space") -> Space:
             return BitVecSpace(int_from_json(body))
         if key == "pair":
             return PairSpace(*(space_from_json(b, (at, key, i)) for i, b
-                               in enumerate(list_from_json(body, 2))))
+                               in enumerate(list_from_json(body, (at, key), 2))))
         if key == "atoms":
             return AtomSetSpace(atoms_from_json(body))
         if key == "tagged":
             return TaggedSpace(tuple(space_from_json(b, (at, key, i)) for i, b
-                                     in enumerate(list_from_json(body))))
+                                     in enumerate(list_from_json(body, (at, key)))))
         if key == "parampair":
             return ParamPairSpace(space_from_json(body, (at, key)))
     raise ValueError(f"not a space encoding at {path_text(at)}: {obj!r}")

@@ -11,7 +11,7 @@ from dialectica.attacker import (
     run_spoof_experiment,
     wilson_interval,
 )
-from dialectica.compositions import HorizontalSpec, functional, horizontal, tupling
+from dialectica.compositions import functional, horizontal, tupling
 from dialectica.core import (
     Rng,
     apply_f,
@@ -246,10 +246,10 @@ def test_criterion_05_horizontal_strengthening():
             trials=10_000, seed=50, observations=0)
         assert dc_alone.compliance_rate == 1.0
 
-        both = horizontal(HorizontalSpec(
+        both = horizontal(
             branches=(make_divide_check(), make_reverse_divide_check()),
             defaults=(Pair(Nat(0), Nat(0)), Pair(Nat(0), Nat(0))),
-            bias=(1, 1)))
+            bias=(1, 1))
         hedged = run_spoof_experiment(both, 1, "dc_zero_remainder",
                                       trials=10_000, seed=50, observations=0)
         assert 0.45 <= hedged.compliance_rate <= 0.55, hedged.compliance_rate

@@ -39,10 +39,24 @@ def observed_state(lingo, count=5, seed=77, reuse=1, advantage=None):
         a = lingo.param(i // reuse, seed)
         d = lingo.input_space.sample(rng)
         wire = apply_f(lingo, d, a)
-        observe(state, Message(dst="b", src="a", payload=wire, seq=i), t=i,
-                hidden=HiddenCtx(lingo_name=lingo.name, param=a, plaintext=d,
-                                 index=i))
+        hidden = HiddenCtx(lingo_name=lingo.name, param=a, plaintext=d, index=i)
+        observe(state, Message(dst="b", src="a", payload=wire, seq=i,
+                               hidden=hidden), t=i)
     return state
+
+
+def sweep(state, now, seed):
+    """A reveal sweep whose draws come from the fresh stream
+    ``Rng(seed, ATTACKER_TAG)``, set on the state."""
+    state.rng = Rng(seed, ATTACKER_TAG)
+    return reveal_sweep(state, now=now)
+
+
+def craft(state, strategy, src, dst, seed, lingo=None):
+    """``craft_forgery`` drawing from the fresh stream
+    ``Rng(seed, ATTACKER_TAG)``, set on the state."""
+    state.rng = Rng(seed, ATTACKER_TAG)
+    return craft_forgery(state, strategy, src, dst, lingo)
 
 
 class TestObservation:
@@ -80,15 +94,16 @@ def revealed(state):
 class TestRevealSweep:
     def test_zero_advantage_reveals_nothing(self):
         state = observed_state(build_lingo({"kind": "xor_nat"}))
-        assert reveal_sweep(state, now=100, rng=Rng(1, ATTACKER_TAG)) == 0
+        assert sweep(state, now=100, seed=1) == 0
         assert revealed(state) == []
 
     def test_cleartext_revealed_immediately_with_null_info(self):
         state = fresh_state()
-        observe(state, Message(dst="b", src="a", payload=Nat(7)), t=0,
-                hidden=HiddenCtx(lingo_name=None, param=None, plaintext=Nat(7),
-                                 index=0))
-        assert reveal_sweep(state, now=1, rng=Rng(2, ATTACKER_TAG)) == 1
+        observe(state, Message(dst="b", src="a", payload=Nat(7),
+                               hidden=HiddenCtx(lingo_name=None, param=None,
+                                                plaintext=Nat(7), index=0)),
+                t=0)
+        assert sweep(state, now=1, seed=2) == 1
         [rec] = revealed(state)
         assert rec.hidden.plaintext == Nat(7)
         assert rec.hidden.lingo_name is None and rec.hidden.param is None
@@ -98,7 +113,7 @@ class TestRevealSweep:
         lingo = build_lingo({"kind": "xor_nat"})
         state = observed_state(lingo, count=3, reuse=3,
                                advantage=AdvantageConfig(s_max=((2, 1.0),)))
-        assert reveal_sweep(state, now=3, rng=Rng(3, ATTACKER_TAG)) == 3
+        assert sweep(state, now=3, seed=3) == 3
         assert len(revealed(state)) == 3
         for rec in revealed(state):
             assert rec.hidden.param is not None
@@ -108,7 +123,7 @@ class TestRevealSweep:
         lingo = build_lingo({"kind": "xor_nat"})
         state = observed_state(lingo, count=4, reuse=4,
                                advantage=AdvantageConfig(s_max=((2, 1.0),)))
-        reveal_sweep(state, now=4, rng=Rng(4, ATTACKER_TAG))
+        sweep(state, now=4, seed=4)
         assert revealed(state)
         for rec in revealed(state):
             assert apply_f(lingo, rec.hidden.plaintext,
@@ -119,19 +134,19 @@ class TestRevealSweep:
         lingo = build_lingo({"kind": "xor_nat"})
         state = observed_state(lingo, count=4, reuse=1,
                                advantage=AdvantageConfig(w_max=((4, 1.0),)))
-        assert reveal_sweep(state, now=4, rng=Rng(30, ATTACKER_TAG)) == 4
+        assert sweep(state, now=4, seed=30) == 4
         assert len(revealed(state)) == 4
         state2 = observed_state(lingo, count=3, reuse=1,
                                 advantage=AdvantageConfig(w_max=((4, 1.0),)))
-        assert reveal_sweep(state2, now=3, rng=Rng(30, ATTACKER_TAG)) == 0
+        assert sweep(state2, now=3, seed=30) == 0
         assert revealed(state2) == []   # below the reuse threshold
 
     def test_age_rule(self):
         state = observed_state(build_lingo({"kind": "xor_nat"}), count=2,
                                advantage=AdvantageConfig(t_max=((50, 1.0),)))
-        assert reveal_sweep(state, now=10, rng=Rng(5, ATTACKER_TAG)) == 0
+        assert sweep(state, now=10, seed=5) == 0
         assert revealed(state) == []
-        assert reveal_sweep(state, now=100, rng=Rng(5, ATTACKER_TAG)) == 2
+        assert sweep(state, now=100, seed=5) == 2
         assert len(revealed(state)) == 2
 
     def test_monotone(self):
@@ -141,7 +156,7 @@ class TestRevealSweep:
         sizes = []
         total = 0
         for now in (6, 7, 8):
-            total += reveal_sweep(state, now=now, rng=Rng(6, ATTACKER_TAG))
+            total += sweep(state, now=now, seed=6)
             sizes.append(len(revealed(state)))
             assert sizes[-1] == total   # the count is the records it revealed
         assert sizes == sorted(sizes)
@@ -216,12 +231,11 @@ def test_reveal_sweep_matches_the_old_sweep(t_max, w_max, s_max, batches, seed):
                                param=None if name is None else Nat(param),
                                plaintext=Nat(t), index=t)
             for state in (new, old):
-                observe(state, Message(dst="d", src=src, payload=Nat(t)), t,
-                        hidden)
+                observe(state, Message(dst="d", src=src, payload=Nat(t),
+                                       hidden=hidden), t)
             t += 1
         now = t + gap
-        assert (reveal_sweep(new, now, new.rng)
-                == _old_reveal_sweep(old, now, old.rng))
+        assert reveal_sweep(new, now) == _old_reveal_sweep(old, now, old.rng)
         assert _sweep_view(new) == _sweep_view(old)
 
 
@@ -229,15 +243,15 @@ class TestForgeryCrafting:
     def test_replay_resends_verbatim(self):
         lingo = build_lingo({"kind": "xor_nat"})
         state = observed_state(lingo, count=2)
-        msg = attempt_forgery(state, "replay", ("a", "b"),
-                              Rng(7, ATTACKER_TAG), lingo)
+        state.rng = Rng(7, ATTACKER_TAG)
+        msg = attempt_forgery(state, "replay", ("a", "b"), lingo)
         assert isinstance(msg, Message) and msg.strategy == "replay"
         assert msg.payload == state.records[-1].wire
 
     def test_requirements_gate(self):
         state = fresh_state()
         assert not strategy_ready(state, "replay", "a", "b")
-        out = craft_forgery(state, "replay", "a", "b", Rng(8, ATTACKER_TAG))
+        out = craft(state, "replay", "a", "b", 8)
         assert isinstance(out, NoAttempt)
         assert strategy_ready(state, "random_wire", "a", "b")
         assert not strategy_ready(state, "passive", "a", "b")
@@ -248,10 +262,21 @@ class TestForgeryCrafting:
         lingo = build_lingo({"horizontal": {
             "branches": [dc, dc], "defaults": [zero, zero], "bias": [1, 1]}})
         state = fresh_state()
-        payload, intent = craft_forgery(state, "dc_zero_remainder", "a", "b",
-                                        Rng(9, ATTACKER_TAG), lingo)
+        payload, intent = craft(state, "dc_zero_remainder", "a", "b", 9, lingo)
         assert isinstance(payload, Tagged) and payload.branch == 1
         assert intent is None
+
+    def test_oracle_uses_a_leak_only_under_the_lingo_it_leaked_from(self):
+        x8 = build_lingo({"kind": "xor_bitvec", "width": 8})
+        state = observed_state(x8, count=2, reuse=2,
+                               advantage=AdvantageConfig(s_max=((2, 1.0),)))
+        assert sweep(state, now=2, seed=1) == 2
+        payload, intent = craft(state, "param_reuse_oracle", "a", "b", 1, x8)
+        assert payload == state.records[-1].wire
+        # An aperiodic policy may have rotated the flow to another lingo.
+        sharp = build_lingo({"sharp": {"kind": "xor_bitvec", "width": 8}})
+        assert craft(state, "param_reuse_oracle", "a", "b", 1, sharp) == \
+            NoAttempt("the revealed parameter is another lingo's")
 
     # Each strategy on a lingo whose wire it can act on; param_reuse_oracle
     # reads revealed cleartext by design and is left out.
@@ -274,8 +299,7 @@ class TestForgeryCrafting:
         # crafted payload as it was.
         lingo = build_lingo(self.GROUND_TRUTH_BLIND[strategy])
         state = observed_state(lingo, count=3)
-        before = craft_forgery(state, strategy, "a", "b",
-                               Rng(10, ATTACKER_TAG), lingo)
+        before = craft(state, strategy, "a", "b", 10, lingo)
         assert isinstance(before, NoAttempt) == (strategy == "passive")
         rng = Rng(11, 123)
         for rec in state.records:
@@ -287,8 +311,7 @@ class TestForgeryCrafting:
                 a = lingo.param_space.sample(rng)
             rec.hidden = HiddenCtx(lingo_name=old.lingo_name, param=a,
                                    plaintext=d, index=old.index)
-        after = craft_forgery(state, strategy, "a", "b",
-                              Rng(10, ATTACKER_TAG), lingo)
+        after = craft(state, strategy, "a", "b", 10, lingo)
         if strategy == "passive":
             assert after == before
         else:
@@ -334,11 +357,11 @@ def test_bare_flow_cases_cover_every_strategy():
                          ids=lambda x: x if isinstance(x, str) else type(x).__name__)
 def test_bare_flow_forgery(wire, strategy):
     state = fresh_state()
-    observe(state, Message(dst="b", src="c2", payload=wire), t=0,
-            hidden=HiddenCtx(lingo_name=None, param=None, plaintext=wire,
-                             index=0))
-    rng = Rng(5, ATTACKER_TAG)
-    out = craft_forgery(state, strategy, "c2", "b", rng, lingo=None)
+    observe(state, Message(dst="b", src="c2", payload=wire,
+                           hidden=HiddenCtx(lingo_name=None, param=None,
+                                            plaintext=wire, index=0)), t=0)
+    out = craft(state, strategy, "c2", "b", 5, lingo=None)
+    rng = state.rng
     if isinstance(out, NoAttempt):
         outcome = out.reason
     else:

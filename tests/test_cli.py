@@ -132,9 +132,9 @@ class TestLingoEval:
 
     @pytest.mark.parametrize("spec, error", [
         ({"kind": "identity", "space": {"tagged": 5}},
-         "not a JSON list: 5"),
+         "not a JSON list at lingo.space.tagged: 5"),
         ({"kind": "identity", "space": {"tagged": {"a": 1}}},
-         "not a JSON list: {'a': 1}"),
+         "not a JSON list at lingo.space.tagged: {'a': 1}"),
         ({"kind": "identity", "space": {"pair": [{"bitvec": 8}, {"nope": 1}]}},
          "not a space encoding at lingo.space.pair[1]: {'nope': 1}"),
         ({"adapt_pre": {"adaptor": {"kind": "identity",
@@ -155,6 +155,14 @@ class TestLingoEval:
         assert capsys.readouterr().err == (
             "argument error: not a value encoding at args[0].pair[1]: "
             "{'nat': '1', 'zz': 2}\n")
+
+    def test_non_list_pair_names_its_argument(self, capsys):
+        code = main(["lingo", "eval", DC, "g", '{"pair": [1, {"pair": "12"}]}',
+                     "3"])
+        assert code == EXIT_SPEC_ERROR
+        assert capsys.readouterr().err == (
+            "argument error: not a JSON list of 2 items at "
+            "args[0].pair[1].pair: '12'\n")
 
     @pytest.mark.parametrize("arg", ['{"pair": "12"}', '{"pair": [1, 2, 3]}',
                                      '[1, 2, 3]'])
@@ -552,6 +560,62 @@ class TestSimulate:
             EXIT_SPEC_ERROR
         assert capsys.readouterr().err == f"config error: {error}\n"
 
+    @pytest.mark.parametrize("name, edit, error", [
+        ("mqtt_xor.json",
+         lambda doc: doc.update(actors={"client": {"oid": "c1"}}),
+         "bad scenario: not a JSON list at scenario.actors: "
+         "{'client': {'oid': 'c1'}}"),
+        ("mqtt_xor.json",
+         lambda doc: doc["actors"][0]["client"].update(cmds="disconnect"),
+         "bad scenario: not a JSON list at scenario.actors[0].client.cmds: "
+         "'disconnect'"),
+        ("mqtt_aperiodic.json",
+         lambda doc: doc["policy"]["aperiodic"].update(
+             lingos={"kind": "xor_nat"}),
+         "bad scenario: not a JSON list at scenario.policy.aperiodic.lingos: "
+         "{'kind': 'xor_nat'}"),
+        ("mqtt_horizontal.json",
+         lambda doc: doc["lingo_stack"]["horizontal"].update(
+             branches={"kind": "xor_nat"}),
+         "bad 'horizontal' spec: not a JSON list at "
+         "scenario.lingo_stack.horizontal.branches: {'kind': 'xor_nat'}"),
+        ("mqtt_xor.json",
+         lambda doc: doc.update(lingo_stack={"functional": [
+             {"kind": "xor_nat"}, {"kind": "xor_nat"}, {"kind": "xor_nat"}]}),
+         "bad 'functional' spec: not a JSON list of 2 items at "
+         "scenario.lingo_stack.functional: [{'kind': 'xor_nat'}, "
+         "{'kind': 'xor_nat'}, {'kind': 'xor_nat'}]"),
+        ("mqtt_xor.json",
+         lambda doc: doc.update(lingo_stack={"product": {"kind": "xor_nat"}}),
+         "bad 'product' spec: not a JSON list at scenario.lingo_stack.product: "
+         "{'kind': 'xor_nat'}"),
+        ("mqtt_xor.json",
+         lambda doc: doc.update(lingo_stack={"tupling": "ab"}),
+         "bad 'tupling' spec: not a JSON list at scenario.lingo_stack.tupling: "
+         "'ab'"),
+        ("mqtt_adversarial.json",
+         lambda doc: doc["attacker"].update(advantage={"t_max": {"0": 1.0}}),
+         "bad scenario: not a JSON list at scenario.attacker.advantage.t_max: "
+         "{'0': 1.0}"),
+        ("mqtt_adversarial.json",
+         lambda doc: doc["attacker"].update(
+             advantage={"w_max": [[0, 0.5], [4, 1.0, 2]]}),
+         "bad scenario: not a JSON list of 2 items at "
+         "scenario.attacker.advantage.w_max[1]: [4, 1.0, 2]"),
+    ], ids=["actors", "cmds", "aperiodic_lingos", "horizontal_branches",
+            "functional", "product", "tupling", "advantage_steps",
+            "advantage_step"])
+    def test_non_list_names_its_path(self, capsys, tmp_path, name, edit, error):
+        # Each of these iterated the keys of an object or the characters of
+        # a string, and named the wrong thing or no path.
+        doc = load_scenario_doc(name)
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out", "/dev/null"]) == \
+            EXIT_SPEC_ERROR
+        assert capsys.readouterr().err == f"config error: {error}\n"
+
     def test_zero_max_injections_is_accepted(self, capsys, tmp_path):
         doc = load_scenario_doc("mqtt_adversarial.json")
         doc["attacker"]["max_injections"] = 0
@@ -747,6 +811,52 @@ class TestSimulate:
         main(["simulate", scenario_path("mqtt_xor.json"),
               "--trace", str(t3), "--out", "/dev/null"])
         assert t3.read_bytes() != t1.read_bytes()
+
+
+def _oracle_under_rotation(lingos, width) -> dict:
+    """Three actors whose flows rotate between ``lingos`` at every message,
+    attacked by ``param_reuse_oracle`` with every capture revealed."""
+    doc = load_scenario_doc("mqtt_xor_bitvec.json")
+    del doc["lingo_stack"]
+    doc.update(payload={"bitvec": width},
+               policy={"aperiodic": {"msg_bound": 1, "lingos": lingos}},
+               attacker={"strategies": ["param_reuse_oracle",
+                                        "dc_zero_remainder"],
+                         "advantage": {"t_max": [[0, 1.0]]}})
+    return doc
+
+
+class TestOracleUnderRotation:
+    def test_a_parameter_leaked_under_another_lingo_is_not_used(
+            self, capsys, tmp_path):
+        # The oracle applied a parameter of xor_bitvec512 to the sharp
+        # lingo, and the run exited 3 with a space violation.
+        x512 = {"kind": "xor_bitvec", "width": 512}
+        path = tmp_path / "sharp.json"
+        path.write_text(json.dumps(_oracle_under_rotation(
+            [x512, {"sharp": x512}], 512)))
+        for seed in range(1, 5):
+            report = tmp_path / f"report{seed}.json"
+            assert main(["simulate", str(path), "--seed", str(seed),
+                         "--trace", "/dev/null", "--out", str(report)]) == EXIT_OK
+            assert json.loads(report.read_text())["quiesced"]
+        assert capsys.readouterr().err == ""
+
+    def test_lingos_that_share_a_name_exit_2(self, capsys, tmp_path):
+        # Two auth lingos differ in j but not in name; the oracle read one's
+        # parameter as the other's and the run died with an IndexError.
+        def auth(j):
+            return {"auth": {"base": {"kind": "xor_bitvec", "width": 128},
+                             "oids": ["c1", "b"], "m": 128, "j": j, "k": 16,
+                             "seed": 3}}
+        path = tmp_path / "auth.json"
+        path.write_text(json.dumps(_oracle_under_rotation([auth(8), auth(16)],
+                                                          128)))
+        assert main(["simulate", str(path), "--seed", "1", "--trace",
+                     "/dev/null", "--out", "/dev/null"]) == EXIT_SPEC_ERROR
+        assert capsys.readouterr().err == (
+            "config error: bad scenario: aperiodic lingos share the names "
+            "['auth(xor_bitvec128)']\n")
 
 
 def listed_trace(path: str, max_steps=None) -> bytes:

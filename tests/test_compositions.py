@@ -3,7 +3,6 @@ import pytest
 from conftest import noncompliant_witness
 
 from dialectica.compositions import (
-    HorizontalSpec,
     functional,
     horizontal,
     product,
@@ -41,10 +40,8 @@ PAIR_ZERO = Pair(Nat(0), Nat(0))
 
 
 def xor_dc_horizontal(seed=0):
-    return horizontal(HorizontalSpec(
-        branches=(make_xor_nat(), make_divide_check()),
-        defaults=(Nat(0), PAIR_ZERO),
-        bias=(1, 1)), seed=seed)
+    return horizontal(branches=(make_xor_nat(), make_divide_check()),
+                      defaults=(Nat(0), PAIR_ZERO), bias=(1, 1), seed=seed)
 
 
 class TestHorizontal:
@@ -85,21 +82,19 @@ class TestHorizontal:
 
     def test_validation(self):
         with pytest.raises(SpaceViolation):
-            HorizontalSpec(branches=(make_xor_nat(),), defaults=(Nat(0),),
-                           bias=(1,)).validate()
+            horizontal(branches=(make_xor_nat(),), defaults=(Nat(0),),
+                       bias=(1,))
         with pytest.raises(SpaceViolation):
-            HorizontalSpec(branches=(make_xor_nat(), make_xor_bitvec(8)),
-                           defaults=(Nat(0), BitVec(8, 0)),
-                           bias=(1, 1)).validate()
+            horizontal(branches=(make_xor_nat(), make_xor_bitvec(8)),
+                       defaults=(Nat(0), BitVec(8, 0)), bias=(1, 1))
         with pytest.raises(SpaceViolation):
             # default for the divide-check branch lives in the wrong space
-            HorizontalSpec(branches=(make_xor_nat(), make_divide_check()),
-                           defaults=(Nat(0), Nat(0)), bias=(1, 1)).validate()
+            horizontal(branches=(make_xor_nat(), make_divide_check()),
+                       defaults=(Nat(0), Nat(0)), bias=(1, 1))
 
     def test_bias_frequencies(self):
-        h = horizontal(HorizontalSpec(
-            branches=(make_xor_nat(), make_divide_check()),
-            defaults=(Nat(0), PAIR_ZERO), bias=(3, 1)))
+        h = horizontal(branches=(make_xor_nat(), make_divide_check()),
+                       defaults=(Nat(0), PAIR_ZERO), bias=(3, 1))
         draws = 100_000
         ones = sum(h.param(n, 2024).branch == 1 for n in range(draws))
         assert abs(ones / draws - 0.75) <= 0.01
@@ -108,9 +103,9 @@ class TestHorizontal:
         # a wire value tagged with the other branch has no preimage, so a
         # witness exists even when a branch is onto
         assert noncompliant_witness(xor_dc_horizontal()) is not None
-        both = horizontal(HorizontalSpec(
+        both = horizontal(
             branches=(make_divide_check(), make_reverse_divide_check()),
-            defaults=(PAIR_ZERO, PAIR_ZERO), bias=(1, 1)))
+            defaults=(PAIR_ZERO, PAIR_ZERO), bias=(1, 1))
         assert noncompliant_witness(both) is not None
 
 
@@ -199,9 +194,8 @@ class TestTupling:
 
 COMPOSED = [
     xor_dc_horizontal(),
-    horizontal(HorizontalSpec(
-        branches=(make_divide_check(), make_reverse_divide_check()),
-        defaults=(PAIR_ZERO, PAIR_ZERO), bias=(1, 1))),
+    horizontal(branches=(make_divide_check(), make_reverse_divide_check()),
+               defaults=(PAIR_ZERO, PAIR_ZERO), bias=(1, 1)),
     functional(make_xor_nat(), make_divide_check()),
     product([make_xor_bitvec(8), make_divide_check()]),
     tupling([make_xor_bitvec(8), make_xor_bitvec(8)]),
@@ -216,9 +210,9 @@ def test_composed_lingos_pass_laws(lingo):
 
 def test_horizontal_f_check_closure_brute_force():
     # with every branch f-checkable a witness exists for every parameter
-    both = horizontal(HorizontalSpec(
+    both = horizontal(
         branches=(make_divide_check(), make_reverse_divide_check()),
-        defaults=(PAIR_ZERO, PAIR_ZERO), bias=(1, 1)))
+        defaults=(PAIR_ZERO, PAIR_ZERO), bias=(1, 1))
     for a_val in range(9):
         for branch in (1, 2):
             a = Tagged(branch, Nat(a_val))

@@ -409,6 +409,15 @@ class TestAperiodic:
             assert policy.lingo_at(receiver.seed, src, dst, n).name == name
         assert len(set(sent.values())) == 2
 
+    def test_lingos_must_have_distinct_names(self):
+        # Switch and out events name a lingo, and the attacker counts uses
+        # by name, so two lingos of one name could not be told apart.
+        with pytest.raises(ValueError, match=r"share the names \['xor_nat'\]"):
+            AperiodicPolicy(msg_bound=1, lingos=(
+                build_lingo({"kind": "xor_nat"}),
+                build_lingo({"kind": "divide_check"}),
+                build_lingo({"kind": "xor_nat"})))
+
     def test_end_to_end_run_switches_and_delivers(self):
         policy = AperiodicPolicy(msg_bound=2, lingos=(
             build_lingo({"kind": "xor_nat"}),

@@ -1,11 +1,19 @@
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dialectica
+from dialectica.attacker import (
+    attempt_forgery,
+    craft_forgery,
+    observe,
+    reveal_sweep,
+)
 from dialectica.core import make_param
+from dialectica.library import make_divide_check, make_reverse_divide_check
 from dialectica.rng import SAMPLE_TAG, Rng, derive, fnv64
 from dialectica.values import (
     AtomSet,
@@ -19,6 +27,7 @@ from dialectica.values import (
     PairSpace,
     ParamPairSpace,
     ShapeMismatch,
+    Space,
     Tagged,
     TaggedSpace,
     UnsampleableSpace,
@@ -410,25 +419,37 @@ class TestSpaceOracle:
         assert space.enumerate(limit) == expected
 
     @settings(max_examples=300, deadline=None)
-    @given(st.just(OpaqueSpace()) | spaces, st.integers(0, 2**64 - 1),
-           st.sampled_from([1, 16, 1 << 32]))
-    def test_sampling(self, space, seed, ceiling):
+    @given(st.just(OpaqueSpace()) | spaces, st.integers(0, 2**64 - 1))
+    def test_sampling(self, space, seed):
         new, old = Rng(seed, SAMPLE_TAG), Rng(seed, SAMPLE_TAG)
         for _ in range(3):
-            assert (_outcome(space.sample, new, ceiling)
-                    == _outcome(_old_sample_value, space, old, ceiling))
+            assert (_outcome(space.sample, new)
+                    == _outcome(_old_sample_value, space, old))
             assert new.index == old.index
 
     @settings(max_examples=300, deadline=None)
     @given(spaces, st.text(max_size=8), st.integers(0, 2**64 - 1),
-           st.integers(0, 1 << 20), st.sampled_from([1, 16, 1 << 32]))
-    @example(BitVecSpace(64), "p", 1, 2, 1 << 32)
-    @example(BitVecSpace(65), "p", 1, 2, 1 << 32)
-    @example(NatSpace(), "p", 1, 2, 16)
-    def test_projection(self, space, name, seed, n, ceiling):
+           st.integers(0, 1 << 20))
+    @example(BitVecSpace(64), "p", 1, 2)
+    @example(BitVecSpace(65), "p", 1, 2)
+    @example(NatSpace(), "p", 1, 2)
+    def test_projection(self, space, name, seed, n):
         tag = fnv64(name)
-        assert (_outcome(make_param(space, name, ceiling), n, seed)
-                == _outcome(_old_project_param, space, seed, tag, n, ceiling))
+        assert (_outcome(make_param(space, name), n, seed)
+                == _outcome(_old_project_param, space, seed, tag, n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([(make_divide_check, "divide_check"),
+                            (make_reverse_divide_check, "reverse_divide_check")]),
+           st.sampled_from([1, 16, 1 << 16]), st.integers(0, 2**64 - 1),
+           st.integers(0, 1 << 20))
+    def test_divide_check_params_lie_below_their_ceiling(self, kind, ceiling,
+                                                          seed, n):
+        # The one parameter stream drawn below a ceiling other than the
+        # spaces' own: the divide-check family's ``param_ceiling``.
+        make, name = kind
+        assert make(ceiling).param(n, seed) == Nat(
+            derive(seed, fnv64(name), n) % ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -497,3 +518,33 @@ def test_guard_catches_each_none_space_form():
 def test_no_none_space_in_source(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _none_space_uses(tree) == []
+
+
+# ---------------------------------------------------------------------------
+# Guard: no parameter that every caller fills one way comes back
+# ---------------------------------------------------------------------------
+
+def _space_kinds(cls=Space):
+    """``cls`` and every subclass of it, at any depth."""
+    return [cls] + [k for sub in cls.__subclasses__() for k in _space_kinds(sub)]
+
+
+def _params(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_space_sample_and_project_take_one_argument():
+    kinds = _space_kinds()
+    assert {k.__name__ for k in kinds} >= {
+        "Space", "OpaqueSpace", "NatSpace", "BitVecSpace", "PairSpace",
+        "AtomSetSpace", "TaggedSpace", "ParamPairSpace"}
+    for kind in kinds:
+        assert _params(kind.sample) == ["self", "rng"], kind.__name__
+        assert _params(kind.project) == ["self", "word"], kind.__name__
+
+
+@pytest.mark.parametrize("fn", [observe, reveal_sweep, craft_forgery,
+                                attempt_forgery], ids=lambda f: f.__name__)
+def test_attacker_takes_its_stream_and_hidden_context_from_its_inputs(fn):
+    # The stream is ``state.rng`` and the hidden context ``msg.hidden``.
+    assert {"rng", "hidden"}.isdisjoint(_params(fn))
