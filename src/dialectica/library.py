@@ -8,7 +8,6 @@ split lingo's wire value is the pair of its two halves.
 from __future__ import annotations
 
 from .core import DecodeFailure, Lingo, make_param
-from .rng import derive, fnv64
 from .values import (
     BitVec,
     BitVecSpace,
@@ -22,12 +21,6 @@ from .values import (
 )
 
 DC_PARAM_CEILING = 1 << 16
-
-
-def _nat_param_below(name: str, ceiling: int):
-    """Parameter n: word n of the lingo's stream, modulo ``ceiling``."""
-    tag = fnv64(name)
-    return lambda n, seed: Nat(derive(seed, tag, n) % ceiling)
 
 
 def _xor_lingo(space: Space, name: str) -> Lingo:
@@ -59,11 +52,10 @@ def make_divide_check(param_ceiling: int = DC_PARAM_CEILING) -> Lingo:
     The receiver's compliance check rejects any pair whose remainder
     reaches a+2: such a pair has no preimage.  g rejects pairs that would
     need a negative payload instead of saturating them to 0: saturation
-    would deliver forged junk as payload 0.  Parameters are drawn below
-    ``param_ceiling``, which must be at least 1.
+    would deliver forged junk as payload 0.  Parameters are drawn from the
+    naturals below ``param_ceiling``, which must be at least 1; the declared
+    parameter space stays every natural, which the law harness samples.
     """
-    if param_ceiling < 1:
-        raise ValueError(f"param_ceiling must be >= 1, got {param_ceiling}")
     name = "divide_check"
 
     def f(d, a):
@@ -80,7 +72,7 @@ def make_divide_check(param_ceiling: int = DC_PARAM_CEILING) -> Lingo:
     return Lingo(name=name, input_space=NatSpace(),
                  output_space=PairSpace(NatSpace(), NatSpace()),
                  param_space=NatSpace(), f=f, g=g,
-                 param=_nat_param_below(name, param_ceiling))
+                 param=make_param(NatSpace(param_ceiling), name))
 
 
 def make_reverse_divide_check(param_ceiling: int = DC_PARAM_CEILING) -> Lingo:
@@ -97,7 +89,7 @@ def make_reverse_divide_check(param_ceiling: int = DC_PARAM_CEILING) -> Lingo:
 
     return Lingo(name=name, input_space=base.input_space,
                  output_space=base.output_space, param_space=base.param_space,
-                 f=f, g=g, param=_nat_param_below(name, param_ceiling))
+                 f=f, g=g, param=make_param(NatSpace(param_ceiling), name))
 
 
 def make_identity(space: Space) -> Lingo:

@@ -104,10 +104,8 @@ def _parse_cmd(obj, room: Optional[int], at: JsonPath) -> object:
         command = _COMMANDS.get(key)
         if command is not None:
             if command is PubMsg:
-                if not isinstance(body, list) or len(body) != 2:
-                    raise SpecError(f"publish takes [topic, value], got {body!r}")
-                fields = (_text(body[0], "publish topic"),
-                          _text(body[1], "publish value"))
+                topic, value = list_from_json(body, (at, key), 2)
+                fields = (_text(topic, "publish topic"), _text(value, "publish value"))
             else:
                 fields = (_text(body, key),)
             size = encoded_size(fields)
@@ -160,7 +158,8 @@ def _refuse_repeats(items, what: str) -> None:
 
 def _parse_attacker(obj, oids: list[str]) -> AttackerConfig:
     atk = object_from_json(obj, ATTACKER_KEYS, "scenario.attacker")
-    strategies = atoms_from_json(atk.get("strategies", []))
+    strategies = atoms_from_json(atk.get("strategies", []),
+                                 ("scenario.attacker", "strategies"))
     for s in strategies:
         if s not in STRATEGIES:
             raise SpecError(f"unknown strategy {s!r}")

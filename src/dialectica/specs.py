@@ -27,7 +27,6 @@ from .transforms import (
     DataAdaptor,
     DegenerateParamSpace,
     SpaceMismatch,
-    WidthOverflow,
     adapt_post,
     adapt_pre,
     authenticating,
@@ -54,7 +53,7 @@ class SpecError(Exception):
 
 
 _BUILD_ERRORS = (KeyError, IndexError, TypeError, ValueError, SpaceViolation,
-                 SpaceMismatch, WidthOverflow, DegenerateParamSpace, BadBias)
+                 SpaceMismatch, DegenerateParamSpace, BadBias)
 
 
 # The keys each spec object may have: a leaf lingo or an adaptor by its
@@ -77,7 +76,7 @@ _OPERATOR_FIELDS = {
 _LEAF_BUILDERS = {
     "xor_bitvec": lambda s, at: make_xor_bitvec(int_from_json(s["width"])),
     "xor_nat": lambda s, at: make_xor_nat(),
-    "xor_set": lambda s, at: make_xor_set(atoms_from_json(s["universe"])),
+    "xor_set": lambda s, at: make_xor_set(atoms_from_json(s["universe"], (at, "universe"))),
     "divide_check": lambda s, at: make_divide_check(
         int_from_json(s.get("param_ceiling", 1 << 16))),
     "reverse_divide_check": lambda s, at: make_reverse_divide_check(
@@ -159,7 +158,8 @@ def build_lingo(spec: dict, at: JsonPath = "lingo") -> Lingo:
                               build_adaptor(body["adaptor"], (at, "adaptor")))
         if op == "auth":
             return authenticating(build_lingo(body["base"], (at, "base")),
-                                  atoms_from_json(body["oids"]), m=int_from_json(body["m"]),
+                                  atoms_from_json(body["oids"], (at, "oids")),
+                                  m=int_from_json(body["m"]),
                                   j=int_from_json(body["j"]), k=int_from_json(body["k"]),
                                   seed=int_from_json(body["seed"]))
     except SpecError:

@@ -4,11 +4,14 @@
   and ships the pair; a forger who cannot solve for both components at once
   passes the receiver's compliance check with probability 1/|D2|.
 * ``authenticating`` appends a code keyed to one (sender, receiver) pair to
-  the payload and scrambles the result with a secret involution; the
-  result is again a lingo, whose compliance check rejects a wire value that
-  does not carry the code.
+  a bit-vector base's wire value and scrambles the result with a secret
+  involution; the result is again a lingo, whose compliance check rejects a
+  wire value that does not carry the code.
 * Data adaptors are section-retract pairs (j, r) with r(j(d)) = d used to
-  connect lingos whose spaces do not line up.
+  connect lingos whose spaces do not line up.  An adaptor's ``from_space``
+  is exactly the domain its j accepts (the naturals below 2**width, the
+  codebook indexes below ``count``), so the adapted lingo's input gate
+  refuses the rest.
 * The recipes demonstrate malleability: they convert an observed wire value
   into a different compliant one without knowing the current parameter.
 """
@@ -133,18 +136,6 @@ def _involution(seed: int, n: int, width: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _wire_bits(wire: Value, width: int) -> int:
-    if isinstance(wire, BitVec):
-        bits = wire.bits
-    elif isinstance(wire, Nat):
-        bits = wire.n
-    else:
-        raise WidthOverflow(f"wire value {wire!r} is not a bit vector")
-    if bits >= (1 << width):
-        raise WidthOverflow(f"wire value exceeds {width} bits")
-    return bits
-
-
 def _apply_involution(bits: int, width: int, perm: tuple[int, ...]) -> int:
     # Position 0 is the most significant bit; position i takes bit perm[i].
     text = format(bits, f"0{width}b")
@@ -155,6 +146,7 @@ def authenticating(base: Lingo, oids: list[str], m: int, j: int, k: int,
                    seed: int) -> Lingo:
     """Wrap ``base`` so each wire value carries a keyed j-bit code.
 
+    ``base`` must put bit-vectors of at most ``m`` bits on the wire.
     ``oids`` is the ordered (sender, receiver) pair the code binds.
     Encoding concatenates the m-bit base output with the code for the
     current nonce and that pair, and scrambles the m+j bit positions with a
@@ -168,29 +160,22 @@ def authenticating(base: Lingo, oids: list[str], m: int, j: int, k: int,
         raise ValueError(f"payload length m must be >= 1 bit, got {m}")
     if j < 8 or k < 8:
         raise ValueError("code and nonce lengths must be >= 8 bits")
-    if not isinstance(base.output_space, (BitVecSpace, NatSpace)):
-        raise SpaceViolation(f"{base.name} wire values are not bit vectors or naturals")
-    if isinstance(base.output_space, BitVecSpace) and base.output_space.width > m:
-        raise WidthOverflow(
-            f"base output width {base.output_space.width} exceeds m={m}")
+    out = base.output_space
+    if not isinstance(out, BitVecSpace) or out.width > m:
+        raise SpaceViolation(f"{base.name} wire values are not bit vectors of "
+                             f"at most m={m} bits: {out!r}")
     width = m + j
     name = f"auth({base.name})"
     pair_tag = _HASH_TAG ^ fnv64(oids[0] + ">" + oids[1])
 
     def f(d, a: AuthParam):
-        payload = _wire_bits(base.f(d, a.a0), m)
-        concat = (payload << j) | a.code_word
+        concat = (base.f(d, a.a0).bits << j) | a.code_word
         return BitVec(width, _apply_involution(concat, width, a.sigma))
 
     def g(w, a: AuthParam):
-        bits = _apply_involution(_wire_bits(w, width), width, a.sigma)
-        payload = bits >> j
-        if isinstance(base.output_space, BitVecSpace):
-            mid: Value = BitVec(base.output_space.width, payload)
-            if not mid.in_range:
-                return DecodeFailure("payload bits outside base output space")
-        else:
-            mid = Nat(payload)
+        mid = BitVec(out.width, _apply_involution(w.bits, width, a.sigma) >> j)
+        if not mid.in_range:
+            return DecodeFailure("payload bits outside base output space")
         return base.g(mid, a.a0)
 
     def param(n: int, _seed: int) -> AuthParam:
@@ -220,9 +205,10 @@ class RetractFailure:
 class DataAdaptor:
     """Section-retract pair (j, r) with r(j(d)) = d.
 
-    ``from_space`` is an ``OpaqueSpace`` for domains with no payload
-    structure (protocol messages): every payload passes the adapted lingo's
-    membership check on that side, so ``j`` refuses what it cannot encode.
+    ``from_space`` is exactly the domain ``j`` accepts, or an
+    ``OpaqueSpace`` for domains with no payload structure (protocol
+    messages): every payload passes the adapted lingo's membership check on
+    that side, so ``j`` refuses what it cannot encode.
     r may return RetractFailure off the image of j; adapted lingos decode
     that to a DecodeFailure, and the compliance check catches the rest.
     """
@@ -288,17 +274,16 @@ def identity_adaptor(space: Space) -> DataAdaptor:
 
 def nat_bitvec_adaptor(width: int) -> DataAdaptor:
     """Naturals below 2**width re-represented as width-bit vectors."""
+    to_space = BitVecSpace(width)  # refuses a bad width before 1 << width
 
     def j(v: Nat) -> BitVec:
-        if v.n >= (1 << width):
-            raise WidthOverflow(f"{v.n} does not fit in {width} bits")
         return BitVec(width, v.n)
 
     def r(v: BitVec) -> Nat:
         return Nat(v.bits)
 
-    return DataAdaptor(name=f"nat_bitvec{width}", from_space=NatSpace(),
-                       to_space=BitVecSpace(width), j=j, r=r)
+    return DataAdaptor(name=f"nat_bitvec{width}", from_space=NatSpace(1 << width),
+                       to_space=to_space, j=j, r=r)
 
 
 def bitvec_nat_adaptor(width: int) -> DataAdaptor:
@@ -337,8 +322,6 @@ def sparse_code_adaptor(count: int, width: int, seed: int = 0) -> DataAdaptor:
         codes.append(c)
 
     def j(v: Nat) -> BitVec:
-        if not (isinstance(v, Nat) and v.n < len(codes)):
-            raise SpaceViolation(f"{v!r} is not a codebook index")
         return BitVec(width, codes[v.n])
 
     def r(v: BitVec):
@@ -346,7 +329,7 @@ def sparse_code_adaptor(count: int, width: int, seed: int = 0) -> DataAdaptor:
             return RetractFailure("not a codebook entry")
         return Nat(seen[v.bits])
 
-    return DataAdaptor(name=f"sparse{width}", from_space=OpaqueSpace(),
+    return DataAdaptor(name=f"sparse{width}", from_space=NatSpace(count),
                        to_space=BitVecSpace(width), j=j, r=r)
 
 

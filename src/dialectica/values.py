@@ -290,23 +290,40 @@ class OpaqueSpace(Space):
         raise UnsampleableSpace("opaque space has no generator")
 
 
-# Sampled and projected naturals lie below NAT_CEILING, which bounds the
-# generator, not the space.  Wider bit-vector spaces than MAX_BITVEC_WIDTH
-# would make sampling, masks and cardinalities arbitrarily expensive.
+# Naturals sampled and projected from an unbounded NatSpace lie below
+# NAT_CEILING, which bounds the generator, not the space.  Wider bit-vector
+# spaces than MAX_BITVEC_WIDTH would make sampling, masks and cardinalities
+# arbitrarily expensive.
 NAT_CEILING = 1 << 32
 MAX_BITVEC_WIDTH = 1 << 16
 
 
 @dataclass(frozen=True)
 class NatSpace(Space):
+    """The naturals, or those below ``bound`` when it is given.  Bounded,
+    the space is finite: it is counted, enumerated, and sampled and
+    projected below its bound."""
+
+    bound: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.bound is not None and self.bound < 1:
+            raise ValueError(f"NatSpace bound must be >= 1, got {self.bound}")
+
     def contains(self, v: Value) -> bool:
-        return isinstance(v, Nat)
+        return v.__class__ is Nat and (self.bound is None or v.n < self.bound)
+
+    def cardinality(self) -> Optional[int]:
+        return self.bound
+
+    def values(self) -> Iterator[Value]:
+        return super().values() if self.bound is None else map(Nat, range(self.bound))
 
     def sample(self, rng: Rng) -> Value:
-        return Nat(rng.next_below(NAT_CEILING))
+        return Nat(rng.next_below(self.bound or NAT_CEILING))
 
     def project(self, word: int) -> Value:
-        return Nat(word % NAT_CEILING)
+        return Nat(word % (self.bound or NAT_CEILING))
 
 
 @dataclass(frozen=True)
@@ -552,18 +569,20 @@ def value_from_json(obj, at: JsonPath = "value") -> Value:
 
 
 def int_from_json(obj) -> int:
-    """A JSON integer or digit string; a float or boolean raises ValueError
-    instead of being truncated."""
-    if isinstance(obj, (bool, float)):
+    """A JSON integer or ASCII digit string; a float, a boolean or any other
+    string (a sign, a space, an underscore, a non-ASCII digit) raises
+    ValueError instead of being truncated or coerced."""
+    if isinstance(obj, (bool, float)) or isinstance(obj, str) and not (
+            obj.isascii() and obj.isdigit()):
         raise ValueError(f"not an integer: {obj!r}")
     return int(obj)
 
 
-def atoms_from_json(obj) -> tuple[str, ...]:
-    """A JSON list of strings as atom names; a bare string is refused
-    instead of being split into characters."""
+def atoms_from_json(obj, at: JsonPath) -> tuple[str, ...]:
+    """A JSON list of strings at path ``at`` as atom names; a bare string
+    is refused instead of being split into characters."""
     if not isinstance(obj, list) or not all(isinstance(a, str) for a in obj):
-        raise ValueError(f"not a list of atom names: {obj!r}")
+        raise ValueError(f"not a list of atom names at {path_text(at)}: {obj!r}")
     return tuple(obj)
 
 
@@ -603,7 +622,7 @@ def _pair_from_json(obj, at: JsonPath) -> Pair:
 def _value_from_json(obj, at: JsonPath) -> Value:
     if isinstance(obj, int) and not isinstance(obj, bool):
         return Nat(obj)
-    if isinstance(obj, str) and obj.isdigit():
+    if isinstance(obj, str) and obj.isascii() and obj.isdigit():
         return Nat(int(obj))
     if isinstance(obj, list):
         return _pair_from_json(obj, at)
@@ -618,7 +637,7 @@ def _value_from_json(obj, at: JsonPath) -> Value:
     if key == "pair":
         return _pair_from_json(body, (at, "pair"))
     if key == "set":
-        return AtomSet(atoms_from_json(body))
+        return AtomSet(atoms_from_json(body, (at, "set")))
     if key == "tag":
         body = object_from_json(body, ("i", "v"), (at, "tag"))
         return Tagged(int_from_json(body["i"]),
@@ -638,7 +657,7 @@ def space_from_json(obj, at: JsonPath = "space") -> Space:
             return PairSpace(*(space_from_json(b, (at, key, i)) for i, b
                                in enumerate(list_from_json(body, (at, key), 2))))
         if key == "atoms":
-            return AtomSetSpace(atoms_from_json(body))
+            return AtomSetSpace(atoms_from_json(body, (at, key)))
         if key == "tagged":
             return TaggedSpace(tuple(space_from_json(b, (at, key, i)) for i, b
                                      in enumerate(list_from_json(body, (at, key)))))

@@ -12,13 +12,27 @@ from dialectica.rng import SAMPLE_TAG, derive, fnv64
 from dialectica.transforms import (
     AuthParam,
     NonceExhausted,
+    WidthOverflow,
     _apply_involution,
-    _wire_bits,
 )
 from dialectica.values import BitVec, BitVecSpace, Nat, Value
 
 _INVO_TAG = fnv64("involution")
 _HASH_TAG = fnv64("auth-hash")
+
+
+def _wire_bits(wire: Value, width: int) -> int:
+    """A frozen copy of the bit reader the transform used while it also
+    took natural-number bases."""
+    if isinstance(wire, BitVec):
+        bits = wire.bits
+    elif isinstance(wire, Nat):
+        bits = wire.n
+    else:
+        raise WidthOverflow(f"wire value {wire!r} is not a bit vector")
+    if bits >= (1 << width):
+        raise WidthOverflow(f"wire value exceeds {width} bits")
+    return bits
 
 
 @dataclass(frozen=True)

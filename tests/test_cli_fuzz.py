@@ -182,9 +182,9 @@ SWEEP_SPECS = ALL_SPECS + [
                    "lingo": {"kind": "xor_bitvec", "width": 8}}},
     {"adapt_pre": {"adaptor": {"kind": "mqtt_codec", "width": 64},
                    "lingo": {"kind": "xor_bitvec", "width": 64}}},
-    # over naturals, so no base width bounds ``m``
-    {"auth": {"base": {"kind": "xor_nat"}, "oids": ["a", "b"], "m": 16,
-              "j": 16, "k": 16, "seed": 1}},
+    # a base narrower than ``m``, so ``m`` is swept apart from its width
+    {"auth": {"base": {"kind": "xor_bitvec", "width": 8}, "oids": ["a", "b"],
+              "m": 16, "j": 16, "k": 16, "seed": 1}},
 ]
 
 

@@ -53,7 +53,7 @@ class TestLingoSpecs:
         pre = build_lingo({"adapt_pre": {
             "adaptor": {"kind": "nat_bitvec", "width": 16},
             "lingo": {"kind": "xor_bitvec", "width": 16}}})
-        assert pre.input_space == NatSpace()
+        assert pre.input_space == NatSpace(1 << 16)
         assert apply_f(pre, Nat(3), BitVec(16, 5)) == BitVec(16, 6)
         post = build_lingo({"adapt_post": {
             "lingo": {"kind": "xor_bitvec", "width": 16},

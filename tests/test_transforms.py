@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +22,7 @@ from dialectica.library import (
 )
 from dialectica.mqtt import ConnAck, PubMsg, SubMsg, mqtt_codec_adaptor
 from dialectica.rng import SAMPLE_TAG, derive, fnv64
+from dialectica.specs import _KIND_FIELDS, _LEAF_BUILDERS, build_adaptor
 from dialectica.transforms import (
     AuthParam,
     DegenerateParamSpace,
@@ -273,6 +276,24 @@ def test_involution_matches_the_old_loops(width, seed, n, data):
             == _old_apply_involution(bits, width, perm))
 
 
+# One spec per adaptor kind whose domain has payload structure (all but
+# the MQTT codec), at several sizes.
+ADAPTOR_SPECS = [
+    {"kind": "identity", "space": {"bitvec": 4}},
+    {"kind": "identity", "space": "nat"},
+    {"kind": "identity", "space": {"pair": ["nat", {"atoms": ["a", "b"]}]}},
+    {"kind": "nat_bitvec", "width": 1},
+    {"kind": "nat_bitvec", "width": 8},
+    {"kind": "nat_bitvec", "width": 64},
+    {"kind": "nat_bitvec", "width": 130},
+    {"kind": "bitvec_nat", "width": 4},
+    {"kind": "bitvec_nat", "width": 64},
+    {"kind": "sparse", "width": 8, "count": 8},
+    {"kind": "sparse", "width": 8, "count": 64, "seed": 2},
+    {"kind": "sparse", "width": 32, "count": 1},
+]
+
+
 class TestAdaptors:
     def test_section_retract_law(self):
         rng = Rng(6, 10)
@@ -288,6 +309,40 @@ class TestAdaptors:
             assert bn.r(bn.j(b)) == b
             w = Nat(rng.next_below(32))
             assert sparse.r(sparse.j(w)) == w
+
+    @pytest.mark.parametrize("spec", ADAPTOR_SPECS, ids=json.dumps)
+    def test_section_retract_on_the_declared_domain(self, spec):
+        # Every d the adaptor declares is one its j encodes into the
+        # declared codomain and its r takes back.
+        ad = build_adaptor(spec)
+        assert not ad.from_space.opaque
+        domain = ad.from_space.enumerate(1 << 10)
+        if domain is None:
+            rng = Rng(5, SAMPLE_TAG)
+            domain = [ad.from_space.sample(rng) for _ in range(500)]
+        for d in domain:
+            w = ad.j(d)
+            assert space_contains(ad.to_space, w), (d, w)
+            assert ad.r(w) == d
+
+    def test_section_retract_cases_cover_every_kind(self):
+        # "identity" names a leaf lingo and an adaptor.
+        adaptor_kinds = set(_KIND_FIELDS) - set(_LEAF_BUILDERS) | {"identity"}
+        assert {s["kind"] for s in ADAPTOR_SPECS} == adaptor_kinds - {"mqtt_codec"}
+
+    @pytest.mark.parametrize("width", [1, 4, 64, 65])
+    def test_nat_bitvec_declares_the_naturals_below_its_width(self, width):
+        ad = nat_bitvec_adaptor(width)
+        assert ad.from_space == NatSpace(1 << width)
+        top = Nat((1 << width) - 1)
+        assert space_contains(ad.from_space, top)
+        assert not space_contains(ad.from_space, Nat(1 << width))
+        assert ad.r(ad.j(top)) == top
+
+    def test_sparse_declares_its_codebook_indexes(self):
+        ad = sparse_code_adaptor(8, 8)
+        assert ad.from_space == NatSpace(8)
+        assert ad.from_space.enumerate() == [Nat(i) for i in range(8)]
 
     def test_partial_retract(self):
         bn = bitvec_nat_adaptor(8)

@@ -452,6 +452,45 @@ class TestSpaceOracle:
             derive(seed, fnv64(name), n) % ceiling)
 
 
+class TestBoundedNats:
+    """``NatSpace(bound)`` is the naturals below ``bound``: counted,
+    enumerated in order, and sampled and projected below the bound from one
+    stream word, as the unbounded space is below ``NAT_CEILING``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 20) | st.integers(1, 1 << 70),
+           st.integers(0, 40) | st.integers(0, 1 << 72), st.integers(0, 2**64 - 1))
+    def test_bounded(self, bound, n, seed):
+        space = NatSpace(bound)
+        assert space_contains(space, Nat(n)) == (n < bound)
+        assert not space_contains(space, BitVec(8, 0))
+        assert space.cardinality() == bound
+        new, old = Rng(seed, SAMPLE_TAG), Rng(seed, SAMPLE_TAG)
+        assert space.sample(new) == Nat(old.next_u64() % bound)
+        assert new.index == old.index
+        assert space.project(seed) == Nat(seed % bound)
+        assert make_param(space, "p")(n, seed) == Nat(derive(seed, fnv64("p"), n) % bound)
+
+    @given(st.integers(1, 64))
+    def test_enumeration(self, bound):
+        nats = [Nat(i) for i in range(bound)]
+        assert list(NatSpace(bound).values()) == nats
+        assert NatSpace(bound).enumerate() == nats
+        assert NatSpace(bound).enumerate(bound - 1) is None
+        assert PairSpace(NatSpace(bound), BitVecSpace(1)).cardinality() == 2 * bound
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bound_is_at_least_one(self, bound):
+        with pytest.raises(ValueError, match="NatSpace bound must be >= 1"):
+            NatSpace(bound)
+
+    @pytest.mark.parametrize("obj", [{"nat": 16}, {"nat": "16"}, ["nat", 16]])
+    def test_no_encoding_sets_a_bound(self, obj):
+        assert space_from_json("nat") == NatSpace()
+        with pytest.raises(ValueError, match="not a space encoding"):
+            space_from_json(obj)
+
+
 # ---------------------------------------------------------------------------
 # Guard: an opaque domain is an OpaqueSpace, never a None space
 # ---------------------------------------------------------------------------
