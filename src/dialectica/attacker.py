@@ -90,12 +90,12 @@ class AdvantageConfig:
 
     @staticmethod
     def from_json(obj: dict, at: str = "advantage") -> "AdvantageConfig":
-        obj = object_from_json(obj, ("t_max", "w_max", "s_max"), at)
+        obj = object_from_json(obj, {"t_max": [], "w_max": [], "s_max": []}, at)
 
         def steps(key):
             return tuple((int_from_json(t), prob_from_json(p)) for t, p in (
                 list_from_json(step, (at, key, i), 2) for i, step
-                in enumerate(list_from_json(obj.get(key, []), (at, key)))))
+                in enumerate(list_from_json(obj[key], (at, key)))))
 
         return AdvantageConfig(t_max=steps("t_max"), w_max=steps("w_max"),
                                s_max=steps("s_max"))

@@ -41,7 +41,7 @@ from .core import (
 from .rng import SAMPLE_TAG, fnv64
 from .runtime import TRACE_LINES, build_report, run
 from .scenario import build_configuration, load_scenario
-from .specs import SpecError, build_lingo
+from .specs import SpecError, build_lingo, json_from_text
 from .transforms import NonceExhausted
 from .values import ShapeMismatch, json_or_raw, value_from_json, value_to_json
 
@@ -94,10 +94,7 @@ def _cannot_run(exc: Exception) -> int:
 def _load_lingo(spec_text: str):
     """The lingo a spec argument names; a bad spec raises SpecError, which
     ``main`` reports as a spec error."""
-    try:
-        return build_lingo(json.loads(spec_text))
-    except json.JSONDecodeError as exc:
-        raise SpecError(str(exc)) from exc
+    return build_lingo(json_from_text(spec_text, "spec"))
 
 
 def cmd_lingo_eval(args) -> int:
@@ -108,9 +105,9 @@ def cmd_lingo_eval(args) -> int:
         raise SpaceViolation(f"{lingo.name}: its parameters are not values, so "
                              f"none can be given on the command line")
     try:
-        values = [value_from_json(json.loads(a), ("args", i))
+        values = [value_from_json(json_from_text(a, f"args[{i}]"), ("args", i))
                   for i, a in enumerate(args.args)]
-    except ValueError as exc:
+    except (SpecError, ValueError) as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
     if len(values) != 2:
@@ -168,7 +165,7 @@ def cmd_simulate(args) -> int:
         return EXIT_SPEC_ERROR
     try:
         scenario = load_scenario(args.scenario)
-    except (SpecError, OSError, json.JSONDecodeError) as exc:
+    except (SpecError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
     seed = _effective_seed(args.seed, scenario.seed)

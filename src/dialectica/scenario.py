@@ -23,7 +23,6 @@ refused.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,9 +49,11 @@ from .runtime import (
     make_configuration,
     scenario_lingos,
 )
-from .specs import SpecError, build_lingo, build_lingos
+from .specs import SpecError, build_lingo, build_lingos, json_from_text
 from .transforms import DataAdaptor
 from .values import (
+    ABSENT,
+    REQUIRED,
     JsonPath,
     atoms_from_json,
     int_from_json,
@@ -65,11 +66,17 @@ from .values import (
 _COMMANDS = {"connect": ConnectMsg, "subscribe": SubMsg,
              "unsubscribe": UnsubMsg, "publish": PubMsg}
 
-# The keys a scenario and its attacker may have; any other key is refused.
-SCENARIO_KEYS = ("seed", "payload", "actors", "lingo_stack", "policy",
-                 "max_steps", "attacker", "outputs")
-ATTACKER_KEYS = ("strategies", "max_injections", "injection_rate",
-                 "advantage", "targets")
+# The keys each object may have, with their defaults; ABSENT keeps "targets": null refused.
+SCENARIO_FIELDS = {"seed": REQUIRED, "payload": "nat", "actors": REQUIRED,
+                   "lingo_stack": ABSENT, "policy": "static", "max_steps": 1000,
+                   "attacker": None, "outputs": {}}
+STATIC_SCENARIO_FIELDS = {**SCENARIO_FIELDS, "lingo_stack": REQUIRED}
+ATTACKER_FIELDS = {"strategies": [], "max_injections": 100, "injection_rate": 1.0,
+                   "advantage": {}, "targets": ABSENT}
+_FIELDS = {"payload": {"bitvec": REQUIRED}, "policy": {"aperiodic": REQUIRED},
+           "aperiodic": {"msg_bound": REQUIRED, "lingos": REQUIRED},
+           "client": {"oid": REQUIRED, "cmds": []}, "broker": {"oid": REQUIRED},
+           "outputs": {"trace_path": None, "report_path": None}}
 
 
 @dataclass(frozen=True)
@@ -137,15 +144,15 @@ def _parse_actor(obj, room: Optional[int], i: int) -> object:
                         f"object: {obj!r}")
     key, body = next(iter(obj.items()))
     if key == "client":
-        body = object_from_json(body, ("oid", "cmds"), (at, "client"))
+        body = object_from_json(body, _FIELDS["client"], (at, "client"))
         oid = _text(body["oid"], "client oid")
         cmds_at = (at, "client", "cmds")
         cmds = tuple(_parse_cmd(c, room, (cmds_at, k)) for k, c
-                     in enumerate(list_from_json(body.get("cmds", []), cmds_at)))
+                     in enumerate(list_from_json(body["cmds"], cmds_at)))
         _check_session(oid, cmds)
         return MqttClient(oid=oid, cmd_list=cmds)
     if key == "broker":
-        body = object_from_json(body, ("oid",), (at, "broker"))
+        body = object_from_json(body, _FIELDS["broker"], (at, "broker"))
         return MqttBroker(oid=_text(body["oid"], "broker oid"))
     raise SpecError(f"unknown actor kind {key!r} at {path_text(at)}")
 
@@ -157,19 +164,19 @@ def _refuse_repeats(items, what: str) -> None:
 
 
 def _parse_attacker(obj, oids: list[str]) -> AttackerConfig:
-    atk = object_from_json(obj, ATTACKER_KEYS, "scenario.attacker")
-    strategies = atoms_from_json(atk.get("strategies", []),
+    atk = object_from_json(obj, ATTACKER_FIELDS, "scenario.attacker")
+    strategies = atoms_from_json(atk["strategies"],
                                  ("scenario.attacker", "strategies"))
     for s in strategies:
         if s not in STRATEGIES:
             raise SpecError(f"unknown strategy {s!r}")
     # A repeated entry would weigh twice in the attacker's candidate draw.
     _refuse_repeats(strategies, "attacker strategies")
-    max_injections = int_from_json(atk.get("max_injections", 100))
+    max_injections = int_from_json(atk["max_injections"])
     if max_injections < 0:
         raise SpecError(f"attacker max_injections must be >= 0, got "
                         f"{max_injections}")
-    advantage = AdvantageConfig.from_json(atk.get("advantage", {}),
+    advantage = AdvantageConfig.from_json(atk["advantage"],
                                           "scenario.attacker.advantage")
     targets = None
     if "targets" in atk:
@@ -188,28 +195,28 @@ def _parse_attacker(obj, oids: list[str]) -> AttackerConfig:
         _refuse_repeats(targets, "attacker targets")
     return AttackerConfig(
         strategies=strategies, max_injections=max_injections,
-        injection_rate=prob_from_json(atk.get("injection_rate", 1.0)),
+        injection_rate=prob_from_json(atk["injection_rate"]),
         advantage=advantage, targets=targets)
 
 
 def parse_scenario(doc: dict) -> Scenario:
     """Validate and translate one scenario document."""
     try:
-        doc = object_from_json(doc, SCENARIO_KEYS, "scenario")
+        doc = object_from_json(doc, SCENARIO_FIELDS, "scenario")
         seed = int_from_json(doc["seed"])
-        payload = doc.get("payload", "nat")
+        payload = doc["payload"]
         if payload == "nat":
             width = None
         elif payload == "bitvec":
             width = DEFAULT_BITVEC_WIDTH
         elif isinstance(payload, dict):
             width = int_from_json(object_from_json(
-                payload, ("bitvec",), "scenario.payload")["bitvec"])
+                payload, _FIELDS["payload"], "scenario.payload")["bitvec"])
         else:
             raise SpecError(f"unknown payload encoding {payload!r}")
         codec = mqtt_codec_adaptor(width)   # checks the width
 
-        policy_doc = doc.get("policy", "static")
+        policy_doc = doc["policy"]
         if policy_doc != "static" and "lingo_stack" in doc:
             raise SpecError("lingo_stack is read only under the static "
                             "policy: a bare scenario has no lingo, and an "
@@ -217,13 +224,13 @@ def parse_scenario(doc: dict) -> Scenario:
         if policy_doc == "bare":
             policy: LingoPolicy = None
         elif policy_doc == "static":
-            policy = StaticPolicy(build_lingo(doc["lingo_stack"],
-                                              "scenario.lingo_stack"))
+            stack = object_from_json(doc, STATIC_SCENARIO_FIELDS, "scenario")["lingo_stack"]
+            policy = StaticPolicy(build_lingo(stack, "scenario.lingo_stack"))
         elif isinstance(policy_doc, dict):
             at = "scenario.policy.aperiodic"
-            body = object_from_json(policy_doc, ("aperiodic",),
+            body = object_from_json(policy_doc, _FIELDS["policy"],
                                     "scenario.policy")["aperiodic"]
-            body = object_from_json(body, ("msg_bound", "lingos"), at)
+            body = object_from_json(body, _FIELDS["aperiodic"], at)
             policy = AperiodicPolicy(
                 msg_bound=int_from_json(body["msg_bound"]),
                 lingos=tuple(build_lingos(body["lingos"], (at, "lingos"))))
@@ -250,32 +257,31 @@ def parse_scenario(doc: dict) -> Scenario:
                             f"{sorted(stray)}")
 
         attacker = None
-        if doc.get("attacker") is not None:
+        if doc["attacker"] is not None:
             attacker = _parse_attacker(doc["attacker"], oids)
 
-        max_steps = int_from_json(doc.get("max_steps", 1000))
+        max_steps = int_from_json(doc["max_steps"])
         if max_steps < 1:
             raise SpecError(f"max_steps must be >= 1, got {max_steps}")
 
-        outputs = object_from_json(doc.get("outputs", {}),
-                                   ("trace_path", "report_path"),
+        outputs = object_from_json(doc["outputs"], _FIELDS["outputs"],
                                    "scenario.outputs")
         for path in outputs.values():
             if not isinstance(path, (str, type(None))):
                 raise SpecError(f"output paths must be strings, got {path!r}")
         return Scenario(seed=seed, actors=actors, policy=policy, codec=codec,
                         max_steps=max_steps, attacker=attacker,
-                        trace_path=outputs.get("trace_path"),
-                        report_path=outputs.get("report_path"))
-    except SpecError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+                        trace_path=outputs["trace_path"],
+                        report_path=outputs["report_path"])
+    except ValueError as exc:
         raise SpecError(f"bad scenario: {exc}") from exc
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(json.load(fh))
+    """Read and parse the scenario file at ``path``; a file that is not
+    JSON raises SpecError, and one that cannot be read OSError."""
+    with open(path, "rb") as fh:
+        return parse_scenario(json_from_text(fh.read(), path))
 
 
 def build_configuration(scenario: Scenario, seed_override: Optional[int] = None

@@ -10,6 +10,8 @@ are single-key nodes wrapping child specs, e.g.::
 
 from __future__ import annotations
 
+import json
+
 from .compositions import functional, horizontal, product, tupling
 from .core import Lingo, SpaceViolation
 from .library import (
@@ -37,6 +39,7 @@ from .transforms import (
     sparse_code_adaptor,
 )
 from .values import (
+    REQUIRED,
     atoms_from_json,
     int_from_json,
     list_from_json,
@@ -52,121 +55,162 @@ class SpecError(Exception):
     """Malformed lingo/adaptor/scenario spec."""
 
 
-_BUILD_ERRORS = (KeyError, IndexError, TypeError, ValueError, SpaceViolation,
-                 SpaceMismatch, DegenerateParamSpace, BadBias)
+_BUILD_ERRORS = (ValueError, SpaceViolation, SpaceMismatch, DegenerateParamSpace,
+                 BadBias)
+
+# JSON nested deeper than this is refused before it is parsed: the readers
+# recurse at every level, and so do the lingos and values they build.
+MAX_JSON_DEPTH = 100
+# A translation to brackets of one kind and quotes, all other bytes dropped.
+_ONE_BRACKET = bytes.maketrans(b"{}", b"[]")
+_NOT_BRACKETS = bytes(c for c in range(256) if c not in b'[]{}"')
 
 
-# The keys each spec object may have: a leaf lingo or an adaptor by its
-# kind, an operator's object body by its operator.
-_KIND_FIELDS = {
-    "xor_bitvec": ("kind", "width"), "xor_nat": ("kind",),
-    "xor_set": ("kind", "universe"), "divide_check": ("kind", "param_ceiling"),
-    "reverse_divide_check": ("kind", "param_ceiling"),
-    "identity": ("kind", "space"), "split_bitvec": ("kind", "half_width"),
-    "nat_bitvec": ("kind", "width"), "bitvec_nat": ("kind", "width"),
-    "sparse": ("kind", "count", "width", "seed"),
-    "mqtt_codec": ("kind", "width"),
-}
-_OPERATOR_FIELDS = {
-    "horizontal": ("branches", "defaults", "bias", "seed"),
-    "adapt_pre": ("adaptor", "lingo"), "adapt_post": ("lingo", "adaptor"),
-    "auth": ("base", "oids", "m", "j", "k", "seed"),
+def _too_deep(data: bytes) -> bool:
+    """Whether the JSON text ``data`` nests deeper than MAX_JSON_DEPTH,
+    brackets inside its strings aside, or, where its brackets do not
+    balance, whether a parser of it could."""
+    if data.count(b"[") + data.count(b"{") <= MAX_JSON_DEPTH:
+        return False
+    if b"\\" in data:
+        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+    # Dropping two adjacent quotes drops an empty string or joins two strings.
+    brackets = data.translate(_ONE_BRACKET, _NOT_BRACKETS).replace(b'""', b"")
+    brackets = b"".join(brackets.split(b'"')[::2])
+    levels = 0
+    while levels <= MAX_JSON_DEPTH and b"[]" in brackets:
+        brackets = brackets.replace(b"[]", b"")    # the innermost level
+        levels += 1
+    return levels + brackets.count(b"[") > MAX_JSON_DEPTH
+
+
+def json_from_text(text, what: str) -> object:
+    """The JSON document ``text`` (a str, or bytes in UTF-8) holds; text
+    that cannot be decoded or parsed, or that nests deeper than
+    MAX_JSON_DEPTH levels, raises SpecError naming ``what``."""
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        if _too_deep(text.encode("utf-8", "surrogatepass")):
+            raise SpecError(f"{what} nests deeper than {MAX_JSON_DEPTH} levels")
+        return json.loads(text)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SpecError(f"{what} is not JSON: {exc}") from exc
+
+
+# One table per node kind: a leaf lingo or an adaptor by its kind, an operator
+# by its key, each to its fields and their defaults (none: the body is one or
+# more specs) and to its builder, which takes the node read and its path.
+_LINGO_KINDS = {
+    "xor_bitvec": ({"width": REQUIRED}, lambda s, at: make_xor_bitvec(int_from_json(s["width"]))),
+    "xor_nat": ({}, lambda s, at: make_xor_nat()),
+    "xor_set": ({"universe": REQUIRED}, lambda s, at: make_xor_set(
+        atoms_from_json(s["universe"], (at, "universe")))),
+    "divide_check": ({"param_ceiling": 1 << 16}, lambda s, at: make_divide_check(
+        int_from_json(s["param_ceiling"]))),
+    "reverse_divide_check": ({"param_ceiling": 1 << 16}, lambda s, at:
+                             make_reverse_divide_check(int_from_json(s["param_ceiling"]))),
+    "identity": ({"space": REQUIRED}, lambda s, at: make_identity(
+        space_from_json(s["space"], (at, "space")))),
+    "split_bitvec": ({"half_width": REQUIRED},
+                     lambda s, at: make_split_bitvec(int_from_json(s["half_width"]))),
 }
 
-_LEAF_BUILDERS = {
-    "xor_bitvec": lambda s, at: make_xor_bitvec(int_from_json(s["width"])),
-    "xor_nat": lambda s, at: make_xor_nat(),
-    "xor_set": lambda s, at: make_xor_set(atoms_from_json(s["universe"], (at, "universe"))),
-    "divide_check": lambda s, at: make_divide_check(
-        int_from_json(s.get("param_ceiling", 1 << 16))),
-    "reverse_divide_check": lambda s, at: make_reverse_divide_check(
-        int_from_json(s.get("param_ceiling", 1 << 16))),
-    "identity": lambda s, at: make_identity(space_from_json(s["space"], (at, "space"))),
-    "split_bitvec": lambda s, at: make_split_bitvec(int_from_json(s["half_width"])),
+
+def _sparse(s: dict, at: JsonPath) -> DataAdaptor:
+    count = int_from_json(s["count"])
+    if not 1 <= count <= 1 << 16:
+        raise ValueError(f"codebook size must be in 1..65536, got {count}")
+    return sparse_code_adaptor(count, int_from_json(s["width"]), int_from_json(s["seed"]))
+
+
+_ADAPTOR_KINDS = {
+    "identity": ({"space": REQUIRED}, lambda s, at: identity_adaptor(
+        space_from_json(s["space"], (at, "space")))),
+    "nat_bitvec": ({"width": REQUIRED},
+                   lambda s, at: nat_bitvec_adaptor(int_from_json(s["width"]))),
+    "bitvec_nat": ({"width": REQUIRED},
+                   lambda s, at: bitvec_nat_adaptor(int_from_json(s["width"]))),
+    "sparse": ({"count": 64, "width": REQUIRED, "seed": 0}, _sparse),
+    # Without a width, the codec carries naturals.
+    "mqtt_codec": ({"width": None}, lambda s, at: mqtt_codec_adaptor(
+        None if s["width"] is None else int_from_json(s["width"]))),
 }
+
+
+def _horizontal(body: dict, at: JsonPath) -> Lingo:
+    return horizontal(tuple(build_lingos(body["branches"], (at, "branches"))),
+                      tuple(value_from_json(d, (at, "defaults", i)) for i, d in
+                            enumerate(list_from_json(body["defaults"], (at, "defaults")))),
+                      tuple(map(int_from_json, list_from_json(body["bias"], (at, "bias")))),
+                      seed=int_from_json(body["seed"]))
+
+
+def _auth(body: dict, at: JsonPath) -> Lingo:
+    return authenticating(build_lingo(body["base"], (at, "base")),
+                          atoms_from_json(body["oids"], (at, "oids")),
+                          m=int_from_json(body["m"]), j=int_from_json(body["j"]),
+                          k=int_from_json(body["k"]), seed=int_from_json(body["seed"]))
+
+
+_OPERATORS = {
+    "sharp": (None, lambda body, at: sharp(build_lingo(body, at))),
+    "horizontal": ({"branches": REQUIRED, "defaults": REQUIRED, "bias": REQUIRED,
+                    "seed": 0}, _horizontal),
+    "functional": (None, lambda body, at: functional(
+        *build_lingos(list_from_json(body, at, 2), at))),
+    "product": (None, lambda body, at: product(build_lingos(body, at))),
+    "tupling": (None, lambda body, at: tupling(build_lingos(body, at))),
+    "adapt_pre": ({"adaptor": REQUIRED, "lingo": REQUIRED}, lambda b, at: adapt_pre(
+        build_adaptor(b["adaptor"], (at, "adaptor")), build_lingo(b["lingo"], (at, "lingo")))),
+    "adapt_post": ({"lingo": REQUIRED, "adaptor": REQUIRED}, lambda b, at: adapt_post(
+        build_lingo(b["lingo"], (at, "lingo")), build_adaptor(b["adaptor"], (at, "adaptor")))),
+    "auth": ({"base": REQUIRED, "oids": REQUIRED, "m": REQUIRED, "j": REQUIRED,
+              "k": REQUIRED, "seed": REQUIRED}, _auth),
+}
+
+
+def _build_kind(kinds: dict, spec: dict, what: str, at: JsonPath):
+    """Build the ``{"kind": ...}`` node ``spec`` at ``at`` by its entry in ``kinds``."""
+    fields, build = kinds[spec["kind"]]
+    try:
+        return build(object_from_json(spec, {"kind": REQUIRED, **fields}, at), at)
+    except _BUILD_ERRORS as exc:
+        raise SpecError(f"bad {what} spec {spec!r}: {exc}") from exc
 
 
 def build_adaptor(spec: dict, at: JsonPath = "adaptor") -> DataAdaptor:
     """Build a data adaptor from its spec; ``at``, the spec's path in its
-    document, is named when the spec has a stray key."""
-    try:
-        kind = spec["kind"]
-        spec = object_from_json(spec, _KIND_FIELDS.get(kind, ("kind",)), at)
-        if kind == "identity":
-            return identity_adaptor(space_from_json(spec["space"], (at, "space")))
-        if kind == "nat_bitvec":
-            return nat_bitvec_adaptor(int_from_json(spec["width"]))
-        if kind == "bitvec_nat":
-            return bitvec_nat_adaptor(int_from_json(spec["width"]))
-        if kind == "sparse":
-            count = int_from_json(spec.get("count", 64))
-            if not 1 <= count <= 1 << 16:
-                raise ValueError(f"codebook size must be in 1..65536, got {count}")
-            return sparse_code_adaptor(count, int_from_json(spec["width"]),
-                                       int_from_json(spec.get("seed", 0)))
-        if kind == "mqtt_codec":
-            width = spec.get("width")
-            return mqtt_codec_adaptor(None if width is None else int_from_json(width))
-    except _BUILD_ERRORS as exc:
-        raise SpecError(f"bad adaptor spec {spec!r}: {exc}") from exc
-    raise SpecError(f"unknown adaptor kind {spec!r}")
+    document, is named when the spec is malformed."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise SpecError(f"adaptor spec at {path_text(at)} must be an object "
+                        f"with a kind, got {spec!r}")
+    if not isinstance(spec["kind"], str) or spec["kind"] not in _ADAPTOR_KINDS:
+        raise SpecError(f"unknown adaptor kind {spec!r}")
+    return _build_kind(_ADAPTOR_KINDS, spec, "adaptor", at)
 
 
 def build_lingo(spec: dict, at: JsonPath = "lingo") -> Lingo:
     """Recursively build a lingo from its spec tree; ``at``, the spec's path
-    in its document, is named when an object in it has a stray key."""
+    in its document, is named when an object in it is malformed."""
     if not isinstance(spec, dict):
         raise SpecError(f"lingo spec must be an object, got {spec!r}")
     if "kind" in spec:
-        kind = spec["kind"]
-        builder = _LEAF_BUILDERS.get(kind) if isinstance(kind, str) else None
-        if builder is None:
+        if not isinstance(spec["kind"], str) or spec["kind"] not in _LINGO_KINDS:
             raise SpecError(f"unknown lingo kind {spec['kind']!r}")
-        try:
-            return builder(object_from_json(spec, _KIND_FIELDS[kind], at), at)
-        except _BUILD_ERRORS as exc:
-            raise SpecError(f"bad lingo spec {spec!r}: {exc}") from exc
+        return _build_kind(_LINGO_KINDS, spec, "lingo", at)
     if len(spec) != 1:
         raise SpecError(f"composite spec at {path_text(at)} must have a single "
                         f"operator key: {spec!r}")
     op, body = next(iter(spec.items()))
+    if op not in _OPERATORS:
+        raise SpecError(f"unknown lingo operator {op!r}")
+    fields, build = _OPERATORS[op]
     at = (at, op)
     try:
-        if op in _OPERATOR_FIELDS:
-            body = object_from_json(body, _OPERATOR_FIELDS[op], at)
-        if op == "sharp":
-            return sharp(build_lingo(body, at))
-        if op == "horizontal":
-            branches = tuple(build_lingos(body["branches"], (at, "branches")))
-            defaults = tuple(value_from_json(d, (at, "defaults", i)) for i, d
-                             in enumerate(list_from_json(body["defaults"],
-                                                         (at, "defaults"))))
-            bias = tuple(map(int_from_json, list_from_json(body["bias"], (at, "bias"))))
-            return horizontal(branches, defaults, bias,
-                              seed=int_from_json(body.get("seed", 0)))
-        if op == "functional":
-            return functional(*build_lingos(list_from_json(body, at, 2), at))
-        if op == "product":
-            return product(build_lingos(body, at))
-        if op == "tupling":
-            return tupling(build_lingos(body, at))
-        if op == "adapt_pre":
-            return adapt_pre(build_adaptor(body["adaptor"], (at, "adaptor")),
-                             build_lingo(body["lingo"], (at, "lingo")))
-        if op == "adapt_post":
-            return adapt_post(build_lingo(body["lingo"], (at, "lingo")),
-                              build_adaptor(body["adaptor"], (at, "adaptor")))
-        if op == "auth":
-            return authenticating(build_lingo(body["base"], (at, "base")),
-                                  atoms_from_json(body["oids"], (at, "oids")),
-                                  m=int_from_json(body["m"]),
-                                  j=int_from_json(body["j"]), k=int_from_json(body["k"]),
-                                  seed=int_from_json(body["seed"]))
-    except SpecError:
-        raise
+        return build(body if fields is None else object_from_json(body, fields, at), at)
     except _BUILD_ERRORS as exc:
         raise SpecError(f"bad {op!r} spec: {exc}") from exc
-    raise SpecError(f"unknown lingo operator {op!r}")
 
 
 def build_lingos(specs, at: JsonPath) -> list[Lingo]:

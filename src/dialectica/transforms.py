@@ -182,7 +182,7 @@ def authenticating(base: Lingo, oids: list[str], m: int, j: int, k: int,
         # Keyed by the lingo's own seed, the enclave secret, not the
         # caller's: the pinned `lingo check` digest of an auth spec rests on
         # this stream.
-        if not 0 <= n < 1 << k:
+        if n < 0 or n >> k:     # not below 2**k, which is never built
             raise NonceExhausted(f"nonce must be below 2**{k}, got {n}")
         return AuthParam(a0=base.param(n, seed), sigma=_involution(seed, n, width),
                          code_word=derive(seed, pair_tag, n) & ((1 << j) - 1))

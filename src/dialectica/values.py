@@ -523,14 +523,24 @@ def _value_text(v: Value) -> str:
     return v.json_text()
 
 
+def _is_value(v) -> bool:
+    """Whether ``v`` is a value all the way down: a pair or a tagged value
+    may hold a protocol message, which has no canonical form."""
+    if v.__class__ is Pair:
+        return _is_value(v.first) and _is_value(v.second)
+    if v.__class__ is Tagged:
+        return _is_value(v.inner)
+    return isinstance(v, _Value)
+
+
 def json_text(v) -> str:
     """What ``json.dumps(json_or_raw(v), sort_keys=True, separators=(",",
     ":"))`` writes, from the value itself: its canonical form, or
-    ``{"raw":<repr>}`` for anything else, such as a protocol message."""
-    try:
-        return _value_text(v)
-    except TypeError:
-        return f'{{"raw":{_str(repr(v))}}}'
+    ``{"raw":<repr>}`` for anything else, such as a protocol message or a
+    pair that holds one."""
+    if _is_value(v):
+        return v.json_text()
+    return f'{{"raw":{_str(repr(v))}}}'
 
 
 def value_to_json(v: Value) -> dict:
@@ -557,25 +567,14 @@ def path_text(at: JsonPath) -> str:
         f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
 
 
-def value_from_json(obj, at: JsonPath = "value") -> Value:
-    """Parse the canonical JSON encoding; bare non-negative ints are accepted
-    as shorthand for naturals.  Anything else raises ValueError.  ``at`` is
-    the value's path in its document, named when a body has a stray key."""
-    try:
-        return _value_from_json(obj, at)
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ValueError(f"not a value encoding at {path_text(at)}: "
-                         f"{obj!r}") from exc
-
-
 def int_from_json(obj) -> int:
-    """A JSON integer or ASCII digit string; a float, a boolean or any other
-    string (a sign, a space, an underscore, a non-ASCII digit) raises
-    ValueError instead of being truncated or coerced."""
-    if isinstance(obj, (bool, float)) or isinstance(obj, str) and not (
-            obj.isascii() and obj.isdigit()):
-        raise ValueError(f"not an integer: {obj!r}")
-    return int(obj)
+    """A JSON integer or ASCII digit string; anything else (a float, a
+    boolean, null, a list, an object, or a string with a sign, a space, an
+    underscore or a non-ASCII digit) raises ValueError instead of being
+    truncated or coerced."""
+    if type(obj) is int or type(obj) is str and obj.isascii() and obj.isdigit():
+        return int(obj)
+    raise ValueError(f"not an integer: {obj!r}")
 
 
 def atoms_from_json(obj, at: JsonPath) -> tuple[str, ...]:
@@ -593,16 +592,27 @@ def prob_from_json(obj) -> float:
     return float(obj)
 
 
-def object_from_json(obj, keys: tuple[str, ...], at: JsonPath) -> dict:
-    """A JSON object whose keys are all among ``keys``; anything else raises
-    ValueError naming a stray key and ``at``, the object's path in its
-    document, so a misspelt key is refused rather than ignored."""
+# Defaults that are no value: a REQUIRED key must be given; an ABSENT one, not given, stays out.
+REQUIRED, ABSENT = object(), object()
+
+
+def object_from_json(obj, fields: dict, at: JsonPath) -> dict:
+    """A JSON object whose keys are all among ``fields``, with the keys it
+    leaves out set to their defaults there; a stray key or a missing
+    REQUIRED one raises ValueError naming the key and ``at``, the object's
+    path in its document, so a misspelt key is refused rather than ignored."""
     if not isinstance(obj, dict):
         raise ValueError(f"{path_text(at)} is not a JSON object: {obj!r}")
     for key in obj:
-        if key not in keys:
+        if key not in fields:
             raise ValueError(f"unknown key {key!r} in {path_text(at)}")
-    return obj
+    out = obj.copy()
+    for key, default in fields.items():
+        if key not in out and default is not ABSENT:
+            if default is REQUIRED:
+                raise ValueError(f"missing key {key!r} in {path_text(at)}")
+            out[key] = default
+    return out
 
 
 def list_from_json(obj, at: JsonPath, length: Optional[int] = None) -> list:
@@ -615,11 +625,17 @@ def list_from_json(obj, at: JsonPath, length: Optional[int] = None) -> list:
 
 
 def _pair_from_json(obj, at: JsonPath) -> Pair:
-    return Pair(*(_value_from_json(v, (at, i))
+    return Pair(*(value_from_json(v, (at, i))
                   for i, v in enumerate(list_from_json(obj, at, 2))))
 
 
-def _value_from_json(obj, at: JsonPath) -> Value:
+_BODY_FIELDS = {"bv": {"w": REQUIRED, "n": REQUIRED}, "tag": {"i": REQUIRED, "v": REQUIRED}}
+
+
+def value_from_json(obj, at: JsonPath = "value") -> Value:
+    """Parse the canonical JSON encoding; bare non-negative ints are accepted
+    as shorthand for naturals.  Anything else raises ValueError.  ``at`` is
+    the value's path in its document, named when a body is malformed."""
     if isinstance(obj, int) and not isinstance(obj, bool):
         return Nat(obj)
     if isinstance(obj, str) and obj.isascii() and obj.isdigit():
@@ -632,16 +648,16 @@ def _value_from_json(obj, at: JsonPath) -> Value:
     if key == "nat":
         return Nat(int_from_json(body))
     if key == "bv":
-        body = object_from_json(body, ("w", "n"), (at, "bv"))
+        body = object_from_json(body, _BODY_FIELDS["bv"], (at, "bv"))
         return BitVec(int_from_json(body["w"]), int_from_json(body["n"]))
     if key == "pair":
         return _pair_from_json(body, (at, "pair"))
     if key == "set":
         return AtomSet(atoms_from_json(body, (at, "set")))
     if key == "tag":
-        body = object_from_json(body, ("i", "v"), (at, "tag"))
+        body = object_from_json(body, _BODY_FIELDS["tag"], (at, "tag"))
         return Tagged(int_from_json(body["i"]),
-                      _value_from_json(body["v"], (at, "tag", "v")))
+                      value_from_json(body["v"], (at, "tag", "v")))
     raise ValueError(f"unknown value kind {key!r} at {path_text(at)}")
 
 

@@ -369,6 +369,49 @@ class TestLingoCheck:
         assert not out["passed"]
 
 
+def _nested(leaf, wrap, levels):
+    for _ in range(levels):
+        leaf = wrap(leaf)
+    return json.dumps(leaf)
+
+
+# Each of these once ended in a RecursionError or UnicodeDecodeError
+# traceback and exit 1, the law-failure code.
+DEEP = "[" * 2000 + "]" * 2000
+DEEP_PRODUCT = _nested({"kind": "xor_nat"}, lambda s: {"product": [s]}, 350)
+DEEP_PAIR = _nested(0, lambda v: {"pair": [v, 0]}, 400)
+
+
+class TestUnreadableJson:
+    @pytest.mark.parametrize("argv, error", [
+        (["lingo", "check", DEEP], "spec error: spec nests deeper than 100 levels"),
+        (["lingo", "check", DEEP_PRODUCT],
+         "spec error: spec nests deeper than 100 levels"),
+        (["lingo", "eval", DC, "f", DEEP, "0"],
+         "argument error: args[0] nests deeper than 100 levels"),
+        (["lingo", "eval", DC, "f", "0", DEEP_PAIR],
+         "argument error: args[1] nests deeper than 100 levels"),
+        (["experiment", "spoof", "--lingo", DEEP, "--strategy", "random_wire"],
+         "spec error: spec nests deeper than 100 levels"),
+    ], ids=["check", "check_product", "eval_value", "eval_pair", "experiment"])
+    def test_argument_exits_2(self, capsys, argv, error):
+        assert main(argv) == EXIT_SPEC_ERROR
+        assert capsys.readouterr().err == f"{error}\n"
+
+    @pytest.mark.parametrize("data, error", [
+        (DEEP.encode(), "nests deeper than 100 levels"),
+        (b'{"seed": 1, "x": "\xff"}', "is not JSON: 'utf-8' codec can't "
+         "decode byte 0xff in position 18: invalid start byte"),
+        (b'{"seed": 1,', "is not JSON: Expecting property name enclosed in "
+         "double quotes: line 1 column 12 (char 11)"),
+    ], ids=["deep", "not_utf8", "not_json"])
+    def test_scenario_file_exits_2(self, capsys, tmp_path, data, error):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert main(["simulate", str(path)]) == EXIT_SPEC_ERROR
+        assert capsys.readouterr().err == f"config error: {path} {error}\n"
+
+
 class TestSimulate:
     def test_bundled_xor_scenario(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"

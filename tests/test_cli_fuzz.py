@@ -14,7 +14,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import ALL_SCENARIOS, ALL_SPECS, load_scenario_doc
-from dialectica import cli, specs
+from dialectica import cli, specs, values
+from dialectica.scenario import (
+    _FIELDS as SCENARIO_BODY_FIELDS,
+    ATTACKER_FIELDS,
+    SCENARIO_FIELDS,
+    STATIC_SCENARIO_FIELDS,
+)
+from dialectica.values import REQUIRED
 
 # Keys the documents use, so generated objects sometimes look like the
 # real thing one level down.
@@ -169,7 +176,9 @@ def test_experiment_on_mutated_specs(capsys, spec, kind):
 # width included; each is set to each bad value in turn, one at a time.
 INT_FIELDS = ("width", "half_width", "param_ceiling", "count", "seed", "bias",
               "m", "j", "k", "bitvec")
-BAD_INTS = (0, -1, -3)
+# JSON that is no integer at all, which every integer field refuses (exit 2).
+NOT_INTS = (None, [], {})
+BAD_INTS = (0, -1, -3, *NOT_INTS)
 # ALL_SPECS with the optional integer fields spelled out.
 SWEEP_SPECS = ALL_SPECS + [
     {"kind": "divide_check", "param_ceiling": 16},
@@ -204,7 +213,7 @@ def _int_paths(spec):
 
 
 INT_FIELD_CASES = [
-    pytest.param(replaced(spec, path, bad),
+    pytest.param(replaced(spec, path, bad), type(bad) is not int,
                  id=f"spec{i}.{'.'.join(map(str, path))}={bad}")
     for i, spec in enumerate(SWEEP_SPECS) for path, _ in _int_paths(spec)
     for bad in BAD_INTS]
@@ -215,12 +224,13 @@ def test_int_field_sweep_covers_every_field():
             for _, name in _int_paths(spec)} == set(INT_FIELDS)
 
 
-@pytest.mark.parametrize("spec", INT_FIELD_CASES)
-def test_bad_integer_fields_end_with_an_exit_code(capsys, spec):
+@pytest.mark.parametrize("spec, not_int", INT_FIELD_CASES)
+def test_bad_integer_fields_end_with_an_exit_code(capsys, spec, not_int):
     text = json.dumps(spec)
-    assert cli.main(["lingo", "check", text, "--samples", "20"]) in range(5)
+    codes = (2,) if not_int else range(5)
+    assert cli.main(["lingo", "check", text, "--samples", "20"]) in codes
     assert cli.main(["experiment", "spoof", "--lingo", text, "--strategy",
-                     "random_wire", "--trials", "5"]) in range(5)
+                     "random_wire", "--trials", "5"]) in codes
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +267,7 @@ BODY_KINDS = ("payload", "policy", "aperiodic", "client", "broker",
 ADAPTOR_KINDS = ("identity", "nat_bitvec", "bitvec_nat", "sparse",
                  "mqtt_codec")
 OBJECT_KINDS = {"scenario", *BODY_KINDS,
-                *(f"lingo:{k}" for k in specs._LEAF_BUILDERS),
+                *(f"lingo:{k}" for k in specs._LINGO_KINDS),
                 *(f"adaptor:{k}" for k in ADAPTOR_KINDS)}
 UNKNOWN = "zz_unknown"
 
@@ -308,8 +318,9 @@ CLOSED_CASES = [
 
 
 def test_closed_object_sweep_covers_every_kind():
-    assert set(specs._KIND_FIELDS) == {*specs._LEAF_BUILDERS, *ADAPTOR_KINDS}
-    assert set(specs._OPERATOR_FIELDS) == set(OPERATORS)
+    assert set(specs._ADAPTOR_KINDS) == set(ADAPTOR_KINDS)
+    assert {op for op, (fields, _) in specs._OPERATORS.items()
+            if fields is not None} == set(OPERATORS)
     assert {object_kind(path, _at(doc, path))
             for doc, path, _ in (case.values for case in CLOSED_CASES)
             } - {None} == OBJECT_KINDS
@@ -336,6 +347,63 @@ def test_unknown_key_exits_2(capsys, workdir, doc, path, scenario):
     else:
         root = "scenario" if scenario else "lingo"
         assert f"unknown key {UNKNOWN!r} in {json_path(root, path)}" in err
+
+
+# ---------------------------------------------------------------------------
+# Required keys: one REQUIRED key of its reader's table, deleted from one
+# object, exits 2 naming the key and the object's path.
+# ---------------------------------------------------------------------------
+
+# Each reader's table of fields, by the object kind ``object_kind`` names.
+TABLES = {"scenario": SCENARIO_FIELDS, "attacker": ATTACKER_FIELDS,
+          **SCENARIO_BODY_FIELDS,
+          **values._BODY_FIELDS,
+          **{f"lingo:{k}": fields for k, (fields, _) in specs._LINGO_KINDS.items()},
+          **{f"adaptor:{k}": fields for k, (fields, _)
+             in specs._ADAPTOR_KINDS.items()},
+          **{op: fields for op, (fields, _) in specs._OPERATORS.items()
+             if fields is not None}}
+
+
+def table_of(path, obj):
+    """The table of the reader of ``obj``; the static policy's scenario has
+    its own."""
+    kind = object_kind(path, obj)
+    if kind == "scenario" and obj.get("policy", "static") == "static":
+        return "static scenario", STATIC_SCENARIO_FIELDS
+    return kind, TABLES.get(kind, {})
+
+
+def without_key(doc, path, key):
+    doc = json.loads(json.dumps(doc))
+    del _at(doc, path)[key]
+    return doc
+
+
+REQUIRED_CASES = [
+    pytest.param(doc, path, key, scenario,
+                 id=f"{'scenario' if scenario else 'spec'}{i}:"
+                    f"{json_path('', path) or '/'}-{key}")
+    for scenario, docs in ((True, CLOSED_SCENARIOS), (False, CLOSED_SPECS))
+    for i, doc in enumerate(docs) for path in object_paths(doc)
+    for key, default in table_of(path, _at(doc, path))[1].items()
+    if default is REQUIRED]
+
+
+def test_required_key_sweep_covers_every_table():
+    swept = {(table_of(path, _at(doc, path))[0], key)
+             for doc, path, key, _ in (case.values for case in REQUIRED_CASES)}
+    tables = {**TABLES, "static scenario": STATIC_SCENARIO_FIELDS}
+    assert swept == {(kind, key) for kind, fields in tables.items()
+                     for key, default in fields.items() if default is REQUIRED}
+
+
+@pytest.mark.parametrize("doc, path, key, scenario", REQUIRED_CASES)
+def test_missing_required_key_exits_2(capsys, workdir, doc, path, key, scenario):
+    assert closed_exit(without_key(doc, path, key), workdir, scenario) == 2
+    root = "scenario" if scenario else "lingo"
+    assert f"missing key {key!r} in {json_path(root, path)}" in \
+        capsys.readouterr().err
 
 
 # Every field name an object may have, so a drawn key is one none takes.

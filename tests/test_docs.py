@@ -12,7 +12,7 @@ from pathlib import Path
 import dialectica
 from dialectica.cli import main
 from dialectica.runtime import TRACE_LINES
-from dialectica.scenario import ATTACKER_KEYS, SCENARIO_KEYS
+from dialectica.scenario import ATTACKER_FIELDS, SCENARIO_FIELDS
 from dialectica.values import Nat
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -130,5 +130,5 @@ def test_key_rows_are_read():
 
 def test_readme_names_the_scenario_and_attacker_keys():
     rows = _key_rows(README.read_text(encoding="utf-8"))
-    assert rows["the scenario"] == list(SCENARIO_KEYS)
-    assert rows["`attacker`"] == list(ATTACKER_KEYS)
+    assert rows["the scenario"] == list(SCENARIO_FIELDS)
+    assert rows["`attacker`"] == list(ATTACKER_FIELDS)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,13 @@ from dialectica.core import (
     is_compliant,
 )
 from dialectica.mqtt import mqtt_codec_adaptor
-from dialectica.specs import SpecError, build_adaptor, build_lingo
+from dialectica.specs import (
+    MAX_JSON_DEPTH,
+    SpecError,
+    build_adaptor,
+    build_lingo,
+    json_from_text,
+)
 from dialectica.transforms import adapt_pre
 from dialectica.values import (
     AtomSet,
@@ -110,6 +118,17 @@ class TestLingoSpecs:
         with pytest.raises(SpecError):
             build_adaptor({"kind": "teleport"})
 
+    @pytest.mark.parametrize("adaptor, error", [
+        ({"kind": "foo", "width": 4}, "unknown adaptor kind {'kind': 'foo', 'width': 4}"),
+        ({"kind": ["x"]}, "unknown adaptor kind {'kind': ['x']}"),
+    ], ids=["with_a_field", "unhashable"])
+    def test_unknown_adaptor_kind_is_refused_before_its_fields(self, adaptor,
+                                                               error):
+        with pytest.raises(SpecError) as info:
+            build_lingo({"adapt_pre": {"adaptor": adaptor,
+                                       "lingo": {"kind": "xor_nat"}}})
+        assert str(info.value) == error
+
     @pytest.mark.parametrize("bad", [
         {"kind": "nat_bitvec", "width": 8.5},
         {"kind": "bitvec_nat", "width": True},
@@ -161,3 +180,40 @@ def test_compliance_gate_is_total(spec, data):
     ok = is_compliant(lingo, w, a)
     if not space_contains(lingo.output_space, w):
         assert ok is False
+
+
+class TestJsonFromText:
+    @pytest.mark.parametrize("open_, close", [("[", "]"), ('{"a":[', "]}")],
+                             ids=["lists", "objects_and_lists"])
+    def test_nesting_up_to_the_bound_is_read(self, open_, close):
+        depth = MAX_JSON_DEPTH // len(close)
+        text = open_ * depth + "0" + close * depth
+        assert json_from_text(text, "doc") == json.loads(text)
+        with pytest.raises(SpecError, match="doc nests deeper than 100 levels"):
+            json_from_text(open_ + text + close, "doc")
+
+    @pytest.mark.parametrize("text", ["[" * 2000, "[" * 101 + "]", '{"a":' * 1000])
+    def test_unclosed_nesting_is_refused(self, text):
+        with pytest.raises(SpecError, match="doc nests deeper than 100 levels"):
+            json_from_text(text, "doc")
+
+    def test_unterminated_strings_are_scanned_once(self):
+        # A scan that went back over the rest of the text from each quote
+        # would take about 40 s here; one scan takes milliseconds.
+        with pytest.raises(SpecError, match="Unterminated string"):
+            json_from_text('"' + '\\"' * 50_000, "doc")
+
+    def test_brackets_in_strings_are_not_nesting(self):
+        text = json.dumps({"a\\\"[{": ["[" * 500, "}" * 500]})
+        assert json_from_text(text, "doc") == json.loads(text)
+
+    @pytest.mark.parametrize("text, error", [
+        (b'{"seed": 1, "x": "\xff"}', "doc is not JSON: 'utf-8' codec can't "
+         "decode byte 0xff in position 18: invalid start byte"),
+        ("{", "doc is not JSON: Expecting property name enclosed in double "
+         "quotes: line 1 column 2 (char 1)"),
+    ], ids=["not_utf8", "not_json"])
+    def test_unreadable_text_names_the_input(self, text, error):
+        with pytest.raises(SpecError) as info:
+            json_from_text(text, "doc")
+        assert str(info.value) == error

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from dialectica.library import (
 )
 from dialectica.mqtt import ConnAck, PubMsg, SubMsg, mqtt_codec_adaptor
 from dialectica.rng import SAMPLE_TAG, derive, fnv64
-from dialectica.specs import _KIND_FIELDS, _LEAF_BUILDERS, build_adaptor
+from dialectica.specs import _ADAPTOR_KINDS, build_adaptor
 from dialectica.transforms import (
     AuthParam,
     DegenerateParamSpace,
@@ -206,6 +207,20 @@ class TestAuthenticating:
             auth.param(256, 0)
         assert isinstance(info.value, ValueError)
 
+    def test_nonce_check_never_builds_2_to_the_k(self):
+        # k comes from the spec unbounded; 2**(10**8) would take 12.5 MB.
+        auth = authenticating(make_xor_bitvec(8), ["a", "b"], m=8, j=8,
+                              k=10**8, seed=3)
+        tracemalloc.start()
+        try:
+            auth.param(0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
+        with pytest.raises(NonceExhausted):
+            auth.param(-1, 0)
+
     def test_laws_on_wrapped_lingo(self):
         report = check_lingo_laws(self.make(), 300, Rng(5, 9))
         assert report.all_passed, report.to_json()
@@ -326,9 +341,7 @@ class TestAdaptors:
             assert ad.r(w) == d
 
     def test_section_retract_cases_cover_every_kind(self):
-        # "identity" names a leaf lingo and an adaptor.
-        adaptor_kinds = set(_KIND_FIELDS) - set(_LEAF_BUILDERS) | {"identity"}
-        assert {s["kind"] for s in ADAPTOR_SPECS} == adaptor_kinds - {"mqtt_codec"}
+        assert {s["kind"] for s in ADAPTOR_SPECS} == set(_ADAPTOR_KINDS) - {"mqtt_codec"}
 
     @pytest.mark.parametrize("width", [1, 4, 64, 65])
     def test_nat_bitvec_declares_the_naturals_below_its_width(self, width):
