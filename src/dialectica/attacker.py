@@ -428,7 +428,7 @@ def run_spoof_experiment(lingo: Lingo, reuse: int, strategy: str,
             hidden = HiddenCtx(lingo_name=lingo.name, param=a_i, plaintext=d_i,
                                index=i)
             observe(state, Message(dst="dst", src="src", seq=i, hidden=hidden,
-                                   payload=apply_f(lingo, d_i, a_i)), t=i)
+                                   payload=lingo.f(d_i, a_i)), t=i)
         if advantage is not None:
             reveal_sweep(state, now=observations)
 
@@ -474,10 +474,8 @@ def run_match_experiment(lingo: Lingo, strategy: str, trials: int, seed: int
         p_other = lingo.param(1, trial_seed)
         same = rng.next_u64() & 1 == 1
         q = p if same else p_other
-        t1 = [apply_f(lingo, lingo.input_space.sample(in_rng), p)
-              for _ in range(4)]
-        t2 = [apply_f(lingo, lingo.input_space.sample(in_rng), q)
-              for _ in range(4)]
+        t1 = [lingo.f(lingo.input_space.sample(in_rng), p) for _ in range(4)]
+        t2 = [lingo.f(lingo.input_space.sample(in_rng), q) for _ in range(4)]
         if guesser is not None and guesser(t1, t2) == same:
             hits += 1
     return ExperimentReport(lingo=lingo.name, strategy=strategy,

@@ -7,8 +7,7 @@ Subcommands:
   experiment   spoof|match                      attacker experiment harness
 
 Exit codes: 0 ok, 1 law failure, 2 spec/config error, 3 space violation,
-4 step-budget exhaustion.  DIALECTICA_SEED overrides scenario seeds; an
-explicit --seed flag beats both.
+4 step-budget exhaustion.  --seed overrides a scenario's seed.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from .core import (
     apply_f,
     apply_g,
     check_lingo_laws,
+    check_param,
     find_noncompliant_witness,
     is_compliant,
     law_params,
@@ -50,18 +50,6 @@ EXIT_LAW_FAILURE = 1
 EXIT_SPEC_ERROR = 2
 EXIT_SPACE_VIOLATION = 3
 EXIT_BUDGET = 4
-
-
-def _env_seed() -> Optional[int]:
-    raw = os.environ.get("DIALECTICA_SEED")
-    return int(raw) if raw else None
-
-
-def _effective_seed(flag: Optional[int], fallback: int) -> int:
-    if flag is not None:
-        return flag
-    env = _env_seed()
-    return env if env is not None else fallback
 
 
 def _emit(obj, out_path: Optional[str]) -> None:
@@ -126,6 +114,7 @@ def cmd_lingo_eval(args) -> int:
         else:
             result = json_or_raw(out)
     else:
+        check_param(lingo, a)
         result = is_compliant(lingo, x, a)
     _emit(result, args.out)
     return EXIT_OK
@@ -136,16 +125,15 @@ def cmd_lingo_check(args) -> int:
     if args.samples < 1:
         print(f"--samples must be >= 1, got {args.samples}", file=sys.stderr)
         return EXIT_SPEC_ERROR
-    seed = _effective_seed(args.seed, 0)
     try:
         report = check_lingo_laws(lingo, args.samples,
-                                  Rng(seed, fnv64("cli-check")))
+                                  Rng(args.seed, fnv64("cli-check")))
     except (NonceExhausted, UnsampleableSpace) as exc:
         return _cannot_run(exc)
 
     try:
-        witness = find_noncompliant_witness(lingo, law_params(lingo, seed)(0),
-                                            Rng(seed, SAMPLE_TAG))
+        witness = find_noncompliant_witness(lingo, law_params(lingo, args.seed)(0),
+                                            Rng(args.seed, SAMPLE_TAG))
     except UnsampleableSpace:
         witness = None   # no generator for the output space, e.g. an opaque part
     out = report.to_json()
@@ -168,8 +156,7 @@ def cmd_simulate(args) -> int:
     except (SpecError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
-    seed = _effective_seed(args.seed, scenario.seed)
-    cfg = build_configuration(scenario, seed_override=seed)
+    cfg = build_configuration(scenario, seed_override=args.seed)
     max_steps = scenario.max_steps if args.max_steps is None else args.max_steps
     trace_path = args.trace or scenario.trace_path
     # A trace path that cannot be opened fails here, before the run, and
@@ -210,15 +197,14 @@ def cmd_experiment(args) -> int:
         print(f"--observations must be >= 0, got {args.observations}",
               file=sys.stderr)
         return EXIT_SPEC_ERROR
-    seed = _effective_seed(args.seed, 0)
     try:
         if args.kind == "spoof":
             report = run_spoof_experiment(lingo, reuse, args.strategy,
-                                          trials=args.trials, seed=seed,
+                                          trials=args.trials, seed=args.seed,
                                           observations=args.observations)
         else:
             report = run_match_experiment(lingo, args.strategy,
-                                          trials=args.trials, seed=seed)
+                                          trials=args.trials, seed=args.seed)
     except (NonceExhausted, UnsampleableSpace) as exc:
         return _cannot_run(exc)
     _emit(report.to_json(), args.out)
@@ -246,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     ck = lingo_sub.add_parser("check", help="run the law suite")
     ck.add_argument("spec", help="lingo spec JSON")
     ck.add_argument("--samples", type=int, default=1000)
-    ck.add_argument("--seed", type=int)
+    ck.add_argument("--seed", type=int, default=0)
     ck.add_argument("--out")
     ck.set_defaults(fn=cmd_lingo_check)
 
@@ -266,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per_message or reuse:K")
     exp.add_argument("--trials", type=int, default=100)
     exp.add_argument("--observations", type=int, default=1)
-    exp.add_argument("--seed", type=int)
+    exp.add_argument("--seed", type=int, default=0)
     exp.add_argument("--out")
     exp.set_defaults(fn=cmd_experiment)
     return parser
@@ -274,11 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        _env_seed()
-    except ValueError:
-        print("config error: DIALECTICA_SEED must be an integer", file=sys.stderr)
-        return EXIT_SPEC_ERROR
     # A value of the widest bit-vector space, or a product of two large
     # naturals, has more decimal digits than Python's default int/str
     # conversion limit allows; lift it while the command runs so such a

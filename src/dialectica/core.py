@@ -11,6 +11,14 @@ Besides the data type this module provides the checked entry points
 values behind the wire-shape gate ``wire_fits``, the compliance test used
 by dialects to reject forgeries, and a law-testing harness that exercises
 the defining equation and its consequences on seeded samples.
+
+A value is checked where it enters the program, never again on the way
+through.  Values enter as ``lingo eval`` arguments (``apply_f``,
+``apply_g``, ``check_param``), as wire values (``decode_wire``), as the
+parameter a leak reveals to the attacker (``apply_f``) and as builder
+arguments.  What a lingo draws for itself (``input_space.sample``,
+``law_params``, ``lingo.param``) lies in its spaces by construction, so
+the harness, the experiments and the runtime call ``f`` on it directly.
 """
 
 from __future__ import annotations
@@ -94,7 +102,8 @@ class Lingo:
         return f"Lingo({self.name})"
 
 
-def _check_param(lingo: Lingo, a: Value) -> None:
+def check_param(lingo: Lingo, a: Value) -> None:
+    """SpaceViolation unless ``a`` lies in the lingo's parameter space."""
     if not space_contains(lingo.param_space, a):
         raise SpaceViolation(f"{lingo.name}: parameter {a!r} not in param space")
 
@@ -103,7 +112,7 @@ def apply_f(lingo: Lingo, d: Value, a: Value) -> Value:
     """Checked encode: validates space membership, then runs f."""
     if not space_contains(lingo.input_space, d):
         raise SpaceViolation(f"{lingo.name}: {d!r} not in input space")
-    _check_param(lingo, a)
+    check_param(lingo, a)
     return lingo.f(d, a)
 
 
@@ -125,7 +134,7 @@ def apply_g(lingo: Lingo, w: Value, a: Value) -> GResult:
     if not wire_fits(lingo, w):
         raise SpaceViolation(
             f"{lingo.name}: wire value {w!r} is not in the output space")
-    _check_param(lingo, a)
+    check_param(lingo, a)
     return lingo.g(w, a)
 
 
@@ -135,10 +144,10 @@ def is_compliant(lingo: Lingo, w: Value, a: Value,
     succeeds and re-encoding reproduces the wire value exactly.
 
     Total over arbitrary wire values: one the shape gate refuses is simply
-    non-compliant.  A caller that already holds
-    ``decode_wire(lingo, w, a)`` hands it in as ``decoded``; the decode is
-    then skipped, every other check runs."""
-    _check_param(lingo, a)
+    non-compliant.  ``a`` is taken as given: every caller draws it from the
+    lingo's own stream, and ``lingo eval`` checks a typed one first.  A
+    caller that already holds ``decode_wire(lingo, w, a)`` hands it in as
+    ``decoded``; the decode is then skipped, every other check runs."""
     if decoded is None:
         decoded = decode_wire(lingo, w, a)
     if isinstance(decoded, DecodeFailure):
@@ -254,7 +263,7 @@ def check_lingo_laws(lingo: Lingo, sample_count: int, rng: Rng) -> LawReport:
             if l0 and c1 and not lands_open and d1 == d1p:
                 continue   # only L1 is open, and this pair cannot collide
         a = param(i)
-        w = apply_f(lingo, d1, a)
+        w = lingo.f(d1, a)
         fits = wire_fits(lingo, w)
         # One decode serves L0 and C1.  lingo.g, not decode_wire: while L0
         # is open g sees a stray image, which f_lands_in_output_space reports.
@@ -266,7 +275,7 @@ def check_lingo_laws(lingo: Lingo, sample_count: int, rng: Rng) -> LawReport:
         if lands_open and not fits:
             lands = LawResult("f_lands_in_output_space", False,
                               _ce({"d1": d1, "a": a}, "member", w))
-        if l1 is None and d1 != d1p and w == apply_f(lingo, d1p, a):
+        if l1 is None and d1 != d1p and w == lingo.f(d1p, a):
             l1 = LawResult("L1_injectivity", False,
                            _ce({"d1": d1, "d1'": d1p, "a": a},
                                "distinct images", "equal images"))
@@ -294,7 +303,7 @@ def _check_c3(lingo: Lingo, seed: int, param: Callable[[int], Value]
     d2s = lingo.output_space.enumerate(256)
     for i in range(4):
         a = param(i)
-        image = {apply_f(lingo, d1, a) for d1 in d1s}
+        image = {lingo.f(d1, a) for d1 in d1s}
         if d2s is not None:
             candidates = d2s
         else:

@@ -260,8 +260,8 @@ DEFAULT_BITVEC_WIDTH = 512
 def encode_mqtt(msg: MqttMsg, width: Optional[int] = None) -> Value:
     """Message to payload value: a natural, or a width-bit vector when
     ``width`` is given (WidthOverflow if the encoding does not fit).  A
-    non-message raises SpaceViolation: the codec's ``from_space`` is opaque,
-    so ``apply_f`` lets any payload through to here."""
+    non-message raises SpaceViolation: the codec's ``from_space`` is opaque
+    and admits any value, so this is where a typed payload is checked."""
     entry = _BY_TYPE.get(type(msg))
     if entry is None:
         raise SpaceViolation(f"{msg!r} is not an MQTT message")

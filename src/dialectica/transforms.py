@@ -307,14 +307,16 @@ def sparse_code_adaptor(count: int, width: int, seed: int = 0) -> DataAdaptor:
     code drawn from a thin, seeded subset of the code space.  The retract
     rejects anything outside the codebook, so most forged wire values fail
     the adapted compliance check."""
-    if (1 << width) < 4 * count:
+    to_space = BitVecSpace(width)  # refuses a bad width before 1 << width
+    mask = (1 << width) - 1
+    if mask + 1 < 4 * count:
         raise WidthOverflow("code space too dense to be called sparse")
     tag = fnv64("sparse-codebook")
     codes: list[int] = []
     seen: dict[int, int] = {}
     idx = 0
     while len(codes) < count:
-        c = derive(seed, tag, idx) & ((1 << width) - 1)
+        c = derive(seed, tag, idx) & mask
         idx += 1
         if c in seen:
             continue
@@ -330,7 +332,7 @@ def sparse_code_adaptor(count: int, width: int, seed: int = 0) -> DataAdaptor:
         return Nat(seen[v.bits])
 
     return DataAdaptor(name=f"sparse{width}", from_space=NatSpace(count),
-                       to_space=BitVecSpace(width), j=j, r=r)
+                       to_space=to_space, j=j, r=r)
 
 
 # ---------------------------------------------------------------------------

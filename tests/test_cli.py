@@ -69,6 +69,15 @@ class TestLingoEval:
                             '{"pair":[{"nat":"1"},{"nat":"5"}]}', "1")
         assert code == EXIT_OK and out is False
 
+    def test_compliance_parameter_outside_its_space_exits_3(self, capsys):
+        # The one compliance query whose parameter comes from outside: the
+        # CLI checks it, since is_compliant takes its parameter as given.
+        code = main(["lingo", "eval", XOR8, "compliant", '{"bv":{"n":1,"w":8}}',
+                     '{"nat":"5"}'])
+        assert code == EXIT_SPACE_VIOLATION
+        assert ("xor_bitvec8: parameter Nat(n=5) not in param space"
+                in capsys.readouterr().err)
+
     def test_bad_spec_exits_2(self, capsys):
         code = main(["lingo", "eval", '{"kind":"nonsense"}', "f", "1", "2"])
         assert code == EXIT_SPEC_ERROR
@@ -888,11 +897,6 @@ class TestSimulate:
         assert main(["lingo", "check", XOR4, "--out", missing]) == EXIT_SPEC_ERROR
         assert "output error" in capsys.readouterr().err
 
-    def test_non_integer_env_seed_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("DIALECTICA_SEED", "abc")
-        assert main(["lingo", "check", XOR4]) == EXIT_SPEC_ERROR
-        assert "DIALECTICA_SEED" in capsys.readouterr().err
-
     def test_default_bitvec_payload_width(self, capsys, tmp_path):
         doc = json.loads(open(scenario_path("mqtt_xor_bitvec.json")).read())
         doc["payload"] = "bitvec"
@@ -912,20 +916,13 @@ class TestSimulate:
             outs.append(trace.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_seed_flag_and_env_agree(self, capsys, tmp_path, monkeypatch):
+    def test_seed_flag_changes_the_run(self, capsys, tmp_path):
         t1, t2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         main(["simulate", scenario_path("mqtt_xor.json"), "--seed", "12",
               "--trace", str(t1), "--out", "/dev/null"])
-        monkeypatch.setenv("DIALECTICA_SEED", "12")
         main(["simulate", scenario_path("mqtt_xor.json"),
               "--trace", str(t2), "--out", "/dev/null"])
-        assert t1.read_bytes() == t2.read_bytes()
-        # and the env seed actually changed the run
-        monkeypatch.delenv("DIALECTICA_SEED")
-        t3 = tmp_path / "c.jsonl"
-        main(["simulate", scenario_path("mqtt_xor.json"),
-              "--trace", str(t3), "--out", "/dev/null"])
-        assert t3.read_bytes() != t1.read_bytes()
+        assert t2.read_bytes() != t1.read_bytes()
 
 
 def _oracle_under_rotation(lingos, width) -> dict:

@@ -6,11 +6,20 @@ pairs, codebook indexes, an authenticated wire), either is refused when it
 is built or passes every law of ``lingo check``.  A construction that
 declares a wider space than it accepts shows up here as a tree that builds
 and then fails a law or cannot be sampled.
+
+The law harness, the experiments and the runtime hand a lingo's own draws
+(``input_space.sample`` and ``lingo.param``) to ``f`` and ``is_compliant``
+unchecked, so every lingo here and in ``ALL_SPECS`` must draw inside its
+declared spaces.
 """
 
 import json
 
+import pytest
+
+from conftest import ALL_SPECS
 from dialectica.cli import EXIT_OK, main
+from dialectica.rng import SAMPLE_TAG, Rng
 from dialectica.specs import SpecError, build_lingo
 
 _X4 = {"kind": "xor_bitvec", "width": 4}
@@ -48,3 +57,36 @@ def test_every_tree_is_refused_or_passes_the_laws(capsys):
         if code != EXIT_OK:
             failed.append((tree, code, err))
     assert failed == []
+
+
+def _buildable(specs):
+    out = []
+    for spec in specs:
+        try:
+            out.append(build_lingo(spec))
+        except SpecError:
+            continue
+    return out
+
+
+DRAWN_LINGOS = _buildable(ALL_SPECS + TREES)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_every_lingo_draws_inside_its_spaces(seed):
+    params = [lg for lg in DRAWN_LINGOS if not lg.param_space.opaque]
+    payloads = [lg for lg in DRAWN_LINGOS if not lg.input_space.opaque]
+    assert (len(DRAWN_LINGOS), len(params), len(payloads)) == (209, 174, 208)
+    outside = []
+    for lingo in params:
+        for n in range(64):
+            a = lingo.param(n, seed)
+            if not lingo.param_space.contains(a):
+                outside.append((lingo.name, "param", n, a))
+    for lingo in payloads:
+        rng = Rng(seed, SAMPLE_TAG)
+        for i in range(64):
+            d = lingo.input_space.sample(rng)
+            if not lingo.input_space.contains(d):
+                outside.append((lingo.name, "sample", i, d))
+    assert outside == []

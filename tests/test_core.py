@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import ALL_SPECS
+from dialectica import core
+from dialectica.attacker import run_spoof_experiment
 from dialectica.core import (
     DecodeFailure,
     DefaultFallback,
@@ -383,6 +385,34 @@ class TestOneDecodePerIndex:
         report = check_lingo_laws(lingo, 1000, Rng(11, 12))
         assert {r.law for r in report.results if not r.passed} == {"L0_left_inverse"}
         assert len(calls) == 1000
+
+
+class TestOneCheckPerValue:
+    """A value is checked where it enters: the harness and the spoof
+    experiment test each image against the wire-shape gate and each decode
+    against the input space, never the payloads and parameters the lingo
+    drew for itself."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+
+        def counting(space, v):
+            calls.append(v)
+            return space_contains(space, v)
+        monkeypatch.setattr(core, "space_contains", counting)
+        return calls
+
+    def test_law_harness_checks_two_values_per_index(self, checks):
+        report = check_lingo_laws(make_xor_bitvec(128), 1000, Rng(11, 12))
+        assert report.all_passed and len(report.results) == 4
+        assert len(checks) == 2000
+
+    def test_spoof_experiment_checks_two_values_per_forgery(self, checks):
+        report = run_spoof_experiment(make_xor_bitvec(128), 1, "random_wire",
+                                      trials=100, seed=3)
+        assert report.compliance_hits == 100
+        assert len(checks) == 200
 
 
 # ---------------------------------------------------------------------------

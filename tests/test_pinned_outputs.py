@@ -83,8 +83,7 @@ print(json.dumps(problems))
 @pytest.mark.parametrize("hash_seed", ["0", "424242"])
 def test_outputs_hold_under_other_hash_seeds(tmp_path, hash_seed):
     src = os.path.join(PERFBENCH, "..", "src")
-    env = {k: v for k, v in os.environ.items() if k != "DIALECTICA_SEED"}
-    env["PYTHONHASHSEED"] = hash_seed
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join([PERFBENCH, src])
     done = subprocess.run(
         [sys.executable, "-c", _HASH_SEED_SCRIPT, str(tmp_path),

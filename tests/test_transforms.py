@@ -357,6 +357,22 @@ class TestAdaptors:
         assert ad.from_space == NatSpace(8)
         assert ad.from_space.enumerate() == [Nat(i) for i in range(8)]
 
+    def test_sparse_refuses_a_bad_width_before_building_1_shl_width(self):
+        # The width comes from the spec unbounded; 1 << 10**8 takes 12.5 MB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"width must be in 1\.\.65536"):
+                sparse_code_adaptor(64, 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_sparse_refuses_a_width_below_1(self, width):
+        with pytest.raises(ValueError, match=r"width must be in 1\.\.65536"):
+            sparse_code_adaptor(64, width)
+
     def test_partial_retract(self):
         bn = bitvec_nat_adaptor(8)
         assert isinstance(bn.r(Nat(256)), RetractFailure)
