@@ -43,6 +43,7 @@ from .values import (
     AtomSetSpace,
     BitVec,
     BitVecSpace,
+    CannotDraw,
     Nat,
     NatSpace,
     OpaqueSpace,

@@ -8,6 +8,13 @@ Subcommands:
 
 Exit codes: 0 ok, 1 law failure, 2 spec/config error, 3 space violation,
 4 step-budget exhaustion.  --seed overrides a scenario's seed.
+
+A subcommand returns 0, 1 or 4 itself, and 2 for a flag or an input it
+refuses by name.  Every other refusal is raised, and ``main`` maps its
+class to the exit code, in one place: ``SpecError`` (a malformed spec) and
+``CannotDraw`` (a lingo that cannot be exercised) exit 2,
+``SpaceViolation`` and ``ShapeMismatch`` exit 3, and an ``OSError`` while
+writing an output exits 2.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from .core import (
     DefaultFallback,
     Rng,
     SpaceViolation,
-    UnsampleableSpace,
     apply_f,
     apply_g,
     check_lingo_laws,
@@ -42,8 +48,13 @@ from .rng import SAMPLE_TAG, fnv64
 from .runtime import TRACE_LINES, build_report, run
 from .scenario import build_configuration, load_scenario
 from .specs import SpecError, build_lingo, json_from_text
-from .transforms import NonceExhausted
-from .values import ShapeMismatch, json_or_raw, value_from_json, value_to_json
+from .values import (
+    CannotDraw,
+    ShapeMismatch,
+    json_or_raw,
+    value_from_json,
+    value_to_json,
+)
 
 EXIT_OK = 0
 EXIT_LAW_FAILURE = 1
@@ -69,14 +80,6 @@ def _trace_sink(fh) -> Callable[[dict], object]:
         return lambda event: None
     write, lines = fh.write, TRACE_LINES
     return lambda event: write(lines[event["ev"]](event))
-
-
-def _cannot_run(exc: Exception) -> int:
-    """NonceExhausted or UnsampleableSpace: the lingo cannot be exercised."""
-    hint = ("; use fewer samples, observations or messages per flow, or a "
-            "larger k" if isinstance(exc, NonceExhausted) else "")
-    print(f"config error: cannot exercise the lingo ({exc}){hint}", file=sys.stderr)
-    return EXIT_SPEC_ERROR
 
 
 def _load_lingo(spec_text: str):
@@ -125,16 +128,12 @@ def cmd_lingo_check(args) -> int:
     if args.samples < 1:
         print(f"--samples must be >= 1, got {args.samples}", file=sys.stderr)
         return EXIT_SPEC_ERROR
+    report = check_lingo_laws(lingo, args.samples,
+                              Rng(args.seed, fnv64("cli-check")))
+    a = law_params(lingo, args.seed)(0)
     try:
-        report = check_lingo_laws(lingo, args.samples,
-                                  Rng(args.seed, fnv64("cli-check")))
-    except (NonceExhausted, UnsampleableSpace) as exc:
-        return _cannot_run(exc)
-
-    try:
-        witness = find_noncompliant_witness(lingo, law_params(lingo, args.seed)(0),
-                                            Rng(args.seed, SAMPLE_TAG))
-    except UnsampleableSpace:
+        witness = find_noncompliant_witness(lingo, a, Rng(args.seed, SAMPLE_TAG))
+    except CannotDraw:
         witness = None   # no generator for the output space, e.g. an opaque part
     out = report.to_json()
     # ``witness`` stays a one-element list: the report schema is pinned.
@@ -158,24 +157,21 @@ def cmd_simulate(args) -> int:
         return EXIT_SPEC_ERROR
     cfg = build_configuration(scenario, seed_override=args.seed)
     max_steps = scenario.max_steps if args.max_steps is None else args.max_steps
-    trace_path = args.trace or scenario.trace_path
     # A trace path that cannot be opened fails here, before the run, and
     # whatever is there is left alone.
-    trace = open(trace_path, "w", encoding="utf-8") if trace_path else None
+    trace = open(args.trace, "w", encoding="utf-8") if args.trace else None
     try:
         with trace or nullcontext():
             cfg.sink = _trace_sink(trace)
             quiesced, steps = run(cfg, max_steps)
             report = build_report(cfg, quiesced, steps, scenario.policy)
-        _emit(report, args.out or scenario.report_path)
-    except (NonceExhausted, OSError) as exc:
+        _emit(report, args.out)
+    except (CannotDraw, OSError):
         # A run that exits 2 leaves no trace; /dev/null and other paths that
         # are not regular files are left alone.
-        if trace is not None and os.path.isfile(trace_path):
-            os.remove(trace_path)
-        if isinstance(exc, OSError):
-            raise
-        return _cannot_run(exc)
+        if trace is not None and os.path.isfile(args.trace):
+            os.remove(args.trace)
+        raise
     return EXIT_OK if quiesced else EXIT_BUDGET
 
 
@@ -197,16 +193,13 @@ def cmd_experiment(args) -> int:
         print(f"--observations must be >= 0, got {args.observations}",
               file=sys.stderr)
         return EXIT_SPEC_ERROR
-    try:
-        if args.kind == "spoof":
-            report = run_spoof_experiment(lingo, reuse, args.strategy,
-                                          trials=args.trials, seed=args.seed,
-                                          observations=args.observations)
-        else:
-            report = run_match_experiment(lingo, args.strategy,
-                                          trials=args.trials, seed=args.seed)
-    except (NonceExhausted, UnsampleableSpace) as exc:
-        return _cannot_run(exc)
+    if args.kind == "spoof":
+        report = run_spoof_experiment(lingo, reuse, args.strategy,
+                                      trials=args.trials, seed=args.seed,
+                                      observations=args.observations)
+    else:
+        report = run_match_experiment(lingo, args.strategy,
+                                      trials=args.trials, seed=args.seed)
     _emit(report.to_json(), args.out)
     return EXIT_OK
 
@@ -240,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("scenario")
     sim.add_argument("--seed", type=int)
     sim.add_argument("--max-steps", type=int)
-    sim.add_argument("--trace", help="override the scenario trace path")
-    sim.add_argument("--out", help="override the scenario report path")
+    sim.add_argument("--trace", help="write the trace here")
+    sim.add_argument("--out", help="write the report here")
     sim.set_defaults(fn=cmd_simulate)
 
     exp = sub.add_parser("experiment", help="spoof/unmatchability experiments")
@@ -271,6 +264,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.fn(args)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
+        return EXIT_SPEC_ERROR
+    except CannotDraw as exc:
+        print(f"config error: cannot exercise the lingo ({exc})", file=sys.stderr)
         return EXIT_SPEC_ERROR
     except (SpaceViolation, ShapeMismatch) as exc:
         print(f"space violation: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ Four ways of building a new lingo from existing ones:
 from __future__ import annotations
 
 from .core import DecodeFailure, DefaultFallback, Lingo, SpaceViolation, decode_then
-from .rng import BadBias, throw_biased
+from .rng import throw_biased
 from .values import (
     Pair,
     PairSpace,
@@ -40,7 +40,7 @@ def horizontal(branches: tuple[Lingo, ...], defaults: tuple[Value, ...],
     if len(defaults) != k or len(bias) != k:
         raise SpaceViolation("defaults and bias must match branch count")
     if any(b < 1 for b in bias):
-        raise BadBias(f"all bias weights must be >= 1, got {bias}")
+        raise ValueError(f"all bias weights must be >= 1, got {bias}")
     if any(lingo.input_space != branches[0].input_space for lingo in branches):
         raise SpaceViolation("branches must share the input space")
     for lingo, d0 in zip(branches, defaults):

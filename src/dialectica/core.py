@@ -34,14 +34,13 @@ from .values import (
     Pair,
     Space,
     Tagged,
-    UnsampleableSpace,
     Value,
     space_contains,
     value_to_json,
 )
 
 
-class SpaceViolation(Exception):
+class SpaceViolation(ValueError):
     """A value fell outside the space a lingo operation requires."""
 
 
@@ -326,8 +325,7 @@ def find_noncompliant_witness(lingo: Lingo, a: Value, rng: Rng) -> Optional[Valu
     Exhaustive when the output space has at most 4,096 values, 4,096
     seeded samples otherwise; None means no witness was found (the lingo looks
     symmetric for this parameter).  An output space that is neither small
-    nor sampleable, such as one with an opaque part, raises
-    UnsampleableSpace.
+    nor sampleable, such as one with an opaque part, raises CannotDraw.
     """
     enumerated = lingo.output_space.enumerate(4096)
     if enumerated is not None:

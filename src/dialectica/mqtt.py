@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 from .core import SpaceViolation
-from .transforms import DataAdaptor, RetractFailure, WidthOverflow
+from .transforms import DataAdaptor, RetractFailure
 from .values import (
     BitVec,
     BitVecSpace,
@@ -259,9 +259,9 @@ DEFAULT_BITVEC_WIDTH = 512
 
 def encode_mqtt(msg: MqttMsg, width: Optional[int] = None) -> Value:
     """Message to payload value: a natural, or a width-bit vector when
-    ``width`` is given (WidthOverflow if the encoding does not fit).  A
-    non-message raises SpaceViolation: the codec's ``from_space`` is opaque
-    and admits any value, so this is where a typed payload is checked."""
+    ``width`` is given.  An encoding that does not fit, or a non-message,
+    raises SpaceViolation: the codec's ``from_space`` is opaque and admits
+    any value, so this is where a typed payload is checked."""
     entry = _BY_TYPE.get(type(msg))
     if entry is None:
         raise SpaceViolation(f"{msg!r} is not an MQTT message")
@@ -272,7 +272,7 @@ def encode_mqtt(msg: MqttMsg, width: Optional[int] = None) -> Value:
         out.append(len(data))
         out += data
     if width is not None and len(out) * 8 > width:
-        raise WidthOverflow(
+        raise SpaceViolation(
             f"{type(msg).__name__} needs {len(out) * 8} bits, width is {width}")
     n = int.from_bytes(out, "big")
     return Nat(n) if width is None else BitVec(width, n)

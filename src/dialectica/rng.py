@@ -27,10 +27,6 @@ SAMPLE_TAG = 0x5A3B7E005A3B7E00
 RATE_TAG = 0x2A7E2A7E2A7E2A7E
 
 
-class BadBias(Exception):
-    """Raised when a dice bias vector contains a zero weight."""
-
-
 def derive(seed: int, stream_tag: int, index: int) -> int:
     """SplitMix64 finalization of seed XOR rotl(stream_tag,17) XOR index*GOLDEN."""
     # rotl(tag, 17) inlined: the two shifted halves share no bit, so XOR
@@ -122,9 +118,9 @@ def throw_biased(seed: int, n: int, bias: tuple[int, ...]) -> int:
     Face j comes up with long-run frequency bias[j-1] / sum(bias).
     """
     if len(bias) < 2:
-        raise BadBias("dice needs at least 2 faces")
+        raise ValueError("dice needs at least 2 faces")
     if any(b <= 0 for b in bias):
-        raise BadBias(f"all bias weights must be >= 1, got {bias}")
+        raise ValueError(f"all bias weights must be >= 1, got {bias}")
     total = sum(bias)
     r = derive(seed, DICE_TAG, n) % total
     acc = 0

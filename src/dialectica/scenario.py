@@ -13,8 +13,7 @@ policy, an optional attacker, the seed, and the step budget::
       ],
       "lingo_stack": {"kind": "xor_nat"},
       "policy": "static",
-      "max_steps": 400,
-      "outputs": {"trace_path": "trace.jsonl", "report_path": "report.json"}
+      "max_steps": 400
     }
 
 Every object in the document is closed: a key its reader does not name is
@@ -69,14 +68,13 @@ _COMMANDS = {"connect": ConnectMsg, "subscribe": SubMsg,
 # The keys each object may have, with their defaults; ABSENT keeps "targets": null refused.
 SCENARIO_FIELDS = {"seed": REQUIRED, "payload": "nat", "actors": REQUIRED,
                    "lingo_stack": ABSENT, "policy": "static", "max_steps": 1000,
-                   "attacker": None, "outputs": {}}
+                   "attacker": None}
 STATIC_SCENARIO_FIELDS = {**SCENARIO_FIELDS, "lingo_stack": REQUIRED}
 ATTACKER_FIELDS = {"strategies": [], "max_injections": 100, "injection_rate": 1.0,
                    "advantage": {}, "targets": ABSENT}
 _FIELDS = {"payload": {"bitvec": REQUIRED}, "policy": {"aperiodic": REQUIRED},
            "aperiodic": {"msg_bound": REQUIRED, "lingos": REQUIRED},
-           "client": {"oid": REQUIRED, "cmds": []}, "broker": {"oid": REQUIRED},
-           "outputs": {"trace_path": None, "report_path": None}}
+           "client": {"oid": REQUIRED, "cmds": []}, "broker": {"oid": REQUIRED}}
 
 
 @dataclass(frozen=True)
@@ -90,8 +88,6 @@ class Scenario:
     codec: DataAdaptor    # the payload codec; bare runs never use it
     max_steps: int = 1000
     attacker: Optional[AttackerConfig] = None
-    trace_path: Optional[str] = None
-    report_path: Optional[str] = None
 
 
 def _text(obj, what: str) -> str:
@@ -263,16 +259,8 @@ def parse_scenario(doc: dict) -> Scenario:
         max_steps = int_from_json(doc["max_steps"])
         if max_steps < 1:
             raise SpecError(f"max_steps must be >= 1, got {max_steps}")
-
-        outputs = object_from_json(doc["outputs"], _FIELDS["outputs"],
-                                   "scenario.outputs")
-        for path in outputs.values():
-            if not isinstance(path, (str, type(None))):
-                raise SpecError(f"output paths must be strings, got {path!r}")
         return Scenario(seed=seed, actors=actors, policy=policy, codec=codec,
-                        max_steps=max_steps, attacker=attacker,
-                        trace_path=outputs["trace_path"],
-                        report_path=outputs["report_path"])
+                        max_steps=max_steps, attacker=attacker)
     except ValueError as exc:
         raise SpecError(f"bad scenario: {exc}") from exc
 

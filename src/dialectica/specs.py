@@ -6,6 +6,10 @@ are single-key nodes wrapping child specs, e.g.::
     {"functional": [{"kind": "xor_nat"}, {"kind": "divide_check"}]}
     {"horizontal": {"branches": [...], "defaults": [...], "bias": [1, 1]}}
     {"sharp": {"kind": "xor_bitvec", "width": 8}}
+
+A builder refuses a bad argument with a ``ValueError``, a
+``SpaceViolation`` included; ``build_lingo`` and ``build_adaptor`` report it
+as a ``SpecError`` naming the node.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import json
 
 from .compositions import functional, horizontal, product, tupling
-from .core import Lingo, SpaceViolation
+from .core import Lingo
 from .library import (
     make_divide_check,
     make_identity,
@@ -24,11 +28,8 @@ from .library import (
     make_xor_set,
 )
 from .mqtt import mqtt_codec_adaptor
-from .rng import BadBias
 from .transforms import (
     DataAdaptor,
-    DegenerateParamSpace,
-    SpaceMismatch,
     adapt_post,
     adapt_pre,
     authenticating,
@@ -54,9 +55,6 @@ from .values import (
 class SpecError(Exception):
     """Malformed lingo/adaptor/scenario spec."""
 
-
-_BUILD_ERRORS = (ValueError, SpaceViolation, SpaceMismatch, DegenerateParamSpace,
-                 BadBias)
 
 # JSON nested deeper than this is refused before it is parsed: the readers
 # recurse at every level, and so do the lingos and values they build.
@@ -175,7 +173,7 @@ def _build_kind(kinds: dict, spec: dict, what: str, at: JsonPath):
     fields, build = kinds[spec["kind"]]
     try:
         return build(object_from_json(spec, {"kind": REQUIRED, **fields}, at), at)
-    except _BUILD_ERRORS as exc:
+    except ValueError as exc:
         raise SpecError(f"bad {what} spec {spec!r}: {exc}") from exc
 
 
@@ -209,7 +207,7 @@ def build_lingo(spec: dict, at: JsonPath = "lingo") -> Lingo:
     at = (at, op)
     try:
         return build(body if fields is None else object_from_json(body, fields, at), at)
-    except _BUILD_ERRORS as exc:
+    except ValueError as exc:
         raise SpecError(f"bad {op!r} spec: {exc}") from exc
 
 

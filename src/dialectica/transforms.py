@@ -2,16 +2,22 @@
 
 * ``sharp`` sends the payload through f twice under two distinct parameters
   and ships the pair; a forger who cannot solve for both components at once
-  passes the receiver's compliance check with probability 1/|D2|.
+  passes the receiver's compliance check with probability 1/|D2|.  A base
+  whose declared parameter space has fewer than two values is refused when
+  ``sharp`` is built (SpaceViolation); a base whose parameter stream keeps
+  repeating one value is found only when a run asks for a parameter, and
+  ``param`` raises CannotDraw.
 * ``authenticating`` appends a code keyed to one (sender, receiver) pair to
   a bit-vector base's wire value and scrambles the result with a secret
   involution; the result is again a lingo, whose compliance check rejects a
-  wire value that does not carry the code.
+  wire value that does not carry the code.  Its ``param`` raises
+  CannotDraw for a nonce at or past 2**k.
 * Data adaptors are section-retract pairs (j, r) with r(j(d)) = d used to
   connect lingos whose spaces do not line up.  An adaptor's ``from_space``
   is exactly the domain its j accepts (the naturals below 2**width, the
   codebook indexes below ``count``), so the adapted lingo's input gate
-  refuses the rest.
+  refuses the rest.  An adaptor whose space does not line up with its
+  lingo's is refused with SpaceViolation.
 * The recipes demonstrate malleability: they convert an observed wire value
   into a different compliant one without knowing the current parameter.
 """
@@ -32,6 +38,7 @@ from .rng import SAMPLE_TAG, derive, fnv64
 from .values import (
     BitVec,
     BitVecSpace,
+    CannotDraw,
     Nat,
     NatSpace,
     OpaqueSpace,
@@ -43,22 +50,6 @@ from .values import (
     space_contains,
     xor_value,
 )
-
-
-class SpaceMismatch(Exception):
-    """Adaptor and lingo spaces do not line up."""
-
-
-class WidthOverflow(SpaceViolation):
-    """A value does not fit the configured bit width."""
-
-
-class DegenerateParamSpace(Exception):
-    """The parameter space is too small to pick two distinct parameters."""
-
-
-class NonceExhausted(ValueError):
-    """An authenticating lingo was asked for a nonce at or past 2**k."""
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +68,7 @@ def sharp(base: Lingo) -> Lingo:
         raise SpaceViolation("sharp needs an input space with >= 2 values")
     a_card = base.param_space.cardinality()
     if a_card is not None and a_card < 2:
-        raise DegenerateParamSpace(
-            f"{base.name} param space has fewer than 2 elements")
+        raise SpaceViolation(f"{base.name} param space has fewer than 2 elements")
     name = f"sharp({base.name})"
 
     def f(d, a):
@@ -93,8 +83,7 @@ def sharp(base: Lingo) -> Lingo:
             second = base.param(2 * n + 1 + bump, seed)
             if second != first:
                 return Pair(first, second)
-        raise DegenerateParamSpace(
-            f"{base.name} param stream kept colliding at index {n}")
+        raise CannotDraw(f"{base.name} param stream kept colliding at index {n}")
 
     return Lingo(name=name, input_space=base.input_space,
                  output_space=PairSpace(base.output_space, base.output_space),
@@ -183,7 +172,9 @@ def authenticating(base: Lingo, oids: list[str], m: int, j: int, k: int,
         # caller's: the pinned `lingo check` digest of an auth spec rests on
         # this stream.
         if n < 0 or n >> k:     # not below 2**k, which is never built
-            raise NonceExhausted(f"nonce must be below 2**{k}, got {n}")
+            raise CannotDraw(f"nonce must be below 2**{k}, got {n}; use fewer "
+                             f"samples, observations or messages per flow, "
+                             f"or a larger k")
         return AuthParam(a0=base.param(n, seed), sigma=_involution(seed, n, width),
                          code_word=derive(seed, pair_tag, n) & ((1 << j) - 1))
 
@@ -231,7 +222,7 @@ def _retract(ad: DataAdaptor, v: object) -> object:
 def adapt_pre(ad: DataAdaptor, lingo: Lingo) -> Lingo:
     """Feed adapted payloads in: encode f(j(d)), decode r(g(w))."""
     if ad.to_space != lingo.input_space:
-        raise SpaceMismatch(
+        raise SpaceViolation(
             f"adaptor {ad.name} lands in {ad.to_space!r}, "
             f"lingo {lingo.name} expects {lingo.input_space!r}")
     name = f"pre({ad.name};{lingo.name})"
@@ -250,7 +241,7 @@ def adapt_pre(ad: DataAdaptor, lingo: Lingo) -> Lingo:
 def adapt_post(lingo: Lingo, ad: DataAdaptor) -> Lingo:
     """Re-represent wire values: encode j(f(d)), decode g(r(w))."""
     if lingo.output_space != ad.from_space:
-        raise SpaceMismatch(
+        raise SpaceViolation(
             f"lingo {lingo.name} outputs {lingo.output_space!r}, "
             f"adaptor {ad.name} expects {ad.from_space!r}")
     name = f"post({lingo.name};{ad.name})"
@@ -294,7 +285,7 @@ def bitvec_nat_adaptor(width: int) -> DataAdaptor:
         return Nat(v.bits)
 
     def r(v: Nat):
-        if v.n >= (1 << width):
+        if v.n.bit_length() > width:
             return RetractFailure(f"{v.n} exceeds {width} bits")
         return BitVec(width, v.n)
 
@@ -310,7 +301,7 @@ def sparse_code_adaptor(count: int, width: int, seed: int = 0) -> DataAdaptor:
     to_space = BitVecSpace(width)  # refuses a bad width before 1 << width
     mask = (1 << width) - 1
     if mask + 1 < 4 * count:
-        raise WidthOverflow("code space too dense to be called sparse")
+        raise SpaceViolation("code space too dense to be called sparse")
     tag = fnv64("sparse-codebook")
     codes: list[int] = []
     seen: dict[int, int] = {}

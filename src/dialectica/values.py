@@ -16,6 +16,13 @@ A bit-vector value is a ``(width, bits)`` pair rather than a bit array; the
 constructor is deliberately permissive about over-width ``bits`` so that
 over-width wire garbage is representable, while ``BitVecSpace.contains``
 applies the strict ``bits < 2**width`` gate at every space boundary.
+
+The package refuses in three ways.  A builder refuses a bad argument with a
+``ValueError``, which ``specs`` reports as a spec error.  A value outside
+the space an operation needs raises ``core.SpaceViolation``, or, for an xor
+of values of different shapes, ``ShapeMismatch``.  A draw that a space or a
+parameter stream cannot make raises ``CannotDraw``.  ``cli.main`` maps each
+class to its exit code.
 """
 
 from __future__ import annotations
@@ -122,7 +129,8 @@ class BitVec(_Value):
 
     @property
     def in_range(self) -> bool:
-        return self.bits < (1 << self.width)
+        # Equivalent to bits < 2**width, without building the power.
+        return self.bits.bit_length() <= self.width
 
     def xor(self, other: BitVec) -> BitVec:
         if self.width != other.width:
@@ -229,8 +237,10 @@ Value = Union[Nat, BitVec, Pair, AtomSet, Tagged]
 # Spaces
 # ---------------------------------------------------------------------------
 
-class UnsampleableSpace(Exception):
-    """No sample generator exists for the requested space."""
+class CannotDraw(ValueError):
+    """A space or a parameter stream cannot produce what a run asks of it:
+    an opaque space has no generator, a parameter stream keeps colliding,
+    or a nonce space runs out."""
 
 
 class Space:
@@ -287,7 +297,7 @@ class OpaqueSpace(Space):
         return True
 
     def sample(self, rng: Rng) -> Value:
-        raise UnsampleableSpace("opaque space has no generator")
+        raise CannotDraw("opaque space has no generator")
 
 
 # Naturals sampled and projected from an unbounded NatSpace lie below
@@ -336,8 +346,10 @@ class BitVecSpace(Space):
                              f"got {self.width}")
 
     def contains(self, v: Value) -> bool:
+        # BitVec.in_range, inlined: the property call would add half again
+        # to the cost of the wire-shape gate.
         return (isinstance(v, BitVec) and v.width == self.width
-                and v.bits < (1 << self.width))
+                and v.bits.bit_length() <= self.width)
 
     def cardinality(self) -> Optional[int]:
         return 1 << self.width
@@ -484,13 +496,13 @@ class ParamPairSpace(Space):
 
     def sample(self, rng: Rng) -> Value:
         if self.base.cardinality() == 1:
-            raise UnsampleableSpace("base space has a single element")
+            raise CannotDraw("base space has a single element")
         first = self.base.sample(rng)
         for _ in range(64):
             second = self.base.sample(rng)
             if second != first:
                 return Pair(first, second)
-        raise UnsampleableSpace(f"could not draw distinct pair from {self.base!r}")
+        raise CannotDraw(f"could not draw distinct pair from {self.base!r}")
 
 
 def space_contains(space: Space, v: Value) -> bool:

@@ -7,15 +7,10 @@ embedded code word."""
 
 from dataclasses import dataclass
 
-from dialectica.core import DecodeFailure, Lingo, Rng
+from dialectica.core import DecodeFailure, Lingo, Rng, SpaceViolation
 from dialectica.rng import SAMPLE_TAG, derive, fnv64
-from dialectica.transforms import (
-    AuthParam,
-    NonceExhausted,
-    WidthOverflow,
-    _apply_involution,
-)
-from dialectica.values import BitVec, BitVecSpace, Nat, Value
+from dialectica.transforms import AuthParam, _apply_involution
+from dialectica.values import BitVec, BitVecSpace, CannotDraw, Nat, Value
 
 _INVO_TAG = fnv64("involution")
 _HASH_TAG = fnv64("auth-hash")
@@ -29,9 +24,9 @@ def _wire_bits(wire: Value, width: int) -> int:
     elif isinstance(wire, Nat):
         bits = wire.n
     else:
-        raise WidthOverflow(f"wire value {wire!r} is not a bit vector")
+        raise SpaceViolation(f"wire value {wire!r} is not a bit vector")
     if bits >= (1 << width):
-        raise WidthOverflow(f"wire value exceeds {width} bits")
+        raise SpaceViolation(f"wire value exceeds {width} bits")
     return bits
 
 
@@ -49,7 +44,9 @@ class OldAuthLingo:
         if a == b:
             raise ValueError("oid pair must be ordered and distinct")
         if not (0 <= n < (1 << self.k)):
-            raise NonceExhausted(f"nonce must be below 2**{self.k}, got {n}")
+            raise CannotDraw(f"nonce must be below 2**{self.k}, got {n}; use "
+                             f"fewer samples, observations or messages per "
+                             f"flow, or a larger k")
         word = derive(self.seed, _HASH_TAG ^ fnv64(a + ">" + b), n)
         return BitVec(self.j, word & ((1 << self.j) - 1))
 

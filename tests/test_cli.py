@@ -38,6 +38,16 @@ SHARP4 = json.dumps({"sharp": {"kind": "xor_bitvec", "width": 4}})
 AUTH_K8 = json.dumps({"auth": {"base": {"kind": "xor_bitvec", "width": 8},
                                "oids": ["a", "b"], "m": 8, "j": 8, "k": 8,
                                "seed": 3}})
+# A sharp node over a divide-check base whose parameter stream is constant:
+# the declared parameter space is every natural, so the build passes, but
+# the stream draws below the ceiling, so no run finds a second parameter.
+COLLIDING = {base: {"sharp": {"kind": base, "param_ceiling": 1}}
+             for base in ("divide_check", "reverse_divide_check")}
+
+
+def colliding_error(base: str) -> str:
+    return (f"config error: cannot exercise the lingo ({base} param stream "
+            f"kept colliding at index 0)\n")
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +102,18 @@ class TestLingoEval:
         code = main(["lingo", "eval", '{"kind":"xor_nat"}', "f", "1", "2", "3"])
         assert code == EXIT_SPACE_VIOLATION
         assert "expected 1 inputs, got 2" in capsys.readouterr().err
+
+    def test_mismatched_tag_prints_the_default_fallback(self, capsys):
+        # The wire value's branch is 2, the parameter's 1: g decodes branch
+        # 1's default, 0, under the parameter 3.
+        spec = json.dumps({"horizontal": {
+            "branches": [{"kind": "xor_nat"}, {"kind": "xor_nat"}],
+            "defaults": [{"nat": "0"}, {"nat": "0"}], "bias": [1, 1]}})
+        code, out = run_cli(capsys, "lingo", "eval", spec, "g",
+                            '{"tag":{"i":2,"v":{"nat":"5"}}}',
+                            '{"tag":{"i":1,"v":{"nat":"3"}}}')
+        assert code == EXIT_OK
+        assert out == {"default_fallback": {"nat": "3"}}
 
     def test_codec_decode_prints_the_message(self, capsys):
         # A codec pre-composition decodes to a protocol message, not a value.
@@ -471,8 +493,6 @@ class TestSimulate:
                      {"broker": {"oid": "b"}}]},
          []),
         ("mqtt_xor.json", {"attacker": []}, []),
-        ("mqtt_xor.json", {"outputs": []}, []),
-        ("mqtt_xor.json", {"outputs": {"trace_path": 5}}, []),
         ("mqtt_adversarial.json",
          {"attacker": {"strategies": ["replay"], "advantage": 5}}, []),
         ("mqtt_xor.json",
@@ -565,8 +585,8 @@ class TestSimulate:
                        "targets": [["c1", "b", "c2"]]}}, []),
     ], ids=["zero_width", "negative_width", "zero_max_steps",
             "negative_max_steps_flag", "zero_max_steps_flag", "unknown_target",
-            "unknown_broker", "attacker_list", "outputs_list",
-            "trace_path_number", "advantage_number", "no_aperiodic_lingos",
+            "unknown_broker", "attacker_list", "advantage_number",
+            "no_aperiodic_lingos",
             "empty_topic", "long_topic", "message_wider_than_payload",
             "sharp_wide_payload", "bad_horizontal_defaults", "publish_string",
             "float_seed", "bool_seed", "float_max_steps", "bool_max_steps",
@@ -609,8 +629,10 @@ class TestSimulate:
          "bad scenario: unknown key 'max_step' in scenario"),
         ("mqtt_xor.json", {"atacker": {"strategies": ["replay"]}},
          "bad scenario: unknown key 'atacker' in scenario"),
-        ("mqtt_xor.json", {"outputs": {"trace": "t.jsonl"}},
-         "bad scenario: unknown key 'trace' in scenario.outputs"),
+        # Output paths are set by --trace and --out only.
+        *[("mqtt_xor.json", {"outputs": outputs},
+           "bad scenario: unknown key 'outputs' in scenario")
+          for outputs in ({"trace": "t.jsonl"}, [], {"trace_path": 5})],
         ("mqtt_adversarial.json",
          {"attacker": {"strategies": ["replay"],
                        "advantage": {"t_max": [], "x_max": []}}},
@@ -631,7 +653,8 @@ class TestSimulate:
          {"attacker": {"strategies": ["replay", "random_wire"],
                        "targets": [["c1", "b"], ["b", "c2"], ["c1", "b"]]}},
          "duplicate attacker targets: [('c1', 'b')]"),
-    ], ids=["max_step", "atacker", "outputs_trace", "advantage_x_max",
+    ], ids=["max_step", "atacker", "outputs_trace", "outputs_list",
+            "trace_path_number", "advantage_x_max",
             "param_ceilng", "bare_lingo_stack", "aperiodic_lingo_stack",
             "duplicate_strategies", "duplicate_targets"])
     def test_refusal_names_the_key(self, capsys, tmp_path, name, edit, error):
@@ -838,6 +861,42 @@ class TestSimulate:
         assert "2**8" in capsys.readouterr().err
         assert not trace.exists()
         assert not (tmp_path / "report.json").exists()
+
+    def test_colliding_param_stream_leaves_no_trace(self, capsys, tmp_path):
+        doc = load_scenario_doc("mqtt_xor.json")
+        doc["lingo_stack"] = COLLIDING["divide_check"]
+        path = tmp_path / "sharp.json"
+        path.write_text(json.dumps(doc))
+        trace = tmp_path / "trace.jsonl"
+        code = main(["simulate", str(path), "--trace", str(trace),
+                     "--out", str(tmp_path / "report.json")])
+        assert (code, capsys.readouterr().err) == \
+            (EXIT_SPEC_ERROR, colliding_error("divide_check"))
+        assert not trace.exists()
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("name, edit, error", [
+        ("mqtt_xor.json", lambda doc: doc["actors"].append({"relay": {}}),
+         "unknown actor kind 'relay' at scenario.actors[3]"),
+        ("mqtt_bare.json", lambda doc: doc.update(policy="weekly"),
+         "unknown policy 'weekly'"),
+        ("mqtt_aperiodic.json",
+         lambda doc: doc["policy"]["aperiodic"]["lingos"].append(
+             {"kind": "xor_bitvec", "width": 8}),
+         "aperiodic lingos must share their input space"),
+        ("mqtt_xor.json",
+         lambda doc: doc.update(lingo_stack={"kind": "xor_bitvec", "width": 8}),
+         "lingo xor_bitvec8 input space does not match the nat-payload codec"),
+    ], ids=["actor_kind", "policy", "aperiodic_spaces", "codec_space"])
+    def test_refusal_names_what_does_not_fit(self, capsys, tmp_path, name,
+                                             edit, error):
+        doc = load_scenario_doc(name)
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out", "/dev/null"]) == \
+            EXIT_SPEC_ERROR
+        assert capsys.readouterr().err == f"config error: {error}\n"
 
     def test_unwritable_trace_exits_2_before_the_run(self, capsys, tmp_path,
                                                      monkeypatch):
@@ -1085,6 +1144,14 @@ class TestExperiment:
         assert code == EXIT_SPEC_ERROR
         assert "2**8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["spoof", "match"])
+    @pytest.mark.parametrize("base", list(COLLIDING))
+    def test_colliding_param_stream_exits_2(self, capsys, kind, base):
+        code = main(["experiment", kind, "--lingo", json.dumps(COLLIDING[base]),
+                     "--strategy", "dc_zero_remainder", "--trials", "3"])
+        assert (code, capsys.readouterr().err) == \
+            (EXIT_SPEC_ERROR, colliding_error(base))
+
     def test_zero_observations_run(self, capsys):
         code, out = run_cli(capsys, "experiment", "spoof", "--lingo", XOR8,
                             "--strategy", "random_wire", "--observations",
@@ -1105,8 +1172,8 @@ class TestExperiment:
 # its documented reason; every other entry passes every law.
 UNCHECKABLE = {
     AUTH_K8: "config error: cannot exercise the lingo (nonce must be below "
-             "2**8, got 256); use fewer samples, observations or messages per "
-             "flow, or a larger k\n",
+             "2**8, got 256; use fewer samples, observations or messages per "
+             "flow, or a larger k)\n",
     json.dumps({"adapt_pre": {"adaptor": {"kind": "mqtt_codec"},
                               "lingo": {"kind": "xor_nat"}}}):
         "config error: cannot exercise the lingo (opaque space has no "

@@ -16,7 +16,6 @@ from dialectica.core import (
     Lingo,
     Rng,
     SpaceViolation,
-    UnsampleableSpace,
     apply_f,
     apply_g,
     _ce,
@@ -37,6 +36,7 @@ from dialectica.values import (
     AtomSetSpace,
     BitVec,
     BitVecSpace,
+    CannotDraw,
     Nat,
     NatSpace,
     OpaqueSpace,
@@ -117,11 +117,11 @@ class TestSampling:
             assert space_contains(space, space.project(rng.next_u64()))
 
     def test_opaque_space_unsampleable(self):
-        with pytest.raises(UnsampleableSpace):
+        with pytest.raises(CannotDraw, match="opaque space has no generator"):
             OpaqueSpace().sample(Rng(0, 0))
 
     def test_degenerate_parampair(self):
-        with pytest.raises(UnsampleableSpace):
+        with pytest.raises(CannotDraw, match="base space has a single element"):
             ParamPairSpace(AtomSetSpace(())).sample(Rng(0, 0))
 
 

@@ -1,17 +1,28 @@
-"""No handler in the package catches the errors a bug raises.
+"""No handler in the package catches the errors a bug raises, and no
+refusal escapes the command line's exit-code table.
 
 No ``except`` clause is bare or names ``Exception``, ``BaseException``,
 ``LookupError``, ``KeyError``, ``IndexError`` or ``TypeError``, directly or
-through a module-level tuple such as ``specs._BUILD_ERRORS``.  The JSON
-readers refuse bad input with their own ``ValueError`` or ``SpecError``, so a
-``KeyError`` or ``TypeError`` from a bug surfaces as one instead of being
-reported as a bad spec.
+through a module-level tuple.  The JSON readers refuse bad input with their
+own ``ValueError`` or ``SpecError``, so a ``KeyError`` or ``TypeError`` from
+a bug surfaces as one instead of being reported as a bad spec.
+
+Every exception class the package defines is one that ``cli.main`` maps to
+an exit code, or a subclass of one, except the scheduler's internal
+``Quiescent``; so a refusal raised anywhere ends with a documented exit
+code, never a traceback.
 """
 
 import ast
+import builtins
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import dialectica
+from dialectica import cli
+from dialectica.runtime import Quiescent
 
 BROAD = {"Exception", "BaseException", "LookupError", "KeyError",
          "IndexError", "TypeError"}
@@ -70,3 +81,38 @@ def test_no_handler_catches_a_bug():
              for path in sorted(_PACKAGE.glob("*.py"))
              for line, name in broad_handlers(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def mapped_classes() -> set[type]:
+    """The classes the ``except`` clauses of ``cli.main`` name."""
+    tree = ast.parse(inspect.getsource(cli.main))
+    names = {name for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)
+             for name in _caught(node.type, {})}
+    return {vars(cli).get(name) or getattr(builtins, name) for name in names}
+
+
+def defined_exceptions() -> dict[str, type]:
+    """Every exception class a module of the package defines, by name."""
+    modules = [importlib.import_module(f"dialectica.{info.name}")
+               for info in pkgutil.iter_modules(dialectica.__path__)]
+    return {obj.__name__: obj for module in modules
+            for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__}
+
+
+def test_every_exception_class_is_mapped_to_an_exit_code():
+    mapped = mapped_classes()
+    assert ValueError not in mapped and Exception not in mapped
+    unmapped = [name for name, cls in defined_exceptions().items()
+                if cls is not Quiescent and not issubclass(cls, tuple(mapped))]
+    assert unmapped == []
+
+
+def test_the_package_defines_the_three_refusal_classes_and_two_more():
+    # Builder refusals are ValueErrors; SpaceViolation and CannotDraw are
+    # the other two; ShapeMismatch exits as a space violation, and
+    # Quiescent never leaves the scheduler.
+    assert set(defined_exceptions()) == {"SpecError", "SpaceViolation",
+                                         "ShapeMismatch", "CannotDraw",
+                                         "Quiescent"}

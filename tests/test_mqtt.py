@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 import dialectica
 
 from conftest import initial_configuration
-from dialectica.core import Rng
+from dialectica.core import Rng, SpaceViolation
 from dialectica.mqtt import (
     ConnAck,
     ConnectMsg,
@@ -23,7 +23,6 @@ from dialectica.mqtt import (
     SubMsg,
     UnsubAck,
     UnsubMsg,
-    WidthOverflow,
     actor_step,
     decode_mqtt,
     encode_mqtt,
@@ -109,6 +108,17 @@ class TestBrokerRules:
         b = MqttBroker(oid="b")
         assert isinstance(actor_step(b, ("c1", SubMsg("t"))), Reject)
 
+    def test_unsubscribe_drops_only_its_sender(self):
+        b = MqttBroker(oid="b", peers=frozenset({"c1", "c2"}))
+        b, _ = actor_step(b, ("c1", SubMsg("t")))
+        b, _ = actor_step(b, ("c2", SubMsg("t")))
+        b, outs = actor_step(b, ("c1", UnsubMsg("t")))
+        assert outs == [("c1", UnsubAck())]
+        assert b.subscriber_map() == {"t": frozenset({"c2"})}
+        b, outs = actor_step(b, ("c2", UnsubMsg("t")))
+        assert outs == [("c2", UnsubAck())]
+        assert b.subscriber_map() == {}
+
     def test_disconnect_clears_peer_and_subscriptions(self):
         b = MqttBroker(oid="b", peers=frozenset({"c1", "c2"}))
         b, _ = actor_step(b, ("c1", SubMsg("t")))
@@ -138,7 +148,7 @@ class TestCodec:
         assert isinstance(decode_mqtt(Nat(0)), RetractFailure)
 
     def test_width_overflow(self):
-        with pytest.raises(WidthOverflow):
+        with pytest.raises(SpaceViolation, match="PubMsg needs 72 bits, width is 8"):
             encode_mqtt(PubMsg("temp", "34"), 8)
 
     def test_overwidth_bitvec_malformed(self):
@@ -319,7 +329,7 @@ def _old_encode_mqtt(msg, width=None):
     values = [getattr(msg, f.name) for f in fields(msg)]
     size = _old_encoded_size(values)
     if width is not None and size * 8 > width:
-        raise WidthOverflow(
+        raise SpaceViolation(
             f"{type(msg).__name__} needs {size * 8} bits, width is {width}")
     out = bytes([tag])
     for v in values:
@@ -352,7 +362,7 @@ _wire_msgs = st.one_of(
 def _encoding(encode, msg, width):
     try:
         value = encode(msg, width)
-    except (ValueError, WidthOverflow) as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
     return type(value), value
 

@@ -20,7 +20,7 @@ from conftest import (
     scenario_path,
     trace_form,
 )
-from dialectica.attacker import AttackerConfig
+from dialectica.attacker import AttackerConfig, NoAttempt
 from dialectica.core import is_compliant
 from dialectica.mqtt import (
     ConnectMsg,
@@ -543,6 +543,51 @@ class TestAttackerIntegration:
         for n, wire in forged:
             assert is_compliant(lingo, value_from_json(wire),
                                 lingo.param(n, cfg.seed))
+
+    def test_replayed_forgeries_are_delivered_and_desync_the_flow(self):
+        # Under the identity lingo each replay of c1's messages is accepted
+        # and delivered, and each moves b's receive counter, so the honest
+        # messages after it arrive under a counter they were not encoded at.
+        doc = {"seed": 1, "payload": "nat",
+               "lingo_stack": {"kind": "identity", "space": "nat"},
+               "actors": [
+                   {"client": {"oid": "c1", "cmds": [
+                       {"connect": "b"}, {"subscribe": "t"},
+                       {"publish": ["t", "1"]}, {"publish": ["t", "2"]},
+                       {"unsubscribe": "t"}, {"publish": ["t", "3"]}]}},
+                   {"broker": {"oid": "b"}}],
+               "attacker": {"strategies": ["replay"], "max_injections": 3,
+                            "targets": [["c1", "b"]]}}
+        scenario = parse_scenario(doc)
+        for seed in range(1, 9):
+            cfg = build_configuration(scenario, seed_override=seed)
+            quiesced, _ = run(cfg, 1000)
+            assert quiesced
+            assert [cfg.stats[k] for k in ("injected", "forgeries_accepted",
+                                           "forgeries_delivered")] == [3, 3, 3]
+            assert cfg.per_strategy == {"replay": {
+                "attempts": 3, "dialect_accepted": 3, "delivered": 3}}
+            desyncs = [e for e in cfg.event_log if e["ev"] == "desync"]
+            assert len(desyncs) == 5, seed
+            assert all(e["encoded"] != e["used"] for e in desyncs)
+            assert cfg.wrappers["b"].actor.subscriber_map() == {}
+
+    def test_no_attempt_injects_nothing(self, monkeypatch):
+        # xor_recipe needs an xor-shaped wire value; a divide-check flow
+        # carries pairs, so every attempt comes back NoAttempt.
+        outcomes = []
+        attempt = runtime.attempt_forgery
+        monkeypatch.setattr(runtime, "attempt_forgery",
+                            lambda *args: outcomes.append(attempt(*args))
+                            or outcomes[-1])
+        doc = load_scenario_doc("mqtt_xor.json")
+        doc["lingo_stack"] = {"kind": "divide_check"}
+        doc["attacker"] = {"strategies": ["xor_recipe"], "targets": [["c2", "b"]]}
+        cfg = build_configuration(parse_scenario(doc))
+        run(cfg, 400)
+        assert outcomes and set(outcomes) == {NoAttempt("wire is not xor-shaped")}
+        assert cfg.stats["injected"] == 0 and cfg.per_strategy == {}
+        assert not [e for e in cfg.event_log if e["ev"] == "inject"]
 
     def test_zero_injection_rate_disables_attacker(self):
         atk = AttackerConfig(strategies=("random_wire",), max_injections=50,

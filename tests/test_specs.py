@@ -7,7 +7,6 @@ from conftest import ALL_SPECS, noncompliant_witness
 
 from dialectica.core import (
     Rng,
-    UnsampleableSpace,
     apply_f,
     check_lingo_laws,
     is_compliant,
@@ -25,6 +24,7 @@ from dialectica.values import (
     AtomSet,
     BitVec,
     BitVecSpace,
+    CannotDraw,
     Nat,
     NatSpace,
     Pair,
@@ -150,7 +150,7 @@ class TestLingoSpecs:
 
 def test_law_harness_needs_a_generator():
     lingo = adapt_pre(mqtt_codec_adaptor(), build_lingo({"kind": "xor_nat"}))
-    with pytest.raises(UnsampleableSpace):
+    with pytest.raises(CannotDraw, match="opaque space has no generator"):
         check_lingo_laws(lingo, 10, Rng(0, 0))
 
 

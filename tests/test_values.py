@@ -1,5 +1,6 @@
 import ast
 import inspect
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from dialectica.values import (
     AtomSetSpace,
     BitVec,
     BitVecSpace,
+    CannotDraw,
     Nat,
     NatSpace,
     OpaqueSpace,
@@ -30,7 +32,6 @@ from dialectica.values import (
     Space,
     Tagged,
     TaggedSpace,
-    UnsampleableSpace,
     space_contains,
     space_from_json,
     value_from_json,
@@ -49,6 +50,18 @@ class TestSpaceContains:
 
     def test_width_mismatch_rejected(self):
         assert not space_contains(BitVecSpace(8), BitVec(16, 3))
+
+    def test_widest_range_test_builds_no_power_of_two(self):
+        # 2**65536 alone takes 8.7 KB.
+        space, v = BitVecSpace(65536), BitVec(65536, 1)
+        over = BitVec(65536, 1 << 65536)
+        tracemalloc.start()
+        try:
+            assert space.contains(v) and not space.contains(over)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024, peak
 
     def test_parampair_diagonal_excluded(self):
         sp = ParamPairSpace(BitVecSpace(4))
@@ -263,7 +276,7 @@ def _old_enum(space):
 
 def _old_sample_value(space, rng, nat_ceiling=1 << 32):
     if isinstance(space, OpaqueSpace):
-        raise UnsampleableSpace("opaque space has no generator")
+        raise CannotDraw("opaque space has no generator")
     if isinstance(space, NatSpace):
         return Nat(rng.next_below(nat_ceiling))
     if isinstance(space, BitVecSpace):
@@ -292,14 +305,14 @@ def _old_sample_value(space, rng, nat_ceiling=1 << 32):
                       _old_sample_value(space.branches[branch - 1], rng, nat_ceiling))
     if isinstance(space, ParamPairSpace):
         if _old_space_cardinality(space.base) == 1:
-            raise UnsampleableSpace("base space has a single element")
+            raise CannotDraw("base space has a single element")
         first = _old_sample_value(space.base, rng, nat_ceiling)
         for _ in range(64):
             second = _old_sample_value(space.base, rng, nat_ceiling)
             if second != first:
                 return Pair(first, second)
-        raise UnsampleableSpace(f"could not draw distinct pair from {space.base!r}")
-    raise UnsampleableSpace(f"no generator for {space!r}")
+        raise CannotDraw(f"could not draw distinct pair from {space.base!r}")
+    raise CannotDraw(f"no generator for {space!r}")
 
 
 def _old_project_param(space, seed, stream_tag, index, nat_ceiling=1 << 32):
