@@ -130,20 +130,22 @@ class AttackerState:
 
     config: AttackerConfig
     rng: Rng
-    records: list[CapturedRecord] = field(default_factory=list)
-    injected: int = 0
+    # Run state, never given to the constructor.
+    records: list[CapturedRecord] = field(init=False, default_factory=list)
+    injected: int = field(init=False, default=0)
     # Indexes over ``records``, kept by observe/reveal_sweep.
     latest: dict[tuple[str, str], CapturedRecord] = field(
-        default_factory=dict, repr=False)
-    lingo_counts: dict[str, int] = field(default_factory=dict, repr=False)
-    pair_counts: dict[tuple[str, str], int] = field(default_factory=dict,
-                                                    repr=False)
+        init=False, default_factory=dict, repr=False)
+    lingo_counts: dict[str, int] = field(init=False, default_factory=dict,
+                                         repr=False)
+    pair_counts: dict[tuple[str, str], int] = field(
+        init=False, default_factory=dict, repr=False)
     # (record, its (lingo, repr(param)) key), in record order; the key is
     # None for a bare record, and for every record when ``s_max`` is empty.
     unrevealed: list[tuple[CapturedRecord, Optional[tuple[str, str]]]] = field(
-        default_factory=list, repr=False)
+        init=False, default_factory=list, repr=False)
     leaked: dict[tuple[str, str], CapturedRecord] = field(
-        default_factory=dict, repr=False)
+        init=False, default_factory=dict, repr=False)
 
     @property
     def budget_left(self) -> int:
@@ -212,10 +214,6 @@ class NoAttempt:
     reason: str = ""
 
 
-def _mask_for(wire_space, rng: Rng) -> Value:
-    return (NatSpace() if wire_space.opaque else wire_space).sample(rng)
-
-
 def ready_flows(state: AttackerState, strategy: str
                 ) -> Optional[Container[tuple[str, str]]]:
     """The (src, dst) flows on which ``strategy`` can act now; None means
@@ -249,6 +247,8 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
     the record is revealed (``param_reuse_oracle``), never before.
     """
     wire_space = lingo.output_space if lingo is not None else OpaqueSpace()
+    # A bare flow's xor masks are naturals: its wire space has no generator.
+    mask_space = wire_space if lingo is not None else NatSpace()
     rec = state.latest.get((src, dst))
     if strategy == "passive":
         return NoAttempt("passive strategy never injects")
@@ -264,7 +264,7 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
             return NoAttempt("no observation")
         if not isinstance(rec.wire, (Nat, BitVec)):
             return NoAttempt("wire is not xor-shaped")
-        mask = _mask_for(wire_space, state.rng)
+        mask = mask_space.sample(state.rng)
         if type(mask) is not type(rec.wire):
             return NoAttempt("mask space does not match the wire")
         forged = xor_recipe(rec.wire, mask)
@@ -277,7 +277,7 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
                 or not isinstance(rec.wire.first, BitVec) \
                 or not isinstance(rec.wire.second, BitVec):
             return NoAttempt("no bitvec-pair observation")
-        mask = _mask_for(wire_space, state.rng)
+        mask = mask_space.sample(state.rng)
         if not isinstance(mask, Pair) or not isinstance(mask.first, BitVec):
             return NoAttempt("wire space is not a bitvec-pair space")
         forged = xor_sharp_recipe(rec.wire, mask)
@@ -292,7 +292,7 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
         return payload, None
 
     if strategy == "random_wire":
-        if wire_space.opaque:
+        if lingo is None:
             return NoAttempt("no wire space to sample")
         return wire_space.sample(state.rng), None
 

@@ -90,11 +90,6 @@ def _load_lingo(spec_text: str):
 
 def cmd_lingo_eval(args) -> int:
     lingo = _load_lingo(args.spec)
-    if lingo.param_space.opaque:
-        # An authenticating lingo's parameters carry its involution and code
-        # word; a parameter typed here is always a plain value.
-        raise SpaceViolation(f"{lingo.name}: its parameters are not values, so "
-                             f"none can be given on the command line")
     try:
         values = [value_from_json(json_from_text(a, f"args[{i}]"), ("args", i))
                   for i, a in enumerate(args.args)]
@@ -131,10 +126,7 @@ def cmd_lingo_check(args) -> int:
     report = check_lingo_laws(lingo, args.samples,
                               Rng(args.seed, fnv64("cli-check")))
     a = law_params(lingo, args.seed)(0)
-    try:
-        witness = find_noncompliant_witness(lingo, a, Rng(args.seed, SAMPLE_TAG))
-    except CannotDraw:
-        witness = None   # no generator for the output space, e.g. an opaque part
+    witness = find_noncompliant_witness(lingo, a, Rng(args.seed, SAMPLE_TAG))
     out = report.to_json()
     # ``witness`` stays a one-element list: the report schema is pinned.
     out["f_checkable_probe"] = {

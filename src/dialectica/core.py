@@ -81,12 +81,7 @@ def decode_then(out: GResult, step: Callable[[Value], GResult]) -> GResult:
 class Lingo:
     """A closed transformation object (input, output, parameter spaces plus
     f, g and param).  ``f(d, a)`` returns the wire value of payload d;
-    ``g(w, a)`` decodes it.
-
-    ``param_space`` is an ``OpaqueSpace`` for constructions whose
-    parameters are not plain values (the authenticating transform); the law
-    harness draws such parameters, and those of any space with an opaque
-    part, from the lingo's ``param`` function instead.
+    ``g(w, a)`` decodes it.  Every parameter is a value of ``param_space``.
     """
 
     name: str
@@ -172,12 +167,8 @@ def make_param(space: Space, name: str) -> Callable[[int, int], Value]:
 
 
 def law_params(lingo: Lingo, seed: int) -> Callable[[int], Value]:
-    """The law-checking parameter stream: n -> sample n.  Prefers the space
-    generator, keyed by the lingo name; falls back to the lingo's own param
-    stream when the parameter space has an opaque part, which has no
-    generator."""
-    if lingo.param_space.opaque:
-        return lambda n: lingo.param(n, seed)
+    """The law-checking parameter stream: n -> sample n of the parameter
+    space, drawn from a stream keyed by the lingo name."""
     word = Rng(seed, fnv64(lingo.name + "/laws")).at
     sample = lingo.param_space.sample
     return lambda n: sample(Rng(word(n), SAMPLE_TAG))
@@ -297,7 +288,7 @@ def check_lingo_laws(lingo: Lingo, sample_count: int, rng: Rng) -> LawReport:
 def _check_c3(lingo: Lingo, seed: int, param: Callable[[int], Value]
               ) -> Optional[LawResult]:
     d1s = lingo.input_space.enumerate(4096)
-    if d1s is None or lingo.output_space.opaque:
+    if d1s is None:
         return None
     d2s = lingo.output_space.enumerate(256)
     for i in range(4):
@@ -325,7 +316,7 @@ def find_noncompliant_witness(lingo: Lingo, a: Value, rng: Rng) -> Optional[Valu
     Exhaustive when the output space has at most 4,096 values, 4,096
     seeded samples otherwise; None means no witness was found (the lingo looks
     symmetric for this parameter).  An output space that is neither small
-    nor sampleable, such as one with an opaque part, raises CannotDraw.
+    nor sampleable raises CannotDraw.
     """
     enumerated = lingo.output_space.enumerate(4096)
     if enumerated is not None:

@@ -183,14 +183,15 @@ class Configuration:
     wrappers: dict[str, DialectWrapper]
     seed: int
     attacker: Optional[AttackerState] = None
-    channels: dict[tuple[str, str], deque] = field(default_factory=dict)
-    event_log: list[dict] = field(default_factory=list)
-    clock: int = 0
-    seq: int = 0
-    stats: dict = field(default_factory=lambda: {
+    # Run state, never given to the constructor.
+    channels: dict[tuple[str, str], deque] = field(init=False, default_factory=dict)
+    event_log: list[dict] = field(init=False, default_factory=list)
+    clock: int = field(init=False, default=0)
+    seq: int = field(init=False, default=0)
+    stats: dict = field(init=False, default_factory=lambda: {
         "honest_sends": 0, "delivered": 0, "rejected": 0, "injected": 0,
         "forgeries_accepted": 0, "forgeries_delivered": 0})
-    per_strategy: dict = field(default_factory=dict)
+    per_strategy: dict = field(init=False, default_factory=dict)
     # Enabled rule instances per kind, each list sorted, and the instances
     # whose enabledness may have changed since the scheduler last looked.
     enabled: dict[str, list[tuple]] = field(
@@ -208,8 +209,9 @@ class Configuration:
         init=False, repr=False, default_factory=dict)
     # ((len(latest), len(leaked)), candidates) from the last candidate
     # search; the attacker's indexes never lose a key, so equal sizes mean
-    # equal key sets.
-    candidates: Optional[tuple[tuple[int, int], list]] = field(
+    # equal key sets.  After an attacker step at clock t dropped a
+    # candidate, ((len(latest), len(leaked), t), what is left).
+    candidates: Optional[tuple[tuple[int, ...], list]] = field(
         init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
@@ -448,11 +450,15 @@ def rule_attacker(cfg: Configuration) -> Configuration:
     candidates = _attack_candidates(cfg)
     if not candidates:
         return cfg
-    strategy, (src, dst) = candidates[atk.rng.next_below(len(candidates))]
+    i = atk.rng.next_below(len(candidates))
+    strategy, (src, dst) = candidates[i]
     w = cfg.wrappers.get(dst)
     lingo = w.lingo_for(src, sending=False) if w is not None else None
     forged = attempt_forgery(atk, strategy, (src, dst), lingo)
     if isinstance(forged, NoAttempt):
+        del candidates[i]
+        cfg.candidates = ((len(atk.latest), len(atk.leaked), cfg.clock),
+                          candidates)
         return cfg
     forged.seq = cfg.seq
     cfg.seq += 1
@@ -470,11 +476,20 @@ def _attack_candidates(cfg) -> list[tuple[str, tuple[str, str]]]:
 
     Readiness depends only on the key sets of the attacker's ``latest`` and
     ``leaked`` indexes, and neither ever loses a key, so the list is rebuilt
-    only when one of them grew."""
+    only when one of them grew.
+
+    ``rule_attacker`` drops from the list a candidate whose attempt came
+    back NoAttempt, so an attacker that cannot act lets the run quiesce
+    instead of retrying the same attempt on the same state.  The dropped
+    candidates come back once any step but a NoAttempt has run (it may
+    have moved the flow's wire or the receiver's lingo), or the indexes
+    grew."""
     atk = cfg.attacker
     key = (len(atk.latest), len(atk.leaked))
-    if cfg.candidates is not None and cfg.candidates[0] == key:
-        return cfg.candidates[1]
+    cached = cfg.candidates
+    if cached is not None and (cached[0] == key
+                               or cached[0] == (*key, cfg.clock - 1)):
+        return cached[1]
     out = []
     for strategy in atk.config.strategies:
         flows = ready_flows(atk, strategy)

@@ -10,8 +10,10 @@
 * ``authenticating`` appends a code keyed to one (sender, receiver) pair to
   a bit-vector base's wire value and scrambles the result with a secret
   involution; the result is again a lingo, whose compliance check rejects a
-  wire value that does not carry the code.  Its ``param`` raises
-  CannotDraw for a nonce at or past 2**k.
+  wire value that does not carry the code.  Its parameter is a value,
+  (base parameter, k-bit nonce, j-bit code word), and the involution is
+  derived from the nonce.  Its ``param`` raises CannotDraw for a nonce at
+  or past 2**k.
 * Data adaptors are section-retract pairs (j, r) with r(j(d)) = d used to
   connect lingos whose spaces do not line up.  An adaptor's ``from_space``
   is exactly the domain its j accepts (the naturals below 2**width, the
@@ -25,6 +27,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Union
 
 from .core import (
@@ -41,7 +44,6 @@ from .values import (
     CannotDraw,
     Nat,
     NatSpace,
-    OpaqueSpace,
     Pair,
     PairSpace,
     ParamPairSpace,
@@ -99,16 +101,6 @@ _INVO_TAG = fnv64("involution")
 _HASH_TAG = fnv64("auth-hash")
 
 
-@dataclass(frozen=True)
-class AuthParam:
-    """Parameter triple of an authenticating lingo: the base parameter, the
-    bit-position involution, and the embedded code word."""
-
-    a0: Value
-    sigma: tuple[int, ...]
-    code_word: int
-
-
 def _involution(seed: int, n: int, width: int) -> tuple[int, ...]:
     """Secret bit-position involution on ``width`` positions for nonce n."""
     perm = [-1] * width
@@ -141,6 +133,11 @@ def authenticating(base: Lingo, oids: list[str], m: int, j: int, k: int,
     current nonce and that pair, and scrambles the m+j bit positions with a
     nonce-derived involution.  The code construction is a model of a
     one-way hash, not a cryptographic primitive.
+
+    A parameter is the value ``Pair(a0, Pair(nonce, code))``: the base
+    parameter, the k-bit nonce and the j-bit code word.  The involution is
+    a function of the nonce and the lingo's seed, so f and g derive it and
+    keep the last 256 in a memo.
     """
     if (isinstance(oids, str) or len(oids) != 2 or oids[0] == oids[1]
             or not all(isinstance(o, str) for o in oids)):
@@ -153,33 +150,39 @@ def authenticating(base: Lingo, oids: list[str], m: int, j: int, k: int,
     if not isinstance(out, BitVecSpace) or out.width > m:
         raise SpaceViolation(f"{base.name} wire values are not bit vectors of "
                              f"at most m={m} bits: {out!r}")
+    # Refuses a j or k above MAX_BITVEC_WIDTH before any 1 << j is built.
+    param_space = PairSpace(base.param_space, PairSpace(BitVecSpace(k), BitVecSpace(j)))
     width = m + j
     name = f"auth({base.name})"
     pair_tag = _HASH_TAG ^ fnv64(oids[0] + ">" + oids[1])
 
-    def f(d, a: AuthParam):
-        concat = (base.f(d, a.a0).bits << j) | a.code_word
-        return BitVec(width, _apply_involution(concat, width, a.sigma))
+    @lru_cache(maxsize=256)
+    def sigma(nonce: int) -> tuple[int, ...]:
+        return _involution(seed, nonce, width)
 
-    def g(w, a: AuthParam):
-        mid = BitVec(out.width, _apply_involution(w.bits, width, a.sigma) >> j)
+    def f(d, a):
+        nonce, code = a.second.first.bits, a.second.second.bits
+        concat = (base.f(d, a.first).bits << j) | code
+        return BitVec(width, _apply_involution(concat, width, sigma(nonce)))
+
+    def g(w, a):
+        perm = sigma(a.second.first.bits)
+        mid = BitVec(out.width, _apply_involution(w.bits, width, perm) >> j)
         if not mid.in_range:
             return DecodeFailure("payload bits outside base output space")
-        return base.g(mid, a.a0)
+        return base.g(mid, a.first)
 
-    def param(n: int, _seed: int) -> AuthParam:
+    def param(n: int, _seed: int) -> Value:
         # Keyed by the lingo's own seed, the enclave secret, not the
-        # caller's: the pinned `lingo check` digest of an auth spec rests on
-        # this stream.
+        # caller's.
         if n < 0 or n >> k:     # not below 2**k, which is never built
             raise CannotDraw(f"nonce must be below 2**{k}, got {n}; use fewer "
-                             f"samples, observations or messages per flow, "
-                             f"or a larger k")
-        return AuthParam(a0=base.param(n, seed), sigma=_involution(seed, n, width),
-                         code_word=derive(seed, pair_tag, n) & ((1 << j) - 1))
+                             f"observations or messages per flow, or a larger k")
+        code = derive(seed, pair_tag, n) & ((1 << j) - 1)
+        return Pair(base.param(n, seed), Pair(BitVec(k, n), BitVec(j, code)))
 
     return Lingo(name=name, input_space=base.input_space,
-                 output_space=BitVecSpace(width), param_space=OpaqueSpace(),
+                 output_space=BitVecSpace(width), param_space=param_space,
                  f=f, g=g, param=param)
 
 
@@ -286,7 +289,7 @@ def bitvec_nat_adaptor(width: int) -> DataAdaptor:
 
     def r(v: Nat):
         if v.n.bit_length() > width:
-            return RetractFailure(f"{v.n} exceeds {width} bits")
+            return RetractFailure(f"{v.n.bit_length()}-bit natural exceeds {width} bits")
         return BitVec(width, v.n)
 
     return DataAdaptor(name=f"bitvec{width}_nat", from_space=BitVecSpace(width),

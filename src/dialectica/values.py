@@ -246,15 +246,10 @@ class CannotDraw(ValueError):
 class Space:
     """A payload space.  Each kind answers for its own membership, size,
     enumeration, sampling and parameter projection; a composite asks its
-    children directly.
-
-    ``OpaqueSpace`` is the kind for domains with no payload structure
-    (protocol messages behind data adaptors, an authenticating lingo's
-    parameters); ``opaque`` says whether a space is one or has one as a
-    part.
+    children directly.  ``OpaqueSpace`` is the kind for the one domain
+    with no payload structure: protocol messages, behind a codec adaptor or
+    on a bare flow.
     """
-
-    opaque = False
 
     def contains(self, v: Value) -> bool:
         """Structural membership; total, never raises."""
@@ -290,8 +285,6 @@ class OpaqueSpace(Space):
     """A domain with no payload structure, such as the protocol messages a
     codec adaptor carries: every value belongs, and nothing is counted,
     enumerated or sampled."""
-
-    opaque = True
 
     def contains(self, v: Value) -> bool:
         return True
@@ -375,10 +368,6 @@ class PairSpace(Space):
     left: Space
     right: Space
 
-    @property
-    def opaque(self) -> bool:
-        return self.left.opaque or self.right.opaque
-
     def contains(self, v: Value) -> bool:
         return (isinstance(v, Pair) and self.left.contains(v.first)
                 and self.right.contains(v.second))
@@ -440,10 +429,6 @@ class TaggedSpace(Space):
         if len(self.branches) < 2:
             raise ValueError("TaggedSpace needs at least 2 branches")
 
-    @property
-    def opaque(self) -> bool:
-        return any(b.opaque for b in self.branches)
-
     def contains(self, v: Value) -> bool:
         return (isinstance(v, Tagged)
                 and 1 <= v.branch <= len(self.branches)
@@ -474,10 +459,6 @@ class ParamPairSpace(Space):
     the diagonal)."""
 
     base: Space
-
-    @property
-    def opaque(self) -> bool:
-        return self.base.opaque
 
     def contains(self, v: Value) -> bool:
         return (isinstance(v, Pair) and self.base.contains(v.first)

@@ -273,13 +273,13 @@ class TestLingoCheck:
         assert code == EXIT_SPEC_ERROR
         assert "--samples" in capsys.readouterr().err
 
-    def test_nonce_exhaustion_exits_2(self, capsys):
+    @pytest.mark.parametrize("samples", ["256", "1000"])
+    def test_auth_is_checked_at_any_sample_count(self, capsys, samples):
+        # The law suite draws auth parameters from the declared space, not
+        # from the 2**8 nonces of the lingo's own stream.
         code, out = run_cli(capsys, "lingo", "check", AUTH_K8, "--samples",
-                            "256")
+                            samples)
         assert code == EXIT_OK and out["passed"]
-        code = main(["lingo", "check", AUTH_K8, "--samples", "1000"])
-        assert code == EXIT_SPEC_ERROR
-        assert "2**8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", [
         {"sharp": {"kind": "xor_bitvec", "width": 2**70}},
@@ -837,10 +837,10 @@ class TestSimulate:
                      "--out", "/dev/null"]) == EXIT_OK
         assert trace.exists()
 
-    def test_nonce_exhaustion_in_the_report_leaves_no_trace(
+    def test_report_law_check_draws_auth_parameters_from_its_space(
             self, capsys, tmp_path, monkeypatch):
-        # The run finishes and its whole trace is written; the report's law
-        # checks then ask the auth lingo for 300 of its 2**8 nonces.
+        # The report's law checks take 300 auth parameters from the declared
+        # space, more than the 2**8 nonces of the lingo's own stream.
         doc = {"seed": 1, "payload": {"bitvec": 64}, "policy": "static",
                "lingo_stack": {"auth": {
                    "base": {"kind": "xor_bitvec", "width": 64},
@@ -857,10 +857,23 @@ class TestSimulate:
         trace = tmp_path / "trace.jsonl"
         code = main(["simulate", str(path), "--trace", str(trace),
                      "--out", str(tmp_path / "report.json")])
-        assert code == EXIT_SPEC_ERROR
-        assert "2**8" in capsys.readouterr().err
-        assert not trace.exists()
-        assert not (tmp_path / "report.json").exists()
+        assert (code, capsys.readouterr().err) == (EXIT_OK, "")
+        assert trace.exists()
+        out = json.loads((tmp_path / "report.json").read_text())
+        assert [law["passed"] for law in out["law_checks"]] == [True]
+
+    @pytest.mark.parametrize("seed", [None, "1", "7"])
+    def test_attacker_that_cannot_act_lets_the_run_quiesce(self, capsys,
+                                                           tmp_path, seed):
+        # xor_recipe cannot malleate the pairs a divide-check flow carries.
+        doc = load_scenario_doc("mqtt_xor.json")
+        doc["lingo_stack"] = {"kind": "divide_check"}
+        doc["attacker"] = {"strategies": ["xor_recipe"], "targets": [["c2", "b"]]}
+        path = tmp_path / "no_attempt.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "simulate", str(path),
+                            *(["--seed", seed] if seed else []))
+        assert code == EXIT_OK and out["quiesced"] and out["injected"] == 0
 
     def test_colliding_param_stream_leaves_no_trace(self, capsys, tmp_path):
         doc = load_scenario_doc("mqtt_xor.json")
@@ -1141,8 +1154,10 @@ class TestExperiment:
     def test_nonce_exhaustion_exits_2(self, capsys):
         code = main(["experiment", "spoof", "--lingo", AUTH_K8, "--strategy",
                      "replay", "--observations", "300", "--trials", "2"])
-        assert code == EXIT_SPEC_ERROR
-        assert "2**8" in capsys.readouterr().err
+        assert (code, capsys.readouterr().err) == (EXIT_SPEC_ERROR, (
+            "config error: cannot exercise the lingo (nonce must be below "
+            "2**8, got 256; use fewer observations or messages per flow, or "
+            "a larger k)\n"))
 
     @pytest.mark.parametrize("kind", ["spoof", "match"])
     @pytest.mark.parametrize("base", list(COLLIDING))
@@ -1168,12 +1183,9 @@ class TestExperiment:
             assert code == EXIT_SPEC_ERROR, bad
 
 
-# The two ``ALL_SPECS`` entries the law suite cannot exercise, each with
-# its documented reason; every other entry passes every law.
+# The one ``ALL_SPECS`` entry the law suite cannot exercise, with its
+# documented reason; every other entry passes every law.
 UNCHECKABLE = {
-    AUTH_K8: "config error: cannot exercise the lingo (nonce must be below "
-             "2**8, got 256; use fewer samples, observations or messages per "
-             "flow, or a larger k)\n",
     json.dumps({"adapt_pre": {"adaptor": {"kind": "mqtt_codec"},
                               "lingo": {"kind": "xor_nat"}}}):
         "config error: cannot exercise the lingo (opaque space has no "
@@ -1193,6 +1205,19 @@ def test_every_spec_passes_the_law_suite(capsys, seed):
             assert (code, err) == (EXIT_OK, ""), spec
 
 
+@pytest.mark.parametrize("space", [
+    {"parampair": {"atoms": []}},
+    {"pair": ["nat", {"parampair": {"atoms": []}}]},
+], ids=["empty", "undrawable"])
+def test_law_suite_refuses_a_space_it_cannot_draw(capsys, space):
+    # A leaf's output space is its input space, which the law suite draws
+    # from before the witness search would.
+    code = main(["lingo", "check", json.dumps({"kind": "identity", "space": space})])
+    assert (code, capsys.readouterr().err) == (EXIT_SPEC_ERROR, (
+        "config error: cannot exercise the lingo (base space has a single "
+        "element)\n"))
+
+
 def test_every_spec_and_strategy_ends_with_an_exit_code(capsys):
     """Each experiment on every spec kind ends with a documented exit code,
     never a traceback."""
@@ -1205,8 +1230,7 @@ def test_every_spec_and_strategy_ends_with_an_exit_code(capsys):
 
 
 _AUTH = json.loads(AUTH_K8)
-# Operators over an authenticating lingo: their parameter spaces have an
-# opaque part.
+# Operators over an authenticating lingo: their parameters hold auth's.
 OVER_AUTH = [{"sharp": _AUTH}, {"product": [_AUTH, {"kind": "xor_nat"}]}]
 EVAL_ARGS = ['{"nat":"5"}', '{"bv":{"n":3,"w":8}}', '{"bv":{"n":3,"w":16}}',
              '{"pair":[{"bv":{"n":3,"w":8}},{"nat":"2"}]}']
@@ -1224,27 +1248,62 @@ def test_every_spec_evaluation_ends_with_an_exit_code(capsys, spec):
                 assert code in range(5), (op, x, a)
 
 
-@pytest.mark.parametrize("spec", [_AUTH, *OVER_AUTH])
-def test_eval_refuses_a_parameter_that_is_not_a_value(capsys, spec):
-    code = main(["lingo", "eval", json.dumps(spec), "f", '{"bv":{"n":3,"w":8}}',
-                 '{"nat":"5"}'])
-    assert code == EXIT_SPACE_VIOLATION
+def _auth_param(a0: int, nonce: int, code: int) -> dict:
+    """An ``AUTH_K8`` parameter: base parameter, nonce and code word."""
+    return {"pair": [{"bv": {"n": a0, "w": 8}},
+                     {"pair": [{"bv": {"n": nonce, "w": 8}},
+                               {"bv": {"n": code, "w": 8}}]}]}
+
+
+_BV42 = {"bv": {"n": 42, "w": 8}}
+# (spec, payload, parameter) for auth and each operator in OVER_AUTH.
+AUTH_EVALS = [
+    (_AUTH, _BV42, _auth_param(5, 3, 200)),
+    (OVER_AUTH[0], _BV42,
+     {"pair": [_auth_param(5, 3, 200), _auth_param(6, 4, 17)]}),
+    (OVER_AUTH[1], {"pair": [_BV42, {"nat": "7"}]},
+     {"pair": [_auth_param(5, 3, 200), {"nat": "9"}]}),
+]
+
+
+@pytest.mark.parametrize("spec,payload,param", AUTH_EVALS,
+                         ids=["auth", "sharp", "product"])
+def test_eval_takes_a_typed_auth_parameter(capsys, spec, payload, param):
+    spec, a = json.dumps(spec), json.dumps(param)
+    code, wire = run_cli(capsys, "lingo", "eval", spec, "f", json.dumps(payload), a)
+    assert code == EXIT_OK
+    code, back = run_cli(capsys, "lingo", "eval", spec, "g", json.dumps(wire), a)
+    assert (code, back) == (EXIT_OK, payload)
+    code, compliant = run_cli(capsys, "lingo", "eval", spec, "compliant",
+                              json.dumps(wire), a)
+    assert (code, compliant) == (EXIT_OK, True)
+
+
+@pytest.mark.parametrize("op", ["f", "compliant"])
+@pytest.mark.parametrize("param", [
+    _auth_param(5, 256, 200),                       # nonce outside 8 bits
+    {"pair": [{"bv": {"n": 5, "w": 8}}, {"pair": [{"bv": {"n": 3, "w": 16}},
+                                                  {"bv": {"n": 1, "w": 8}}]}]},
+    {"nat": "5"},
+], ids=["wide_nonce", "nonce_width", "nat"])
+def test_eval_refuses_an_auth_parameter_outside_its_space(capsys, op, param):
+    x = '{"bv":{"n":42,"w":8}}' if op == "f" else '{"bv":{"n":42,"w":16}}'
+    code = main(["lingo", "eval", AUTH_K8, op, x, json.dumps(param)])
     err = capsys.readouterr().err
-    assert "auth(xor_bitvec8)" in err and "parameters are not values" in err
-
-
-_AUTH_K12 = {"auth": {**_AUTH["auth"], "k": 12}}
+    assert code == EXIT_SPACE_VIOLATION
+    assert err.startswith("space violation: auth(xor_bitvec8): parameter ")
+    assert err.endswith(" not in param space\n")
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("spec", [
-    {"sharp": _AUTH_K12},
-    {"product": [_AUTH_K12, {"kind": "xor_bitvec", "width": 8}]},
-    {"tupling": [_AUTH_K12, _AUTH_K12]},
+    {"sharp": _AUTH},
+    {"product": [_AUTH, {"kind": "xor_bitvec", "width": 8}]},
+    {"tupling": [_AUTH, _AUTH]},
 ], ids=["sharp", "product", "tupling"])
 def test_laws_hold_for_operators_over_auth(capsys, spec, seed):
-    """A parameter space with an opaque part is drawn from the lingo's own
-    param stream, as a wholly opaque one is."""
+    """Parameters of operators over auth are drawn from their declared
+    spaces, auth's part included, so 1,000 samples run even at k = 8."""
     code, out = run_cli(capsys, "lingo", "check", json.dumps(spec),
                         "--seed", str(seed))
     assert code == EXIT_OK

@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import ALL_SPECS
+from conftest import ALL_SPECS, has_opaque_part
 from dialectica import core
 from dialectica.attacker import run_spoof_experiment
 from dialectica.core import (
@@ -186,8 +186,6 @@ class TestWitnessSearch:
 # ---------------------------------------------------------------------------
 
 def _reference_sample_param(lingo, n, seed):
-    if lingo.param_space.opaque:
-        return lingo.param(n, seed)
     rng = Rng(derive(seed, fnv64(lingo.name + "/laws"), n), SAMPLE_TAG)
     return lingo.param_space.sample(rng)
 
@@ -442,7 +440,7 @@ def _wire_value(lingo, a, rng, mode):
     def drawn():
         return _small(lingo.output_space.sample(rng))
 
-    if mode == "drawn" or lingo.input_space.opaque:
+    if mode == "drawn" or has_opaque_part(lingo.input_space):
         return drawn()
     image = lingo.f(_small(lingo.input_space.sample(rng)), a)
     if mode == "patched_image":

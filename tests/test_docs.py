@@ -69,7 +69,7 @@ def test_eval_examples_are_read():
 
 def test_readme_eval_examples_hold(capsys):
     examples = _eval_examples(README.read_text(encoding="utf-8"))
-    assert len(examples) == 2
+    assert len(examples) == 3
     for argv, expected in examples:
         assert main(argv) == 0, argv
         assert capsys.readouterr().out == expected + "\n", argv

@@ -580,14 +580,17 @@ class TestAttackerIntegration:
         monkeypatch.setattr(runtime, "attempt_forgery",
                             lambda *args: outcomes.append(attempt(*args))
                             or outcomes[-1])
-        doc = load_scenario_doc("mqtt_xor.json")
-        doc["lingo_stack"] = {"kind": "divide_check"}
-        doc["attacker"] = {"strategies": ["xor_recipe"], "targets": [["c2", "b"]]}
-        cfg = build_configuration(parse_scenario(doc))
-        run(cfg, 400)
+        cfg = build_configuration(parse_scenario(ORACLE_DOCS["no_attempt"]))
+        quiesced, steps = run(cfg, 400)
         assert outcomes and set(outcomes) == {NoAttempt("wire is not xor-shaped")}
         assert cfg.stats["injected"] == 0 and cfg.per_strategy == {}
         assert not [e for e in cfg.event_log if e["ev"] == "inject"]
+        # Each NoAttempt drops its one candidate until a step of another
+        # kind has run, so the run quiesces instead of spinning to its
+        # budget, and no two NoAttempts come in a row.
+        assert quiesced and steps < 400
+        assert len(outcomes) <= steps - len(outcomes) + 1
+        assert cfg.stats["delivered"] == cfg.stats["honest_sends"]
 
     def test_zero_injection_rate_disables_attacker(self):
         atk = AttackerConfig(strategies=("random_wire",), max_injections=50,
@@ -643,19 +646,34 @@ def reference_strategy_ready(atk, reveals, strategy, src, dst):
     return strategy in ("dc_zero_remainder", "random_wire")
 
 
-def reference_attack_candidates(cfg, reveals):
+def reference_flows(atk):
+    """The flows the attacker has captured on, and those it has seen leak
+    a parameter on; neither set ever shrinks."""
+    return ({(r.src, r.dst) for r in atk.records},
+            {(r.src, r.dst) for r in atk.records
+             if r.revealed and r.hidden.param is not None})
+
+
+def reference_attack_candidates(cfg, reveals, dropped):
+    """The ready (strategy, flow) pairs, less those in ``dropped``: each
+    that came back NoAttempt since the last step of another outcome,
+    mapped to ``reference_flows`` when it did, and dropped until those
+    flows grow."""
     atk = cfg.attacker
     oids = sorted(cfg.wrappers)
     if atk.config.targets is not None:
         pairs = list(atk.config.targets)
     else:
         pairs = [(s, d) for s in oids for d in oids if s != d]
+    flows = reference_flows(atk) if dropped else None
     return [(strategy, pair) for strategy in atk.config.strategies
             for pair in pairs
-            if reference_strategy_ready(atk, reveals, strategy, *pair)]
+            if reference_strategy_ready(atk, reveals, strategy, *pair)
+            and ((strategy, pair) not in dropped
+                 or dropped[(strategy, pair)] != flows)]
 
 
-def reference_enabled_instances(cfg, reveals):
+def reference_enabled_instances(cfg, reveals, dropped):
     def out_pending(w):
         if w.outbox:
             return True
@@ -678,7 +696,7 @@ def reference_enabled_instances(cfg, reveals):
     if atk is not None and atk.budget_left > 0:
         gate = uniform01(derive(cfg.seed, RATE_TAG, cfg.clock))
         if gate < atk.config.injection_rate and \
-                reference_attack_candidates(cfg, reveals):
+                reference_attack_candidates(cfg, reveals, dropped):
             instances.append(("attacker",))
     return instances
 
@@ -755,13 +773,13 @@ def applied_instance(events) -> tuple:
     return ("attacker",)
 
 
-def step_picks_from_reference(cfg, reveals) -> bool:
+def step_picks_from_reference(cfg, reveals, dropped) -> bool:
     """One ``step``, checked to apply instance ``derive(seed, SCHED_TAG,
     clock) % len`` of the reference enabled set, or to raise Quiescent
     when that set is empty, with ``reveals`` brought up to date.  A
     ``reveal`` event counts the records the step revealed.  False when
     quiescent."""
-    ref = reference_enabled_instances(cfg, reveals)
+    ref = reference_enabled_instances(cfg, reveals, dropped)
     if not ref:
         with pytest.raises(Quiescent):
             step(cfg)
@@ -769,11 +787,30 @@ def step_picks_from_reference(cfg, reveals) -> bool:
     expected = ref[derive(cfg.seed, SCHED_TAG, cfg.clock) % len(ref)]
     start = len(cfg.event_log)
     assert step(cfg) == expected[0], f"step {cfg.clock}"
+    if dropped.get(None) != cfg.clock - 1:   # the step was no NoAttempt
+        dropped.clear()
     assert applied_instance(cfg.event_log[start:]) == expected, \
         f"step {cfg.clock - 1}"
     assert log_reveals(cfg, reveals) == sum(
         e["revealed"] for e in cfg.event_log[start:] if e["ev"] == "reveal")
     return True
+
+
+def note_no_attempts(patch, cfg, dropped):
+    """Patch ``runtime.attempt_forgery`` so that each (strategy, flow) whose
+    attempt comes back NoAttempt is mapped in ``dropped`` to the
+    attacker's ``reference_flows`` at that time; ``dropped[None]`` is the
+    clock of the last NoAttempt."""
+    attempt = runtime.attempt_forgery
+
+    def noting(atk, strategy, target, lingo):
+        out = attempt(atk, strategy, target, lingo)
+        if isinstance(out, NoAttempt):
+            dropped[(strategy, target)] = reference_flows(atk)
+            dropped[None] = cfg.clock
+        return out
+
+    patch.setattr(runtime, "attempt_forgery", noting)
 
 
 def run_against_reference(cfg, budget):
@@ -782,20 +819,23 @@ def run_against_reference(cfg, budget):
     before every step, and each step's pick against the reference set."""
     steps = 0
     reveals = []
+    dropped = {}
     log_reveals(cfg, reveals)
-    while True:
-        got = _enabled_instances(cfg)
-        assert got == reference_enabled_instances(cfg, reveals), \
-            f"step {cfg.clock}"
-        assert_param_memo(cfg)
-        if cfg.attacker is not None:
-            assert_indexes_match_records(cfg.attacker, reveals)
-            assert _attack_candidates(cfg) == \
-                reference_attack_candidates(cfg, reveals)
-        if not got or steps == budget:
-            return steps
-        assert step_picks_from_reference(cfg, reveals)
-        steps += 1
+    with pytest.MonkeyPatch.context() as patch:
+        note_no_attempts(patch, cfg, dropped)
+        while True:
+            got = _enabled_instances(cfg)
+            assert got == reference_enabled_instances(cfg, reveals, dropped), \
+                f"step {cfg.clock}"
+            assert_param_memo(cfg)
+            if cfg.attacker is not None:
+                assert_indexes_match_records(cfg.attacker, reveals)
+                assert _attack_candidates(cfg) == \
+                    reference_attack_candidates(cfg, reveals, dropped)
+            if not got or steps == budget:
+                return steps
+            assert step_picks_from_reference(cfg, reveals, dropped)
+            steps += 1
 
 
 def _oracle_docs():
@@ -830,6 +870,19 @@ def _oracle_docs():
     idle = load_scenario_doc("mqtt_adversarial.json")
     idle["attacker"]["injection_rate"] = 0
     docs["injection_rate_0"] = idle
+    # Every attempt of xor_recipe on a divide-check flow comes back
+    # NoAttempt, which drops the candidate.
+    no_attempt = load_scenario_doc("mqtt_xor.json")
+    no_attempt["lingo_stack"] = {"kind": "divide_check"}
+    no_attempt["attacker"] = {"strategies": ["xor_recipe"],
+                              "targets": [["c2", "b"]]}
+    docs["no_attempt"] = no_attempt
+    # Under rotation an xor_recipe attempt fails on the split epochs and
+    # succeeds on the xor ones.
+    recipe = json.loads(json.dumps(mixed))
+    recipe["attacker"] = {"strategies": ["xor_recipe", "xor_sharp_recipe"],
+                          "max_injections": 20}
+    docs["aperiodic_xor_split_recipe"] = recipe
     return docs
 
 
@@ -1004,11 +1057,19 @@ class RuntimeMachine(RuleBasedStateMachine):
         self.cfg = build_configuration(parse_scenario(ORACLE_DOCS[name]),
                                        seed_override=seed)
         self.reveals = []
+        self.dropped = {}
+        self.patch = pytest.MonkeyPatch()
+        note_no_attempts(self.patch, self.cfg, self.dropped)
+
+    def teardown(self):
+        if hasattr(self, "patch"):
+            self.patch.undo()
 
     @rule(n=st.integers(1, 40))
     def advance(self, n):
         for _ in range(n):
-            if not step_picks_from_reference(self.cfg, self.reveals):
+            if not step_picks_from_reference(self.cfg, self.reveals,
+                                             self.dropped):
                 return
 
     @invariant()
@@ -1051,7 +1112,7 @@ class RuntimeMachine(RuleBasedStateMachine):
     @invariant()
     def enabled_set_matches_reference(self):
         assert _enabled_instances(self.cfg) == \
-            reference_enabled_instances(self.cfg, self.reveals)
+            reference_enabled_instances(self.cfg, self.reveals, self.dropped)
 
 
 RuntimeMachine.TestCase.settings = settings(

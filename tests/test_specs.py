@@ -82,7 +82,7 @@ class TestLingoSpecs:
             auth = build_lingo({"auth": {
                 "base": {"kind": "xor_bitvec", "width": 16}, "oids": oids,
                 "m": 16, "j": 16, "k": 32, "seed": 4}})
-            return [auth.param(n, 0).code_word for n in range(8)]
+            return [auth.param(n, 0).second.second for n in range(8)]
         assert code_words(["a", "b"]) != code_words(["b", "a"])
 
     @pytest.mark.parametrize("bad", [

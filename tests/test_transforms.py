@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from auth_oracle import OldAuthLingo
-from conftest import noncompliant_witness
+from conftest import has_opaque_part, noncompliant_witness
 
 from dialectica.core import (
     Lingo,
@@ -26,7 +26,6 @@ from dialectica.mqtt import ConnAck, PubMsg, SubMsg, mqtt_codec_adaptor
 from dialectica.rng import SAMPLE_TAG, derive, fnv64
 from dialectica.specs import _ADAPTOR_KINDS, build_adaptor
 from dialectica.transforms import (
-    AuthParam,
     NotApplicable,
     Recipe,
     RetractFailure,
@@ -50,9 +49,11 @@ from dialectica.values import (
     BitVec,
     BitVecSpace,
     CannotDraw,
+    MAX_BITVEC_WIDTH,
     Nat,
     NatSpace,
     Pair,
+    PairSpace,
     space_contains,
 )
 
@@ -119,13 +120,29 @@ class TestAuthenticating:
     def test_returns_a_lingo(self):
         assert isinstance(self.make(), Lingo)
 
-    def test_identity_involution_is_plain_concatenation(self):
+    def test_unscrambled_wire_is_plain_concatenation(self):
+        # Undoing the involution of the parameter's nonce leaves the base
+        # wire value followed by the parameter's code word.
         auth = self.make()
         width = self.M + self.J
-        ident = AuthParam(a0=BitVec(16, 0), sigma=tuple(range(width)),
-                          code_word=0)
-        wire = auth.f(BitVec(16, 0xBEEF), ident)
-        assert wire == BitVec(width, 0xBEEF << self.J)
+        for n in (0, 1, 77, 12345):
+            perm = _involution(909, n, width)
+            zero = Pair(BitVec(16, 0), Pair(BitVec(32, n), BitVec(self.J, 0)))
+            wire = auth.f(BitVec(16, 0xBEEF), zero)
+            assert _apply_involution(wire.bits, width, perm) == 0xBEEF << self.J
+            a = auth.param(n, 0)
+            wire = auth.f(BitVec(16, 0xBEEF), a)
+            assert (_apply_involution(wire.bits, width, perm)
+                    == (0xBEEF ^ a.first.bits) << self.J | a.second.second.bits)
+
+    def test_param_is_a_value_of_its_space(self):
+        auth = self.make()
+        assert auth.param_space == PairSpace(
+            BitVecSpace(16), PairSpace(BitVecSpace(32), BitVecSpace(self.J)))
+        for n in (0, 1, (1 << 32) - 1):
+            a = auth.param(n, 0)
+            assert space_contains(auth.param_space, a)
+            assert a.second.first == BitVec(32, n)
 
     def test_code_extracts_embedded_hash(self):
         lingos = {pair: self.make(pair)
@@ -183,9 +200,8 @@ class TestAuthenticating:
         assert detected / trials >= 1 - 2**-16 - 0.01
 
     def test_involution_property(self):
-        auth = self.make()
         for n in (0, 1, 77, 12345):
-            perm = auth.param(n, 0).sigma
+            perm = _involution(909, n, self.M + self.J)
             assert sorted(perm) == list(range(self.M + self.J))
             assert all(perm[perm[i]] == i for i in range(len(perm)))
 
@@ -207,18 +223,26 @@ class TestAuthenticating:
             auth.param(256, 0)
 
     def test_nonce_check_never_builds_2_to_the_k(self):
-        # k comes from the spec unbounded; 2**(10**8) would take 12.5 MB.
+        # At the widest nonce space 2**k is an 8 KB integer.
         auth = authenticating(make_xor_bitvec(8), ["a", "b"], m=8, j=8,
-                              k=10**8, seed=3)
+                              k=MAX_BITVEC_WIDTH, seed=3)
         tracemalloc.start()
         try:
             auth.param(0, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 ** 20, peak
+        assert peak < 2048, peak
         with pytest.raises(CannotDraw, match="nonce must be below"):
             auth.param(-1, 0)
+
+    @pytest.mark.parametrize("jk", [{"j": MAX_BITVEC_WIDTH + 1},
+                                    {"k": MAX_BITVEC_WIDTH + 1}, {"k": 10**8}])
+    def test_code_and_nonce_widths_are_bounded(self, jk):
+        # The nonce and the code word are bit-vectors of the parameter space.
+        with pytest.raises(ValueError, match=r"width must be in 1\.\.65536"):
+            authenticating(make_xor_bitvec(8), ["a", "b"], m=8,
+                           **{"j": 8, "k": 8, **jk}, seed=3)
 
     def test_laws_on_wrapped_lingo(self):
         report = check_lingo_laws(self.make(), 300, Rng(5, 9))
@@ -329,7 +353,7 @@ class TestAdaptors:
         # Every d the adaptor declares is one its j encodes into the
         # declared codomain and its r takes back.
         ad = build_adaptor(spec)
-        assert not ad.from_space.opaque
+        assert not has_opaque_part(ad.from_space)
         domain = ad.from_space.enumerate(1 << 10)
         if domain is None:
             rng = Rng(5, SAMPLE_TAG)
@@ -387,6 +411,12 @@ class TestAdaptors:
             tracemalloc.stop()
         assert peak < 1024, peak
         assert back == BitVec(65536, inside.n)
+
+    def test_retract_failure_names_the_bit_length(self):
+        # A decimal text of the natural would pass Python's int/str digit
+        # limit, and raise instead of returning the failure.
+        got = bitvec_nat_adaptor(65536).r(Nat(1 << 65536))
+        assert got == RetractFailure("65537-bit natural exceeds 65536 bits")
 
     def test_space_mismatch_rejected(self):
         with pytest.raises(SpaceViolation, match="adaptor nat_bitvec16 lands in"):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import dialectica
 from dialectica.attacker import (
+    AttackerState,
     attempt_forgery,
     craft_forgery,
     observe,
@@ -16,6 +17,7 @@ from dialectica.attacker import (
 from dialectica.core import make_param
 from dialectica.library import make_divide_check, make_reverse_divide_check
 from dialectica.rng import SAMPLE_TAG, Rng, derive, fnv64
+from dialectica.runtime import Configuration
 from dialectica.values import (
     AtomSet,
     AtomSetSpace,
@@ -325,16 +327,6 @@ def _old_project_param(space, seed, stream_tag, index, nat_ceiling=1 << 32):
     return _old_sample_value(space, rng, nat_ceiling)
 
 
-def _has_opaque_part(space):
-    if isinstance(space, PairSpace):
-        return _has_opaque_part(space.left) or _has_opaque_part(space.right)
-    if isinstance(space, TaggedSpace):
-        return any(map(_has_opaque_part, space.branches))
-    if isinstance(space, ParamPairSpace):
-        return _has_opaque_part(space.base)
-    return isinstance(space, OpaqueSpace)
-
-
 def _outcome(fn, *args):
     """The result of fn(*args), or the type of the exception it raised."""
     try:
@@ -408,15 +400,6 @@ class TestSpaceOracle:
     @given(st.just(OpaqueSpace()) | spaces)
     def test_cardinality(self, space):
         assert space.cardinality() == _old_space_cardinality(space)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.just(OpaqueSpace()) | spaces)
-    def test_opaque(self, space):
-        assert space.opaque == _has_opaque_part(space)
-        # _check_c3 relies on this: a space with an opaque part is never
-        # enumerated.
-        if space.opaque:
-            assert space.cardinality() is None
 
     @settings(max_examples=300, deadline=None)
     @given(st.just(OpaqueSpace()) | spaces)
@@ -600,3 +583,27 @@ def test_space_sample_and_project_take_one_argument():
 def test_attacker_takes_its_stream_and_hidden_context_from_its_inputs(fn):
     # The stream is ``state.rng`` and the hidden context ``msg.hidden``.
     assert {"rng", "hidden"}.isdisjoint(_params(fn))
+
+
+@pytest.mark.parametrize("cls,fields", [
+    (Configuration, ["wrappers", "seed", "attacker"]),
+    (AttackerState, ["config", "rng"]),
+], ids=lambda x: getattr(x, "__name__", ""))
+def test_run_state_is_not_a_constructor_argument(cls, fields):
+    # Channels, logs, counters and the attacker's indexes start empty.
+    assert _params(cls) == fields
+
+
+# ---------------------------------------------------------------------------
+# Guard: every parameter is a value, so no space says it is opaque
+# ---------------------------------------------------------------------------
+
+def test_no_space_kind_answers_opaque():
+    # Every parameter space has a generator, so the law harness and
+    # ``lingo eval`` need no second path for parameters that are not values.
+    for kind in _space_kinds():
+        assert not hasattr(kind, "opaque"), kind.__name__
+    reads = [(path.name, node.lineno) for path in _SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "opaque"]
+    assert reads == []
