@@ -46,7 +46,6 @@ from .values import (
     CannotDraw,
     Nat,
     NatSpace,
-    OpaqueSpace,
     Pair,
     PairSpace,
     ParamPairSpace,

@@ -43,7 +43,6 @@ from .values import (
     BitVec,
     Nat,
     NatSpace,
-    OpaqueSpace,
     Pair,
     ShapeMismatch,
     Tagged,
@@ -238,17 +237,16 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
                   ) -> Union[tuple[object, Optional[object]], NoAttempt]:
     """Produce (payload, intended_plaintext) for a strategy, or NoAttempt.
 
-    ``lingo`` is the receiver's active lingo (None on a bare flow, whose
-    wire space is opaque); its output space is the wire space strategies
-    sample from, with ``state.rng``.
+    ``lingo`` is the receiver's active lingo, None on a bare flow, whose
+    wire is the protocol message itself; its output space is the wire
+    space strategies sample from, with ``state.rng``.  A bare flow's xor
+    masks are naturals.
     ``intended_plaintext`` is an ``_Intent`` naming what the attacker means
     the receiver to decode; None when the strategy only aims to pass the
     forgery check.  A strategy reads a record's ``hidden`` context only once
     the record is revealed (``param_reuse_oracle``), never before.
     """
-    wire_space = lingo.output_space if lingo is not None else OpaqueSpace()
-    # A bare flow's xor masks are naturals: its wire space has no generator.
-    mask_space = wire_space if lingo is not None else NatSpace()
+    mask_space = NatSpace() if lingo is None else lingo.output_space
     rec = state.latest.get((src, dst))
     if strategy == "passive":
         return NoAttempt("passive strategy never injects")
@@ -287,14 +285,14 @@ def craft_forgery(state: AttackerState, strategy: str, src: str, dst: str,
     if strategy == "dc_zero_remainder":
         x = Nat(1 + state.rng.next_below((1 << 16) - 1))
         payload: object = Pair(x, Nat(0))
-        if isinstance(wire_space, TaggedSpace):
+        if lingo is not None and isinstance(lingo.output_space, TaggedSpace):
             payload = Tagged(1, payload)
         return payload, None
 
     if strategy == "random_wire":
         if lingo is None:
             return NoAttempt("no wire space to sample")
-        return wire_space.sample(state.rng), None
+        return lingo.output_space.sample(state.rng), None
 
     if strategy == "param_reuse_oracle":
         leak = state.leaked.get((src, dst))

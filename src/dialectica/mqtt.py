@@ -9,11 +9,13 @@ subscribers.
 
 ``encode_mqtt``/``decode_mqtt`` map protocol messages to payload values:
 one tag byte followed by length-prefixed UTF-8 fields, read big-endian as a
-natural or zero-padded into a bit-vector of configured width; each field is
-encoded once, into one buffer, through the check ``encoded_size`` also
-applies.  The decoder is a strict parser: anything not produced by the
-encoder comes back as RetractFailure instead of raising, so the pair forms
-the data adaptor ``mqtt_codec_adaptor``, the simulator's only message codec.
+natural or zero-padded into a bit-vector of configured width.  The messages
+form a declared space, ``MqttMsgSpace(width)``: fields of 1..255 UTF-8
+bytes (``encoded_size``) and an encoding that fits the width.  It is the
+encoder's domain, and its gate is the one check a message passes.  The
+decoder is a strict parser: anything not produced by the encoder comes back
+as RetractFailure instead of raising, so the pair forms the data adaptor
+``mqtt_codec_adaptor``, the simulator's only message codec.
 """
 
 from __future__ import annotations
@@ -21,16 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional, Union
 
-from .core import SpaceViolation
+from .rng import Rng
 from .transforms import DataAdaptor, RetractFailure
-from .values import (
-    BitVec,
-    BitVecSpace,
-    Nat,
-    NatSpace,
-    OpaqueSpace,
-    Value,
-)
+from .values import BitVec, BitVecSpace, Nat, NatSpace, Space, Value
 
 
 # ---------------------------------------------------------------------------
@@ -256,41 +251,75 @@ _BY_TAG = {tag: (t, names) for t, (tag, names) in _BY_TYPE.items()}
 
 DEFAULT_BITVEC_WIDTH = 512
 
+# Drawn fields are 1-12 characters of this alphabet, of one to four UTF-8
+# bytes each.
+_ALPHABET = "az09/#+_\u00e9\u00df\u03a9\u0436\u20ac\u4e2d\uffe6\U0001f600\U00010348"
+
+
+@dataclass(frozen=True)
+class MqttMsgSpace(Space):
+    """The protocol messages: each field is 1..255 UTF-8 bytes and, when
+    ``width`` is given, the encoding fits ``width`` bits.  A draw picks a
+    kind and its fields uniformly and is redrawn until it fits; the four
+    kinds without fields fit every width, as the width is at least 8."""
+
+    width: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.width is not None and self.width < 8:
+            raise ValueError(f"no MQTT message fits {self.width} bits")
+
+    def contains(self, v) -> bool:
+        entry = _BY_TYPE.get(type(v))
+        if entry is None:
+            return False
+        texts = [getattr(v, name) for name in entry[1]]
+        if not all(type(t) is str for t in texts):
+            return False
+        try:
+            size = encoded_size(texts)
+        except ValueError:   # a field too long, too short or not UTF-8
+            return False
+        return self.width is None or size * 8 <= self.width
+
+    def sample(self, rng: Rng) -> MqttMsg:
+        while True:
+            kind = _TAGS[rng.next_below(len(_TAGS))][0]
+            msg = kind(*("".join(_ALPHABET[rng.next_below(len(_ALPHABET))]
+                                 for _ in range(1 + rng.next_below(12)))
+                         for _ in _BY_TYPE[kind][1]))
+            if self.contains(msg):
+                return msg
+
 
 def encode_mqtt(msg: MqttMsg, width: Optional[int] = None) -> Value:
     """Message to payload value: a natural, or a width-bit vector when
-    ``width`` is given.  An encoding that does not fit, or a non-message,
-    raises SpaceViolation: the codec's ``from_space`` is opaque and admits
-    any value, so this is where a typed payload is checked."""
-    entry = _BY_TYPE.get(type(msg))
-    if entry is None:
-        raise SpaceViolation(f"{msg!r} is not an MQTT message")
-    tag, names = entry
+    ``width`` is given.  ``msg`` is a member of ``MqttMsgSpace(width)``,
+    the codec's ``from_space``, whose gate is the one check it passes."""
+    tag, names = _BY_TYPE[type(msg)]
     out = bytearray((tag,))
     for name in names:
-        data = _field(getattr(msg, name))
+        data = getattr(msg, name).encode("utf-8")
         out.append(len(data))
         out += data
-    if width is not None and len(out) * 8 > width:
-        raise SpaceViolation(
-            f"{type(msg).__name__} needs {len(out) * 8} bits, width is {width}")
     n = int.from_bytes(out, "big")
     return Nat(n) if width is None else BitVec(width, n)
 
 
 def decode_mqtt(v: Value) -> Union[MqttMsg, RetractFailure]:
-    """Strict inverse of encode_mqtt; total over arbitrary values."""
+    """Strict inverse of encode_mqtt; total over arbitrary values.  A
+    bit-vector decodes only to a member of ``MqttMsgSpace(v.width)``."""
     if isinstance(v, Nat):
         n = v.n
     elif isinstance(v, BitVec):
-        if not v.in_range:
-            return RetractFailure("bits exceed declared width")
         n = v.bits
     else:
         return RetractFailure(f"{type(v).__name__} payloads are not decodable")
     if n == 0:
         return RetractFailure("empty payload")
     data = n.to_bytes((n.bit_length() + 7) // 8, "big")
+    if isinstance(v, BitVec) and len(data) * 8 > v.width:
+        return RetractFailure("bits exceed declared width")
     tag = data[0]
     if tag not in _BY_TAG:
         return RetractFailure(f"unknown tag {tag}")
@@ -317,7 +346,7 @@ def decode_mqtt(v: Value) -> Union[MqttMsg, RetractFailure]:
 def mqtt_codec_adaptor(width: Optional[int] = None) -> DataAdaptor:
     """Section-retract pair between protocol messages and payload values;
     pre-composing it with a payload lingo yields a lingo on messages."""
-    return DataAdaptor(name="mqtt_codec", from_space=OpaqueSpace(),
+    return DataAdaptor(name="mqtt_codec", from_space=MqttMsgSpace(width),
                        to_space=NatSpace() if width is None else BitVecSpace(width),
                        j=lambda m: encode_mqtt(m, width), r=decode_mqtt)
 

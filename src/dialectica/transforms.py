@@ -17,9 +17,9 @@
 * Data adaptors are section-retract pairs (j, r) with r(j(d)) = d used to
   connect lingos whose spaces do not line up.  An adaptor's ``from_space``
   is exactly the domain its j accepts (the naturals below 2**width, the
-  codebook indexes below ``count``), so the adapted lingo's input gate
-  refuses the rest.  An adaptor whose space does not line up with its
-  lingo's is refused with SpaceViolation.
+  codebook indexes below ``count``, the MQTT messages that fit the codec),
+  so the adapted lingo's input gate refuses the rest.  An adaptor whose
+  space does not line up with its lingo's is refused with SpaceViolation.
 * The recipes demonstrate malleability: they convert an observed wire value
   into a different compliant one without knowing the current parameter.
 """
@@ -199,10 +199,9 @@ class RetractFailure:
 class DataAdaptor:
     """Section-retract pair (j, r) with r(j(d)) = d.
 
-    ``from_space`` is exactly the domain ``j`` accepts, or an
-    ``OpaqueSpace`` for domains with no payload structure (protocol
-    messages): every payload passes the adapted lingo's membership check on
-    that side, so ``j`` refuses what it cannot encode.
+    ``from_space`` is exactly the domain ``j`` accepts, protocol messages
+    included, so the adapted lingo's membership check on that side refuses
+    what ``j`` cannot encode.
     r may return RetractFailure off the image of j; adapted lingos decode
     that to a DecodeFailure, and the compliance check catches the rest.
     """

@@ -1,16 +1,16 @@
 """Universal payload values and the spaces they inhabit.
 
 Every transformation in this package moves values between *spaces*: plain
-naturals, fixed-width bit-vectors, pairs, finite atom-sets, tagged unions,
-distinct-component pairs used as parameter spaces, and the opaque domain
-of protocol messages.  Values are slotted immutable classes that own their
+naturals, fixed-width bit-vectors, pairs, finite atom-sets, tagged unions
+and distinct-component pairs used as parameter spaces (``mqtt`` declares
+the protocol messages).  Values are slotted immutable classes that own their
 equality, hash, ``repr``, xor and JSON text (compact, keys sorted; the dict
 form is parsed from it); they can be shared freely and used as dict keys.
 Equality, under every law check and compliance test, compares a class's
 fields directly and holds only within one class; the hash is that of the
 field tuple, as it was for the frozen dataclasses the classes replaced.
 Each space kind is one class that owns its membership test, size,
-enumeration, sampling and parameter projection.
+enumeration, sampling and parameter projection; every kind can be drawn.
 
 A bit-vector value is a ``(width, bits)`` pair rather than a bit array; the
 constructor is deliberately permissive about over-width ``bits`` so that
@@ -239,17 +239,14 @@ Value = Union[Nat, BitVec, Pair, AtomSet, Tagged]
 
 class CannotDraw(ValueError):
     """A space or a parameter stream cannot produce what a run asks of it:
-    an opaque space has no generator, a parameter stream keeps colliding,
-    or a nonce space runs out."""
+    a parameter-pair space has too few distinct values, a parameter stream
+    keeps colliding, or a nonce space runs out."""
 
 
 class Space:
     """A payload space.  Each kind answers for its own membership, size,
     enumeration, sampling and parameter projection; a composite asks its
-    children directly.  ``OpaqueSpace`` is the kind for the one domain
-    with no payload structure: protocol messages, behind a codec adaptor or
-    on a bare flow.
-    """
+    children directly."""
 
     def contains(self, v: Value) -> bool:
         """Structural membership; total, never raises."""
@@ -278,19 +275,6 @@ class Space:
         expand it into a nested stream so the projection stays bit-exact
         across platforms."""
         return self.sample(Rng(word, SAMPLE_TAG))
-
-
-@dataclass(frozen=True)
-class OpaqueSpace(Space):
-    """A domain with no payload structure, such as the protocol messages a
-    codec adaptor carries: every value belongs, and nothing is counted,
-    enumerated or sampled."""
-
-    def contains(self, v: Value) -> bool:
-        return True
-
-    def sample(self, rng: Rng) -> Value:
-        raise CannotDraw("opaque space has no generator")
 
 
 # Naturals sampled and projected from an unbounded NatSpace lie below

@@ -6,13 +6,7 @@ import pytest
 from dialectica.core import Rng, find_noncompliant_witness
 from dialectica.mqtt import ConnectMsg, MqttBroker, MqttClient, PubMsg, SubMsg
 from dialectica.rng import SAMPLE_TAG
-from dialectica.values import (
-    OpaqueSpace,
-    PairSpace,
-    ParamPairSpace,
-    TaggedSpace,
-    json_or_raw,
-)
+from dialectica.values import json_or_raw
 
 
 def scenario_path(name: str) -> str:
@@ -36,19 +30,6 @@ def initial_configuration() -> list:
         MqttClient(oid="c2", cmd_list=(ConnectMsg("b"), PubMsg("temp", "34"))),
         MqttBroker(oid="b"),
     ]
-
-
-def has_opaque_part(space) -> bool:
-    """Whether ``space`` is an OpaqueSpace or has one as a part: a space
-    no generator draws from, such as the protocol messages a codec
-    adaptor takes."""
-    if isinstance(space, PairSpace):
-        return has_opaque_part(space.left) or has_opaque_part(space.right)
-    if isinstance(space, TaggedSpace):
-        return any(map(has_opaque_part, space.branches))
-    if isinstance(space, ParamPairSpace):
-        return has_opaque_part(space.base)
-    return isinstance(space, OpaqueSpace)
 
 
 def noncompliant_witness(lingo, seed: int = 1):

@@ -318,7 +318,7 @@ class TestForgeryCrafting:
             assert after[0] == before[0]
 
 
-# A bare flow has no lingo, so its wire space is opaque.  Each strategy
+# A bare flow has no lingo: its wire is the protocol message.  Each strategy
 # against one captured publish, carried raw as a bare run sends it, or as
 # its codec encoding: the outcome (a NoAttempt reason, or the payload and
 # the resolved intent) and the attacker stream's next word.  Strategies

@@ -2,10 +2,11 @@
 
 Every tree of depth 2 over a fixed set of leaves, one of each kind of
 declared domain (bounded and unbounded naturals, bit-vectors, atom-sets,
-pairs, codebook indexes, an authenticated wire), either is refused when it
-is built or passes every law of ``lingo check``.  A construction that
-declares a wider space than it accepts shows up here as a tree that builds
-and then fails a law or cannot be sampled.
+pairs, codebook indexes, an authenticated wire), and the MQTT codec's
+protocol messages at three widths, either is refused when it is built or
+passes every law of ``lingo check``.  A construction that declares a wider
+space than it accepts shows up here as a tree that builds and then fails a
+law or cannot be sampled.
 
 The law harness, the experiments and the runtime hand a lingo's own draws
 (``input_space.sample`` and ``lingo.param``) to ``f`` and ``is_compliant``
@@ -17,7 +18,7 @@ import json
 
 import pytest
 
-from conftest import ALL_SPECS, has_opaque_part
+from conftest import ALL_SPECS
 from dialectica.cli import EXIT_OK, main
 from dialectica.rng import SAMPLE_TAG, Rng
 from dialectica.specs import SpecError, build_lingo
@@ -38,13 +39,27 @@ LEAVES = [
     {"auth": {"base": _X4, "oids": ["a", "b"], "m": 4, "j": 8, "k": 16,
               "seed": 3}},
 ]
+
+
+def _codec(lingo, **width):
+    """``lingo`` behind the MQTT codec, at ``width`` bits if it is given."""
+    return {"adapt_pre": {"adaptor": {"kind": "mqtt_codec", **width},
+                          "lingo": lingo}}
+
+
+_CODEC512 = _codec({"kind": "xor_bitvec", "width": 512}, width=512)
 TREES = [{"sharp": leaf} for leaf in LEAVES] + [
     {op: [a, b]} for op in ("functional", "product", "tupling")
-    for a in LEAVES for b in LEAVES]
+    for a in LEAVES for b in LEAVES] + [
+    # The MQTT codec over the naturals and at two widths, one of which
+    # admits only the messages without fields.
+    _codec({"kind": "xor_nat"}),
+    _codec({"kind": "xor_bitvec", "width": 8}, width=8),
+    _CODEC512, {"sharp": _CODEC512}]
 
 
 def test_every_tree_is_refused_or_passes_the_laws(capsys):
-    assert len(TREES) == 374
+    assert len(TREES) == 378
     failed = []
     for tree in TREES:
         try:
@@ -74,11 +89,9 @@ DRAWN_LINGOS = _buildable(ALL_SPECS + TREES)
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_every_lingo_draws_inside_its_spaces(seed):
-    # Every parameter space is drawable, auth's and those over it included;
-    # only the codec's message domain is not.
-    payloads = [lg for lg in DRAWN_LINGOS if not has_opaque_part(lg.input_space)]
-    assert (len(DRAWN_LINGOS), len(payloads)) == (209, 208)
-    assert not any(has_opaque_part(lg.param_space) for lg in DRAWN_LINGOS)
+    # Every space is drawable: auth's parameters and those over them, and
+    # the codec's protocol messages.
+    assert len(DRAWN_LINGOS) == 213
     assert sum("auth(" in lg.name for lg in DRAWN_LINGOS) == 35
     outside = []
     for lingo in DRAWN_LINGOS:
@@ -86,7 +99,7 @@ def test_every_lingo_draws_inside_its_spaces(seed):
             a = lingo.param(n, seed)
             if not lingo.param_space.contains(a):
                 outside.append((lingo.name, "param", n, a))
-    for lingo in payloads:
+    for lingo in DRAWN_LINGOS:
         rng = Rng(seed, SAMPLE_TAG)
         for i in range(64):
             d = lingo.input_space.sample(rng)

@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import ALL_SPECS, has_opaque_part
+from conftest import ALL_SPECS
 from dialectica import core
 from dialectica.attacker import run_spoof_experiment
 from dialectica.core import (
@@ -28,7 +28,6 @@ from dialectica.core import (
     wire_fits,
 )
 from dialectica.library import make_divide_check, make_xor_bitvec, make_xor_nat
-from dialectica.mqtt import ConnAck, ConnectMsg, DisconnectMsg, PubMsg, SubMsg
 from dialectica.rng import SAMPLE_TAG, derive, fnv64
 from dialectica.specs import build_adaptor, build_lingo
 from dialectica.transforms import RetractFailure
@@ -39,7 +38,6 @@ from dialectica.values import (
     CannotDraw,
     Nat,
     NatSpace,
-    OpaqueSpace,
     Pair,
     PairSpace,
     ParamPairSpace,
@@ -115,10 +113,6 @@ class TestSampling:
         for _ in range(200):
             assert space_contains(space, space.sample(rng))
             assert space_contains(space, space.project(rng.next_u64()))
-
-    def test_opaque_space_unsampleable(self):
-        with pytest.raises(CannotDraw, match="opaque space has no generator"):
-            OpaqueSpace().sample(Rng(0, 0))
 
     def test_degenerate_parampair(self):
         with pytest.raises(CannotDraw, match="base space has a single element"):
@@ -440,7 +434,7 @@ def _wire_value(lingo, a, rng, mode):
     def drawn():
         return _small(lingo.output_space.sample(rng))
 
-    if mode == "drawn" or has_opaque_part(lingo.input_space):
+    if mode == "drawn":
         return drawn()
     image = lingo.f(_small(lingo.input_space.sample(rng)), a)
     if mode == "patched_image":
@@ -621,17 +615,15 @@ class TestStagedDecodes:
 # Every leaf kind, operator and adaptor kind the specs can build, and the
 # lingos the benchmark law-checks.
 CONTRACT_LINGOS = SPEC_LINGOS + [build_lingo(spec) for _, spec in LAW_SPECS]
-# Payloads of the lingos whose input space is opaque, so cannot be drawn.
-OPAQUE_PAYLOADS = {
-    "pre(mqtt_codec;xor_nat)": [ConnectMsg("b"), ConnAck(), SubMsg("temp"),
-                                PubMsg("temp", "34"), DisconnectMsg()],
+# Payloads listed rather than drawn: every index of the sparse codebook.
+LISTED_PAYLOADS = {
     "pre(sparse8;xor_bitvec8)": [Nat(i) for i in range(8)],
 }
 
 
 def _payload_cases(lingo, count=20):
     """(payload, parameter) pairs: drawn payloads, or the listed ones."""
-    payloads = OPAQUE_PAYLOADS.get(lingo.name)
+    payloads = LISTED_PAYLOADS.get(lingo.name)
     if payloads is None:
         rng = Rng(5, SAMPLE_TAG)
         payloads = [_small(lingo.input_space.sample(rng))

@@ -16,6 +16,7 @@ from dialectica.mqtt import (
     Forward,
     MqttBroker,
     MqttClient,
+    MqttMsgSpace,
     PubMsg,
     Reject,
     RetractFailure,
@@ -26,7 +27,9 @@ from dialectica.mqtt import (
     actor_step,
     decode_mqtt,
     encode_mqtt,
+    mqtt_codec_adaptor,
 )
+from dialectica.rng import SAMPLE_TAG
 from dialectica.values import AtomSet, BitVec, Nat, Pair, Tagged
 
 field_text = st.text(
@@ -148,8 +151,10 @@ class TestCodec:
         assert isinstance(decode_mqtt(Nat(0)), RetractFailure)
 
     def test_width_overflow(self):
-        with pytest.raises(SpaceViolation, match="PubMsg needs 72 bits, width is 8"):
-            encode_mqtt(PubMsg("temp", "34"), 8)
+        # PubMsg("temp", "34") needs 72 bits.
+        assert not MqttMsgSpace(8).contains(PubMsg("temp", "34"))
+        assert not MqttMsgSpace(71).contains(PubMsg("temp", "34"))
+        assert MqttMsgSpace(72).contains(PubMsg("temp", "34"))
 
     def test_overwidth_bitvec_malformed(self):
         assert isinstance(decode_mqtt(BitVec(8, 1 << 20)), RetractFailure)
@@ -173,10 +178,38 @@ class TestCodec:
         decode_mqtt(Nat(n))   # must not raise
 
     def test_field_limits(self):
-        with pytest.raises(ValueError):
-            encode_mqtt(SubMsg(""))
-        with pytest.raises(ValueError):
-            encode_mqtt(SubMsg("x" * 256))
+        for bad in (SubMsg(""), SubMsg("x" * 256), SubMsg("\u00e9" * 128),
+                    SubMsg("\ud800"), SubMsg(3), Nat(3)):
+            assert not MqttMsgSpace().contains(bad)
+        assert MqttMsgSpace().contains(SubMsg("x" * 255))
+
+    @pytest.mark.parametrize("width", [None, 8, 64, 512])
+    @given(seed=st.integers(0, 2**64 - 1))
+    def test_drawn_messages_are_members_and_round_trip(self, width, seed):
+        space, codec = MqttMsgSpace(width), mqtt_codec_adaptor(width)
+        rng = Rng(seed, SAMPLE_TAG)
+        for _ in range(20):
+            msg = space.sample(rng)
+            assert space.contains(msg) and codec.r(codec.j(msg)) == msg
+            # Only the kinds without fields fit one byte.
+            assert width != 8 or not fields(msg)
+
+    def test_draws_reach_every_kind(self):
+        rng = Rng(0, SAMPLE_TAG)
+        drawn = {type(MqttMsgSpace(512).sample(rng)) for _ in range(200)}
+        assert drawn == set(map(type, ALL_MSGS))
+
+    @given(msg=st.sampled_from(ALL_MSGS) | st.builds(PubMsg, field_text, field_text),
+           delta=st.integers(-9, 9))
+    @example(msg=PubMsg("t", "v"), delta=1)   # 35 bits, in 5 bytes
+    def test_decoded_bitvecs_are_members(self, msg, delta):
+        # A bit-vector decodes to a message only where the message's
+        # encoding fits the vector's width, so the codec can encode it back.
+        n = encode_mqtt(msg).n
+        width = max(8, n.bit_length() + delta)
+        fits = MqttMsgSpace(width).contains(msg)
+        assert decode_mqtt(BitVec(width, n)) == (
+            msg if fits else RetractFailure("bits exceed declared width"))
 
 
 def test_initial_configuration_shape():
@@ -372,9 +405,14 @@ def _encoding(encode, msg, width):
 @example(msg=Forward("\U0001f600" * 63 + "abc", ""))
 @example(msg=SubMsg("t" * 62))
 def test_encode_matches_the_old_encoder(msg):
+    # Where the old encoder raised, the message is outside the space the
+    # encoder takes; elsewhere the encodings are equal.
     for width in (None, 8, 64, 512):
-        assert (_encoding(encode_mqtt, msg, width)
-                == _encoding(_old_encode_mqtt, msg, width))
+        old = _encoding(_old_encode_mqtt, msg, width)
+        fits = MqttMsgSpace(width).contains(msg)
+        assert fits != issubclass(old[0], ValueError)
+        if fits:
+            assert _encoding(encode_mqtt, msg, width) == old
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from dialectica.mqtt import (
     MqttClient,
     PubMsg,
     Reject,
+    SubMsg,
     actor_step,
     encode_mqtt,
     mqtt_codec_adaptor,
@@ -169,6 +170,24 @@ class TestRules:
         rule_in(cfg, "b", "c1")
         [reject] = [e for e in cfg.event_log if e["ev"] == "reject"]
         assert reject["reason"] == "decode:wire value has the wrong shape"
+
+    def test_encoding_wider_than_the_codec_is_malformed(self):
+        # PubMsg("t", "v") takes 35 bits in 5 bytes: the vector holds it,
+        # but 40 bits exceed the codec's width, so the broker could not
+        # encode the Forward it would send.
+        policy = StaticPolicy(build_lingo({"kind": "identity",
+                                           "space": {"bitvec": 36}}))
+        actors = [MqttClient(oid="c1", cmd_list=(ConnectMsg("b"), SubMsg("t"))),
+                  MqttBroker(oid="b")]
+        cfg = make_configuration(actors, policy, 5, codec=mqtt_codec_adaptor(36))
+        assert run(cfg, 100)[0]
+        cfg.channel("c1", "b").append(Message(
+            dst="b", src="c1", strategy="random_wire",
+            payload=BitVec(36, int.from_bytes(bytes([7, 1, 116, 1, 118]), "big"))))
+        quiesced, _ = run(cfg, 100)
+        [reject] = [e for e in cfg.event_log if e["ev"] == "reject"]
+        assert quiesced
+        assert reject["reason"] == "malformed:bits exceed declared width"
 
 
 class TestScheduler:

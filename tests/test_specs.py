@@ -11,7 +11,6 @@ from dialectica.core import (
     check_lingo_laws,
     is_compliant,
 )
-from dialectica.mqtt import mqtt_codec_adaptor
 from dialectica.specs import (
     MAX_JSON_DEPTH,
     SpecError,
@@ -19,12 +18,10 @@ from dialectica.specs import (
     build_lingo,
     json_from_text,
 )
-from dialectica.transforms import adapt_pre
 from dialectica.values import (
     AtomSet,
     BitVec,
     BitVecSpace,
-    CannotDraw,
     Nat,
     NatSpace,
     Pair,
@@ -146,12 +143,6 @@ class TestLingoSpecs:
     def test_adaptor_refuses_coercion(self, bad):
         with pytest.raises(SpecError):
             build_adaptor(bad)
-
-
-def test_law_harness_needs_a_generator():
-    lingo = adapt_pre(mqtt_codec_adaptor(), build_lingo({"kind": "xor_nat"}))
-    with pytest.raises(CannotDraw, match="opaque space has no generator"):
-        check_lingo_laws(lingo, 10, Rng(0, 0))
 
 
 ANY_VALUE = st.recursive(

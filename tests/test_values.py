@@ -26,7 +26,6 @@ from dialectica.values import (
     CannotDraw,
     Nat,
     NatSpace,
-    OpaqueSpace,
     Pair,
     PairSpace,
     ParamPairSpace,
@@ -195,14 +194,11 @@ def test_cardinality_and_enumeration():
 
 # ---------------------------------------------------------------------------
 # Oracle: frozen copies of the isinstance-ladder dispatch that the space
-# classes replaced.  The classes must agree with them on every space,
-# including opaque children, down to the number of stream words each
-# sampler consumes.
+# classes replaced.  The classes must agree with them on every space, down
+# to the number of stream words each sampler consumes.
 # ---------------------------------------------------------------------------
 
 def _old_space_contains(space, v):
-    if isinstance(space, OpaqueSpace):
-        return True
     if isinstance(space, NatSpace):
         return isinstance(v, Nat)
     if isinstance(space, BitVecSpace):
@@ -226,7 +222,7 @@ def _old_space_contains(space, v):
 
 
 def _old_space_cardinality(space):
-    if isinstance(space, (OpaqueSpace, NatSpace)):
+    if isinstance(space, NatSpace):
         return None
     if isinstance(space, BitVecSpace):
         return 1 << space.width
@@ -277,8 +273,6 @@ def _old_enum(space):
 
 
 def _old_sample_value(space, rng, nat_ceiling=1 << 32):
-    if isinstance(space, OpaqueSpace):
-        raise CannotDraw("opaque space has no generator")
     if isinstance(space, NatSpace):
         return Nat(rng.next_below(nat_ceiling))
     if isinstance(space, BitVecSpace):
@@ -337,7 +331,7 @@ def _outcome(fn, *args):
 
 def _enum_work(space) -> int:
     """An upper bound on the values an enumeration visits before it ends or
-    raises (opaque and natural children count as one)."""
+    raises (natural children count as one)."""
     if isinstance(space, BitVecSpace):
         return 1 << space.width
     if isinstance(space, AtomSetSpace):
@@ -361,11 +355,11 @@ _leaf_spaces = st.one_of(
 
 
 def _composite_spaces(children):
-    child = st.just(OpaqueSpace()) | children
     return st.one_of(
-        st.builds(PairSpace, child, child),
-        st.builds(TaggedSpace, st.lists(child, min_size=2, max_size=3).map(tuple)),
-        st.builds(ParamPairSpace, child),
+        st.builds(PairSpace, children, children),
+        st.builds(TaggedSpace,
+                  st.lists(children, min_size=2, max_size=3).map(tuple)),
+        st.builds(ParamPairSpace, children),
     )
 
 
@@ -385,7 +379,7 @@ values = st.recursive(
 
 class TestSpaceOracle:
     @settings(max_examples=300, deadline=None)
-    @given(st.just(OpaqueSpace()) | spaces, st.lists(values, max_size=4),
+    @given(spaces, st.lists(values, max_size=4),
            st.integers(0, 2**64 - 1))
     def test_contains(self, space, others, seed):
         drawn = _outcome(_old_sample_value, space, Rng(seed, 1))
@@ -397,12 +391,12 @@ class TestSpaceOracle:
             assert space_contains(space, v) == _old_space_contains(space, v)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.just(OpaqueSpace()) | spaces)
+    @given(spaces)
     def test_cardinality(self, space):
         assert space.cardinality() == _old_space_cardinality(space)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.just(OpaqueSpace()) | spaces)
+    @given(spaces)
     def test_enumeration(self, space):
         if _enum_work(space) > 1 << 12:
             return
@@ -415,7 +409,7 @@ class TestSpaceOracle:
         assert space.enumerate(limit) == expected
 
     @settings(max_examples=300, deadline=None)
-    @given(st.just(OpaqueSpace()) | spaces, st.integers(0, 2**64 - 1))
+    @given(spaces, st.integers(0, 2**64 - 1))
     def test_sampling(self, space, seed):
         new, old = Rng(seed, SAMPLE_TAG), Rng(seed, SAMPLE_TAG)
         for _ in range(3):
@@ -488,7 +482,7 @@ class TestBoundedNats:
 
 
 # ---------------------------------------------------------------------------
-# Guard: an opaque domain is an OpaqueSpace, never a None space
+# Guard: every domain is a declared space, never None
 # ---------------------------------------------------------------------------
 
 _SPACE_NAMES = {"space", "from_space", "to_space", "base", "left", "right"}
@@ -571,7 +565,7 @@ def _params(fn):
 def test_space_sample_and_project_take_one_argument():
     kinds = _space_kinds()
     assert {k.__name__ for k in kinds} >= {
-        "Space", "OpaqueSpace", "NatSpace", "BitVecSpace", "PairSpace",
+        "Space", "MqttMsgSpace", "NatSpace", "BitVecSpace", "PairSpace",
         "AtomSetSpace", "TaggedSpace", "ParamPairSpace"}
     for kind in kinds:
         assert _params(kind.sample) == ["self", "rng"], kind.__name__
